@@ -51,6 +51,7 @@ from .moments import (
 from .parsing import PolyParseError, format_poly, parse_poly
 from .sdp import (
     AffineConstraints,
+    ClassConstraints,
     SolveReport,
     feasibility_solve,
     minimize_linear,
@@ -63,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineConstraints",
     "Certificate",
+    "ClassConstraints",
     "DualWitness",
     "GnsModel",
     "GramProblem",

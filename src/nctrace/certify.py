@@ -40,7 +40,7 @@ from .algebra import (
 from .moments import MomentSequence, check_w_membership, moment_matrix, psd_check
 from .sampling import make_rng, random_tuple, structured_library
 from .sdp import (
-    AffineConstraints,
+    ClassConstraints,
     SolveReport,
     feasibility_solve,
     minimize_linear,
@@ -48,7 +48,6 @@ from .sdp import (
 
 SYMMETRY_TOL = 1e-10
 RANK_CUTOFF = 1e-8
-RHS_IMAG_TOL = 1e-10
 FALSIFY_TRACE_TOL = 1e-10
 
 
@@ -82,6 +81,16 @@ def _class_positions(nvars: int, d: int):
     return basis, classes
 
 
+def _class_labels(classes, m: int):
+    """Class representatives by (length, word), and each entry's index there."""
+    reps = sorted(classes, key=lambda w: (len(w), w))
+    labels = np.empty((m, m), dtype=np.intp)
+    for label, rep in enumerate(reps):
+        rows, cols = zip(*classes[rep])
+        labels[rows, cols] = label
+    return reps, labels
+
+
 @dataclass
 class GramProblem:
     """Linear side of the square-decomposition search at half-degree d.
@@ -96,7 +105,7 @@ class GramProblem:
     basis: list = field(repr=False)
     classes: dict = field(repr=False)
     rhs: dict = field(repr=False)
-    constraints: AffineConstraints = field(repr=False)
+    constraints: ClassConstraints = field(repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -117,32 +126,14 @@ def build_gram_problem(p: NCPoly, d: int) -> GramProblem:
         raise AssertionError(f"unreachable class representative {stray[0]}")
     rhs = {rep: reduced.coeff(rep) for rep in classes}
 
-    constraints = AffineConstraints(m)
-    seen: set[Word] = set()
-    for rep in sorted(classes, key=lambda w: (len(w), w)):
-        if rep in seen:
-            continue
-        seen.add(rep)
-        A = np.zeros((m, m))
-        for row, col in classes[rep]:
-            A[row, col] += 1.0
-        value = rhs[rep]
-        rep_op = cyclic_canonical(involute_word(rep))
-        if rep_op == rep:
-            # Reversal-closed class: the coefficient matrix is symmetric and
-            # the class sum of a self-adjoint polynomial is real.
-            if abs(value.imag) > RHS_IMAG_TOL:
-                raise AssertionError(
-                    f"class {rep} carries imaginary weight {value.imag:.3e}"
-                )
-            constraints.add(A, value.real)
-        else:
-            seen.add(rep_op)
-            # One complex equation per reversal pair of classes, split into
-            # Hermitian real and imaginary parts; the reversed class's
-            # equation is the conjugate and adds nothing.
-            constraints.add((A + A.T) / 2, value.real)
-            constraints.add(0.5j * (A - A.T), value.imag)
+    reps, labels = _class_labels(classes, m)
+    values = np.array([rhs[rep] for rep in reps], dtype=complex)
+    # A class and its reversal are transposes of each other and carry
+    # conjugate sums; the earlier of the two in the ordering sets both.
+    partner = np.array([labels[classes[rep][0][::-1]] for rep in reps])
+    earlier = np.arange(len(reps)) <= partner
+    values = np.where(earlier, values, np.conj(values[partner]))
+    constraints = ClassConstraints(labels, rhs=values)
     return GramProblem(
         degree=d, basis=basis, classes=classes, rhs=rhs, constraints=constraints
     )
@@ -282,8 +273,10 @@ def witness_search(
     value, whatever its sign.
     """
     _require_symmetric(p)
-    if R < 1:
+    if not (R >= 1):
         raise ValueError(f"witness box radius must be at least 1, got {R}")
+    if not (tol > 0):
+        raise ValueError(f"tol must be positive, got {tol}")
     if d is None:
         d = (p.degree() + 1) // 2
     if p.degree() > 2 * d:
@@ -291,32 +284,15 @@ def witness_search(
     basis, classes = _class_positions(p.nvars, d)
     m = len(basis)
 
-    constraints = AffineConstraints(m)
-    unit = np.zeros((m, m))
-    unit[0, 0] = 1.0
-    constraints.add(unit, 1.0)
-    for rep in sorted(classes, key=lambda w: (len(w), w)):
-        ref, rest = classes[rep][0], classes[rep][1:]
-        for pos in rest:
-            re_part = _re_entry(ref, m) - _re_entry(pos, m)
-            if np.any(re_part):
-                constraints.add(re_part, 0.0)
-            im_part = _im_entry(ref, m) - _im_entry(pos, m)
-            if np.any(im_part):
-                constraints.add(im_part, 0.0)
+    reps, labels = _class_labels(classes, m)
+    constraints = ClassConstraints(labels, pinned=reps.index(()))
 
     lengths = np.array([len(w) for w in basis], dtype=float)
     box = float(R) ** (lengths[:, None] + lengths[None, :])
 
     reduced = p.cyclic_reduce()
-    weights = np.zeros((m, m), dtype=complex)
-    for rep, positions in classes.items():
-        coeff = reduced.coeff(rep)
-        if coeff == 0:
-            continue
-        share = coeff / len(positions)
-        for row, col in positions:
-            weights[row, col] += share
+    shares = np.array([reduced.coeff(rep) for rep in reps], dtype=complex)
+    weights = (shares / constraints.counts)[labels]
     objective = (np.conj(weights) + weights.T) / 2
 
     solution, _ = minimize_linear(
@@ -346,23 +322,6 @@ def dual_witness(
     if value < -tol:
         return DualWitness(theta=theta, value=value, radius=float(R))
     return None
-
-
-def _re_entry(pos, m):
-    row, col = pos
-    A = np.zeros((m, m), dtype=complex)
-    A[row, col] += 0.5
-    A[col, row] += 0.5
-    return A
-
-
-def _im_entry(pos, m):
-    row, col = pos
-    A = np.zeros((m, m), dtype=complex)
-    if row != col:
-        A[row, col] += 0.5j
-        A[col, row] -= 0.5j
-    return A
 
 
 def _extract_moments(M: np.ndarray, classes, nvars: int, degree: int, R: float) -> MomentSequence:

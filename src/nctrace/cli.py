@@ -46,7 +46,7 @@ from .moments import (
     moment_sequence,
 )
 from .parsing import PolyParseError, format_poly, parse_poly, strip_comments
-from .sdp import InconsistentConstraints
+from .sdp import InconsistentConstraints, NoFeasiblePoint
 
 
 class InputError(Exception):
@@ -203,6 +203,8 @@ def cmd_witness(args) -> int:
         theta, value = witness_search(p, d=args.degree, R=args.radius, tol=args.tol)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    except NoFeasiblePoint as exc:
+        raise InputError(f"solver failed: {exc}") from exc
     if value < -args.tol:
         _emit(_witness_json(theta, value, args.radius), args.out)
         return 2

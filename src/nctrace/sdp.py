@@ -1,13 +1,27 @@
 """Dense Hermitian semidefinite feasibility by alternating projections.
 
 The feasible sets are the positive semidefinite cone and an affine set of
-real linear equations ``Re<A_k, G> = b_k`` with Hermitian coefficient
-matrices; both admit cheap exact projections (eigenvalue clamping and a
-least-squares correction), and Dykstra's correction terms make the
-alternation converge to a point of the intersection when one exists.  When
-the sets do not meet, the measured gap between them stabilizes at a
-positive value and the solve reports infeasibility at tolerance; no exact
-separation certificates are produced.
+Hermitian matrices, both with cheap exact projections: eigenvalue clamping
+for the cone, and for the affine set either a closed-form per-class
+correction or, for caller-supplied equations, a cached pseudo-inverse.
+
+Two affine types share one interface (``dim``, ``consistent``, ``project``,
+``distance``, ``residuals``, ``rhs``, ``len`` and ``start_scale``):
+
+* :class:`ClassConstraints` labels every matrix entry with a class.  Its
+  class-sum kind fixes the sum of the entries over each class (the Gram
+  side of a square decomposition); its class-constant kind makes the
+  entries constant on each class with one class pinned to 1 (the
+  pseudo-moment side).  Classes partition the entries, so both projections
+  are O(m^2) per-class means with no factorization.
+* :class:`AffineConstraints` holds general real equations
+  ``Re<A_k, G> = b_k`` with Hermitian coefficient matrices, projected
+  through the pseudo-inverse of their dense system.
+
+Dykstra's correction terms make the alternation converge to a point of the
+intersection when one exists.  When the sets do not meet, the measured gap
+between them stabilizes at a positive value and the solve reports
+infeasibility at tolerance; no exact separation certificates are produced.
 
 A projected subgradient loop on top of the same projections minimizes a
 linear functional over the intersection (optionally further cut by an
@@ -29,6 +43,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
 HERMITIAN_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
+RHS_IMAG_TOL = 1e-10
 
 
 class InconsistentConstraints(ValueError):
@@ -43,10 +58,11 @@ def _check_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    defect = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-    if defect > tol:
+    adjoint = M.conj().T
+    defect = float(np.abs(M - adjoint).max()) if M.size else 0.0
+    if not (defect <= tol):
         raise ValueError(f"matrix is not Hermitian: max asymmetry {defect:.3e}")
-    return (M + M.conj().T) / 2
+    return (M + adjoint) / 2
 
 
 def _embed(M: np.ndarray) -> np.ndarray:
@@ -58,6 +74,132 @@ def _embed(M: np.ndarray) -> np.ndarray:
 def _unembed(v: np.ndarray, dim: int) -> np.ndarray:
     k = dim * dim
     return v[:k].reshape(dim, dim) + 1j * v[k:].reshape(dim, dim)
+
+
+class ClassConstraints:
+    """Affine set of Hermitian matrices read off one class label per entry.
+
+    ``labels[i, j]`` in ``0..k-1`` names the class of entry (i, j); every
+    class is nonempty.  Transposition must map each class onto a single
+    partner class (possibly itself), which keeps both kinds closed under
+    the adjoint.  Give exactly one of:
+
+    * ``rhs`` (length k): the entries over class c sum to ``rhs[c]``.  A
+      partner pair is one complex equation, so ``rhs`` must be conjugate
+      across the pair, or the set is empty (``consistent`` is False).  A
+      class that is its own partner has a real sum, and a non-real target
+      there is rejected.  Projection subtracts ``(sum - rhs) / count`` from
+      every entry of the class.
+    * ``pinned``: the entries are constant on each class and class
+      ``pinned`` equals 1.  Projection replaces each entry by its class
+      mean, then pins.
+
+    Classes partition the entries, so each projection is O(m^2) and exact.
+    """
+
+    def __init__(self, labels, rhs=None, pinned: int | None = None):
+        labels = np.asarray(labels)
+        if labels.ndim != 2 or labels.shape[0] != labels.shape[1] or not labels.size:
+            raise ValueError(
+                f"labels must be a nonempty square array, got shape {labels.shape}"
+            )
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got {labels.dtype}")
+        if (rhs is None) == (pinned is None):
+            raise ValueError(
+                "give exactly one of rhs (class sums) or pinned (class constants)"
+            )
+        if rhs is not None:
+            rhs = np.asarray(rhs, dtype=complex)
+            if rhs.ndim != 1:
+                raise ValueError(f"rhs must be a vector, got shape {rhs.shape}")
+            k = len(rhs)
+        else:
+            k = int(labels.max()) + 1
+        flat = labels.ravel()
+        if flat.min() < 0 or flat.max() >= k:
+            raise ValueError(f"labels must lie in 0..{k - 1}")
+        counts = np.bincount(flat, minlength=k)
+        if not counts.all():
+            raise ValueError(f"class {int(np.argmin(counts))} is empty")
+        first = np.unique(flat, return_index=True)[1]
+        partner = labels.T.ravel()[first]
+        if not np.array_equal(partner[labels], labels.T):
+            raise ValueError("labels are not transpose-consistent")
+
+        self.dim = labels.shape[0]
+        self.labels = labels
+        self._flat = flat
+        self.counts = counts
+        self.pinned = pinned
+        if rhs is not None:
+            if not np.all(np.isfinite(rhs)):
+                raise ValueError("class sums must be finite")
+            closed = partner == np.arange(k)
+            imag = np.abs(rhs.imag[closed])
+            if imag.size and not (imag.max() <= RHS_IMAG_TOL):
+                c = int(np.flatnonzero(closed)[np.argmax(imag)])
+                raise ValueError(
+                    f"class {c} is its own transpose but its sum {rhs[c]} is not real"
+                )
+            self._rhs = np.where(closed, rhs.real, rhs)
+            self.defect = float(np.abs(self._rhs[partner] - self._rhs.conj()).max())
+            # Identity multiple matching the class sums in least squares;
+            # only classes of diagonal entries see the identity.
+            on_diag = np.bincount(np.diag(labels), minlength=k).astype(float)
+            denom = float(np.dot(on_diag, on_diag))
+            self.start_scale = (
+                float(np.dot(on_diag, self._rhs.real) / denom) if denom > 1e-30 else 0.0
+            )
+        else:
+            if not 0 <= pinned < k:
+                raise ValueError(f"pinned class {pinned} outside 0..{k - 1}")
+            self._rhs = np.ones(1)
+            self.defect = 0.0
+            # Identity multiple matching, in least squares, the pin and the
+            # equations ``G_ref = G_pos`` tying each entry of a class to the
+            # class's first entry; the identity only sees those that tie a
+            # diagonal entry to an off-diagonal one.
+            on_diag = np.eye(self.dim).ravel()
+            ties = float(np.sum((on_diag[first][flat] - on_diag) ** 2))
+            self.start_scale = 1.0 / (1.0 + ties)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        """Class sums, or the single pinned value of the class-constant kind."""
+        return self._rhs.copy()
+
+    @property
+    def consistent(self) -> bool:
+        return self.defect <= CONSISTENCY_TOL
+
+    def _class_sums(self, G: np.ndarray) -> np.ndarray:
+        G = np.asarray(G)
+        k = len(self.counts)
+        real = np.bincount(self._flat, G.real.ravel(), k)
+        return real + 1j * np.bincount(self._flat, G.imag.ravel(), k)
+
+    def project(self, G: np.ndarray) -> np.ndarray:
+        """Frobenius-nearest point of the set; Hermitian if G is, to rounding."""
+        sums = self._class_sums(G)
+        if self.pinned is None:
+            return G - ((sums - self._rhs) / self.counts)[self.labels]
+        means = sums / self.counts
+        means[self.pinned] = 1.0
+        return means[self.labels]
+
+    def distance(self, G: np.ndarray) -> float:
+        return float(np.linalg.norm(self.project(G) - G))
+
+    def residuals(self, G: np.ndarray) -> np.ndarray:
+        """Complex violations: each class sum minus its target, or each
+        entry minus its (pinned) class value."""
+        if self.pinned is None:
+            return self._class_sums(G) - self._rhs
+        return (G - self.project(G)).ravel()
 
 
 class AffineConstraints:
@@ -106,13 +248,35 @@ class AffineConstraints:
         return len(self) - self._prepare().rank
 
     @property
+    def defect(self) -> float:
+        """Least-squares residual of the equations; zero when solvable."""
+        return self._prepare().lstsq_residual
+
+    @property
     def consistent(self) -> bool:
         return self._prepare().consistent
+
+    @property
+    def start_scale(self) -> float:
+        """Identity multiple matching the pure-trace part of the equations."""
+        traces = np.array([float(np.trace(A).real) for A in self._matrices])
+        denom = float(np.sum(traces**2))
+        return float(np.dot(traces, self.rhs) / denom) if denom > 1e-30 else 0.0
 
     def _prepare(self) -> "_Prepared":
         if self._prepared is None:
             self._prepared = _Prepared(self)
         return self._prepared
+
+    def project(self, G: np.ndarray) -> np.ndarray:
+        return _unembed(self._prepare().project_vec(_embed(G)), self.dim)
+
+    def distance(self, G: np.ndarray) -> float:
+        prep = self._prepare()
+        if prep.C.shape[0] == 0:
+            return 0.0
+        v = _embed(G)
+        return float(np.linalg.norm(prep.project_vec(v) - v))
 
     def residuals(self, G: np.ndarray) -> np.ndarray:
         """Signed violation of each equation at G."""
@@ -155,6 +319,17 @@ class _Prepared:
         return v - self.pinv @ (self.C @ v - self.b)
 
 
+Constraints = ClassConstraints | AffineConstraints
+
+
+def _require_consistent(constraints: Constraints) -> None:
+    if not constraints.consistent:
+        raise InconsistentConstraints(
+            "constraints are structurally infeasible: residual "
+            f"{constraints.defect:.3e} exceeds {CONSISTENCY_TOL:.0e}"
+        )
+
+
 def project_psd(H: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clamp the spectrum."""
     H = _check_hermitian(H)
@@ -163,16 +338,11 @@ def project_psd(H: np.ndarray) -> np.ndarray:
     return (eigvecs * clipped) @ eigvecs.conj().T
 
 
-def project_affine(G: np.ndarray, constraints: AffineConstraints) -> np.ndarray:
+def project_affine(G: np.ndarray, constraints: Constraints) -> np.ndarray:
     """Frobenius-nearest Hermitian matrix satisfying the equations."""
     G = _check_hermitian(G)
-    prep = constraints._prepare()
-    if not prep.consistent:
-        raise InconsistentConstraints(
-            "constraints are structurally infeasible: least-squares residual "
-            f"{prep.lstsq_residual:.3e} exceeds {CONSISTENCY_TOL:.0e}"
-        )
-    out = _unembed(prep.project_vec(_embed(G)), constraints.dim)
+    _require_consistent(constraints)
+    out = constraints.project(G)
     return (out + out.conj().T) / 2
 
 
@@ -180,13 +350,6 @@ def _psd_distance(G: np.ndarray) -> float:
     eigvals = np.linalg.eigvalsh((G + G.conj().T) / 2)
     negative = np.minimum(eigvals, 0.0)
     return float(np.sqrt(np.sum(negative**2)))
-
-
-def _affine_distance(G: np.ndarray, prep: _Prepared) -> float:
-    if prep.C.shape[0] == 0:
-        return 0.0
-    v = _embed(G)
-    return float(np.linalg.norm(prep.project_vec(v) - v))
 
 
 @dataclass
@@ -205,17 +368,15 @@ class SolveReport:
         return self.status == "feasible"
 
 
-def _starting_point(constraints: AffineConstraints, dim: int) -> np.ndarray:
+def _starting_point(constraints: Constraints, dim: int) -> np.ndarray:
     # Scale the identity so pure-trace information in the equations is matched,
     # then move onto the affine set.
-    traces = np.array([float(np.trace(A).real) for A in constraints.matrices])
-    denom = float(np.sum(traces**2))
-    alpha = float(np.dot(traces, constraints.rhs) / denom) if denom > 1e-30 else 0.0
+    alpha = constraints.start_scale
     return project_affine(alpha * np.eye(dim, dtype=complex), constraints)
 
 
 def feasibility_solve(
-    constraints: AffineConstraints,
+    constraints: Constraints,
     dim: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -228,7 +389,7 @@ def feasibility_solve(
     tolerance when the gap stabilizes (relative change below tol/100 across
     a 50-iteration window) at a value above ``tol``.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
     if dim is None:
         dim = constraints.dim
@@ -236,12 +397,7 @@ def feasibility_solve(
         raise ValueError(
             f"dim {dim} does not match constraint dimension {constraints.dim}"
         )
-    prep = constraints._prepare()
-    if not prep.consistent:
-        raise InconsistentConstraints(
-            "constraints are structurally infeasible: least-squares residual "
-            f"{prep.lstsq_residual:.3e} exceeds {CONSISTENCY_TOL:.0e}"
-        )
+    _require_consistent(constraints)
 
     x = _starting_point(constraints, dim)
     p = np.zeros_like(x)
@@ -272,7 +428,7 @@ def feasibility_solve(
         status=status,
         iterations=iterations,
         dist_psd=_psd_distance(solution),
-        dist_affine=_affine_distance(solution, prep),
+        dist_affine=constraints.distance(solution),
         solution=solution,
         gap=gap,
     )
@@ -281,8 +437,7 @@ def feasibility_solve(
 def _project_box(G: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Clamp entry magnitudes to the given radii, preserving phases."""
     mags = np.abs(G)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(mags > radii, radii / np.where(mags > 0, mags, 1.0), 1.0)
+    scale = np.divide(radii, mags, out=np.ones_like(mags), where=mags > radii)
     return G * scale
 
 
@@ -307,7 +462,7 @@ def _dykstra_polish(x, projections, tol, max_iter):
 
 def minimize_linear(
     objective: np.ndarray,
-    constraints: AffineConstraints,
+    constraints: Constraints,
     box: np.ndarray | None = None,
     step: float = 1.0,
     tol: float = DEFAULT_TOL,
@@ -330,6 +485,8 @@ def minimize_linear(
     Raises :class:`NoFeasiblePoint` if no polished candidate ever lands
     within tolerance of all the sets.
     """
+    if not (tol > 0):
+        raise ValueError(f"tol must be positive, got {tol}")
     c = _check_hermitian(objective)
     dim = constraints.dim
     if c.shape != (dim, dim):
@@ -340,12 +497,7 @@ def minimize_linear(
             raise ValueError(f"box shape {box.shape} does not match dim {dim}")
         if not np.all(np.isfinite(box)) or np.any(box < 0):
             raise ValueError("box radii must be finite and nonnegative")
-    prep = constraints._prepare()
-    if not prep.consistent:
-        raise InconsistentConstraints(
-            "constraints are structurally infeasible: least-squares residual "
-            f"{prep.lstsq_residual:.3e} exceeds {CONSISTENCY_TOL:.0e}"
-        )
+    _require_consistent(constraints)
 
     def value_of(G):
         return float(np.real(np.vdot(c, G)))
@@ -359,7 +511,7 @@ def minimize_linear(
         out = [_psd_distance(G)]
         if box is not None:
             out.append(_box_distance(G, box))
-        out.append(_affine_distance(G, prep))
+        out.append(constraints.distance(G))
         return max(out)
 
     gnorm = float(np.linalg.norm(c)) or 1.0

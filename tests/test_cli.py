@@ -1,13 +1,18 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from nctrace import cli
 from nctrace.cli import main
 from nctrace.moments import moment_sequence
 from nctrace.sampling import pauli_pair
+from nctrace.sdp import NoFeasiblePoint
+
+from helpers import checkout_env
 
 COMMUTATOR = (
     "# squared commutator identity\n"
@@ -94,6 +99,29 @@ def test_witness_absent_exit_zero(poly_file, capsys):
     assert code == 0
     assert data["witness_found"] is False
     assert data["optimum"] >= -1e-6
+
+
+def test_witness_solver_failure_is_exit_one(poly_file, capsys, monkeypatch):
+    def no_point(*args, **kwargs):
+        raise NoFeasiblePoint("no feasible iterate found within 20000 iterations")
+
+    monkeypatch.setattr(cli, "witness_search", no_point)
+    code = main(["witness", poly_file(NEGATED)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("nctrace: solver failed: no feasible iterate")
+
+
+@pytest.mark.parametrize("command", ["certify", "witness"])
+def test_nan_tol_fails_fast(poly_file, capsys, command):
+    start = time.perf_counter()
+    code = main([command, poly_file(NEGATED), "--tol", "nan"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "tol must be positive" in captured.err
+    assert elapsed < 1.0
 
 
 def test_falsify_finds_pauli(poly_file, capsys):
@@ -239,6 +267,7 @@ def test_console_entry_point(poly_file):
         [sys.executable, "-m", "nctrace.cli", "norm", poly_file("Y1"), "--radius", "3"],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["norm"] == pytest.approx(3.0)

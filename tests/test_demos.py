@@ -6,13 +6,19 @@ import sys
 
 import pytest
 
+from helpers import checkout_env
+
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=300
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
 
+from nctrace.algebra import NCPoly
+from nctrace.certify import _class_labels, _class_positions, build_gram_problem
 from nctrace.sdp import (
     AffineConstraints,
+    ClassConstraints,
     InconsistentConstraints,
+    _check_hermitian,
+    _project_box,
     feasibility_solve,
     minimize_linear,
     project_affine,
     project_psd,
 )
 
-from helpers import make_rng, random_hermitian
+from helpers import (
+    commutator_square_poly,
+    dense_gram_constraints,
+    dense_witness_constraints,
+    make_rng,
+    random_hermitian,
+    random_poly,
+)
 
 
 def test_project_psd_clamps_spectrum():
@@ -187,3 +199,127 @@ def test_minimize_linear_respects_box():
     G, value = minimize_linear(c, cons, box=box, tol=1e-9, max_iter=4000)
     assert abs(G[0, 1]) <= 0.3 + 1e-6
     assert value == pytest.approx(-0.6, abs=2e-2)
+
+
+# -- numeric guards and per-iteration trims -------------------------------------
+
+
+def test_project_psd_rejects_nan():
+    with pytest.raises(ValueError):
+        project_psd(np.full((3, 3), np.nan))
+    G = np.eye(3, dtype=complex)
+    G[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        project_psd(G)
+
+
+def test_solvers_reject_nan_tol():
+    cons = _trace_and_offdiag(0.8)
+    with pytest.raises(ValueError):
+        feasibility_solve(cons, tol=float("nan"))
+    with pytest.raises(ValueError):
+        minimize_linear(np.eye(2), cons, tol=float("nan"))
+
+
+@pytest.mark.parametrize("m", [7, 15, 40])
+def test_trimmed_helpers_match_reference_expressions(m):
+    rng = make_rng(44 + m)
+    for _ in range(5):
+        H = random_hermitian(rng, m)
+        M = H + 1e-12 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        reference = (M + M.conj().T) / 2
+        assert np.array_equal(_check_hermitian(M), reference)
+
+        radii = np.abs(rng.normal(size=(m, m)))
+        radii[0, :] = 0.0
+        G = H.copy()
+        G[1, 1] = 0.0
+        mags = np.abs(G)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(mags > radii, radii / np.where(mags > 0, mags, 1.0), 1.0)
+        assert np.array_equal(_project_box(G, radii), G * scale)
+
+
+# -- class-labelled constraints -------------------------------------------------
+
+
+def _class_constant_set(nvars, d):
+    basis, classes = _class_positions(nvars, d)
+    reps, labels = _class_labels(classes, len(basis))
+    return ClassConstraints(labels, pinned=reps.index(()))
+
+
+def _check_class_projection(cls, dense, rng):
+    assert cls.start_scale == pytest.approx(dense.start_scale, rel=1e-14, abs=1e-15)
+    for _ in range(3):
+        G = random_hermitian(rng, cls.dim)
+        out = project_affine(G, cls)
+        assert np.max(np.abs(out - project_affine(G, dense))) <= 1e-12
+        assert np.array_equal(out, out.conj().T)
+        assert np.max(np.abs(project_affine(out, cls) - out)) <= 1e-12
+        assert np.max(np.abs(cls.residuals(out))) <= 1e-12
+        assert np.max(np.abs(dense.residuals(out))) <= 1e-12
+        assert cls.distance(G) == pytest.approx(dense.distance(G), rel=1e-12)
+
+
+@pytest.mark.parametrize("nvars,d", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_class_sums_projection_matches_dense_system(nvars, d):
+    rng = make_rng(100 * nvars + d)
+    q = random_poly(rng, nvars, 2 * d, n_terms=8)
+    p = q + q.adjoint()
+    cls = build_gram_problem(p, d).constraints
+    dense = dense_gram_constraints(p, d)
+    assert len(cls) == len(dense)
+    _check_class_projection(cls, dense, rng)
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+def test_class_constant_projection_matches_dense_system(nvars, d):
+    rng = make_rng(200 * nvars + d)
+    cls = _class_constant_set(nvars, d)
+    _check_class_projection(cls, dense_witness_constraints(nvars, d), rng)
+    assert project_affine(np.zeros((cls.dim, cls.dim)), cls)[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_feasibility_solve_same_with_either_type(nvars):
+    p = commutator_square_poly()
+    if nvars == 3:
+        p = NCPoly(3, dict(p.terms)) + NCPoly(3, {(3, 3): 1.0})
+    cls_report = feasibility_solve(build_gram_problem(p, 2).constraints)
+    dense_report = feasibility_solve(dense_gram_constraints(p, 2))
+    assert cls_report.status == dense_report.status == "feasible"
+    assert cls_report.iterations == dense_report.iterations
+    assert np.max(np.abs(cls_report.solution - dense_report.solution)) < 1e-9
+
+
+def test_class_constraints_reject_malformed_input():
+    labels = np.array([[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="transpose"):
+        # Entry (1, 0) shares class 0 with (0, 0), but its transpose does not.
+        ClassConstraints(np.array([[0, 1], [0, 2]]), rhs=np.zeros(3))
+    with pytest.raises(ValueError, match="empty"):
+        ClassConstraints(labels, rhs=np.zeros(5))
+    with pytest.raises(ValueError, match="empty"):
+        ClassConstraints(np.array([[0, 3], [3, 1]]), pinned=0)
+    with pytest.raises(ValueError, match="not real"):
+        ClassConstraints(labels, rhs=[1.0, 0.0, 0.0, 1j])
+    with pytest.raises(ValueError):
+        ClassConstraints(labels.astype(float), rhs=np.zeros(4))
+    with pytest.raises(ValueError):
+        ClassConstraints(labels, rhs=np.zeros(4), pinned=0)
+
+
+def test_class_sums_conjugate_mismatch_is_inconsistent():
+    # Classes 1 and 2 are transposes; their sums must be conjugate.
+    labels = np.array([[0, 1], [2, 3]])
+    good = ClassConstraints(labels, rhs=[1.0, 0.5 + 0.25j, 0.5 - 0.25j, 2.0])
+    assert good.consistent
+    out = project_affine(np.zeros((2, 2)), good)
+    assert np.allclose(out, [[1.0, 0.5 + 0.25j], [0.5 - 0.25j, 2.0]])
+    bad = ClassConstraints(labels, rhs=[1.0, 0.5, 0.25, 2.0])
+    assert not bad.consistent
+    with pytest.raises(InconsistentConstraints):
+        project_affine(np.zeros((2, 2)), bad)
+    with pytest.raises(InconsistentConstraints):
+        feasibility_solve(bad)
