@@ -37,13 +37,21 @@ from .algebra import (
     star_product,
     words_up_to,
 )
-from .moments import MomentSequence, check_w_membership, moment_matrix, psd_check
+from .moments import (
+    MomentSequence,
+    check_w_membership,
+    moment_matrix,
+    moment_sequence,
+    psd_check,
+)
 from .sampling import make_rng, random_tuple, structured_library
 from .sdp import (
     ClassConstraints,
+    NoFeasiblePoint,
     SolveReport,
     feasibility_solve,
     minimize_linear,
+    project_affine,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -268,9 +276,11 @@ def witness_search(
 
     The free variable is a Hermitian matrix over the half-degree word
     basis, constrained to be PSD, normalized at the empty word, constant on
-    each cyclic class, and entrywise bounded by ``R**word_length``.
-    Returns the extracted sequence together with the achieved pairing
-    value, whatever its sign.
+    each cyclic class, and entrywise bounded by ``R**word_length``;
+    :func:`minimize_linear` solves for it.  A solution the iteration cap
+    left below ``-tol`` in eigenvalue is moved onto the cone (see
+    :func:`_mix_anchor`).  Returns the extracted sequence together with the
+    achieved pairing value, whatever its sign.
     """
     _require_symmetric(p)
     if not (R >= 1):
@@ -285,24 +295,48 @@ def witness_search(
     m = len(basis)
 
     reps, labels = _class_labels(classes, m)
-    constraints = ClassConstraints(labels, pinned=reps.index(()))
-
-    lengths = np.array([len(w) for w in basis], dtype=float)
-    box = float(R) ** (lengths[:, None] + lengths[None, :])
+    radii = float(R) ** np.array([len(rep) for rep in reps], dtype=float)
+    constraints = ClassConstraints(labels, pinned=reps.index(()), radii=radii)
 
     reduced = p.cyclic_reduce()
     shares = np.array([reduced.coeff(rep) for rep in reps], dtype=complex)
     weights = (shares / constraints.counts)[labels]
     objective = (np.conj(weights) + weights.T) / 2
 
-    solution, _ = minimize_linear(
-        objective, constraints, box=box, tol=tol, max_iter=max_iter
-    )
+    solution, _ = minimize_linear(objective, constraints, tol=tol, max_iter=max_iter)
+    low = float(np.linalg.eigvalsh(solution)[0])
+    if low < -tol:
+        solution = _mix_anchor(solution, low, constraints, p.nvars, d, R)
     theta = _extract_moments(solution, classes, p.nvars, 2 * d, R)
     value = pair(p, theta)
     if abs(value.imag) > 1e-8:
         raise AssertionError(f"pairing unexpectedly complex: {value}")
     return theta, value.real
+
+
+def _mix_anchor(x, low, constraints, nvars: int, d: int, R: float) -> np.ndarray:
+    """Move x, feasible but for eigenvalue ``low < 0``, just onto the PSD cone.
+
+    The anchor A is the class-projected moment matrix of a fixed random
+    tuple of norm R, so it satisfies every constraint; its size N has
+    N^2 >= 4m, which makes A positive definite for a generic tuple.  With
+    delta = lambda_min(A) > 0 the mix (1-t)x + tA, t = -low / (delta - low),
+    stays feasible and has smallest eigenvalue at least zero, by concavity
+    of lambda_min.  Raises :class:`NoFeasiblePoint` if delta <= 0.
+    """
+    m = constraints.dim
+    size = max(4, int(np.ceil(2 * np.sqrt(m))))
+    X = random_tuple(make_rng(0), nvars, size, R)
+    moments = moment_matrix(moment_sequence(X, 2 * d), d).entries
+    A = project_affine(moments, constraints)
+    delta = float(np.linalg.eigvalsh(A)[0])
+    if not (delta > 0):
+        raise NoFeasiblePoint(
+            f"solver stopped at eigenvalue {low:.3e} and the anchor is not "
+            f"positive definite (eigenvalue {delta:.3e})"
+        )
+    t = -low / (delta - low)
+    return (1 - t) * x + t * A
 
 
 def dual_witness(
@@ -316,12 +350,25 @@ def dual_witness(
 
     Returns a :class:`DualWitness` when the minimized pairing falls below
     ``-tol``, None otherwise.  A returned witness satisfies the structural
-    invariants (see :func:`validate_witness`) at ten times the tolerance.
+    invariants (see :func:`validate_witness`) at ten times the tolerance;
+    one that does not raises :class:`NoFeasiblePoint`.
     """
     theta, value = witness_search(p, d=d, R=R, tol=tol, max_iter=max_iter)
     if value < -tol:
-        return DualWitness(theta=theta, value=value, radius=float(R))
+        return checked_witness(theta, value, R, tol)
     return None
+
+
+def checked_witness(theta: MomentSequence, value: float, R: float, tol: float = 1e-9):
+    """The :class:`DualWitness` of theta, once :func:`validate_witness` passes.
+
+    Raises :class:`NoFeasiblePoint` when any structural check fails.
+    """
+    witness = DualWitness(theta=theta, value=value, radius=float(R))
+    check = validate_witness(witness, tol=tol)
+    if not check.passed:
+        raise NoFeasiblePoint(f"witness failed validation: {check}")
+    return witness
 
 
 def _extract_moments(M: np.ndarray, classes, nvars: int, degree: int, R: float) -> MomentSequence:
@@ -405,6 +452,12 @@ def falsify(
     the outcome is a deterministic function of the seed.
     """
     _require_symmetric(p)
+    if not (trials >= 0):
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if not (N >= 1):
+        raise ValueError(f"matrix size N must be at least 1, got {N}")
+    if not (R > 0):
+        raise ValueError(f"radius R must be positive, got {R}")
     for index, candidate in enumerate(structured_library(p.nvars, N)):
         value = _real_trace(p, candidate)
         if value < -FALSIFY_TRACE_TOL:

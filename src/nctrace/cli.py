@@ -34,6 +34,7 @@ from .certify import (
     Certificate,
     SolverStalled,
     certify_sos,
+    checked_witness,
     falsify,
     witness_search,
 )
@@ -201,12 +202,15 @@ def cmd_witness(args) -> int:
     p = _load_poly(args.polyfile)
     try:
         theta, value = witness_search(p, d=args.degree, R=args.radius, tol=args.tol)
+        witness = None
+        if value < -args.tol:
+            witness = checked_witness(theta, value, args.radius, args.tol)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     except NoFeasiblePoint as exc:
         raise InputError(f"solver failed: {exc}") from exc
-    if value < -args.tol:
-        _emit(_witness_json(theta, value, args.radius), args.out)
+    if witness is not None:
+        _emit(_witness_json(witness.theta, witness.value, witness.radius), args.out)
         return 2
     _emit(
         {"witness_found": False, "optimum": value, "R": args.radius},

@@ -36,9 +36,9 @@ class MatrixTuple:
 def as_matrix_tuple(matrices, tol: float = HERMITIAN_INPUT_TOL) -> MatrixTuple:
     """Validate Hermitianity and symmetrize I/O rounding away.
 
-    Each matrix must equal its conjugate transpose entrywise to ``tol``;
-    inputs are then replaced by their Hermitian parts so later arithmetic
-    sees exactly Hermitian data.
+    Each matrix must be finite, at least 1 x 1, and equal its conjugate
+    transpose entrywise to ``tol``; inputs are then replaced by their
+    Hermitian parts so later arithmetic sees exactly Hermitian data.
     """
     if isinstance(matrices, MatrixTuple):
         return matrices
@@ -46,14 +46,20 @@ def as_matrix_tuple(matrices, tol: float = HERMITIAN_INPUT_TOL) -> MatrixTuple:
     if not mats:
         raise ValueError("a matrix tuple needs at least one matrix")
     size = mats[0].shape[0]
+    if not size:
+        raise ValueError("matrices must be at least 1 x 1")
     out = []
     for j, m in enumerate(mats):
         if m.ndim != 2 or m.shape != (size, size):
             raise ValueError(
                 f"matrix {j + 1} has shape {m.shape}, expected ({size}, {size})"
             )
+        # A non-finite entry makes its own difference NaN (inf - inf, or
+        # NaN), so the defect catches it.
         defect = np.max(np.abs(m - m.conj().T))
-        if defect > tol:
+        if not (defect <= tol):
+            if not np.isfinite(defect):
+                raise ValueError(f"matrix {j + 1} has non-finite entries")
             raise ValueError(
                 f"matrix {j + 1} is not Hermitian: max asymmetry {defect:.3e}"
             )

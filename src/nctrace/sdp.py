@@ -1,32 +1,37 @@
-"""Dense Hermitian semidefinite feasibility by alternating projections.
+"""Dense Hermitian semidefinite feasibility and linear minimization by projections.
 
-The feasible sets are the positive semidefinite cone and an affine set of
-Hermitian matrices, both with cheap exact projections: eigenvalue clamping
-for the cone, and for the affine set either a closed-form per-class
-correction or, for caller-supplied equations, a cached pseudo-inverse.
+The sets are the positive semidefinite cone and a constraint set of
+Hermitian matrices (affine, or affine cut by a per-class magnitude box),
+both with cheap exact projections: eigenvalue clamping for the cone, and
+for the constraint set either a closed-form per-class correction or, for
+caller-supplied equations, a cached pseudo-inverse.
 
-Two affine types share one interface (``dim``, ``consistent``, ``project``,
+Two constraint types share one interface (``dim``, ``consistent``, ``project``,
 ``distance``, ``residuals``, ``rhs``, ``len`` and ``start_scale``):
 
 * :class:`ClassConstraints` labels every matrix entry with a class.  Its
   class-sum kind fixes the sum of the entries over each class (the Gram
   side of a square decomposition); its class-constant kind makes the
-  entries constant on each class with one class pinned to 1 (the
-  pseudo-moment side).  Classes partition the entries, so both projections
-  are O(m^2) per-class means with no factorization.
+  entries constant on each class with one class pinned to 1, optionally
+  bounding each class value's magnitude (the pseudo-moment side with its
+  R^|w| box).  Classes partition the entries, so both projections are
+  O(m^2) per-class means with no factorization.
 * :class:`AffineConstraints` holds general real equations
   ``Re<A_k, G> = b_k`` with Hermitian coefficient matrices, projected
   through the pseudo-inverse of their dense system.
 
-Dykstra's correction terms make the alternation converge to a point of the
-intersection when one exists.  When the sets do not meet, the measured gap
-between them stabilizes at a positive value and the solve reports
-infeasibility at tolerance; no exact separation certificates are produced.
+:func:`feasibility_solve` alternates the two projections with Dykstra's
+correction terms, which converge to a point of the intersection when one
+exists.  When the sets do not meet, the measured gap between them
+stabilizes at a positive value and the solve reports infeasibility at
+tolerance; no exact separation certificates are produced.
 
-A projected subgradient loop on top of the same projections minimizes a
-linear functional over the intersection (optionally further cut by an
-entrywise magnitude box).  It is deliberately coarse: downstream users
-re-verify whatever they extract, so solver accuracy is not load-bearing.
+:func:`minimize_linear` minimizes a linear functional over the
+intersection by a two-block ADMM whose x-step projects onto the
+constraint set and whose z-step projects onto the cone.  It stops on
+primal and dual residuals and returns a point of the constraint set that
+is PSD to within the primal residual; downstream users re-verify whatever
+they extract.
 
 Everything here is single-threaded and deterministic; independent solves
 may run concurrently.
@@ -51,7 +56,12 @@ class InconsistentConstraints(ValueError):
 
 
 class NoFeasiblePoint(RuntimeError):
-    """The subgradient loop never produced a feasible iterate."""
+    """No point of the feasible set could be produced.
+
+    Raised by the witness search when the solver stops outside the PSD
+    cone and its strictly feasible anchor is not positive definite, and
+    when an extracted witness fails its structural re-check.
+    """
 
 
 def _check_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -91,13 +101,18 @@ class ClassConstraints:
       there is rejected.  Projection subtracts ``(sum - rhs) / count`` from
       every entry of the class.
     * ``pinned``: the entries are constant on each class and class
-      ``pinned`` equals 1.  Projection replaces each entry by its class
-      mean, then pins.
+      ``pinned`` equals 1.  Optional ``radii`` (length k) bound the
+      magnitude of each class value, equal across a partner pair and at
+      least 1 on the pinned class.  Projection replaces each entry by its
+      class mean, clamps each mean's magnitude to its radius keeping its
+      phase, then pins.  The set is a product of disks over the class
+      values, weighted by the class counts, so this is the exact
+      projection onto class-constant, bounded and pinned matrices.
 
     Classes partition the entries, so each projection is O(m^2) and exact.
     """
 
-    def __init__(self, labels, rhs=None, pinned: int | None = None):
+    def __init__(self, labels, rhs=None, pinned: int | None = None, radii=None):
         labels = np.asarray(labels)
         if labels.ndim != 2 or labels.shape[0] != labels.shape[1] or not labels.size:
             raise ValueError(
@@ -109,6 +124,8 @@ class ClassConstraints:
             raise ValueError(
                 "give exactly one of rhs (class sums) or pinned (class constants)"
             )
+        if radii is not None and rhs is not None:
+            raise ValueError("radii bound class values; they need pinned, not rhs")
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=complex)
             if rhs.ndim != 1:
@@ -132,6 +149,7 @@ class ClassConstraints:
         self._flat = flat
         self.counts = counts
         self.pinned = pinned
+        self.radii = None
         if rhs is not None:
             if not np.all(np.isfinite(rhs)):
                 raise ValueError("class sums must be finite")
@@ -154,6 +172,22 @@ class ClassConstraints:
         else:
             if not 0 <= pinned < k:
                 raise ValueError(f"pinned class {pinned} outside 0..{k - 1}")
+            if radii is not None:
+                radii = np.asarray(radii, dtype=float)
+                if radii.shape != (k,):
+                    raise ValueError(
+                        f"radii must have one entry per class ({k}), got shape "
+                        f"{radii.shape}"
+                    )
+                if not np.all(radii >= 0):
+                    raise ValueError("radii must be nonnegative numbers")
+                if not np.array_equal(radii[partner], radii):
+                    raise ValueError("radii differ across a transposed class pair")
+                if not (radii[pinned] >= 1):
+                    raise ValueError(
+                        f"pinned class radius {radii[pinned]} is below its value 1"
+                    )
+                self.radii = radii
             self._rhs = np.ones(1)
             self.defect = 0.0
             # Identity multiple matching, in least squares, the pin and the
@@ -188,6 +222,11 @@ class ClassConstraints:
         if self.pinned is None:
             return G - ((sums - self._rhs) / self.counts)[self.labels]
         means = sums / self.counts
+        if self.radii is not None:
+            mags = np.abs(means)
+            means *= np.divide(
+                self.radii, mags, out=np.ones_like(mags), where=mags > self.radii
+            )
         means[self.pinned] = 1.0
         return means[self.labels]
 
@@ -196,7 +235,7 @@ class ClassConstraints:
 
     def residuals(self, G: np.ndarray) -> np.ndarray:
         """Complex violations: each class sum minus its target, or each
-        entry minus its (pinned) class value."""
+        entry minus its (pinned, clamped) class value."""
         if self.pinned is None:
             return self._class_sums(G) - self._rhs
         return (G - self.project(G)).ravel()
@@ -434,56 +473,33 @@ def feasibility_solve(
     )
 
 
-def _project_box(G: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Clamp entry magnitudes to the given radii, preserving phases."""
-    mags = np.abs(G)
-    scale = np.divide(radii, mags, out=np.ones_like(mags), where=mags > radii)
-    return G * scale
-
-
-def _box_distance(G: np.ndarray, radii: np.ndarray) -> float:
-    excess = np.maximum(np.abs(G) - radii, 0.0)
-    return float(np.linalg.norm(excess))
-
-
-def _dykstra_polish(x, projections, tol, max_iter):
-    """Cyclic Dykstra iteration over several convex sets."""
-    corrections = [np.zeros_like(x) for _ in projections]
-    for _ in range(max_iter):
-        x_before = x
-        for i, proj in enumerate(projections):
-            y = proj(x + corrections[i])
-            corrections[i] = x + corrections[i] - y
-            x = y
-        if np.linalg.norm(x - x_before) <= tol / 10:
-            break
-    return x
-
-
 def minimize_linear(
     objective: np.ndarray,
     constraints: Constraints,
-    box: np.ndarray | None = None,
-    step: float = 1.0,
     tol: float = DEFAULT_TOL,
     max_iter: int = 10_000,
-    polish_every: int = 250,
-    polish_iters: int = 150,
 ):
-    """Minimize ``Re<objective, G>`` over PSD ∩ affine (∩ entrywise box).
+    """Minimize ``Re<objective, G>`` over PSD ∩ the constraint set.
 
-    Projected subgradient descent with a diminishing step and cyclically
-    applied projections.  A gradient step always leaves the feasible set by
-    roughly the step length, so candidate solutions are harvested
-    periodically by running Dykstra iterations to land back on the
-    intersection; the best feasible candidate seen is retained (monotone
-    best-so-far), given a final harder polish, and returned with its
-    objective value.  Accuracy is coarse, of order the final step length;
-    callers needing guarantees must verify the returned matrix
-    independently.
+    Two-block scaled ADMM (Wen, Goldfarb and Yin, Math. Prog. Comp. 2010)
+    splitting the problem into the constraint set, which carries the linear
+    objective, and the PSD cone.  Each iteration makes one exact projection
+    onto each set::
 
-    Raises :class:`NoFeasiblePoint` if no polished candidate ever lands
-    within tolerance of all the sets.
+        x  = project_affine(z - u - objective / rho)
+        z' = project_psd(x + u)
+        u += x - z'
+
+    It stops when the primal residual ``||x - z'||`` and the dual residual
+    ``rho * ||z' - z||`` are both at most ``tol`` (the rule of SCS,
+    O'Donoghue et al., JOTA 2016).  Every 20 iterations rho doubles when
+    the primal residual exceeds ten times the dual one and halves in the
+    opposite case, with u rescaled to match.
+
+    Returns ``(x, value)``.  x lies on the constraint set exactly (to
+    rounding) and is PSD to within the primal residual; at ``max_iter`` the
+    last x is returned as it is, and callers needing a PSD point must check
+    its spectrum.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -491,52 +507,25 @@ def minimize_linear(
     dim = constraints.dim
     if c.shape != (dim, dim):
         raise ValueError(f"objective shape {c.shape} does not match dim {dim}")
-    if box is not None:
-        box = np.asarray(box, dtype=float)
-        if box.shape != (dim, dim):
-            raise ValueError(f"box shape {box.shape} does not match dim {dim}")
-        if not np.all(np.isfinite(box)) or np.any(box < 0):
-            raise ValueError("box radii must be finite and nonnegative")
     _require_consistent(constraints)
 
-    def value_of(G):
-        return float(np.real(np.vdot(c, G)))
-
-    projections = [project_psd]
-    if box is not None:
-        projections.append(lambda G: _project_box(G, box))
-    projections.append(lambda G: project_affine(G, constraints))
-
-    def distances(G):
-        out = [_psd_distance(G)]
-        if box is not None:
-            out.append(_box_distance(G, box))
-        out.append(constraints.distance(G))
-        return max(out)
-
-    gnorm = float(np.linalg.norm(c)) or 1.0
-    feas_tol = 100 * max(tol, 1e-12)
-    x = _dykstra_polish(
-        _starting_point(constraints, dim), projections, tol, 500
-    )
-    best_x = None
-    best_value = np.inf
-    for k in range(max_iter):
-        x = x - (step / (gnorm * np.sqrt(k + 1.0))) * c
-        for proj in projections:
-            x = proj(x)
-        if (k + 1) % polish_every == 0 or k == max_iter - 1:
-            candidate = _dykstra_polish(x, projections, tol, polish_iters)
-            if distances(candidate) <= feas_tol:
-                v = value_of(candidate)
-                if v < best_value:
-                    best_value = v
-                    best_x = candidate
-    if best_x is None:
-        raise NoFeasiblePoint(
-            f"no feasible iterate found within {max_iter} iterations"
-        )
-    polished = _dykstra_polish(best_x, projections, tol, 5_000)
-    if distances(polished) <= distances(best_x):
-        best_x = polished
-    return best_x, value_of(best_x)
+    # Starting at rho = ||c|| makes the objective shift c / rho of unit size.
+    rho = max(float(np.linalg.norm(c)), 1.0)
+    z = _starting_point(constraints, dim)
+    x = z
+    u = np.zeros_like(z)
+    for k in range(1, max_iter + 1):
+        x = project_affine(z - u - c / rho, constraints)
+        z_next = project_psd(x + u)
+        primal = float(np.linalg.norm(x - z_next))
+        dual = rho * float(np.linalg.norm(z_next - z))
+        u = u + x - z_next
+        z = z_next
+        if primal <= tol and dual <= tol:
+            break
+        if k % 20 == 0:
+            if primal > 10 * dual:
+                rho, u = 2 * rho, u / 2
+            elif dual > 10 * primal:
+                rho, u = rho / 2, 2 * u
+    return x, float(np.real(np.vdot(c, x)))

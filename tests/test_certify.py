@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ from nctrace.certify import (
     verify_certificate,
     witness_search,
 )
-from nctrace.moments import moment_sequence
-from nctrace.sdp import feasibility_solve
+from nctrace import certify
+from nctrace.moments import MomentSequence, moment_sequence
+from nctrace.sdp import NoFeasiblePoint, feasibility_solve, minimize_linear
 
 from helpers import commutator_square_poly, make_rng, random_hermitian_tuple, random_poly
 
@@ -280,6 +283,65 @@ def test_anticommutator_family_exclusivity():
     assert cert.residual_l1 <= 1e-10
     _, value = witness_search(square, 1, R=1.0, max_iter=4000)
     assert value >= -1e-8
+
+
+FAMILIES = {
+    "comm": commutator_square_poly().terms,
+    "anti": {
+        (1, 2, 1, 2): 0.5,
+        (1, 2, 2, 1): 0.5,
+        (2, 1, 1, 2): 0.5,
+        (2, 1, 2, 1): 0.5,
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+def test_witness_value_of_negated_families(family, nvars, d):
+    # With R = 1 the negated pair part reaches -2 and -Y3^2 adds -1.
+    terms = dict(FAMILIES[family])
+    if nvars == 3:
+        terms[(3, 3)] = 1.0
+    p = -1 * NCPoly(nvars, terms)
+    w = dual_witness(p, d, R=1.0)
+    assert w.value == pytest.approx(-2.0 - (nvars == 3), abs=1e-6)
+
+
+def test_unhalved_commutator_square_at_degree_three():
+    p = -2 * commutator_square_poly()
+    start = time.perf_counter()
+    theta, value = witness_search(p, 3, R=1.0)
+    elapsed = time.perf_counter() - start
+    assert value == pytest.approx(-4.0, abs=1e-6)
+    assert elapsed < 1.0
+
+
+def test_iteration_cap_repair_is_a_valid_witness(monkeypatch):
+    rng = make_rng(54)
+    b = random_poly(rng, 2, 2, n_terms=6)
+    p = -1 * star_product(b.adjoint(), b)
+    raw = []
+
+    def spy(*args, **kwargs):
+        x, value = minimize_linear(*args, **kwargs)
+        raw.append(np.linalg.eigvalsh(x)[0])
+        return x, value
+
+    monkeypatch.setattr(certify, "minimize_linear", spy)
+    w = dual_witness(p, 2, R=1.0, max_iter=30)
+    assert raw[0] < -1e-9  # the cap left the solver's point outside the cone
+    assert w is not None and w.value < 0
+    check = validate_witness(w)
+    assert check.passed, check
+    assert check.min_eigenvalue >= -1e-12
+
+
+def test_dual_witness_rejects_invalid_theta(monkeypatch):
+    theta = MomentSequence(1, 2, {(): 1.0, (1,): 0.0, (1, 1): -1.0})
+    monkeypatch.setattr(certify, "witness_search", lambda *a, **k: (theta, -1.0))
+    with pytest.raises(NoFeasiblePoint, match="witness failed validation"):
+        dual_witness(NCPoly(1, {(1, 1): -1.0}), 1)
 
 
 # -- falsify ------------------------------------------------------------------

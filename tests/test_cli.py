@@ -8,7 +8,7 @@ import pytest
 
 from nctrace import cli
 from nctrace.cli import main
-from nctrace.moments import moment_sequence
+from nctrace.moments import MomentSequence, moment_sequence
 from nctrace.sampling import pauli_pair
 from nctrace.sdp import NoFeasiblePoint
 
@@ -113,6 +113,17 @@ def test_witness_solver_failure_is_exit_one(poly_file, capsys, monkeypatch):
     assert captured.err.startswith("nctrace: solver failed: no feasible iterate")
 
 
+def test_invalid_witness_is_not_emitted(poly_file, capsys, monkeypatch):
+    # theta(Y1^2) = -1 pairs negatively but is not positive on squares.
+    theta = MomentSequence(1, 2, {(): 1.0, (1,): 0.0, (1, 1): -1.0})
+    monkeypatch.setattr(cli, "witness_search", lambda *a, **k: (theta, -1.0))
+    code = main(["witness", poly_file("-1*Y1^2")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("nctrace: solver failed: witness failed validation")
+
+
 @pytest.mark.parametrize("command", ["certify", "witness"])
 def test_nan_tol_fails_fast(poly_file, capsys, command):
     start = time.perf_counter()
@@ -141,6 +152,35 @@ def test_falsify_none_exit_zero(poly_file, capsys):
     )
     assert code == 0
     assert data["falsified"] is False
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--trials", "-5"], "trials must be nonnegative"),
+        (["--radius", "nan"], "radius R must be positive"),
+        (["--radius", "-1"], "radius R must be positive"),
+        (["--size", "0"], "size N must be at least 1"),
+    ],
+)
+def test_falsify_rejects_bad_options(poly_file, capsys, flags, message):
+    code = main(["falsify", poly_file(NEGATED), *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_moments_rejects_nan_matrix(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"n": 1, "N": 2, "matrices": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]]}'
+    )
+    code = main(["moments", str(path), "--degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "non-finite" in captured.err
 
 
 def test_moments_pauli(pauli_json, capsys):
@@ -217,13 +257,18 @@ def test_norm_command(poly_file, capsys):
     assert data["norm"] == pytest.approx(16.0)
 
 
-def test_out_flag_and_determinism(poly_file, tmp_path):
+def test_out_flag_and_determinism(poly_file, tmp_path, capsys):
     src = poly_file(NEGATED)
     out1, out2 = str(tmp_path / "w1.json"), str(tmp_path / "w2.json")
     assert main(["witness", src, "--degree", "2", "--out", out1]) == 2
     assert main(["witness", src, "--degree", "2", "--out", out2]) == 2
     with open(out1, "rb") as fh1, open(out2, "rb") as fh2:
         assert fh1.read() == fh2.read()
+    stdout = []
+    for _ in range(2):
+        assert main(["witness", src, "--degree", "3"]) == 2
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
 
 
 def test_certificate_json_round_trips_through_parser(poly_file, tmp_path, capsys):

@@ -8,7 +8,6 @@ from nctrace.sdp import (
     ClassConstraints,
     InconsistentConstraints,
     _check_hermitian,
-    _project_box,
     feasibility_solve,
     minimize_linear,
     project_affine,
@@ -192,11 +191,11 @@ def test_minimize_linear_zero_objective():
 
 def test_minimize_linear_respects_box():
     # Minimizing -G01-G10 under the box |G01| <= 0.3 pins the off-diagonal.
-    cons = AffineConstraints(2)
-    cons.add(np.eye(2), 1.0)
+    cons = ClassConstraints(
+        np.array([[0, 1], [2, 3]]), pinned=0, radii=[2.0, 0.3, 0.3, 2.0]
+    )
     c = -np.array([[0.0, 1.0], [1.0, 0.0]])
-    box = np.array([[2.0, 0.3], [0.3, 2.0]])
-    G, value = minimize_linear(c, cons, box=box, tol=1e-9, max_iter=4000)
+    G, value = minimize_linear(c, cons, tol=1e-9, max_iter=4000)
     assert abs(G[0, 1]) <= 0.3 + 1e-6
     assert value == pytest.approx(-0.6, abs=2e-2)
 
@@ -230,14 +229,23 @@ def test_trimmed_helpers_match_reference_expressions(m):
         reference = (M + M.conj().T) / 2
         assert np.array_equal(_check_hermitian(M), reference)
 
+        # The radii clamp, seen entrywise: one class per entry, pinned at the
+        # last diagonal entry, radii symmetric as transposed classes require.
         radii = np.abs(rng.normal(size=(m, m)))
-        radii[0, :] = 0.0
+        radii = radii + radii.T
+        radii[0, :] = radii[:, 0] = 0.0
+        radii[-1, -1] = 1.0
+        cls = ClassConstraints(
+            np.arange(m * m).reshape(m, m), pinned=m * m - 1, radii=radii.ravel()
+        )
         G = H.copy()
         G[1, 1] = 0.0
         mags = np.abs(G)
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.where(mags > radii, radii / np.where(mags > 0, mags, 1.0), 1.0)
-        assert np.array_equal(_project_box(G, radii), G * scale)
+        reference = G * scale
+        reference[-1, -1] = 1.0
+        assert np.array_equal(cls.project(G), reference)
 
 
 # -- class-labelled constraints -------------------------------------------------
@@ -323,3 +331,40 @@ def test_class_sums_conjugate_mismatch_is_inconsistent():
         project_affine(np.zeros((2, 2)), bad)
     with pytest.raises(InconsistentConstraints):
         feasibility_solve(bad)
+
+
+def _witness_set(nvars, d, R):
+    basis, classes = _class_positions(nvars, d)
+    reps, labels = _class_labels(classes, len(basis))
+    radii = R ** np.array([len(rep) for rep in reps], dtype=float)
+    return ClassConstraints(labels, pinned=reps.index(()), radii=radii)
+
+
+def test_class_constraints_reject_bad_radii():
+    labels = np.array([[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="pinned"):
+        ClassConstraints(labels, rhs=np.zeros(4), radii=np.ones(4))
+    for radii in ([1.0, -0.5, -0.5, 1.0], [1.0, np.nan, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ClassConstraints(labels, pinned=0, radii=radii)
+    with pytest.raises(ValueError, match="transposed"):
+        ClassConstraints(labels, pinned=0, radii=[1.0, 0.5, 0.25, 1.0])
+    with pytest.raises(ValueError, match="below"):
+        ClassConstraints(labels, pinned=0, radii=[0.5, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="one entry per class"):
+        ClassConstraints(labels, pinned=0, radii=[1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+def test_bounded_class_projection_is_optimal(nvars, d):
+    # P = proj(G) is the projection onto a convex set exactly when
+    # Re<G - P, Y - P> <= 0 for every feasible Y.
+    rng = make_rng(300 * nvars + d)
+    cls = _witness_set(nvars, d, 1.5)
+    for _ in range(5):
+        G = random_hermitian(rng, cls.dim)
+        P = cls.project(G)
+        assert np.max(np.abs(cls.residuals(P))) <= 1e-12
+        for _ in range(5):
+            Y = cls.project(3 * random_hermitian(rng, cls.dim))
+            assert np.real(np.vdot(G - P, Y - P)) <= 1e-12
