@@ -12,14 +12,10 @@ from .algebra import (
     NCPoly,
     concat,
     cyclic_canonical,
-    cyclic_reduce,
     evaluate,
-    involute_poly,
     involute_word,
-    is_symmetric,
     normalized_trace,
     pair,
-    r_norm,
     star_product,
     words_up_to,
 )
@@ -82,7 +78,6 @@ __all__ = [
     "check_w_membership",
     "concat",
     "cyclic_canonical",
-    "cyclic_reduce",
     "dual_witness",
     "evaluate",
     "falsify",
@@ -90,9 +85,7 @@ __all__ = [
     "format_poly",
     "gns_build",
     "growth_radius",
-    "involute_poly",
     "involute_word",
-    "is_symmetric",
     "minimize_linear",
     "moment_matrix",
     "moment_sequence",
@@ -103,7 +96,6 @@ __all__ = [
     "project_affine",
     "project_psd",
     "psd_check",
-    "r_norm",
     "star_product",
     "unitary_group",
     "validate_witness",

@@ -17,7 +17,7 @@ everything trace-related.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -35,12 +35,6 @@ def involute_word(word: Word) -> Word:
 def concat(left: Word, right: Word) -> Word:
     """Concatenate two words, left letters first."""
     return left + right
-
-
-def rotations(word: Word) -> Iterator[Word]:
-    """All rotations of a word (the word itself included)."""
-    for shift in range(max(len(word), 1)):
-        yield word[shift:] + word[:shift]
 
 
 def cyclic_canonical(word: Word) -> Word:
@@ -244,22 +238,6 @@ def star_product(a: NCPoly, b: NCPoly) -> NCPoly:
             word = wa + wb
             out[word] = out.get(word, 0.0) + ca * cb
     return NCPoly(a.nvars, out)
-
-
-def involute_poly(a: NCPoly) -> NCPoly:
-    return a.adjoint()
-
-
-def r_norm(a: NCPoly, radius: float) -> float:
-    return a.r_norm(radius)
-
-
-def is_symmetric(a: NCPoly, tol: float = 1e-10) -> bool:
-    return a.is_symmetric(tol)
-
-
-def cyclic_reduce(a: NCPoly) -> NCPoly:
-    return a.cyclic_reduce()
 
 
 def pair(a: NCPoly, t) -> complex:

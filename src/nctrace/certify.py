@@ -22,6 +22,7 @@ completeness is made at any finite level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -56,6 +57,7 @@ from .sdp import (
 
 SYMMETRY_TOL = 1e-10
 RANK_CUTOFF = 1e-8
+RESIDUAL_TOL = 1e-6  # certificate residual allowed, relative to max(1, ||p||_1)
 FALSIFY_TRACE_TOL = 1e-10
 
 
@@ -157,12 +159,14 @@ class Certificate:
     residual_l1: float = 0.0
 
     def sos_poly(self) -> NCPoly:
-        if not self.factors:
-            return NCPoly.zero(self.residual.nvars)
-        total = NCPoly.zero(self.factors[0].nvars)
-        for b in self.factors:
-            total = total + star_product(b.adjoint(), b)
-        return total
+        return _sum_of_squares(self.factors, self.residual.nvars)
+
+
+def _sum_of_squares(factors, nvars: int) -> NCPoly:
+    total = NCPoly.zero(nvars)
+    for b in factors:
+        total = total + star_product(b.adjoint(), b)
+    return total
 
 
 @dataclass
@@ -173,6 +177,7 @@ class InfeasibilityReport:
     gap: float
     iterations: int
     status: str = "infeasible-at-tolerance"
+    separator: np.ndarray | None = field(default=None, repr=False)
 
 
 def extract_factors(G: np.ndarray, basis, nvars: int, rank_cutoff: float = RANK_CUTOFF):
@@ -210,34 +215,32 @@ def certify_sos(
     """Search for a square decomposition of p up to cyclic equivalence.
 
     Returns a :class:`Certificate` on success and an
-    :class:`InfeasibilityReport` when the Gram problem is infeasible at
-    tolerance; raises :class:`SolverStalled` when the solve is undecided at
-    its iteration cap.  The certificate's residual is recomputed from the
-    extracted factors by plain polynomial arithmetic and is of the order of
-    the solver tolerance times the squared basis size.
+    :class:`InfeasibilityReport` with the solver's separating matrix (its
+    anchor is :func:`_tracial_anchor`) when the Gram problem is infeasible
+    at tolerance; raises :class:`SolverStalled` when the solve is undecided
+    at its iteration cap.  The certificate's residual is recomputed from the
+    extracted factors by plain polynomial arithmetic; one above
+    ``RESIDUAL_TOL * max(1, ||p||_1)`` raises :class:`NoFeasiblePoint`.
     """
     _require_symmetric(p)
     if d is None:
         d = (p.degree() + 1) // 2
     problem = build_gram_problem(p, d)
-    report = feasibility_solve(problem.constraints, tol=tol, max_iter=max_iter)
+    anchor = partial(_tracial_anchor, p.nvars, d)
+    report = feasibility_solve(problem.constraints, None, tol, max_iter, anchor)
     if report.status == "max-iterations":
         raise SolverStalled(report)
     if report.status != "feasible":
-        return InfeasibilityReport(
-            degree=d, gap=report.gap, iterations=report.iterations
-        )
+        gap, iterations, separator = report.gap, report.iterations, report.separator
+        return InfeasibilityReport(d, gap, iterations, separator=separator)
     factors = extract_factors(report.solution, problem.basis, p.nvars)
-    total = NCPoly.zero(p.nvars)
-    for b in factors:
-        total = total + star_product(b.adjoint(), b)
-    residual = (p - total).cyclic_reduce()
-    return Certificate(
-        degree=d,
-        factors=factors,
-        residual=residual,
-        residual_l1=residual.r_norm(1.0),
-    )
+    residual = (p - _sum_of_squares(factors, p.nvars)).cyclic_reduce()
+    residual_l1, limit = residual.r_norm(1.0), RESIDUAL_TOL * max(1.0, p.r_norm(1.0))
+    if not (residual_l1 <= limit):
+        raise NoFeasiblePoint(
+            f"certificate residual {residual_l1:.3e} exceeds {limit:.3e}"
+        )
+    return Certificate(d, factors, residual, residual_l1)
 
 
 def verify_certificate(p: NCPoly, cert: Certificate) -> float:
@@ -246,10 +249,7 @@ def verify_certificate(p: NCPoly, cert: Certificate) -> float:
     Uses only polynomial arithmetic on the stored factors, never any solver
     state, so it independently audits what :func:`certify_sos` produced.
     """
-    total = NCPoly.zero(p.nvars)
-    for b in cert.factors:
-        total = total + star_product(b.adjoint(), b)
-    return (p - total).cyclic_reduce().r_norm(1.0)
+    return (p - _sum_of_squares(cert.factors, p.nvars)).cyclic_reduce().r_norm(1.0)
 
 
 @dataclass
@@ -317,18 +317,13 @@ def witness_search(
 def _mix_anchor(x, low, constraints, nvars: int, d: int, R: float) -> np.ndarray:
     """Move x, feasible but for eigenvalue ``low < 0``, just onto the PSD cone.
 
-    The anchor A is the class-projected moment matrix of a fixed random
-    tuple of norm R, so it satisfies every constraint; its size N has
-    N^2 >= 4m, which makes A positive definite for a generic tuple.  With
-    delta = lambda_min(A) > 0 the mix (1-t)x + tA, t = -low / (delta - low),
-    stays feasible and has smallest eigenvalue at least zero, by concavity
-    of lambda_min.  Raises :class:`NoFeasiblePoint` if delta <= 0.
+    The anchor A is the class-projected :func:`_tracial_anchor`, so it
+    satisfies every constraint.  With delta = lambda_min(A) > 0 the mix
+    (1-t)x + tA, t = -low / (delta - low), stays feasible and has smallest
+    eigenvalue at least zero, by concavity of lambda_min.  Raises
+    :class:`NoFeasiblePoint` if delta <= 0.
     """
-    m = constraints.dim
-    size = max(4, int(np.ceil(2 * np.sqrt(m))))
-    X = random_tuple(make_rng(0), nvars, size, R)
-    moments = moment_matrix(moment_sequence(X, 2 * d), d).entries
-    A = project_affine(moments, constraints)
+    A = project_affine(_tracial_anchor(nvars, d, R), constraints)
     delta = float(np.linalg.eigvalsh(A)[0])
     if not (delta > 0):
         raise NoFeasiblePoint(
@@ -337,6 +332,22 @@ def _mix_anchor(x, low, constraints, nvars: int, d: int, R: float) -> np.ndarray
         )
     t = -low / (delta - low)
     return (1 - t) * x + t * A
+
+
+@lru_cache(maxsize=32)
+def _tracial_anchor(nvars: int, d: int, R: float = 1.0) -> np.ndarray:
+    """Read-only half-degree d moment matrix of a fixed random tuple of norm R.
+
+    Its entries are normalized traces: constant on cyclic classes, 1 at the
+    empty word, bounded by ``R**word_length``.  N x N matrices with N^2 >= 4m
+    for m basis words make it positive definite for a generic tuple.
+    """
+    m = len(words_up_to(nvars, d))
+    size = max(4, int(np.ceil(2 * np.sqrt(m))))
+    X = random_tuple(make_rng(0), nvars, size, R)
+    moments = moment_matrix(moment_sequence(X, 2 * d), d).entries
+    moments.flags.writeable = False
+    return moments
 
 
 def dual_witness(

@@ -181,7 +181,7 @@ def cmd_certify(args) -> int:
         result = certify_sos(p, d=args.degree, tol=args.tol)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    except (SolverStalled, InconsistentConstraints) as exc:
+    except (SolverStalled, InconsistentConstraints, NoFeasiblePoint) as exc:
         raise InputError(f"solver failed: {exc}") from exc
     if isinstance(result, Certificate):
         _emit(_certificate_json(result), args.out)

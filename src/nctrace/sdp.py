@@ -20,11 +20,10 @@ Two constraint types share one interface (``dim``, ``consistent``, ``project``,
   ``Re<A_k, G> = b_k`` with Hermitian coefficient matrices, projected
   through the pseudo-inverse of their dense system.
 
-:func:`feasibility_solve` alternates the two projections with Dykstra's
-correction terms, which converge to a point of the intersection when one
-exists.  When the sets do not meet, the measured gap between them
-stabilizes at a positive value and the solve reports infeasibility at
-tolerance; no exact separation certificates are produced.
+:func:`feasibility_solve` runs Douglas-Rachford splitting between the two
+projections.  It returns a point of the intersection, or, when the sets do
+not meet, a separating matrix it has checked itself: PSD, normal to the
+affine set, and pairing below zero with every point of it.
 
 :func:`minimize_linear` minimizes a linear functional over the
 intersection by a two-block ADMM whose x-step projects onto the
@@ -39,7 +38,6 @@ may run concurrently.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +57,9 @@ class NoFeasiblePoint(RuntimeError):
     """No point of the feasible set could be produced.
 
     Raised by the witness search when the solver stops outside the PSD
-    cone and its strictly feasible anchor is not positive definite, and
-    when an extracted witness fails its structural re-check.
+    cone and its strictly feasible anchor is not positive definite, when
+    an extracted witness fails its structural re-check, and when a
+    certificate's recomputed residual fails its gate.
     """
 
 
@@ -393,7 +392,7 @@ def _psd_distance(G: np.ndarray) -> float:
 
 @dataclass
 class SolveReport:
-    """Outcome of a feasibility solve."""
+    """Outcome of a feasibility solve; ``separator`` proves infeasibility."""
 
     status: str  # "feasible" | "infeasible-at-tolerance" | "max-iterations"
     iterations: int
@@ -401,6 +400,7 @@ class SolveReport:
     dist_affine: float
     solution: np.ndarray = field(repr=False)
     gap: float = 0.0
+    separator: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -419,14 +419,21 @@ def feasibility_solve(
     dim: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    anchor=None,
 ) -> SolveReport:
-    """Find a PSD matrix satisfying the equations, or report the gap.
+    """Find a PSD matrix on the affine set, or a matrix proving there is none.
 
-    Alternates projections between the cone and the affine set with
-    Dykstra's corrections.  Declares feasibility when the two projected
-    points come within ``tol`` in Frobenius norm; declares infeasibility at
-    tolerance when the gap stabilizes (relative change below tol/100 across
-    a 50-iteration window) at a value above ``tol``.
+    Douglas-Rachford splitting, i.e. ADMM with zero objective, where the
+    penalty cancels: ``x = P_A(z - u)``, ``z = P_psd(x + u)``, ``u += x - z``,
+    u kept Hermitian.  Feasible, returning x, once ``||x - z|| <= tol``.
+    Every 10 iterations it tests Y = z - P_A(z), which is normal to the set,
+    so Re<Y, G> = Re<Y, x> for every G on it (O'Donoghue et al., JOTA 2016;
+    Banjac et al., JOTA 2019).  A Y with least eigenvalue low < 0 gets
+    ``-low / delta`` times A added, A being the normal part of ``anchor()``
+    (a zero-argument callable, called once at the first such Y; default the
+    identity) with least eigenvalue delta, used only if delta > 0.  If Y is
+    then PSD and ``Re<Y, x> < -tol ||Y||``, every PSD G has Re<Y, G> >= 0,
+    so none is on the set: "infeasible-at-tolerance", with ``separator`` Y.
     """
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -436,40 +443,52 @@ def feasibility_solve(
         raise ValueError(
             f"dim {dim} does not match constraint dimension {constraints.dim}"
         )
+    if getattr(constraints, "radii", None) is not None:
+        raise ValueError("feasibility_solve needs an affine set; radii make a box")
     _require_consistent(constraints)
 
-    x = _starting_point(constraints, dim)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    window = 50
-    gaps: deque[float] = deque(maxlen=window + 1)
+    x = z = _starting_point(constraints, dim)
+    u = np.zeros_like(z)
+    normal = separator = None
     gap = float("inf")
-    iterations = 0
     status = "max-iterations"
+    iterations = 0
     for iterations in range(1, max_iter + 1):
-        y = project_psd(x + p)
-        p = x + p - y
-        x = project_affine(y + q, constraints)
-        q = y + q - x
-        gap = float(np.linalg.norm(x - y))
+        x = project_affine(z - u, constraints)
+        z = project_psd(x + u)
+        z = (z + z.conj().T) / 2  # keeps u exactly Hermitian at any scale
+        u = u + x - z
+        gap = float(np.linalg.norm(x - z))
         if gap <= tol:
             status = "feasible"
             break
-        gaps.append(gap)
-        if len(gaps) > window:
-            previous = gaps[0]
-            if abs(gap - previous) < (tol / 100) * max(gap, 1e-300):
-                status = "infeasible-at-tolerance"
-                break
+        if iterations % 10:
+            continue
+        Y = z - project_affine(z, constraints)
+        low = float(np.linalg.eigvalsh(Y)[0])
+        if low < 0:
+            if normal is None:
+                A = _check_hermitian(np.eye(dim) if anchor is None else anchor())
+                A += project_affine(0 * A, constraints) - project_affine(A, constraints)
+                normal = A, float(np.linalg.eigvalsh(A)[0])
+            A, delta = normal
+            if not delta > 0:
+                continue
+            Y = Y - (low / delta) * A
+        if np.real(np.vdot(Y, x)) < -tol * np.linalg.norm(Y) and (
+            low >= 0 or np.linalg.eigvalsh(Y)[0] >= 0
+        ):
+            status, separator = "infeasible-at-tolerance", Y
+            break
 
-    solution = x
     return SolveReport(
         status=status,
         iterations=iterations,
-        dist_psd=_psd_distance(solution),
-        dist_affine=constraints.distance(solution),
-        solution=solution,
+        dist_psd=_psd_distance(x),
+        dist_affine=constraints.distance(x),
+        solution=x,
         gap=gap,
+        separator=separator,
     )
 
 

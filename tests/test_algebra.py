@@ -5,12 +5,10 @@ from nctrace.algebra import (
     NCPoly,
     concat,
     cyclic_canonical,
-    cyclic_reduce,
     evaluate,
     involute_word,
     normalized_trace,
     pair,
-    r_norm,
     star_product,
     words_up_to,
 )

@@ -163,6 +163,67 @@ def test_certify_stall_is_distinct_from_infeasible():
         certify_sos(commutator_square_poly(), 2, max_iter=5)
 
 
+def test_certify_gates_certificate_on_residual(monkeypatch):
+    # A factor that does not reproduce p must not leave as a certificate.
+    monkeypatch.setattr(
+        certify, "extract_factors", lambda G, basis, nvars: [NCPoly(nvars, {(1,): 1.0})]
+    )
+    with pytest.raises(NoFeasiblePoint, match="certificate residual"):
+        certify_sos(commutator_square_poly(), 2)
+
+
+def test_commutator_square_certifies_at_degree_four():
+    # The basis words of length 3 and 4 can only carry zero weight, so the
+    # Gram matrices lie on a face of the cone; alternating projections used
+    # to stall here for 200,000 iterations.
+    p = commutator_square_poly()
+    cert = certify_sos(p, 4)
+    assert isinstance(cert, Certificate)
+    assert verify_certificate(p, cert) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_negated_commutator_square_infeasible_at_higher_degree(d):
+    p = -1 * commutator_square_poly()
+    report = certify_sos(p, d)
+    assert isinstance(report, InfeasibilityReport)
+    assert_gram_separator(p, d, report.separator)
+
+
+def test_rank_one_sum_certifies():
+    # A single square: its Gram matrix has rank one, where alternating
+    # projections were still undecided after 200,000 iterations.
+    b = random_poly(make_rng(0), 2, 2, n_terms=7)
+    p = star_product(b.adjoint(), b)
+    cert = certify_sos(p, 2)
+    assert isinstance(cert, Certificate)
+    assert verify_certificate(p, cert) <= 1e-6
+
+
+def assert_gram_separator(p: NCPoly, d: int, Y) -> None:
+    """Y proves p has no Gram matrix at half-degree d, checked from scratch.
+
+    Y is PSD and constant on each cyclic class, so Re<Y, G> is the same
+    pairing of Y's class values with p's coefficients for every Gram matrix
+    G of p; that pairing is negative, while Re<Y, G> >= 0 for PSD G.
+    """
+    assert Y is not None
+    assert np.linalg.eigvalsh(Y)[0] >= 0
+    _, classes = certify._class_positions(p.nvars, d)
+    reduced = p.cyclic_reduce()
+    pairing = 0.0
+    for rep, positions in classes.items():
+        values = Y[tuple(np.array(positions).T)]
+        assert np.max(np.abs(values - values[0])) <= 1e-12
+        pairing += np.conj(values[0]) * reduced.coeff(rep)
+    assert pairing.real < 0
+
+
+def test_separator_of_negative_square():
+    p = NCPoly(1, {(1, 1): -1.0})
+    assert_gram_separator(p, 1, certify_sos(p, 1).separator)
+
+
 def test_certify_default_degree_and_symmetry_gate():
     cert = certify_sos(NCPoly(1, {(1, 1): 1.0}))
     assert cert.degree == 1
@@ -294,6 +355,19 @@ FAMILIES = {
         (2, 1, 2, 1): 0.5,
     },
 }
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+def test_separator_of_negated_families(family, nvars, d):
+    terms = dict(FAMILIES[family])
+    if nvars == 3:
+        terms[(3, 3)] = 1.0
+    p = -1 * NCPoly(nvars, terms)
+    report = certify_sos(p, d)
+    assert isinstance(report, InfeasibilityReport)
+    assert report.iterations <= 100
+    assert_gram_separator(p, d, report.separator)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

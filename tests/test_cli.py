@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from nctrace import cli
+from nctrace import certify, cli
+from nctrace.algebra import NCPoly
 from nctrace.cli import main
 from nctrace.moments import MomentSequence, moment_sequence
 from nctrace.sampling import pauli_pair
@@ -64,6 +65,17 @@ def test_certify_commutator_scaled(poly_file, capsys):
     assert code == 0
     assert data["degree"] == 2
     assert data["residual_l1"] <= 1e-6
+
+
+def test_certify_rejects_bad_certificate(poly_file, capsys, monkeypatch):
+    monkeypatch.setattr(
+        certify, "extract_factors", lambda G, basis, nvars: [NCPoly(nvars, {(1,): 1.0})]
+    )
+    code = main(["certify", poly_file(COMMUTATOR)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("nctrace: solver failed: certificate residual")
 
 
 def test_certify_rejects_non_symmetric(poly_file, capsys):

@@ -131,6 +131,39 @@ def test_feasibility_solve_unreachable_offdiagonal():
     assert report.gap > 1e-3
 
 
+def test_unreachable_offdiagonal_separator():
+    # Checked from scratch: Y = a I + b B is PSD and Re<Y, G> = a + 1.2 b < 0
+    # on the set, while Re<Y, G> >= 0 for PSD G.
+    Y = feasibility_solve(_trace_and_offdiag(1.2), tol=1e-9).separator
+    assert np.linalg.eigvalsh(Y)[0] >= 0
+    directions = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    span = np.stack([np.concatenate([A.ravel(), 0 * A.ravel()]) for A in directions])
+    target = np.concatenate([Y.real.ravel(), Y.imag.ravel()])
+    coeffs, *_ = np.linalg.lstsq(span.T, target, rcond=None)
+    assert np.max(np.abs(span.T @ coeffs - target)) <= 1e-12
+    assert coeffs @ [1.0, 1.2] < 0
+
+
+def test_feasibility_solve_without_anchor_or_separator():
+    # G00 = 0 and Im G01 = -1e6: no PSD matrix satisfies both, yet PSD
+    # matrices come arbitrarily close (G11 -> infinity), so no separating
+    # matrix exists.  The identity's normal part is E00, singular, so there
+    # is no anchor either.  The solve must run out its iterations, without
+    # the growing multiplier ever tripping the Hermitian check.
+    cons = AffineConstraints(3)
+    cons.add(np.diag([1.0, 0.0, 0.0]), 0.0)
+    B = np.zeros((3, 3), dtype=complex)
+    B[0, 1], B[1, 0] = 1j, -1j
+    cons.add(B, 2e6)
+    C = np.zeros((3, 3), dtype=complex)
+    C[1, 2], C[2, 1] = 1 + 1j, 1 - 1j
+    cons.add(C, 1e6)
+    report = feasibility_solve(cons, tol=1e-9, max_iter=2000)
+    assert report.status == "max-iterations"
+    assert report.iterations == 2000
+    assert report.separator is None
+
+
 def test_feasibility_solve_empty_constraints():
     report = feasibility_solve(AffineConstraints(3), tol=1e-9)
     assert report.feasible
@@ -210,6 +243,14 @@ def test_project_psd_rejects_nan():
     G[1, 2] = np.nan
     with pytest.raises(ValueError):
         project_psd(G)
+
+
+def test_feasibility_solve_rejects_box():
+    # Its infeasibility test relies on every point of the set pairing alike
+    # with a normal matrix, which holds for affine sets only.
+    box = ClassConstraints(np.array([[0, 1], [1, 2]]), pinned=0, radii=[1.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="affine"):
+        feasibility_solve(box)
 
 
 def test_solvers_reject_nan_tol():
