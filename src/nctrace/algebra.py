@@ -187,10 +187,17 @@ class NCPoly:
         )
 
     def r_norm(self, radius: float) -> float:
-        """Weighted l1 norm: sum of |coeff| * radius**len(word)."""
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        return float(sum(abs(c) * radius ** len(w) for w, c in self.terms.items()))
+        """Weighted l1 norm: sum of |coeff| * radius**len(word).
+
+        The radius must be positive and finite; a norm beyond the float
+        range is ``inf``.
+        """
+        if not (0 < radius < np.inf):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
+        try:
+            return float(sum(abs(c) * radius ** len(w) for w, c in self.terms.items()))
+        except OverflowError:
+            return np.inf
 
     def is_symmetric(self, tol: float = 1e-10) -> bool:
         """Whether the polynomial equals its adjoint, up to tol in l1."""

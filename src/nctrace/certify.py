@@ -40,12 +40,14 @@ from .algebra import (
 )
 from .moments import (
     MomentSequence,
+    as_matrix_tuple,
     check_w_membership,
+    hermitian_parts,
     moment_matrix,
     moment_sequence,
     psd_check,
 )
-from .sampling import make_rng, random_tuple, structured_library
+from .sampling import make_rng, random_hermitians, random_tuple, structured_library
 from .sdp import (
     ClassConstraints,
     NoFeasiblePoint,
@@ -59,6 +61,8 @@ SYMMETRY_TOL = 1e-10
 RANK_CUTOFF = 1e-8
 RESIDUAL_TOL = 1e-6  # certificate residual allowed, relative to max(1, ||p||_1)
 FALSIFY_TRACE_TOL = 1e-10
+FALSIFY_CHUNK = 64  # random falsify trials drawn and screened together
+FALSIFY_SCREEN = 1e-8  # screen slack for batched traces, relative to ||p||_R
 
 
 class SolverStalled(RuntimeError):
@@ -461,29 +465,58 @@ def falsify(
     ``trials`` seeded Gaussian Hermitian tuples rescaled to norm R.  The
     first tuple driving the trace below -1e-10 is returned with its trace;
     the outcome is a deterministic function of the seed.
+
+    The random tuples are drawn ``FALSIFY_CHUNK`` trials at a time with
+    :func:`~nctrace.sampling.random_hermitians`, which reproduces the
+    stream of drawing them one by one from ``make_rng(seed)``.  Each chunk
+    is screened by its batched traces; a trial below
+    ``-FALSIFY_TRACE_TOL + FALSIFY_SCREEN * ||p||_R`` is evaluated again on
+    its own, and returned only if that trace is below -1e-10.  The two
+    traces differ by rounding only, far inside the screen's slack, so the
+    returned index, tuple and trace are those of the trial-by-trial search.
     """
     _require_symmetric(p)
     if not (trials >= 0):
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if not (N >= 1):
         raise ValueError(f"matrix size N must be at least 1, got {N}")
-    if not (R > 0):
-        raise ValueError(f"radius R must be positive, got {R}")
+    if not (0 < R < np.inf):
+        raise ValueError(f"radius R must be positive and finite, got {R}")
     for index, candidate in enumerate(structured_library(p.nvars, N)):
         value = _real_trace(p, candidate)
         if value < -FALSIFY_TRACE_TOL:
             return Falsification(
                 tuple=candidate, trace=value, source="library", index=index
             )
+    screen = -FALSIFY_TRACE_TOL + FALSIFY_SCREEN * p.r_norm(R)
     rng = make_rng(seed)
-    for index in range(trials):
-        candidate = random_tuple(rng, p.nvars, N, R)
-        value = _real_trace(p, candidate)
-        if value < -FALSIFY_TRACE_TOL:
-            return Falsification(
-                tuple=candidate, trace=value, source="random", index=index
-            )
+    for start in range(0, trials, FALSIFY_CHUNK):
+        drawn = random_hermitians(rng, (min(FALSIFY_CHUNK, trials - start), p.nvars), N, R)
+        traces = _real_traces(p, hermitian_parts(drawn))
+        for k in np.flatnonzero(traces < screen):
+            candidate = as_matrix_tuple(drawn[k])
+            value = _real_trace(p, candidate)
+            if value < -FALSIFY_TRACE_TOL:
+                return Falsification(
+                    tuple=candidate, trace=value, source="random", index=start + int(k)
+                )
     return None
+
+
+def _real_traces(p: NCPoly, stack: np.ndarray) -> np.ndarray:
+    """Real normalized trace of p on each tuple of a ``(K, n, N, N)`` stack,
+    sharing each word prefix's products across the terms."""
+    K, _, size, _ = stack.shape
+    products = {(): np.broadcast_to(np.eye(size, dtype=complex), (K, size, size))}
+    total = np.zeros(K, dtype=complex)
+    for word, coeff in p.terms.items():
+        for length in range(1, len(word) + 1):
+            if word[:length] not in products:
+                products[word[:length]] = (
+                    products[word[: length - 1]] @ stack[:, word[length - 1] - 1]
+                )
+        total += coeff * np.trace(products[word], axis1=1, axis2=2)
+    return total.real / size
 
 
 def _real_trace(p: NCPoly, X) -> float:

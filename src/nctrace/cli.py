@@ -55,7 +55,10 @@ class InputError(Exception):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InputError(f"result is not finite, not written: {exc}") from exc
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -250,9 +253,9 @@ def cmd_moments(args) -> int:
     X = _matrix_tuple_from_json(_load_json(args.matrixfile), args.matrixfile)
     try:
         theta = moment_sequence(X, args.degree)
+        report = check_w_membership(theta, tol=args.tol)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    report = check_w_membership(theta, tol=args.tol)
     _emit(
         {
             "n": X.n,
@@ -270,8 +273,8 @@ def cmd_gns_check(args) -> int:
     data = _load_json(args.inputfile)
     if "matrices" in data:
         X = _matrix_tuple_from_json(data, args.inputfile)
+        theta = None
         d = args.degree if args.degree is not None else 2
-        theta = moment_sequence(X, 2 * d)
     elif "theta" in data:
         theta = _theta_from_json(data, args.inputfile)
         d = args.degree if args.degree is not None else theta.max_degree // 2
@@ -280,6 +283,12 @@ def cmd_gns_check(args) -> int:
             f"{args.inputfile}: expected a matrix tuple ('matrices') or a "
             "moment sequence ('theta')"
         )
+    if d < 1:
+        raise InputError(f"model half-degree must be at least 1, got {d}")
+    if not (0 < args.radius < np.inf):
+        raise InputError(f"radius R must be positive and finite, got {args.radius}")
+    if theta is None:
+        theta = moment_sequence(X, 2 * d)
     try:
         model = gns_build(theta, d)
     except ValueError as exc:

@@ -13,6 +13,13 @@ values of operator words against the vacuum reproduce the sequence.  For a
 genuine matrix-trace sequence the reproduction is exact up to twice the
 truncation degree; for pseudo-moments the defects are surfaced as
 diagnostics rather than hidden.
+
+Vacuum expectations are computed one word length at a time: the vectors
+``Y_w vacuum`` of the n^L words of length L are the columns of
+``ops @ prev``, one product of the ``(n, r, r)`` operator stack with the
+``r x n^(L-1)`` block of the previous length, which lists them in
+``words_up_to`` order (first letter slowest).  The cyclic check then
+compares whole levels through :class:`~nctrace.moments.WordIndex`.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Word, words_up_to
-from .moments import MomentSequence, check_w_membership, moment_matrix
+from .algebra import Word
+from .moments import MomentSequence, WordIndex, check_w_membership, moment_matrix
 
 DEFAULT_RANK_TOL = 1e-8
 GENERATOR_HERMITIAN_TOL = 1e-8
@@ -79,6 +86,8 @@ def gns_build(
     space by the self-adjointness the inner-product geometry dictates, with
     the unreachable corner left at zero.
     """
+    if d < 0:
+        raise ValueError(f"half-degree must be nonnegative, got {d}")
     if theta.max_degree < 2 * d:
         raise ValueError(
             f"insufficient degree: model at half-degree {d} needs moments up "
@@ -113,18 +122,17 @@ def gns_build(
         np.linalg.norm((kept_vecs * kept_vals) @ kept_vecs.conj().T - entries)
     )
 
-    index = {w: i for i, w in enumerate(basis)}
-    domain = [i for i, w in enumerate(basis) if len(w) <= d - 1]
+    index = WordIndex(theta.n, d)
+    domain = np.arange(index.offsets[d])  # the words of length < d
     operators = []
     defects = []
     shift_residual = 0.0
-    if domain:
+    if domain.size:
         Zsub = vectors[:, domain]
         pinv = np.linalg.pinv(Zsub, rcond=1e-12)
         projector = Zsub @ pinv
         for j in range(1, theta.n + 1):
-            targets = [index[(j,) + basis[i]] for i in domain]
-            W = vectors[:, targets]
+            W = vectors[:, index.concat(j, domain)]  # the words (j,) + w
             Y0 = W @ pinv
             # Self-adjoint extension off the shift domain; the corner the
             # data does not reach stays zero.
@@ -152,18 +160,17 @@ def gns_build(
     )
 
 
-def _vacuum_values(model: GnsModel, degree: int) -> dict[Word, complex]:
-    """Expectation of each operator word against the vacuum, by recursion."""
-    nvars = len(model.operators)
-    vecs: dict[Word, np.ndarray] = {(): model.vacuum}
-    values: dict[Word, complex] = {(): complex(np.vdot(model.vacuum, model.vacuum))}
-    for word in words_up_to(nvars, degree):
-        if word == ():
-            continue
-        vec = model.operators[word[0] - 1] @ vecs[word[1:]]
-        vecs[word] = vec
-        values[word] = complex(np.vdot(model.vacuum, vec))
-    return values
+def _vacuum_values(model: GnsModel, degree: int) -> np.ndarray:
+    """Expectation of each operator word against the vacuum, in
+    ``words_up_to`` order, by the level recursion of the module docstring."""
+    ops = np.stack(model.operators)
+    vacuum = model.vacuum
+    level = vacuum[:, None]
+    values = [np.array([np.vdot(vacuum, vacuum)])]
+    for _ in range(degree):
+        level = (ops @ level).transpose(1, 0, 2).reshape(len(vacuum), -1)
+        values.append(vacuum.conj() @ level)
+    return np.concatenate(values)
 
 
 def verify_moments(model: GnsModel, theta: MomentSequence, deg_check: int) -> float:
@@ -173,7 +180,7 @@ def verify_moments(model: GnsModel, theta: MomentSequence, deg_check: int) -> fl
             f"deg_check {deg_check} exceeds model degree {model.degree}"
         )
     values = _vacuum_values(model, deg_check)
-    return max(abs(values[w] - theta.values[w]) for w in values)
+    return float(np.max(np.abs(values - theta.as_array()[: len(values)])))
 
 
 def verify_trace_property(model: GnsModel, theta: MomentSequence, deg_check: int) -> float:
@@ -186,11 +193,9 @@ def verify_trace_property(model: GnsModel, theta: MomentSequence, deg_check: int
     """
     deg_check = min(deg_check, theta.max_degree)
     values = _vacuum_values(model, deg_check)
-    worst = 0.0
-    for word, value in values.items():
-        for s in range(1, len(word)):
-            worst = max(worst, abs(value - values[word[s:] + word[:s]]))
-    return worst
+    words, rotated = WordIndex(len(model.operators), deg_check).rotation_pairs()
+    gaps = np.abs(values[words] - values[rotated])
+    return float(gaps.max()) if gaps.size else 0.0
 
 
 def unitary_group(model: GnsModel, j: int, t: float) -> np.ndarray:
@@ -242,8 +247,16 @@ def norm_bound_check(model: GnsModel, theta: MomentSequence, R: float) -> NormBo
 
     The moment condition is the pass criterion.  Operator norms can exceed
     R slightly because of the truncated extension; the relative excess is
-    reported as slack, not failed.
+    reported as slack, not failed.  R must be positive and finite, and the
+    sequence needs a diagonal even moment, so degree at least 2.
     """
+    if not (0 < R < np.inf):
+        raise ValueError(f"radius R must be positive and finite, got {R}")
+    if theta.max_degree < 2:
+        raise ValueError(
+            f"norm bound check needs moments of degree at least 2, have "
+            f"{theta.max_degree}"
+        )
     worst_excess = -np.inf
     worst_word = None
     passed = True

@@ -18,18 +18,29 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def random_hermitian(rng: np.random.Generator, size: int, radius: float = 1.0) -> np.ndarray:
     """Gaussian Hermitian matrix rescaled to spectral norm ``radius``."""
-    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    h = (a + a.conj().T) / 2
-    norm = np.linalg.norm(h, 2)
-    if norm > 0:
-        h = h * (radius / norm)
-    return h
+    return random_hermitians(rng, (), size, radius)
+
+
+def random_hermitians(
+    rng: np.random.Generator, shape: tuple, size: int, radius: float = 1.0
+) -> np.ndarray:
+    """Array of shape ``(*shape, size, size)`` of :func:`random_hermitian` draws.
+
+    One ``rng.normal`` call of shape ``(*shape, 2, size, size)`` is the same
+    stream as drawing the matrices one by one in C order, the real part of
+    each before its imaginary part, so the result equals that loop's bit for
+    bit.
+    """
+    g = rng.normal(size=(*shape, 2, size, size))
+    a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    h = (a + a.conj().swapaxes(-1, -2)) / 2
+    norm = np.linalg.norm(h, 2, axis=(-2, -1))
+    scale = np.divide(radius, norm, out=np.ones_like(norm), where=norm > 0)
+    return h * scale[..., None, None]
 
 
 def random_tuple(rng: np.random.Generator, nvars: int, size: int, radius: float = 1.0) -> MatrixTuple:
-    return as_matrix_tuple(
-        [random_hermitian(rng, size, radius) for _ in range(nvars)]
-    )
+    return as_matrix_tuple(random_hermitians(rng, (nvars,), size, radius))
 
 
 def pauli_pair() -> list[np.ndarray]:

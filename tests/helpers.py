@@ -5,8 +5,10 @@ import pathlib
 
 import numpy as np
 
-from nctrace.algebra import NCPoly, cyclic_canonical, involute_word
-from nctrace.certify import _class_positions
+from nctrace.algebra import NCPoly, cyclic_canonical, involute_word, words_up_to
+from nctrace.certify import FALSIFY_TRACE_TOL, _class_positions, _real_trace
+from nctrace.moments import MomentSequence, as_matrix_tuple
+from nctrace.sampling import structured_library
 from nctrace.sdp import AffineConstraints
 
 
@@ -141,3 +143,83 @@ def dense_witness_constraints(nvars: int, d: int) -> AffineConstraints:
             if np.any(im_part):
                 constraints.add(im_part, 0.0)
     return constraints
+
+
+# -- word-by-word references for the level-batched moment and GNS code ---------
+#
+# The loops ``nctrace.moments``, ``nctrace.gns`` and ``certify.falsify`` ran
+# before they were batched by word length.  The batched code must agree with
+# them: bit for bit where the arithmetic is the same (moment values, moment
+# matrices, falsify), to rounding where the summation order changed.
+
+
+def reference_moment_sequence(X, D: int) -> MomentSequence:
+    """Normalized traces of all products of length <= D, one word at a time."""
+    X = as_matrix_tuple(X)
+    products = {(): np.eye(X.N, dtype=complex)}
+    values = {(): 1.0 + 0.0j}
+    for word in words_up_to(X.n, D):
+        if word == ():
+            continue
+        mat = products[word[:-1]] @ X.matrices[word[-1] - 1]
+        products[word] = mat
+        values[word] = complex(np.trace(mat) / X.N)
+    return MomentSequence(X.n, D, values)
+
+
+def reference_membership(t: MomentSequence):
+    """(worst cyclic gap, its canonical word, worst conjugate gap, its word),
+    first maximum in (word, shift) order."""
+    worst_cyc = 0.0
+    worst_cyc_word = None
+    worst_conj = 0.0
+    worst_conj_word = None
+    for word, value in t.values.items():
+        for s in range(1, len(word)):
+            rot = word[s:] + word[:s]
+            gap = abs(value - t.values[rot])
+            if gap > worst_cyc:
+                worst_cyc, worst_cyc_word = gap, cyclic_canonical(word)
+        gap = abs(value - np.conj(t.values[involute_word(word)]))
+        if gap > worst_conj:
+            worst_conj, worst_conj_word = gap, word
+    return worst_cyc, worst_cyc_word, worst_conj, worst_conj_word
+
+
+def reference_moment_matrix(t: MomentSequence, d: int) -> np.ndarray:
+    basis = words_up_to(t.n, d)
+    entries = np.empty((len(basis), len(basis)), dtype=complex)
+    for row, J in enumerate(basis):
+        for col, K in enumerate(basis):
+            entries[row, col] = t.values[involute_word(J) + K]
+    return entries
+
+
+def reference_vacuum_values(model, degree: int) -> dict:
+    """<vacuum, Y_w vacuum> for every word up to degree, one word at a time."""
+    nvars = len(model.operators)
+    vecs = {(): model.vacuum}
+    values = {(): complex(np.vdot(model.vacuum, model.vacuum))}
+    for word in words_up_to(nvars, degree):
+        if word == ():
+            continue
+        vec = model.operators[word[0] - 1] @ vecs[word[1:]]
+        vecs[word] = vec
+        values[word] = complex(np.vdot(model.vacuum, vec))
+    return values
+
+
+def reference_falsify(p: NCPoly, trials: int, N: int, R: float, seed: int):
+    """(source, index, trace, matrices) of the first tuple with trace below
+    -FALSIFY_TRACE_TOL, library first, then one random tuple per trial."""
+    for index, candidate in enumerate(structured_library(p.nvars, N)):
+        value = _real_trace(p, candidate)
+        if value < -FALSIFY_TRACE_TOL:
+            return "library", index, value, candidate.matrices
+    rng = make_rng(seed)
+    for index in range(trials):
+        candidate = as_matrix_tuple(random_hermitian_tuple(rng, p.nvars, N, R))
+        value = _real_trace(p, candidate)
+        if value < -FALSIFY_TRACE_TOL:
+            return "random", index, value, candidate.matrices
+    return None

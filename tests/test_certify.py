@@ -26,7 +26,13 @@ from nctrace import certify
 from nctrace.moments import MomentSequence, moment_sequence
 from nctrace.sdp import NoFeasiblePoint, feasibility_solve, minimize_linear
 
-from helpers import commutator_square_poly, make_rng, random_hermitian_tuple, random_poly
+from helpers import (
+    commutator_square_poly,
+    make_rng,
+    random_hermitian_tuple,
+    random_poly,
+    reference_falsify,
+)
 
 
 def exact_commutator_factor() -> NCPoly:
@@ -462,6 +468,59 @@ def test_falsifier_output_is_a_witness():
     check = validate_witness(w)
     assert check.passed
     assert w.value == pytest.approx(result.trace, abs=1e-12)
+
+
+def _commutator_gap(mu: float) -> NCPoly:
+    """mu - [Y2, Y3]* [Y2, Y3]: nonnegative on the structured library (Y2 and
+    Y3 commute on every library tuple), negative where the commutator of a
+    random pair has normalized trace above mu."""
+    return NCPoly(
+        3, {(): mu, (2, 2, 3, 3): -1, (3, 3, 2, 2): -1, (2, 3, 2, 3): 1, (3, 2, 3, 2): 1}
+    )
+
+
+def _assert_falsify_equals_reference(p, trials, N, R, seed):
+    result = falsify(p, trials=trials, N=N, R=R, seed=seed)
+    ref = reference_falsify(p, trials, N, R, seed)
+    if ref is None:
+        assert result is None
+        return None
+    assert (result.source, result.index, result.trace) == ref[:3]
+    assert len(result.tuple.matrices) == len(ref[3])
+    for got, want in zip(result.tuple.matrices, ref[3]):
+        assert np.array_equal(got, want)
+    return result
+
+
+def test_falsify_equals_trial_by_trial_search():
+    results = [
+        _assert_falsify_equals_reference(_commutator_gap(mu), 300, N, 1.0, seed)
+        for mu in (0.2, 0.6, 1.0, 1.3)
+        for N in (2, 3)
+        for seed in (0, 1, 2)
+    ]
+    random_hits = [r for r in results if r is not None and r.source == "random"]
+    assert len(random_hits) >= 10
+    assert max(r.index for r in random_hits) >= certify.FALSIFY_CHUNK
+    for seed in range(8):
+        a = random_poly(make_rng(seed), 2, 2, n_terms=5)
+        p = a + a.adjoint() + NCPoly(2, {(): 0.5})
+        _assert_falsify_equals_reference(p, 100, 3, 1.5, seed)
+
+
+def test_falsify_equals_trial_by_trial_search_at_the_edges():
+    assert _assert_falsify_equals_reference(_commutator_gap(0.2), 0, 3, 1.0, 0) is None
+    quartic = NCPoly(1, {(1, 1, 1, 1): 1.0, (1, 1): -1.0, (): 0.2})
+    hit = _assert_falsify_equals_reference(quartic, 5, 1, 0.8, 0)
+    assert hit.source == "random" and hit.tuple.N == 1
+    assert _assert_falsify_equals_reference(quartic, 50, 1, 1.0, 0) is None
+    library = _assert_falsify_equals_reference(-1 * commutator_square_poly(), 10, 4, 1.0, 0)
+    assert library.source == "library"
+
+
+def test_falsify_rejects_infinite_radius():
+    with pytest.raises(ValueError, match="radius R must be positive and finite"):
+        falsify(commutator_square_poly(), trials=5, R=float("inf"))
 
 
 # -- soundness ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from nctrace.moments import MomentSequence, moment_sequence
 from nctrace.sampling import pauli_pair
 from nctrace.sdp import NoFeasiblePoint
 
-from helpers import checkout_env
+from helpers import checkout_env, make_rng, random_hermitian_tuple
 
 COMMUTATOR = (
     "# squared commutator identity\n"
@@ -215,6 +215,76 @@ def test_moments_rejects_non_hermitian(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "Hermitian" in captured.err
+
+
+def test_moments_complex_tuple_writes_json(tmp_path, capsys):
+    mats = random_hermitian_tuple(make_rng(70), 3, 3)
+    path = tmp_path / "complex.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 3,
+                "N": 3,
+                "matrices": [
+                    [[[float(v.real), float(v.imag)] for v in row] for row in m]
+                    for m in mats
+                ],
+            }
+        )
+    )
+    code, data = run_cli(["moments", str(path), "--degree", "4"], capsys)
+    assert code == 0
+    assert data["membership"]["passed"] is True
+    values = {tuple(e["word"]): complex(e["re"], e["im"]) for e in data["values"]}
+    assert max(abs(v.imag) for v in values.values()) > 1e-3
+    for word, value in values.items():
+        product = np.eye(3, dtype=complex)
+        for letter in word:
+            product = product @ mats[letter - 1]
+        assert abs(value - np.trace(product) / 3) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--degree", "0"], "half-degree must be at least 1, got 0"),
+        (["--degree", "-1"], "half-degree must be at least 1, got -1"),
+        (["--radius", "nan"], "radius R must be positive and finite, got nan"),
+        (["--radius", "0"], "radius R must be positive and finite, got 0.0"),
+        (["--radius", "-1"], "radius R must be positive and finite, got -1.0"),
+    ],
+)
+def test_gns_check_rejects_bad_options(pauli_json, capsys, flags, message):
+    code = main(["gns-check", pauli_json, *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_moments_rejects_bad_tol(pauli_json, capsys, tol):
+    code = main(["moments", pauli_json, "--degree", "2", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "tol must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "radius,message",
+    [
+        ("nan", "radius must be positive and finite, got nan"),
+        ("inf", "radius must be positive and finite, got inf"),
+        ("1e300", "result is not finite"),
+    ],
+)
+def test_norm_rejects_bad_radius(poly_file, capsys, radius, message):
+    code = main(["norm", poly_file("Y1^2 Y2^2"), "--radius", radius])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_gns_check_matrix_input(pauli_json, capsys):

@@ -11,7 +11,7 @@ from nctrace.gns import (
 )
 from nctrace.moments import MomentSequence, moment_matrix, moment_sequence, psd_check
 
-from helpers import make_rng, pauli_pair, random_hermitian_tuple
+from helpers import make_rng, pauli_pair, random_hermitian_tuple, reference_vacuum_values
 
 
 def test_scalar_model():
@@ -189,3 +189,52 @@ def test_model_export_shape():
         "shift_residual",
         "hermiticity_defects",
     }
+
+
+# -- level-batched code against the word-by-word reference -------------------
+
+
+@pytest.mark.parametrize("n,N,d", [(1, 3, 2), (2, 2, 1), (2, 3, 2), (2, 3, 3), (3, 2, 2)])
+def test_vacuum_checks_equal_word_loop(n, N, d):
+    t = moment_sequence(random_hermitian_tuple(make_rng(63 + 10 * n + N + d), n, N), 2 * d)
+    model = gns_build(t, d)
+    for deg in range(d + 1):
+        ref = reference_vacuum_values(model, deg)
+        expected = max(abs(ref[w] - t.values[w]) for w in ref)
+        assert abs(verify_moments(model, t, deg) - expected) <= 1e-14
+    for deg in range(2 * d + 1):
+        ref = reference_vacuum_values(model, deg)
+        expected = max(
+            (abs(v - ref[w[s:] + w[:s]]) for w, v in ref.items() for s in range(1, len(w))),
+            default=0.0,
+        )
+        assert abs(verify_trace_property(model, t, deg) - expected) <= 1e-14
+
+
+def test_trace_property_equals_word_loop_on_broken_sequence():
+    t = moment_sequence(random_hermitian_tuple(make_rng(64), 2, 3), 4)
+    vals = dict(t.values)
+    vals[(2, 1, 1, 2)] -= 1e-3
+    broken = MomentSequence(2, 4, vals)
+    model = gns_build(broken, 2, membership_tol=1.0)
+    ref = reference_vacuum_values(model, 4)
+    expected = max(
+        abs(v - ref[w[s:] + w[:s]]) for w, v in ref.items() for s in range(1, len(w))
+    )
+    assert expected > 1e-6
+    assert abs(verify_trace_property(model, broken, 4) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("R", [float("nan"), 0.0, -1.0, float("inf")])
+def test_norm_bound_check_rejects_bad_radius(R):
+    t = moment_sequence(pauli_pair(), 4)
+    with pytest.raises(ValueError, match="radius R must be positive and finite"):
+        norm_bound_check(gns_build(t, 2), t, R)
+
+
+def test_norm_bound_check_needs_degree_two_and_gns_build_a_nonnegative_degree():
+    t = moment_sequence(pauli_pair(), 1)
+    with pytest.raises(ValueError, match="degree at least 2"):
+        norm_bound_check(gns_build(t, 0), t, 1.0)
+    with pytest.raises(ValueError, match="half-degree must be nonnegative"):
+        gns_build(t, -1)
