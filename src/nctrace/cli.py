@@ -6,13 +6,21 @@ Commands::
     nctrace witness   POLYFILE   [--degree D] [--radius R] [--tol T]
     nctrace falsify   POLYFILE   [--trials K] [--size N] [--radius R] [--seed S]
     nctrace moments   MATRIXJSON --degree D [--tol T]
-    nctrace gns-check INPUTJSON  [--degree D] [--radius R] [--tol T]
+    nctrace gns-check INPUTJSON  [--degree D] [--radius R]
     nctrace norm      POLYFILE   [--radius R]
 
 Exit codes: 0 for the affirmative or neutral outcome, 2 for a well-formed
 negative finding (infeasible, witness found, falsified, checks failed),
 1 for usage or input errors.  Output is JSON on stdout (or ``--out``);
 identical invocations produce byte-identical output.
+
+The output bytes are exactly those of ``json.dumps(payload, indent=2,
+sort_keys=True, allow_nan=False)`` plus a newline.  The stdlib encodes an
+indented payload in pure Python, node by node, so :func:`_render` writes
+the same layout itself: the float arrays of a payload (moment values,
+operators, matrix tuples) are formatted in one pass with ``float.__repr__``,
+json's own float format, and nested one axis at a time through a fixed
+template.  The tests pin the bytes against the stdlib encoder.
 
 Polynomial files use the text grammar of :mod:`nctrace.parsing`; the
 variable count is inferred as the largest index appearing in the file.
@@ -38,13 +46,20 @@ from .certify import (
     falsify,
     witness_search,
 )
-from .gns import gns_build, norm_bound_check, verify_moments, verify_trace_property
+from .gns import (
+    GnsModel,
+    gns_build,
+    norm_bound_check,
+    verify_moments,
+    verify_trace_property,
+)
 from .moments import (
     MatrixTuple,
     MomentSequence,
     as_matrix_tuple,
     check_w_membership,
     moment_sequence,
+    real_pairs,
 )
 from .parsing import PolyParseError, format_poly, parse_poly, strip_comments
 from .sdp import InconsistentConstraints, NoFeasiblePoint
@@ -54,9 +69,18 @@ class InputError(Exception):
     """Bad file, bad JSON, bad polynomial: exit code 1 territory."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as for any other input error; argparse's
+    own exit code 2 is this CLI's negative finding."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _render(payload, 0) + "\n"
     except ValueError as exc:
         raise InputError(f"result is not finite, not written: {exc}") from exc
     if out_path:
@@ -64,6 +88,100 @@ def _emit(payload: dict, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+# -- JSON writer ---------------------------------------------------------------
+
+_INDENT = "  "
+_INFINITY = float("inf")
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render(value, level: int) -> str:
+    """JSON text of value, as ``json.dumps(indent=2, sort_keys=True,
+    allow_nan=False)`` lays it out ``level`` containers deep.
+
+    Beyond the json types it takes float arrays, rendered as the nested
+    lists of ``tolist()``, and moment sequences, rendered as their list of
+    ``{"word", "re", "im"}`` entries.  A NaN or infinity raises ValueError.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not -_INFINITY < value < _INFINITY:
+            raise ValueError(f"non-finite float {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return _wrap([_render(v, level + 1) for v in value], level)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _encode_str(k) + ": " + _render(v, level + 1)
+            for k, v in sorted(value.items())
+        ]
+        return _wrap(items, level, "{}")
+    if isinstance(value, np.ndarray):
+        return _render_array(value, level)
+    if isinstance(value, MomentSequence):
+        return _render_theta(value, level)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _wrap(items: list, level: int, brackets: str = "[]") -> str:
+    """Non-empty items as one json container ``level`` containers deep."""
+    inner = "\n" + _INDENT * (level + 1)
+    return (
+        brackets[0] + inner + ("," + inner).join(items)
+        + "\n" + _INDENT * level + brackets[1]
+    )
+
+
+def _float_texts(a: np.ndarray) -> list:
+    """json's text of every float of an array, in C order."""
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite float in an array")
+    return list(map(float.__repr__, a.ravel().tolist()))
+
+
+def _render_array(a: np.ndarray, level: int) -> str:
+    """A float array as nested json lists, filled one axis at a time,
+    innermost first, each through one template for its length."""
+    if not a.size:
+        return _render(a.tolist(), level)
+    texts = _float_texts(a)
+    for axis in range(a.ndim - 1, -1, -1):
+        template = _wrap(["%s"] * a.shape[axis], level + axis)
+        texts = [template % chunk for chunk in zip(*[iter(texts)] * a.shape[axis])]
+    return texts[0]
+
+
+def _render_theta(theta: MomentSequence, level: int) -> str:
+    """The ``{"word", "re", "im"}`` entries of a sequence, in ``words_up_to``
+    order; the word texts are built one length at a time, each from its
+    prefix's."""
+    entry = _wrap(['"im": %s', '"re": %s', '"word": %s'], level + 1, "{}")
+    word = _wrap(["%s"], level + 2)
+    letters = [str(j) for j in range(1, theta.n + 1)]
+    sep = ",\n" + _INDENT * (level + 3)
+    words, inner = ["[]"], letters
+    for length in range(1, theta.max_degree + 1):
+        if length > 1:
+            inner = [w + sep + c for w in inner for c in letters]
+        words += map(word.__mod__, inner)
+    values = theta.as_array()
+    rows = zip(_float_texts(values.imag), _float_texts(values.real), words)
+    return _wrap(list(map(entry.__mod__, rows)), level)
 
 
 def _load_poly(path: str) -> NCPoly:
@@ -118,22 +236,8 @@ def _matrix_tuple_from_json(data: dict, path: str) -> MatrixTuple:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _matrix_tuple_to_json(X: MatrixTuple) -> dict:
-    return {
-        "n": X.n,
-        "N": X.N,
-        "matrices": [
-            [[[float(v.real), float(v.imag)] for v in row] for row in mat]
-            for mat in X.matrices
-        ],
-    }
-
-
-def _theta_to_json(theta: MomentSequence) -> list:
-    return [
-        {"word": list(w), "re": float(v.real), "im": float(v.imag)}
-        for w, v in sorted(theta.values.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+def _matrix_tuple_json(X: MatrixTuple) -> dict:
+    return {"n": X.n, "N": X.N, "matrices": real_pairs(np.stack(X.matrices))}
 
 
 def _theta_from_json(data: dict, path: str) -> MomentSequence:
@@ -171,7 +275,25 @@ def _witness_json(theta: MomentSequence, value: float, radius: float) -> dict:
         "degree": theta.max_degree,
         "R": radius,
         "value": value,
-        "theta": _theta_to_json(theta),
+        "theta": theta,
+    }
+
+
+def _model_json(model: GnsModel, checks: dict) -> dict:
+    """The fields of ``GnsModel.as_dict()``, with arrays for its matrices,
+    and the verification results under ``checks``."""
+    return {
+        "degree": model.degree,
+        "rank": model.rank,
+        "basis": [list(w) for w in model.basis],
+        "operators": real_pairs(np.stack(model.operators)),
+        "vacuum": real_pairs(model.vacuum),
+        "diagnostics": {
+            "reconstruction_error": model.reconstruction_error,
+            "shift_residual": model.shift_residual,
+            "hermiticity_defects": list(model.hermiticity_defects),
+        },
+        "checks": checks,
     }
 
 
@@ -242,7 +364,7 @@ def cmd_falsify(args) -> int:
             "trace": result.trace,
             "source": result.source,
             "index": result.index,
-            "tuple": _matrix_tuple_to_json(result.tuple),
+            "tuple": _matrix_tuple_json(result.tuple),
         },
         args.out,
     )
@@ -261,7 +383,7 @@ def cmd_moments(args) -> int:
             "n": X.n,
             "N": X.N,
             "degree": args.degree,
-            "values": _theta_to_json(theta),
+            "values": theta,
             "membership": report.as_dict(),
         },
         args.out,
@@ -288,7 +410,10 @@ def cmd_gns_check(args) -> int:
     if not (0 < args.radius < np.inf):
         raise InputError(f"radius R must be positive and finite, got {args.radius}")
     if theta is None:
-        theta = moment_sequence(X, 2 * d)
+        try:
+            theta = moment_sequence(X, 2 * d)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     try:
         model = gns_build(theta, d)
     except ValueError as exc:
@@ -297,13 +422,12 @@ def cmd_gns_check(args) -> int:
     moment_error = verify_moments(model, theta, d)
     trace_error = verify_trace_property(model, theta, 2 * d)
     bound = norm_bound_check(model, theta, args.radius)
-    payload = model.as_dict()
-    payload["checks"] = {
+    checks = {
         "moment_error": moment_error,
         "trace_error": trace_error,
         "norm_bound": bound.as_dict(),
     }
-    _emit(payload, args.out)
+    _emit(_model_json(model, checks), args.out)
     return 0 if moment_error <= 1e-8 and trace_error <= 1e-8 else 2
 
 
@@ -318,7 +442,7 @@ def cmd_norm(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nctrace",
         description="Trace-positivity certificates for noncommutative polynomials.",
     )
@@ -370,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gns-check", help="reconstruct operators from moments and verify")
     sp.add_argument("inputfile", help="matrix-tuple JSON or witness JSON")
-    common(sp, degree=True, radius=True, tol=True,
+    common(sp, degree=True, radius=True,
            degree_help="model half-degree (default: 2 for matrix input, "
                        "half the sequence degree for witness input)")
     sp.set_defaults(func=cmd_gns_check)

@@ -29,7 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Word
-from .moments import MomentSequence, WordIndex, check_w_membership, moment_matrix
+from .moments import (
+    MomentSequence,
+    WordIndex,
+    check_w_membership,
+    moment_matrix,
+    real_pairs,
+)
 
 DEFAULT_RANK_TOL = 1e-8
 GENERATOR_HERMITIAN_TOL = 1e-8
@@ -55,18 +61,14 @@ class GnsModel:
             "degree": self.degree,
             "rank": self.rank,
             "basis": [list(w) for w in self.basis],
-            "operators": [_matrix_pairs(y) for y in self.operators],
-            "vacuum": [[float(v.real), float(v.imag)] for v in self.vacuum],
+            "operators": real_pairs(np.stack(self.operators)).tolist(),
+            "vacuum": real_pairs(self.vacuum).tolist(),
             "diagnostics": {
                 "reconstruction_error": self.reconstruction_error,
                 "shift_residual": self.shift_residual,
                 "hermiticity_defects": list(self.hermiticity_defects),
             },
         }
-
-
-def _matrix_pairs(M: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in M]
 
 
 def gns_build(

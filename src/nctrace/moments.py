@@ -30,6 +30,14 @@ import numpy as np
 from .algebra import Word, cyclic_canonical, words_up_to
 
 HERMITIAN_INPUT_TOL = 1e-12
+# Size limit of a moment sequence, in the units of ``moment_size``: per word,
+# the N x N complex product that holds it while its level is built, plus up
+# to D letters in its tuple and its JSON text.  The product stack of the top
+# level then stays below 2**23 complex entries (128 MiB), and a single
+# variable (one word per length, but words of length up to D) is allowed up
+# to D = 2,895.  The largest benchmark shape (n = 3, N = 8, D = 8) needs
+# 708,552.
+MAX_MOMENT_SIZE = 2**23
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,7 @@ class MomentSequence:
     __slots__ = ("n", "max_degree", "values")
 
     def __init__(self, n: int, max_degree: int, values: dict):
+        check_moment_size(n, max_degree)
         words = words_up_to(n, max_degree)
         missing = [w for w in words if w not in values]
         if missing:
@@ -219,17 +228,46 @@ class MomentSequence:
         return f"MomentSequence(n={self.n}, max_degree={self.max_degree})"
 
 
+def moment_size(n: int, D: int, N: int = 1) -> int:
+    """The number of words of length <= D in n letters, times N^2 + D.
+
+    Computed from the three integers alone.  The power n^(D+1) is capped at
+    n^64, which for n >= 2 already exceeds :data:`MAX_MOMENT_SIZE`, so a
+    huge D costs nothing; the result is exact up to D = 63.
+    """
+    words = D + 1 if n == 1 else (n ** min(D + 1, 64) - 1) // (n - 1)
+    return words * (N * N + D)
+
+
+def check_moment_size(n: int, D: int, N: int = 1) -> None:
+    """Raise ValueError when :func:`moment_size` exceeds MAX_MOMENT_SIZE."""
+    if moment_size(n, D, N) > MAX_MOMENT_SIZE:
+        raise ValueError(
+            f"moment sequence too large: degree {D} in {n} variables with "
+            f"{N} x {N} matrices exceeds the size limit {MAX_MOMENT_SIZE} "
+            "(word count times N^2 + D)"
+        )
+
+
+def real_pairs(z) -> np.ndarray:
+    """A complex array as a real one with a trailing ``[re, im]`` axis."""
+    z = np.asarray(z)
+    return np.stack([z.real, z.imag], axis=-1)
+
+
 def moment_sequence(X, D: int) -> MomentSequence:
     """Normalized traces of all matrix products of length <= D.
 
     Level by level: the stack of the n^L products of length L is
     ``(level[:, None] @ X[None]).reshape(-1, N, N)`` from the stack of
     length L - 1, which lists them in ``words_up_to`` order (last letter
-    fastest).  Only the previous level is kept.
+    fastest).  Only the previous level is kept.  Sizes past
+    :data:`MAX_MOMENT_SIZE` are refused before anything is allocated.
     """
     X = as_matrix_tuple(X)
     if D < 0:
         raise ValueError(f"degree must be nonnegative, got {D}")
+    check_moment_size(X.n, D, X.N)
     mats = np.stack(X.matrices)
     level = np.eye(X.N, dtype=complex)[None]
     traces = [np.ones(1, dtype=complex)]

@@ -1,5 +1,6 @@
 """Shared generators for the test suite; all randomness is seed-driven."""
 
+import json
 import os
 import pathlib
 
@@ -223,3 +224,66 @@ def reference_falsify(p: NCPoly, trials: int, N: int, R: float, seed: int):
         if value < -FALSIFY_TRACE_TOL:
             return "random", index, value, candidate.matrices
     return None
+
+
+# The list builders the CLI and ``GnsModel.as_dict`` used before the CLI
+# wrote arrays itself: the JSON of a moment sequence, a matrix tuple and a
+# complex matrix as nested Python lists.  ``json.dumps(..., indent=2,
+# sort_keys=True, allow_nan=False)`` of a payload made with them is the byte
+# reference for the CLI's writer.
+
+
+def reference_theta_json(theta: MomentSequence) -> list:
+    return [
+        {"word": list(w), "re": float(v.real), "im": float(v.imag)}
+        for w, v in sorted(theta.values.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    ]
+
+
+def reference_matrix_pairs(M) -> list:
+    return [[[float(x.real), float(x.imag)] for x in row] for row in M]
+
+
+def reference_matrix_tuple_json(X) -> dict:
+    return {
+        "n": X.n,
+        "N": X.N,
+        "matrices": [reference_matrix_pairs(mat) for mat in X.matrices],
+    }
+
+
+def reference_model_json(model) -> dict:
+    """``GnsModel.as_dict()`` as it was written before, from lists."""
+    return {
+        "degree": model.degree,
+        "rank": model.rank,
+        "basis": [list(w) for w in model.basis],
+        "operators": [reference_matrix_pairs(y) for y in model.operators],
+        "vacuum": [[float(v.real), float(v.imag)] for v in model.vacuum],
+        "diagnostics": {
+            "reconstruction_error": model.reconstruction_error,
+            "shift_residual": model.shift_residual,
+            "hermiticity_defects": list(model.hermiticity_defects),
+        },
+    }
+
+
+def stdlib_json(payload) -> str:
+    """The CLI's output contract: the stdlib encoder's indented, sorted,
+    strict layout plus a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """Equality of two long texts, reporting only the first difference;
+    pytest's own diff of megabyte strings takes minutes."""
+    if got != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+            min(len(got), len(expected)),
+        )
+        window = slice(max(at - 40, 0), at + 40)
+        raise AssertionError(
+            f"texts differ at offset {at} (lengths {len(got)} and "
+            f"{len(expected)}): {got[window]!r} != {expected[window]!r}"
+        )

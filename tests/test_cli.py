@@ -2,18 +2,37 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nctrace import certify, cli
 from nctrace.algebra import NCPoly
+from nctrace.certify import Falsification, falsify
 from nctrace.cli import main
-from nctrace.moments import MomentSequence, moment_sequence
+from nctrace.gns import gns_build, norm_bound_check, verify_moments, verify_trace_property
+from nctrace.moments import (
+    MatrixTuple,
+    MomentSequence,
+    as_matrix_tuple,
+    check_w_membership,
+    moment_sequence,
+)
+from nctrace.parsing import parse_poly
 from nctrace.sampling import pauli_pair
 from nctrace.sdp import NoFeasiblePoint
 
-from helpers import checkout_env, make_rng, random_hermitian_tuple
+from helpers import (
+    assert_same_text,
+    checkout_env,
+    make_rng,
+    random_hermitian_tuple,
+    reference_matrix_tuple_json,
+    reference_model_json,
+    reference_theta_json,
+    stdlib_json,
+)
 
 COMMUTATOR = (
     "# squared commutator identity\n"
@@ -398,3 +417,286 @@ def test_console_entry_point(poly_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["norm"] == pytest.approx(3.0)
+
+
+# -- the JSON writer against the stdlib encoder --------------------------------
+
+
+def _plain(value):
+    """A CLI payload with its arrays and sequences as the reference lists."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, MomentSequence):
+        return reference_theta_json(value)
+    return value
+
+
+def _tuple_file(tmp_path, mats, name="tuple.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(reference_matrix_tuple_json(as_matrix_tuple(mats))))
+    return str(path)
+
+
+@pytest.fixture
+def indefinite_theta(tmp_path):
+    path = tmp_path / "bad_witness.json"
+    path.write_text(
+        json.dumps(
+            {
+                "degree": 2,
+                "theta": [
+                    {"word": [], "re": 1.0, "im": 0.0},
+                    {"word": [1], "re": 0.0, "im": 0.0},
+                    {"word": [1, 1], "re": -1.0, "im": 0.0},
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kind,expected_code",
+    [
+        ("certificate", 0),
+        ("infeasible", 2),
+        ("witness-found", 2),
+        ("witness-absent", 0),
+        ("falsify-hit", 2),
+        ("falsify-miss", 0),
+        ("moments", 0),
+        ("gns-accepted", 0),
+        ("gns-rejected", 2),
+        ("norm", 0),
+    ],
+)
+def test_emit_matches_stdlib_on_every_payload_kind(
+    kind, expected_code, poly_file, pauli_json, indefinite_theta, tmp_path,
+    monkeypatch, capsys,
+):
+    poly = {
+        "certificate": COMMUTATOR, "infeasible": NEGATED, "witness-found": NEGATED,
+        "witness-absent": "Y1^2", "falsify-hit": NEGATED, "falsify-miss": "Y1^2",
+        "norm": "2*Y1 + (0,-3)*Y1 Y2",
+    }.get(kind)
+    src = poly_file(poly) if poly else None
+    argv = {
+        "certificate": ["certify", src],
+        "infeasible": ["certify", src],
+        "witness-found": ["witness", src, "--degree", "2"],
+        "witness-absent": ["witness", src],
+        "falsify-hit": ["falsify", src, "--trials", "10"],
+        "falsify-miss": ["falsify", src, "--trials", "20", "--size", "3"],
+        "moments": [
+            "moments",
+            _tuple_file(tmp_path, random_hermitian_tuple(make_rng(71), 3, 2)),
+            "--degree", "5",
+        ],
+        "gns-accepted": ["gns-check", pauli_json],
+        "gns-rejected": ["gns-check", indefinite_theta, "--degree", "1"],
+        "norm": ["norm", src, "--radius", "2"],
+    }[kind]
+    payloads = []
+    emit = cli._emit
+
+    def spy(payload, out_path):
+        payloads.append(payload)
+        emit(payload, out_path)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    assert main(argv) == expected_code
+    (payload,) = payloads
+    assert_same_text(capsys.readouterr().out, stdlib_json(_plain(payload)))
+
+
+EDGE_PAYLOADS = {
+    "floats": [-0.0, 0.0, 1e-05, 1e-07, 1e16, 1e22, 5e-324, 1.7976931348623157e308, 0.1, -2.5],
+    "ints": [0, -1, 2**63, -(2**70), 10**40],
+    "constants": {"t": True, "f": False, "none": None},
+    "empties": {"list": [], "dict": {}, "nested": [[], {}, [[]]], "tuple": ()},
+    "strings": ['quote " mark', "back\\slash", "caf\u00e9 \u2603 \U0001f600", "tab\tnl\n\x00", ""],
+    "key order": {"b": 1, "a": {"z": [1, 2.0], "y": None}, "A": "x", "": 0},
+    "arrays": {
+        "signed zero": np.array([[-0.0, 0.0], [1e-05, 5e-324]]),
+        "empty": np.zeros(0),
+        "empty rows": np.zeros((2, 0)),
+        "no rows": np.zeros((0, 3)),
+        "scalar": np.array(1e16),
+        "cube": np.arange(24.0).reshape(2, 3, 4) / 7,
+    },
+    "degree-0 theta": {"theta": MomentSequence(2, 0, {(): 1.0})},
+    "n=1 theta": {"values": moment_sequence([np.array([[0.5, 1j], [-1j, -0.25]])], 6)},
+    "n=1 N=1 tuple": {
+        "matrices": cli._matrix_tuple_json(as_matrix_tuple([np.array([[-0.0]])]))
+    },
+    "N=1 tuple": cli._matrix_tuple_json(
+        as_matrix_tuple([np.array([[2.0]]), np.array([[-1e-300]]), np.array([[3.0]])])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_PAYLOADS))
+def test_emit_matches_stdlib_on_edge_values(name, capsys):
+    payload = EDGE_PAYLOADS[name]
+    cli._emit(payload, None)
+    assert_same_text(capsys.readouterr().out, stdlib_json(_plain(payload)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_emit_refuses_non_finite_array_leaf(bad, tmp_path, capsys):
+    leaf = np.ones((2, 2, 2))
+    leaf[1, 0, 1] = bad
+    out = tmp_path / "out.json"
+    with pytest.raises(cli.InputError, match="result is not finite, not written"):
+        cli._emit({"ok": [1.0], "matrices": leaf}, str(out))
+    with pytest.raises(cli.InputError, match="result is not finite, not written"):
+        cli._emit({"value": float(bad)}, None)
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_tuple_exits_one_and_writes_nothing(
+    bad, poly_file, tmp_path, monkeypatch, capsys
+):
+    mat = np.array([[1.0, bad], [bad, 0.0]], dtype=complex)
+    hit = Falsification(tuple=MatrixTuple((mat,), 1, 2), trace=-1.0, source="random", index=0)
+    monkeypatch.setattr(cli, "falsify", lambda *a, **k: hit)
+    out = tmp_path / "out.json"
+    for extra in (["--out", str(out)], []):
+        code = main(["falsify", poly_file("-1*Y1^2"), *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "result is not finite, not written" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n,N,D",
+    [
+        (1, 1, 0), (1, 1, 8), (1, 3, 8),
+        (2, 1, 0), (2, 2, 3), (2, 3, 8),
+        (3, 1, 8), (3, 2, 3), (3, 2, 8), (3, 3, 0),
+    ],
+)
+def test_moments_stdout_equals_reference_lists(n, N, D, tmp_path, capsys):
+    mats = random_hermitian_tuple(make_rng(500 + 10 * n + N + D), n, N)
+    path = _tuple_file(tmp_path, mats)
+    main(["moments", path, "--degree", str(D)])
+    theta = moment_sequence(mats, D)
+    expected = {
+        "n": n,
+        "N": N,
+        "degree": D,
+        "values": reference_theta_json(theta),
+        "membership": check_w_membership(theta, tol=1e-9).as_dict(),
+    }
+    assert_same_text(capsys.readouterr().out, stdlib_json(expected))
+
+
+@pytest.mark.parametrize("n,N,d", [(1, 3, 4), (2, 1, 2), (2, 3, 2), (3, 2, 2), (2, 4, 3)])
+def test_gns_check_stdout_equals_reference_lists(n, N, d, tmp_path, capsys):
+    mats = random_hermitian_tuple(make_rng(600 + 10 * n + N + d), n, N)
+    path = _tuple_file(tmp_path, mats)
+    code = main(["gns-check", path, "--degree", str(d)])
+    theta = moment_sequence(mats, 2 * d)
+    model = gns_build(theta, d)
+    expected = reference_model_json(model)
+    assert model.as_dict() == expected
+    expected["checks"] = {
+        "moment_error": verify_moments(model, theta, d),
+        "trace_error": verify_trace_property(model, theta, 2 * d),
+        "norm_bound": norm_bound_check(model, theta, 1.0).as_dict(),
+    }
+    assert_same_text(capsys.readouterr().out, stdlib_json(expected))
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text,nvars,N",
+    [
+        ("-1*Y1^2", 1, 1),
+        ("-1*Y1^2", 1, 3),
+        (NEGATED, 2, 1),
+        (NEGATED, 2, 3),
+        ("Y1 Y2 Y3 + Y3 Y2 Y1 - 0.1*Y1^2", 3, 2),
+    ],
+)
+def test_falsify_stdout_equals_reference_lists(text, nvars, N, poly_file, capsys):
+    code = main(["falsify", poly_file(text), "--size", str(N), "--trials", "200"])
+    result = falsify(parse_poly(text, nvars), trials=200, N=N)
+    assert result is not None and code == 2
+    expected = {
+        "falsified": True,
+        "trace": result.trace,
+        "source": result.source,
+        "index": result.index,
+        "tuple": reference_matrix_tuple_json(result.tuple),
+    }
+    assert_same_text(capsys.readouterr().out, stdlib_json(expected))
+
+
+# -- usage errors and size limits ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["certify", "F", "--bogus"], "unrecognized arguments: --bogus"),
+        (["moments", "T.json"], "the following arguments are required: --degree"),
+        (["falsify", "F", "--trials", "abc"], "invalid int value: 'abc'"),
+        (["gns-check", "T.json", "--tol", "1e-9"], "unrecognized arguments: --tol 1e-9"),
+    ],
+)
+def test_usage_errors_exit_one(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nctrace")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gns-check", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: nctrace" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command,degree",
+    [("moments", "1000000"), ("moments", "25"), ("gns-check", "500000")],
+)
+def test_oversized_degree_exits_one_without_allocating(command, degree, pauli_json, capsys):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main([command, pauli_json, "--degree", degree])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "moment sequence too large" in captured.err
+    assert elapsed < 0.5
+    assert peak < 1_000_000
+
+
+def test_oversized_declared_theta_degree_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge_witness.json"
+    path.write_text(json.dumps({"degree": 10**6, "theta": [{"word": [2], "re": 0.0, "im": 0.0}]}))
+    code = main(["gns-check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "moment sequence too large" in captured.err

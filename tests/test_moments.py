@@ -5,6 +5,7 @@ import pytest
 
 from nctrace.algebra import NCPoly, involute_word, pair, star_product, words_up_to
 from nctrace.moments import (
+    MAX_MOMENT_SIZE,
     MomentSequence,
     WordIndex,
     as_matrix_tuple,
@@ -12,7 +13,9 @@ from nctrace.moments import (
     growth_radius,
     moment_matrix,
     moment_sequence,
+    moment_size,
     psd_check,
+    real_pairs,
 )
 
 from helpers import (
@@ -291,3 +294,41 @@ def test_moment_sequence_rejects_non_finite_values():
             MomentSequence(2, 2, {**moment_sequence(pauli_pair(), 2).values, (1, 2): bad})
     with pytest.raises(ValueError, match="needs 7 values"):
         MomentSequence.from_array(2, 2, np.ones(6))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("D", [0, 1, 5, 9])
+def test_moment_size_counts_words(n, D):
+    for N in (1, 4):
+        assert moment_size(n, D, N) == len(words_up_to(n, D)) * (N * N + D)
+
+
+def test_moment_size_caps_the_power_past_the_limit():
+    # Exact up to D = 63; beyond, n^64 stands in for n^(D+1), already over.
+    assert moment_size(2, 63) == (2**64 - 1) * 64
+    assert moment_size(2, 10**6) > MAX_MOMENT_SIZE
+    assert moment_size(1, 10**6) == (10**6 + 1) ** 2
+    assert moment_size(3, 8, 8) <= MAX_MOMENT_SIZE  # the benchmark's largest
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: moment_sequence(pauli_pair(), 10**6),
+        lambda: moment_sequence([np.eye(1)], 2896),
+        lambda: MomentSequence(2, 10**6, {(): 1.0}),
+    ],
+)
+def test_oversized_sequences_are_refused_before_allocating(build):
+    with pytest.raises(ValueError, match="moment sequence too large"):
+        build()
+
+
+def test_largest_single_variable_sequence_is_allowed():
+    assert len(moment_sequence([np.eye(1)], 2895).values) == 2896
+
+
+def test_real_pairs():
+    z = np.array([[1 + 2j, -0.0 - 3j]])
+    assert real_pairs(z).tolist() == [[[1.0, 2.0], [-0.0, -3.0]]]
+    assert real_pairs(z).shape == (1, 2, 2)
