@@ -14,6 +14,16 @@ matrix tuples is the target of three complementary procedures:
 * :func:`falsify` hunts for a concrete matrix tuple with negative
   normalized trace, which is itself a witness through its moments.
 
+Both searches label each entry (J, K) of their matrix over the words of
+length <= d with the cyclic class of ``reverse(J) + K``.  The labels come
+from :class:`~nctrace.moments.WordIndex` arithmetic (see
+:func:`cyclic_classes`): a word's least rotation is the least position
+among its rotations, and ranking those positions numbers the classes.
+The certificate's residual is recomputed from its factors by plain
+polynomial arithmetic, one pass summing ``conj(b_J) b_K`` over every
+factor, and never reads the labels or any solver state.  Problems larger
+than :data:`MAX_GRAM_SIZE` are refused before anything is allocated.
+
 Failure of the primal search is only ever "infeasible at tolerance at
 level d": raising d enlarges the search space, and no claim of
 completeness is made at any finite level.
@@ -23,28 +33,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import product
 
 import numpy as np
 
-from .algebra import (
-    NCPoly,
-    Word,
-    cyclic_canonical,
-    evaluate,
-    involute_word,
-    normalized_trace,
-    pair,
-    star_product,
-    words_up_to,
-)
+from .algebra import NCPoly, Word, evaluate, normalized_trace, pair, words_up_to
 from .moments import (
     MomentSequence,
+    WordIndex,
     as_matrix_tuple,
     check_w_membership,
     hermitian_parts,
     moment_matrix,
     moment_sequence,
+    moment_size,
     psd_check,
 )
 from .sampling import make_rng, random_hermitians, random_tuple, structured_library
@@ -81,28 +82,83 @@ def _require_symmetric(p: NCPoly) -> None:
         raise ValueError("polynomial is not self-adjoint")
 
 
-def _class_positions(nvars: int, d: int):
-    """Group basis-word pairs (J, K) by the cyclic class of reverse(J)+K.
+# Size limit of the Gram and witness problems at half-degree d, in the units
+# of ``moment_size(nvars, 2d)``: the words of length <= 2d times 2d + 1, as
+# for the degree-2d sequence a witness emits.  The class labels are read off
+# every word of length <= 2d, each compared with its up to 2d rotations, and
+# the m x m solver matrices over the m words of length <= d hold no more
+# entries than that.  2**20 keeps the rotation pass and each solver matrix
+# within a few tens of MiB; it allows n = 2 up to d = 7, n = 3 up to d = 5,
+# and a single variable up to d = 511.
+MAX_GRAM_SIZE = 2**20
 
-    Every pair lands in exactly one class; every word of length <= 2d is
-    reachable (split it in the middle), so the classes cover all of them.
+
+def check_gram_size(nvars: int, d: int) -> None:
+    """Raise ValueError when the problems at half-degree d exceed MAX_GRAM_SIZE.
+
+    Computed from the two integers alone, so a huge d costs nothing.
     """
-    basis = words_up_to(nvars, d)
-    classes: dict[Word, list[tuple[int, int]]] = {}
-    for (row, J), (col, K) in product(enumerate(basis), repeat=2):
-        rep = cyclic_canonical(involute_word(J) + K)
-        classes.setdefault(rep, []).append((row, col))
-    return basis, classes
+    if moment_size(nvars, 2 * d) > MAX_GRAM_SIZE:
+        raise ValueError(
+            f"Gram problem too large: half-degree {d} in {nvars} variables "
+            f"exceeds the size limit {MAX_GRAM_SIZE} (words of length <= 2d "
+            "times 2d + 1)"
+        )
 
 
-def _class_labels(classes, m: int):
-    """Class representatives by (length, word), and each entry's index there."""
-    reps = sorted(classes, key=lambda w: (len(w), w))
-    labels = np.empty((m, m), dtype=np.intp)
-    for label, rep in enumerate(reps):
-        rows, cols = zip(*classes[rep])
-        labels[rows, cols] = label
-    return reps, labels
+def _check_degree(p: NCPoly, d: int) -> None:
+    """Refuse a half-degree below half of p's degree or past the size limit."""
+    if p.degree() > 2 * d:
+        raise ValueError(f"polynomial degree {p.degree()} exceeds 2*d = {2 * d}")
+    check_gram_size(p.nvars, d)
+
+
+@dataclass
+class CyclicClasses:
+    """The cyclic classes of the words of length <= 2d, by word-index arithmetic.
+
+    ``index`` is ``WordIndex(nvars, 2d)``.  A class is labelled by the rank,
+    in ``words_up_to`` order, of its least word; ``word_labels`` holds the
+    label of every word up to 2d, ``reps`` the position of each class's
+    least word and ``partners`` the label of its reversal.  ``labels[J, K]``
+    is the label of ``reverse(J) + K`` over the m basis words of length
+    <= d: every word up to 2d is such a pair (split it in the middle), so
+    every class labels some entry.
+    """
+
+    index: WordIndex
+    word_labels: np.ndarray
+    reps: np.ndarray
+    partners: np.ndarray
+    labels: np.ndarray
+
+    def coefficients(self, p: NCPoly) -> np.ndarray:
+        """p's total coefficient on each class, by label.
+
+        The totals are those of :meth:`NCPoly.cyclic_reduce`.
+        """
+        values = np.zeros(len(self.reps), dtype=complex)
+        for word, coeff in p.cyclic_reduce().terms.items():
+            values[self.word_labels[self.index.position(word)]] = coeff
+        return values
+
+
+def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
+    """The classes of the Gram and witness problems at half-degree d.
+
+    Each word's least rotation is the least position among its rotations;
+    ranking the least positions gives the labels.  Classes come out in
+    (length, word) order of their least words.
+    """
+    index = WordIndex(nvars, 2 * d)
+    least = index.least_rotations()
+    is_rep = least == np.arange(len(index))
+    word_labels = (np.cumsum(is_rep) - 1)[least]
+    reps = np.flatnonzero(is_rep)
+    reversals = index.reversals()
+    m = int(index.offsets[d + 1])
+    labels = word_labels[index.concat(reversals[:m, None], np.arange(m))]
+    return CyclicClasses(index, word_labels, reps, word_labels[reversals[reps]], labels)
 
 
 @dataclass
@@ -113,44 +169,33 @@ class GramProblem:
     matrix lying over that class must sum to the polynomial's total
     coefficient on the class.  Solutions G that are also PSD factor into
     square terms reproducing the polynomial up to cyclic equivalence.
+    ``rhs`` maps each class's least word to that coefficient.
     """
 
     degree: int
     basis: list = field(repr=False)
-    classes: dict = field(repr=False)
     rhs: dict = field(repr=False)
     constraints: ClassConstraints = field(repr=False)
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self.rhs)
 
 
 def build_gram_problem(p: NCPoly, d: int) -> GramProblem:
     _require_symmetric(p)
-    if p.degree() > 2 * d:
-        raise ValueError(
-            f"polynomial degree {p.degree()} exceeds 2*d = {2 * d}"
-        )
-    basis, classes = _class_positions(p.nvars, d)
-    m = len(basis)
-    reduced = p.cyclic_reduce()
-    stray = [w for w in reduced.terms if w not in classes]
-    if stray:
-        raise AssertionError(f"unreachable class representative {stray[0]}")
-    rhs = {rep: reduced.coeff(rep) for rep in classes}
-
-    reps, labels = _class_labels(classes, m)
-    values = np.array([rhs[rep] for rep in reps], dtype=complex)
+    _check_degree(p, d)
+    classes = cyclic_classes(p.nvars, d)
+    words = words_up_to(p.nvars, 2 * d)
+    values = classes.coefficients(p)
+    rhs = {words[rep]: value for rep, value in zip(classes.reps.tolist(), values.tolist())}
     # A class and its reversal are transposes of each other and carry
     # conjugate sums; the earlier of the two in the ordering sets both.
-    partner = np.array([labels[classes[rep][0][::-1]] for rep in reps])
-    earlier = np.arange(len(reps)) <= partner
-    values = np.where(earlier, values, np.conj(values[partner]))
-    constraints = ClassConstraints(labels, rhs=values)
-    return GramProblem(
-        degree=d, basis=basis, classes=classes, rhs=rhs, constraints=constraints
-    )
+    earlier = np.arange(len(values)) <= classes.partners
+    values = np.where(earlier, values, np.conj(values[classes.partners]))
+    constraints = ClassConstraints(classes.labels, rhs=values)
+    basis = words[: len(classes.labels)]
+    return GramProblem(degree=d, basis=basis, rhs=rhs, constraints=constraints)
 
 
 @dataclass
@@ -167,10 +212,20 @@ class Certificate:
 
 
 def _sum_of_squares(factors, nvars: int) -> NCPoly:
-    total = NCPoly.zero(nvars)
+    """The polynomial sum of b* b over the factors b, in one pass.
+
+    Each product conj(b_J) b_K of two terms lands on the word
+    reverse(J) + K; all of them are summed into one coefficient table.
+    """
+    total: dict[Word, complex] = {}
     for b in factors:
-        total = total + star_product(b.adjoint(), b)
-    return total
+        terms = b.terms.items()
+        for J, bJ in terms:
+            left, weight = J[::-1], bJ.conjugate()
+            for K, bK in terms:
+                word = left + K
+                total[word] = total.get(word, 0.0) + weight * bK
+    return NCPoly(nvars, total)
 
 
 @dataclass
@@ -226,7 +281,6 @@ def certify_sos(
     extracted factors by plain polynomial arithmetic; one above
     ``RESIDUAL_TOL * max(1, ||p||_1)`` raises :class:`NoFeasiblePoint`.
     """
-    _require_symmetric(p)
     if d is None:
         d = (p.degree() + 1) // 2
     problem = build_gram_problem(p, d)
@@ -293,17 +347,14 @@ def witness_search(
         raise ValueError(f"tol must be positive, got {tol}")
     if d is None:
         d = (p.degree() + 1) // 2
-    if p.degree() > 2 * d:
-        raise ValueError(f"polynomial degree {p.degree()} exceeds 2*d = {2 * d}")
-    basis, classes = _class_positions(p.nvars, d)
-    m = len(basis)
+    _check_degree(p, d)
+    classes = cyclic_classes(p.nvars, d)
+    labels = classes.labels
+    radii = float(R) ** classes.index.lengths[classes.reps].astype(float)
+    # The empty word is the least word of its class, and the first of all.
+    constraints = ClassConstraints(labels, pinned=0, radii=radii)
 
-    reps, labels = _class_labels(classes, m)
-    radii = float(R) ** np.array([len(rep) for rep in reps], dtype=float)
-    constraints = ClassConstraints(labels, pinned=reps.index(()), radii=radii)
-
-    reduced = p.cyclic_reduce()
-    shares = np.array([reduced.coeff(rep) for rep in reps], dtype=complex)
+    shares = classes.coefficients(p)
     weights = (shares / constraints.counts)[labels]
     objective = (np.conj(weights) + weights.T) / 2
 
@@ -311,7 +362,7 @@ def witness_search(
     low = float(np.linalg.eigvalsh(solution)[0])
     if low < -tol:
         solution = _mix_anchor(solution, low, constraints, p.nvars, d, R)
-    theta = _extract_moments(solution, classes, p.nvars, 2 * d, R)
+    theta = _extract_moments(solution, constraints, classes, R)
     value = pair(p, theta)
     if abs(value.imag) > 1e-8:
         raise AssertionError(f"pairing unexpectedly complex: {value}")
@@ -386,20 +437,26 @@ def checked_witness(theta: MomentSequence, value: float, R: float, tol: float = 
     return witness
 
 
-def _extract_moments(M: np.ndarray, classes, nvars: int, degree: int, R: float) -> MomentSequence:
-    M = (M + M.conj().T) / 2
-    per_class: dict[Word, complex] = {}
-    for rep, positions in classes.items():
-        per_class[rep] = sum(M[row, col] for row, col in positions) / len(positions)
-    norm = per_class[()].real
-    values: dict[Word, complex] = {}
-    for word in words_up_to(nvars, degree):
-        v = per_class[cyclic_canonical(word)] / norm
-        bound = R ** len(word)
+def _extract_moments(
+    M: np.ndarray, constraints: ClassConstraints, classes: CyclicClasses, R: float
+) -> MomentSequence:
+    """The sequence of class means of M, normalized at the empty word.
+
+    Each word of length <= 2d takes its class's mean over the entries of
+    the Hermitian part of M, divided by the empty word's mean and clamped
+    in magnitude to ``R**length``.
+    """
+    means = constraints.class_means((M + M.conj().T) / 2)
+    norm = means[0].real
+    values = []
+    for value, length in zip(means, classes.index.lengths[classes.reps].tolist()):
+        v = value / norm
+        bound = R**length
         if abs(v) > bound:
             v = v * (bound / abs(v))
-        values[word] = v
-    return MomentSequence(nvars, degree, values)
+        values.append(v)
+    theta = np.array(values, dtype=complex)[classes.word_labels]
+    return MomentSequence.from_array(classes.index.n, classes.index.D, theta)
 
 
 @dataclass

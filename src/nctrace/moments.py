@@ -124,6 +124,13 @@ class WordIndex:
         k = int(index - self.offsets[L])
         return tuple(k // self.n ** (L - 1 - j) % self.n + 1 for j in range(L))
 
+    def position(self, word) -> int:
+        """The position of a word of length at most D."""
+        k = 0
+        for letter in word:
+            k = k * self.n + letter - 1
+        return int(self.offsets[len(word)]) + k
+
     def concat(self, left, right) -> np.ndarray:
         """Position of left + right, for position arrays that broadcast.
 
@@ -145,6 +152,23 @@ class WordIndex:
             for j in range(L):
                 rev = rev * self.n + k // self.n**j % self.n
             out.append(self.offsets[L] + rev)
+        return np.concatenate(out)
+
+    def least_rotations(self) -> np.ndarray:
+        """Position of the lexicographically least rotation of w, for every
+        word w in order.
+
+        Positions of one length follow lexicographic order, so the least
+        rotation is the one at the least position.
+        """
+        out = [np.zeros(0, dtype=np.int64)]
+        for L in range(self.D + 1):
+            k = np.arange(self.n**L)
+            least = k.copy()
+            for s in range(1, L):
+                tail = self.n ** (L - s)
+                np.minimum(least, k % tail * self.n**s + k // tail, out=least)
+            out.append(self.offsets[L] + least)
         return np.concatenate(out)
 
     def rotation_pairs(self) -> tuple[np.ndarray, np.ndarray]:

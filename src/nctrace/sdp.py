@@ -215,12 +215,15 @@ class ClassConstraints:
         real = np.bincount(self._flat, G.real.ravel(), k)
         return real + 1j * np.bincount(self._flat, G.imag.ravel(), k)
 
+    def class_means(self, G: np.ndarray) -> np.ndarray:
+        """Mean of G's entries over each class, summed in row-major order."""
+        return self._class_sums(G) / self.counts
+
     def project(self, G: np.ndarray) -> np.ndarray:
         """Frobenius-nearest point of the set; Hermitian if G is, to rounding."""
-        sums = self._class_sums(G)
         if self.pinned is None:
-            return G - ((sums - self._rhs) / self.counts)[self.labels]
-        means = sums / self.counts
+            return G - ((self._class_sums(G) - self._rhs) / self.counts)[self.labels]
+        means = self.class_means(G)
         if self.radii is not None:
             mags = np.abs(means)
             means *= np.divide(

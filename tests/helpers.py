@@ -3,11 +3,18 @@
 import json
 import os
 import pathlib
+from itertools import product
 
 import numpy as np
 
-from nctrace.algebra import NCPoly, cyclic_canonical, involute_word, words_up_to
-from nctrace.certify import FALSIFY_TRACE_TOL, _class_positions, _real_trace
+from nctrace.algebra import (
+    NCPoly,
+    cyclic_canonical,
+    involute_word,
+    star_product,
+    words_up_to,
+)
+from nctrace.certify import FALSIFY_TRACE_TOL, _real_trace
 from nctrace.moments import MomentSequence, as_matrix_tuple
 from nctrace.sampling import structured_library
 from nctrace.sdp import AffineConstraints
@@ -75,6 +82,63 @@ def commutator_square_poly() -> NCPoly:
     )
 
 
+# -- word-by-word references for the cyclic classes and the square sum ---------
+#
+# The loops ``nctrace.certify`` ran before its class labels came from
+# word-index arithmetic and its square sum from one pass: the class labels
+# must equal these exactly, the square sum to rounding.
+
+
+def reference_class_positions(nvars: int, d: int):
+    """Group basis-word pairs (J, K) by the cyclic class of reverse(J)+K.
+
+    Every pair lands in exactly one class; every word of length <= 2d is
+    reachable (split it in the middle), so the classes cover all of them.
+    """
+    basis = words_up_to(nvars, d)
+    classes: dict = {}
+    for (row, J), (col, K) in product(enumerate(basis), repeat=2):
+        rep = cyclic_canonical(involute_word(J) + K)
+        classes.setdefault(rep, []).append((row, col))
+    return basis, classes
+
+
+def reference_class_labels(classes, m: int):
+    """Class representatives by (length, word), and each entry's index there."""
+    reps = sorted(classes, key=lambda w: (len(w), w))
+    labels = np.empty((m, m), dtype=np.intp)
+    for label, rep in enumerate(reps):
+        rows, cols = zip(*classes[rep])
+        labels[rows, cols] = label
+    return reps, labels
+
+
+def reference_extract_moments(M, classes, nvars: int, degree: int, R: float) -> MomentSequence:
+    """Class means of the Hermitian part of M, summed entry by entry, then
+    normalized, clamped to ``R**length`` and spread over every word."""
+    M = (M + M.conj().T) / 2
+    per_class = {}
+    for rep, positions in classes.items():
+        per_class[rep] = sum(M[row, col] for row, col in positions) / len(positions)
+    norm = per_class[()].real
+    values = {}
+    for word in words_up_to(nvars, degree):
+        v = per_class[cyclic_canonical(word)] / norm
+        bound = R ** len(word)
+        if abs(v) > bound:
+            v = v * (bound / abs(v))
+        values[word] = v
+    return MomentSequence(nvars, degree, values)
+
+
+def reference_sum_of_squares(factors, nvars: int) -> NCPoly:
+    """Sum of b* b, one ``star_product`` and one addition per factor."""
+    total = NCPoly.zero(nvars)
+    for b in factors:
+        total = total + star_product(b.adjoint(), b)
+    return total
+
+
 # -- dense references for the class-labelled affine sets -----------------------
 #
 # The Gram and witness problems assembled as generic dense equation systems,
@@ -85,7 +149,7 @@ def commutator_square_poly() -> NCPoly:
 def dense_gram_constraints(p: NCPoly, d: int) -> AffineConstraints:
     """Class sums equal p's cyclic coefficients: one real equation per
     reversal-closed class, a real and an imaginary one per reversal pair."""
-    basis, classes = _class_positions(p.nvars, d)
+    basis, classes = reference_class_positions(p.nvars, d)
     m = len(basis)
     reduced = p.cyclic_reduce()
     constraints = AffineConstraints(m)
@@ -128,7 +192,7 @@ def _im_entry(pos, m):
 def dense_witness_constraints(nvars: int, d: int) -> AffineConstraints:
     """Entries equal on each cyclic class, real and imaginary parts
     separately against the class's first entry, and the empty word at 1."""
-    basis, classes = _class_positions(nvars, d)
+    basis, classes = reference_class_positions(nvars, d)
     m = len(basis)
     constraints = AffineConstraints(m)
     unit = np.zeros((m, m))

@@ -10,6 +10,7 @@ from nctrace.algebra import (
     normalized_trace,
     pair,
     star_product,
+    words_up_to,
 )
 from nctrace.certify import (
     Certificate,
@@ -24,14 +25,19 @@ from nctrace.certify import (
 )
 from nctrace import certify
 from nctrace.moments import MomentSequence, moment_sequence
-from nctrace.sdp import NoFeasiblePoint, feasibility_solve, minimize_linear
+from nctrace.sdp import ClassConstraints, NoFeasiblePoint, feasibility_solve, minimize_linear
 
 from helpers import (
     commutator_square_poly,
     make_rng,
+    random_hermitian,
     random_hermitian_tuple,
     random_poly,
+    reference_class_labels,
+    reference_class_positions,
+    reference_extract_moments,
     reference_falsify,
+    reference_sum_of_squares,
 )
 
 
@@ -85,13 +91,81 @@ def test_gram_problem_rejects_bad_input():
 
 def test_gram_problem_every_pair_in_exactly_one_class():
     gp = build_gram_problem(commutator_square_poly(), 2)
-    seen = set()
-    for positions in gp.classes.values():
-        for pos in positions:
-            assert pos not in seen
-            seen.add(pos)
+    labels = gp.constraints.labels
     m = len(gp.basis)
-    assert len(seen) == m * m
+    assert labels.shape == (m, m)
+    reps = list(gp.rhs)
+    assert reps == sorted(reps, key=lambda w: (len(w), w))
+    for row, J in enumerate(gp.basis):
+        for col, K in enumerate(gp.basis):
+            assert reps[labels[row, col]] == cyclic_canonical(J[::-1] + K)
+    # Every class labels some entry, so the labels partition the entries.
+    assert set(labels.ravel().tolist()) == set(range(gp.n_classes))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_cyclic_classes_match_pairwise_reference(nvars, d):
+    basis, classes = reference_class_positions(nvars, d)
+    reps, labels = reference_class_labels(classes, len(basis))
+    got = certify.cyclic_classes(nvars, d)
+    assert np.array_equal(got.labels, labels)
+    words = words_up_to(nvars, 2 * d)
+    assert [words[r] for r in got.reps] == reps
+    assert [reps[c] for c in got.word_labels] == [cyclic_canonical(w) for w in words]
+
+
+@pytest.mark.parametrize("nvars,d", [(1, 2), (2, 2), (3, 2), (2, 3)])
+def test_gram_problem_matches_pairwise_reference(nvars, d):
+    rng = make_rng(700 + 10 * nvars + d)
+    q = random_poly(rng, nvars, 2 * d, n_terms=8)
+    p = q + q.adjoint()
+    gp = build_gram_problem(p, d)
+    basis, classes = reference_class_positions(nvars, d)
+    reps, labels = reference_class_labels(classes, len(basis))
+    reduced = p.cyclic_reduce()
+    assert gp.basis == basis
+    assert list(gp.rhs) == reps
+    assert gp.rhs == {rep: reduced.coeff(rep) for rep in reps}
+    # The Hermitian projection of the reference partner rule.
+    values = np.array([reduced.coeff(rep) for rep in reps], dtype=complex)
+    partner = np.array([labels[classes[rep][0][::-1]] for rep in reps])
+    values = np.where(np.arange(len(reps)) <= partner, values, np.conj(values[partner]))
+    expected = ClassConstraints(labels, rhs=values)
+    assert np.array_equal(gp.constraints.rhs, expected.rhs)
+    assert gp.constraints.start_scale == expected.start_scale
+
+
+def test_gram_problem_drops_cancelled_class_totals():
+    # 0.1 + 0.1 + 0.1 - 0.3 leaves 5.6e-17 on the class of Y1^2 Y2^2, which
+    # cyclic_reduce drops with every total of magnitude at most 1e-15.
+    terms = {(1, 1, 2, 2): 0.1, (2, 2, 1, 1): 0.1, (1, 2, 2, 1): 0.1, (2, 1, 1, 2): -0.3}
+    p = NCPoly(2, {**terms, (1, 1): 1.0})
+    assert 0 < abs(sum(terms.values())) <= 1e-15
+    gp = build_gram_problem(p, 2)
+    assert gp.rhs == {rep: p.cyclic_reduce().coeff(rep) for rep in gp.rhs}
+    assert gp.rhs[(1, 1, 2, 2)] == 0
+
+
+@pytest.mark.parametrize("nvars,d,R", [(1, 2, 1.0), (2, 2, 1.5), (3, 2, 1.0), (2, 3, 2.0)])
+def test_extracted_moments_match_reference_bit_for_bit(nvars, d, R):
+    rng = make_rng(800 + 10 * nvars + d)
+    classes = certify.cyclic_classes(nvars, d)
+    radii = R ** classes.index.lengths[classes.reps].astype(float)
+    constraints = ClassConstraints(classes.labels, pinned=0, radii=radii)
+    _, positions = reference_class_positions(nvars, d)
+    m = len(classes.labels)
+    real = (3.0 * random_hermitian(rng, m).real).astype(complex)
+    for M in (0.3 * random_hermitian(rng, m), real):
+        # A small empty-word entry makes most class values reach their bound.
+        M[0, 0] = 0.5
+        got = certify._extract_moments(M, constraints, classes, R)
+        expected = reference_extract_moments(M, positions, nvars, 2 * d, R)
+        assert got.max_degree == expected.max_degree == 2 * d
+        assert list(got.values) == list(expected.values)
+        assert np.array_equal(got.as_array(), expected.as_array())
+        signs = [np.signbit(t.as_array().view(float)) for t in (got, expected)]
+        assert np.array_equal(*signs)
 
 
 def test_gram_matrix_of_known_factors_is_feasible():
@@ -215,7 +289,7 @@ def assert_gram_separator(p: NCPoly, d: int, Y) -> None:
     """
     assert Y is not None
     assert np.linalg.eigvalsh(Y)[0] >= 0
-    _, classes = certify._class_positions(p.nvars, d)
+    _, classes = reference_class_positions(p.nvars, d)
     reduced = p.cyclic_reduce()
     pairing = 0.0
     for rep, positions in classes.items():
@@ -279,6 +353,71 @@ def test_verify_scaled_factor_perturbation():
 def test_verify_empty_certificate_of_zero():
     cert = Certificate(degree=1, factors=[], residual=NCPoly.zero(2), residual_l1=0.0)
     assert verify_certificate(NCPoly.zero(2), cert) == 0.0
+
+
+@pytest.mark.parametrize("nvars,d", [(1, 3), (2, 2), (3, 2), (2, 3)])
+def test_square_sum_matches_product_reference(nvars, d):
+    rng = make_rng(900 + 10 * nvars + d)
+    for count in (1, 3, 8):
+        factors = [random_poly(rng, nvars, d, n_terms=7) for _ in range(count)]
+        got = certify._sum_of_squares(factors, nvars)
+        expected = reference_sum_of_squares(factors, nvars)
+        # Each coefficient's rounding is relative to the magnitudes it sums.
+        magnitudes = reference_sum_of_squares(
+            [NCPoly(nvars, {w: abs(c) for w, c in b.terms.items()}) for b in factors],
+            nvars,
+        )
+        assert set(got.terms) == set(expected.terms)
+        for word, coeff in expected.terms.items():
+            assert abs(got.terms[word] - coeff) <= 1e-14 * magnitudes.terms[word].real
+
+
+# -- input checks --------------------------------------------------------------
+
+
+def test_symmetry_checked_once_per_entry_point(monkeypatch):
+    calls = []
+    checked = NCPoly.is_symmetric
+
+    def counting(self, tol=1e-10):
+        calls.append(self)
+        return checked(self, tol)
+
+    monkeypatch.setattr(NCPoly, "is_symmetric", counting)
+    square, minus = NCPoly(1, {(1, 1): 1.0}), NCPoly(1, {(1, 1): -1.0})
+    runs = {
+        "certify_sos": lambda: certify_sos(square, 1),
+        "certify_sos infeasible": lambda: certify_sos(minus, 1),
+        "build_gram_problem": lambda: build_gram_problem(square, 1),
+        "witness_search": lambda: witness_search(minus, 1),
+        "dual_witness": lambda: dual_witness(minus, 1),
+        "falsify": lambda: falsify(square, trials=1),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1, name
+    with pytest.raises(ValueError, match="self-adjoint"):
+        build_gram_problem(NCPoly(2, {(1, 2): 1.0}), 1)
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 7), (3, 5), (1, 511)])
+def test_gram_size_limit_edges(nvars, d):
+    # The largest half-degree admitted in one, two and three variables:
+    # words up to 2d, times 2d + 1, against the limit.
+    words = len(words_up_to(nvars, 2 * d))
+    assert words * (2 * d + 1) <= certify.MAX_GRAM_SIZE
+    certify.check_gram_size(nvars, d)
+    with pytest.raises(ValueError, match="Gram problem too large"):
+        certify.check_gram_size(nvars, d + 1)
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 8), (3, 6), (1, 512), (2, 10**6)])
+def test_oversized_gram_problem_refused(nvars, d):
+    p = NCPoly(nvars, {(1, 1): 1.0})
+    for run in (build_gram_problem, certify_sos, witness_search, dual_witness):
+        with pytest.raises(ValueError, match="Gram problem too large"):
+            run(p, d)
 
 
 # -- dual witness -------------------------------------------------------------

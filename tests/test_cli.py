@@ -372,6 +372,32 @@ def test_out_flag_and_determinism(poly_file, tmp_path, capsys):
     assert stdout[0] == stdout[1]
 
 
+THREE_SQUARES = "Y1^2 + Y2^2 + Y1 Y2 + Y2 Y1 + 2*Y3 Y1 Y1 Y3 + Y3^2\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,extra",
+    [
+        ("certify", THREE_SQUARES, ("--degree", "2")),
+        ("certify", NEGATED, ()),
+        ("witness", NEGATED, ("--degree", "3")),
+    ],
+    ids=["certificate", "infeasible", "witness"],
+)
+def test_output_same_under_any_hash_seed(command, text, extra, poly_file):
+    # String hashes, and so set and dict-of-str orders, vary with the seed;
+    # the output must not.
+    argv = [sys.executable, "-m", "nctrace.cli", command, poly_file(text), *extra]
+    runs = []
+    for seed in ("0", "1"):
+        env = {**checkout_env(), "PYTHONHASHSEED": seed}
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0][0] in (0, 2)
+    assert runs[0][1]
+    assert runs[0] == runs[1]
+
+
 def test_certificate_json_round_trips_through_parser(poly_file, tmp_path, capsys):
     # The factors in the emitted JSON are normative interchange strings:
     # parsing them back must reproduce a certificate with the same residual.
@@ -688,6 +714,28 @@ def test_oversized_degree_exits_one_without_allocating(command, degree, pauli_js
     assert code == 1
     assert captured.out == ""
     assert "moment sequence too large" in captured.err
+    assert elapsed < 0.5
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "command,degree",
+    [("certify", "1000000"), ("certify", "12"), ("witness", "1000000"), ("witness", "12")],
+)
+def test_oversized_gram_degree_exits_one_without_allocating(command, degree, poly_file, capsys):
+    src = poly_file(COMMUTATOR)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main([command, src, "--degree", degree])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Gram problem too large" in captured.err
     assert elapsed < 0.5
     assert peak < 1_000_000
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nctrace.algebra import NCPoly
-from nctrace.certify import _class_labels, _class_positions, build_gram_problem
+from nctrace.certify import build_gram_problem
 from nctrace.sdp import (
     AffineConstraints,
     ClassConstraints,
@@ -21,6 +21,8 @@ from helpers import (
     make_rng,
     random_hermitian,
     random_poly,
+    reference_class_labels,
+    reference_class_positions,
 )
 
 
@@ -293,8 +295,8 @@ def test_trimmed_helpers_match_reference_expressions(m):
 
 
 def _class_constant_set(nvars, d):
-    basis, classes = _class_positions(nvars, d)
-    reps, labels = _class_labels(classes, len(basis))
+    basis, classes = reference_class_positions(nvars, d)
+    reps, labels = reference_class_labels(classes, len(basis))
     return ClassConstraints(labels, pinned=reps.index(()))
 
 
@@ -375,8 +377,8 @@ def test_class_sums_conjugate_mismatch_is_inconsistent():
 
 
 def _witness_set(nvars, d, R):
-    basis, classes = _class_positions(nvars, d)
-    reps, labels = _class_labels(classes, len(basis))
+    basis, classes = reference_class_positions(nvars, d)
+    reps, labels = reference_class_labels(classes, len(basis))
     radii = R ** np.array([len(rep) for rep in reps], dtype=float)
     return ClassConstraints(labels, pinned=reps.index(()), radii=radii)
 
