@@ -85,6 +85,12 @@ class NCPoly:
     stored.  Instances behave as immutable values: all arithmetic returns new
     objects and never mutates operands, so they are safe to share and to use
     concurrently.
+
+    The constructor checks every letter of every word.  Arithmetic whose
+    words come from already-valid words (sums, negation, scaling, adjoint,
+    cyclic reduction, products) builds its result with the internal
+    :meth:`_from_valid` instead, which skips that check but prunes and
+    converts coefficients exactly as the constructor does.
     """
 
     __slots__ = ("nvars", "terms")
@@ -108,6 +114,23 @@ class NCPoly:
                         del clean[word]
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _from_valid(cls, nvars: int, terms: Mapping[Word, complex]) -> "NCPoly":
+        """A polynomial from distinct word tuples whose letters are in 1..nvars.
+
+        For such terms this equals ``NCPoly(nvars, terms)`` without the
+        per-letter check: each coefficient becomes the Python complex
+        ``0.0 + complex(c)``, as the constructor's accumulation makes it
+        (negative zeros cleared), and is dropped at magnitude
+        ``<= COEFF_PRUNE``.
+        """
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {
+            w: 0.0 + complex(c) for w, c in terms.items() if abs(c) > COEFF_PRUNE
+        }
+        return poly
 
     # -- constructors ----------------------------------------------------
 
@@ -158,16 +181,18 @@ class NCPoly:
         merged = dict(self.terms)
         for word, coeff in other.terms.items():
             merged[word] = merged.get(word, 0.0) + coeff
-        return NCPoly(self.nvars, merged)
+        return NCPoly._from_valid(self.nvars, merged)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly(self.nvars, {w: -c for w, c in self.terms.items()})
+        return NCPoly._from_valid(self.nvars, {w: -c for w, c in self.terms.items()})
 
     def scale(self, scalar: complex) -> "NCPoly":
-        return NCPoly(self.nvars, {w: scalar * c for w, c in self.terms.items()})
+        return NCPoly._from_valid(
+            self.nvars, {w: scalar * c for w, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
@@ -181,9 +206,8 @@ class NCPoly:
 
     def adjoint(self) -> "NCPoly":
         """Conjugate coefficients and reverse every word."""
-        return NCPoly(
-            self.nvars,
-            {involute_word(w): np.conj(c) for w, c in self.terms.items()},
+        return NCPoly._from_valid(
+            self.nvars, {w[::-1]: c.conjugate() for w, c in self.terms.items()}
         )
 
     def r_norm(self, radius: float) -> float:
@@ -200,10 +224,28 @@ class NCPoly:
             return np.inf
 
     def is_symmetric(self, tol: float = 1e-10) -> bool:
-        """Whether the polynomial equals its adjoint, up to tol in l1."""
+        """Whether the polynomial equals its adjoint, up to tol in l1.
+
+        The l1 norm of ``self - self.adjoint()`` is summed straight from
+        the terms, in the order that difference would hold them: each word's
+        defect ``c_w - conj(c_reverse(w))`` (kept above ``COEFF_PRUNE``),
+        then once more each coefficient whose reversed word is missing,
+        which stands for the adjoint's term on that missing word.
+        """
         if tol < 0:
             raise ValueError(f"tol must be nonnegative, got {tol}")
-        return (self - self.adjoint()).r_norm(1.0) <= tol
+        terms = self.terms
+        defects, unpaired = [], []
+        for word, coeff in terms.items():
+            partner = terms.get(word[::-1])
+            if partner is None:
+                defects.append(abs(coeff))
+                unpaired.append(abs(coeff))
+            else:
+                defect = abs(coeff - partner.conjugate())
+                if defect > COEFF_PRUNE:
+                    defects.append(defect)
+        return float(sum(defects + unpaired)) <= tol
 
     def cyclic_reduce(self) -> "NCPoly":
         """Collapse each cyclic class onto its canonical representative.
@@ -217,7 +259,7 @@ class NCPoly:
         for word, coeff in self.terms.items():
             rep = cyclic_canonical(word)
             reduced[rep] = reduced.get(rep, 0.0) + coeff
-        return NCPoly(self.nvars, reduced)
+        return NCPoly._from_valid(self.nvars, reduced)
 
     def _check_compatible(self, other: "NCPoly") -> None:
         if self.nvars != other.nvars:
@@ -244,7 +286,7 @@ def star_product(a: NCPoly, b: NCPoly) -> NCPoly:
         for wb, cb in b.terms.items():
             word = wa + wb
             out[word] = out.get(word, 0.0) + ca * cb
-    return NCPoly(a.nvars, out)
+    return NCPoly._from_valid(a.nvars, out)
 
 
 def pair(a: NCPoly, t) -> complex:

@@ -36,7 +36,15 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import NCPoly, Word, evaluate, normalized_trace, pair, words_up_to
+from .algebra import (
+    COEFF_PRUNE,
+    NCPoly,
+    Word,
+    evaluate,
+    normalized_trace,
+    pair,
+    words_up_to,
+)
 from .moments import (
     MomentSequence,
     WordIndex,
@@ -135,11 +143,18 @@ class CyclicClasses:
     def coefficients(self, p: NCPoly) -> np.ndarray:
         """p's total coefficient on each class, by label.
 
-        The totals are those of :meth:`NCPoly.cyclic_reduce`.
+        p's terms are summed onto the labels of their words in the order
+        of p's terms, and totals not above ``COEFF_PRUNE`` in magnitude are
+        dropped, so the totals are those of :meth:`NCPoly.cyclic_reduce`.
+        p's words must have length at most 2d.
         """
-        values = np.zeros(len(self.reps), dtype=complex)
-        for word, coeff in p.cyclic_reduce().terms.items():
-            values[self.word_labels[self.index.position(word)]] = coeff
+        position = self.index.position
+        labels = self.word_labels[[position(word) for word in p.terms]]
+        coeffs = np.array(list(p.terms.values()), dtype=complex)
+        size = len(self.reps)
+        values = np.bincount(labels, weights=coeffs.real, minlength=size).astype(complex)
+        values.imag = np.bincount(labels, weights=coeffs.imag, minlength=size)
+        values[~(np.abs(values) > COEFF_PRUNE)] = 0  # NaN totals too, as cyclic_reduce
         return values
 
 
@@ -225,7 +240,7 @@ def _sum_of_squares(factors, nvars: int) -> NCPoly:
             for K, bK in terms:
                 word = left + K
                 total[word] = total.get(word, 0.0) + weight * bK
-    return NCPoly(nvars, total)
+    return NCPoly._from_valid(nvars, total)
 
 
 @dataclass
@@ -255,13 +270,14 @@ def extract_factors(G: np.ndarray, basis, nvars: int, rank_cutoff: float = RANK_
         lam = float(eigvals[s])
         if lam <= rank_cutoff * top:
             break
-        weight = np.sqrt(lam)
+        weight = float(np.sqrt(lam))
+        column = eigvecs[:, s].tolist()
         coeffs = {
-            word: weight * np.conj(eigvecs[k, s])
-            for k, word in enumerate(basis)
-            if abs(eigvecs[k, s]) > 1e-14
+            word: weight * v.conjugate()
+            for word, v in zip(basis, column)
+            if abs(v) > 1e-14
         }
-        factors.append(NCPoly(nvars, coeffs))
+        factors.append(NCPoly._from_valid(nvars, coeffs))
     return factors
 
 
@@ -343,8 +359,8 @@ def witness_search(
     _require_symmetric(p)
     if not (R >= 1):
         raise ValueError(f"witness box radius must be at least 1, got {R}")
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if d is None:
         d = (p.degree() + 1) // 2
     _check_degree(p, d)

@@ -14,6 +14,12 @@ negative finding (infeasible, witness found, falsified, checks failed),
 1 for usage or input errors.  Output is JSON on stdout (or ``--out``);
 identical invocations produce byte-identical output.
 
+The commands, their inputs and their options come from one table
+(:func:`_commands`).  A run that names its command first builds the
+top-level parser and that command's subparser only; the full tree is built
+for ``--help``, for no arguments and for an unknown command.  Help, usage
+errors and their messages read the same either way.
+
 The output bytes are exactly those of ``json.dumps(payload, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline.  The stdlib encodes an
 indented payload in pure Python, node by node, so :func:`_render` writes
@@ -23,7 +29,8 @@ json's own float format, and nested one axis at a time through a fixed
 template.  The tests pin the bytes against the stdlib encoder.
 
 Polynomial files use the text grammar of :mod:`nctrace.parsing`; the
-variable count is inferred as the largest index appearing in the file.
+variable count is inferred as the largest index appearing in the file, and
+is at least 1.
 Matrix tuples are JSON objects ``{"n": ..., "N": ..., "matrices": [...]}``
 with each matrix a row-major N x N array of ``[re, im]`` pairs.
 """
@@ -190,8 +197,8 @@ def _load_poly(path: str) -> NCPoly:
             text = strip_comments(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    indices = [int(m) for m in re.findall(r"Y(\d+)", text)]
-    nvars = max(indices, default=1)
+    # At least one variable, so a lone Y0 is a parse error at its offset.
+    nvars = max([1, *map(int, re.findall(r"Y(\d+)", text))])
     try:
         return parse_poly(text, nvars)
     except PolyParseError as exc:
@@ -263,9 +270,11 @@ def _theta_from_json(data: dict, path: str) -> MomentSequence:
 
 
 def _certificate_json(cert: Certificate) -> dict:
+    # The factors share the basis words; each word's text is built once.
+    word_texts: dict = {}
     return {
         "degree": cert.degree,
-        "factors": [format_poly(b) for b in cert.factors],
+        "factors": [format_poly(b, word_texts) for b in cert.factors],
         "residual_l1": cert.residual_l1,
     }
 
@@ -441,75 +450,97 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Options by name, as argparse keyword arguments.
+_OPTIONS = {
+    "degree": {
+        "type": int,
+        "default": None,
+        "help": "relaxation half-degree (default: half the polynomial degree)",
+    },
+    "radius": {"type": float, "default": 1.0, "help": "norm/growth radius R (default 1)"},
+    "tol": {"type": float, "default": 1e-9, "help": "numerical tolerance (default 1e-9)"},
+    "trials": {"type": int, "default": 1000, "help": "random tuples to try (default 1000)"},
+    "size": {"type": int, "default": 4, "help": "random matrix size N (default 4)"},
+    "seed": {"type": int, "default": 0, "help": "64-bit seed for all randomness (default 0)"},
+    "out": {"default": None, "help": "write JSON here instead of stdout"},
+}
+
+
+def _commands() -> dict:
+    """The command table: name -> (handler, help, input, options).
+
+    ``input`` is the positional argument's (name, help).  ``options`` are
+    names in ``_OPTIONS``, in order, or (name, overrides) where a command
+    words one differently; every command ends with ``--out``.  The table is
+    built per call, so a handler is read from the module's globals when its
+    command runs, as any wrapper or patch installed there leaves it.
+    """
+    return {
+        "certify": (
+            cmd_certify, "search for a sum-of-squares certificate",
+            ("polyfile", None), ("degree", "tol"),
+        ),
+        "witness": (
+            cmd_witness, "search for a negative pseudo-moment witness",
+            ("polyfile", None), ("degree", "radius", "tol"),
+        ),
+        "falsify": (
+            cmd_falsify, "search for a matrix tuple with negative trace",
+            ("polyfile", None), ("radius", "trials", "size", "seed"),
+        ),
+        "moments": (
+            cmd_moments, "moment sequence of a matrix tuple",
+            ("matrixfile", None),
+            (
+                ("degree", {"required": True, "help": "truncation degree"}),
+                ("tol", {"help": "membership check tolerance (default 1e-9)"}),
+            ),
+        ),
+        "gns-check": (
+            cmd_gns_check, "reconstruct operators from moments and verify",
+            ("inputfile", "matrix-tuple JSON or witness JSON"),
+            (
+                ("degree", {"help": "model half-degree (default: 2 for matrix input, "
+                                    "half the sequence degree for witness input)"}),
+                "radius",
+            ),
+        ),
+        "norm": (
+            cmd_norm, "weighted coefficient norm of a polynomial",
+            ("polyfile", None), ("radius",),
+        ),
+    }
+
+
+def _build_parser(commands: dict, only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command's subparser, or with ``only``'s.
+
+    With one subparser the usage line still names every command, so its
+    usage errors read as the full parser's do.
+    """
     parser = _Parser(
         prog="nctrace",
         description="Trace-positivity certificates for noncommutative polynomials.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, degree=False, radius=False, tol=False, trials=False, size=False,
-               seed=False, degree_help="relaxation half-degree (default: half the polynomial degree)"):
-        if degree:
-            sp.add_argument("--degree", type=int, default=None, help=degree_help)
-        if radius:
-            sp.add_argument("--radius", type=float, default=1.0,
-                            help="norm/growth radius R (default 1)")
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-9,
-                            help="numerical tolerance (default 1e-9)")
-        if trials:
-            sp.add_argument("--trials", type=int, default=1000,
-                            help="random tuples to try (default 1000)")
-        if size:
-            sp.add_argument("--size", type=int, default=4,
-                            help="random matrix size N (default 4)")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0,
-                            help="64-bit seed for all randomness (default 0)")
-        sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-
-    sp = sub.add_parser("certify", help="search for a sum-of-squares certificate")
-    sp.add_argument("polyfile")
-    common(sp, degree=True, tol=True)
-    sp.set_defaults(func=cmd_certify)
-
-    sp = sub.add_parser("witness", help="search for a negative pseudo-moment witness")
-    sp.add_argument("polyfile")
-    common(sp, degree=True, radius=True, tol=True)
-    sp.set_defaults(func=cmd_witness)
-
-    sp = sub.add_parser("falsify", help="search for a matrix tuple with negative trace")
-    sp.add_argument("polyfile")
-    common(sp, trials=True, size=True, radius=True, seed=True)
-    sp.set_defaults(func=cmd_falsify)
-
-    sp = sub.add_parser("moments", help="moment sequence of a matrix tuple")
-    sp.add_argument("matrixfile")
-    sp.add_argument("--degree", type=int, required=True, help="truncation degree")
-    sp.add_argument("--tol", type=float, default=1e-9,
-                    help="membership check tolerance (default 1e-9)")
-    sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    sp.set_defaults(func=cmd_moments)
-
-    sp = sub.add_parser("gns-check", help="reconstruct operators from moments and verify")
-    sp.add_argument("inputfile", help="matrix-tuple JSON or witness JSON")
-    common(sp, degree=True, radius=True,
-           degree_help="model half-degree (default: 2 for matrix input, "
-                       "half the sequence degree for witness input)")
-    sp.set_defaults(func=cmd_gns_check)
-
-    sp = sub.add_parser("norm", help="weighted coefficient norm of a polynomial")
-    sp.add_argument("polyfile")
-    common(sp, radius=True)
-    sp.set_defaults(func=cmd_norm)
-
+    metavar = None if only is None else "{" + ",".join(commands) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [only] if only else commands:
+        run, help_text, (input_name, input_help), options = commands[name]
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument(input_name, help=input_help)
+        for option in options + ("out",):
+            key, overrides = (option, {}) if isinstance(option, str) else option
+            sp.add_argument(f"--{key}", **{**_OPTIONS[key], **overrides})
+        sp.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    commands = _commands()
+    # Only --help, no arguments or an unknown command need every subparser.
+    only = argv[0] if argv and argv[0] in commands else None
+    args = _build_parser(commands, only).parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -19,6 +19,12 @@ that bare decimals are unambiguously real.  Examples::
 
 This grammar is also the on-disk polynomial file format: one polynomial
 per file, with lines starting with '#' treated as comments.
+
+:func:`parse_poly` reads each term, with its sign and the whitespace around
+it, as one match of a compiled pattern, and a word of plain factors in one
+split.  A malformed text raises :class:`PolyParseError` at the offset where
+a left-to-right scan would first find the grammar broken; a word longer
+than ``MAX_WORD_LENGTH`` letters is refused before its powers are expanded.
 """
 
 from __future__ import annotations
@@ -29,8 +35,37 @@ from .algebra import NCPoly, Word
 
 MAX_WORD_LENGTH = 64
 
-_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_INDEX = re.compile(r"\d+")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# The factors of a word.  An index or a power may be missing here: the
+# factor loop reports it at its offset.
+_FACTORS = r"Y\d*(?:\^\d*)?(?:\s*Y\d*(?:\^\d*)?)*"
+# One term with its sign, and the whitespace around it.  Every part after
+# the sign is optional, and each part of "(re,im)" is tried only after the
+# one before it matched, so the match always succeeds and ends where the
+# grammar is first broken; the groups that did not match say what was
+# expected there.
+_TERM = re.compile(
+    rf"""
+    \s* (?P<sign>[+-])? \s*
+    (?:
+        (?P<unit>{_FACTORS})
+      | (?:
+            (?P<real>{_NUMBER})
+          | (?P<paren> \( \s* (?P<re_sign>[+-]?) \s*
+                (?: (?P<re>{_NUMBER}) \s*
+                    (?: (?P<comma>,) \s* (?P<im_sign>[+-]?) \s*
+                        (?: (?P<im>{_NUMBER}) \s* (?P<close>\))? )?
+                    )?
+                )?
+            )
+        )
+        (?: \s* (?P<star>\*) \s* (?P<word>1|{_FACTORS})? )?
+    )?
+    \s*
+    """,
+    re.VERBOSE,
+)
+_FACTOR = re.compile(r"Y(\d*)(\^?)(\d*)")
 
 
 class PolyParseError(ValueError):
@@ -41,167 +76,128 @@ class PolyParseError(ValueError):
         self.offset = offset
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, char: str):
-        if self.peek() != char:
-            raise PolyParseError(f"expected '{char}'", self.pos)
-        self.pos += 1
-
-    def number(self) -> float:
-        sign = 1.0
-        if self.peek() in ("+", "-"):
-            if self.peek() == "-":
-                sign = -1.0
-            self.pos += 1
-            self.skip_ws()
-        m = _NUMBER.match(self.text, self.pos)
-        if not m:
-            raise PolyParseError("malformed coefficient", self.pos)
-        self.pos = m.end()
-        return sign * float(m.group(0))
-
-
 def parse_poly(text: str, nvars: int) -> NCPoly:
-    """Parse polynomial text; raises :class:`PolyParseError` with an offset."""
+    """Parse polynomial text; raises :class:`PolyParseError` with an offset.
+
+    Each term, with its sign and the whitespace around it, is one match of
+    a compiled pattern.  Error offsets are those of a left-to-right scan
+    that stops at the first character breaking the grammar.
+    """
     if nvars < 1:
         raise ValueError(f"nvars must be positive, got {nvars}")
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.pos == len(text):
+    if not text.strip():
         raise PolyParseError("empty input", 0)
     terms: dict[Word, complex] = {}
-    sign = 1.0
-    if sc.peek() in ("+", "-"):
-        if sc.peek() == "-":
-            sign = -1.0
-        sc.pos += 1
-        sc.skip_ws()
-    while True:
-        word, coeff = _parse_term(sc, nvars)
-        coeff = sign * coeff
-        terms[word] = terms.get(word, 0.0) + coeff
-        sc.skip_ws()
-        if sc.pos == len(text):
-            break
-        ch = sc.peek()
-        if ch == "+":
-            sign = 1.0
-        elif ch == "-":
-            sign = -1.0
+    pos, end = 0, len(text)
+    while pos < end:
+        m = _TERM.match(text, pos)
+        sign, unit, real, close, star = m.group("sign", "unit", "real", "close", "star")
+        # Every term but the first starts with its sign.
+        if pos and sign is None:
+            raise PolyParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
+        if unit is not None:
+            word, coeff = _word(m, "unit", nvars), 1.0
         else:
-            raise PolyParseError(f"expected '+' or '-', found {ch!r}", sc.pos)
-        sc.pos += 1
-        sc.skip_ws()
-        if sc.pos == len(text):
-            raise PolyParseError("dangling sign", sc.pos - 1)
-    return NCPoly(nvars, terms)
+            if real is not None:
+                coeff = complex(float(real))
+            elif close is not None:
+                coeff = complex(float(m["re_sign"] + m["re"]), float(m["im_sign"] + m["im"]))
+            else:
+                raise _term_error(m)
+            # A coefficient with no word, a bare '1' included, is on the empty word.
+            word = _word(m, "word", nvars) if star is not None else ()
+        terms[word] = terms.get(word, 0.0) + (-1.0 if sign == "-" else 1.0) * coeff
+        pos = m.end()
+    return NCPoly._from_valid(nvars, terms)
 
 
-def _parse_term(sc: _Scanner, nvars: int) -> tuple[Word, complex]:
-    ch = sc.peek()
-    if ch == "(":
-        coeff = _parse_complex(sc)
-    elif ch.isdigit() or ch == ".":
-        start = sc.pos
-        value = sc.number()
-        # A bare '1' immediately followed by a term boundary is the empty word.
-        if value == 1.0 and sc.text[start : sc.pos] == "1":
-            sc.skip_ws()
-            if sc.peek() != "*":
-                return (), 1.0
-        coeff = complex(value)
-    elif ch == "Y":
-        return _parse_word(sc, nvars), 1.0
-    else:
-        raise PolyParseError(f"expected coefficient or word, found {ch!r}", sc.pos)
-    sc.skip_ws()
-    if sc.peek() == "*":
-        sc.pos += 1
-        sc.skip_ws()
-        return _parse_word(sc, nvars), coeff
-    return (), coeff
+def _term_error(m: re.Match) -> PolyParseError:
+    """The error of a term match that holds neither a word nor a complete
+    coefficient."""
+    if m["paren"] is not None:
+        if m["comma"] is None and m["re"] is not None:
+            expected = "expected ','"
+        elif m["im"] is not None:
+            expected = "expected ')'"
+        else:
+            expected = "malformed coefficient"
+        return PolyParseError(expected, m.end("paren"))
+    at = m.end()
+    if m["sign"] and m.start() and at == len(m.string):
+        return PolyParseError("dangling sign", at - 1)
+    ch = m.string[at : at + 1]
+    if ch.isdigit() or ch == ".":
+        return PolyParseError("malformed coefficient", at)
+    return PolyParseError(f"expected coefficient or word, found {ch!r}", at)
 
 
-def _parse_complex(sc: _Scanner) -> complex:
-    sc.expect("(")
-    sc.skip_ws()
-    re_part = sc.number()
-    sc.skip_ws()
-    sc.expect(",")
-    sc.skip_ws()
-    im_part = sc.number()
-    sc.skip_ws()
-    sc.expect(")")
-    return complex(re_part, im_part)
+def _word(m: re.Match, group: str, nvars: int) -> Word:
+    """The letters of the word a term match holds in ``group``.
 
-
-def _parse_word(sc: _Scanner, nvars: int) -> Word:
-    if sc.peek() == "1":
-        sc.pos += 1
+    A word of plain factors ("Y1 Y2 Y1") is read in one pass: each piece
+    after a 'Y' is an index and its trailing whitespace.  Powers, and any
+    error, take the factor-by-factor loop.
+    """
+    factors = m[group]
+    if factors is None:
+        raise PolyParseError("expected word", m.end())
+    if factors == "1":
         return ()
-    letters: list[int] = []
-    while True:
-        if sc.peek() != "Y":
-            if not letters:
-                raise PolyParseError("expected word", sc.pos)
-            break
-        y_pos = sc.pos
-        sc.pos += 1
-        m = _INDEX.match(sc.text, sc.pos)
-        if not m:
-            raise PolyParseError("expected variable index after 'Y'", sc.pos)
-        index = int(m.group(0))
-        sc.pos = m.end()
-        if index < 1 or index > nvars:
-            raise PolyParseError(f"index {index} exceeds nvars", y_pos)
-        power = 1
-        if sc.peek() == "^":
-            sc.pos += 1
-            m = _INDEX.match(sc.text, sc.pos)
-            if not m:
-                raise PolyParseError("expected power after '^'", sc.pos)
-            power = int(m.group(0))
-            sc.pos = m.end()
-        letters.extend([index] * power)
-        if len(letters) > MAX_WORD_LENGTH:
-            raise PolyParseError(
-                f"word longer than {MAX_WORD_LENGTH} letters", y_pos
-            )
-        here = sc.pos
-        sc.skip_ws()
-        if sc.peek() != "Y":
-            sc.pos = here
-            break
-    return tuple(letters)
+    try:
+        letters = tuple(map(int, factors.split("Y")[1:]))
+    except ValueError:
+        pass
+    else:
+        if 0 < min(letters) and max(letters) <= nvars and len(letters) <= MAX_WORD_LENGTH:
+            return letters
+    out: list[int] = []
+    for factor in _FACTOR.finditer(m.string, m.start(group), m.end(group)):
+        index, caret, power = factor.groups()
+        y_pos = factor.start()
+        if not index:
+            raise PolyParseError("expected variable index after 'Y'", y_pos + 1)
+        letter = int(index)
+        if letter < 1:
+            raise PolyParseError(f"index {letter} outside 1..{nvars}", y_pos)
+        if letter > nvars:
+            raise PolyParseError(f"index {letter} exceeds nvars", y_pos)
+        count = 1
+        if caret:
+            if not power:
+                raise PolyParseError("expected power after '^'", factor.end())
+            count = int(power)
+        # Checked before expanding, so a huge power costs nothing.
+        if len(out) + count > MAX_WORD_LENGTH:
+            raise PolyParseError(f"word longer than {MAX_WORD_LENGTH} letters", y_pos)
+        out += [letter] * count
+    return tuple(out)
 
 
-def format_poly(p: NCPoly) -> str:
+def format_poly(p: NCPoly, word_texts: dict | None = None) -> str:
     """Deterministic rendering that re-parses to the same polynomial.
 
     Terms are ordered by degree then lexicographically by word; real
     coefficients print as decimals, complex ones as "(re,im)", and a unit
     coefficient on a nonempty word is omitted.
+
+    ``word_texts`` maps words to their text and is filled as words are
+    formatted.  Rendering several polynomials over the same words, such as
+    a certificate's factors, with one dict formats each distinct word once.
     """
     if p.is_zero():
         return "0"
+    if word_texts is None:
+        word_texts = {}
     pieces: list[str] = []
     for word in sorted(p.terms, key=lambda w: (len(w), w)):
         coeff = p.terms[word]
         negative = coeff.real < 0 or (coeff.real == 0 and coeff.imag < 0)
         if negative:
             coeff = -coeff
-        body = _format_term(word, coeff)
+        text = word_texts.get(word)
+        if text is None:
+            text = word_texts[word] = _format_word(word)
+        body = _format_term(text, coeff)
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:
@@ -216,16 +212,16 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
-def _format_term(word: Word, coeff: complex) -> str:
+def _format_term(word_str: str, coeff: complex) -> str:
+    """One term from its word's text ("" for the empty word)."""
     if coeff.imag == 0:
         coeff_str = _fmt_real(coeff.real)
         unit = coeff.real == 1.0
     else:
         coeff_str = f"({_fmt_real(coeff.real)},{_fmt_real(coeff.imag)})"
         unit = False
-    if not word:
+    if not word_str:
         return coeff_str if not unit else "1"
-    word_str = _format_word(word)
     if unit:
         return word_str
     return f"{coeff_str}*{word_str}"

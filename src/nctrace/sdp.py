@@ -438,8 +438,8 @@ def feasibility_solve(
     then PSD and ``Re<Y, x> < -tol ||Y||``, every PSD G has Re<Y, G> >= 0,
     so none is on the set: "infeasible-at-tolerance", with ``separator`` Y.
     """
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if dim is None:
         dim = constraints.dim
     elif dim != constraints.dim:
@@ -523,8 +523,8 @@ def minimize_linear(
     last x is returned as it is, and callers needing a PSD point must check
     its spectrum.
     """
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     c = _check_hermitian(objective)
     dim = constraints.dim
     if c.shape != (dim, dim):

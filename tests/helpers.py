@@ -1,14 +1,20 @@
 """Shared generators for the test suite; all randomness is seed-driven."""
 
+import argparse
+import importlib.util
 import json
 import os
 import pathlib
+import re
+import sys
 from itertools import product
 
 import numpy as np
 
+from nctrace import cli
 from nctrace.algebra import (
     NCPoly,
+    Word,
     cyclic_canonical,
     involute_word,
     star_product,
@@ -16,11 +22,13 @@ from nctrace.algebra import (
 )
 from nctrace.certify import FALSIFY_TRACE_TOL, _real_trace
 from nctrace.moments import MomentSequence, as_matrix_tuple
+from nctrace.parsing import MAX_WORD_LENGTH, PolyParseError
 from nctrace.sampling import structured_library
 from nctrace.sdp import AffineConstraints
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
 
 
 def checkout_env() -> dict:
@@ -137,6 +145,290 @@ def reference_sum_of_squares(factors, nvars: int) -> NCPoly:
     for b in factors:
         total = total + star_product(b.adjoint(), b)
     return total
+
+
+# -- references for the polynomial arithmetic around the solver ----------------
+#
+# What ``nctrace`` computed before its symmetry check read terms directly,
+# its factors came from whole eigenvector columns and its arithmetic skipped
+# the per-letter check: decisions and coefficients must be the same.
+
+
+def reference_is_symmetric(p: NCPoly, tol: float) -> bool:
+    """The symmetry test as four polynomials and one norm."""
+    return (p - p.adjoint()).r_norm(1.0) <= tol
+
+
+def reference_extract_factors(G, basis, nvars: int, rank_cutoff: float = 1e-8):
+    """Factors read entry by entry from the eigenvectors, through the checked
+    constructor."""
+    G = (G + G.conj().T) / 2
+    eigvals, eigvecs = np.linalg.eigh(G)
+    top = float(eigvals[-1]) if len(eigvals) else 0.0
+    factors = []
+    if top <= 0:
+        return factors
+    for s in range(len(eigvals) - 1, -1, -1):
+        lam = float(eigvals[s])
+        if lam <= rank_cutoff * top:
+            break
+        weight = np.sqrt(lam)
+        coeffs = {
+            word: weight * np.conj(eigvecs[k, s])
+            for k, word in enumerate(basis)
+            if abs(eigvecs[k, s]) > 1e-14
+        }
+        factors.append(NCPoly(nvars, coeffs))
+    return factors
+
+
+def term_bits(p: NCPoly) -> list:
+    """p's terms in storage order, each coefficient as its type and the
+    exact bits of its parts."""
+    return [(w, type(c), c.real.hex(), c.imag.hex()) for w, c in p.terms.items()]
+
+
+def workload_polys(name: str, seed: int) -> list:
+    """(text, nvars) of every polynomial file of a benchmark workload."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    wl = workloads.build(name, seed)
+    return [(wl.files[f"{source}.poly"], nvars) for source, (nvars, _) in wl.polys.items()]
+
+
+# -- the parser's reference ----------------------------------------------------
+#
+# The character-by-character scanner ``nctrace.parsing.parse_poly`` ran
+# before it read one compiled pattern per term.  The new parser must return
+# the same polynomial, bit for bit, and raise PolyParseError exactly where
+# this one does.  (This one expands a power before checking the word
+# length, so keep powers small here.)
+
+_REFERENCE_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_REFERENCE_INDEX = re.compile(r"\d+")
+
+
+class _ReferenceScanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, char: str):
+        if self.peek() != char:
+            raise PolyParseError(f"expected '{char}'", self.pos)
+        self.pos += 1
+
+    def number(self) -> float:
+        sign = 1.0
+        if self.peek() in ("+", "-"):
+            if self.peek() == "-":
+                sign = -1.0
+            self.pos += 1
+            self.skip_ws()
+        m = _REFERENCE_NUMBER.match(self.text, self.pos)
+        if not m:
+            raise PolyParseError("malformed coefficient", self.pos)
+        self.pos = m.end()
+        return sign * float(m.group(0))
+
+
+def reference_parse_poly(text: str, nvars: int) -> NCPoly:
+    """The character-by-character scanner ``parse_poly`` replaced."""
+    if nvars < 1:
+        raise ValueError(f"nvars must be positive, got {nvars}")
+    sc = _ReferenceScanner(text)
+    sc.skip_ws()
+    if sc.pos == len(text):
+        raise PolyParseError("empty input", 0)
+    terms: dict[Word, complex] = {}
+    sign = 1.0
+    if sc.peek() in ("+", "-"):
+        if sc.peek() == "-":
+            sign = -1.0
+        sc.pos += 1
+        sc.skip_ws()
+    while True:
+        word, coeff = _reference_term(sc, nvars)
+        coeff = sign * coeff
+        terms[word] = terms.get(word, 0.0) + coeff
+        sc.skip_ws()
+        if sc.pos == len(text):
+            break
+        ch = sc.peek()
+        if ch == "+":
+            sign = 1.0
+        elif ch == "-":
+            sign = -1.0
+        else:
+            raise PolyParseError(f"expected '+' or '-', found {ch!r}", sc.pos)
+        sc.pos += 1
+        sc.skip_ws()
+        if sc.pos == len(text):
+            raise PolyParseError("dangling sign", sc.pos - 1)
+    return NCPoly(nvars, terms)
+
+
+def _reference_term(sc: _ReferenceScanner, nvars: int) -> tuple[Word, complex]:
+    ch = sc.peek()
+    if ch == "(":
+        coeff = _reference_complex(sc)
+    elif ch.isdigit() or ch == ".":
+        start = sc.pos
+        value = sc.number()
+        # A bare '1' immediately followed by a term boundary is the empty word.
+        if value == 1.0 and sc.text[start : sc.pos] == "1":
+            sc.skip_ws()
+            if sc.peek() != "*":
+                return (), 1.0
+        coeff = complex(value)
+    elif ch == "Y":
+        return _reference_word(sc, nvars), 1.0
+    else:
+        raise PolyParseError(f"expected coefficient or word, found {ch!r}", sc.pos)
+    sc.skip_ws()
+    if sc.peek() == "*":
+        sc.pos += 1
+        sc.skip_ws()
+        return _reference_word(sc, nvars), coeff
+    return (), coeff
+
+
+def _reference_complex(sc: _ReferenceScanner) -> complex:
+    sc.expect("(")
+    sc.skip_ws()
+    re_part = sc.number()
+    sc.skip_ws()
+    sc.expect(",")
+    sc.skip_ws()
+    im_part = sc.number()
+    sc.skip_ws()
+    sc.expect(")")
+    return complex(re_part, im_part)
+
+
+def _reference_word(sc: _ReferenceScanner, nvars: int) -> Word:
+    if sc.peek() == "1":
+        sc.pos += 1
+        return ()
+    letters: list[int] = []
+    while True:
+        if sc.peek() != "Y":
+            if not letters:
+                raise PolyParseError("expected word", sc.pos)
+            break
+        y_pos = sc.pos
+        sc.pos += 1
+        m = _REFERENCE_INDEX.match(sc.text, sc.pos)
+        if not m:
+            raise PolyParseError("expected variable index after 'Y'", sc.pos)
+        index = int(m.group(0))
+        sc.pos = m.end()
+        if index < 1 or index > nvars:
+            raise PolyParseError(f"index {index} exceeds nvars", y_pos)
+        power = 1
+        if sc.peek() == "^":
+            sc.pos += 1
+            m = _REFERENCE_INDEX.match(sc.text, sc.pos)
+            if not m:
+                raise PolyParseError("expected power after '^'", sc.pos)
+            power = int(m.group(0))
+            sc.pos = m.end()
+        letters.extend([index] * power)
+        if len(letters) > MAX_WORD_LENGTH:
+            raise PolyParseError(
+                f"word longer than {MAX_WORD_LENGTH} letters", y_pos
+            )
+        here = sc.pos
+        sc.skip_ws()
+        if sc.peek() != "Y":
+            sc.pos = here
+            break
+    return tuple(letters)
+
+
+# -- the CLI's reference parser ------------------------------------------------
+#
+# The full argparse tree ``nctrace.cli.main`` built on every call before it
+# built only the invoked command's subparser.  Help, usage errors and the
+# unknown-command message must read the same.
+
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    """The full parser ``nctrace.cli`` built on every call before its
+    command table."""
+    parser = cli._Parser(
+        prog="nctrace",
+        description="Trace-positivity certificates for noncommutative polynomials.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(sp, degree=False, radius=False, tol=False, trials=False, size=False,
+               seed=False, degree_help="relaxation half-degree (default: half the polynomial degree)"):
+        if degree:
+            sp.add_argument("--degree", type=int, default=None, help=degree_help)
+        if radius:
+            sp.add_argument("--radius", type=float, default=1.0,
+                            help="norm/growth radius R (default 1)")
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-9,
+                            help="numerical tolerance (default 1e-9)")
+        if trials:
+            sp.add_argument("--trials", type=int, default=1000,
+                            help="random tuples to try (default 1000)")
+        if size:
+            sp.add_argument("--size", type=int, default=4,
+                            help="random matrix size N (default 4)")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0,
+                            help="64-bit seed for all randomness (default 0)")
+        sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
+
+    sp = sub.add_parser("certify", help="search for a sum-of-squares certificate")
+    sp.add_argument("polyfile")
+    common(sp, degree=True, tol=True)
+    sp.set_defaults(func=cli.cmd_certify)
+
+    sp = sub.add_parser("witness", help="search for a negative pseudo-moment witness")
+    sp.add_argument("polyfile")
+    common(sp, degree=True, radius=True, tol=True)
+    sp.set_defaults(func=cli.cmd_witness)
+
+    sp = sub.add_parser("falsify", help="search for a matrix tuple with negative trace")
+    sp.add_argument("polyfile")
+    common(sp, trials=True, size=True, radius=True, seed=True)
+    sp.set_defaults(func=cli.cmd_falsify)
+
+    sp = sub.add_parser("moments", help="moment sequence of a matrix tuple")
+    sp.add_argument("matrixfile")
+    sp.add_argument("--degree", type=int, required=True, help="truncation degree")
+    sp.add_argument("--tol", type=float, default=1e-9,
+                    help="membership check tolerance (default 1e-9)")
+    sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    sp.set_defaults(func=cli.cmd_moments)
+
+    sp = sub.add_parser("gns-check", help="reconstruct operators from moments and verify")
+    sp.add_argument("inputfile", help="matrix-tuple JSON or witness JSON")
+    common(sp, degree=True, radius=True,
+           degree_help="model half-degree (default: 2 for matrix input, "
+                       "half the sequence degree for witness input)")
+    sp.set_defaults(func=cli.cmd_gns_check)
+
+    sp = sub.add_parser("norm", help="weighted coefficient norm of a polynomial")
+    sp.add_argument("polyfile")
+    common(sp, radius=True)
+    sp.set_defaults(func=cli.cmd_norm)
+
+    return parser
 
 
 # -- dense references for the class-labelled affine sets -----------------------

@@ -14,7 +14,14 @@ from nctrace.algebra import (
 )
 from nctrace.moments import moment_sequence, as_matrix_tuple
 
-from helpers import commutator_square_poly, make_rng, pauli_pair, random_poly
+from helpers import (
+    commutator_square_poly,
+    make_rng,
+    pauli_pair,
+    random_poly,
+    reference_is_symmetric,
+    term_bits,
+)
 
 
 def brute_least_rotation(word):
@@ -164,6 +171,99 @@ def test_is_symmetric():
     assert NCPoly(2, {(1, 2): 1.0, (2, 1): 1.0}).is_symmetric()
     assert not NCPoly(2, {(1, 2): 1.0}).is_symmetric()
     assert NCPoly(2, {(1, 2): 1j, (2, 1): -1j}).is_symmetric()
+
+
+def test_is_symmetric_counts_a_missing_adjoint_too():
+    # The adjoint's term on the missing word is a defect as large again.
+    assert not NCPoly(2, {(1, 2): 6e-11}).is_symmetric(1e-10)
+    assert NCPoly(2, {(1, 2): 4e-11}).is_symmetric(1e-10)
+    # A palindrome's defect is twice its imaginary part.
+    assert not NCPoly(2, {(1, 2, 1): 1 + 6e-11j}).is_symmetric(1e-10)
+    assert NCPoly(2, {(1, 2, 1): 1 + 4e-11j}).is_symmetric(1e-10)
+    # A paired defect counts on both words.
+    assert not NCPoly(2, {(1, 2): 1 + 6e-11, (2, 1): 1.0}).is_symmetric(1e-10)
+    assert NCPoly(2, {(1, 2): 1 + 4e-11, (2, 1): 1.0}).is_symmetric(1e-10)
+
+
+def _symmetry_cases(rng):
+    """Random polynomials, symmetric ones with small defects, and ones with
+    unpaired words."""
+    for _ in range(60):
+        nvars = int(rng.integers(1, 4))
+        q = random_poly(rng, nvars, 4, n_terms=int(rng.integers(1, 8)))
+        yield q
+        sym = q + q.adjoint()
+        yield sym
+        scale = 10.0 ** float(rng.integers(-13, -8))
+        yield sym + random_poly(rng, nvars, 4, n_terms=int(rng.integers(1, 3))).scale(scale)
+        word = tuple(int(x) for x in rng.integers(1, nvars + 1, size=int(rng.integers(2, 5))))
+        if word != word[::-1]:
+            terms = dict(sym.terms)
+            terms.pop(word[::-1], None)
+            terms[word] = complex(rng.normal() * scale)
+            yield NCPoly(nvars, terms)
+
+
+def test_is_symmetric_decides_as_the_adjoint_difference():
+    rng = make_rng(40)
+    for p in _symmetry_cases(rng):
+        norm = (p - p.adjoint()).r_norm(1.0)
+        tols = [0.0, 1e-10, 1e-12, 1.0, norm, np.nextafter(norm, 0), np.nextafter(norm, 1),
+                0.5 * norm, 2 * norm]
+        for tol in tols:
+            assert p.is_symmetric(tol) == reference_is_symmetric(p, tol), (p, tol)
+
+
+def test_is_symmetric_builds_no_polynomial(monkeypatch):
+    p = commutator_square_poly() + NCPoly(2, {(1, 2): 1e-3})
+    made = []
+    monkeypatch.setattr(NCPoly, "_from_valid", lambda *a: made.append(a))
+    assert not p.is_symmetric()
+    assert made == []
+
+
+def test_unchecked_constructor_equals_checked_one():
+    values = [1, 1.5, -0.0, complex(-0.0, -0.0), complex(2, -0.0), complex(-0.0, 3),
+              1e-15, -1e-15, 1.0000001e-15, 1e-16j, float("nan"), complex(float("nan"), 1),
+              float("inf"), complex(1, -float("inf")), np.float64(2.5), np.complex128(1 - 2j),
+              np.int64(3), np.conj(np.complex128(-0.0 + 2j))]
+    words = words_up_to(2, 4)[: len(values)]
+    terms = dict(zip(words, values))
+    assert term_bits(NCPoly._from_valid(2, terms)) == term_bits(NCPoly(2, terms))
+    assert all(type(c) is complex for c in NCPoly._from_valid(2, terms).terms.values())
+
+
+def test_arithmetic_equals_checked_constructor():
+    """Each operation's terms, bit for bit, as the checked constructor makes
+    them from the same coefficient table."""
+    rng = make_rng(41)
+    for _ in range(40):
+        nvars = int(rng.integers(1, 4))
+        p = random_poly(rng, nvars, 4, n_terms=8)
+        q = random_poly(rng, nvars, 4, n_terms=8)
+        q = q + p.scale(-1.0)  # cancellations
+        merged = dict(p.terms)
+        for w, c in q.terms.items():
+            merged[w] = merged.get(w, 0.0) + c
+        reduced = {}
+        for w, c in p.terms.items():
+            reduced[cyclic_canonical(w)] = reduced.get(cyclic_canonical(w), 0.0) + c
+        product = {}
+        for wa, ca in p.terms.items():
+            for wb, cb in q.terms.items():
+                product[wa + wb] = product.get(wa + wb, 0.0) + ca * cb
+        s = complex(rng.normal(), rng.normal())
+        cases = [
+            (p + q, merged),
+            (-p, {w: -c for w, c in p.terms.items()}),
+            (p.scale(s), {w: s * c for w, c in p.terms.items()}),
+            (p.scale(np.float64(0.5)), {w: np.float64(0.5) * c for w, c in p.terms.items()}),
+            (p.adjoint(), {involute_word(w): np.conj(c) for w, c in p.terms.items()}),
+            (p.cyclic_reduce(), reduced),
+            (star_product(p, q), product),
+        ]
+        for got, table in cases:
+            assert term_bits(got) == term_bits(NCPoly(nvars, table))
 
 
 def test_cyclic_reduce_examples():

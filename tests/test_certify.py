@@ -23,7 +23,7 @@ from nctrace.certify import (
     verify_certificate,
     witness_search,
 )
-from nctrace import certify
+from nctrace import algebra, certify
 from nctrace.moments import MomentSequence, moment_sequence
 from nctrace.sdp import ClassConstraints, NoFeasiblePoint, feasibility_solve, minimize_linear
 
@@ -35,9 +35,11 @@ from helpers import (
     random_poly,
     reference_class_labels,
     reference_class_positions,
+    reference_extract_factors,
     reference_extract_moments,
     reference_falsify,
     reference_sum_of_squares,
+    term_bits,
 )
 
 
@@ -145,6 +147,45 @@ def test_gram_problem_drops_cancelled_class_totals():
     gp = build_gram_problem(p, 2)
     assert gp.rhs == {rep: p.cyclic_reduce().coeff(rep) for rep in gp.rhs}
     assert gp.rhs[(1, 1, 2, 2)] == 0
+
+
+@pytest.mark.parametrize("nvars,d", [(1, 2), (2, 2), (3, 2), (2, 3)])
+def test_class_coefficients_equal_cyclic_reduce_bit_for_bit(nvars, d, monkeypatch):
+    rng = make_rng(750 + 10 * nvars + d)
+    classes = certify.cyclic_classes(nvars, d)
+    words = words_up_to(nvars, 2 * d)
+    rep_labels = {words[r]: label for label, r in enumerate(classes.reps.tolist())}
+    polys = [random_poly(rng, nvars, 2 * d, n_terms=12) for _ in range(10)]
+    # Totals that cancel to rounding, to exactly zero and, from opposite
+    # infinities, to NaN are all dropped by cyclic_reduce.
+    word = (1,) * min(2 * d, 3) + (nvars,)
+    rotated = word[1:] + word[:1]
+    polys.append(NCPoly(nvars, {word: 0.1 + 0.2j, rotated: -(0.1 + 0.2j) + 1e-17, (1,): 1.0}))
+    polys.append(NCPoly(nvars, {word: np.inf, rotated: -np.inf, (): 2.0}))
+    expected = []
+    for p in polys:
+        values = np.zeros(len(classes.reps), dtype=complex)
+        for rep, coeff in p.cyclic_reduce().terms.items():
+            values[rep_labels[rep]] = coeff
+        expected.append(values)
+    # Booth's algorithm is not needed for the totals.
+    monkeypatch.setattr(algebra, "cyclic_canonical", None)
+    for p, values in zip(polys, expected):
+        got = classes.coefficients(p)
+        assert np.array_equal(got.view(float), values.view(float)), p
+    assert not np.isnan(classes.coefficients(polys[-1])).any()
+
+
+@pytest.mark.parametrize("m,rank", [(7, 7), (13, 3), (15, 15), (15, 1)])
+def test_extracted_factors_equal_reference_bit_for_bit(m, rank):
+    rng = make_rng(760 + m + rank)
+    basis = words_up_to(2, 3)[:m]
+    for real in (False, True):
+        B = rng.normal(size=(m, rank)) + (0 if real else 1j) * rng.normal(size=(m, rank))
+        G = B @ B.conj().T
+        got = certify.extract_factors(G, basis, 2)
+        expected = reference_extract_factors(G, basis, 2)
+        assert [term_bits(b) for b in got] == [term_bits(b) for b in expected]
 
 
 @pytest.mark.parametrize("nvars,d,R", [(1, 2, 1.0), (2, 2, 1.5), (3, 2, 1.0), (2, 3, 2.0)])
@@ -399,6 +440,23 @@ def test_symmetry_checked_once_per_entry_point(monkeypatch):
         assert len(calls) == 1, name
     with pytest.raises(ValueError, match="self-adjoint"):
         build_gram_problem(NCPoly(2, {(1, 2): 1.0}), 1)
+
+
+def test_gram_problem_without_booth(monkeypatch):
+    p = commutator_square_poly() + NCPoly(2, {(1, 1): 1.0, (1, 2): 0.5, (2, 1): 0.5})
+    expected = build_gram_problem(p, 2)
+    monkeypatch.setattr(algebra, "cyclic_canonical", None)
+    got = build_gram_problem(p, 2)
+    assert got.rhs == expected.rhs
+    assert np.array_equal(got.constraints.rhs, expected.constraints.rhs)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-9])
+def test_witness_search_rejects_tol_outside_positive_reals(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        witness_search(NCPoly(2, {(1, 1): -1.0, (2, 2): -1.0}), 1, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        certify_sos(NCPoly(2, {(1, 1): 1.0, (2, 2): 1.0}), 1, tol=tol)
 
 
 @pytest.mark.parametrize("nvars,d", [(2, 7), (3, 5), (1, 511)])

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nctrace import certify, cli
+from nctrace import certify, cli, parsing
 from nctrace.algebra import NCPoly
 from nctrace.certify import Falsification, falsify
 from nctrace.cli import main
@@ -28,6 +31,7 @@ from helpers import (
     checkout_env,
     make_rng,
     random_hermitian_tuple,
+    reference_build_parser,
     reference_matrix_tuple_json,
     reference_model_json,
     reference_theta_json,
@@ -398,6 +402,17 @@ def test_output_same_under_any_hash_seed(command, text, extra, poly_file):
     assert runs[0] == runs[1]
 
 
+def test_certificate_formats_each_word_once(poly_file, capsys, monkeypatch):
+    formatted = []
+    original = parsing._format_word
+    monkeypatch.setattr(parsing, "_format_word", lambda w: formatted.append(w) or original(w))
+    code, data = run_cli(["certify", poly_file(THREE_SQUARES)], capsys)
+    assert code == 0
+    assert len(data["factors"]) > 1
+    factors = [parse_poly(text, 3) for text in data["factors"]]
+    assert sorted(formatted) == sorted({w for b in factors for w in b.terms})
+
+
 def test_certificate_json_round_trips_through_parser(poly_file, tmp_path, capsys):
     # The factors in the emitted JSON are normative interchange strings:
     # parsing them back must reproduce a certificate with the same residual.
@@ -432,6 +447,45 @@ def test_parse_error_reports_offset(poly_file, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "offset" in captured.err
+
+
+@pytest.mark.parametrize("command", ["certify", "witness", "falsify", "norm"])
+def test_lone_index_zero_is_a_parse_error(command, poly_file, capsys):
+    code = main([command, poly_file("# only Y0\nY0^2\n")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("nctrace: ")
+    assert "index 0 outside 1..1 at offset 0" in captured.err
+
+
+@pytest.mark.parametrize("command", ["certify", "witness", "falsify", "norm"])
+def test_huge_power_exits_one_without_allocating(command, poly_file, capsys):
+    src = poly_file("Y1^99999999999\n")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main([command, src])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "word longer than 64 letters at offset 0" in captured.err
+    assert elapsed < 0.5
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("command", ["certify", "witness"])
+@pytest.mark.parametrize("tol", ["inf", "1e999", "0", "-1"])
+def test_tol_outside_positive_reals_exits_one(command, tol, poly_file, capsys):
+    code = main([command, poly_file("Y1^2 + Y2^2\n"), f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "tol must be positive and finite" in captured.err
 
 
 def test_console_entry_point(poly_file):
@@ -748,3 +802,70 @@ def test_oversized_declared_theta_degree_exits_one(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert "moment sequence too large" in captured.err
+
+
+# -- the command table against the full parser ----------------------------------
+
+
+def _argparse_exit(parse, argv) -> tuple:
+    """Exit code, stdout and stderr of a parse that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ["certify", "witness", "falsify", "moments", "gns-check", "norm"]
+EXITING_ARGV = (
+    [[], ["--help"], ["-h"], ["bogus"], ["bogus", "F"], ["--bogus"], ["--out", "x", "certify", "F"],
+     ["--help", "certify"], ["Certify", "F"]]
+    + [[command, "--help"] for command in COMMANDS]
+    + [[command] for command in COMMANDS]
+    + [[command, "F", "--bogus"] for command in COMMANDS]
+    + [
+        ["moments", "T.json"],
+        ["falsify", "F", "--trials", "abc"],
+        ["gns-check", "T.json", "--tol", "1e-9"],
+        ["certify", "F", "--degree"],
+        ["witness", "F", "--radius", "x", "--tol", "y"],
+        ["norm", "F", "G"],
+        ["certify", "F", "--deg", "2", "-h"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", EXITING_ARGV, ids=" ".join)
+def test_help_and_usage_errors_read_as_the_full_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _argparse_exit(main, argv)
+    expected = _argparse_exit(lambda a: reference_build_parser().parse_args(a), argv)
+    assert got == expected
+    assert got[0] in (0, 1)
+
+
+def test_named_command_builds_only_its_subparser(poly_file, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["norm", poly_file("Y1")]) == 0
+    assert built == ["norm"]
+    built.clear()
+    _argparse_exit(main, ["--help"])
+    assert built == COMMANDS
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_named_command_parses_as_the_full_parser(command):
+    argv = [command, "F", "--out", "o.json"]
+    argv += [] if command in ("falsify", "norm") else ["--degree", "2"]
+    full = vars(reference_build_parser().parse_args(argv))
+    table = cli._commands()
+    lean = vars(cli._build_parser(table, command).parse_args(argv))
+    assert lean == full

@@ -1,5 +1,10 @@
+import re
+import time
+import tracemalloc
+
 import pytest
 
+from nctrace import parsing
 from nctrace.algebra import NCPoly
 from nctrace.parsing import (
     PolyParseError,
@@ -9,7 +14,7 @@ from nctrace.parsing import (
     strip_comments,
 )
 
-from helpers import make_rng
+from helpers import make_rng, reference_parse_poly, term_bits, workload_polys
 
 
 def test_parse_basic_difference():
@@ -133,3 +138,116 @@ def test_comment_stripping_and_file_loading(tmp_path):
     path = tmp_path / "poly.txt"
     path.write_text(text)
     assert load_poly_file(path, 2) == NCPoly(2, {(1, 1, 2, 2): 1.0, (1, 2, 1, 2): -1.0})
+
+
+# -- the term pattern against the character-by-character reference ------------
+
+# The texts the tests above parse, valid or not.
+PARSE_CASES = [
+    "Y1^2 Y2^2 - Y1 Y2 Y1 Y2", "(0,1)*Y1 Y2 - (0,1)*Y2 Y1", "2*1 + Y2", "1", "2.5",
+    "(1.5,-2)", "Y1^3", "Y1^0 Y1", "3*Y2^2 Y1", "-Y1", "-2*Y1 + Y1 + Y1", "1e-3*Y1",
+    "2.5E2*Y1 - 1.5e+1", "2*1 + Y3", "", "   ", "Y0", "2*", "Y1 +", "(1,)", "Y",
+    "Y1^", "Y1 * Y2", "Y1^65",
+]
+VALID = [
+    "Y1^2 Y2^2 - Y1 Y2 Y1 Y2",
+    " -(0, 1) * Y1Y2 + ( -0 , +1.5e-3 )*Y2 Y1 - 1",
+    "2*1 + Y2 - 1*Y1^3 Y2^0 Y1 + .5 * 1",
+    "0.5*Y1 Y1 Y2 Y2 - 0.5*Y1 Y2 Y1 Y2 + 1e300*Y2^2 - 1.*Y1",
+    "- 3.25E+2 * Y2 ^2 Y1 + (2.5,-0.125)",
+]
+
+
+def parsed(parse, text: str, nvars: int):
+    """The term bits of a parse, or the offset of its PolyParseError."""
+    try:
+        return term_bits(parse(text, nvars))
+    except PolyParseError as exc:
+        return exc.offset
+
+
+@pytest.mark.parametrize("name", ["certify-grid", "refute", "moments-gns"])
+@pytest.mark.parametrize("seed", [98, 3])
+def test_parse_equals_reference_on_workload_polys(name, seed):
+    for text, nvars in workload_polys(name, seed):
+        text = strip_comments(text)
+        assert term_bits(parse_poly(text, nvars)) == term_bits(reference_parse_poly(text, nvars))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_parse_errors_at_reference_offsets(nvars):
+    texts = PARSE_CASES + [v[:k] for v in VALID for k in range(len(v) + 1)]
+    for text in texts:
+        assert parsed(parse_poly, text, nvars) == parsed(reference_parse_poly, text, nvars), text
+
+
+def test_parse_equals_reference_on_random_and_mutated_text():
+    rng = make_rng(23)
+    alphabet = "Y123^*+-(), .eE0\t"
+    for k in range(3000):
+        if k % 2:
+            chars = list(VALID[k % len(VALID)])
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(0, len(chars) + 1))
+                new = alphabet[int(rng.integers(0, len(alphabet)))]
+                chars[at:at + int(rng.integers(0, 2))] = [new] if rng.random() < 0.7 else []
+        else:
+            chars = [alphabet[int(i)] for i in rng.integers(0, len(alphabet), int(rng.integers(0, 16)))]
+        text = "".join(chars)
+        assert parsed(parse_poly, text, 2) == parsed(reference_parse_poly, text, 2), text
+
+
+def test_whitespace_and_unicode_digits_as_reference():
+    # The pattern's \s and the reference's str.isspace name the same characters.
+    every = "".join(map(chr, range(0x110000)))
+    spaces = "".join(c for c in every if c.isspace())
+    assert "".join(re.findall(r"\s", every)) == spaces
+    for c in spaces:
+        text = f"{c}Y1{c}Y2Y1{c}-{c}(1,{c}2){c}*{c}Y2{c}+{c}3{c}"
+        assert parsed(parse_poly, text, 2) == parsed(reference_parse_poly, text, 2)
+    # Unicode decimal digits read as numbers and indices; other digits do not.
+    for text in ["\u0663*Y1", "Y\u0661 Y2", "\u00b2*Y1", "Y1^\u00b2", "(\u0661,2)"]:
+        assert parsed(parse_poly, text, 2) == parsed(reference_parse_poly, text, 2)
+
+
+def test_parse_index_zero_is_outside_the_range():
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("Y1 + 2*Y2 Y0^2", 2)
+    assert "index 0 outside 1..2" in str(err.value)
+    assert err.value.offset == 10
+
+
+def test_huge_power_fails_before_expanding():
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly("Y2 Y1^99999999999", 2)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "word longer than 64 letters" in str(err.value)
+    assert err.value.offset == 3
+    assert elapsed < 0.5
+    assert peak < 1_000_000
+    # The limit itself: 64 letters parse, 65 do not, across factors too.
+    assert parse_poly("Y1^60 Y2^4", 2).degree() == 64
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("Y1^60 Y2^4 Y1", 2)
+    assert err.value.offset == 11
+
+
+def test_format_with_shared_word_texts(monkeypatch):
+    formatted = []
+    original = parsing._format_word
+    monkeypatch.setattr(parsing, "_format_word", lambda w: formatted.append(w) or original(w))
+    rng = make_rng(24)
+    polys = [NCPoly(2, {w: complex(rng.normal(), rng.normal()) for w in
+                        [(), (1,), (2, 1), (1, 1, 2), (2, 2)][: int(rng.integers(1, 6))]})
+             for _ in range(6)]
+    alone = [format_poly(p) for p in polys]
+    formatted.clear()
+    texts: dict = {}
+    assert [format_poly(p, texts) for p in polys] == alone
+    assert sorted(formatted) == sorted(set(formatted)) == sorted(texts)

@@ -263,6 +263,15 @@ def test_solvers_reject_nan_tol():
         minimize_linear(np.eye(2), cons, tol=float("nan"))
 
 
+@pytest.mark.parametrize("tol", [np.inf, 0.0, -np.inf])
+def test_solvers_reject_tol_outside_positive_reals(tol):
+    cons = _trace_and_offdiag(0.8)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        feasibility_solve(cons, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        minimize_linear(np.eye(2), cons, tol=tol)
+
+
 @pytest.mark.parametrize("m", [7, 15, 40])
 def test_trimmed_helpers_match_reference_expressions(m):
     rng = make_rng(44 + m)
