@@ -270,11 +270,9 @@ def _theta_from_json(data: dict, path: str) -> MomentSequence:
 
 
 def _certificate_json(cert: Certificate) -> dict:
-    # The factors share the basis words; each word's text is built once.
-    word_texts: dict = {}
     return {
         "degree": cert.degree,
-        "factors": [format_poly(b, word_texts) for b in cert.factors],
+        "factors": [format_poly(b) for b in cert.factors],
         "residual_l1": cert.residual_l1,
     }
 

@@ -21,10 +21,11 @@ This grammar is also the on-disk polynomial file format: one polynomial
 per file, with lines starting with '#' treated as comments.
 
 :func:`parse_poly` reads each term, with its sign and the whitespace around
-it, as one match of a compiled pattern, and a word of plain factors in one
-split.  A malformed text raises :class:`PolyParseError` at the offset where
-a left-to-right scan would first find the grammar broken; a word longer
-than ``MAX_WORD_LENGTH`` letters is refused before its powers are expanded.
+it, as one match of a compiled pattern, and each factor of its word as one
+match of a second pattern.  A malformed text raises :class:`PolyParseError`
+at the offset where a left-to-right scan would first find the grammar
+broken; a word longer than ``MAX_WORD_LENGTH`` letters is refused before its
+powers are expanded.
 """
 
 from __future__ import annotations
@@ -132,24 +133,12 @@ def _term_error(m: re.Match) -> PolyParseError:
 
 
 def _word(m: re.Match, group: str, nvars: int) -> Word:
-    """The letters of the word a term match holds in ``group``.
-
-    A word of plain factors ("Y1 Y2 Y1") is read in one pass: each piece
-    after a 'Y' is an index and its trailing whitespace.  Powers, and any
-    error, take the factor-by-factor loop.
-    """
+    """The letters of the word a term match holds in ``group``."""
     factors = m[group]
     if factors is None:
         raise PolyParseError("expected word", m.end())
     if factors == "1":
         return ()
-    try:
-        letters = tuple(map(int, factors.split("Y")[1:]))
-    except ValueError:
-        pass
-    else:
-        if 0 < min(letters) and max(letters) <= nvars and len(letters) <= MAX_WORD_LENGTH:
-            return letters
     out: list[int] = []
     for factor in _FACTOR.finditer(m.string, m.start(group), m.end(group)):
         index, caret, power = factor.groups()
@@ -173,31 +162,22 @@ def _word(m: re.Match, group: str, nvars: int) -> Word:
     return tuple(out)
 
 
-def format_poly(p: NCPoly, word_texts: dict | None = None) -> str:
+def format_poly(p: NCPoly) -> str:
     """Deterministic rendering that re-parses to the same polynomial.
 
     Terms are ordered by degree then lexicographically by word; real
     coefficients print as decimals, complex ones as "(re,im)", and a unit
     coefficient on a nonempty word is omitted.
-
-    ``word_texts`` maps words to their text and is filled as words are
-    formatted.  Rendering several polynomials over the same words, such as
-    a certificate's factors, with one dict formats each distinct word once.
     """
     if p.is_zero():
         return "0"
-    if word_texts is None:
-        word_texts = {}
     pieces: list[str] = []
     for word in sorted(p.terms, key=lambda w: (len(w), w)):
         coeff = p.terms[word]
         negative = coeff.real < 0 or (coeff.real == 0 and coeff.imag < 0)
         if negative:
             coeff = -coeff
-        text = word_texts.get(word)
-        if text is None:
-            text = word_texts[word] = _format_word(word)
-        body = _format_term(text, coeff)
+        body = _format_term(word, coeff)
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:
@@ -212,16 +192,16 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
-def _format_term(word_str: str, coeff: complex) -> str:
-    """One term from its word's text ("" for the empty word)."""
+def _format_term(word: Word, coeff: complex) -> str:
     if coeff.imag == 0:
         coeff_str = _fmt_real(coeff.real)
         unit = coeff.real == 1.0
     else:
         coeff_str = f"({_fmt_real(coeff.real)},{_fmt_real(coeff.imag)})"
         unit = False
-    if not word_str:
+    if not word:
         return coeff_str if not unit else "1"
+    word_str = _format_word(word)
     if unit:
         return word_str
     return f"{coeff_str}*{word_str}"

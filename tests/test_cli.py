@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nctrace import certify, cli, parsing
+from nctrace import certify, cli
 from nctrace.algebra import NCPoly
 from nctrace.certify import Falsification, falsify
 from nctrace.cli import main
@@ -400,17 +400,6 @@ def test_output_same_under_any_hash_seed(command, text, extra, poly_file):
     assert runs[0][0] in (0, 2)
     assert runs[0][1]
     assert runs[0] == runs[1]
-
-
-def test_certificate_formats_each_word_once(poly_file, capsys, monkeypatch):
-    formatted = []
-    original = parsing._format_word
-    monkeypatch.setattr(parsing, "_format_word", lambda w: formatted.append(w) or original(w))
-    code, data = run_cli(["certify", poly_file(THREE_SQUARES)], capsys)
-    assert code == 0
-    assert len(data["factors"]) > 1
-    factors = [parse_poly(text, 3) for text in data["factors"]]
-    assert sorted(formatted) == sorted({w for b in factors for w in b.terms})
 
 
 def test_certificate_json_round_trips_through_parser(poly_file, tmp_path, capsys):

@@ -4,7 +4,6 @@ import tracemalloc
 
 import pytest
 
-from nctrace import parsing
 from nctrace.algebra import NCPoly
 from nctrace.parsing import (
     PolyParseError,
@@ -236,18 +235,3 @@ def test_huge_power_fails_before_expanding():
     with pytest.raises(PolyParseError) as err:
         parse_poly("Y1^60 Y2^4 Y1", 2)
     assert err.value.offset == 11
-
-
-def test_format_with_shared_word_texts(monkeypatch):
-    formatted = []
-    original = parsing._format_word
-    monkeypatch.setattr(parsing, "_format_word", lambda w: formatted.append(w) or original(w))
-    rng = make_rng(24)
-    polys = [NCPoly(2, {w: complex(rng.normal(), rng.normal()) for w in
-                        [(), (1,), (2, 1), (1, 1, 2), (2, 2)][: int(rng.integers(1, 6))]})
-             for _ in range(6)]
-    alone = [format_poly(p) for p in polys]
-    formatted.clear()
-    texts: dict = {}
-    assert [format_poly(p, texts) for p in polys] == alone
-    assert sorted(formatted) == sorted(set(formatted)) == sorted(texts)
