@@ -301,7 +301,7 @@ def certify_sos(
         d = (p.degree() + 1) // 2
     problem = build_gram_problem(p, d)
     anchor = partial(_tracial_anchor, p.nvars, d)
-    report = feasibility_solve(problem.constraints, None, tol, max_iter, anchor)
+    report = feasibility_solve(problem.constraints, tol, max_iter, anchor)
     if report.status == "max-iterations":
         raise SolverStalled(report)
     if report.status != "feasible":
@@ -374,7 +374,7 @@ def witness_search(
     weights = (shares / constraints.counts)[labels]
     objective = (np.conj(weights) + weights.T) / 2
 
-    solution, _ = minimize_linear(objective, constraints, tol=tol, max_iter=max_iter)
+    solution = minimize_linear(objective, constraints, tol=tol, max_iter=max_iter).solution
     low = float(np.linalg.eigvalsh(solution)[0])
     if low < -tol:
         solution = _mix_anchor(solution, low, constraints, p.nvars, d, R)

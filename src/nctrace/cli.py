@@ -68,7 +68,7 @@ from .moments import (
     moment_sequence,
     real_pairs,
 )
-from .parsing import PolyParseError, format_poly, parse_poly, strip_comments
+from .parsing import MAX_DIGITS, PolyParseError, format_poly, parse_poly, strip_comments
 from .sdp import InconsistentConstraints, NoFeasiblePoint
 
 
@@ -197,8 +197,10 @@ def _load_poly(path: str) -> NCPoly:
             text = strip_comments(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    # At least one variable, so a lone Y0 is a parse error at its offset.
-    nvars = max([1, *map(int, re.findall(r"Y(\d+)", text))])
+    # At least one variable, so a lone Y0 is a parse error at its offset; an
+    # index too long to read is left for the parser to refuse at its offset.
+    indices = re.findall(r"Y(\d+)", text)
+    nvars = max([1, *(int(i) for i in indices if len(i) <= MAX_DIGITS)])
     try:
         return parse_poly(text, nvars)
     except PolyParseError as exc:

@@ -10,8 +10,10 @@ Grammar::
 
 Factors within a word are separated by whitespace; indices run from 1 to
 the declared number of variables; powers expand to repeated letters, and
-'1' denotes the empty word.  Complex coefficients are written "(re,im)" so
-that bare decimals are unambiguously real.  Examples::
+'1' denotes the empty word.  Indices and powers have at most ``MAX_DIGITS``
+digits, and the coefficient summed on each word must be finite.  Complex
+coefficients are written "(re,im)" so that bare decimals are unambiguously
+real.  Examples::
 
     Y1^2 Y2^2 - Y1 Y2 Y1 Y2
     (0,1)*Y1 Y2 - (0,1)*Y2 Y1
@@ -30,11 +32,13 @@ powers are expanded.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .algebra import NCPoly, Word
 
 MAX_WORD_LENGTH = 64
+MAX_DIGITS = 18  # of an index or a power, so int() of it is cheap and bounded
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # The factors of a word.  An index or a power may be missing here: the
@@ -107,7 +111,11 @@ def parse_poly(text: str, nvars: int) -> NCPoly:
                 raise _term_error(m)
             # A coefficient with no word, a bare '1' included, is on the empty word.
             word = _word(m, "word", nvars) if star is not None else ()
-        terms[word] = terms.get(word, 0.0) + (-1.0 if sign == "-" else 1.0) * coeff
+        total = terms.get(word, 0.0) + (-1.0 if sign == "-" else 1.0) * coeff
+        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+            at = m.start("real" if real else "paren")
+            raise PolyParseError("coefficient is not finite", at)
+        terms[word] = total
         pos = m.end()
     return NCPoly._from_valid(nvars, terms)
 
@@ -145,7 +153,7 @@ def _word(m: re.Match, group: str, nvars: int) -> Word:
         y_pos = factor.start()
         if not index:
             raise PolyParseError("expected variable index after 'Y'", y_pos + 1)
-        letter = int(index)
+        letter = _integer(index, y_pos + 1, "index")
         if letter < 1:
             raise PolyParseError(f"index {letter} outside 1..{nvars}", y_pos)
         if letter > nvars:
@@ -154,12 +162,18 @@ def _word(m: re.Match, group: str, nvars: int) -> Word:
         if caret:
             if not power:
                 raise PolyParseError("expected power after '^'", factor.end())
-            count = int(power)
+            count = _integer(power, factor.start(3), "power")
         # Checked before expanding, so a huge power costs nothing.
         if len(out) + count > MAX_WORD_LENGTH:
             raise PolyParseError(f"word longer than {MAX_WORD_LENGTH} letters", y_pos)
         out += [letter] * count
     return tuple(out)
+
+
+def _integer(digits: str, offset: int, what: str) -> int:
+    if len(digits) > MAX_DIGITS:
+        raise PolyParseError(f"{what} longer than {MAX_DIGITS} digits", offset)
+    return int(digits)
 
 
 def format_poly(p: NCPoly) -> str:

@@ -20,17 +20,11 @@ Two constraint types share one interface (``dim``, ``consistent``, ``project``,
   ``Re<A_k, G> = b_k`` with Hermitian coefficient matrices, projected
   through the pseudo-inverse of their dense system.
 
-:func:`feasibility_solve` runs Douglas-Rachford splitting between the two
-projections.  It returns a point of the intersection, or, when the sets do
-not meet, a separating matrix it has checked itself: PSD, normal to the
-affine set, and pairing below zero with every point of it.
-
-:func:`minimize_linear` minimizes a linear functional over the
-intersection by a two-block ADMM whose x-step projects onto the
-constraint set and whose z-step projects onto the cone.  It stops on
-primal and dual residuals and returns a point of the constraint set that
-is PSD to within the primal residual; downstream users re-verify whatever
-they extract.
+:func:`minimize_linear`, the one solver, minimizes a linear functional over
+the intersection by a two-block ADMM between the two projections.  It stops
+on primal and dual residuals or, on an affine set, on a separating matrix it
+has checked itself: PSD, normal to the set, and pairing below zero with
+every point of it.  :func:`feasibility_solve` is it with a zero objective.
 
 Everything here is single-threaded and deterministic; independent solves
 may run concurrently.
@@ -372,11 +366,11 @@ def _require_consistent(constraints: Constraints) -> None:
 
 
 def project_psd(H: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: clamp the spectrum."""
+    """Frobenius-nearest positive semidefinite matrix, exactly Hermitian."""
     H = _check_hermitian(H)
     eigvals, eigvecs = np.linalg.eigh(H)
-    clipped = np.maximum(eigvals, 0.0)
-    return (eigvecs * clipped) @ eigvecs.conj().T
+    out = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
+    return (out + out.conj().T) / 2
 
 
 def project_affine(G: np.ndarray, constraints: Constraints) -> np.ndarray:
@@ -387,22 +381,17 @@ def project_affine(G: np.ndarray, constraints: Constraints) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def _psd_distance(G: np.ndarray) -> float:
-    eigvals = np.linalg.eigvalsh((G + G.conj().T) / 2)
-    negative = np.minimum(eigvals, 0.0)
-    return float(np.sqrt(np.sum(negative**2)))
-
-
 @dataclass
 class SolveReport:
-    """Outcome of a feasibility solve; ``separator`` proves infeasibility."""
+    """Why a solve stopped, its point and objective value, its final primal
+    (``gap``) and dual residuals, and the ``separator`` proving infeasibility."""
 
     status: str  # "feasible" | "infeasible-at-tolerance" | "max-iterations"
     iterations: int
-    dist_psd: float
-    dist_affine: float
     solution: np.ndarray = field(repr=False)
-    gap: float = 0.0
+    value: float
+    gap: float
+    dual: float
     separator: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -410,62 +399,96 @@ class SolveReport:
         return self.status == "feasible"
 
 
-def _starting_point(constraints: Constraints, dim: int) -> np.ndarray:
-    # Scale the identity so pure-trace information in the equations is matched,
-    # then move onto the affine set.
-    alpha = constraints.start_scale
-    return project_affine(alpha * np.eye(dim, dtype=complex), constraints)
-
-
 def feasibility_solve(
     constraints: Constraints,
-    dim: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     anchor=None,
 ) -> SolveReport:
     """Find a PSD matrix on the affine set, or a matrix proving there is none.
 
-    Douglas-Rachford splitting, i.e. ADMM with zero objective, where the
-    penalty cancels: ``x = P_A(z - u)``, ``z = P_psd(x + u)``, ``u += x - z``,
-    u kept Hermitian.  Feasible, returning x, once ``||x - z|| <= tol``.
-    Every 10 iterations it tests Y = z - P_A(z), which is normal to the set,
-    so Re<Y, G> = Re<Y, x> for every G on it (O'Donoghue et al., JOTA 2016;
-    Banjac et al., JOTA 2019).  A Y with least eigenvalue low < 0 gets
-    ``-low / delta`` times A added, A being the normal part of ``anchor()``
-    (a zero-argument callable, called once at the first such Y; default the
-    identity) with least eigenvalue delta, used only if delta > 0.  If Y is
-    then PSD and ``Re<Y, x> < -tol ||Y||``, every PSD G has Re<Y, G> >= 0,
-    so none is on the set: "infeasible-at-tolerance", with ``separator`` Y.
+    :func:`minimize_linear` with a zero objective (Douglas-Rachford
+    splitting).  A box (``radii``) is refused: the separator test needs an
+    affine set.
+    """
+    if getattr(constraints, "radii", None) is not None:
+        raise ValueError("feasibility_solve needs an affine set; radii make a box")
+    dim = constraints.dim
+    return minimize_linear(np.zeros((dim, dim)), constraints, tol, max_iter, anchor)
+
+
+def minimize_linear(
+    objective: np.ndarray,
+    constraints: Constraints,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = 10_000,
+    anchor=None,
+) -> SolveReport:
+    """Minimize ``Re<objective, G>`` over PSD ∩ the constraint set.
+
+    Two-block scaled ADMM (Wen, Goldfarb and Yin, Math. Prog. Comp. 2010)
+    splitting the problem into the constraint set, which carries the linear
+    objective c, and the PSD cone.  Each iteration makes one exact
+    projection onto each set::
+
+        x  = project_affine(z - u - c / rho)
+        z' = project_psd(x + u)
+        u += x - z'
+
+    Both projections return Hermitian matrices, so u stays Hermitian.  It is
+    "feasible" once the primal residual ``||x - z'||`` and the dual residual
+    ``rho * ||z' - z||`` are both at most ``tol`` (SCS's rule, O'Donoghue et
+    al., JOTA 2016).  Every 20 iterations rho (initially ``max(||c||, 1)``)
+    doubles when the primal residual exceeds ten times the dual one and
+    halves in the opposite case, with u rescaled to match.
+
+    On an affine set (no ``radii``) every 10 iterations it tests
+    Y = z - P_A(z), which is normal to the set, so Re<Y, G> = Re<Y, x> for
+    every G on it, whatever c is (Banjac et al., JOTA 2019).  A Y with least
+    eigenvalue low < 0 gets ``-low / delta`` times A added, A being the
+    normal part of ``anchor()`` (a zero-argument callable, called once;
+    default the identity) with least eigenvalue delta, if delta > 0.  If Y
+    is then PSD and ``Re<Y, x> < -tol ||Y||``, no PSD G is on the set:
+    "infeasible-at-tolerance", with ``separator`` Y.
+
+    The report's x lies on the constraint set (to rounding) and is PSD to
+    within the primal residual; at ``max_iter`` it may be further off.
     """
     if not (0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if dim is None:
-        dim = constraints.dim
-    elif dim != constraints.dim:
-        raise ValueError(
-            f"dim {dim} does not match constraint dimension {constraints.dim}"
-        )
-    if getattr(constraints, "radii", None) is not None:
-        raise ValueError("feasibility_solve needs an affine set; radii make a box")
+    c = _check_hermitian(objective)
+    dim = constraints.dim
+    if c.shape != (dim, dim):
+        raise ValueError(f"objective shape {c.shape} does not match dim {dim}")
     _require_consistent(constraints)
+    affine = getattr(constraints, "radii", None) is None
 
-    x = z = _starting_point(constraints, dim)
+    # rho = ||c|| makes the objective shift c / rho of unit size.  The start
+    # is the identity scaled to the equations' pure-trace part, on the set.
+    rho = max(float(np.linalg.norm(c)), 1.0)
+    start = constraints.start_scale * np.eye(dim, dtype=complex)
+    x = z = project_affine(start, constraints)
     u = np.zeros_like(z)
     normal = separator = None
-    gap = float("inf")
+    primal = dual = float("inf")
     status = "max-iterations"
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        x = project_affine(z - u, constraints)
-        z = project_psd(x + u)
-        z = (z + z.conj().T) / 2  # keeps u exactly Hermitian at any scale
-        u = u + x - z
-        gap = float(np.linalg.norm(x - z))
-        if gap <= tol:
+        x = project_affine(z - u - c / rho, constraints)
+        z_next = project_psd(x + u)
+        primal = float(np.linalg.norm(x - z_next))
+        dual = rho * float(np.linalg.norm(z_next - z))
+        u = u + x - z_next
+        z = z_next
+        if primal <= tol and dual <= tol:
             status = "feasible"
             break
-        if iterations % 10:
+        if iterations % 20 == 0:
+            if primal > 10 * dual:
+                rho, u = 2 * rho, u / 2
+            elif dual > 10 * primal:
+                rho, u = rho / 2, 2 * u
+        if not affine or iterations % 10:
             continue
         Y = z - project_affine(z, constraints)
         low = float(np.linalg.eigvalsh(Y)[0])
@@ -484,70 +507,5 @@ def feasibility_solve(
             status, separator = "infeasible-at-tolerance", Y
             break
 
-    return SolveReport(
-        status=status,
-        iterations=iterations,
-        dist_psd=_psd_distance(x),
-        dist_affine=constraints.distance(x),
-        solution=x,
-        gap=gap,
-        separator=separator,
-    )
-
-
-def minimize_linear(
-    objective: np.ndarray,
-    constraints: Constraints,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 10_000,
-):
-    """Minimize ``Re<objective, G>`` over PSD ∩ the constraint set.
-
-    Two-block scaled ADMM (Wen, Goldfarb and Yin, Math. Prog. Comp. 2010)
-    splitting the problem into the constraint set, which carries the linear
-    objective, and the PSD cone.  Each iteration makes one exact projection
-    onto each set::
-
-        x  = project_affine(z - u - objective / rho)
-        z' = project_psd(x + u)
-        u += x - z'
-
-    It stops when the primal residual ``||x - z'||`` and the dual residual
-    ``rho * ||z' - z||`` are both at most ``tol`` (the rule of SCS,
-    O'Donoghue et al., JOTA 2016).  Every 20 iterations rho doubles when
-    the primal residual exceeds ten times the dual one and halves in the
-    opposite case, with u rescaled to match.
-
-    Returns ``(x, value)``.  x lies on the constraint set exactly (to
-    rounding) and is PSD to within the primal residual; at ``max_iter`` the
-    last x is returned as it is, and callers needing a PSD point must check
-    its spectrum.
-    """
-    if not (0 < tol < np.inf):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    c = _check_hermitian(objective)
-    dim = constraints.dim
-    if c.shape != (dim, dim):
-        raise ValueError(f"objective shape {c.shape} does not match dim {dim}")
-    _require_consistent(constraints)
-
-    # Starting at rho = ||c|| makes the objective shift c / rho of unit size.
-    rho = max(float(np.linalg.norm(c)), 1.0)
-    z = _starting_point(constraints, dim)
-    x = z
-    u = np.zeros_like(z)
-    for k in range(1, max_iter + 1):
-        x = project_affine(z - u - c / rho, constraints)
-        z_next = project_psd(x + u)
-        primal = float(np.linalg.norm(x - z_next))
-        dual = rho * float(np.linalg.norm(z_next - z))
-        u = u + x - z_next
-        z = z_next
-        if primal <= tol and dual <= tol:
-            break
-        if k % 20 == 0:
-            if primal > 10 * dual:
-                rho, u = 2 * rho, u / 2
-            elif dual > 10 * primal:
-                rho, u = rho / 2, 2 * u
-    return x, float(np.real(np.vdot(c, x)))
+    value = float(np.real(np.vdot(c, x)))
+    return SolveReport(status, iterations, x, value, primal, dual, separator)

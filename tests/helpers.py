@@ -1,6 +1,7 @@
 """Shared generators for the test suite; all randomness is seed-driven."""
 
 import argparse
+import cmath
 import importlib.util
 import json
 import os
@@ -22,7 +23,7 @@ from nctrace.algebra import (
 )
 from nctrace.certify import FALSIFY_TRACE_TOL, _real_trace
 from nctrace.moments import MomentSequence, as_matrix_tuple
-from nctrace.parsing import MAX_WORD_LENGTH, PolyParseError
+from nctrace.parsing import MAX_DIGITS, MAX_WORD_LENGTH, PolyParseError
 from nctrace.sampling import structured_library
 from nctrace.sdp import AffineConstraints
 
@@ -205,7 +206,9 @@ def workload_polys(name: str, seed: int) -> list:
 # before it read one compiled pattern per term.  The new parser must return
 # the same polynomial, bit for bit, and raise PolyParseError exactly where
 # this one does.  (This one expands a power before checking the word
-# length, so keep powers small here.)
+# length, so keep powers small here.)  It has since gained the grammar's
+# later rules: at most MAX_DIGITS digits in an index or a power, and a finite
+# total coefficient on every word.
 
 _REFERENCE_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _REFERENCE_INDEX = re.compile(r"\d+")
@@ -258,9 +261,12 @@ def reference_parse_poly(text: str, nvars: int) -> NCPoly:
         sc.pos += 1
         sc.skip_ws()
     while True:
+        start = sc.pos
         word, coeff = _reference_term(sc, nvars)
         coeff = sign * coeff
         terms[word] = terms.get(word, 0.0) + coeff
+        if not cmath.isfinite(terms[word]):
+            raise PolyParseError("coefficient is not finite", start)
         sc.skip_ws()
         if sc.pos == len(text):
             break
@@ -331,6 +337,8 @@ def _reference_word(sc: _ReferenceScanner, nvars: int) -> Word:
         m = _REFERENCE_INDEX.match(sc.text, sc.pos)
         if not m:
             raise PolyParseError("expected variable index after 'Y'", sc.pos)
+        if len(m.group(0)) > MAX_DIGITS:
+            raise PolyParseError(f"index longer than {MAX_DIGITS} digits", sc.pos)
         index = int(m.group(0))
         sc.pos = m.end()
         if index < 1 or index > nvars:
@@ -341,6 +349,8 @@ def _reference_word(sc: _ReferenceScanner, nvars: int) -> Word:
             m = _REFERENCE_INDEX.match(sc.text, sc.pos)
             if not m:
                 raise PolyParseError("expected power after '^'", sc.pos)
+            if len(m.group(0)) > MAX_DIGITS:
+                raise PolyParseError(f"power longer than {MAX_DIGITS} digits", sc.pos)
             power = int(m.group(0))
             sc.pos = m.end()
         letters.extend([index] * power)

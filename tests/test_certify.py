@@ -601,9 +601,9 @@ def test_iteration_cap_repair_is_a_valid_witness(monkeypatch):
     raw = []
 
     def spy(*args, **kwargs):
-        x, value = minimize_linear(*args, **kwargs)
-        raw.append(np.linalg.eigvalsh(x)[0])
-        return x, value
+        report = minimize_linear(*args, **kwargs)
+        raw.append(np.linalg.eigvalsh(report.solution)[0])
+        return report
 
     monkeypatch.setattr(certify, "minimize_linear", spy)
     w = dual_witness(p, 2, R=1.0, max_iter=30)

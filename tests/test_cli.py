@@ -467,6 +467,44 @@ def test_huge_power_exits_one_without_allocating(command, poly_file, capsys):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("command", ["certify", "witness", "falsify", "norm"])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("Y" + "1" * 5000, "index longer than 18 digits at offset 1"),
+        ("Y1^" + "1" * 5000, "power longer than 18 digits at offset 3"),
+        ("# big\nY1 Y" + "2" * 4400 + " + Y2", "index longer than 18 digits at offset 4"),
+    ],
+)
+def test_oversized_digit_runs_exit_one(command, text, message, poly_file, capsys):
+    # int() of these runs raises a plain ValueError past 4,300 digits.
+    src = poly_file(text)
+    code = main([command, src])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"nctrace: {src}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "witness", "falsify", "norm"])
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        ("1e999*Y1^2", 0),
+        ("(0,1e999)*Y1 Y2 - (0,1e999)*Y2 Y1", 0),
+        ("1e308*Y1^2 + 1e308*Y1^2", 13),
+    ],
+)
+def test_non_finite_coefficients_exit_one(command, text, offset, poly_file, capsys):
+    # falsify used to search 1e999*Y1^2 and report "falsified": false.
+    src = poly_file(text)
+    code = main([command, src])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"nctrace: {src}: coefficient is not finite at offset {offset}\n"
+
+
 @pytest.mark.parametrize("command", ["certify", "witness"])
 @pytest.mark.parametrize("tol", ["inf", "1e999", "0", "-1"])
 def test_tol_outside_positive_reals_exits_one(command, tol, poly_file, capsys):

@@ -235,3 +235,47 @@ def test_huge_power_fails_before_expanding():
     with pytest.raises(PolyParseError) as err:
         parse_poly("Y1^60 Y2^4 Y1", 2)
     assert err.value.offset == 11
+
+
+@pytest.mark.parametrize(
+    "text,offset,message",
+    [
+        ("Y" + "1" * 5000, 1, "index longer than 18 digits"),
+        ("Y1^" + "1" * 5000, 3, "power longer than 18 digits"),
+        ("Y1 + Y2 Y" + "0" * 19, 9, "index longer than 18 digits"),
+    ],
+)
+def test_oversized_digit_runs_are_parse_errors(text, offset, message):
+    # int() of more than 4,300 digits raises a plain ValueError; the parser
+    # refuses long runs first, at the offset of their digits.
+    for parse in (parse_poly, reference_parse_poly):
+        with pytest.raises(PolyParseError) as err:
+            parse(text, 2)
+        assert str(err.value) == f"{message} at offset {offset}"
+
+
+def test_longest_digit_runs_still_parse():
+    assert parse_poly("Y" + "0" * 17 + "1" + "^" + "0" * 16 + "64", 1).degree() == 64
+
+
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        ("1e999*Y1^2", 0),
+        ("Y1^2 - 1e999*Y2", 7),
+        ("(0,1e999)*Y1 Y2 - (0,1e999)*Y2 Y1", 0),
+        ("1e308*Y1^2 + 1e308*Y1^2", 13),
+        ("Y1 - 1e308*Y2 - (1e308, 1)*Y2", 16),
+    ],
+)
+def test_non_finite_coefficients_are_parse_errors(text, offset):
+    for parse in (parse_poly, reference_parse_poly):
+        with pytest.raises(PolyParseError) as err:
+            parse(text, 2)
+        assert str(err.value) == f"coefficient is not finite at offset {offset}"
+
+
+def test_largest_finite_coefficients_still_parse():
+    assert parse_poly("1e308*Y1^2 - 1e308*Y1^2 + 1.7e308*Y2 + Y2", 2).terms == {
+        (2,): 1.7e308
+    }

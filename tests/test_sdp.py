@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,15 @@ def test_project_psd_idempotent_and_nonexpansive():
         pa, pb = project_psd(a), project_psd(b)
         assert np.linalg.norm(project_psd(pa) - pa) < 1e-12
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
+
+
+def test_project_psd_is_exactly_hermitian():
+    # Both projections return Hermitian matrices bit for bit, so the solver's
+    # multiplier u = u + x - z stays Hermitian at any scale.
+    rng = make_rng(45)
+    for size in (1, 4, 9, 30):
+        out = project_psd(1e6 * random_hermitian(rng, size))
+        assert np.array_equal(out, out.conj().T)
 
 
 def _unit_entry_constraints():
@@ -133,10 +144,9 @@ def test_feasibility_solve_unreachable_offdiagonal():
     assert report.gap > 1e-3
 
 
-def test_unreachable_offdiagonal_separator():
+def _assert_separates_offdiag(Y):
     # Checked from scratch: Y = a I + b B is PSD and Re<Y, G> = a + 1.2 b < 0
     # on the set, while Re<Y, G> >= 0 for PSD G.
-    Y = feasibility_solve(_trace_and_offdiag(1.2), tol=1e-9).separator
     assert np.linalg.eigvalsh(Y)[0] >= 0
     directions = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
     span = np.stack([np.concatenate([A.ravel(), 0 * A.ravel()]) for A in directions])
@@ -144,6 +154,17 @@ def test_unreachable_offdiagonal_separator():
     coeffs, *_ = np.linalg.lstsq(span.T, target, rcond=None)
     assert np.max(np.abs(span.T @ coeffs - target)) <= 1e-12
     assert coeffs @ [1.0, 1.2] < 0
+
+
+def test_unreachable_offdiagonal_separator():
+    _assert_separates_offdiag(feasibility_solve(_trace_and_offdiag(1.2), tol=1e-9).separator)
+
+
+def test_minimize_linear_proves_infeasibility():
+    # The separator test does not depend on the objective.
+    report = minimize_linear(np.eye(2), _trace_and_offdiag(1.2), tol=1e-9)
+    assert report.status == "infeasible-at-tolerance"
+    _assert_separates_offdiag(report.separator)
 
 
 def test_feasibility_solve_without_anchor_or_separator():
@@ -200,7 +221,8 @@ def test_minimize_linear_corner_eigenvalue():
     cons.add(np.eye(2), 1.0)
     c = np.zeros((2, 2))
     c[0, 0] = 1.0
-    G, value = minimize_linear(c, cons, tol=1e-9, max_iter=4000)
+    report = minimize_linear(c, cons, tol=1e-9, max_iter=4000)
+    G, value = report.solution, report.value
     assert value == pytest.approx(0.0, abs=2e-2)
     assert value >= -1e-7
     assert np.trace(G).real == pytest.approx(1.0, abs=1e-7)
@@ -212,14 +234,15 @@ def test_minimize_linear_trace_with_pinned_corner():
     A = np.zeros((2, 2))
     A[0, 0] = 1.0
     cons.add(A, 1.0)
-    G, value = minimize_linear(np.eye(2), cons, tol=1e-9, max_iter=4000)
+    value = minimize_linear(np.eye(2), cons, tol=1e-9, max_iter=4000).value
     assert value == pytest.approx(1.0, abs=2e-2)
     assert value >= 1.0 - 1e-7
 
 
 def test_minimize_linear_zero_objective():
     cons = _trace_and_offdiag(0.8)
-    G, value = minimize_linear(np.zeros((2, 2)), cons, tol=1e-9, max_iter=1000)
+    report = minimize_linear(np.zeros((2, 2)), cons, tol=1e-9, max_iter=1000)
+    G, value = report.solution, report.value
     assert value == 0.0
     assert np.trace(G).real == pytest.approx(1.0, abs=1e-7)
 
@@ -230,7 +253,8 @@ def test_minimize_linear_respects_box():
         np.array([[0, 1], [2, 3]]), pinned=0, radii=[2.0, 0.3, 0.3, 2.0]
     )
     c = -np.array([[0.0, 1.0], [1.0, 0.0]])
-    G, value = minimize_linear(c, cons, tol=1e-9, max_iter=4000)
+    report = minimize_linear(c, cons, tol=1e-9, max_iter=4000)
+    G, value = report.solution, report.value
     assert abs(G[0, 1]) <= 0.3 + 1e-6
     assert value == pytest.approx(-0.6, abs=2e-2)
 
@@ -351,6 +375,34 @@ def test_feasibility_solve_same_with_either_type(nvars):
     assert cls_report.status == dense_report.status == "feasible"
     assert cls_report.iterations == dense_report.iterations
     assert np.max(np.abs(cls_report.solution - dense_report.solution)) < 1e-9
+
+
+def _assert_same_report(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_feasibility_solve_is_minimize_linear_with_zero_objective(nvars, d, sign):
+    p = commutator_square_poly()
+    if nvars == 3:
+        p = NCPoly(3, dict(p.terms)) + NCPoly(3, {(3, 3): 1.0})
+    cons = build_gram_problem(sign * p, d).constraints
+    report = feasibility_solve(cons)
+    assert report.status == ("feasible" if sign > 0 else "infeasible-at-tolerance")
+    _assert_same_report(report, minimize_linear(np.zeros((cons.dim, cons.dim)), cons))
+
+
+def test_feasibility_solve_is_minimize_linear_on_affine_equations():
+    cons = _trace_and_offdiag(0.8)
+    report = feasibility_solve(cons)
+    assert report.feasible and report.value == 0.0
+    _assert_same_report(report, minimize_linear(np.zeros((2, 2)), cons))
 
 
 def test_class_constraints_reject_malformed_input():
