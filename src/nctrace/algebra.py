@@ -292,8 +292,9 @@ def star_product(a: NCPoly, b: NCPoly) -> NCPoly:
 def pair(a: NCPoly, t) -> complex:
     """Pair a polynomial with a moment-like functional: sum of a_I * t_I.
 
-    ``t`` needs a ``max_degree`` attribute and a ``values`` mapping complete
-    on words up to that degree.  Linear in ``a``; when the functional is
+    ``t`` needs a ``max_degree`` attribute and to return ``t[w]`` for every
+    word up to that degree, as a :class:`~nctrace.moments.MomentSequence`
+    does from its array.  Linear in ``a``; when the functional is
     cyclically invariant the pairing only sees ``a.cyclic_reduce()``.
     """
     if a.degree() > t.max_degree:
@@ -301,7 +302,7 @@ def pair(a: NCPoly, t) -> complex:
             f"degree overflow: polynomial degree {a.degree()} exceeds "
             f"functional degree {t.max_degree}"
         )
-    return complex(sum(c * t.values[w] for w, c in a.terms.items()))
+    return complex(sum(c * t[w] for w, c in a.terms.items()))
 
 
 def evaluate(a: NCPoly, matrices) -> np.ndarray:

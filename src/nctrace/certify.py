@@ -49,6 +49,7 @@ from .moments import (
     MomentSequence,
     WordIndex,
     as_matrix_tuple,
+    check_radius,
     check_w_membership,
     hermitian_parts,
     moment_matrix,
@@ -364,6 +365,7 @@ def witness_search(
     if d is None:
         d = (p.degree() + 1) // 2
     _check_degree(p, d)
+    check_radius(R, 2 * d)
     classes = cyclic_classes(p.nvars, d)
     labels = classes.labels
     radii = float(R) ** classes.index.lengths[classes.reps].astype(float)
@@ -501,16 +503,16 @@ def validate_witness(witness: DualWitness, tol: float = 1e-9) -> WitnessValidati
     report = check_w_membership(theta, tol=10 * tol)
     d = theta.max_degree // 2
     ok, min_eig = psd_check(moment_matrix(theta, d), tol=10 * tol)
-    excess = 0.0
-    for word, value in theta.values.items():
-        excess = max(excess, abs(value) - witness.radius ** len(word))
+    values = theta.as_array()
+    bounds = float(witness.radius) ** theta.index.lengths
+    excess = max(0.0, float(np.max(np.abs(values) - bounds)))
     return WitnessValidation(
         membership_passed=report.passed,
         psd_passed=ok,
         min_eigenvalue=min_eig,
         box_passed=excess <= 10 * tol,
         max_box_excess=excess,
-        normalized=abs(theta.values[()] - 1.0) <= 10 * tol,
+        normalized=abs(theta[()] - 1.0) <= 10 * tol,
     )
 
 
@@ -542,26 +544,37 @@ def falsify(
     The random tuples are drawn ``FALSIFY_CHUNK`` trials at a time with
     :func:`~nctrace.sampling.random_hermitians`, which reproduces the
     stream of drawing them one by one from ``make_rng(seed)``.  Each chunk
-    is screened by its batched traces; a trial below
+    is screened by its batched traces, which pair the two halves of each
+    word (:func:`_real_traces`); a trial below
     ``-FALSIFY_TRACE_TOL + FALSIFY_SCREEN * ||p||_R`` is evaluated again on
     its own, and returned only if that trace is below -1e-10.  The two
     traces differ by rounding only, far inside the screen's slack, so the
     returned index, tuple and trace are those of the trial-by-trial search.
+
+    A radius at which the traces could overflow is refused before any
+    draw: R^deg(p) must be finite, and so must N times the larger of it
+    and ``||p||_R``, which bound every partial sum of an unnormalized
+    trace on a tuple of norm R.
     """
     _require_symmetric(p)
     if not (trials >= 0):
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if not (N >= 1):
         raise ValueError(f"matrix size N must be at least 1, got {N}")
-    if not (0 < R < np.inf):
-        raise ValueError(f"radius R must be positive and finite, got {R}")
+    check_radius(R, p.degree())
+    norm = p.r_norm(R)
+    if not (N * max(norm, float(R) ** p.degree()) < np.inf):
+        raise ValueError(
+            f"radius R = {R} is too large: the traces of {N} x {N} matrices "
+            "of that norm overflow"
+        )
     for index, candidate in enumerate(structured_library(p.nvars, N)):
         value = _real_trace(p, candidate)
         if value < -FALSIFY_TRACE_TOL:
             return Falsification(
                 tuple=candidate, trace=value, source="library", index=index
             )
-    screen = -FALSIFY_TRACE_TOL + FALSIFY_SCREEN * p.r_norm(R)
+    screen = -FALSIFY_TRACE_TOL + FALSIFY_SCREEN * norm
     rng = make_rng(seed)
     for start in range(0, trials, FALSIFY_CHUNK):
         drawn = random_hermitians(rng, (min(FALSIFY_CHUNK, trials - start), p.nvars), N, R)
@@ -577,19 +590,39 @@ def falsify(
 
 
 def _real_traces(p: NCPoly, stack: np.ndarray) -> np.ndarray:
-    """Real normalized trace of p on each tuple of a ``(K, n, N, N)`` stack,
-    sharing each word prefix's products across the terms."""
+    """Real normalized trace of p on each tuple of a ``(K, n, N, N)`` stack.
+
+    Each word is split in half, w = J + L with |J| = floor(|w|/2), and
+    ``tr X_w = sum_ab (X_J)_ab (X_L)_ba``.  The products of the halves p
+    uses, and of their prefixes, are formed one length at a time, each
+    from its prefix's.  One batched ``(K, W_J, N^2) @ (K, N^2, W_L)``
+    product of the left halves' rows with the right halves' transposed
+    columns then gives every tr(X_J X_L), and p's coefficients, as a
+    W_J x W_L matrix, sum them.
+    """
     K, _, size, _ = stack.shape
-    products = {(): np.broadcast_to(np.eye(size, dtype=complex), (K, size, size))}
-    total = np.zeros(K, dtype=complex)
-    for word, coeff in p.terms.items():
-        for length in range(1, len(word) + 1):
-            if word[:length] not in products:
-                products[word[:length]] = (
-                    products[word[: length - 1]] @ stack[:, word[length - 1] - 1]
-                )
-        total += coeff * np.trace(products[word], axis1=1, axis2=2)
-    return total.real / size
+    splits = [(w[: len(w) // 2], w[len(w) // 2 :]) for w in p.terms]
+    halves = {h for split in splits for h in split}
+    # Every prefix of every half, shortest first, numbered in that order.
+    prefixes = sorted({()} | {h[:k] for h in halves for k in range(1, len(h) + 1)}, key=len)
+    position = {w: i for i, w in enumerate(prefixes)}
+    products = np.empty((K, len(prefixes), size, size), dtype=complex)
+    products[:, 0] = np.eye(size)
+    stops = np.cumsum(np.bincount([len(w) for w in prefixes]))
+    for start, stop in zip(stops[:-1], stops[1:]):
+        level = prefixes[start:stop]
+        parents = [position[w[:-1]] for w in level]
+        letters = [w[-1] - 1 for w in level]
+        np.matmul(products[:, parents], stack[:, letters], out=products[:, start:stop])
+    lefts = {J: a for a, J in enumerate(dict.fromkeys(J for J, _ in splits))}
+    rights = {L: b for b, L in enumerate(dict.fromkeys(L for _, L in splits))}
+    coeffs = np.zeros((len(lefts), len(rights)), dtype=complex)
+    for (J, L), c in zip(splits, p.terms.values()):
+        coeffs[lefts[J], rights[L]] = c
+    rows = products[:, [position[J] for J in lefts]].reshape(K, len(lefts), size * size)
+    columns = products[:, [position[L] for L in rights]].swapaxes(2, 3)
+    columns = columns.reshape(K, len(rights), size * size).swapaxes(1, 2)
+    return ((rows @ columns).reshape(K, -1) @ coeffs.ravel()).real / size
 
 
 def _real_trace(p: NCPoly, X) -> float:

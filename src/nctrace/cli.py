@@ -64,6 +64,7 @@ from .moments import (
     MatrixTuple,
     MomentSequence,
     as_matrix_tuple,
+    check_radius,
     check_w_membership,
     moment_sequence,
     real_pairs,
@@ -416,8 +417,13 @@ def cmd_gns_check(args) -> int:
         )
     if d < 1:
         raise InputError(f"model half-degree must be at least 1, got {d}")
-    if not (0 < args.radius < np.inf):
-        raise InputError(f"radius R must be positive and finite, got {args.radius}")
+    # The norm bound compares the even moments up to the sequence's degree
+    # with powers of R.
+    degree = 2 * d if theta is None else theta.max_degree
+    try:
+        check_radius(args.radius, 2 * (degree // 2))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if theta is None:
         try:
             theta = moment_sequence(X, 2 * d)

@@ -14,12 +14,17 @@ genuine matrix-trace sequence the reproduction is exact up to twice the
 truncation degree; for pseudo-moments the defects are surfaced as
 diagnostics rather than hidden.
 
-Vacuum expectations are computed one word length at a time: the vectors
-``Y_w vacuum`` of the n^L words of length L are the columns of
+Vacuum expectations split each word in half: for w = J + K with
+|J| = floor(|w|/2), ``<vacuum, Y_w vacuum> = <Y_J^* vacuum, Y_K vacuum>``.
+The vectors ``Y_K vacuum`` of the n^L words of length L are the columns of
 ``ops @ prev``, one product of the ``(n, r, r)`` operator stack with the
-``r x n^(L-1)`` block of the previous length, which lists them in
-``words_up_to`` order (first letter slowest).  The cyclic check then
-compares whole levels through :class:`~nctrace.moments.WordIndex`.
+``r x n^(L-1)`` block of the previous length (first letter slowest); the
+vectors ``Y_J^* vacuum`` come the same way from the adjoint stack, with the
+new letter last.  Both are built only up to half the degree, and the
+values of each word length are then one matrix product of a left block
+with a right block, which lists them in ``words_up_to`` order.  The cyclic
+check compares whole levels through the sequence's
+:class:`~nctrace.moments.WordIndex`.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from .algebra import Word
 from .moments import (
     MomentSequence,
-    WordIndex,
+    check_radius,
     check_w_membership,
     moment_matrix,
     real_pairs,
@@ -124,7 +129,7 @@ def gns_build(
         np.linalg.norm((kept_vecs * kept_vals) @ kept_vecs.conj().T - entries)
     )
 
-    index = WordIndex(theta.n, d)
+    index = theta.index
     domain = np.arange(index.offsets[d])  # the words of length < d
     operators = []
     defects = []
@@ -164,15 +169,28 @@ def gns_build(
 
 def _vacuum_values(model: GnsModel, degree: int) -> np.ndarray:
     """Expectation of each operator word against the vacuum, in
-    ``words_up_to`` order, by the level recursion of the module docstring."""
+    ``words_up_to`` order, by the half-word split of the module docstring."""
     ops = np.stack(model.operators)
-    vacuum = model.vacuum
-    level = vacuum[:, None]
-    values = [np.array([np.vdot(vacuum, vacuum)])]
-    for _ in range(degree):
-        level = (ops @ level).transpose(1, 0, 2).reshape(len(vacuum), -1)
-        values.append(vacuum.conj() @ level)
+    left = _word_vectors(ops.conj().swapaxes(1, 2), model.vacuum, degree // 2, (1, 2, 0))
+    right = _word_vectors(ops, model.vacuum, degree - degree // 2, (1, 0, 2))
+    values = [
+        (left[L // 2].conj().T @ right[L - L // 2]).ravel() for L in range(degree + 1)
+    ]
     return np.concatenate(values)
+
+
+def _word_vectors(ops: np.ndarray, vector: np.ndarray, length: int, axes) -> list:
+    """Blocks of ``ops_w vector`` for the words w of length 0..length.
+
+    Each block is ``ops @ prev`` with its ``(letter, row, column)`` axes
+    moved to ``axes`` and flattened: ``(1, 0, 2)`` puts the new letter
+    first in each word, ``(1, 2, 0)`` last.
+    """
+    blocks = [vector[:, None]]
+    for _ in range(length):
+        step = (ops @ blocks[-1]).transpose(axes)
+        blocks.append(step.reshape(len(vector), -1))
+    return blocks
 
 
 def verify_moments(model: GnsModel, theta: MomentSequence, deg_check: int) -> float:
@@ -195,7 +213,7 @@ def verify_trace_property(model: GnsModel, theta: MomentSequence, deg_check: int
     """
     deg_check = min(deg_check, theta.max_degree)
     values = _vacuum_values(model, deg_check)
-    words, rotated = WordIndex(len(model.operators), deg_check).rotation_pairs()
+    words, rotated = theta.index.rotation_pairs(deg_check)
     gaps = np.abs(values[words] - values[rotated])
     return float(gaps.max()) if gaps.size else 0.0
 
@@ -249,11 +267,11 @@ def norm_bound_check(model: GnsModel, theta: MomentSequence, R: float) -> NormBo
 
     The moment condition is the pass criterion.  Operator norms can exceed
     R slightly because of the truncated extension; the relative excess is
-    reported as slack, not failed.  R must be positive and finite, and the
-    sequence needs a diagonal even moment, so degree at least 2.
+    reported as slack, not failed.  R must be positive and its even powers
+    up to the sequence's degree finite (:func:`~nctrace.moments.check_radius`),
+    and the sequence needs a diagonal even moment, so degree at least 2.
     """
-    if not (0 < R < np.inf):
-        raise ValueError(f"radius R must be positive and finite, got {R}")
+    check_radius(R, 2 * (theta.max_degree // 2))
     if theta.max_degree < 2:
         raise ValueError(
             f"norm bound check needs moments of degree at least 2, have "
@@ -265,7 +283,7 @@ def norm_bound_check(model: GnsModel, theta: MomentSequence, R: float) -> NormBo
     for j in range(1, theta.n + 1):
         for k in range(1, theta.max_degree // 2 + 1):
             word = (j,) * (2 * k)
-            excess = theta.values[word].real - R ** (2 * k) * (1 + 1e-9)
+            excess = theta[word].real - R ** (2 * k) * (1 + 1e-9)
             if excess > worst_excess:
                 worst_excess = excess
                 worst_word = word

@@ -13,12 +13,15 @@ conjugate symmetric, and positive semidefinite exactly when the sequence is
 nonnegative on hermitian squares.
 
 Moment products and the checks on a sequence work on whole arrays, not
-word by word.  Values are kept in ``words_up_to`` order, where
-:class:`WordIndex` turns rotation, reversal and concatenation of words
-into integer arithmetic on positions, so each check is one array
-comparison.  :func:`moment_sequence` builds the products
-one word length at a time: the products of length L are those of length
-L - 1 times each matrix, as one stacked ``matmul``.
+word by word.  A :class:`MomentSequence` is one read-only array of values
+in ``words_up_to`` order together with its :class:`WordIndex`, which turns
+rotation, reversal and concatenation of words into integer arithmetic on
+positions, so each check is one array comparison.  The index computes its
+reversal and rotation arrays once and keeps them for the life of the
+sequence; a word-keyed dict of the values is built only when asked for.
+:func:`moment_sequence` builds the products one word length at a time: the
+products of length L are those of length L - 1 times each matrix, as one
+stacked ``matmul``.
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ class WordIndex:
         self.D = D
         self.offsets = np.cumsum([0] + [n**L for L in range(D + 1)])
         self.lengths = np.repeat(np.arange(D + 1), np.diff(self.offsets))
+        self._reversals = None
+        self._rotation_pairs = None
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -144,15 +149,20 @@ class WordIndex:
         )
 
     def reversals(self) -> np.ndarray:
-        """Position of reverse(w), for every word w in order."""
-        out = [np.zeros(0, dtype=np.int64)]
-        for L in range(self.D + 1):
-            k = np.arange(self.n**L)
-            rev = np.zeros_like(k)
-            for j in range(L):
-                rev = rev * self.n + k // self.n**j % self.n
-            out.append(self.offsets[L] + rev)
-        return np.concatenate(out)
+        """Position of reverse(w), for every word w in order.
+
+        Computed on first use and kept, read-only, with the index.
+        """
+        if self._reversals is None:
+            out = [np.zeros(0, dtype=np.int64)]
+            for L in range(self.D + 1):
+                k = np.arange(self.n**L)
+                rev = np.zeros_like(k)
+                for j in range(L):
+                    rev = rev * self.n + k // self.n**j % self.n
+                out.append(self.offsets[L] + rev)
+            self._reversals = _read_only(np.concatenate(out))
+        return self._reversals
 
     def least_rotations(self) -> np.ndarray:
         """Position of the lexicographically least rotation of w, for every
@@ -171,29 +181,48 @@ class WordIndex:
             out.append(self.offsets[L] + least)
         return np.concatenate(out)
 
-    def rotation_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of (w, w[s:] + w[:s]) for every word w and shift
-        1 <= s < len(w), in (word, shift) order."""
-        words = [np.zeros(0, dtype=np.int64)]
-        rotated = [np.zeros(0, dtype=np.int64)]
-        for L in range(2, self.D + 1):
-            k = np.arange(self.n**L)
-            tail = self.n ** np.arange(L - 1, 0, -1)  # n^(L-s) for s = 1..L-1
-            head = self.n ** np.arange(1, L)  # n^s
-            shifted = k[:, None] % tail * head + k[:, None] // tail
-            words.append(np.repeat(k + self.offsets[L], L - 1))
-            rotated.append(shifted.ravel() + self.offsets[L])
-        return np.concatenate(words), np.concatenate(rotated)
+    def rotation_pairs(self, D: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of (w, w[s:] + w[:s]) for every word w of length at
+        most D (default: all) and shift 1 <= s < len(w), in (word, shift)
+        order.
+
+        The pairs of every word are computed on first use and kept,
+        read-only, with the index; those of a smaller D are a prefix.
+        """
+        if self._rotation_pairs is None:
+            words = [np.zeros(0, dtype=np.int64)]
+            rotated = [np.zeros(0, dtype=np.int64)]
+            for L in range(2, self.D + 1):
+                k = np.arange(self.n**L)
+                tail = self.n ** np.arange(L - 1, 0, -1)  # n^(L-s) for s = 1..L-1
+                head = self.n ** np.arange(1, L)  # n^s
+                shifted = k[:, None] % tail * head + k[:, None] // tail
+                words.append(np.repeat(k + self.offsets[L], L - 1))
+                rotated.append(shifted.ravel() + self.offsets[L])
+            self._rotation_pairs = (
+                _read_only(np.concatenate(words)),
+                _read_only(np.concatenate(rotated)),
+            )
+        words, rotated = self._rotation_pairs
+        if D is None or D >= self.D:
+            return words, rotated
+        # Words of length L contribute n^L (L - 1) pairs.
+        count = sum(self.n**L * (L - 1) for L in range(2, D + 1))
+        return words[:count], rotated[:count]
 
 
 class MomentSequence:
-    """Word-indexed complex values, complete up to ``max_degree``.
+    """Complex values on words, complete up to ``max_degree``.
 
     The values must be finite and the empty-word value is the normalization
-    and must be 1.  ``values`` holds the words in ``words_up_to`` order.
+    and must be 1.  They are held as one read-only array in
+    ``words_up_to`` order (:meth:`as_array`), together with the sequence's
+    :class:`WordIndex`, whose reversal and rotation arrays are computed once
+    and shared by every check on the sequence.  ``t[word]`` reads one value;
+    ``values``, a dict from word tuples to values, is built on first access.
     """
 
-    __slots__ = ("n", "max_degree", "values")
+    __slots__ = ("n", "max_degree", "index", "_array", "_values")
 
     def __init__(self, n: int, max_degree: int, values: dict):
         check_moment_size(n, max_degree)
@@ -204,28 +233,29 @@ class MomentSequence:
                 f"moment sequence incomplete: {len(missing)} words missing up to "
                 f"degree {max_degree}, first {missing[0]}"
             )
-        self._store(n, max_degree, words, [values[w] for w in words])
+        self._store(n, max_degree, [values[w] for w in words])
 
     @classmethod
     def from_array(cls, n: int, max_degree: int, values) -> "MomentSequence":
         """Sequence from its values in ``words_up_to(n, max_degree)`` order."""
-        words = words_up_to(n, max_degree)
-        if len(values) != len(words):
-            raise ValueError(
-                f"moment sequence needs {len(words)} values up to degree "
-                f"{max_degree}, got {len(values)}"
-            )
+        check_moment_size(n, max_degree)
         seq = cls.__new__(cls)
-        seq._store(n, max_degree, words, values)
+        seq._store(n, max_degree, values)
         return seq
 
-    def _store(self, n: int, max_degree: int, words: list, values) -> None:
-        array = np.asarray(values, dtype=complex)
+    def _store(self, n: int, max_degree: int, values) -> None:
+        index = WordIndex(n, max_degree)
+        array = _read_only(np.array(values, dtype=complex))
+        if array.shape != (len(index),):
+            raise ValueError(
+                f"moment sequence needs {len(index)} values up to degree "
+                f"{max_degree}, got {len(values)}"
+            )
         finite = np.isfinite(array)
         if not finite.all():
             raise ValueError(
                 "moment sequence has a non-finite value at word "
-                f"{words[int(np.argmin(finite))]}"
+                f"{index.word(int(np.argmin(finite)))}"
             )
         if abs(array[0] - 1.0) > 1e-9:
             raise ValueError(
@@ -233,23 +263,42 @@ class MomentSequence:
             )
         self.n = n
         self.max_degree = max_degree
-        self.values = dict(zip(words, array.tolist()))
+        self.index = index
+        self._array = array
+        self._values = None
+
+    @property
+    def values(self) -> dict:
+        """The values by word tuple, in ``words_up_to`` order; built on
+        first access and shared, so treat it as read-only."""
+        if self._values is None:
+            words = words_up_to(self.n, self.max_degree)
+            self._values = dict(zip(words, self._array.tolist()))
+        return self._values
 
     def __getitem__(self, word) -> complex:
-        return self.values[tuple(word)]
+        word = tuple(word)
+        if len(word) > self.max_degree or not all(1 <= j <= self.n for j in word):
+            raise KeyError(word)
+        return self._array[self.index.position(word)].item()
 
     def as_array(self) -> np.ndarray:
-        """The values in ``words_up_to`` order."""
-        return np.fromiter(self.values.values(), dtype=complex, count=len(self.values))
+        """The values in ``words_up_to`` order, as a read-only array."""
+        return self._array
 
     def restricted(self, degree: int) -> "MomentSequence":
         if degree > self.max_degree:
             raise ValueError(f"cannot extend degree {self.max_degree} to {degree}")
-        count = len(WordIndex(self.n, degree))
-        return MomentSequence.from_array(self.n, degree, self.as_array()[:count])
+        count = int(self.index.offsets[degree + 1])
+        return MomentSequence.from_array(self.n, degree, self._array[:count])
 
     def __repr__(self) -> str:
         return f"MomentSequence(n={self.n}, max_degree={self.max_degree})"
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def moment_size(n: int, D: int, N: int = 1) -> int:
@@ -271,6 +320,22 @@ def check_moment_size(n: int, D: int, N: int = 1) -> None:
             f"{N} x {N} matrices exceeds the size limit {MAX_MOMENT_SIZE} "
             "(word count times N^2 + D)"
         )
+
+
+def check_radius(R: float, power: int) -> None:
+    """Raise ValueError unless R is positive and finite and so is R**power.
+
+    ``power`` is the longest word length at which R bounds a value: a
+    radius whose power there overflows is refused before any work.
+    """
+    if not (0 < R < np.inf):
+        raise ValueError(f"radius R must be positive and finite, got {R}")
+    try:
+        float(R) ** power
+    except OverflowError:
+        raise ValueError(
+            f"radius R = {R} is too large: R^{power} is not finite"
+        ) from None
 
 
 def real_pairs(z) -> np.ndarray:
@@ -348,7 +413,7 @@ def check_w_membership(t: MomentSequence, tol: float = 1e-10) -> WMembershipRepo
     """
     if not (tol >= 0):
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    index = WordIndex(t.n, t.max_degree)
+    index = t.index
     values = t.as_array()
     words, rotated = index.rotation_pairs()
     worst_cyc, at = _first_max(np.abs(values[words] - values[rotated]))
@@ -390,7 +455,7 @@ def growth_radius(t: MomentSequence) -> float:
     k = t.max_degree // 2
     best = 0.0
     for j in range(1, t.n + 1):
-        value = max(t.values[(j,) * (2 * k)].real, 0.0)
+        value = max(t[(j,) * (2 * k)].real, 0.0)
         best = max(best, value ** (1.0 / (2 * k)))
     return best
 
@@ -411,7 +476,7 @@ def moment_matrix(t: MomentSequence, d: int) -> MomentMatrix:
             f"insufficient degree: matrix of degree {d} needs moments up to "
             f"{2 * d}, have {t.max_degree}"
         )
-    index = WordIndex(t.n, 2 * d)
+    index = t.index
     m = int(index.offsets[d + 1])
     rows = index.reversals()[:m, None]
     entries = t.as_array()[index.concat(rows, np.arange(m))]

@@ -576,6 +576,23 @@ def reference_vacuum_values(model, degree: int) -> dict:
     return values
 
 
+def reference_real_traces(p: NCPoly, stack: np.ndarray) -> np.ndarray:
+    """Real normalized trace of p on each tuple of a ``(K, n, N, N)`` stack,
+    from the product of every prefix of every word of p, as the falsify
+    screen formed them before it split words in half."""
+    K, _, size, _ = stack.shape
+    products = {(): np.broadcast_to(np.eye(size, dtype=complex), (K, size, size))}
+    total = np.zeros(K, dtype=complex)
+    for word, coeff in p.terms.items():
+        for length in range(1, len(word) + 1):
+            if word[:length] not in products:
+                products[word[:length]] = (
+                    products[word[: length - 1]] @ stack[:, word[length - 1] - 1]
+                )
+        total += coeff * np.trace(products[word], axis1=1, axis2=2)
+    return total.real / size
+
+
 def reference_falsify(p: NCPoly, trials: int, N: int, R: float, seed: int):
     """(source, index, trace, matrices) of the first tuple with trace below
     -FALSIFY_TRACE_TOL, library first, then one random tuple per trial."""

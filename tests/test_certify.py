@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -38,6 +39,7 @@ from helpers import (
     reference_extract_factors,
     reference_extract_moments,
     reference_falsify,
+    reference_real_traces,
     reference_sum_of_squares,
     term_bits,
 )
@@ -718,6 +720,91 @@ def test_falsify_equals_trial_by_trial_search_at_the_edges():
 def test_falsify_rejects_infinite_radius():
     with pytest.raises(ValueError, match="radius R must be positive and finite"):
         falsify(commutator_square_poly(), trials=5, R=float("inf"))
+
+
+@pytest.mark.parametrize("R,reason", [(1e100, "R^4 is not finite"), (1e77, "the traces")])
+def test_falsify_refuses_a_radius_whose_traces_overflow(R, reason, monkeypatch):
+    # R^4 overflows at 1e100; at 1e77 it does not, but 4 x 4 traces can.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a tuple before refusing the radius")
+
+    monkeypatch.setattr(certify, "random_hermitians", no_draw)
+    with pytest.raises(ValueError, match=re.escape(f"radius R = {R} is too large")):
+        falsify(commutator_square_poly(), R=R)
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        falsify(commutator_square_poly(), R=R)
+    # The largest radius at which nothing overflows still runs.
+    assert falsify(commutator_square_poly(), trials=0, N=4, R=1e76) is None
+
+
+# -- the batched falsify screen -----------------------------------------------
+
+
+def _screen_polys(n: int, rng) -> list:
+    """Polynomials in n variables: a self-adjoint constant with odd-length
+    words, self-adjoint mixed lengths 0-5 with complex coefficients on
+    reversed pairs, and a single word of even length."""
+    def symmetric(a):
+        return a + a.adjoint()
+
+    letters = [int(j) for j in rng.integers(1, n + 1, size=12)]
+    odd = symmetric(NCPoly(n, {(): 0.25, (letters[0],): -0.5, tuple(letters[1:4]): 0.75 - 0.5j}))
+    mixed = NCPoly(n, {tuple(letters[:k]): complex(rng.normal(), rng.normal()) for k in range(6)})
+    mixed = symmetric(mixed + random_poly(rng, n, 4, n_terms=6))
+    return [odd, mixed, NCPoly(n, {tuple(letters[4:8]): 1.0})]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("R", [0.5, 1.0, 3.0])
+def test_batched_traces_equal_scalar_trace(n, N, R):
+    rng = make_rng(70 + 9 * n + 3 * N + int(2 * R))
+    for p in _screen_polys(n, rng):
+        drawn = certify.random_hermitians(rng, (11, n), N, R)
+        traces = certify._real_traces(p, certify.hermitian_parts(drawn))
+        for k, X in enumerate(drawn):
+            expected = certify._real_trace(p, certify.as_matrix_tuple(X))
+            assert abs(traces[k] - expected) <= 1e-12 * p.r_norm(R)
+
+
+def test_batched_traces_of_the_zero_polynomial_and_a_constant():
+    stack = certify.random_hermitians(make_rng(71), (3, 2), 4, 1.0)
+    assert np.array_equal(certify._real_traces(NCPoly(2, {}), stack), np.zeros(3))
+    constant = certify._real_traces(NCPoly(2, {(): 1.5 + 2j}), stack)
+    assert np.array_equal(constant, np.full(3, 1.5))
+
+
+def test_batched_traces_of_one_word_pair_its_halves():
+    # tr(X1 X2 X1 X2 X3) = tr((X1 X2) (X1 X2 X3)): a pairing that dropped the
+    # transpose of the right half or split the word anywhere else than in
+    # its middle would change it.
+    drawn = certify.random_hermitians(make_rng(72), (4, 3), 3, 1.0)
+    word = (1, 2, 1, 2, 3)
+    for coeff in (1.0, 1j, 0.6 - 0.8j):
+        p = NCPoly(3, {word: coeff})
+        expected = [
+            (coeff * np.trace(X[0] @ X[1] @ X[0] @ X[1] @ X[2])).real / 3 for X in drawn
+        ]
+        assert np.allclose(certify._real_traces(p, drawn), expected, rtol=0, atol=1e-14)
+
+
+def test_batched_traces_peak_below_prefix_products():
+    # A sparse high-degree polynomial: the prefix products of its words are
+    # 20 stacks, the products of their halves' prefixes 11.
+    import tracemalloc
+
+    p = NCPoly(3, {(1,) * 10: 1.0, (3,) * 10: 1.0})
+    stack = certify.hermitian_parts(certify.random_hermitians(make_rng(73), (64, 3), 8, 1.0))
+    peaks = []
+    for traces in (certify._real_traces, reference_real_traces):
+        tracemalloc.start()
+        try:
+            values = traces(p, stack)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(values, reference_real_traces(p, stack), rtol=0, atol=1e-12)
+    assert peaks[0] <= peaks[1]
 
 
 # -- soundness ----------------------------------------------------------------

@@ -285,6 +285,40 @@ def test_gns_check_rejects_bad_options(pauli_json, capsys, flags, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "command,text,radius,message",
+    [
+        ("falsify", COMMUTATOR, "1e100", "R^4 is not finite"),
+        ("falsify", COMMUTATOR, "1e77", "the traces of 4 x 4 matrices of that norm overflow"),
+        ("witness", NEGATED, "1e100", "R^4 is not finite"),
+    ],
+)
+def test_huge_radius_exits_one_naming_it(command, text, radius, message, poly_file, capsys):
+    code = main([command, poly_file(text), "--radius", radius])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"nctrace: radius R = {float(radius)} is too large: {message}\n"
+
+
+def test_gns_check_huge_radius_exits_one_naming_it(pauli_json, tmp_path, capsys):
+    code = main(["gns-check", pauli_json, "--radius", "1e100"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "nctrace: radius R = 1e+100 is too large: R^4 is not finite\n"
+    # A sequence of degree 6 is checked at its own degree, not the model's.
+    theta = moment_sequence(pauli_pair(), 6)
+    entries = [{"word": list(w), "re": v.real, "im": v.imag} for w, v in theta.values.items()]
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"theta": entries}))
+    code = main(["gns-check", str(path), "--degree", "2", "--radius", "1e60"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "nctrace: radius R = 1e+60 is too large: R^6 is not finite\n"
+    code, data = run_cli(["gns-check", str(path), "--degree", "2", "--radius", "1e50"], capsys)
+    assert code == 0 and data["checks"]["norm_bound"]["passed"] is True
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_moments_rejects_bad_tol(pauli_json, capsys, tol):
     code = main(["moments", pauli_json, "--degree", "2", "--tol", tol])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from nctrace.algebra import words_up_to
 from nctrace.gns import (
     GnsModel,
+    _vacuum_values,
     gns_build,
     norm_bound_check,
     unitary_group,
@@ -222,7 +224,35 @@ def test_trace_property_equals_word_loop_on_broken_sequence():
         abs(v - ref[w[s:] + w[:s]]) for w, v in ref.items() for s in range(1, len(w))
     )
     assert expected > 1e-6
+    assert max(model.hermiticity_defects) > 0
     assert abs(verify_trace_property(model, broken, 4) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("n,rank", [(1, 3), (2, 4), (3, 5)])
+def test_vacuum_values_equal_word_loop_for_non_hermitian_operators(n, rank):
+    # <vacuum, Y_J Y_K vacuum> = <Y_J^* vacuum, Y_K vacuum> holds for any
+    # operators; with non-Hermitian ones, a split that used Y_J where Y_J^*
+    # belongs, or put the letters of either half in the wrong order, fails.
+    rng = make_rng(65 + n)
+    ops = rng.normal(size=(n, rank, rank)) + 1j * rng.normal(size=(n, rank, rank))
+    vacuum = rng.normal(size=rank) + 1j * rng.normal(size=rank)
+    model = GnsModel(
+        degree=3,
+        basis=[()],
+        rank=rank,
+        vectors=vacuum[:, None],
+        operators=list(ops / np.sqrt(rank)),
+        vacuum=vacuum,
+        reconstruction_error=0.0,
+        shift_residual=0.0,
+    )
+    assert min(np.abs(y - y.conj().T).max() for y in model.operators) > 0.1
+    for degree in range(7):
+        ref = reference_vacuum_values(model, degree)
+        expected = np.array([ref[w] for w in words_up_to(n, degree)])
+        np.testing.assert_allclose(
+            _vacuum_values(model, degree), expected, rtol=1e-12, atol=0
+        )
 
 
 @pytest.mark.parametrize("R", [float("nan"), 0.0, -1.0, float("inf")])
@@ -230,6 +260,14 @@ def test_norm_bound_check_rejects_bad_radius(R):
     t = moment_sequence(pauli_pair(), 4)
     with pytest.raises(ValueError, match="radius R must be positive and finite"):
         norm_bound_check(gns_build(t, 2), t, R)
+
+
+def test_norm_bound_check_refuses_a_radius_whose_powers_overflow():
+    t = moment_sequence(pauli_pair(), 4)
+    model = gns_build(t, 2)
+    assert norm_bound_check(model, t, 1e77).passed
+    with pytest.raises(ValueError, match=r"radius R = 1e\+78 is too large: R\^4 is not finite"):
+        norm_bound_check(model, t, 1e78)
 
 
 def test_norm_bound_check_needs_degree_two_and_gns_build_a_nonnegative_degree():

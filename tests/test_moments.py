@@ -9,6 +9,7 @@ from nctrace.moments import (
     MomentSequence,
     WordIndex,
     as_matrix_tuple,
+    check_radius,
     check_w_membership,
     growth_radius,
     moment_matrix,
@@ -294,6 +295,64 @@ def test_moment_sequence_rejects_non_finite_values():
             MomentSequence(2, 2, {**moment_sequence(pauli_pair(), 2).values, (1, 2): bad})
     with pytest.raises(ValueError, match="needs 7 values"):
         MomentSequence.from_array(2, 2, np.ones(6))
+
+
+def test_sequence_is_one_read_only_array_with_a_mapping_built_from_it():
+    t = moment_sequence(random_hermitian_tuple(make_rng(80), 2, 3), 4)
+    values = t.as_array()
+    assert t.as_array() is values and not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[1] = 0.0
+    assert list(t.values) == words_up_to(2, 4)
+    assert list(t.values.values()) == values.tolist()
+    assert t.values is t.values
+    for position, word in enumerate(words_up_to(2, 4)):
+        assert type(t[word]) is complex
+        assert t[word] == t.values[word] == values[position]
+    for word in [(3,), (0,), (1, 1, 1, 1, 1), (1, -1)]:
+        with pytest.raises(KeyError):
+            t[word]
+    assert np.array_equal(t.restricted(2).as_array(), values[:7])
+
+
+def test_check_radius_refuses_overflowing_powers_of_any_number_type():
+    for R, power in [(1e77, 4), (0.5, 10**6), (10**77, 4), (2, 1023)]:
+        check_radius(R, power)
+    for R, power in [(1e78, 4), (10**78, 4), (2, 1024), (1.5, 10**6)]:
+        with pytest.raises(ValueError, match=f"too large: R\\^{power} is not finite"):
+            check_radius(R, power)
+    for R in [0, -1.0, float("nan"), float("inf")]:
+        with pytest.raises(ValueError, match="radius R must be positive and finite"):
+            check_radius(R, 2)
+
+
+def test_sequence_copies_the_values_it_is_given():
+    given = np.array([1.0, 0.5, 0.25])
+    t = MomentSequence.from_array(1, 2, given)
+    given[1] = 7.0
+    assert t[(1,)] == 0.5
+    assert given.flags.writeable
+
+
+@pytest.mark.parametrize("n,D", [(1, 4), (2, 5), (3, 3)])
+def test_word_index_keeps_its_arrays_and_slices_rotation_pairs(n, D):
+    index = WordIndex(n, D)
+    reversals = index.reversals()
+    words, rotated = index.rotation_pairs()
+    assert index.reversals() is reversals and index.rotation_pairs()[0] is words
+    for array in (reversals, words, rotated):
+        assert not array.flags.writeable
+    for degree in range(D + 2):
+        fresh = WordIndex(n, min(degree, D)).rotation_pairs()
+        for got, want in zip(index.rotation_pairs(degree), fresh):
+            assert np.array_equal(got, want)
+
+
+def test_checks_on_a_sequence_use_its_index():
+    t = moment_sequence(random_hermitian_tuple(make_rng(81), 2, 2), 4)
+    assert t.index._reversals is None and t.index._rotation_pairs is None
+    check_w_membership(t)
+    assert t.index._reversals is not None and t.index._rotation_pairs is not None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
