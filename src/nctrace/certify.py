@@ -390,13 +390,22 @@ def witness_search(
 def _mix_anchor(x, low, constraints, nvars: int, d: int, R: float) -> np.ndarray:
     """Move x, feasible but for eigenvalue ``low < 0``, just onto the PSD cone.
 
-    The anchor A is the class-projected :func:`_tracial_anchor`, so it
-    satisfies every constraint.  With delta = lambda_min(A) > 0 the mix
-    (1-t)x + tA, t = -low / (delta - low), stays feasible and has smallest
-    eigenvalue at least zero, by concavity of lambda_min.  Raises
+    The anchor A is the class-projected moment matrix of the
+    :func:`_tracial_anchor` tuple scaled to norm R, so it satisfies every
+    constraint.  With delta = lambda_min(A) > 0 the mix (1-t)x + tA,
+    t = -low / (delta - low), stays feasible and has smallest eigenvalue at
+    least zero, by concavity of lambda_min.  Raises
     :class:`NoFeasiblePoint` if delta <= 0.
     """
-    A = project_affine(_tracial_anchor(nvars, d, R), constraints)
+    anchor = _tracial_anchor(nvars, d)
+    # Scaling the tuple by R scales entry (J, K) by R^(|J| + |K|); no trace
+    # of a tuple of norm R is taken, so none overflows.  The weight is
+    # symmetric in J and K, so the scaled Hermitian part stays exactly
+    # Hermitian, and at R = 1 it is what project_affine makes of the anchor.
+    scale = float(R) ** WordIndex(nvars, d).lengths
+    A = project_affine(
+        (anchor + anchor.conj().T) / 2 * np.multiply.outer(scale, scale), constraints
+    )
     delta = float(np.linalg.eigvalsh(A)[0])
     if not (delta > 0):
         raise NoFeasiblePoint(
@@ -408,16 +417,16 @@ def _mix_anchor(x, low, constraints, nvars: int, d: int, R: float) -> np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _tracial_anchor(nvars: int, d: int, R: float = 1.0) -> np.ndarray:
-    """Read-only half-degree d moment matrix of a fixed random tuple of norm R.
+def _tracial_anchor(nvars: int, d: int) -> np.ndarray:
+    """Read-only half-degree d moment matrix of a fixed random tuple of norm 1.
 
     Its entries are normalized traces: constant on cyclic classes, 1 at the
-    empty word, bounded by ``R**word_length``.  N x N matrices with N^2 >= 4m
+    empty word, bounded by 1 in magnitude.  N x N matrices with N^2 >= 4m
     for m basis words make it positive definite for a generic tuple.
     """
     m = len(words_up_to(nvars, d))
     size = max(4, int(np.ceil(2 * np.sqrt(m))))
-    X = random_tuple(make_rng(0), nvars, size, R)
+    X = random_tuple(make_rng(0), nvars, size)
     moments = moment_matrix(moment_sequence(X, 2 * d), d).entries
     moments.flags.writeable = False
     return moments

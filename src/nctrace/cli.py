@@ -23,10 +23,12 @@ errors and their messages read the same either way.
 The output bytes are exactly those of ``json.dumps(payload, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline.  The stdlib encodes an
 indented payload in pure Python, node by node, so :func:`_render` writes
-the same layout itself: the float arrays of a payload (moment values,
-operators, matrix tuples) are formatted in one pass with ``float.__repr__``,
-json's own float format, and nested one axis at a time through a fixed
-template.  The tests pin the bytes against the stdlib encoder.
+the same layout itself, with ``float.__repr__``, json's own float format.
+A float array (operators, matrix tuples) fills one nested template with
+one text per float.  A moment sequence costs one ``float.__repr__`` per
+distinct magnitude of its real and of its imaginary parts, the sign being
+read from the sign bit, plus one template fill for its whole entry list.
+The tests pin the bytes against the stdlib encoder.
 
 Polynomial files use the text grammar of :mod:`nctrace.parsing`; the
 variable count is inferred as the largest index appearing in the file, and
@@ -143,6 +145,8 @@ def _render(value, level: int) -> str:
         return _render_array(value, level)
     if isinstance(value, MomentSequence):
         return _render_theta(value, level)
+    if isinstance(value, _Words):
+        return _wrap(_word_texts(value.n, value.D, level + 1), level)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -162,34 +166,67 @@ def _float_texts(a: np.ndarray) -> list:
     return list(map(float.__repr__, a.ravel().tolist()))
 
 
+def _signed_texts(part: np.ndarray) -> list:
+    """json's text of every float of a real vector, with one ``float.__repr__``
+    per distinct magnitude.
+
+    ``repr(-x)`` is ``"-" + repr(x)`` for every finite x, so each entry is
+    read from a two-row table, the magnitude's text or its negation by the
+    sign bit, which also tells -0.0 from 0.0.
+    """
+    if not np.isfinite(part).all():
+        raise ValueError("non-finite float in an array")
+    magnitudes, inverse = np.unique(np.abs(part), return_inverse=True)
+    texts = list(map(float.__repr__, magnitudes.tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return table[inverse + len(texts) * np.signbit(part)].tolist()
+
+
 def _render_array(a: np.ndarray, level: int) -> str:
-    """A float array as nested json lists, filled one axis at a time,
-    innermost first, each through one template for its length."""
+    """A float array as nested json lists through one template, built
+    innermost axis first and filled once."""
     if not a.size:
         return _render(a.tolist(), level)
-    texts = _float_texts(a)
+    template = "%s"
     for axis in range(a.ndim - 1, -1, -1):
-        template = _wrap(["%s"] * a.shape[axis], level + axis)
-        texts = [template % chunk for chunk in zip(*[iter(texts)] * a.shape[axis])]
-    return texts[0]
+        template = _wrap([template] * a.shape[axis], level + axis)
+    return template % tuple(_float_texts(a))
+
+
+def _word_texts(n: int, D: int, level: int) -> list:
+    """The words of ``words_up_to(n, D)`` as json lists of their letters
+    ``level`` containers deep; each word's text is built from its prefix's."""
+    letters = [str(j) for j in range(1, n + 1)]
+    close = "\n" + _INDENT * level + "]"
+    texts, opened, glue = ["[]"], ["[\n" + _INDENT * (level + 1)], ""
+    for _ in range(D):
+        opened = [w + glue + c for w in opened for c in letters]
+        texts += [w + close for w in opened]
+        glue = ",\n" + _INDENT * (level + 1)
+    return texts
+
+
+class _Words:
+    """The words of ``words_up_to(n, D)``, written as a list of letter lists."""
+
+    __slots__ = ("n", "D")
+
+    def __init__(self, n: int, D: int):
+        self.n = n
+        self.D = D
 
 
 def _render_theta(theta: MomentSequence, level: int) -> str:
     """The ``{"word", "re", "im"}`` entries of a sequence, in ``words_up_to``
-    order; the word texts are built one length at a time, each from its
-    prefix's."""
+    order, as one template filled once with the interleaved texts."""
+    words = _word_texts(theta.n, theta.max_degree, level + 2)
     entry = _wrap(['"im": %s', '"re": %s', '"word": %s'], level + 1, "{}")
-    word = _wrap(["%s"], level + 2)
-    letters = [str(j) for j in range(1, theta.n + 1)]
-    sep = ",\n" + _INDENT * (level + 3)
-    words, inner = ["[]"], letters
-    for length in range(1, theta.max_degree + 1):
-        if length > 1:
-            inner = [w + sep + c for w in inner for c in letters]
-        words += map(word.__mod__, inner)
     values = theta.as_array()
-    rows = zip(_float_texts(values.imag), _float_texts(values.real), words)
-    return _wrap(list(map(entry.__mod__, rows)), level)
+    texts = [None] * (3 * len(words))
+    texts[0::3] = _signed_texts(values.imag)
+    texts[1::3] = _signed_texts(values.real)
+    texts[2::3] = words
+    return _wrap([entry] * len(words), level) % tuple(texts)
 
 
 def _load_poly(path: str) -> NCPoly:
@@ -295,7 +332,9 @@ def _model_json(model: GnsModel, checks: dict) -> dict:
     return {
         "degree": model.degree,
         "rank": model.rank,
-        "basis": [list(w) for w in model.basis],
+        # gns_build's basis is words_up_to(n, degree), with one operator per
+        # variable.
+        "basis": _Words(len(model.operators), model.degree),
         "operators": real_pairs(np.stack(model.operators)),
         "vacuum": real_pairs(model.vacuum),
         "diagnostics": {

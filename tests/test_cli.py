@@ -6,13 +6,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from nctrace import certify, cli
-from nctrace.algebra import NCPoly
-from nctrace.certify import Falsification, falsify
+from nctrace.algebra import NCPoly, words_up_to
+from nctrace.certify import Falsification, dual_witness, falsify
 from nctrace.cli import main
 from nctrace.gns import gns_build, norm_bound_check, verify_moments, verify_trace_property
 from nctrace.moments import (
@@ -301,6 +302,34 @@ def test_huge_radius_exits_one_naming_it(command, text, radius, message, poly_fi
     assert captured.err == f"nctrace: radius R = {float(radius)} is too large: {message}\n"
 
 
+def test_witness_radius_past_the_anchor_exits_one_without_warnings(poly_file, capsys):
+    # R^4 = 1e308 is finite, so the radius passes its check, and the solve
+    # needs its anchor.  No trace of a tuple of norm R is taken, so nothing
+    # overflows; the scaled anchor's least eigenvalue is below eigvalsh's
+    # resolution at this R, and the search ends in one line on stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["witness", poly_file(NEGATED), "--radius", "1e77"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("nctrace: solver failed: ")
+    assert captured.err.count("\n") == 1 and "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("radius", ["3", "100"])
+def test_witness_at_large_radius_uses_the_scaled_anchor(radius, poly_file, capsys):
+    # At R = 100 the anchor's traces, taken of a tuple of norm R, were not
+    # Hermitian to the absolute tolerance and the search exited 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = run_cli(["witness", poly_file(NEGATED), "--radius", radius], capsys)
+    R = float(radius)
+    assert code == 2 and data["R"] == R
+    # The optimum of the negated halved commutator square in the box of
+    # radius R is -2 R^4.
+    assert data["value"] == pytest.approx(-2 * R**4, rel=1e-6)
+
+
 def test_gns_check_huge_radius_exits_one_naming_it(pauli_json, tmp_path, capsys):
     code = main(["gns-check", pauli_json, "--radius", "1e100"])
     captured = capsys.readouterr()
@@ -573,6 +602,8 @@ def _plain(value):
         return value.tolist()
     if isinstance(value, MomentSequence):
         return reference_theta_json(value)
+    if isinstance(value, cli._Words):
+        return [list(w) for w in words_up_to(value.n, value.D)]
     return value
 
 
@@ -670,6 +701,24 @@ EDGE_PAYLOADS = {
         "cube": np.arange(24.0).reshape(2, 3, 4) / 7,
     },
     "degree-0 theta": {"theta": MomentSequence(2, 0, {(): 1.0})},
+    # Magnitudes repeated with both signs, signed zeros in both parts, a
+    # subnormal, and both sides of repr's exponent boundaries 1e-05 and 1e+16.
+    "signed theta": {
+        "theta": MomentSequence.from_array(
+            2,
+            3,
+            [
+                1.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                complex(1e-05, -1e-05), complex(-9.999999999999999e-06, 1e16),
+                complex(1e16, -9999999999999998.0), complex(5e-324, -5e-324),
+                complex(-0.1, 0.1), complex(0.1, -0.1), complex(-1.0, 1.0),
+                complex(1.0, 1e-05), complex(-2.5, 1.7976931348623157e308),
+                complex(0.0001, -0.0001), complex(-1e-05, 1e16),
+            ],
+        )
+    },
+    "class-constant theta d=2": {"theta": dual_witness(parse_poly(NEGATED, 2), d=2).theta},
+    "class-constant theta d=3": {"theta": dual_witness(parse_poly(NEGATED, 2), d=3).theta},
     "n=1 theta": {"values": moment_sequence([np.array([[0.5, 1j], [-1j, -0.25]])], 6)},
     "n=1 N=1 tuple": {
         "matrices": cli._matrix_tuple_json(as_matrix_tuple([np.array([[-0.0]])]))
@@ -696,6 +745,8 @@ def test_emit_refuses_non_finite_array_leaf(bad, tmp_path, capsys):
         cli._emit({"ok": [1.0], "matrices": leaf}, str(out))
     with pytest.raises(cli.InputError, match="result is not finite, not written"):
         cli._emit({"value": float(bad)}, None)
+    with pytest.raises(ValueError, match="non-finite float"):
+        cli._signed_texts(np.array([0.0, -1.0, bad]))
     assert not out.exists()
     assert capsys.readouterr().out == ""
 
