@@ -46,6 +46,7 @@ from .algebra import (
     words_up_to,
 )
 from .moments import (
+    MAX_MOMENT_SIZE,
     MomentSequence,
     WordIndex,
     as_matrix_tuple,
@@ -560,7 +561,11 @@ def falsify(
     traces differ by rounding only, far inside the screen's slack, so the
     returned index, tuple and trace are those of the trial-by-trial search.
 
-    A radius at which the traces could overflow is refused before any
+    A size N whose chunk of products would be too large is refused before
+    anything is allocated: a chunk holds the products of up to
+    ``moment_size(n, ceil(deg p / 2), N)`` entries per trial, and
+    ``FALSIFY_CHUNK`` times that may not exceed ``MAX_MOMENT_SIZE``.  A
+    radius at which the traces could overflow is refused before any
     draw: R^deg(p) must be finite, and so must N times the larger of it
     and ``||p||_R``, which bound every partial sum of an unnormalized
     trace on a tuple of norm R.
@@ -570,6 +575,13 @@ def falsify(
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if not (N >= 1):
         raise ValueError(f"matrix size N must be at least 1, got {N}")
+    half = -(-p.degree() // 2)
+    if FALSIFY_CHUNK * moment_size(p.nvars, half, N) > MAX_MOMENT_SIZE:
+        raise ValueError(
+            f"matrix size N = {N} too large: {FALSIFY_CHUNK} tuples of products "
+            f"up to degree {half} in {p.nvars} variables exceed the size limit "
+            f"{MAX_MOMENT_SIZE} (word count times N^2 + degree, per tuple)"
+        )
     check_radius(R, p.degree())
     norm = p.r_norm(R)
     if not (N * max(norm, float(R) ** p.degree()) < np.inf):

@@ -14,6 +14,13 @@ negative finding (infeasible, witness found, falsified, checks failed),
 1 for usage or input errors.  Output is JSON on stdout (or ``--out``);
 identical invocations produce byte-identical output.
 
+Each command handler returns its payload and exit code and catches no
+library error.  :func:`main` alone writes the payload and maps errors to
+exit code 1: a stalled or failed solve prints ``nctrace: solver failed:
+<msg>``, any other ValueError (input errors included) ``nctrace: <msg>``,
+and nothing is written to stdout or ``--out``.  Any other exception
+propagates.
+
 The commands, their inputs and their options come from one table
 (:func:`_commands`).  A run that names its command first builds the
 top-level parser and that command's subparser only; the full tree is built
@@ -30,9 +37,7 @@ distinct magnitude of its real and of its imaginary parts, the sign being
 read from the sign bit, plus one template fill for its whole entry list.
 The tests pin the bytes against the stdlib encoder.
 
-Polynomial files use the text grammar of :mod:`nctrace.parsing`; the
-variable count is inferred as the largest index appearing in the file, and
-is at least 1.
+Polynomial files are read by :func:`nctrace.parsing.load_poly_file`.
 Matrix tuples are JSON objects ``{"n": ..., "N": ..., "matrices": [...]}``
 with each matrix a row-major N x N array of ``[re, im]`` pairs.
 """
@@ -41,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 import numpy as np
@@ -71,11 +75,11 @@ from .moments import (
     moment_sequence,
     real_pairs,
 )
-from .parsing import MAX_DIGITS, PolyParseError, format_poly, parse_poly, strip_comments
-from .sdp import InconsistentConstraints, NoFeasiblePoint
+from .parsing import PolyParseError, format_poly, load_poly_file
+from .sdp import NoFeasiblePoint
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad file, bad JSON, bad polynomial: exit code 1 territory."""
 
 
@@ -94,8 +98,11 @@ def _emit(payload: dict, out_path: str | None) -> None:
     except ValueError as exc:
         raise InputError(f"result is not finite, not written: {exc}") from exc
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -231,16 +238,9 @@ def _render_theta(theta: MomentSequence, level: int) -> str:
 
 def _load_poly(path: str) -> NCPoly:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = strip_comments(fh.read())
-    except OSError as exc:
+        return load_poly_file(path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    # At least one variable, so a lone Y0 is a parse error at its offset; an
-    # index too long to read is left for the parser to refuse at its offset.
-    indices = re.findall(r"Y(\d+)", text)
-    nvars = max([1, *(int(i) for i in indices if len(i) <= MAX_DIGITS)])
-    try:
-        return parse_poly(text, nvars)
     except PolyParseError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -248,11 +248,14 @@ def _load_poly(path: str) -> NCPoly:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, found {type(data).__name__}")
+    return data
 
 
 def _matrix_tuple_from_json(data: dict, path: str) -> MatrixTuple:
@@ -261,6 +264,8 @@ def _matrix_tuple_from_json(data: dict, path: str) -> MatrixTuple:
             raise InputError(f"{path}: missing key {key!r}")
     n, size = data["n"], data["N"]
     mats = data["matrices"]
+    if not isinstance(mats, list):
+        raise InputError(f"{path}: 'matrices' must be a list")
     if len(mats) != n:
         raise InputError(f"{path}: expected {n} matrices, found {len(mats)}")
     arrays = []
@@ -294,18 +299,20 @@ def _theta_from_json(data: dict, path: str) -> MomentSequence:
     values = {}
     nvars = 1
     degree = 0
-    for item in entries:
+    for k, item in enumerate(entries):
         try:
             word = tuple(int(x) for x in item["word"])
             values[word] = complex(item["re"], item["im"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path}: malformed theta entry: {exc}") from exc
+        if min(word, default=1) < 1:
+            raise InputError(f"{path}: theta entry {k} has a letter below 1: {list(word)}")
         nvars = max(nvars, max(word, default=1))
         degree = max(degree, len(word))
     declared = data.get("degree", degree)
     try:
         return MomentSequence(nvars, int(declared), values)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -349,98 +356,55 @@ def _model_json(model: GnsModel, checks: dict) -> dict:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_certify(args) -> int:
-    p = _load_poly(args.polyfile)
-    try:
-        result = certify_sos(p, d=args.degree, tol=args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    except (SolverStalled, InconsistentConstraints, NoFeasiblePoint) as exc:
-        raise InputError(f"solver failed: {exc}") from exc
+def cmd_certify(args) -> tuple:
+    result = certify_sos(_load_poly(args.polyfile), d=args.degree, tol=args.tol)
     if isinstance(result, Certificate):
-        _emit(_certificate_json(result), args.out)
-        return 0
-    _emit(
-        {
-            "status": result.status,
-            "degree": result.degree,
-            "gap": result.gap,
-            "iterations": result.iterations,
-        },
-        args.out,
-    )
-    return 2
+        return _certificate_json(result), 0
+    return {
+        "status": result.status,
+        "degree": result.degree,
+        "gap": result.gap,
+        "iterations": result.iterations,
+    }, 2
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple:
     p = _load_poly(args.polyfile)
-    try:
-        theta, value = witness_search(p, d=args.degree, R=args.radius, tol=args.tol)
-        witness = None
-        if value < -args.tol:
-            witness = checked_witness(theta, value, args.radius, args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    except NoFeasiblePoint as exc:
-        raise InputError(f"solver failed: {exc}") from exc
-    if witness is not None:
-        _emit(_witness_json(witness.theta, witness.value, witness.radius), args.out)
-        return 2
-    _emit(
-        {"witness_found": False, "optimum": value, "R": args.radius},
-        args.out,
-    )
-    return 0
+    theta, value = witness_search(p, d=args.degree, R=args.radius, tol=args.tol)
+    if value < -args.tol:
+        witness = checked_witness(theta, value, args.radius, args.tol)
+        return _witness_json(witness.theta, witness.value, witness.radius), 2
+    return {"witness_found": False, "optimum": value, "R": args.radius}, 0
 
 
-def cmd_falsify(args) -> int:
+def cmd_falsify(args) -> tuple:
     p = _load_poly(args.polyfile)
-    try:
-        result = falsify(
-            p, trials=args.trials, N=args.size, R=args.radius, seed=args.seed
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = falsify(p, trials=args.trials, N=args.size, R=args.radius, seed=args.seed)
     if result is None:
-        _emit(
-            {"falsified": False, "trials": args.trials, "size": args.size},
-            args.out,
-        )
-        return 0
-    _emit(
-        {
-            "falsified": True,
-            "trace": result.trace,
-            "source": result.source,
-            "index": result.index,
-            "tuple": _matrix_tuple_json(result.tuple),
-        },
-        args.out,
-    )
-    return 2
+        return {"falsified": False, "trials": args.trials, "size": args.size}, 0
+    return {
+        "falsified": True,
+        "trace": result.trace,
+        "source": result.source,
+        "index": result.index,
+        "tuple": _matrix_tuple_json(result.tuple),
+    }, 2
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> tuple:
     X = _matrix_tuple_from_json(_load_json(args.matrixfile), args.matrixfile)
-    try:
-        theta = moment_sequence(X, args.degree)
-        report = check_w_membership(theta, tol=args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(
-        {
-            "n": X.n,
-            "N": X.N,
-            "degree": args.degree,
-            "values": theta,
-            "membership": report.as_dict(),
-        },
-        args.out,
-    )
-    return 0 if report.passed else 2
+    theta = moment_sequence(X, args.degree)
+    report = check_w_membership(theta, tol=args.tol)
+    return {
+        "n": X.n,
+        "N": X.N,
+        "degree": args.degree,
+        "values": theta,
+        "membership": report.as_dict(),
+    }, 0 if report.passed else 2
 
 
-def cmd_gns_check(args) -> int:
+def cmd_gns_check(args) -> tuple:
     data = _load_json(args.inputfile)
     if "matrices" in data:
         X = _matrix_tuple_from_json(data, args.inputfile)
@@ -459,20 +423,13 @@ def cmd_gns_check(args) -> int:
     # The norm bound compares the even moments up to the sequence's degree
     # with powers of R.
     degree = 2 * d if theta is None else theta.max_degree
-    try:
-        check_radius(args.radius, 2 * (degree // 2))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    check_radius(args.radius, 2 * (degree // 2))
     if theta is None:
-        try:
-            theta = moment_sequence(X, 2 * d)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        theta = moment_sequence(X, 2 * d)
     try:
         model = gns_build(theta, d)
     except ValueError as exc:
-        _emit({"status": "rejected", "reason": str(exc)}, args.out)
-        return 2
+        return {"status": "rejected", "reason": str(exc)}, 2
     moment_error = verify_moments(model, theta, d)
     trace_error = verify_trace_property(model, theta, 2 * d)
     bound = norm_bound_check(model, theta, args.radius)
@@ -481,18 +438,11 @@ def cmd_gns_check(args) -> int:
         "trace_error": trace_error,
         "norm_bound": bound.as_dict(),
     }
-    _emit(_model_json(model, checks), args.out)
-    return 0 if moment_error <= 1e-8 and trace_error <= 1e-8 else 2
+    return _model_json(model, checks), 0 if moment_error <= 1e-8 and trace_error <= 1e-8 else 2
 
 
-def cmd_norm(args) -> int:
-    p = _load_poly(args.polyfile)
-    try:
-        value = p.r_norm(args.radius)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit({"radius": args.radius, "norm": value}, args.out)
-    return 0
+def cmd_norm(args) -> tuple:
+    return {"radius": args.radius, "norm": _load_poly(args.polyfile).r_norm(args.radius)}, 0
 
 
 # Options by name, as argparse keyword arguments.
@@ -514,6 +464,8 @@ _OPTIONS = {
 def _commands() -> dict:
     """The command table: name -> (handler, help, input, options).
 
+    A handler takes the parsed arguments and returns ``(payload, exit
+    code)``; :func:`main` writes the payload and maps errors to exit 1.
     ``input`` is the positional argument's (name, help).  ``options`` are
     names in ``_OPTIONS``, in order, or (name, overrides) where a command
     words one differently; every command ends with ``--out``.  The table is
@@ -587,10 +539,15 @@ def main(argv=None) -> int:
     only = argv[0] if argv and argv[0] in commands else None
     args = _build_parser(commands, only).parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        payload, code = args.func(args)
+        _emit(payload, args.out)
+    except (SolverStalled, NoFeasiblePoint) as exc:
+        print(f"nctrace: solver failed: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"nctrace: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -313,7 +313,10 @@ def moment_size(n: int, D: int, N: int = 1) -> int:
 
 
 def check_moment_size(n: int, D: int, N: int = 1) -> None:
-    """Raise ValueError when :func:`moment_size` exceeds MAX_MOMENT_SIZE."""
+    """Raise ValueError when D is negative or :func:`moment_size` exceeds
+    MAX_MOMENT_SIZE."""
+    if D < 0:
+        raise ValueError(f"degree must be nonnegative, got {D}")
     if moment_size(n, D, N) > MAX_MOMENT_SIZE:
         raise ValueError(
             f"moment sequence too large: degree {D} in {n} variables with "
@@ -354,8 +357,6 @@ def moment_sequence(X, D: int) -> MomentSequence:
     :data:`MAX_MOMENT_SIZE` are refused before anything is allocated.
     """
     X = as_matrix_tuple(X)
-    if D < 0:
-        raise ValueError(f"degree must be nonnegative, got {D}")
     check_moment_size(X.n, D, X.N)
     mats = np.stack(X.matrices)
     level = np.eye(X.N, dtype=complex)[None]

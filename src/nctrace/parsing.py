@@ -20,7 +20,8 @@ real.  Examples::
     2*1 + Y2
 
 This grammar is also the on-disk polynomial file format: one polynomial
-per file, with lines starting with '#' treated as comments.
+per file, with lines starting with '#' treated as comments, read by
+:func:`load_poly_file`.
 
 :func:`parse_poly` reads each term, with its sign and the whitespace around
 it, as one match of a compiled pattern, and each factor of its word as one
@@ -242,7 +243,19 @@ def strip_comments(text: str) -> str:
     return "\n".join(kept)
 
 
-def load_poly_file(path, nvars: int) -> NCPoly:
-    """Read one polynomial from a file in the grammar above."""
+def load_poly_file(path, nvars: int | None = None) -> NCPoly:
+    """Read one polynomial from a UTF-8 file in the grammar above.
+
+    Without ``nvars`` the variable count is the largest index in the file,
+    and at least 1, so a lone ``Y0`` is refused at its offset as any index
+    outside 1..nvars is; an index longer than ``MAX_DIGITS`` digits is left
+    for the parser to refuse at its offset.  Raises OSError or
+    UnicodeDecodeError when the file cannot be read, and
+    :class:`PolyParseError` when its text does not parse.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_poly(strip_comments(fh.read()), nvars)
+        text = strip_comments(fh.read())
+    if nvars is None:
+        indices = re.findall(r"Y(\d+)", text)
+        nvars = max([1, *(int(i) for i in indices if len(i) <= MAX_DIGITS)])
+    return parse_poly(text, nvars)

@@ -737,6 +737,21 @@ def test_falsify_refuses_a_radius_whose_traces_overflow(R, reason, monkeypatch):
     assert falsify(commutator_square_poly(), trials=0, N=4, R=1e76) is None
 
 
+@pytest.mark.parametrize(
+    "p,largest",
+    [(commutator_square_poly(), 136), (NCPoly(3, {(1, 2, 3, 3, 2, 1): 1.0}), 57)],
+)
+def test_falsify_size_limit_edges(p, largest, monkeypatch):
+    # FALSIFY_CHUNK tuples of the products of every word up to ceil(deg p / 2),
+    # word count times N^2 + that degree each, against MAX_MOMENT_SIZE:
+    # N <= 136 at (n, deg p) = (2, 4) and N <= 57 at (3, 6).
+    monkeypatch.setattr(certify, "structured_library", lambda nvars, N: [])
+    assert falsify(p, trials=0, N=largest) is None
+    for N in (largest + 1, 10**6, 10**18):
+        with pytest.raises(ValueError, match=re.escape(f"matrix size N = {N} too large")):
+            falsify(p, trials=0, N=N)
+
+
 # -- the batched falsify screen -----------------------------------------------
 
 

@@ -7,13 +7,14 @@ import sys
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nctrace import certify, cli
 from nctrace.algebra import NCPoly, words_up_to
-from nctrace.certify import Falsification, dual_witness, falsify
+from nctrace.certify import Falsification, SolverStalled, dual_witness, falsify
 from nctrace.cli import main
 from nctrace.gns import gns_build, norm_bound_check, verify_moments, verify_trace_property
 from nctrace.moments import (
@@ -906,6 +907,26 @@ def test_oversized_gram_degree_exits_one_without_allocating(command, degree, pol
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("size", ["137", "1000000", str(10**18)])
+def test_oversized_falsify_size_exits_one_without_allocating(size, poly_file, capsys):
+    # At (n, deg p) = (2, 4) the size limit admits N <= 136.
+    src = poly_file(COMMUTATOR)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["falsify", src, "--size", size])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"nctrace: matrix size N = {size} too large")
+    assert elapsed < 0.5
+    assert peak < 1_000_000
+
+
 def test_oversized_declared_theta_degree_exits_one(tmp_path, capsys):
     path = tmp_path / "huge_witness.json"
     path.write_text(json.dumps({"degree": 10**6, "theta": [{"word": [2], "re": 0.0, "im": 0.0}]}))
@@ -981,3 +1002,110 @@ def test_named_command_parses_as_the_full_parser(command):
     table = cli._commands()
     lean = vars(cli._build_parser(table, command).parse_args(argv))
     assert lean == full
+
+
+# -- the exit-code boundary in main ---------------------------------------------
+
+# Per command: the owner and name of a library call its handler makes, and
+# the arguments after the command name.
+LIBRARY_CALLS = {
+    "certify": (cli, "certify_sos", "poly"),
+    "witness": (cli, "witness_search", "poly"),
+    "falsify": (cli, "falsify", "poly"),
+    "moments": (cli, "moment_sequence", "tuple"),
+    "gns-check": (cli, "moment_sequence", "tuple"),
+    "norm": (NCPoly, "r_norm", "poly"),
+}
+
+
+def _raising(exc):
+    def call(*args, **kwargs):
+        raise exc
+
+    return call
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "exc,line",
+    [
+        (ValueError("out of domain"), "nctrace: out of domain\n"),
+        (NoFeasiblePoint("no point"), "nctrace: solver failed: no point\n"),
+        (
+            SolverStalled(SimpleNamespace(iterations=7, gap=0.5)),
+            "nctrace: solver failed: solver undecided after 7 iterations (gap 5.000e-01)\n",
+        ),
+    ],
+    ids=["ValueError", "NoFeasiblePoint", "SolverStalled"],
+)
+def test_library_errors_exit_one_with_one_line(
+    command, exc, line, poly_file, pauli_json, tmp_path, monkeypatch, capsys
+):
+    owner, name, kind = LIBRARY_CALLS[command]
+    monkeypatch.setattr(owner, name, _raising(exc))
+    src = poly_file(COMMUTATOR) if kind == "poly" else pauli_json
+    out = tmp_path / "out.json"
+    degree = ["--degree", "2"] if kind == "tuple" else []
+    code = main([command, src, *degree, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == line
+    assert not out.exists()
+
+
+def test_other_library_errors_propagate(poly_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "certify_sos", _raising(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        main(["certify", poly_file(COMMUTATOR)])
+    assert capsys.readouterr().out == ""
+
+
+def _theta_bytes(*extra, degree=2) -> bytes:
+    """A valid degree-2 sequence in one variable, with extra entries."""
+    entries = [{"word": w, "re": v, "im": 0.0} for w, v in [([], 1.0), ([1], 0.0), ([1, 1], 1.0)]]
+    entries += [{"word": w, "re": 0.0, "im": 0.0} for w in extra]
+    return json.dumps({"degree": degree, "theta": entries}).encode()
+
+
+# command, file bytes, further arguments, and the message after "nctrace: ";
+# {path} is the input file, {out} an --out path in a missing directory.
+MALFORMED_INPUTS = {
+    "unwritable-out": ("certify", COMMUTATOR.encode(), ["--out", "{out}"], "cannot write {out}: "),
+    "non-utf8-poly": ("certify", b"\xff\xfeY1^2\n", [], "cannot read {path}: 'utf-8' codec"),
+    "non-utf8-json": ("moments", b"\xff\xfe{}", ["--degree", "2"], "cannot read {path}: 'utf-8' codec"),
+    "number-moments": ("moments", b"5", ["--degree", "2"], "{path}: expected a JSON object, found int"),
+    "number-gns": ("gns-check", b"5", [], "{path}: expected a JSON object, found int"),
+    "list-gns": ("gns-check", b"[]", [], "{path}: expected a JSON object, found list"),
+    "matrices-number": (
+        "moments", b'{"n": 1, "N": 1, "matrices": 5}', ["--degree", "2"],
+        "{path}: 'matrices' must be a list",
+    ),
+    "theta-degree-negative": (
+        "gns-check", _theta_bytes(degree=-3), [], "{path}: degree must be nonnegative, got -3"
+    ),
+    "theta-degree-null": ("gns-check", _theta_bytes(degree=None), [], "{path}: int() argument"),
+    "theta-letter-zero": (
+        "gns-check", _theta_bytes([0]), [], "{path}: theta entry 3 has a letter below 1: [0]"
+    ),
+    "theta-letter-negative": (
+        "gns-check", _theta_bytes([1], [1, -1]), [],
+        "{path}: theta entry 4 has a letter below 1: [1, -1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_INPUTS))
+def test_malformed_inputs_exit_one_without_traceback(name, tmp_path, capsys):
+    command, content, extra, message = MALFORMED_INPUTS[name]
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    out = tmp_path / "missing" / "x.json"
+    code = main([command, str(path), *(a.format(out=out) for a in extra)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("nctrace: " + message.format(path=path, out=out))
+    assert not out.parent.exists()

@@ -383,6 +383,21 @@ def test_oversized_sequences_are_refused_before_allocating(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MomentSequence(1, -1, {}),
+        lambda: MomentSequence(2, -3, {(): 1.0}),
+        lambda: MomentSequence.from_array(1, -3, []),
+        lambda: MomentSequence.from_array(1, 1, [1.0, 0.0]).restricted(-2),
+        lambda: moment_sequence(pauli_pair(), -1),
+    ],
+)
+def test_negative_degrees_are_refused(build):
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -"):
+        build()
+
+
 def test_largest_single_variable_sequence_is_allowed():
     assert len(moment_sequence([np.eye(1)], 2895).values) == 2896
 

@@ -139,6 +139,39 @@ def test_comment_stripping_and_file_loading(tmp_path):
     assert load_poly_file(path, 2) == NCPoly(2, {(1, 1, 2, 2): 1.0, (1, 2, 1, 2): -1.0})
 
 
+@pytest.mark.parametrize(
+    "text,nvars",
+    [
+        ("Y1^2", 1),
+        ("# Y9 in a comment is not counted\nY1 Y3 + Y3 Y1", 3),
+        ("2*1", 1),
+        ("Y2^2 + " + "0" * 30 + "7*Y1", 2),
+    ],
+    ids=["one", "comment", "constant", "long-coefficient"],
+)
+def test_load_poly_file_infers_the_variable_count(text, nvars, tmp_path):
+    path = tmp_path / "poly.txt"
+    path.write_text(text)
+    assert load_poly_file(path) == parse_poly(strip_comments(text), nvars)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# only Y0\nY0^2\n", "index 0 outside 1..1 at offset 0"),
+        ("Y" + "1" * 5000, "index longer than 18 digits at offset 1"),
+        ("# big\nY1 Y" + "2" * 4400 + " + Y2", "index longer than 18 digits at offset 4"),
+    ],
+    ids=["lone-Y0", "5000-digit-index", "4400-digit-index-after-a-comment"],
+)
+def test_load_poly_file_refuses_indices_at_their_offset(text, message, tmp_path):
+    # At least one variable, and digit runs too long to read are not counted.
+    path = tmp_path / "poly.txt"
+    path.write_text(text)
+    with pytest.raises(PolyParseError, match=re.escape(message)):
+        load_poly_file(path)
+
+
 # -- the term pattern against the character-by-character reference ------------
 
 # The texts the tests above parse, valid or not.
