@@ -224,9 +224,6 @@ class Certificate:
     residual: NCPoly = field(repr=False)
     residual_l1: float = 0.0
 
-    def sos_poly(self) -> NCPoly:
-        return _sum_of_squares(self.factors, self.residual.nvars)
-
 
 def _sum_of_squares(factors, nvars: int) -> NCPoly:
     """The polynomial sum of b* b over the factors b, in one pass.
@@ -256,11 +253,11 @@ class InfeasibilityReport:
     separator: np.ndarray | None = field(default=None, repr=False)
 
 
-def extract_factors(G: np.ndarray, basis, nvars: int, rank_cutoff: float = RANK_CUTOFF):
+def extract_factors(G: np.ndarray, basis, nvars: int):
     """Spectral square factors of a Gram matrix over a word basis.
 
-    Eigenvalues below ``rank_cutoff`` times the largest are numerical dust
-    and are dropped rather than turned into spurious factors.
+    Eigenvalues at or below ``RANK_CUTOFF`` times the largest are numerical
+    dust and are dropped rather than turned into spurious factors.
     """
     G = (G + G.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(G)
@@ -270,7 +267,7 @@ def extract_factors(G: np.ndarray, basis, nvars: int, rank_cutoff: float = RANK_
         return factors
     for s in range(len(eigvals) - 1, -1, -1):
         lam = float(eigvals[s])
-        if lam <= rank_cutoff * top:
+        if lam <= RANK_CUTOFF * top:
             break
         weight = float(np.sqrt(lam))
         column = eigvecs[:, s].tolist()

@@ -39,7 +39,8 @@ The tests pin the bytes against the stdlib encoder.
 
 Polynomial files are read by :func:`nctrace.parsing.load_poly_file`.
 Matrix tuples are JSON objects ``{"n": ..., "N": ..., "matrices": [...]}``
-with each matrix a row-major N x N array of ``[re, im]`` pairs.
+with integers n, N >= 1 and each matrix a row-major N x N array of
+``[re, im]`` pairs of numbers.
 """
 
 from __future__ import annotations
@@ -251,18 +252,44 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json's decoder recurses once per nested array or object.
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object, found {type(data).__name__}")
     return data
 
 
+def _integer(value, what: str) -> int:
+    """An integral JSON number as an int.
+
+    Raises ValueError naming ``what`` for a bool or a fraction, and int()'s
+    own TypeError, ValueError or OverflowError for anything else.
+    """
+    number = int(value)
+    if isinstance(value, bool) or number != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
+def _complex(pair) -> complex:
+    """An ``[re, im]`` pair of JSON numbers (not bools) as a complex number;
+    OverflowError for an integer beyond the float range."""
+    if type(pair) is not list or len(pair) != 2 or not {*map(type, pair)} <= {int, float}:
+        raise ValueError("[re, im] must be a pair of numbers")
+    return complex(*pair)
+
+
 def _matrix_tuple_from_json(data: dict, path: str) -> MatrixTuple:
     for key in ("n", "N", "matrices"):
         if key not in data:
             raise InputError(f"{path}: missing key {key!r}")
-    n, size = data["n"], data["N"]
+    try:
+        n, size = _integer(data["n"], "'n'"), _integer(data["N"], "'N'")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    if min(n, size) < 1:
+        raise InputError(f"{path}: 'n' and 'N' must be at least 1, got {n} and {size}")
     mats = data["matrices"]
     if not isinstance(mats, list):
         raise InputError(f"{path}: 'matrices' must be a list")
@@ -271,10 +298,8 @@ def _matrix_tuple_from_json(data: dict, path: str) -> MatrixTuple:
     arrays = []
     for j, rows in enumerate(mats):
         try:
-            arr = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
-            )
-        except (TypeError, IndexError, ValueError) as exc:
+            arr = np.array([[_complex(c) for c in row] for row in rows], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{path}: matrix {j + 1} malformed: {exc}") from exc
         if arr.shape != (size, size):
             raise InputError(
@@ -293,27 +318,39 @@ def _matrix_tuple_json(X: MatrixTuple) -> dict:
 
 
 def _theta_from_json(data: dict, path: str) -> MomentSequence:
+    """The sequence of a witness file: one ``{"word", "re", "im"}`` entry
+    per word, in any order, up to ``degree`` (default: the longest word)."""
     entries = data.get("theta")
     if not isinstance(entries, list):
         raise InputError(f"{path}: missing or malformed 'theta' list")
-    values = {}
-    nvars = 1
-    degree = 0
+    values, repeat = {}, None
     for k, item in enumerate(entries):
         try:
-            word = tuple(int(x) for x in item["word"])
-            values[word] = complex(item["re"], item["im"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: malformed theta entry: {exc}") from exc
+            word = tuple(_integer(x, "a letter") for x in item["word"])
+            value = _complex([item["re"], item["im"]])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"{path}: theta entry {k} is malformed: {exc}") from exc
         if min(word, default=1) < 1:
             raise InputError(f"{path}: theta entry {k} has a letter below 1: {list(word)}")
-        nvars = max(nvars, max(word, default=1))
-        degree = max(degree, len(word))
-    declared = data.get("degree", degree)
+        if word in values and repeat is None:
+            repeat = f"theta entry {k} repeats the word {list(word)}"
+        values[word] = value
+    if repeat:
+        raise InputError(f"{path}: {repeat}")
+    # Words and entries correspond one to one, in file order.
+    k, longest = max(enumerate(values), key=lambda kw: len(kw[1]), default=(0, ()))
+    nvars = max((max(w) for w in values if w), default=1)
     try:
-        return MomentSequence(nvars, int(declared), values)
-    except (TypeError, ValueError) as exc:
+        degree = _integer(data.get("degree", len(longest)), "degree")
+        theta = MomentSequence(nvars, degree, values)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+    if len(longest) > theta.max_degree:
+        raise InputError(
+            f"{path}: theta entry {k} is on {list(longest)}, longer than the "
+            f"degree {theta.max_degree}"
+        )
+    return theta
 
 
 def _certificate_json(cert: Certificate) -> dict:
@@ -334,8 +371,9 @@ def _witness_json(theta: MomentSequence, value: float, radius: float) -> dict:
 
 
 def _model_json(model: GnsModel, checks: dict) -> dict:
-    """The fields of ``GnsModel.as_dict()``, with arrays for its matrices,
-    and the verification results under ``checks``."""
+    """The JSON of a GNS model, its one writer: degree, rank, basis words,
+    operators and vacuum as ``[re, im]`` arrays, the build diagnostics, and
+    the verification results under ``checks``."""
     return {
         "degree": model.degree,
         "rank": model.rank,

@@ -29,7 +29,7 @@ check compares whole levels through the sequence's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .moments import (
     check_radius,
     check_w_membership,
     moment_matrix,
-    real_pairs,
 )
 
 DEFAULT_RANK_TOL = 1e-8
@@ -61,32 +60,17 @@ class GnsModel:
     shift_residual: float
     hermiticity_defects: list = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "rank": self.rank,
-            "basis": [list(w) for w in self.basis],
-            "operators": real_pairs(np.stack(self.operators)).tolist(),
-            "vacuum": real_pairs(self.vacuum).tolist(),
-            "diagnostics": {
-                "reconstruction_error": self.reconstruction_error,
-                "shift_residual": self.shift_residual,
-                "hermiticity_defects": list(self.hermiticity_defects),
-            },
-        }
-
 
 def gns_build(
-    theta: MomentSequence,
-    d: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    membership_tol: float = MEMBERSHIP_GATE_TOL,
+    theta: MomentSequence, d: int, membership_tol: float = MEMBERSHIP_GATE_TOL
 ) -> GnsModel:
     """Quotient model of a moment sequence at truncation half-degree d.
 
-    Needs moments up to 2d.  Refuses sequences whose moment matrix is not
-    PSD at ``rank_tol`` or which fail the structural membership checks;
+    Needs moments up to 2d.  Refuses sequences which fail the structural
+    membership checks at ``membership_tol`` or whose moment matrix is not
+    PSD at ``DEFAULT_RANK_TOL`` relative to its largest eigenvalue;
     positivity is what makes the quotient an inner-product space.
+    Eigenvalues at or below that level are the null space quotiented away.
 
     Each operator is pinned by the shift on words of length < d (whose
     images stay inside the degree-d quotient), extended to the rest of the
@@ -112,11 +96,11 @@ def gns_build(
     entries = (M.entries + M.entries.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(entries)
     top = float(eigvals[-1]) if len(eigvals) else 0.0
-    if eigvals[0] < -rank_tol * max(top, 1.0):
+    if eigvals[0] < -DEFAULT_RANK_TOL * max(top, 1.0):
         raise ValueError(
             f"moment matrix is not PSD: min eigenvalue {eigvals[0]:.6e}"
         )
-    keep = eigvals > rank_tol * max(top, 0.0)
+    keep = eigvals > DEFAULT_RANK_TOL * max(top, 0.0)
     rank = int(np.count_nonzero(keep))
     if rank == 0:
         raise ValueError("moment matrix is numerically zero")
@@ -250,16 +234,7 @@ class NormBoundReport:
     operator_slack: float
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "radius": self.radius,
-            "worst_moment_excess": self.worst_moment_excess,
-            "worst_moment_word": list(self.worst_moment_word)
-            if self.worst_moment_word is not None
-            else None,
-            "operator_norms": list(self.operator_norms),
-            "operator_slack": self.operator_slack,
-        }
+        return asdict(self)
 
 
 def norm_bound_check(model: GnsModel, theta: MomentSequence, R: float) -> NormBoundReport:

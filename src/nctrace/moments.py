@@ -26,7 +26,7 @@ stacked ``matmul``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,12 +52,12 @@ class MatrixTuple:
     N: int
 
 
-def as_matrix_tuple(matrices, tol: float = HERMITIAN_INPUT_TOL) -> MatrixTuple:
+def as_matrix_tuple(matrices) -> MatrixTuple:
     """Validate Hermitianity and symmetrize I/O rounding away.
 
     Each matrix must be finite, at least 1 x 1, and equal its conjugate
-    transpose entrywise to ``tol``; inputs are then replaced by their
-    Hermitian parts so later arithmetic sees exactly Hermitian data.
+    transpose entrywise to ``HERMITIAN_INPUT_TOL``; inputs are then replaced
+    by their Hermitian parts so later arithmetic sees exactly Hermitian data.
     """
     if isinstance(matrices, MatrixTuple):
         return matrices
@@ -72,22 +72,22 @@ def as_matrix_tuple(matrices, tol: float = HERMITIAN_INPUT_TOL) -> MatrixTuple:
             raise ValueError(
                 f"matrix {j + 1} has shape {m.shape}, expected ({size}, {size})"
             )
-    out = hermitian_parts(np.stack(mats), tol)
+    out = hermitian_parts(np.stack(mats))
     return MatrixTuple(matrices=tuple(out), n=len(out), N=size)
 
 
-def hermitian_parts(stack: np.ndarray, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
+def hermitian_parts(stack: np.ndarray) -> np.ndarray:
     """Hermitian parts of a stack of tuples, shape ``(..., n, N, N)``.
 
     Raises :func:`as_matrix_tuple`'s errors, naming the matrix by its place
     in its tuple, for the first matrix in C order that is not finite or not
-    Hermitian to ``tol``.
+    Hermitian to ``HERMITIAN_INPUT_TOL``.
     """
     adjoint = stack.conj().swapaxes(-1, -2)
     # A non-finite entry makes its own difference NaN (inf - inf, or NaN),
     # so the defect catches it.
     defect = np.abs(stack - adjoint).max(axis=(-2, -1))
-    bad = ~(defect <= tol)
+    bad = ~(defect <= HERMITIAN_INPUT_TOL)
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
         j, worst = first[-1], defect[first]
@@ -385,21 +385,7 @@ class WMembershipReport:
         return self.cyclic_ok and self.conjugate_ok
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "cyclic_ok": self.cyclic_ok,
-            "conjugate_ok": self.conjugate_ok,
-            "max_cyclic_violation": self.max_cyclic_violation,
-            "max_conjugate_violation": self.max_conjugate_violation,
-            "worst_cyclic_word": list(self.worst_cyclic_word)
-            if self.worst_cyclic_word is not None
-            else None,
-            "worst_conjugate_word": list(self.worst_conjugate_word)
-            if self.worst_conjugate_word is not None
-            else None,
-            "growth_radius": self.growth_radius,
-            "tol": self.tol,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def check_w_membership(t: MomentSequence, tol: float = 1e-10) -> WMembershipReport:

@@ -383,6 +383,20 @@ def test_gns_check_matrix_input(pauli_json, capsys):
     assert data["checks"]["norm_bound"]["passed"] is True
 
 
+def test_gns_check_theta_entries_in_any_order(tmp_path, capsys):
+    theta = moment_sequence(pauli_pair(), 4)
+    entries = [
+        {"word": list(w), "re": v.real, "im": v.imag} for w, v in theta.values.items()
+    ]
+    outputs = []
+    for order in (entries, entries[::-1], entries[1::2] + entries[::2]):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"degree": 4, "theta": order}))
+        assert main(["gns-check", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_gns_check_witness_input(tmp_path, capsys):
     theta = moment_sequence(pauli_pair(), 4)
     payload = {
@@ -800,7 +814,6 @@ def test_gns_check_stdout_equals_reference_lists(n, N, d, tmp_path, capsys):
     theta = moment_sequence(mats, 2 * d)
     model = gns_build(theta, d)
     expected = reference_model_json(model)
-    assert model.as_dict() == expected
     expected["checks"] = {
         "moment_error": verify_moments(model, theta, d),
         "trace_error": verify_trace_property(model, theta, 2 * d),
@@ -1061,11 +1074,16 @@ def test_other_library_errors_propagate(poly_file, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-def _theta_bytes(*extra, degree=2) -> bytes:
+def _theta_bytes(*extra, degree=2, value=0.0) -> bytes:
     """A valid degree-2 sequence in one variable, with extra entries."""
     entries = [{"word": w, "re": v, "im": 0.0} for w, v in [([], 1.0), ([1], 0.0), ([1, 1], 1.0)]]
-    entries += [{"word": w, "re": 0.0, "im": 0.0} for w in extra]
+    entries += [{"word": w, "re": value, "im": 0.0} for w in extra]
     return json.dumps({"degree": degree, "theta": entries}).encode()
+
+
+def _tuple_bytes(n=1, N=1, entry=(1, 0)) -> bytes:
+    """A one-entry matrix tuple file with the given header and entry."""
+    return json.dumps({"n": n, "N": N, "matrices": [[[list(entry)]]]}).encode()
 
 
 # command, file bytes, further arguments, and the message after "nctrace: ";
@@ -1091,6 +1109,57 @@ MALFORMED_INPUTS = {
     "theta-letter-negative": (
         "gns-check", _theta_bytes([1], [1, -1]), [],
         "{path}: theta entry 4 has a letter below 1: [1, -1]",
+    ),
+    "theta-word-past-degree": (
+        "gns-check", _theta_bytes([1, 1, 1], value=5.0), [],
+        "{path}: theta entry 3 is on [1, 1, 1], longer than the degree 2",
+    ),
+    "theta-word-repeated": (
+        "gns-check", _theta_bytes([1, 1], value=7.0), [],
+        "{path}: theta entry 3 repeats the word [1, 1]",
+    ),
+    "theta-degree-fraction": (
+        "gns-check", _theta_bytes(degree=2.5), [], "{path}: degree must be an integer, got 2.5"
+    ),
+    "theta-letter-fraction": (
+        "gns-check", _theta_bytes([1.7]), [],
+        "{path}: theta entry 3 is malformed: a letter must be an integer, got 1.7",
+    ),
+    "theta-re-400-digits": (
+        "gns-check", _theta_bytes([1, 1, 1], degree=3, value=10**400), [],
+        "{path}: theta entry 3 is malformed: int too large to convert to float",
+    ),
+    "matrix-n-string": (
+        "moments", _tuple_bytes(n="1"), ["--degree", "2"],
+        "{path}: 'n' must be an integer, got '1'",
+    ),
+    "matrix-N-fraction": (
+        "moments", _tuple_bytes(N=1.5), ["--degree", "2"],
+        "{path}: 'N' must be an integer, got 1.5",
+    ),
+    "matrix-n-bool": (
+        "moments", _tuple_bytes(n=True), ["--degree", "2"],
+        "{path}: 'n' must be an integer, got True",
+    ),
+    "matrix-N-zero": (
+        "moments", _tuple_bytes(N=0), ["--degree", "2"],
+        "{path}: 'n' and 'N' must be at least 1, got 1 and 0",
+    ),
+    "matrix-entry-three-numbers": (
+        "moments", _tuple_bytes(entry=(1, 0, 5)), ["--degree", "2"],
+        "{path}: matrix 1 malformed: [re, im] must be a pair of numbers",
+    ),
+    "matrix-entry-bool": (
+        "moments", _tuple_bytes(entry=(True, 0)), ["--degree", "2"],
+        "{path}: matrix 1 malformed: [re, im] must be a pair of numbers",
+    ),
+    "matrix-entry-400-digits": (
+        "moments", _tuple_bytes(entry=(10**400, 0)), ["--degree", "2"],
+        "{path}: matrix 1 malformed: int too large to convert to float",
+    ),
+    "json-nested-100000-deep": (
+        "moments", b"[" * 100_000, ["--degree", "2"],
+        "{path}: invalid JSON: maximum recursion depth exceeded",
     ),
 }
 

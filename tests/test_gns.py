@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from nctrace.algebra import words_up_to
+from nctrace.cli import main
 from nctrace.gns import (
     GnsModel,
     _vacuum_values,
@@ -11,9 +15,21 @@ from nctrace.gns import (
     verify_moments,
     verify_trace_property,
 )
-from nctrace.moments import MomentSequence, moment_matrix, moment_sequence, psd_check
+from nctrace.moments import (
+    MomentSequence,
+    as_matrix_tuple,
+    moment_matrix,
+    moment_sequence,
+    psd_check,
+)
 
-from helpers import make_rng, pauli_pair, random_hermitian_tuple, reference_vacuum_values
+from helpers import (
+    make_rng,
+    pauli_pair,
+    random_hermitian_tuple,
+    reference_matrix_tuple_json,
+    reference_vacuum_values,
+)
 
 
 def test_scalar_model():
@@ -176,20 +192,35 @@ def test_norm_bound_check_random_with_true_radius():
     assert report.passed
 
 
-def test_model_export_shape():
-    t = moment_sequence(pauli_pair(), 4)
-    m = gns_build(t, 2)
-    data = m.as_dict()
+def test_model_export_shape(tmp_path, capsys):
+    path = tmp_path / "pauli.json"
+    path.write_text(json.dumps(reference_matrix_tuple_json(as_matrix_tuple(pauli_pair()))))
+    assert main(["gns-check", str(path), "--degree", "2"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["rank"] == 4
     assert len(data["basis"]) == 7
     assert len(data["operators"]) == 2
     assert len(data["operators"][0]) == 4
     assert len(data["operators"][0][0]) == 4
     assert len(data["operators"][0][0][0]) == 2
+    assert len(data["vacuum"]) == 4
+    assert len(data["vacuum"][0]) == 2
     assert set(data["diagnostics"]) == {
         "reconstruction_error",
         "shift_residual",
         "hermiticity_defects",
+    }
+
+
+def test_norm_bound_report_as_dict_is_its_fields():
+    t = moment_sequence(pauli_pair(), 4)
+    report = norm_bound_check(gns_build(t, 2), t, 0.5)
+    assert not report.passed and report.worst_moment_word is not None
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    assert report.as_dict() == fields
+    assert set(report.as_dict()) == {
+        "passed", "radius", "worst_moment_excess", "worst_moment_word",
+        "operator_norms", "operator_slack",
     }
 
 

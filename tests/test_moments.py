@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -281,6 +282,20 @@ def test_membership_report_is_plain_json():
     for name in ("max_cyclic_violation", "max_conjugate_violation", "growth_radius"):
         assert type(getattr(report, name)) is float
     json.dumps(report.as_dict(), allow_nan=False)
+
+
+def test_membership_report_as_dict_is_its_fields_and_passed():
+    broken = dict(moment_sequence(pauli_pair(), 2).values)
+    broken[(1, 2)] += 0.5
+    report = check_w_membership(MomentSequence(2, 2, broken))
+    assert not report.passed and report.worst_cyclic_word is not None
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    assert report.as_dict() == {**fields, "passed": False}
+    assert set(report.as_dict()) == {
+        "passed", "cyclic_ok", "conjugate_ok", "max_cyclic_violation",
+        "max_conjugate_violation", "worst_cyclic_word", "worst_conjugate_word",
+        "growth_radius", "tol",
+    }
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0])
