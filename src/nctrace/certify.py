@@ -16,7 +16,7 @@ matrix tuples is the target of three complementary procedures:
 
 Both searches label each entry (J, K) of their matrix over the words of
 length <= d with the cyclic class of ``reverse(J) + K``.  The labels come
-from :class:`~nctrace.moments.WordIndex` arithmetic (see
+from :class:`~nctrace.moments.WordIndex` positions (see
 :func:`cyclic_classes`): a word's least rotation is the least position
 among its rotations, and ranking those positions numbers the classes.
 The certificate's residual is recomputed from its factors by plain
@@ -163,19 +163,23 @@ class CyclicClasses:
 def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     """The classes of the Gram and witness problems at half-degree d.
 
-    Each word's least rotation is the least position among its rotations;
-    ranking the least positions gives the labels.  Classes come out in
-    (length, word) order of their least words.
+    Each word's least rotation is the least position among its rotations,
+    the rotated views of its level of positions; ranking the least
+    positions gives the labels.  Classes come out in (length, word) order
+    of their least words.
     """
     index = WordIndex(nvars, 2 * d)
-    least = index.least_rotations()
-    is_rep = least == np.arange(len(index))
+    positions = np.arange(len(index))
+    least = np.concatenate([
+        np.min([index.rotated(level, s) for s in range(max(L, 1))], axis=0)
+        for L, level in index.levels(positions)])
+    is_rep = least == positions
     word_labels = (np.cumsum(is_rep) - 1)[least]
     reps = np.flatnonzero(is_rep)
-    reversals = index.reversals()
-    m = int(index.offsets[d + 1])
-    labels = word_labels[index.concat(reversals[:m, None], np.arange(m))]
-    return CyclicClasses(index, word_labels, reps, word_labels[reversals[reps]], labels)
+    basis = positions[: index.offsets[d + 1]]
+    labels = word_labels[index.concat(index.reversed(basis)[:, None], basis)]
+    partners = index.reversed(word_labels)[reps]
+    return CyclicClasses(index, word_labels, reps, partners, labels)
 
 
 @dataclass

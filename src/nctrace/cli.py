@@ -71,6 +71,7 @@ from .moments import (
     MatrixTuple,
     MomentSequence,
     as_matrix_tuple,
+    check_moment_magnitude,
     check_radius,
     check_w_membership,
     moment_sequence,
@@ -464,6 +465,8 @@ def cmd_gns_check(args) -> tuple:
     check_radius(args.radius, 2 * (degree // 2))
     if theta is None:
         theta = moment_sequence(X, 2 * d)
+    # An input error, not a rejected model.
+    check_moment_magnitude(theta)
     try:
         model = gns_build(theta, d)
     except ValueError as exc:

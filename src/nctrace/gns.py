@@ -23,8 +23,8 @@ vectors ``Y_J^* vacuum`` come the same way from the adjoint stack, with the
 new letter last.  Both are built only up to half the degree, and the
 values of each word length are then one matrix product of a left block
 with a right block, which lists them in ``words_up_to`` order.  The cyclic
-check compares whole levels through the sequence's
-:class:`~nctrace.moments.WordIndex`.
+check compares each level with its rotations, which are transposed
+reshapes of it (:meth:`~nctrace.moments.WordIndex.rotation_gaps`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 from .algebra import Word
 from .moments import (
     MomentSequence,
+    check_moment_magnitude,
     check_radius,
     check_w_membership,
     moment_matrix,
@@ -66,10 +67,11 @@ def gns_build(
 ) -> GnsModel:
     """Quotient model of a moment sequence at truncation half-degree d.
 
-    Needs moments up to 2d.  Refuses sequences which fail the structural
-    membership checks at ``membership_tol`` or whose moment matrix is not
-    PSD at ``DEFAULT_RANK_TOL`` relative to its largest eigenvalue;
-    positivity is what makes the quotient an inner-product space.
+    Needs moments up to 2d.  Refuses sequences too large for the arithmetic
+    (:func:`~nctrace.moments.check_moment_magnitude`), which fail the
+    structural membership checks at ``membership_tol``, or whose moment
+    matrix is not PSD at ``DEFAULT_RANK_TOL`` relative to its largest
+    eigenvalue; positivity is what makes the quotient an inner-product space.
     Eigenvalues at or below that level are the null space quotiented away.
 
     Each operator is pinned by the shift on words of length < d (whose
@@ -79,11 +81,8 @@ def gns_build(
     """
     if d < 0:
         raise ValueError(f"half-degree must be nonnegative, got {d}")
-    if theta.max_degree < 2 * d:
-        raise ValueError(
-            f"insufficient degree: model at half-degree {d} needs moments up "
-            f"to {2 * d}, have {theta.max_degree}"
-        )
+    check_moment_magnitude(theta)
+    M = moment_matrix(theta, d)  # refuses a sequence of degree below 2d
     membership = check_w_membership(theta, tol=membership_tol)
     if not membership.passed:
         raise ValueError(
@@ -91,7 +90,6 @@ def gns_build(
             f"{membership.max_cyclic_violation:.3e}, conjugate violation "
             f"{membership.max_conjugate_violation:.3e}"
         )
-    M = moment_matrix(theta, d)
     basis = M.basis
     entries = (M.entries + M.entries.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(entries)
@@ -197,9 +195,9 @@ def verify_trace_property(model: GnsModel, theta: MomentSequence, deg_check: int
     """
     deg_check = min(deg_check, theta.max_degree)
     values = _vacuum_values(model, deg_check)
-    words, rotated = theta.index.rotation_pairs(deg_check)
-    gaps = np.abs(values[words] - values[rotated])
-    return float(gaps.max()) if gaps.size else 0.0
+    index = theta.index
+    gaps = [index.rotation_gaps(level, L).max() for L, level in index.levels(values)[2:]]
+    return float(max(gaps, default=0.0))
 
 
 def unitary_group(model: GnsModel, j: int, t: float) -> np.ndarray:

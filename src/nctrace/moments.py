@@ -14,14 +14,12 @@ nonnegative on hermitian squares.
 
 Moment products and the checks on a sequence work on whole arrays, not
 word by word.  A :class:`MomentSequence` is one read-only array of values
-in ``words_up_to`` order together with its :class:`WordIndex`, which turns
-rotation, reversal and concatenation of words into integer arithmetic on
-positions, so each check is one array comparison.  The index computes its
-reversal and rotation arrays once and keeps them for the life of the
-sequence; a word-keyed dict of the values is built only when asked for.
-:func:`moment_sequence` builds the products one word length at a time: the
-products of length L are those of length L - 1 times each matrix, as one
-stacked ``matmul``.
+in ``words_up_to`` order together with its :class:`WordIndex`.  Rotations
+and reversals of the words of one length are reshapes of that length's
+level, so each check compares a level with transposed views of itself.
+:func:`moment_sequence` builds the products one word length at a time:
+those of length L are those of length L - 1 times each matrix, one 2-D
+``matmul`` per letter.
 """
 
 from __future__ import annotations
@@ -104,12 +102,10 @@ class WordIndex:
 
     The word ``(i_1, ..., i_L)`` sits at ``offset(L) + k``, with
     ``offset(L) = n^0 + ... + n^(L-1)`` and in-level index
-    ``k = sum_j (i_j - 1) n^(L-j)``.  On in-level indices:
-
-    * rotation by s, ``w[s:] + w[:s]``, is
-      ``(k mod n^(L-s)) n^s + k div n^(L-s)``;
-    * reversal reverses the L base-n digits of k;
-    * concatenation J + K is ``offset(|J| + |K|) + k_J n^|K| + k_K``.
+    ``k = sum_j (i_j - 1) n^(L-j)``, so concatenation J + K is at
+    ``offset(|J| + |K|) + k_J n^|K| + k_K``.  Rotations and reversals of
+    the words of one length are reshapes of that length's level (see
+    :meth:`rotated` and :meth:`reversed`).
     """
 
     def __init__(self, n: int, D: int):
@@ -117,8 +113,6 @@ class WordIndex:
         self.D = D
         self.offsets = np.cumsum([0] + [n**L for L in range(D + 1)])
         self.lengths = np.repeat(np.arange(D + 1), np.diff(self.offsets))
-        self._reversals = None
-        self._rotation_pairs = None
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -148,67 +142,37 @@ class WordIndex:
             + (right - self.offsets[Lk])
         )
 
-    def reversals(self) -> np.ndarray:
-        """Position of reverse(w), for every word w in order.
+    def levels(self, array: np.ndarray) -> list:
+        """``(L, entries of the words of length L)`` for each length whose
+        words an array in ``words_up_to`` order holds in full."""
+        bounds = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        return [(L, array[a:b]) for L, (a, b) in enumerate(bounds) if b <= len(array)]
 
-        Computed on first use and kept, read-only, with the index.
-        """
-        if self._reversals is None:
-            out = [np.zeros(0, dtype=np.int64)]
-            for L in range(self.D + 1):
-                k = np.arange(self.n**L)
-                rev = np.zeros_like(k)
-                for j in range(L):
-                    rev = rev * self.n + k // self.n**j % self.n
-                out.append(self.offsets[L] + rev)
-            self._reversals = _read_only(np.concatenate(out))
-        return self._reversals
+    def reversed(self, array: np.ndarray) -> np.ndarray:
+        """``array[reverse(w)]`` for each word w an array in ``words_up_to``
+        order holds: the reversed-axes transpose of each level's
+        ``(n,) * L`` reshape."""
+        if self.n == 1:  # each word its own reversal; numpy caps the axis count
+            return array.copy()
+        views = [v.reshape((self.n,) * L).transpose() for L, v in self.levels(array)]
+        return np.concatenate([view.ravel() for view in views])
 
-    def least_rotations(self) -> np.ndarray:
-        """Position of the lexicographically least rotation of w, for every
-        word w in order.
+    def rotated(self, level: np.ndarray, shift: int) -> np.ndarray:
+        """``level[w[s:] + w[:s]]`` at s = shift for the n^L words w of one
+        length L >= s, given their entries in order: the transpose of the
+        level's ``(n^(L-s), n^s)`` reshape."""
+        return level.reshape(-1, self.n**shift).T.ravel()
 
-        Positions of one length follow lexicographic order, so the least
-        rotation is the one at the least position.
-        """
-        out = [np.zeros(0, dtype=np.int64)]
-        for L in range(self.D + 1):
-            k = np.arange(self.n**L)
-            least = k.copy()
-            for s in range(1, L):
-                tail = self.n ** (L - s)
-                np.minimum(least, k % tail * self.n**s + k // tail, out=least)
-            out.append(self.offsets[L] + least)
-        return np.concatenate(out)
-
-    def rotation_pairs(self, D: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of (w, w[s:] + w[:s]) for every word w of length at
-        most D (default: all) and shift 1 <= s < len(w), in (word, shift)
-        order.
-
-        The pairs of every word are computed on first use and kept,
-        read-only, with the index; those of a smaller D are a prefix.
-        """
-        if self._rotation_pairs is None:
-            words = [np.zeros(0, dtype=np.int64)]
-            rotated = [np.zeros(0, dtype=np.int64)]
-            for L in range(2, self.D + 1):
-                k = np.arange(self.n**L)
-                tail = self.n ** np.arange(L - 1, 0, -1)  # n^(L-s) for s = 1..L-1
-                head = self.n ** np.arange(1, L)  # n^s
-                shifted = k[:, None] % tail * head + k[:, None] // tail
-                words.append(np.repeat(k + self.offsets[L], L - 1))
-                rotated.append(shifted.ravel() + self.offsets[L])
-            self._rotation_pairs = (
-                _read_only(np.concatenate(words)),
-                _read_only(np.concatenate(rotated)),
-            )
-        words, rotated = self._rotation_pairs
-        if D is None or D >= self.D:
-            return words, rotated
-        # Words of length L contribute n^L (L - 1) pairs.
-        count = sum(self.n**L * (L - 1) for L in range(2, D + 1))
-        return words[:count], rotated[:count]
+    def rotation_gaps(self, level: np.ndarray, length: int) -> np.ndarray:
+        """``|level[w] - level[w[s:] + w[:s]]|`` for each of the n^length
+        words w of one length and each shift 1 <= s < length, as an
+        ``(n^length, length - 1)`` array: row-major order is (word, shift)
+        order."""
+        gaps = np.zeros((len(level), max(length - 1, 0)))
+        if self.n > 1:  # with one letter every rotation of a word is the word itself
+            for s in range(1, length):
+                np.abs(level - self.rotated(level, s), out=gaps[:, s - 1])
+        return gaps
 
 
 class MomentSequence:
@@ -217,9 +181,9 @@ class MomentSequence:
     The values must be finite and the empty-word value is the normalization
     and must be 1.  They are held as one read-only array in
     ``words_up_to`` order (:meth:`as_array`), together with the sequence's
-    :class:`WordIndex`, whose reversal and rotation arrays are computed once
-    and shared by every check on the sequence.  ``t[word]`` reads one value;
-    ``values``, a dict from word tuples to values, is built on first access.
+    :class:`WordIndex`, which reads positions and word lengths off it by
+    arithmetic.  ``t[word]`` reads one value; ``values``, a dict from word
+    tuples to values, is built on first access.
     """
 
     __slots__ = ("n", "max_degree", "index", "_array", "_values")
@@ -245,7 +209,8 @@ class MomentSequence:
 
     def _store(self, n: int, max_degree: int, values) -> None:
         index = WordIndex(n, max_degree)
-        array = _read_only(np.array(values, dtype=complex))
+        array = np.array(values, dtype=complex)
+        array.flags.writeable = False
         if array.shape != (len(index),):
             raise ValueError(
                 f"moment sequence needs {len(index)} values up to degree "
@@ -296,11 +261,6 @@ class MomentSequence:
         return f"MomentSequence(n={self.n}, max_degree={self.max_degree})"
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def moment_size(n: int, D: int, N: int = 1) -> int:
     """The number of words of length <= D in n letters, times N^2 + D.
 
@@ -333,12 +293,16 @@ def check_radius(R: float, power: int) -> None:
     """
     if not (0 < R < np.inf):
         raise ValueError(f"radius R must be positive and finite, got {R}")
+    if not _finite_power(R, power):
+        raise ValueError(f"radius R = {R} is too large: R^{power} is not finite")
+
+
+def _finite_power(R: float, power: int, factor: float = 1.0) -> bool:
+    """Whether ``factor * R**power`` is finite, for a finite R >= 0."""
     try:
-        float(R) ** power
+        return factor * float(R) ** power < np.inf
     except OverflowError:
-        raise ValueError(
-            f"radius R = {R} is too large: R^{power} is not finite"
-        ) from None
+        return False
 
 
 def real_pairs(z) -> np.ndarray:
@@ -350,21 +314,34 @@ def real_pairs(z) -> np.ndarray:
 def moment_sequence(X, D: int) -> MomentSequence:
     """Normalized traces of all matrix products of length <= D.
 
-    Level by level: the stack of the n^L products of length L is
-    ``(level[:, None] @ X[None]).reshape(-1, N, N)`` from the stack of
-    length L - 1, which lists them in ``words_up_to`` order (last letter
-    fastest).  Only the previous level is kept.  Sizes past
-    :data:`MAX_MOMENT_SIZE` are refused before anything is allocated.
+    The products of length L - 1, stacked as rows, times each matrix make
+    the next stack, one 2-D ``matmul`` per letter into that letter's slot.
+    The slots put the last letter slowest, so the traces are read through
+    :meth:`WordIndex.reversed`.  Sizes past :data:`MAX_MOMENT_SIZE` are
+    refused before anything is allocated, and so are tuples with N R^D not
+    finite, R the largest norm: it bounds every partial sum of a trace.
     """
     X = as_matrix_tuple(X)
-    check_moment_size(X.n, D, X.N)
+    n, N = X.n, X.N
+    check_moment_size(n, D, N)
+    index = WordIndex(n, D)
     mats = np.stack(X.matrices)
-    level = np.eye(X.N, dtype=complex)[None]
+    R = float(np.abs(np.linalg.eigvalsh(mats)).max())
+    if not _finite_power(R, D, N):
+        raise ValueError(
+            f"matrices too large for degree {D}: N R^D is not finite for "
+            f"N = {N} and the largest norm R = {R:.6e}"
+        )
+    rows = np.eye(N, dtype=complex)
     traces = [np.ones(1, dtype=complex)]
     for _ in range(D):
-        level = (level[:, None] @ mats[None]).reshape(-1, X.N, X.N)
-        traces.append(np.trace(level, axis1=1, axis2=2) / X.N)
-    return MomentSequence.from_array(X.n, D, np.concatenate(traces))
+        stack = np.empty((n, len(rows), N), dtype=complex)
+        for j in range(n):
+            np.matmul(rows, mats[j], out=stack[j])
+        rows = stack.reshape(-1, N)
+        # The strided diagonals, summed by the reduce np.trace runs.
+        traces.append(rows.reshape(-1, N * N)[:, :: N + 1].sum(axis=1) / N)
+    return MomentSequence.from_array(n, D, index.reversed(np.concatenate(traces)))
 
 
 @dataclass
@@ -391,21 +368,24 @@ class WMembershipReport:
 def check_w_membership(t: MomentSequence, tol: float = 1e-10) -> WMembershipReport:
     """Check cyclic invariance and conjugate symmetry, report the growth radius.
 
-    Cyclic invariance compares every word against all of its rotations;
-    conjugate symmetry compares each value against the conjugate of the
-    reversed word's value.  Both are one array comparison over the
-    positions :class:`WordIndex` gives; the worst word is the first maximum
-    in (word, shift) order.  The growth radius is the empirical geometric
+    Cyclic invariance compares every word against all of its rotations
+    (:meth:`WordIndex.rotation_gaps`, one level at a time); conjugate symmetry
+    compares each value against the conjugate of the reversed word's value
+    (:meth:`WordIndex.reversed`).  The worst word is the first maximum in
+    (word, shift) order.  The growth radius is the empirical geometric
     bound read off the diagonal powers (see :func:`growth_radius`).
     """
     if not (tol >= 0):
         raise ValueError(f"tol must be nonnegative, got {tol}")
     index = t.index
     values = t.as_array()
-    words, rotated = index.rotation_pairs()
-    worst_cyc, at = _first_max(np.abs(values[words] - values[rotated]))
-    worst_cyc_word = None if at is None else cyclic_canonical(index.word(words[at]))
-    worst_conj, at = _first_max(np.abs(values - values[index.reversals()].conj()))
+    worst_cyc, worst_cyc_word = 0.0, None
+    for L, level in index.levels(values)[2:]:
+        gap, at = _first_max(index.rotation_gaps(level, L))
+        if gap > worst_cyc:
+            word = index.word(int(index.offsets[L]) + at // (L - 1))
+            worst_cyc, worst_cyc_word = gap, cyclic_canonical(word)
+    worst_conj, at = _first_max(np.abs(values - index.reversed(values).conj()))
     worst_conj_word = None if at is None else index.word(at)
     radius = growth_radius(t) if t.max_degree >= 2 else 0.0
     return WMembershipReport(
@@ -421,11 +401,11 @@ def check_w_membership(t: MomentSequence, tol: float = 1e-10) -> WMembershipRepo
 
 
 def _first_max(gaps: np.ndarray) -> tuple[float, int | None]:
-    """The largest gap and its first position; (0.0, None) if all are 0."""
+    """The largest gap and its first row-major position; (0.0, None) if all are 0."""
     if not gaps.size:
         return 0.0, None
     at = int(np.argmax(gaps))
-    worst = float(gaps[at])
+    worst = float(gaps.flat[at])
     return (0.0, None) if worst == 0 else (worst, at)
 
 
@@ -463,11 +443,22 @@ def moment_matrix(t: MomentSequence, d: int) -> MomentMatrix:
             f"insufficient degree: matrix of degree {d} needs moments up to "
             f"{2 * d}, have {t.max_degree}"
         )
-    index = t.index
-    m = int(index.offsets[d + 1])
-    rows = index.reversals()[:m, None]
-    entries = t.as_array()[index.concat(rows, np.arange(m))]
+    index, words = t.index, np.arange(t.index.offsets[d + 1])
+    entries = t.as_array()[index.concat(index.reversed(words)[:, None], words)]
     return MomentMatrix(degree=d, basis=words_up_to(t.n, d), entries=entries)
+
+
+def check_moment_magnitude(t: MomentSequence) -> None:
+    """Raise ValueError unless (2 m a)^2 is finite, a being the largest |t_w|
+    and m the size of t's largest moment matrix: 2 m a bounds the Frobenius
+    norm of a difference of two such matrices, which sums squares."""
+    m = int(t.index.offsets[t.max_degree // 2 + 1])
+    a = float(np.abs(t.as_array()).max())
+    if not _finite_power(2 * m * a, 2):
+        raise ValueError(
+            f"moment values too large: arithmetic on the {m} x {m} moment "
+            f"matrix with entries up to {a:.6e} could overflow"
+        )
 
 
 def psd_check(M, tol: float = 1e-9):

@@ -1074,9 +1074,10 @@ def test_other_library_errors_propagate(poly_file, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-def _theta_bytes(*extra, degree=2, value=0.0) -> bytes:
-    """A valid degree-2 sequence in one variable, with extra entries."""
-    entries = [{"word": w, "re": v, "im": 0.0} for w, v in [([], 1.0), ([1], 0.0), ([1, 1], 1.0)]]
+def _theta_bytes(*extra, degree=2, value=0.0, square=1.0) -> bytes:
+    """A valid degree-2 sequence in one variable, with ``square`` on [1, 1],
+    and extra entries."""
+    entries = [{"word": w, "re": v, "im": 0.0} for w, v in [([], 1.0), ([1], 0.0), ([1, 1], square)]]
     entries += [{"word": w, "re": value, "im": 0.0} for w in extra]
     return json.dumps({"degree": degree, "theta": entries}).encode()
 
@@ -1157,6 +1158,24 @@ MALFORMED_INPUTS = {
         "moments", _tuple_bytes(entry=(10**400, 0)), ["--degree", "2"],
         "{path}: matrix 1 malformed: int too large to convert to float",
     ),
+    # Finite values whose arithmetic would overflow, refused before it starts.
+    "matrix-1e200-degree-2": (
+        "moments", _tuple_bytes(entry=(1e200, 0)), ["--degree", "2"],
+        "matrices too large for degree 2: N R^D is not finite for N = 1 and the "
+        "largest norm R = 1.000000e+200",
+    ),
+    "theta-1e308": (
+        "gns-check", _theta_bytes(square=1e308), [],
+        "moment values too large: arithmetic on the 2 x 2 moment matrix",
+    ),
+    "theta-1e300": (
+        "gns-check", _theta_bytes(square=1e300), [],
+        "moment values too large: arithmetic on the 2 x 2 moment matrix",
+    ),
+    "matrix-1e100-gns": (
+        "gns-check", _tuple_bytes(entry=(1e100, 0)), ["--degree", "1"],
+        "moment values too large: arithmetic on the 2 x 2 moment matrix",
+    ),
     "json-nested-100000-deep": (
         "moments", b"[" * 100_000, ["--degree", "2"],
         "{path}: invalid JSON: maximum recursion depth exceeded",
@@ -1178,3 +1197,11 @@ def test_malformed_inputs_exit_one_without_traceback(name, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("nctrace: " + message.format(path=path, out=out))
     assert not out.parent.exists()
+
+
+def test_large_values_inside_the_bounds_are_kept(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_bytes(_tuple_bytes(entry=(1e100, 0)))
+    assert main(["moments", str(path), "--degree", "2"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert values[-1] == {"word": [1, 1], "re": 1e200, "im": 0.0}

@@ -87,6 +87,15 @@ def test_insufficient_degree():
         gns_build(t, 2)
 
 
+def test_values_too_large_for_moment_matrix_arithmetic_are_refused():
+    for big in (1e300, 1e154):
+        theta = MomentSequence(1, 2, {(): 1.0, (1,): 0.0, (1, 1): big})
+        with pytest.raises(ValueError, match="moment values too large: arithmetic on the 2 x 2"):
+            gns_build(theta, 1)
+    theta = MomentSequence(1, 2, {(): 1.0, (1,): 0.0, (1, 1): 1e150})
+    assert gns_build(theta, 1).rank >= 1
+
+
 def test_verify_moments_degree_guard_and_trivial_degree():
     t = moment_sequence(pauli_pair(), 4)
     m = gns_build(t, 2)

@@ -200,15 +200,25 @@ def test_word_index_matches_word_operations():
         words = words_up_to(n, D)
         index = WordIndex(n, D)
         position = {w: i for i, w in enumerate(words)}
+        positions = np.arange(len(words))
         assert len(index) == len(words)
         assert [index.word(i) for i in range(len(words))] == words
-        assert index.reversals().tolist() == [position[involute_word(w)] for w in words]
+        reversals = [position[involute_word(w)] for w in words]
+        assert index.reversed(positions).tolist() == reversals
+        short = int(index.offsets[3])  # an array that stops after length 2
+        assert index.reversed(positions[:short]).tolist() == reversals[:short]
         pairs = [
             (position[w], position[w[s:] + w[:s]])
             for w in words
             for s in range(1, len(w))
         ]
-        assert list(zip(*(a.tolist() for a in index.rotation_pairs()))) == pairs
+        rotations = [
+            (int(level[k]), int(index.rotated(level, s)[k]))
+            for L, level in index.levels(positions)
+            for k in range(len(level))
+            for s in range(1, L)
+        ]
+        assert rotations == pairs
         short = [i for i, w in enumerate(words) if 2 * len(w) <= D]
         got = index.concat(np.array(short)[:, None], np.array(short)[None, :])
         assert got.tolist() == [
@@ -218,7 +228,7 @@ def test_word_index_matches_word_operations():
 
 CASES = [
     (n, N, D) for n in (1, 2, 3) for N in (1, 2, 5) for D in (0, 1, 2, 5)
-] + [(2, 2, 8), (2, 3, 8)]
+] + [(2, 2, 8), (2, 3, 8), (3, 8, 8), (3, 4, 6)]
 
 
 @pytest.mark.parametrize("n,N,D", CASES)
@@ -271,6 +281,34 @@ def test_membership_equals_word_loop_on_perturbations():
     report = _assert_membership_equals_reference(MomentSequence(2, 6, pair_))
     assert report.conjugate_ok and not report.cyclic_ok
     assert report.worst_cyclic_word == (1, 1, 2, 2, 2)
+
+
+def _perturbed_pauli(D, words, delta=0.5):
+    """The exact Pauli-pair sequence with ``delta`` added at each word; the
+    values are 0 and +-1, so equal perturbations give equal gaps."""
+    values = dict(moment_sequence(pauli_pair(), D).values)
+    for word in words:
+        values[word] += delta
+    return MomentSequence(2, D, values)
+
+
+@pytest.mark.parametrize(
+    "words,cyclic,conjugate",
+    [
+        # Word (1, 2, 1, 2) has equal largest gaps at shifts 1 and 3.
+        ([(2, 1, 2, 1)], (1, 2, 1, 2), (1, 2, 1, 2)),
+        # Two words of one level in different classes; in (shift, word)
+        # order the first largest gap would be in the class of (1, 2, 1, 2).
+        ([(1, 2, 1, 2), (2, 2, 1, 1)], (1, 1, 2, 2), (1, 1, 2, 2)),
+        # Equal largest gaps in levels 2 and 3.
+        ([(2, 1, 1), (2, 1)], (1, 2), (1, 2)),
+    ],
+)
+def test_membership_ties_report_the_first_word(words, cyclic, conjugate):
+    report = _assert_membership_equals_reference(_perturbed_pauli(4, words))
+    assert report.worst_cyclic_word == cyclic
+    assert report.worst_conjugate_word == conjugate
+    assert report.max_cyclic_violation == report.max_conjugate_violation == 0.5
 
 
 def test_membership_report_is_plain_json():
@@ -341,33 +379,22 @@ def test_check_radius_refuses_overflowing_powers_of_any_number_type():
             check_radius(R, 2)
 
 
+def test_moment_sequence_refuses_matrices_whose_traces_could_overflow():
+    with pytest.raises(ValueError, match=r"degree 2: N R\^D is not finite for N = 1 "):
+        moment_sequence([np.array([[1e200]])], 2)
+    # R^2 = 1e308 is finite, but a trace of two such entries is not.
+    with pytest.raises(ValueError, match="for N = 2 and the largest norm R = 1.0+e\\+154"):
+        moment_sequence([np.eye(2), 1e154 * np.eye(2)], 2)
+    assert moment_sequence([np.array([[1e100]])], 2)[(1, 1)] == 1e200
+    assert moment_sequence([np.zeros((2, 2))], 3)[(1, 1, 1)] == 0
+
+
 def test_sequence_copies_the_values_it_is_given():
     given = np.array([1.0, 0.5, 0.25])
     t = MomentSequence.from_array(1, 2, given)
     given[1] = 7.0
     assert t[(1,)] == 0.5
     assert given.flags.writeable
-
-
-@pytest.mark.parametrize("n,D", [(1, 4), (2, 5), (3, 3)])
-def test_word_index_keeps_its_arrays_and_slices_rotation_pairs(n, D):
-    index = WordIndex(n, D)
-    reversals = index.reversals()
-    words, rotated = index.rotation_pairs()
-    assert index.reversals() is reversals and index.rotation_pairs()[0] is words
-    for array in (reversals, words, rotated):
-        assert not array.flags.writeable
-    for degree in range(D + 2):
-        fresh = WordIndex(n, min(degree, D)).rotation_pairs()
-        for got, want in zip(index.rotation_pairs(degree), fresh):
-            assert np.array_equal(got, want)
-
-
-def test_checks_on_a_sequence_use_its_index():
-    t = moment_sequence(random_hermitian_tuple(make_rng(81), 2, 2), 4)
-    assert t.index._reversals is None and t.index._rotation_pairs is None
-    check_w_membership(t)
-    assert t.index._reversals is not None and t.index._rotation_pairs is not None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
