@@ -38,9 +38,9 @@ print()
 # the Gram matrix of the words acting on the tuple, hence PSD.
 M = moment_matrix(t, 2)
 ok, min_eig = psd_check(M)
-print(f"moment matrix at d=2: {M.entries.shape[0]}x{M.entries.shape[1]}, "
+print(f"moment matrix at d=2: {M.shape[0]}x{M.shape[1]}, "
       f"PSD={ok}, min eigenvalue {min_eig:.2e}")
-print("rank:", np.linalg.matrix_rank(M.entries, tol=1e-10),
+print("rank:", np.linalg.matrix_rank(M, tol=1e-10),
       "(the Pauli words span the full 2x2 matrix algebra, dimension 4)")
 print()
 

@@ -32,10 +32,17 @@ from .certify import (
     validate_witness,
     verify_certificate,
 )
-from .gns import GnsModel, gns_build, norm_bound_check, unitary_group, verify_moments, verify_trace_property
+from .gns import (
+    GnsModel,
+    ModelRejected,
+    gns_build,
+    norm_bound_check,
+    unitary_group,
+    verify_moments,
+    verify_trace_property,
+)
 from .moments import (
     MatrixTuple,
-    MomentMatrix,
     MomentSequence,
     as_matrix_tuple,
     check_w_membership,
@@ -66,7 +73,7 @@ __all__ = [
     "GramProblem",
     "InfeasibilityReport",
     "MatrixTuple",
-    "MomentMatrix",
+    "ModelRejected",
     "MomentSequence",
     "NCPoly",
     "PolyParseError",

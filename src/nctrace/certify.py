@@ -225,7 +225,6 @@ class Certificate:
 
     degree: int
     factors: list = field(repr=False)
-    residual: NCPoly = field(repr=False)
     residual_l1: float = 0.0
 
 
@@ -310,14 +309,12 @@ def certify_sos(
     if report.status != "feasible":
         gap, iterations, separator = report.gap, report.iterations, report.separator
         return InfeasibilityReport(d, gap, iterations, separator=separator)
-    factors = extract_factors(report.solution, problem.basis, p.nvars)
-    residual = (p - _sum_of_squares(factors, p.nvars)).cyclic_reduce()
-    residual_l1, limit = residual.r_norm(1.0), RESIDUAL_TOL * max(1.0, p.r_norm(1.0))
-    if not (residual_l1 <= limit):
-        raise NoFeasiblePoint(
-            f"certificate residual {residual_l1:.3e} exceeds {limit:.3e}"
-        )
-    return Certificate(d, factors, residual, residual_l1)
+    cert = Certificate(d, extract_factors(report.solution, problem.basis, p.nvars))
+    cert.residual_l1 = verify_certificate(p, cert)
+    limit = RESIDUAL_TOL * max(1.0, p.r_norm(1.0))
+    if not (cert.residual_l1 <= limit):
+        raise NoFeasiblePoint(f"certificate residual {cert.residual_l1:.3e} exceeds {limit:.3e}")
+    return cert
 
 
 def verify_certificate(p: NCPoly, cert: Certificate) -> float:
@@ -384,8 +381,10 @@ def witness_search(
         solution = _mix_anchor(solution, low, constraints, p.nvars, d, R)
     theta = _extract_moments(solution, constraints, classes, R)
     value = pair(p, theta)
-    if abs(value.imag) > 1e-8:
-        raise AssertionError(f"pairing unexpectedly complex: {value}")
+    # The pairing sums terms up to |c_w| R^|w| in size, so its rounding error
+    # scales with p's R-norm.
+    if abs(value.imag) > 1e-8 * max(1.0, p.r_norm(R)):
+        raise NoFeasiblePoint(f"pairing unexpectedly complex: {value}")
     return theta, value.real
 
 
@@ -396,26 +395,29 @@ def _mix_anchor(x, low, constraints, nvars: int, d: int, R: float) -> np.ndarray
     :func:`_tracial_anchor` tuple scaled to norm R, so it satisfies every
     constraint.  With delta = lambda_min(A) > 0 the mix (1-t)x + tA,
     t = -low / (delta - low), stays feasible and has smallest eigenvalue at
-    least zero, by concavity of lambda_min.  Raises
-    :class:`NoFeasiblePoint` if delta <= 0.
+    least zero, by concavity of lambda_min.  At a large R the scaled
+    anchor's delta is below ``eigvalsh``'s resolution, about 1e-16 R^(2d);
+    A is then the unscaled anchor, of norm 1, which is feasible for every
+    R >= 1.  Raises :class:`NoFeasiblePoint` if its delta is not positive
+    either.
     """
     anchor = _tracial_anchor(nvars, d)
+    anchor = (anchor + anchor.conj().T) / 2
     # Scaling the tuple by R scales entry (J, K) by R^(|J| + |K|); no trace
     # of a tuple of norm R is taken, so none overflows.  The weight is
     # symmetric in J and K, so the scaled Hermitian part stays exactly
     # Hermitian, and at R = 1 it is what project_affine makes of the anchor.
     scale = float(R) ** WordIndex(nvars, d).lengths
-    A = project_affine(
-        (anchor + anchor.conj().T) / 2 * np.multiply.outer(scale, scale), constraints
+    for weight in (np.multiply.outer(scale, scale), 1.0):
+        A = project_affine(anchor * weight, constraints)
+        delta = float(np.linalg.eigvalsh(A)[0])
+        if delta > 0:
+            t = -low / (delta - low)
+            return (1 - t) * x + t * A
+    raise NoFeasiblePoint(
+        f"solver stopped at eigenvalue {low:.3e} and the anchor is not "
+        f"positive definite (eigenvalue {delta:.3e})"
     )
-    delta = float(np.linalg.eigvalsh(A)[0])
-    if not (delta > 0):
-        raise NoFeasiblePoint(
-            f"solver stopped at eigenvalue {low:.3e} and the anchor is not "
-            f"positive definite (eigenvalue {delta:.3e})"
-        )
-    t = -low / (delta - low)
-    return (1 - t) * x + t * A
 
 
 @lru_cache(maxsize=32)
@@ -429,7 +431,7 @@ def _tracial_anchor(nvars: int, d: int) -> np.ndarray:
     m = len(words_up_to(nvars, d))
     size = max(4, int(np.ceil(2 * np.sqrt(m))))
     X = random_tuple(make_rng(0), nvars, size)
-    moments = moment_matrix(moment_sequence(X, 2 * d), d).entries
+    moments = moment_matrix(moment_sequence(X, 2 * d), d)
     moments.flags.writeable = False
     return moments
 

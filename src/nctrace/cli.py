@@ -15,8 +15,10 @@ negative finding (infeasible, witness found, falsified, checks failed),
 identical invocations produce byte-identical output.
 
 Each command handler returns its payload and exit code and catches no
-library error.  :func:`main` alone writes the payload and maps errors to
-exit code 1: a stalled or failed solve prints ``nctrace: solver failed:
+library error but one: gns-check writes a
+:class:`~nctrace.gns.ModelRejected` refusal as its exit-2 ``"rejected"``
+payload.  :func:`main` alone writes the payload and maps errors to exit
+code 1: a stalled or failed solve prints ``nctrace: solver failed:
 <msg>``, any other ValueError (input errors included) ``nctrace: <msg>``,
 and nothing is written to stdout or ``--out``.  Any other exception
 propagates.
@@ -62,6 +64,7 @@ from .certify import (
 )
 from .gns import (
     GnsModel,
+    ModelRejected,
     gns_build,
     norm_bound_check,
     verify_moments,
@@ -71,7 +74,6 @@ from .moments import (
     MatrixTuple,
     MomentSequence,
     as_matrix_tuple,
-    check_moment_magnitude,
     check_radius,
     check_w_membership,
     moment_sequence,
@@ -465,11 +467,9 @@ def cmd_gns_check(args) -> tuple:
     check_radius(args.radius, 2 * (degree // 2))
     if theta is None:
         theta = moment_sequence(X, 2 * d)
-    # An input error, not a rejected model.
-    check_moment_magnitude(theta)
     try:
         model = gns_build(theta, d)
-    except ValueError as exc:
+    except ModelRejected as exc:
         return {"status": "rejected", "reason": str(exc)}, 2
     moment_error = verify_moments(model, theta, d)
     trace_error = verify_trace_property(model, theta, 2 * d)

@@ -47,14 +47,18 @@ GENERATOR_HERMITIAN_TOL = 1e-8
 MEMBERSHIP_GATE_TOL = 1e-8
 
 
+class ModelRejected(ValueError):
+    """A well-formed sequence that has no model: it fails the structural
+    membership checks, or its moment matrix is not PSD."""
+
+
 @dataclass
 class GnsModel:
-    """Quotient space, embedded word vectors, and reconstructed operators."""
+    """Quotient space and reconstructed operators, one per variable, of the
+    moment matrix over the words of ``words_up_to(n, degree)``."""
 
     degree: int
-    basis: list = field(repr=False)
     rank: int
-    vectors: np.ndarray = field(repr=False)  # column i embeds basis word i
     operators: list = field(repr=False)
     vacuum: np.ndarray = field(repr=False)
     reconstruction_error: float
@@ -67,41 +71,41 @@ def gns_build(
 ) -> GnsModel:
     """Quotient model of a moment sequence at truncation half-degree d.
 
-    Needs moments up to 2d.  Refuses sequences too large for the arithmetic
-    (:func:`~nctrace.moments.check_moment_magnitude`), which fail the
-    structural membership checks at ``membership_tol``, or whose moment
-    matrix is not PSD at ``DEFAULT_RANK_TOL`` relative to its largest
-    eigenvalue; positivity is what makes the quotient an inner-product space.
-    Eigenvalues at or below that level are the null space quotiented away.
+    Needs d >= 1 and moments up to 2d, and refuses sequences too large for
+    the arithmetic (:func:`~nctrace.moments.check_moment_magnitude`), each
+    with a plain ValueError.  Raises :class:`ModelRejected` for sequences
+    that fail the structural membership checks at ``membership_tol``, or
+    whose moment matrix is not PSD at ``DEFAULT_RANK_TOL`` relative to its
+    largest eigenvalue; positivity is what makes the quotient an
+    inner-product space.  Eigenvalues at or below that level are the null
+    space quotiented away.  The empty word's value is 1 to within 1e-9, so
+    the largest eigenvalue is positive and kept, and the rank is at least 1.
 
     Each operator is pinned by the shift on words of length < d (whose
     images stay inside the degree-d quotient), extended to the rest of the
     space by the self-adjointness the inner-product geometry dictates, with
     the unreachable corner left at zero.
     """
-    if d < 0:
-        raise ValueError(f"half-degree must be nonnegative, got {d}")
+    if d < 1:
+        raise ValueError(f"model half-degree must be at least 1, got {d}")
     check_moment_magnitude(theta)
     M = moment_matrix(theta, d)  # refuses a sequence of degree below 2d
     membership = check_w_membership(theta, tol=membership_tol)
     if not membership.passed:
-        raise ValueError(
+        raise ModelRejected(
             "sequence fails structural membership: cyclic violation "
             f"{membership.max_cyclic_violation:.3e}, conjugate violation "
             f"{membership.max_conjugate_violation:.3e}"
         )
-    basis = M.basis
-    entries = (M.entries + M.entries.conj().T) / 2
+    entries = (M + M.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(entries)
-    top = float(eigvals[-1]) if len(eigvals) else 0.0
+    top = float(eigvals[-1])
     if eigvals[0] < -DEFAULT_RANK_TOL * max(top, 1.0):
-        raise ValueError(
+        raise ModelRejected(
             f"moment matrix is not PSD: min eigenvalue {eigvals[0]:.6e}"
         )
-    keep = eigvals > DEFAULT_RANK_TOL * max(top, 0.0)
+    keep = eigvals > DEFAULT_RANK_TOL * top
     rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        raise ValueError("moment matrix is numerically zero")
     kept_vals = eigvals[keep]
     kept_vecs = eigvecs[:, keep]
     # vectors[:, i] embeds basis word i; inner products reproduce the kept
@@ -113,34 +117,26 @@ def gns_build(
 
     index = theta.index
     domain = np.arange(index.offsets[d])  # the words of length < d
+    Zsub = vectors[:, domain]
+    pinv = np.linalg.pinv(Zsub, rcond=1e-12)
+    projector = Zsub @ pinv
     operators = []
     defects = []
     shift_residual = 0.0
-    if domain.size:
-        Zsub = vectors[:, domain]
-        pinv = np.linalg.pinv(Zsub, rcond=1e-12)
-        projector = Zsub @ pinv
-        for j in range(1, theta.n + 1):
-            W = vectors[:, index.concat(j, domain)]  # the words (j,) + w
-            Y0 = W @ pinv
-            # Self-adjoint extension off the shift domain; the corner the
-            # data does not reach stays zero.
-            Y = Y0 + Y0.conj().T @ (np.eye(rank) - projector)
-            sym = projector @ Y0
-            defects.append(float(np.max(np.abs(sym - sym.conj().T))))
-            shift_residual = max(
-                shift_residual, float(np.linalg.norm(Y @ Zsub - W))
-            )
-            operators.append(Y)
-    else:
-        operators = [np.zeros((rank, rank), dtype=complex) for _ in range(theta.n)]
-        defects = [0.0] * theta.n
+    for j in range(1, theta.n + 1):
+        W = vectors[:, index.concat(j, domain)]  # the words (j,) + w
+        Y0 = W @ pinv
+        # Self-adjoint extension off the shift domain; the corner the data
+        # does not reach stays zero.
+        Y = Y0 + Y0.conj().T @ (np.eye(rank) - projector)
+        sym = projector @ Y0
+        defects.append(float(np.max(np.abs(sym - sym.conj().T))))
+        shift_residual = max(shift_residual, float(np.linalg.norm(Y @ Zsub - W)))
+        operators.append(Y)
 
     return GnsModel(
         degree=d,
-        basis=basis,
         rank=rank,
-        vectors=vectors,
         operators=operators,
         vacuum=vectors[:, 0].copy(),
         reconstruction_error=reconstruction_error,

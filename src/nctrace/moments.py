@@ -24,7 +24,7 @@ those of length L are those of length L - 1 times each matrix, one 2-D
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +39,7 @@ HERMITIAN_INPUT_TOL = 1e-12
 # to D = 2,895.  The largest benchmark shape (n = 3, N = 8, D = 8) needs
 # 708,552.
 MAX_MOMENT_SIZE = 2**23
+_HALF_MAX = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -78,21 +79,28 @@ def hermitian_parts(stack: np.ndarray) -> np.ndarray:
     """Hermitian parts of a stack of tuples, shape ``(..., n, N, N)``.
 
     Raises :func:`as_matrix_tuple`'s errors, naming the matrix by its place
-    in its tuple, for the first matrix in C order that is not finite or not
-    Hermitian to ``HERMITIAN_INPUT_TOL``.
+    in its tuple: first for the first matrix in C order with an entry that
+    is not finite or has a real or imaginary part above half the largest
+    float, where the sum or difference of two entries could overflow; then
+    for the first that is not Hermitian to ``HERMITIAN_INPUT_TOL``.
     """
-    adjoint = stack.conj().swapaxes(-1, -2)
-    # A non-finite entry makes its own difference NaN (inf - inf, or NaN),
-    # so the defect catches it.
-    defect = np.abs(stack - adjoint).max(axis=(-2, -1))
-    bad = ~(defect <= HERMITIAN_INPUT_TOL)
-    if bad.any():
-        first = tuple(np.argwhere(bad)[0])
-        j, worst = first[-1], defect[first]
-        if not np.isfinite(worst):
-            raise ValueError(f"matrix {j + 1} has non-finite entries")
+    parts = np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(-2, -1))
+    failed = np.argwhere(~(parts <= _HALF_MAX))  # NaN fails too
+    if len(failed):
+        first = tuple(failed[0])
+        if not np.isfinite(parts[first]):
+            raise ValueError(f"matrix {first[-1] + 1} has non-finite entries")
         raise ValueError(
-            f"matrix {j + 1} is not Hermitian: max asymmetry {worst:.3e}"
+            f"matrix {first[-1] + 1} has entries too large: {parts[first]:.3e} is "
+            "above half the largest float"
+        )
+    adjoint = stack.conj().swapaxes(-1, -2)
+    defect = np.abs(stack - adjoint).max(axis=(-2, -1))
+    failed = np.argwhere(defect > HERMITIAN_INPUT_TOL)
+    if len(failed):
+        first = tuple(failed[0])
+        raise ValueError(
+            f"matrix {first[-1] + 1} is not Hermitian: max asymmetry {defect[first]:.3e}"
         )
     return (stack + adjoint) / 2
 
@@ -427,25 +435,16 @@ def growth_radius(t: MomentSequence) -> float:
     return best
 
 
-@dataclass
-class MomentMatrix:
-    """Hermitian matrix of sequence values over pairs of basis words."""
-
-    degree: int
-    basis: list = field(repr=False)
-    entries: np.ndarray = field(repr=False)
-
-
-def moment_matrix(t: MomentSequence, d: int) -> MomentMatrix:
-    """Matrix with entry (J, K) equal to t at reverse(J) followed by K."""
+def moment_matrix(t: MomentSequence, d: int) -> np.ndarray:
+    """Matrix with entry (J, K) equal to t at reverse(J) followed by K, over
+    the words J, K of ``words_up_to(t.n, d)``."""
     if 2 * d > t.max_degree:
         raise ValueError(
             f"insufficient degree: matrix of degree {d} needs moments up to "
             f"{2 * d}, have {t.max_degree}"
         )
     index, words = t.index, np.arange(t.index.offsets[d + 1])
-    entries = t.as_array()[index.concat(index.reversed(words)[:, None], words)]
-    return MomentMatrix(degree=d, basis=words_up_to(t.n, d), entries=entries)
+    return t.as_array()[index.concat(index.reversed(words)[:, None], words)]
 
 
 def check_moment_magnitude(t: MomentSequence) -> None:
@@ -461,10 +460,10 @@ def check_moment_magnitude(t: MomentSequence) -> None:
         )
 
 
-def psd_check(M, tol: float = 1e-9):
-    """Least eigenvalue test: (passes, min eigenvalue)."""
-    entries = np.asarray(getattr(M, "entries", M))
-    entries = (entries + entries.conj().T) / 2
-    eigs = np.linalg.eigvalsh(entries)
+def psd_check(M: np.ndarray, tol: float = 1e-9):
+    """Least eigenvalue test of a square matrix's Hermitian part:
+    (passes, min eigenvalue)."""
+    M = np.asarray(M)
+    eigs = np.linalg.eigvalsh((M + M.conj().T) / 2)
     min_eig = float(eigs[0]) if len(eigs) else 0.0
     return bool(min_eig >= -tol), min_eig

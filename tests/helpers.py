@@ -640,7 +640,7 @@ def reference_model_json(model) -> dict:
     return {
         "degree": model.degree,
         "rank": model.rank,
-        "basis": [list(w) for w in model.basis],
+        "basis": [list(w) for w in words_up_to(len(model.operators), model.degree)],
         "operators": [reference_matrix_pairs(y) for y in model.operators],
         "vacuum": [[float(v.real), float(v.imag)] for v in model.vacuum],
         "diagnostics": {

@@ -374,7 +374,6 @@ def test_verify_exact_certificate():
     cert = Certificate(
         degree=1,
         factors=[NCPoly(1, {(1,): 1.0})],
-        residual=NCPoly.zero(1),
         residual_l1=0.0,
     )
     assert verify_certificate(p, cert) <= 1e-12
@@ -387,14 +386,13 @@ def test_verify_scaled_factor_perturbation():
     cert = Certificate(
         degree=1,
         factors=[NCPoly(1, {(1,): 1.0 + eps})],
-        residual=NCPoly.zero(1),
         residual_l1=0.0,
     )
     assert verify_certificate(p, cert) == pytest.approx(2 * eps + eps**2, rel=1e-9)
 
 
 def test_verify_empty_certificate_of_zero():
-    cert = Certificate(degree=1, factors=[], residual=NCPoly.zero(2), residual_l1=0.0)
+    cert = Certificate(degree=1, factors=[], residual_l1=0.0)
     assert verify_certificate(NCPoly.zero(2), cert) == 0.0
 
 

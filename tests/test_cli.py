@@ -13,8 +13,15 @@ import numpy as np
 import pytest
 
 from nctrace import certify, cli
-from nctrace.algebra import NCPoly, words_up_to
-from nctrace.certify import Falsification, SolverStalled, dual_witness, falsify
+from nctrace.algebra import NCPoly, star_product, words_up_to
+from nctrace.certify import (
+    DualWitness,
+    Falsification,
+    SolverStalled,
+    dual_witness,
+    falsify,
+    validate_witness,
+)
 from nctrace.cli import main
 from nctrace.gns import gns_build, norm_bound_check, verify_moments, verify_trace_property
 from nctrace.moments import (
@@ -24,7 +31,7 @@ from nctrace.moments import (
     check_w_membership,
     moment_sequence,
 )
-from nctrace.parsing import parse_poly
+from nctrace.parsing import format_poly, parse_poly
 from nctrace.sampling import pauli_pair
 from nctrace.sdp import NoFeasiblePoint
 
@@ -303,18 +310,56 @@ def test_huge_radius_exits_one_naming_it(command, text, radius, message, poly_fi
     assert captured.err == f"nctrace: radius R = {float(radius)} is too large: {message}\n"
 
 
-def test_witness_radius_past_the_anchor_exits_one_without_warnings(poly_file, capsys):
-    # R^4 = 1e308 is finite, so the radius passes its check, and the solve
-    # needs its anchor.  No trace of a tuple of norm R is taken, so nothing
-    # overflows; the scaled anchor's least eigenvalue is below eigvalsh's
-    # resolution at this R, and the search ends in one line on stderr.
+def _assert_validated_witness(data: dict, radius: float) -> None:
+    """The witness a ``witness`` payload writes passes validate_witness."""
+    theta = cli._theta_from_json(data, "witness")
+    assert validate_witness(DualWitness(theta, data["value"], radius)).passed
+
+
+def test_witness_radius_past_the_scaled_anchor_mixes_the_unscaled_one(poly_file, capsys):
+    # R^4 = 1e308 is finite at R = 1e77, so the radius passes its check, and
+    # the solve needs its anchor.  The scaled anchor's least eigenvalue is
+    # below eigvalsh's resolution at these R, so the unscaled one, feasible
+    # for every R >= 1, is mixed in; no trace of a tuple of norm R is taken,
+    # so nothing overflows.
+    for radius in ("1e20", "1e77"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, data = run_cli(["witness", poly_file(NEGATED), "--radius", radius], capsys)
+        assert code == 2 and data["R"] == float(radius) and data["value"] < 0
+        _assert_validated_witness(data, float(radius))
+
+
+def _negated_random_square(seed: int) -> str:
+    """The text of -b^* b for b with complex coefficients on every word of
+    length <= 2 in two variables."""
+    rng = make_rng(seed)
+    basis = words_up_to(2, 2)
+    b = NCPoly(2, dict(zip(basis, rng.normal(size=7) + 1j * rng.normal(size=7))))
+    return format_poly(-1.0 * star_product(b.adjoint(), b)) + "\n"
+
+
+@pytest.mark.parametrize("radius", ["1e3", "1e5"])
+def test_witness_pairing_at_large_radius_is_real_to_its_scale(radius, poly_file, capsys):
+    # The pairing's imaginary part is rounding of the size of p's R-norm
+    # times the float precision (1024 on -2.5e20 at R = 1e5), past any
+    # absolute bound.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["witness", poly_file(NEGATED), "--radius", "1e77"])
+        code, data = run_cli(
+            ["witness", poly_file(_negated_random_square(0)), "--degree", "2",
+             "--radius", radius], capsys,
+        )
+    assert code == 2 and data["value"] < -1e11
+    _assert_validated_witness(data, float(radius))
+
+
+def test_witness_complex_pairing_is_one_solver_failure_line(poly_file, monkeypatch, capsys):
+    monkeypatch.setattr(certify, "pair", lambda p, theta: complex(-2.0, 1e-3))
+    code = main(["witness", poly_file(NEGATED)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err.startswith("nctrace: solver failed: ")
-    assert captured.err.count("\n") == 1 and "Warning" not in captured.err
+    assert captured.err == "nctrace: solver failed: pairing unexpectedly complex: (-2+0.001j)\n"
 
 
 @pytest.mark.parametrize("radius", ["3", "100"])
@@ -426,10 +471,11 @@ def test_gns_check_rejects_indefinite_theta(tmp_path, capsys):
     }
     path = tmp_path / "bad_witness.json"
     path.write_text(json.dumps(payload))
-    code, data = run_cli(["gns-check", str(path), "--degree", "1"], capsys)
-    assert code == 2
-    assert data["status"] == "rejected"
-    assert "PSD" in data["reason"]
+    assert main(["gns-check", str(path), "--degree", "1"]) == 2
+    assert capsys.readouterr().out == (
+        '{\n  "reason": "moment matrix is not PSD: min eigenvalue -1.000000e+00",\n'
+        '  "status": "rejected"\n}\n'
+    )
 
 
 def test_norm_command(poly_file, capsys):
@@ -1171,6 +1217,15 @@ MALFORMED_INPUTS = {
     "theta-1e300": (
         "gns-check", _theta_bytes(square=1e300), [],
         "moment values too large: arithmetic on the 2 x 2 moment matrix",
+    ),
+    "matrix-1.5e308-degree-1": (
+        "moments", _tuple_bytes(entry=(1.5e308, 0)), ["--degree", "1"],
+        "{path}: matrix 1 has entries too large: 1.500e+308 is above half the largest float",
+    ),
+    # An input error of gns_build's, not a rejected model.
+    "theta-insufficient-degree": (
+        "gns-check", _theta_bytes(), ["--degree", "2"],
+        "insufficient degree: matrix of degree 2 needs moments up to 4, have 2",
     ),
     "matrix-1e100-gns": (
         "gns-check", _tuple_bytes(entry=(1e100, 0)), ["--degree", "1"],

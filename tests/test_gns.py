@@ -8,6 +8,7 @@ from nctrace.algebra import words_up_to
 from nctrace.cli import main
 from nctrace.gns import (
     GnsModel,
+    ModelRejected,
     _vacuum_values,
     gns_build,
     norm_bound_check,
@@ -69,7 +70,7 @@ def test_vacuum_normalized():
 def test_psd_gate_refuses_indefinite_sequences():
     values = {(): 1.0, (1,): 0.0, (1, 1): -1.0}
     theta = MomentSequence(1, 2, values)
-    with pytest.raises(ValueError, match="not PSD"):
+    with pytest.raises(ModelRejected, match="not PSD"):
         gns_build(theta, 1)
 
 
@@ -77,21 +78,36 @@ def test_membership_gate_refuses_broken_sequences():
     t = moment_sequence(pauli_pair(), 2)
     vals = dict(t.values)
     vals[(1, 2)] = 0.5
-    with pytest.raises(ValueError, match="membership"):
+    with pytest.raises(ModelRejected, match="membership"):
         gns_build(MomentSequence(2, 2, vals), 1)
+
+
+def _input_error(call) -> ValueError:
+    """The ValueError a call raises, checked not to be a model refusal."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, ModelRejected)
+    return info.value
 
 
 def test_insufficient_degree():
     t = moment_sequence(pauli_pair(), 2)
-    with pytest.raises(ValueError, match="insufficient degree"):
-        gns_build(t, 2)
+    error = _input_error(lambda: gns_build(t, 2))
+    assert str(error).startswith("insufficient degree")
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_half_degree_below_one_is_an_input_error(d):
+    t = moment_sequence(pauli_pair(), 2)
+    error = _input_error(lambda: gns_build(t, d))
+    assert str(error) == f"model half-degree must be at least 1, got {d}"
 
 
 def test_values_too_large_for_moment_matrix_arithmetic_are_refused():
     for big in (1e300, 1e154):
         theta = MomentSequence(1, 2, {(): 1.0, (1,): 0.0, (1, 1): big})
-        with pytest.raises(ValueError, match="moment values too large: arithmetic on the 2 x 2"):
-            gns_build(theta, 1)
+        error = _input_error(lambda: gns_build(theta, 1))
+        assert str(error).startswith("moment values too large: arithmetic on the 2 x 2")
     theta = MomentSequence(1, 2, {(): 1.0, (1,): 0.0, (1, 1): 1e150})
     assert gns_build(theta, 1).rank >= 1
 
@@ -161,9 +177,7 @@ def test_unitary_group_pauli_isometry_and_group_law():
 def test_unitary_group_rejects_non_hermitian_generator():
     bad = GnsModel(
         degree=1,
-        basis=[()],
         rank=2,
-        vectors=np.eye(2, dtype=complex),
         operators=[np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)],
         vacuum=np.array([1.0, 0.0], dtype=complex),
         reconstruction_error=0.0,
@@ -278,9 +292,7 @@ def test_vacuum_values_equal_word_loop_for_non_hermitian_operators(n, rank):
     vacuum = rng.normal(size=rank) + 1j * rng.normal(size=rank)
     model = GnsModel(
         degree=3,
-        basis=[()],
         rank=rank,
-        vectors=vacuum[:, None],
         operators=list(ops / np.sqrt(rank)),
         vacuum=vacuum,
         reconstruction_error=0.0,
@@ -310,9 +322,8 @@ def test_norm_bound_check_refuses_a_radius_whose_powers_overflow():
         norm_bound_check(model, t, 1e78)
 
 
-def test_norm_bound_check_needs_degree_two_and_gns_build_a_nonnegative_degree():
+def test_norm_bound_check_needs_degree_two():
+    model = gns_build(moment_sequence(pauli_pair(), 2), 1)
     t = moment_sequence(pauli_pair(), 1)
     with pytest.raises(ValueError, match="degree at least 2"):
-        norm_bound_check(gns_build(t, 0), t, 1.0)
-    with pytest.raises(ValueError, match="half-degree must be nonnegative"):
-        gns_build(t, -1)
+        norm_bound_check(model, t, 1.0)

@@ -107,25 +107,46 @@ def test_real_symmetric_matrices_give_real_moments():
     assert max(abs(v.imag) for v in t.values.values()) < 1e-12
 
 
+def test_entries_whose_adjoint_sum_overflows_are_refused():
+    # Runs under the suite's filterwarnings = error: the refusal comes before
+    # the sum, so numpy warns of no overflow.
+    half = np.finfo(float).max / 2
+    for entry in (1.5e308, complex(0, np.nextafter(half, np.inf)), -np.finfo(float).max):
+        x = np.array([[1.0, entry], [np.conj(entry), 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="matrix 2 has entries too large"):
+            as_matrix_tuple([np.eye(2), x])
+    # Off the Hermitian matrices too: the difference with the adjoint is not
+    # taken either.
+    with pytest.raises(ValueError, match="matrix 1 has entries too large: 1.500e\\+308"):
+        as_matrix_tuple([[[1.5e308j]]])
+    # At half the largest float and below, and for subnormals, the Hermitian
+    # part is the exact (X + X^*) / 2.
+    tiny = np.nextafter(0.0, 1.0)
+    for entry in (half, -half, complex(half, -half), tiny, 3 * tiny, complex(tiny, tiny)):
+        x = np.array([[entry.real, entry], [np.conj(entry), -half]], dtype=complex)
+        (got,) = as_matrix_tuple([x]).matrices
+        assert np.array_equal(got, (x + x.conj().T) / 2)
+        assert np.array_equal(got, x)
+
+
 def test_moment_matrix_scalar():
     t = moment_sequence([np.array([[2.0]])], 2)
     M = moment_matrix(t, 1)
-    assert M.basis == [(), (1,)]
-    assert np.allclose(M.entries, [[1.0, 2.0], [2.0, 4.0]])
+    assert np.allclose(M, [[1.0, 2.0], [2.0, 4.0]])
     ok, min_eig = psd_check(M)
     assert ok
-    assert np.linalg.matrix_rank(M.entries, tol=1e-10) == 1
+    assert np.linalg.matrix_rank(M, tol=1e-10) == 1
 
 
 def test_moment_matrix_pauli_identity():
     t = moment_sequence(pauli_pair(), 2)
     M = moment_matrix(t, 1)
-    assert np.allclose(M.entries, np.eye(3))
+    assert np.allclose(M, np.eye(3))
 
 
 def test_moment_matrix_degree_zero_and_errors():
     t = moment_sequence([np.eye(2)], 2)
-    assert np.allclose(moment_matrix(t, 0).entries, [[1.0]])
+    assert np.allclose(moment_matrix(t, 0), [[1.0]])
     with pytest.raises(ValueError):
         moment_matrix(t, 2)
 
@@ -135,7 +156,7 @@ def test_moment_matrix_hermitian_and_psd_for_random_tuples():
     for _ in range(10):
         t = moment_sequence(random_hermitian_tuple(rng, 2, 3), 6)
         M = moment_matrix(t, 3)
-        assert np.allclose(M.entries, M.entries.conj().T)
+        assert np.allclose(M, M.conj().T)
         ok, min_eig = psd_check(M, tol=1e-9)
         assert ok, min_eig
 
@@ -240,9 +261,8 @@ def test_moment_sequence_and_matrix_equal_word_loop(n, N, D):
     assert list(t.values) == list(ref.values)
     assert np.array_equal(t.as_array(), ref.as_array())
     for d in range(D // 2 + 1):
-        M = moment_matrix(t, d)
-        assert M.basis == words_up_to(n, d)
-        assert np.array_equal(M.entries, reference_moment_matrix(ref, d))
+        # The reference is over the words of words_up_to(n, d), in order.
+        assert np.array_equal(moment_matrix(t, d), reference_moment_matrix(ref, d))
 
 
 def _assert_membership_equals_reference(t, tol=1e-10):
