@@ -19,9 +19,11 @@ length <= d with the cyclic class of ``reverse(J) + K``.  The labels come
 from :class:`~nctrace.moments.WordIndex` positions (see
 :func:`cyclic_classes`): a word's least rotation is the least position
 among its rotations, and ranking those positions numbers the classes.
-The certificate's residual is recomputed from its factors by plain
-polynomial arithmetic, one pass summing ``conj(b_J) b_K`` over every
-factor, and never reads the labels or any solver state.  Problems larger
+The certificate's residual is recomputed from its factors alone: their
+coefficients are the rows of a matrix B over the words they use, each
+entry (J, K) of ``B^H B`` is added to the word ``reverse(J) + K``, and the
+difference from p is reduced by plain polynomial arithmetic.  It never
+reads the labels or any solver state.  Problems larger
 than :data:`MAX_GRAM_SIZE` are refused before anything is allocated.
 
 Failure of the primal search is only ever "infeasible at tolerance at
@@ -46,6 +48,7 @@ from .algebra import (
     words_up_to,
 )
 from .moments import (
+    HALF_MAX,
     MAX_MOMENT_SIZE,
     MomentSequence,
     WordIndex,
@@ -229,19 +232,30 @@ class Certificate:
 
 
 def _sum_of_squares(factors, nvars: int) -> NCPoly:
-    """The polynomial sum of b* b over the factors b, in one pass.
+    """The polynomial sum of b* b over the factors b, by one Gram product.
 
-    Each product conj(b_J) b_K of two terms lands on the word
-    reverse(J) + K; all of them are summed into one coefficient table.
+    The factors' coefficients are the rows of B, over the W distinct words
+    they use in first-seen order, so sum_b conj(b_J) b_K is entry (J, K) of
+    ``B^H B``.  Each nonzero entry lands on the word reverse(J) + K: at most
+    W^2 additions, and no more than the sum over the factors of their term
+    counts squared, since an entry is nonzero only where one factor uses
+    both J and K.
     """
-    total: dict[Word, complex] = {}
+    columns: dict[Word, int] = {}
     for b in factors:
-        terms = b.terms.items()
-        for J, bJ in terms:
-            left, weight = J[::-1], bJ.conjugate()
-            for K, bK in terms:
-                word = left + K
-                total[word] = total.get(word, 0.0) + weight * bK
+        for word in b.terms:
+            columns.setdefault(word, len(columns))
+    B = np.zeros((len(factors), len(columns)), dtype=complex)
+    for row, b in zip(B, factors):
+        row[[columns[word] for word in b.terms]] = list(b.terms.values())
+    gram = B.conj().T @ B
+    J, K = np.nonzero(gram)
+    lefts = [word[::-1] for word in columns]
+    words = list(columns)
+    total: dict[Word, complex] = {}
+    for j, k, value in zip(J.tolist(), K.tolist(), gram[J, K].tolist()):
+        word = lefts[j] + words[k]
+        total[word] = total.get(word, 0.0) + value
     return NCPoly._from_valid(nvars, total)
 
 
@@ -571,7 +585,9 @@ def falsify(
     radius at which the traces could overflow is refused before any
     draw: R^deg(p) must be finite, and so must N times the larger of it
     and ``||p||_R``, which bound every partial sum of an unnormalized
-    trace on a tuple of norm R.
+    trace on a tuple of norm R.  So is R above ``HALF_MAX``, where a
+    drawn entry could be too large for
+    :func:`~nctrace.moments.hermitian_parts`.
     """
     _require_symmetric(p)
     if not (trials >= 0):
@@ -586,6 +602,11 @@ def falsify(
             f"{MAX_MOMENT_SIZE} (word count times N^2 + degree, per tuple)"
         )
     check_radius(R, p.degree())
+    if not (R <= HALF_MAX):
+        raise ValueError(
+            f"radius R = {R} is too large: matrices of norm R may have entries "
+            "above half the largest float"
+        )
     norm = p.r_norm(R)
     if not (N * max(norm, float(R) ** p.degree()) < np.inf):
         raise ValueError(

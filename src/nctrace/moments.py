@@ -39,7 +39,7 @@ HERMITIAN_INPUT_TOL = 1e-12
 # to D = 2,895.  The largest benchmark shape (n = 3, N = 8, D = 8) needs
 # 708,552.
 MAX_MOMENT_SIZE = 2**23
-_HALF_MAX = np.finfo(float).max / 2
+HALF_MAX = np.finfo(float).max / 2  # the sum of two floats up to it is finite
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def hermitian_parts(stack: np.ndarray) -> np.ndarray:
     for the first that is not Hermitian to ``HERMITIAN_INPUT_TOL``.
     """
     parts = np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=(-2, -1))
-    failed = np.argwhere(~(parts <= _HALF_MAX))  # NaN fails too
+    failed = np.argwhere(~(parts <= HALF_MAX))  # NaN fails too
     if len(failed):
         first = tuple(failed[0])
         if not np.isfinite(parts[first]):

@@ -25,10 +25,11 @@ per file, with lines starting with '#' treated as comments, read by
 
 :func:`parse_poly` reads each term, with its sign and the whitespace around
 it, as one match of a compiled pattern, and each factor of its word as one
-match of a second pattern.  A malformed text raises :class:`PolyParseError`
-at the offset where a left-to-right scan would first find the grammar
-broken; a word longer than ``MAX_WORD_LENGTH`` letters is refused before its
-powers are expanded.
+match of a second pattern.  Within one call, each distinct factor is checked
+once and its letters looked up after that.  A malformed text raises
+:class:`PolyParseError` at the offset where a left-to-right scan would first
+find the grammar broken; a word longer than ``MAX_WORD_LENGTH`` letters is
+refused before its powers are expanded.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ def parse_poly(text: str, nvars: int) -> NCPoly:
     if not text.strip():
         raise PolyParseError("empty input", 0)
     terms: dict[Word, complex] = {}
+    known: dict[tuple, Word] = {}  # the letters of each factor seen valid
     pos, end = 0, len(text)
     while pos < end:
         m = _TERM.match(text, pos)
@@ -102,7 +104,7 @@ def parse_poly(text: str, nvars: int) -> NCPoly:
         if pos and sign is None:
             raise PolyParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
         if unit is not None:
-            word, coeff = _word(m, "unit", nvars), 1.0
+            word, coeff = _word(m, "unit", nvars, known), 1.0
         else:
             if real is not None:
                 coeff = complex(float(real))
@@ -111,7 +113,7 @@ def parse_poly(text: str, nvars: int) -> NCPoly:
             else:
                 raise _term_error(m)
             # A coefficient with no word, a bare '1' included, is on the empty word.
-            word = _word(m, "word", nvars) if star is not None else ()
+            word = _word(m, "word", nvars, known) if star is not None else ()
         total = terms.get(word, 0.0) + (-1.0 if sign == "-" else 1.0) * coeff
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             at = m.start("real" if real else "paren")
@@ -141,14 +143,38 @@ def _term_error(m: re.Match) -> PolyParseError:
     return PolyParseError(f"expected coefficient or word, found {ch!r}", at)
 
 
-def _word(m: re.Match, group: str, nvars: int) -> Word:
-    """The letters of the word a term match holds in ``group``."""
+def _word(m: re.Match, group: str, nvars: int, known: dict) -> Word:
+    """The letters of the word a term match holds in ``group``.
+
+    ``known`` maps the ``(index, caret, power)`` groups of each factor this
+    parse has seen valid to its letters.  A word with a factor not in it, or
+    longer than ``MAX_WORD_LENGTH`` letters, is scanned by
+    :func:`_word_error`, which raises at the first error or adds its factors.
+    """
     factors = m[group]
     if factors is None:
         raise PolyParseError("expected word", m.end())
     if factors == "1":
         return ()
-    out: list[int] = []
+    groups = _FACTOR.findall(m.string, m.start(group), m.end(group))
+    try:
+        word = sum([known[factor] for factor in groups], ())
+    except KeyError:  # a factor not seen yet
+        _word_error(m, group, nvars, known)
+        word = sum([known[factor] for factor in groups], ())
+    if len(word) > MAX_WORD_LENGTH:
+        _word_error(m, group, nvars, known)  # raises at the factor past the limit
+    return word
+
+
+def _word_error(m: re.Match, group: str, nvars: int, known: dict) -> None:
+    """Scan a word factor by factor, as a left-to-right reading would.
+
+    Raises :class:`PolyParseError` at the first broken factor or at the
+    factor that takes the word past ``MAX_WORD_LENGTH`` letters; otherwise
+    adds the letters of every factor to ``known``.
+    """
+    length = 0
     for factor in _FACTOR.finditer(m.string, m.start(group), m.end(group)):
         index, caret, power = factor.groups()
         y_pos = factor.start()
@@ -164,11 +190,12 @@ def _word(m: re.Match, group: str, nvars: int) -> Word:
             if not power:
                 raise PolyParseError("expected power after '^'", factor.end())
             count = _integer(power, factor.start(3), "power")
-        # Checked before expanding, so a huge power costs nothing.
-        if len(out) + count > MAX_WORD_LENGTH:
+        # Checked before expanding, so a huge power costs nothing, and no
+        # factor in ``known`` has more letters than a word may.
+        length += count
+        if length > MAX_WORD_LENGTH:
             raise PolyParseError(f"word longer than {MAX_WORD_LENGTH} letters", y_pos)
-        out += [letter] * count
-    return tuple(out)
+        known[index, caret, power] = (letter,) * count
 
 
 def _integer(digits: str, offset: int, what: str) -> int:
@@ -256,6 +283,6 @@ def load_poly_file(path, nvars: int | None = None) -> NCPoly:
     with open(path, "r", encoding="utf-8") as fh:
         text = strip_comments(fh.read())
     if nvars is None:
-        indices = re.findall(r"Y(\d+)", text)
+        indices = set(re.findall(r"Y(\d+)", text))
         nvars = max([1, *(int(i) for i in indices if len(i) <= MAX_DIGITS)])
     return parse_poly(text, nvars)

@@ -29,13 +29,19 @@ def random_hermitians(
     One ``rng.normal`` call of shape ``(*shape, 2, size, size)`` is the same
     stream as drawing the matrices one by one in C order, the real part of
     each before its imaginary part, so the result equals that loop's bit for
-    bit.
+    bit.  A draw is multiplied by ``radius / norm``; one whose norm is so
+    small that this factor overflows is divided by its norm first instead.
     """
     g = rng.normal(size=(*shape, 2, size, size))
     a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     h = (a + a.conj().swapaxes(-1, -2)) / 2
     norm = np.linalg.norm(h, 2, axis=(-2, -1))
-    scale = np.divide(radius, norm, out=np.ones_like(norm), where=norm > 0)
+    with np.errstate(over="ignore"):
+        scale = np.divide(radius, norm, out=np.ones_like(norm), where=norm > 0)
+    tiny = np.isinf(scale)
+    if tiny.any():
+        h[tiny] /= norm[tiny][:, None, None]
+        scale[tiny] = radius
     return h * scale[..., None, None]
 
 

@@ -413,6 +413,68 @@ def test_square_sum_matches_product_reference(nvars, d):
             assert abs(got.terms[word] - coeff) <= 1e-14 * magnitudes.terms[word].real
 
 
+def _square_sum_cases():
+    """Factor lists where the Gram product has far more entries than the
+    products of terms, or none, or sums that cancel below COEFF_PRUNE."""
+    rng = make_rng(910)
+    words = words_up_to(2, 5)[1:51]
+    one_term = [NCPoly(2, {w: complex(rng.normal(), rng.normal())}) for w in words]
+    basis = words_up_to(2, 3)
+    disjoint = [
+        NCPoly(2, {w: complex(rng.normal(), rng.normal()) for w in basis[k::3]})
+        for k in range(3)
+    ]
+    tiny = [NCPoly(2, {(1,): 1.0, (2,): 1e-8})]  # conj(1e-8) 1e-8 is below COEFF_PRUNE
+    cancelling = [  # cross terms cancel exactly on Y1 Y2, to 1.4e-17 on Y1^2 Y2
+        NCPoly(2, {(1,): 1.0, (2,): 1.0}),
+        NCPoly(2, {(1,): 1.0, (2,): -1.0}),
+        NCPoly(2, {(1,): 0.1, (1, 2): 0.9}),
+        NCPoly(2, {(1,): 0.3, (1, 2): -0.3}),
+    ]
+    return {"one-term": one_term, "disjoint": disjoint, "empty": [], "tiny": tiny,
+            "cancelling": cancelling}
+
+
+@pytest.mark.parametrize("case", ["one-term", "disjoint", "empty", "tiny", "cancelling"])
+def test_square_sum_of_sparse_and_cancelling_factors(case):
+    factors = _square_sum_cases()[case]
+    got = certify._sum_of_squares(factors, 2)
+    expected = reference_sum_of_squares(factors, 2)
+    assert set(got.terms) == set(expected.terms)
+    for word, coeff in expected.terms.items():
+        assert abs(got.terms[word] - coeff) <= 1e-15 * abs(coeff)
+    if case == "one-term":
+        assert len(got.terms) == 50  # reverse(w) + w differs for distinct w
+    if case == "empty":
+        assert got.terms == {}
+    if case == "tiny":
+        assert (2, 2) not in got.terms
+    if case == "cancelling":
+        assert not {(1, 2), (2, 1), (1, 1, 2), (2, 1, 1)} & set(got.terms)
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+def test_certificate_residual_matches_product_reference(nvars, d):
+    # Full-rank random sums, as in the benchmark's certify grid.
+    rng = make_rng(920 + 10 * nvars + d)
+    m = len(words_up_to(nvars, d))
+    for _ in range(2):
+        p = NCPoly.zero(nvars)
+        for _ in range(m):
+            b = random_poly(rng, nvars, d, n_terms=m)
+            p = p + star_product(b.adjoint(), b)
+        cert = certify_sos(p, d)
+        expected = (p - reference_sum_of_squares(cert.factors, nvars)).cyclic_reduce().r_norm(1.0)
+        magnitudes = reference_sum_of_squares(
+            [NCPoly(nvars, {w: abs(c) for w, c in b.terms.items()}) for b in cert.factors],
+            nvars,
+        )
+        # Each coefficient of the sum rounds within 1e-14 of its magnitudes.
+        bound = 1e-14 * (p.r_norm(1.0) + magnitudes.r_norm(1.0))
+        assert abs(cert.residual_l1 - expected) <= bound
+        assert verify_certificate(p, cert) == cert.residual_l1
+
+
 # -- input checks --------------------------------------------------------------
 
 
@@ -733,6 +795,45 @@ def test_falsify_refuses_a_radius_whose_traces_overflow(R, reason, monkeypatch):
         falsify(commutator_square_poly(), R=R)
     # The largest radius at which nothing overflows still runs.
     assert falsify(commutator_square_poly(), trials=0, N=4, R=1e76) is None
+
+
+def test_falsify_refuses_a_radius_above_half_the_largest_float(monkeypatch):
+    # Y1 at size 1: N R^deg p stays finite up to the largest float, but a
+    # drawn entry of magnitude R would be refused by hermitian_parts.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a tuple before refusing the radius")
+
+    monkeypatch.setattr(certify, "random_hermitians", no_draw)
+    half = np.finfo(float).max / 2
+    for R in (np.nextafter(half, np.inf), 1e308):
+        with pytest.raises(ValueError) as err:
+            falsify(NCPoly(1, {(1,): 1.0}), N=1, R=R)
+        assert str(err.value) == (
+            f"radius R = {R} is too large: matrices of norm R may have entries "
+            "above half the largest float"
+        )
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_random_hermitians_divide_small_draws_by_their_norm_first(size):
+    # At R = 5e307, R / norm overflows for draws of norm below about 0.28:
+    # those are (h / norm) R, and every other draw keeps the bits of h (R / norm).
+    R = 5e307
+    drawn = certify.random_hermitians(make_rng(11), (96, 2), size, R)
+    rng = make_rng(11)
+    small = 0
+    for got in drawn.reshape(-1, size, size):
+        h = random_hermitian(rng, size)
+        norm = np.linalg.norm(h, 2)
+        with np.errstate(over="ignore"):
+            scale = R / norm
+        if np.isinf(scale):
+            small += 1
+            assert np.array_equal(got, (h / norm) * R)
+        else:
+            assert np.array_equal(got, h * scale)
+        assert np.linalg.norm(got / R, 2) == pytest.approx(1.0, rel=1e-12)
+    assert 0 < small < 192
 
 
 @pytest.mark.parametrize(

@@ -310,6 +310,30 @@ def test_huge_radius_exits_one_naming_it(command, text, radius, message, poly_fi
     assert captured.err == f"nctrace: radius R = {float(radius)} is too large: {message}\n"
 
 
+def test_falsify_below_half_the_largest_float_finds_a_verified_tuple(poly_file, capsys):
+    # N R^deg p = 5e307 is finite, and draws of norm below 5e307 / max float
+    # are divided by their norm before they are scaled.
+    code = main(["falsify", poly_file("Y1"), "--radius", "5e307", "--size", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    data = json.loads(captured.out)
+    assert data["falsified"] is True and data["source"] == "random"
+    (re_part, im_part), = data["tuple"]["matrices"][0][0]
+    X = as_matrix_tuple([np.array([[complex(re_part, im_part)]])])
+    assert data["trace"] == certify._real_trace(NCPoly(1, {(1,): 1.0}), X) < 0
+    assert abs(re_part) == 5e307
+
+
+def test_falsify_above_half_the_largest_float_exits_one(poly_file, capsys):
+    code = main(["falsify", poly_file("Y1"), "--radius", "1e308", "--size", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        "nctrace: radius R = 1e+308 is too large: matrices of norm R may have "
+        "entries above half the largest float\n"
+    )
+
+
 def _assert_validated_witness(data: dict, radius: float) -> None:
     """The witness a ``witness`` payload writes passes validate_witness."""
     theta = cli._theta_from_json(data, "witness")

@@ -287,6 +287,24 @@ def test_oversized_digit_runs_are_parse_errors(text, offset, message):
         assert str(err.value) == f"{message} at offset {offset}"
 
 
+@pytest.mark.parametrize(
+    "text,message,offset",
+    [
+        ("Y1 + Y1 Y", "expected variable index after 'Y'", 9),
+        ("Y1 + Y1^", "expected power after '^'", 8),
+        ("Y1^40 + Y1^40 Y1^30", "word longer than 64 letters", 14),
+        ("Y1^40 + Y1^30 + Y1^40 Y1^30", "word longer than 64 letters", 22),
+        ("Y2 + Y1 Y3", "index 3 exceeds nvars", 8),
+        ("Y1 + Y0000000000000000001", "index longer than 18 digits", 6),
+    ],
+)
+def test_errors_after_valid_factors_keep_their_offsets(text, message, offset):
+    # Each text has factors seen valid earlier in it before its error.
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, 2)
+    assert str(err.value) == f"{message} at offset {offset}"
+
+
 def test_longest_digit_runs_still_parse():
     assert parse_poly("Y" + "0" * 17 + "1" + "^" + "0" * 16 + "64", 1).degree() == 64
 
