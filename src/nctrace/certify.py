@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from numbers import Integral
 
 import numpy as np
 
@@ -578,6 +579,7 @@ def falsify(
     traces differ by rounding only, far inside the screen's slack, so the
     returned index, tuple and trace are those of the trial-by-trial search.
 
+    A seed that is not a nonnegative integer is refused before any probe.
     A size N whose chunk of products would be too large is refused before
     anything is allocated: a chunk holds the products of up to
     ``moment_size(n, ceil(deg p / 2), N)`` entries per trial, and
@@ -592,6 +594,8 @@ def falsify(
     _require_symmetric(p)
     if not (trials >= 0):
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if not (N >= 1):
         raise ValueError(f"matrix size N must be at least 1, got {N}")
     half = -(-p.degree() // 2)

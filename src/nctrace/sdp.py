@@ -24,7 +24,13 @@ Two constraint types share one interface (``dim``, ``consistent``, ``project``,
 the intersection by a two-block ADMM between the two projections.  It stops
 on primal and dual residuals or, on an affine set, on a separating matrix it
 has checked itself: PSD, normal to the set, and pairing below zero with
-every point of it.  :func:`feasibility_solve` is it with a zero objective.
+every point of it.  :func:`feasibility_solve` is it with a zero objective;
+both run the same private loop, which checks its inputs once, at entry, and
+then calls the projections' unchecked kernels.  Each kernel ends by
+averaging its result with its adjoint, so the iterates are exactly
+Hermitian and the checks the public :func:`project_psd` and
+:func:`project_affine` make would return them unchanged: the kernels
+reproduce the checked projections' iterates.
 
 Everything here is single-threaded and deterministic; independent solves
 may run concurrently.
@@ -139,7 +145,7 @@ class ClassConstraints:
 
         self.dim = labels.shape[0]
         self.labels = labels
-        self._flat = flat
+        self._parts = np.stack([2 * flat, 2 * flat + 1], axis=1).ravel()
         self.counts = counts
         self.pinned = pinned
         self.radii = None
@@ -204,10 +210,11 @@ class ClassConstraints:
         return self.defect <= CONSISTENCY_TOL
 
     def _class_sums(self, G: np.ndarray) -> np.ndarray:
-        G = np.asarray(G)
-        k = len(self.counts)
-        real = np.bincount(self._flat, G.real.ravel(), k)
-        return real + 1j * np.bincount(self._flat, G.imag.ravel(), k)
+        # One pass over G's float64 view, real part of class c into bin 2c
+        # and imaginary part into 2c + 1: each bin adds its entries in
+        # row-major order, as a bincount per part would.
+        parts = np.ascontiguousarray(G, dtype=complex).view(float).ravel()
+        return np.bincount(self._parts, parts, 2 * len(self.counts)).view(complex)
 
     def class_means(self, G: np.ndarray) -> np.ndarray:
         """Mean of G's entries over each class, summed in row-major order."""
@@ -365,20 +372,30 @@ def _require_consistent(constraints: Constraints) -> None:
         )
 
 
-def project_psd(H: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix, exactly Hermitian."""
-    H = _check_hermitian(H)
+def _psd_kernel(H: np.ndarray) -> np.ndarray:
+    """:func:`project_psd` of an exactly Hermitian complex H, unchecked."""
     eigvals, eigvecs = np.linalg.eigh(H)
     out = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
     return (out + out.conj().T) / 2
+
+
+def _affine_kernel(G: np.ndarray, constraints: Constraints) -> np.ndarray:
+    """:func:`project_affine` of an exactly Hermitian complex G onto
+    consistent constraints, unchecked."""
+    out = constraints.project(G)
+    return (out + out.conj().T) / 2
+
+
+def project_psd(H: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest positive semidefinite matrix, exactly Hermitian."""
+    return _psd_kernel(_check_hermitian(H))
 
 
 def project_affine(G: np.ndarray, constraints: Constraints) -> np.ndarray:
     """Frobenius-nearest Hermitian matrix satisfying the equations."""
     G = _check_hermitian(G)
     _require_consistent(constraints)
-    out = constraints.project(G)
-    return (out + out.conj().T) / 2
+    return _affine_kernel(G, constraints)
 
 
 @dataclass
@@ -408,13 +425,13 @@ def feasibility_solve(
     """Find a PSD matrix on the affine set, or a matrix proving there is none.
 
     :func:`minimize_linear` with a zero objective (Douglas-Rachford
-    splitting).  A box (``radii``) is refused: the separator test needs an
-    affine set.
+    splitting), run by the same loop.  A box (``radii``) is refused: the
+    separator test needs an affine set.
     """
     if getattr(constraints, "radii", None) is not None:
         raise ValueError("feasibility_solve needs an affine set; radii make a box")
     dim = constraints.dim
-    return minimize_linear(np.zeros((dim, dim)), constraints, tol, max_iter, anchor)
+    return _admm(np.zeros((dim, dim)), constraints, tol, max_iter, anchor)
 
 
 def minimize_linear(
@@ -435,12 +452,22 @@ def minimize_linear(
         z' = project_psd(x + u)
         u += x - z'
 
-    Both projections return Hermitian matrices, so u stays Hermitian.  It is
-    "feasible" once the primal residual ``||x - z'||`` and the dual residual
-    ``rho * ||z' - z||`` are both at most ``tol`` (SCS's rule, O'Donoghue et
-    al., JOTA 2016).  Every 20 iterations rho (initially ``max(||c||, 1)``)
-    doubles when the primal residual exceeds ten times the dual one and
-    halves in the opposite case, with u rescaled to match.
+    It is "feasible" once the primal residual ``||x - z'||`` and the dual
+    residual ``rho * ||z' - z||`` are both at most ``tol`` (SCS's rule,
+    O'Donoghue et al., JOTA 2016).  Every 20 iterations rho (initially
+    ``max(||c||, 1)``) doubles when the primal residual exceeds ten times
+    the dual one and halves in the opposite case, with u rescaled to match.
+
+    The inputs are checked once, before the first iteration: ``tol``, the
+    objective (square, of the constraints' size, finite and Hermitian; it
+    is used as :func:`_check_hermitian` returns it) and the constraints'
+    consistency.  The iterations then call the projections' unchecked
+    kernels.  Both kernels end by averaging their result with its adjoint,
+    so x and z leave them exactly Hermitian; u is sums and differences of
+    them, halved or doubled, and so are z - u - c / rho and x + u.  On
+    such a matrix the checked projections' :func:`_check_hermitian`
+    returns its input's values unchanged, so the iterates are those of the
+    checked projections.
 
     On an affine set (no ``radii``) every 10 iterations it tests
     Y = z - P_A(z), which is normal to the set, so Re<Y, G> = Re<Y, x> for
@@ -454,6 +481,11 @@ def minimize_linear(
     The report's x lies on the constraint set (to rounding) and is PSD to
     within the primal residual; at ``max_iter`` it may be further off.
     """
+    return _admm(objective, constraints, tol, max_iter, anchor)
+
+
+def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor):
+    """The loop of :func:`minimize_linear` and :func:`feasibility_solve`."""
     if not (0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     c = _check_hermitian(objective)
@@ -466,16 +498,17 @@ def minimize_linear(
     # rho = ||c|| makes the objective shift c / rho of unit size.  The start
     # is the identity scaled to the equations' pure-trace part, on the set.
     rho = max(float(np.linalg.norm(c)), 1.0)
+    shift = c / rho
     start = constraints.start_scale * np.eye(dim, dtype=complex)
-    x = z = project_affine(start, constraints)
+    x = z = _affine_kernel(start, constraints)
     u = np.zeros_like(z)
     normal = separator = None
     primal = dual = float("inf")
     status = "max-iterations"
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        x = project_affine(z - u - c / rho, constraints)
-        z_next = project_psd(x + u)
+        x = _affine_kernel(z - u - shift, constraints)
+        z_next = _psd_kernel(x + u)
         primal = float(np.linalg.norm(x - z_next))
         dual = rho * float(np.linalg.norm(z_next - z))
         u = u + x - z_next
@@ -486,11 +519,13 @@ def minimize_linear(
         if iterations % 20 == 0:
             if primal > 10 * dual:
                 rho, u = 2 * rho, u / 2
+                shift = c / rho
             elif dual > 10 * primal:
                 rho, u = rho / 2, 2 * u
+                shift = c / rho
         if not affine or iterations % 10:
             continue
-        Y = z - project_affine(z, constraints)
+        Y = z - _affine_kernel(z, constraints)
         low = float(np.linalg.eigvalsh(Y)[0])
         if low < 0:
             if normal is None:

@@ -25,7 +25,14 @@ from nctrace.certify import FALSIFY_TRACE_TOL, _real_trace
 from nctrace.moments import MomentSequence, as_matrix_tuple
 from nctrace.parsing import MAX_DIGITS, MAX_WORD_LENGTH, PolyParseError
 from nctrace.sampling import structured_library
-from nctrace.sdp import AffineConstraints
+from nctrace.sdp import (
+    AffineConstraints,
+    SolveReport,
+    _check_hermitian,
+    _require_consistent,
+    project_affine,
+    project_psd,
+)
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -510,6 +517,69 @@ def dense_witness_constraints(nvars: int, d: int) -> AffineConstraints:
             if np.any(im_part):
                 constraints.add(im_part, 0.0)
     return constraints
+
+
+# -- the checked ADMM loop -------------------------------------------------------
+#
+# ``sdp.minimize_linear`` as it was when every iteration called the checked
+# public projections.  The loop that checks its inputs once and then calls
+# the unchecked kernels must return the same report, bit for bit.
+
+
+def reference_minimize_linear(objective, constraints, tol=1e-9, max_iter=10_000, anchor=None):
+    if not (0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    c = _check_hermitian(objective)
+    dim = constraints.dim
+    if c.shape != (dim, dim):
+        raise ValueError(f"objective shape {c.shape} does not match dim {dim}")
+    _require_consistent(constraints)
+    affine = getattr(constraints, "radii", None) is None
+
+    rho = max(float(np.linalg.norm(c)), 1.0)
+    start = constraints.start_scale * np.eye(dim, dtype=complex)
+    x = z = project_affine(start, constraints)
+    u = np.zeros_like(z)
+    normal = separator = None
+    primal = dual = float("inf")
+    status = "max-iterations"
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        x = project_affine(z - u - c / rho, constraints)
+        z_next = project_psd(x + u)
+        primal = float(np.linalg.norm(x - z_next))
+        dual = rho * float(np.linalg.norm(z_next - z))
+        u = u + x - z_next
+        z = z_next
+        if primal <= tol and dual <= tol:
+            status = "feasible"
+            break
+        if iterations % 20 == 0:
+            if primal > 10 * dual:
+                rho, u = 2 * rho, u / 2
+            elif dual > 10 * primal:
+                rho, u = rho / 2, 2 * u
+        if not affine or iterations % 10:
+            continue
+        Y = z - project_affine(z, constraints)
+        low = float(np.linalg.eigvalsh(Y)[0])
+        if low < 0:
+            if normal is None:
+                A = _check_hermitian(np.eye(dim) if anchor is None else anchor())
+                A += project_affine(0 * A, constraints) - project_affine(A, constraints)
+                normal = A, float(np.linalg.eigvalsh(A)[0])
+            A, delta = normal
+            if not delta > 0:
+                continue
+            Y = Y - (low / delta) * A
+        if np.real(np.vdot(Y, x)) < -tol * np.linalg.norm(Y) and (
+            low >= 0 or np.linalg.eigvalsh(Y)[0] >= 0
+        ):
+            status, separator = "infeasible-at-tolerance", Y
+            break
+
+    value = float(np.real(np.vdot(c, x)))
+    return SolveReport(status, iterations, x, value, primal, dual, separator)
 
 
 # -- word-by-word references for the level-batched moment and GNS code ---------

@@ -777,6 +777,25 @@ def test_falsify_equals_trial_by_trial_search_at_the_edges():
     assert library.source == "library"
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "0"])
+def test_falsify_refuses_a_bad_seed_before_any_probe(seed, monkeypatch):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probed a tuple before refusing the seed")
+
+    monkeypatch.setattr(certify, "structured_library", no_probe)
+    monkeypatch.setattr(certify, "random_hermitians", no_probe)
+    message = re.escape(f"seed must be a nonnegative integer, got {seed}")
+    for p in (-1 * commutator_square_poly(), NCPoly(1, {(1, 1): 1.0})):
+        with pytest.raises(ValueError, match=message):
+            falsify(p, trials=5, seed=seed)
+
+
+def test_falsify_accepts_numpy_integer_seeds():
+    p = NCPoly(1, {(1, 1): 1.0})
+    assert falsify(p, trials=5, seed=np.int64(3)) is None
+    assert falsify(p, trials=5, seed=np.uint64(2**64 - 1)) is None
+
+
 def test_falsify_rejects_infinite_radius():
     with pytest.raises(ValueError, match="radius R must be positive and finite"):
         falsify(commutator_square_poly(), trials=5, R=float("inf"))

@@ -215,6 +215,17 @@ def test_falsify_rejects_bad_options(poly_file, capsys, flags, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("text", [NEGATED, "Y1^2"])
+def test_falsify_refuses_a_negative_seed(poly_file, capsys, text):
+    # The negated square is falsified by the library, before any draw, and
+    # Y1^2 would reach the random draws: both refuse the seed first.
+    code = main(["falsify", poly_file(text), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "nctrace: seed must be a nonnegative integer, got -1\n"
+
+
 def test_moments_rejects_nan_matrix(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(

@@ -1,10 +1,12 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
-from nctrace.algebra import NCPoly
-from nctrace.certify import build_gram_problem
+from nctrace import sdp
+from nctrace.algebra import NCPoly, cyclic_canonical
+from nctrace.certify import _tracial_anchor, build_gram_problem
 from nctrace.sdp import (
     AffineConstraints,
     ClassConstraints,
@@ -25,6 +27,7 @@ from helpers import (
     random_poly,
     reference_class_labels,
     reference_class_positions,
+    reference_minimize_linear,
 )
 
 
@@ -472,3 +475,121 @@ def test_bounded_class_projection_is_optimal(nvars, d):
         for _ in range(5):
             Y = cls.project(3 * random_hermitian(rng, cls.dim))
             assert np.real(np.vdot(G - P, Y - P)) <= 1e-12
+
+
+# -- the loop checks its inputs once, then trusts its Hermitian iterates -------
+
+
+def _gram_constraints(nvars, d, sign):
+    p = commutator_square_poly()
+    if nvars == 3:
+        p = NCPoly(3, dict(p.terms)) + NCPoly(3, {(3, 3): 1.0})
+    return build_gram_problem(sign * p, d).constraints
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("with_anchor", [False, True])
+def test_gram_solves_match_the_checked_loop(nvars, d, sign, with_anchor):
+    # The negated problems reach the separator test, and the anchor (the
+    # identity when none is given) is mixed into a separator that is not PSD.
+    cons = _gram_constraints(nvars, d, sign)
+    anchor = partial(_tracial_anchor, nvars, d) if with_anchor else None
+    report = feasibility_solve(cons, anchor=anchor)
+    assert report.status == ("feasible" if sign > 0 else "infeasible-at-tolerance")
+    zero = np.zeros((cons.dim, cons.dim))
+    reference = reference_minimize_linear(zero, cons, max_iter=200_000, anchor=anchor)
+    _assert_same_report(report, reference)
+    _assert_same_report(minimize_linear(zero, cons, anchor=anchor), report)
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+def test_witness_box_solves_match_the_checked_loop(nvars, d):
+    # These run 322, 710 and 1,514 iterations, and rho changes at several
+    # of the every-20-iterations checks on each.
+    cons = _witness_set(nvars, d, 1.5)
+    objective = random_hermitian(make_rng(400 * nvars + d), cons.dim)
+    report = minimize_linear(objective, cons, max_iter=3000)
+    assert report.feasible and report.iterations > 300
+    _assert_same_report(report, reference_minimize_linear(objective, cons, max_iter=3000))
+
+
+def test_capped_solve_matches_the_checked_loop():
+    cons = _gram_constraints(2, 3, 1)
+    report = feasibility_solve(cons, max_iter=25)
+    assert report.status == "max-iterations" and report.iterations == 25
+    zero = np.zeros((cons.dim, cons.dim))
+    _assert_same_report(report, reference_minimize_linear(zero, cons, max_iter=25))
+
+
+def test_objective_over_dense_equations_matches_the_checked_loop():
+    # The pairing with the commutator square, spread evenly over each class;
+    # the square is trace-nonnegative, so the minimum is bounded below by 0.
+    cons = dense_witness_constraints(2, 2)
+    _, classes = reference_class_positions(2, 2)
+    objective = np.zeros((cons.dim, cons.dim), dtype=complex)
+    for word, coeff in commutator_square_poly().terms.items():
+        entries = classes[cyclic_canonical(word)]
+        for entry in entries:
+            objective[entry] += coeff / len(entries)
+    objective = (objective + objective.conj().T) / 2
+    report = minimize_linear(objective, cons, max_iter=3000)
+    assert report.iterations > 20 and report.value >= -1e-6
+    _assert_same_report(report, reference_minimize_linear(objective, cons, max_iter=3000))
+
+
+@pytest.fixture
+def no_iterations(monkeypatch):
+    def iterate(*args):
+        raise AssertionError("iterated before refusing the input")
+
+    monkeypatch.setattr(sdp, "_affine_kernel", iterate)
+    monkeypatch.setattr(sdp, "_psd_kernel", iterate)
+
+
+def test_minimize_linear_refuses_bad_objectives_before_iterating(no_iterations):
+    cons = _trace_and_offdiag(0.8)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        minimize_linear(np.array([[0.0, 1.0], [0.0, 0.0]]), cons)
+    for entry in [(0, 0), (0, 1)]:
+        objective = np.eye(2)
+        objective[entry] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian: max asymmetry nan"):
+            minimize_linear(objective, cons)
+    with pytest.raises(ValueError, match=r"objective shape \(3, 3\) does not match dim 2"):
+        minimize_linear(np.eye(3), cons)
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        minimize_linear(np.ones(4), cons)
+
+
+def test_minimize_linear_refuses_inconsistent_constraints_before_iterating(no_iterations):
+    bad = ClassConstraints(np.array([[0, 1], [2, 3]]), rhs=[1.0, 0.5, 0.25, 2.0])
+    with pytest.raises(InconsistentConstraints, match="structurally infeasible"):
+        minimize_linear(np.eye(2), bad)
+    dense = AffineConstraints(2)
+    dense.add(np.eye(2), 1.0)
+    dense.add(np.eye(2), 2.0)
+    with pytest.raises(InconsistentConstraints):
+        minimize_linear(np.eye(2), dense)
+
+
+def _two_bincount_sums(cls, G):
+    flat, k = cls.labels.ravel(), len(cls)
+    G = np.asarray(G)
+    real = np.bincount(flat, G.real.ravel(), k)
+    return real + 1j * np.bincount(flat, G.imag.ravel(), k)
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+def test_class_sums_match_two_bincounts_bit_for_bit(nvars, d):
+    rng = make_rng(500 * nvars + d)
+    cls = _gram_constraints(nvars, d, 1)
+    m = cls.dim
+    G = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    zeros = G.copy()
+    zeros[rng.random((m, m)) < 0.5] = -0.0
+    zeros.imag[rng.random((m, m)) < 0.5] = -0.0
+    for case in (G, G.real, G.T, G.real.T, zeros, -0.0 * G.real, random_hermitian(rng, m)):
+        got = cls._class_sums(case)
+        assert got.dtype == complex and got.shape == (len(cls),)
+        assert got.tobytes() == _two_bincount_sums(cls, case).tobytes()
