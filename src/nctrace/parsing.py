@@ -76,7 +76,7 @@ _FACTOR = re.compile(r"Y(\d*)(\^?)(\d*)")
 
 
 class PolyParseError(ValueError):
-    """Malformed polynomial text; carries the byte offset of the problem."""
+    """Malformed polynomial text; carries the character offset of the problem."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
@@ -209,13 +209,17 @@ def format_poly(p: NCPoly) -> str:
 
     Terms are ordered by degree then lexicographically by word; real
     coefficients print as decimals, complex ones as "(re,im)", and a unit
-    coefficient on a nonempty word is omitted.
+    coefficient on a nonempty word is omitted.  A non-finite coefficient,
+    which the grammar cannot express, raises ValueError naming its word.
     """
     if p.is_zero():
         return "0"
     pieces: list[str] = []
     for word in sorted(p.terms, key=lambda w: (len(w), w)):
         coeff = p.terms[word]
+        if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+            # The grammar refuses a non-finite total coefficient on a word.
+            raise ValueError(f"coefficient {coeff} of word {word} is not finite")
         negative = coeff.real < 0 or (coeff.real == 0 and coeff.imag < 0)
         if negative:
             coeff = -coeff
@@ -263,11 +267,18 @@ def _format_word(word: Word) -> str:
 
 
 def strip_comments(text: str) -> str:
-    """Drop comment lines ('#' first non-blank character) from file text."""
-    kept = [
-        line for line in text.splitlines() if not line.lstrip().startswith("#")
-    ]
-    return "\n".join(kept)
+    """Blank the comment lines ('#' first non-blank character) of file text.
+
+    Each character of a comment line becomes a space and every line break
+    stays, so an offset into the result is the same offset into the text.
+    """
+    lines = []
+    for line in text.splitlines(keepends=True):
+        if line.lstrip().startswith("#"):
+            body = line.splitlines()[0]
+            line = " " * len(body) + line[len(body) :]
+        lines.append(line)
+    return "".join(lines)
 
 
 def load_poly_file(path, nvars: int | None = None) -> NCPoly:
@@ -276,11 +287,13 @@ def load_poly_file(path, nvars: int | None = None) -> NCPoly:
     Without ``nvars`` the variable count is the largest index in the file,
     and at least 1, so a lone ``Y0`` is refused at its offset as any index
     outside 1..nvars is; an index longer than ``MAX_DIGITS`` digits is left
-    for the parser to refuse at its offset.  Raises OSError or
+    for the parser to refuse at its offset.  Comment lines are blanked, not
+    removed, so error offsets index the file's text.  Raises OSError or
     UnicodeDecodeError when the file cannot be read, and
     :class:`PolyParseError` when its text does not parse.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="" keeps "\r\n" as two characters, as they are in the file.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         text = strip_comments(fh.read())
     if nvars is None:
         indices = set(re.findall(r"Y(\d+)", text))

@@ -32,18 +32,34 @@ Hermitian and the checks the public :func:`project_psd` and
 :func:`project_affine` make would return them unchanged: the kernels
 reproduce the checked projections' iterates.
 
+On a box (``radii`` set) the loop is Anderson-accelerated after its first
+20 iterations (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 2020): it
+extrapolates the ADMM step from its last few steps, keeping an
+extrapolated state only when the step from it has a smaller fixed-point
+residual than the plain step it replaced.  The witness box always holds the
+vacuum sequence (1 at the empty word, 0 elsewhere), so its ADMM map has a
+fixed point.  An affine set may be empty, and then its map has none:
+extrapolating there can make the multiplier diverge and end on a false
+"feasible", so affine sets keep the plain loop and its separator test.
+
 Everything here is single-threaded and deterministic; independent solves
 may run concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
+# Anderson acceleration of the box-constrained loop: the number of past
+# steps combined with the newest, and the iteration after which they are
+# recorded (the first rho check), so solves decided by then are unchanged.
+ANDERSON_MEMORY = 5
+ANDERSON_START = 20
 HERMITIAN_TOL = 1e-10
 CONSISTENCY_TOL = 1e-8
 RHS_IMAG_TOL = 1e-10
@@ -401,7 +417,9 @@ def project_affine(G: np.ndarray, constraints: Constraints) -> np.ndarray:
 @dataclass
 class SolveReport:
     """Why a solve stopped, its point and objective value, its final primal
-    (``gap``) and dual residuals, and the ``separator`` proving infeasibility."""
+    (``gap``) and dual residuals, the ``separator`` proving infeasibility,
+    and how many Anderson extrapolations the safeguard kept and rejected
+    (both 0 on affine sets and on solves decided within 20 iterations)."""
 
     status: str  # "feasible" | "infeasible-at-tolerance" | "max-iterations"
     iterations: int
@@ -410,6 +428,8 @@ class SolveReport:
     gap: float
     dual: float
     separator: np.ndarray | None = field(default=None, repr=False)
+    anderson_accepted: int = 0
+    anderson_rejected: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -478,6 +498,22 @@ def minimize_linear(
     is then PSD and ``Re<Y, x> < -tol ||Y||``, no PSD G is on the set:
     "infeasible-at-tolerance", with ``separator`` Y.
 
+    On a box (``radii`` set), from iteration 21 on, each step is recorded
+    and the next state is the type-II Anderson extrapolation (memory
+    ``ANDERSON_MEMORY``) of the recorded steps: the combination of the last
+    steps (z', u') with real weights summing to 1 that minimizes the
+    combined fixed-point residual (z' - z, u' - u), taken over the float64
+    view of the state.  Its real weights keep z and u exactly Hermitian.
+    The history is cleared whenever rho changes.  The safeguard evaluates
+    the extrapolated state in the next iteration and keeps it only if its
+    fixed-point residual is below that of the plain step it replaced; if not,
+    the loop returns to that plain step and clears the history.  Every
+    iteration, extrapolated or not, is tested by the stopping rule above
+    and counts toward ``max_iter``; the report counts kept and rejected
+    extrapolations.  A solve decided within 20 iterations takes the plain
+    loop's iterates bit for bit.  An affine set keeps the plain loop: it may
+    be empty, and its ADMM map then has no fixed point to accelerate toward.
+
     The report's x lies on the constraint set (to rounding) and is PSD to
     within the primal residual; at ``max_iter`` it may be further off.
     """
@@ -505,24 +541,52 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
     normal = separator = None
     primal = dual = float("inf")
     status = "max-iterations"
-    iterations = 0
+    iterations = accepted = rejected = 0
+    history = None
+    # The plain step (z, u, fixed-point residual) that the extrapolated state
+    # being evaluated replaced.
+    fallback = None
     for iterations in range(1, max_iter + 1):
         x = _affine_kernel(z - u - shift, constraints)
         z_next = _psd_kernel(x + u)
-        primal = float(np.linalg.norm(x - z_next))
-        dual = rho * float(np.linalg.norm(z_next - z))
-        u = u + x - z_next
-        z = z_next
+        step_u = x - z_next
+        step_z = z_next - z
+        primal = float(np.linalg.norm(step_u))
+        moved = float(np.linalg.norm(step_z))
+        dual = rho * moved
+        u_next = u + x - z_next
         if primal <= tol and dual <= tol:
             status = "feasible"
             break
+        extrapolate = False
+        if not affine and iterations > ANDERSON_START:
+            residual = math.hypot(primal, moved)
+            if fallback is not None and not residual < fallback[2]:
+                z, u = fallback[:2]
+                rejected += 1
+                history.clear()
+            else:
+                if fallback is not None:
+                    accepted += 1
+                z, u = z_next, u_next
+                if history is None:
+                    history = _Anderson(dim)
+                history.push(z, u, step_z, step_u)
+                extrapolate = history.count > 1
+            fallback = None
+        else:
+            z, u = z_next, u_next
         if iterations % 20 == 0:
-            if primal > 10 * dual:
-                rho, u = 2 * rho, u / 2
+            scale = 2.0 if primal > 10 * dual else 0.5 if dual > 10 * primal else 1.0
+            if scale != 1.0:
+                rho, u = scale * rho, u / scale
                 shift = c / rho
-            elif dual > 10 * primal:
-                rho, u = rho / 2, 2 * u
-                shift = c / rho
+                if history is not None:
+                    history.clear()
+                extrapolate = False
+        if extrapolate:
+            fallback = z, u, residual
+            z, u = history.extrapolate()
         if not affine or iterations % 10:
             continue
         Y = z - _affine_kernel(z, constraints)
@@ -543,4 +607,55 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
             break
 
     value = float(np.real(np.vdot(c, x)))
-    return SolveReport(status, iterations, x, value, primal, dual, separator)
+    return SolveReport(
+        status, iterations, x, value, primal, dual, separator, accepted, rejected
+    )
+
+
+class _Anderson:
+    """Type-II Anderson extrapolation of the ADMM map T: (z, u) -> (z', u').
+
+    Ring buffers hold the last ``ANDERSON_MEMORY + 1`` values T(w_i) and
+    residuals g_i = T(w_i) - w_i, and the Gram matrix K of the residuals'
+    float64 views.  The extrapolation is sum_i a_i T(w_i) with the real
+    weights a = K^-1 1 / (1^T K^-1 1): the weights summing to 1 that minimize
+    ||sum_i a_i g_i||.  Each diagonal entry of K is raised by a relative
+    1e-10, a ridge that keeps K positive definite (no residual is zero, or
+    the loop would have stopped), so the solve cannot fail.  The weighted
+    sum may round entries (j, k) and (k, j) differently, so it is averaged
+    with its adjoint, which leaves z and u exactly Hermitian.
+    """
+
+    def __init__(self, dim: int):
+        slots = ANDERSON_MEMORY + 1
+        self.steps = np.zeros((slots, 2, dim, dim), dtype=complex)
+        self.residuals = np.zeros((slots, 2, dim, dim), dtype=complex)
+        self._steps = self.steps.reshape(slots, -1).view(float)
+        self._residuals = self.residuals.reshape(slots, -1).view(float)
+        self._gram = np.zeros((slots, slots))
+        self._ones = np.ones(slots)
+        self.count = 0
+
+    def clear(self) -> None:
+        self.count = 0
+
+    def push(self, z, u, step_z, step_u) -> None:
+        slots = len(self.steps)
+        slot = self.count % slots
+        self.steps[slot, 0] = z
+        self.steps[slot, 1] = u
+        self.residuals[slot, 0] = step_z
+        self.residuals[slot, 1] = step_u
+        self.count += 1
+        k = min(self.count, slots)
+        row = self._residuals[:k] @ self._residuals[slot]
+        row[slot] *= 1 + 1e-10
+        self._gram[slot, :k] = row
+        self._gram[:k, slot] = row
+
+    def extrapolate(self) -> tuple[np.ndarray, np.ndarray]:
+        k = min(self.count, len(self.steps))
+        weights = np.linalg.solve(self._gram[:k, :k], self._ones[:k])
+        state = (weights @ self._steps[:k]).view(complex).reshape(self.steps.shape[1:])
+        state = (state + state.conj().transpose(0, 2, 1)) * (0.5 / weights.sum())
+        return state[0], state[1]

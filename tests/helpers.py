@@ -196,15 +196,25 @@ def term_bits(p: NCPoly) -> list:
     return [(w, type(c), c.real.hex(), c.imag.hex()) for w, c in p.terms.items()]
 
 
-def workload_polys(name: str, seed: int) -> list:
-    """(text, nvars) of every polynomial file of a benchmark workload."""
+def _workload(name: str, seed: int):
     workloads = sys.modules.get("bench_workloads")
     if workloads is None:
         spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
         workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-    wl = workloads.build(name, seed)
+    return workloads.build(name, seed)
+
+
+def workload_polys(name: str, seed: int) -> list:
+    """(text, nvars) of every polynomial file of a benchmark workload."""
+    wl = _workload(name, seed)
     return [(wl.files[f"{source}.poly"], nvars) for source, (nvars, _) in wl.polys.items()]
+
+
+def workload_poly(name: str, seed: int, source: str) -> NCPoly:
+    """One polynomial of a benchmark workload, by its source name."""
+    nvars, terms = _workload(name, seed).polys[source]
+    return NCPoly(nvars, terms)
 
 
 # -- the parser's reference ----------------------------------------------------

@@ -604,7 +604,8 @@ def test_lone_index_zero_is_a_parse_error(command, poly_file, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("nctrace: ")
-    assert "index 0 outside 1..1 at offset 0" in captured.err
+    # The offset indexes the file: the comment line is 10 characters.
+    assert "index 0 outside 1..1 at offset 10" in captured.err
 
 
 @pytest.mark.parametrize("command", ["certify", "witness", "falsify", "norm"])
@@ -632,7 +633,7 @@ def test_huge_power_exits_one_without_allocating(command, poly_file, capsys):
     [
         ("Y" + "1" * 5000, "index longer than 18 digits at offset 1"),
         ("Y1^" + "1" * 5000, "power longer than 18 digits at offset 3"),
-        ("# big\nY1 Y" + "2" * 4400 + " + Y2", "index longer than 18 digits at offset 4"),
+        ("# big\nY1 Y" + "2" * 4400 + " + Y2", "index longer than 18 digits at offset 10"),
     ],
 )
 def test_oversized_digit_runs_exit_one(command, text, message, poly_file, capsys):

@@ -158,11 +158,16 @@ def test_load_poly_file_infers_the_variable_count(text, nvars, tmp_path):
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("# only Y0\nY0^2\n", "index 0 outside 1..1 at offset 0"),
+        ("# only Y0\nY0^2\n", "index 0 outside 1..1 at offset 10"),
         ("Y" + "1" * 5000, "index longer than 18 digits at offset 1"),
-        ("# big\nY1 Y" + "2" * 4400 + " + Y2", "index longer than 18 digits at offset 4"),
+        ("# big\nY1 Y" + "2" * 4400 + " + Y2", "index longer than 18 digits at offset 10"),
+        ("# a comment line here\nY1 Y2 +* Y1", "found '*' at offset 29"),
+        ("  # indented\r\n# crlf\r\nY1 + Y0", "index 0 outside 1..1 at offset 27"),
     ],
-    ids=["lone-Y0", "5000-digit-index", "4400-digit-index-after-a-comment"],
+    ids=[
+        "lone-Y0", "5000-digit-index", "4400-digit-index-after-a-comment",
+        "sign-after-a-comment", "after-crlf-comments",
+    ],
 )
 def test_load_poly_file_refuses_indices_at_their_offset(text, message, tmp_path):
     # At least one variable, and digit runs too long to read are not counted.
@@ -330,3 +335,11 @@ def test_largest_finite_coefficients_still_parse():
     assert parse_poly("1e308*Y1^2 - 1e308*Y1^2 + 1.7e308*Y2 + Y2", 2).terms == {
         (2,): 1.7e308
     }
+
+
+@pytest.mark.parametrize("coeff", [float("inf"), complex(1.0, float("-inf"))])
+def test_format_refuses_a_non_finite_coefficient_by_word(coeff):
+    # The grammar cannot write it; int(inf) used to escape as an OverflowError.
+    p = NCPoly(2, {(1,): 1.0, (1, 2): coeff})
+    with pytest.raises(ValueError, match=re.escape("of word (1, 2) is not finite")):
+        format_poly(p)

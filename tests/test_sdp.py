@@ -4,9 +4,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from nctrace import sdp
+from nctrace import certify, sdp
 from nctrace.algebra import NCPoly, cyclic_canonical
-from nctrace.certify import _tracial_anchor, build_gram_problem
+from nctrace.certify import _tracial_anchor, build_gram_problem, dual_witness, validate_witness
 from nctrace.sdp import (
     AffineConstraints,
     ClassConstraints,
@@ -28,6 +28,7 @@ from helpers import (
     reference_class_labels,
     reference_class_positions,
     reference_minimize_linear,
+    workload_poly,
 )
 
 
@@ -503,15 +504,70 @@ def test_gram_solves_match_the_checked_loop(nvars, d, sign, with_anchor):
     _assert_same_report(minimize_linear(zero, cons, anchor=anchor), report)
 
 
+def _witness_box_problem(nvars, d):
+    cons = _witness_set(nvars, d, 1.5)
+    return random_hermitian(make_rng(400 * nvars + d), cons.dim), cons
+
+
 @pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
 def test_witness_box_solves_match_the_checked_loop(nvars, d):
-    # These run 322, 710 and 1,514 iterations, and rho changes at several
-    # of the every-20-iterations checks on each.
-    cons = _witness_set(nvars, d, 1.5)
-    objective = random_hermitian(make_rng(400 * nvars + d), cons.dim)
+    # The checked loop runs 322, 710 and 1,514 iterations on these, and rho
+    # changes at several of the every-20-iterations checks on each.  Over
+    # the first 20 iterations the accelerated loop is the checked loop, bit
+    # for bit; after them Anderson steps take other iterates to the same
+    # optimum in fewer iterations.
+    objective, cons = _witness_box_problem(nvars, d)
+    head = minimize_linear(objective, cons, max_iter=20)
+    _assert_same_report(head, reference_minimize_linear(objective, cons, max_iter=20))
+    reference = reference_minimize_linear(objective, cons, max_iter=3000)
+    assert reference.feasible and reference.iterations > 300
     report = minimize_linear(objective, cons, max_iter=3000)
-    assert report.feasible and report.iterations > 300
-    _assert_same_report(report, reference_minimize_linear(objective, cons, max_iter=3000))
+    assert report.feasible and report.iterations <= reference.iterations
+    assert abs(report.value - reference.value) <= 1e-7 * max(1.0, abs(reference.value))
+
+
+def test_accelerated_solves_are_deterministic():
+    objective, cons = _witness_box_problem(2, 3)
+    first = minimize_linear(objective, cons, max_iter=3000)
+    second = minimize_linear(objective, cons, max_iter=3000)
+    assert first.anderson_accepted > 0
+    for f in dataclasses.fields(first):
+        a, b = getattr(first, f.name), getattr(second, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+def test_safeguard_rejects_extrapolations_that_do_not_reduce_the_residual(monkeypatch):
+    objective, cons = _witness_box_problem(2, 2)
+    report = minimize_linear(objective, cons, max_iter=3000)
+    assert report.feasible and report.anderson_rejected >= 1
+    # Each extrapolated state is evaluated by one iteration after the 20th.
+    assert report.anderson_accepted + report.anderson_rejected < report.iterations - 20
+    # A start beyond the cap leaves the plain loop, which never extrapolates.
+    monkeypatch.setattr(sdp, "ANDERSON_START", 3000)
+    plain = minimize_linear(objective, cons, max_iter=3000)
+    _assert_same_report(plain, reference_minimize_linear(objective, cons, max_iter=3000))
+
+
+@pytest.mark.parametrize("seed", [59, 67, 68])
+@pytest.mark.parametrize("rank", [1, 2, 7])
+def test_capped_refute_witnesses_now_decide(seed, rank, monkeypatch):
+    # The plain loop ran the rank-7 witness of seed 59 and the rank-1
+    # witnesses of seeds 67 and 68 to the 20,000-iteration cap.
+    reports = []
+
+    def spy(*args, **kwargs):
+        reports.append(minimize_linear(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(certify, "minimize_linear", spy)
+    p = workload_poly("refute", seed, f"negsos-n2d2-r{rank}-0")
+    witness = dual_witness(p, 2)
+    (report,) = reports
+    assert report.feasible and report.iterations < 20_000
+    assert witness is not None and validate_witness(witness).passed
 
 
 def test_capped_solve_matches_the_checked_loop():
