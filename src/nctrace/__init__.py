@@ -51,7 +51,7 @@ from .moments import (
     moment_sequence,
     psd_check,
 )
-from .parsing import PolyParseError, format_poly, parse_poly
+from .parsing import PolyParseError, format_poly, format_polys, parse_poly
 from .sdp import (
     AffineConstraints,
     ClassConstraints,
@@ -90,6 +90,7 @@ __all__ = [
     "falsify",
     "feasibility_solve",
     "format_poly",
+    "format_polys",
     "gns_build",
     "growth_radius",
     "involute_word",

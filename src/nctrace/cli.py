@@ -79,7 +79,7 @@ from .moments import (
     moment_sequence,
     real_pairs,
 )
-from .parsing import PolyParseError, format_poly, load_poly_file
+from .parsing import PolyParseError, format_polys, load_poly_file
 from .sdp import NoFeasiblePoint
 
 
@@ -359,7 +359,7 @@ def _theta_from_json(data: dict, path: str) -> MomentSequence:
 def _certificate_json(cert: Certificate) -> dict:
     return {
         "degree": cert.degree,
-        "factors": [format_poly(b) for b in cert.factors],
+        "factors": format_polys(cert.factors),
         "residual_l1": cert.residual_l1,
     }
 

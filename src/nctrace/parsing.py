@@ -212,6 +212,17 @@ def format_poly(p: NCPoly) -> str:
     coefficient on a nonempty word is omitted.  A non-finite coefficient,
     which the grammar cannot express, raises ValueError naming its word.
     """
+    return format_polys([p])[0]
+
+
+def format_polys(polys) -> list[str]:
+    """:func:`format_poly` of each polynomial, rendering each distinct word
+    once across all of them (a certificate's factors share one basis)."""
+    words: dict[Word, str] = {}
+    return [_format(p, words) for p in polys]
+
+
+def _format(p: NCPoly, words: dict) -> str:
     if p.is_zero():
         return "0"
     pieces: list[str] = []
@@ -223,7 +234,10 @@ def format_poly(p: NCPoly) -> str:
         negative = coeff.real < 0 or (coeff.real == 0 and coeff.imag < 0)
         if negative:
             coeff = -coeff
-        body = _format_term(word, coeff)
+        text = words.get(word)
+        if text is None:
+            text = words[word] = _format_word(word)
+        body = _format_term(text, coeff)
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:
@@ -238,16 +252,15 @@ def _fmt_real(x: float) -> str:
     return repr(x)
 
 
-def _format_term(word: Word, coeff: complex) -> str:
+def _format_term(word_str: str, coeff: complex) -> str:
     if coeff.imag == 0:
         coeff_str = _fmt_real(coeff.real)
         unit = coeff.real == 1.0
     else:
         coeff_str = f"({_fmt_real(coeff.real)},{_fmt_real(coeff.imag)})"
         unit = False
-    if not word:
+    if not word_str:
         return coeff_str if not unit else "1"
-    word_str = _format_word(word)
     if unit:
         return word_str
     return f"{coeff_str}*{word_str}"

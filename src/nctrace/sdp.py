@@ -32,15 +32,15 @@ Hermitian and the checks the public :func:`project_psd` and
 :func:`project_affine` make would return them unchanged: the kernels
 reproduce the checked projections' iterates.
 
-On a box (``radii`` set) the loop is Anderson-accelerated after its first
-20 iterations (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 2020): it
-extrapolates the ADMM step from its last few steps, keeping an
-extrapolated state only when the step from it has a smaller fixed-point
-residual than the plain step it replaced.  The witness box always holds the
-vacuum sequence (1 at the empty word, 0 elsewhere), so its ADMM map has a
-fixed point.  An affine set may be empty, and then its map has none:
-extrapolating there can make the multiplier diverge and end on a false
-"feasible", so affine sets keep the plain loop and its separator test.
+The loop is Anderson-accelerated after its first 20 iterations (Zhang,
+O'Donoghue and Boyd, SIAM J. Optim. 2020): it extrapolates the ADMM step
+from its last few steps, keeping an extrapolated state only when the step
+from it has a smaller fixed-point residual than the plain step it replaced.
+The witness box always holds the vacuum sequence (1 at the empty word, 0
+elsewhere), so its ADMM map has a fixed point.  An affine (Gram) set may be
+empty, and its map then has none; the loop still cannot end "feasible"
+there (the argument is in ``_admm``), and its separator test reads only the
+plain steps.
 
 Everything here is single-threaded and deterministic; independent solves
 may run concurrently.
@@ -55,9 +55,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
-# Anderson acceleration of the box-constrained loop: the number of past
-# steps combined with the newest, and the iteration after which they are
-# recorded (the first rho check), so solves decided by then are unchanged.
+# Anderson acceleration of the ADMM loop: the number of past steps combined
+# with the newest, and the iteration after which they are recorded (the
+# first rho check), so solves decided by then are unchanged.
 ANDERSON_MEMORY = 5
 ANDERSON_START = 20
 HERMITIAN_TOL = 1e-10
@@ -419,7 +419,7 @@ class SolveReport:
     """Why a solve stopped, its point and objective value, its final primal
     (``gap``) and dual residuals, the ``separator`` proving infeasibility,
     and how many Anderson extrapolations the safeguard kept and rejected
-    (both 0 on affine sets and on solves decided within 20 iterations)."""
+    (both 0 on solves decided within 20 iterations)."""
 
     status: str  # "feasible" | "infeasible-at-tolerance" | "max-iterations"
     iterations: int
@@ -474,9 +474,11 @@ def minimize_linear(
 
     It is "feasible" once the primal residual ``||x - z'||`` and the dual
     residual ``rho * ||z' - z||`` are both at most ``tol`` (SCS's rule,
-    O'Donoghue et al., JOTA 2016).  Every 20 iterations rho (initially
-    ``max(||c||, 1)``) doubles when the primal residual exceeds ten times
-    the dual one and halves in the opposite case, with u rescaled to match.
+    O'Donoghue et al., JOTA 2016) and, on an affine set, x meets the
+    equations to within ``tol`` by itself (``constraints.residuals``).
+    Every 20 iterations rho (initially ``max(||c||, 1)``) doubles when the
+    primal residual exceeds ten times the dual one and halves in the
+    opposite case, with u rescaled to match.
 
     The inputs are checked once, before the first iteration: ``tol``, the
     objective (square, of the constraints' size, finite and Hermitian; it
@@ -490,29 +492,30 @@ def minimize_linear(
     checked projections.
 
     On an affine set (no ``radii``) every 10 iterations it tests
-    Y = z - P_A(z), which is normal to the set, so Re<Y, G> = Re<Y, x> for
-    every G on it, whatever c is (Banjac et al., JOTA 2019).  A Y with least
-    eigenvalue low < 0 gets ``-low / delta`` times A added, A being the
-    normal part of ``anchor()`` (a zero-argument callable, called once;
-    default the identity) with least eigenvalue delta, if delta > 0.  If Y
-    is then PSD and ``Re<Y, x> < -tol ||Y||``, no PSD G is on the set:
+    Y = z - P_A(z), z being the plain step's state, which is normal to the
+    set, so Re<Y, G> = Re<Y, x> for every G on it, whatever c is (Banjac et
+    al., JOTA 2019).  A Y with least eigenvalue low < 0 gets
+    ``-low / delta`` times A added, A being the normal part of ``anchor()``
+    (a zero-argument callable, called once; default the identity) with
+    least eigenvalue delta, if delta > 0.  If Y is then PSD and
+    ``Re<Y, x> < -tol ||Y||``, no PSD G is on the set:
     "infeasible-at-tolerance", with ``separator`` Y.
 
-    On a box (``radii`` set), from iteration 21 on, each step is recorded
-    and the next state is the type-II Anderson extrapolation (memory
-    ``ANDERSON_MEMORY``) of the recorded steps: the combination of the last
-    steps (z', u') with real weights summing to 1 that minimizes the
-    combined fixed-point residual (z' - z, u' - u), taken over the float64
-    view of the state.  Its real weights keep z and u exactly Hermitian.
-    The history is cleared whenever rho changes.  The safeguard evaluates
+    From iteration 21 on, each step is recorded and the next state is the
+    type-II Anderson extrapolation (memory ``ANDERSON_MEMORY``) of the
+    recorded steps: the combination of the last steps (z', u') with real
+    weights summing to 1 that minimizes the combined fixed-point residual
+    (z' - z, u' - u), taken over the float64 view of the state.  Its real
+    weights keep z and u exactly Hermitian.  The history is cleared
+    whenever rho changes.  The safeguard evaluates
     the extrapolated state in the next iteration and keeps it only if its
     fixed-point residual is below that of the plain step it replaced; if not,
     the loop returns to that plain step and clears the history.  Every
     iteration, extrapolated or not, is tested by the stopping rule above
     and counts toward ``max_iter``; the report counts kept and rejected
     extrapolations.  A solve decided within 20 iterations takes the plain
-    loop's iterates bit for bit.  An affine set keeps the plain loop: it may
-    be empty, and its ADMM map then has no fixed point to accelerate toward.
+    loop's iterates bit for bit.  A step that meets the residual test while
+    its x fails the recheck is taken plain and restarts the history.
 
     The report's x lies on the constraint set (to rounding) and is PSD to
     within the primal residual; at ``max_iter`` it may be further off.
@@ -521,7 +524,21 @@ def minimize_linear(
 
 
 def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor):
-    """The loop of :func:`minimize_linear` and :func:`feasibility_solve`."""
+    """The loop of :func:`minimize_linear` and :func:`feasibility_solve`.
+
+    Why an empty affine set cannot end "feasible", accelerated or not: its
+    ADMM map T has no fixed point, and the fixed-point residual
+    ``||T(w) - w||`` of every state w, plain or extrapolated, is at least
+    the norm of the map's minimal displacement vector v != 0 (Banjac et al.,
+    JOTA 2019).  A step that passes the residual test has that residual at
+    most ``hypot(tol, tol / rho)``, so in exact arithmetic only a set within
+    about ``tol`` of the cone can stop there, as in the plain loop.  What is
+    left is rounding at a diverging multiplier: at ``||u||`` near 1e18,
+    ``z - u`` loses z and the rhs, and x and z' can round to the same
+    matrix with x off the set.  The recheck of x, which reads x alone,
+    refuses that stop.  Extrapolation only chooses which states are stepped
+    from; the separator test reads the plain step's state.
+    """
     if not (0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     c = _check_hermitian(objective)
@@ -555,11 +572,12 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
         moved = float(np.linalg.norm(step_z))
         dual = rho * moved
         u_next = u + x - z_next
-        if primal <= tol and dual <= tol:
+        met = primal <= tol and dual <= tol
+        if met and (not affine or np.linalg.norm(constraints.residuals(x)) <= tol):
             status = "feasible"
             break
         extrapolate = False
-        if not affine and iterations > ANDERSON_START:
+        if iterations > ANDERSON_START:
             residual = math.hypot(primal, moved)
             if fallback is not None and not residual < fallback[2]:
                 z, u = fallback[:2]
@@ -571,7 +589,12 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
                 z, u = z_next, u_next
                 if history is None:
                     history = _Anderson(dim)
-                history.push(z, u, step_z, step_u)
+                if met:
+                    # x failed its recheck: the step only rounds, and its
+                    # residual may be 0, which K must not hold.
+                    history.clear()
+                else:
+                    history.push(z, u, step_z, step_u)
                 extrapolate = history.count > 1
             fallback = None
         else:
@@ -584,12 +607,13 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
                 if history is not None:
                     history.clear()
                 extrapolate = False
+        plain = z
         if extrapolate:
             fallback = z, u, residual
             z, u = history.extrapolate()
         if not affine or iterations % 10:
             continue
-        Y = z - _affine_kernel(z, constraints)
+        Y = plain - _affine_kernel(plain, constraints)
         low = float(np.linalg.eigvalsh(Y)[0])
         if low < 0:
             if normal is None:
@@ -620,10 +644,11 @@ class _Anderson:
     float64 views.  The extrapolation is sum_i a_i T(w_i) with the real
     weights a = K^-1 1 / (1^T K^-1 1): the weights summing to 1 that minimize
     ||sum_i a_i g_i||.  Each diagonal entry of K is raised by a relative
-    1e-10, a ridge that keeps K positive definite (no residual is zero, or
-    the loop would have stopped), so the solve cannot fail.  The weighted
-    sum may round entries (j, k) and (k, j) differently, so it is averaged
-    with its adjoint, which leaves z and u exactly Hermitian.
+    1e-10, a ridge that keeps K positive definite (no residual is zero:
+    only steps that fail the stopping test are recorded), so the solve
+    cannot fail.  The weighted sum may round entries (j, k) and (k, j)
+    differently, so it is averaged with its adjoint, which leaves z and u
+    exactly Hermitian.
     """
 
     def __init__(self, dim: int):

@@ -323,6 +323,26 @@ def test_rank_one_sum_certifies():
     assert verify_certificate(p, cert) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [1, 4, 5, 7])
+def test_rank_one_sums_certify_within_a_few_thousand_iterations(seed):
+    # Without Anderson acceleration of the Gram loop these took 41,364 to
+    # 75,528 iterations; with it 273, 2,672, 617 and 848.  A cap of 5,000
+    # raises SolverStalled on any solve that needs more.
+    b = random_poly(make_rng(seed), 2, 2, n_terms=7)
+    p = star_product(b.adjoint(), b)
+    cert = certify_sos(p, 2, max_iter=5000)
+    assert isinstance(cert, Certificate)
+    assert verify_certificate(p, cert) <= 1e-6
+
+
+def test_commutator_square_certifies_at_degree_four_within_400_iterations():
+    # 1,298 iterations in the plain loop, 206 with acceleration.
+    p = commutator_square_poly()
+    cert = certify_sos(p, 4, max_iter=400)
+    assert isinstance(cert, Certificate)
+    assert verify_certificate(p, cert) <= 1e-8
+
+
 def assert_gram_separator(p: NCPoly, d: int, Y) -> None:
     """Y proves p has no Gram matrix at half-degree d, checked from scratch.
 

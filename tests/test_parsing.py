@@ -4,16 +4,24 @@ import tracemalloc
 
 import pytest
 
-from nctrace.algebra import NCPoly
+from nctrace.algebra import NCPoly, star_product, words_up_to
+from nctrace.certify import Certificate, certify_sos
 from nctrace.parsing import (
     PolyParseError,
     format_poly,
+    format_polys,
     load_poly_file,
     parse_poly,
     strip_comments,
 )
 
-from helpers import make_rng, reference_parse_poly, term_bits, workload_polys
+from helpers import (
+    make_rng,
+    random_poly,
+    reference_parse_poly,
+    term_bits,
+    workload_polys,
+)
 
 
 def test_parse_basic_difference():
@@ -343,3 +351,45 @@ def test_format_refuses_a_non_finite_coefficient_by_word(coeff):
     p = NCPoly(2, {(1,): 1.0, (1, 2): coeff})
     with pytest.raises(ValueError, match=re.escape("of word (1, 2) is not finite")):
         format_poly(p)
+
+
+@pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
+def test_format_polys_matches_format_poly_on_certificates(nvars, d):
+    # A certificate's factors share the Gram basis, so most of their words
+    # repeat from one factor to the next.  Sums of more squares than basis
+    # words have interior Gram matrices, which certify in few iterations.
+    rng = make_rng(40 + 10 * nvars + d)
+    m = len(words_up_to(nvars, d))
+    for _ in range(3):
+        p = NCPoly.zero(nvars)
+        for _ in range(m + 1):
+            b = random_poly(rng, nvars, d, n_terms=5)
+            p = p + star_product(b.adjoint(), b)
+        cert = certify_sos(p, d)
+        assert isinstance(cert, Certificate) and len(cert.factors) > 1
+        assert format_polys(cert.factors) == [format_poly(b) for b in cert.factors]
+
+
+def test_format_polys_on_zero_and_unit_coefficients():
+    polys = [
+        NCPoly(2, {(1, 2): 1.0, (): 1.0, (2,): -1.0}),
+        NCPoly.zero(2),
+        NCPoly(2, {(1, 2): -1.0, (2,): 1.0, (): -1.0}),
+        NCPoly(2, {(1, 2): 1j, (2, 2, 1): 2.5}),
+        NCPoly.zero(2),
+    ]
+    assert format_polys(polys) == [
+        "1 - Y2 + Y1 Y2",
+        "0",
+        "-1 + Y2 - Y1 Y2",
+        "(0,1)*Y1 Y2 + 2.5*Y2^2 Y1",
+        "0",
+    ]
+    assert format_polys(polys) == [format_poly(p) for p in polys]
+    assert format_polys([]) == []
+
+
+def test_format_polys_refuses_a_non_finite_coefficient_by_word():
+    polys = [NCPoly(2, {(1, 2): 1.0}), NCPoly(2, {(1,): 1.0, (1, 2): float("inf")})]
+    with pytest.raises(ValueError, match=re.escape("of word (1, 2) is not finite")):
+        format_polys(polys)

@@ -6,7 +6,16 @@ import pytest
 
 from nctrace import certify, sdp
 from nctrace.algebra import NCPoly, cyclic_canonical
-from nctrace.certify import _tracial_anchor, build_gram_problem, dual_witness, validate_witness
+from nctrace.certify import (
+    RESIDUAL_TOL,
+    Certificate,
+    _tracial_anchor,
+    build_gram_problem,
+    dual_witness,
+    extract_factors,
+    validate_witness,
+    verify_certificate,
+)
 from nctrace.sdp import (
     AffineConstraints,
     ClassConstraints,
@@ -481,11 +490,30 @@ def test_bounded_class_projection_is_optimal(nvars, d):
 # -- the loop checks its inputs once, then trusts its Hermitian iterates -------
 
 
-def _gram_constraints(nvars, d, sign):
+def _gram_problem(nvars, d, sign):
     p = commutator_square_poly()
     if nvars == 3:
         p = NCPoly(3, dict(p.terms)) + NCPoly(3, {(3, 3): 1.0})
-    return build_gram_problem(sign * p, d).constraints
+    return sign * p, build_gram_problem(sign * p, d)
+
+
+def _gram_constraints(nvars, d, sign):
+    return _gram_problem(nvars, d, sign)[1].constraints
+
+
+def _assert_decides(report, p, problem):
+    """A certificate that passes its audit, or a PSD separator pairing
+    negatively with the Gram set."""
+    cons = problem.constraints
+    if report.feasible:
+        factors = extract_factors(report.solution, problem.basis, p.nvars)
+        cert = Certificate(problem.degree, factors)
+        assert verify_certificate(p, cert) <= RESIDUAL_TOL * max(1.0, p.r_norm(1.0))
+    else:
+        Y = report.separator
+        assert np.linalg.eigvalsh(Y)[0] >= 0
+        on_set = project_affine(np.zeros((cons.dim, cons.dim)), cons)
+        assert np.real(np.vdot(Y, on_set)) < 0
 
 
 @pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
@@ -494,13 +522,22 @@ def _gram_constraints(nvars, d, sign):
 def test_gram_solves_match_the_checked_loop(nvars, d, sign, with_anchor):
     # The negated problems reach the separator test, and the anchor (the
     # identity when none is given) is mixed into a separator that is not PSD.
-    cons = _gram_constraints(nvars, d, sign)
+    # Over the first 20 iterations the accelerated loop is the checked loop,
+    # bit for bit; after them it reaches the checked loop's decision in no
+    # more iterations: 24, 27 and 24 against 30, 100 and 142 on the feasible
+    # sets, and 40 against 40 on the anchorless negated set at d = 3.
+    p, problem = _gram_problem(nvars, d, sign)
+    cons = problem.constraints
     anchor = partial(_tracial_anchor, nvars, d) if with_anchor else None
-    report = feasibility_solve(cons, anchor=anchor)
-    assert report.status == ("feasible" if sign > 0 else "infeasible-at-tolerance")
     zero = np.zeros((cons.dim, cons.dim))
+    head = feasibility_solve(cons, max_iter=20, anchor=anchor)
+    _assert_same_report(head, reference_minimize_linear(zero, cons, max_iter=20, anchor=anchor))
+    report = feasibility_solve(cons, anchor=anchor)
     reference = reference_minimize_linear(zero, cons, max_iter=200_000, anchor=anchor)
-    _assert_same_report(report, reference)
+    assert report.status == reference.status
+    assert report.status == ("feasible" if sign > 0 else "infeasible-at-tolerance")
+    assert report.iterations <= reference.iterations
+    _assert_decides(report, p, problem)
     _assert_same_report(minimize_linear(zero, cons, anchor=anchor), report)
 
 
@@ -570,12 +607,76 @@ def test_capped_refute_witnesses_now_decide(seed, rank, monkeypatch):
     assert witness is not None and validate_witness(witness).passed
 
 
+@pytest.mark.parametrize("d,max_iter,status,iterations", [
+    (3, 200_000, "infeasible-at-tolerance", 40),
+    (4, 2000, "max-iterations", 2000),
+])
+def test_accelerated_gram_loop_keeps_the_plain_decision_on_empty_sets(
+    d, max_iter, status, iterations
+):
+    # The unhalved negated commutator square has no Gram matrix, and without
+    # an anchor the plain loop finds its separator at iteration 40 at d = 3
+    # and none within 2,000 iterations at d = 4.  Extrapolating toward a
+    # fixed point that does not exist must not change either decision.
+    p = -2 * commutator_square_poly()
+    problem = build_gram_problem(p, d)
+    report = feasibility_solve(problem.constraints, max_iter=max_iter)
+    assert (report.status, report.iterations) == (status, iterations)
+    assert report.anderson_accepted > 0 and report.anderson_rejected > 0
+    if report.separator is not None:
+        _assert_decides(report, p, problem)
+
+
+def test_separator_test_reads_the_plain_state(monkeypatch):
+    # Every 10 iterations the loop projects its state z to test Y = z - P(z);
+    # z is then the plain step's, never an extrapolated one.
+    extrapolate, kernel = sdp._Anderson.extrapolate, sdp._affine_kernel
+    extrapolated, tested = [], []
+
+    def record(self):
+        state = extrapolate(self)
+        extrapolated.append(state[0])
+        return state
+
+    def project(G, constraints):
+        tested.append(any(G is z for z in extrapolated))
+        return kernel(G, constraints)
+
+    monkeypatch.setattr(sdp._Anderson, "extrapolate", record)
+    monkeypatch.setattr(sdp, "_affine_kernel", project)
+    cons = build_gram_problem(-2 * commutator_square_poly(), 4).constraints
+    report = feasibility_solve(cons, max_iter=200)
+    assert report.anderson_accepted > 0 and len(extrapolated) > 20
+    assert not any(tested)
+
+
+def test_divergent_multiplier_cannot_end_feasible(monkeypatch):
+    # The Gram set of the constant -1 at d = 0 is {G = -1}: empty, with u
+    # falling by 1 per plain step.  An extrapolation that scales u by 1e18
+    # makes the next step round to x = z' = 0, so both residuals are 0; x
+    # misses the equation by 1, and the recheck of x keeps the loop going.
+    cons = ClassConstraints(np.zeros((1, 1), dtype=int), rhs=[-1.0])
+    assert feasibility_solve(cons).status == "infeasible-at-tolerance"
+    extrapolate = sdp._Anderson.extrapolate
+
+    def diverge(self):
+        z, u = extrapolate(self)
+        return z, u * 1e18
+
+    monkeypatch.setattr(sdp, "ANDERSON_START", 0)
+    monkeypatch.setattr(sdp._Anderson, "extrapolate", diverge)
+    report = feasibility_solve(cons, max_iter=100)
+    assert report.status == "max-iterations"
+    assert report.gap == 0.0 and report.dual == 0.0
+
+
 def test_capped_solve_matches_the_checked_loop():
+    # A cap within the first 20 iterations, before any extrapolation.
     cons = _gram_constraints(2, 3, 1)
-    report = feasibility_solve(cons, max_iter=25)
-    assert report.status == "max-iterations" and report.iterations == 25
+    report = feasibility_solve(cons, max_iter=20)
+    assert report.status == "max-iterations" and report.iterations == 20
     zero = np.zeros((cons.dim, cons.dim))
-    _assert_same_report(report, reference_minimize_linear(zero, cons, max_iter=25))
+    _assert_same_report(report, reference_minimize_linear(zero, cons, max_iter=20))
 
 
 def test_objective_over_dense_equations_matches_the_checked_loop():
@@ -589,9 +690,14 @@ def test_objective_over_dense_equations_matches_the_checked_loop():
         for entry in entries:
             objective[entry] += coeff / len(entries)
     objective = (objective + objective.conj().T) / 2
+    head = minimize_linear(objective, cons, max_iter=20)
+    _assert_same_report(head, reference_minimize_linear(objective, cons, max_iter=20))
+    reference = reference_minimize_linear(objective, cons, max_iter=3000)
+    assert reference.feasible and reference.iterations > 20
     report = minimize_linear(objective, cons, max_iter=3000)
-    assert report.iterations > 20 and report.value >= -1e-6
-    _assert_same_report(report, reference_minimize_linear(objective, cons, max_iter=3000))
+    assert report.feasible and report.iterations <= reference.iterations
+    assert report.value >= -1e-6
+    assert abs(report.value - reference.value) <= 1e-7 * max(1.0, abs(reference.value))
 
 
 @pytest.fixture
