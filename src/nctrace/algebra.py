@@ -11,7 +11,9 @@ Two polynomials are cyclically equivalent when they differ by a linear
 combination of monomials ``Y_I - Y_J`` with J a rotation of I; under any
 tracial evaluation such differences vanish.  :meth:`NCPoly.cyclic_reduce`
 projects onto canonical rotation representatives and is the workhorse for
-everything trace-related.
+everything trace-related.  A word's representative is its least rotation
+(:func:`cyclic_canonical`), found in time quadratic in the word's length;
+parsed words have at most 64 letters.
 """
 
 from __future__ import annotations
@@ -40,28 +42,16 @@ def concat(left: Word, right: Word) -> Word:
 def cyclic_canonical(word: Word) -> Word:
     """Lexicographically least rotation of a word.
 
-    Uses Booth's least-rotation algorithm (linear time), so the result is a
-    deterministic key for the cyclic class of the word.
+    The least of the word's rotations, read as slices of ``word + word``,
+    so the result is a deterministic key for the cyclic class of the word.
+    The cost is quadratic in the length, which the parser caps at
+    ``parsing.MAX_WORD_LENGTH`` letters.
     """
-    if len(word) <= 1:
+    n = len(word)
+    if n <= 1:
         return word
     doubled = word + word
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        sj = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != doubled[k + i + 1]:
-            if sj < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != doubled[k + i + 1]:
-            if sj < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return word[k:] + word[:k]
+    return min([doubled[k : k + n] for k in range(n)])
 
 
 def words_up_to(nvars: int, degree: int) -> list[Word]:

@@ -121,7 +121,10 @@ def check_gram_size(nvars: int, d: int) -> None:
 
 
 def _check_degree(p: NCPoly, d: int) -> None:
-    """Refuse a half-degree below half of p's degree or past the size limit."""
+    """Refuse a half-degree that is not an integer, is below half of p's
+    degree or is past the size limit."""
+    if isinstance(d, bool) or not isinstance(d, Integral):
+        raise ValueError(f"half-degree d must be an integer, got {d!r}")
     if p.degree() > 2 * d:
         raise ValueError(f"polynomial degree {p.degree()} exceeds 2*d = {2 * d}")
     check_gram_size(p.nvars, d)
@@ -393,8 +396,8 @@ def witness_search(
     solution = minimize_linear(objective, constraints, tol=tol, max_iter=max_iter).solution
     low = float(np.linalg.eigvalsh(solution)[0])
     if low < -tol:
-        solution = _mix_anchor(solution, low, constraints, p.nvars, d, R)
-    theta = _extract_moments(solution, constraints, classes, R)
+        solution = _mix_anchor(solution, low, constraints, classes, R)
+    theta = _extract_moments(solution, constraints, classes)
     value = pair(p, theta)
     # The pairing sums terms up to |c_w| R^|w| in size, so its rounding error
     # scales with p's R-norm.
@@ -403,7 +406,7 @@ def witness_search(
     return theta, value.real
 
 
-def _mix_anchor(x, low, constraints, nvars: int, d: int, R: float) -> np.ndarray:
+def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.ndarray:
     """Move x, feasible but for eigenvalue ``low < 0``, just onto the PSD cone.
 
     The anchor A is the class-projected moment matrix of the
@@ -416,13 +419,13 @@ def _mix_anchor(x, low, constraints, nvars: int, d: int, R: float) -> np.ndarray
     R >= 1.  Raises :class:`NoFeasiblePoint` if its delta is not positive
     either.
     """
-    anchor = _tracial_anchor(nvars, d)
+    anchor = _tracial_anchor(classes.index.n, classes.index.D // 2)
     anchor = (anchor + anchor.conj().T) / 2
     # Scaling the tuple by R scales entry (J, K) by R^(|J| + |K|); no trace
     # of a tuple of norm R is taken, so none overflows.  The weight is
     # symmetric in J and K, so the scaled Hermitian part stays exactly
     # Hermitian, and at R = 1 it is what project_affine makes of the anchor.
-    scale = float(R) ** WordIndex(nvars, d).lengths
+    scale = float(R) ** classes.index.lengths[: len(classes.labels)]
     for weight in (np.multiply.outer(scale, scale), 1.0):
         A = project_affine(anchor * weight, constraints)
         delta = float(np.linalg.eigvalsh(A)[0])
@@ -484,24 +487,19 @@ def checked_witness(theta: MomentSequence, value: float, R: float, tol: float = 
 
 
 def _extract_moments(
-    M: np.ndarray, constraints: ClassConstraints, classes: CyclicClasses, R: float
+    M: np.ndarray, constraints: ClassConstraints, classes: CyclicClasses
 ) -> MomentSequence:
     """The sequence of class means of M, normalized at the empty word.
 
     Each word of length <= 2d takes its class's mean over the entries of
     the Hermitian part of M, divided by the empty word's mean and clamped
-    in magnitude to ``R**length``.
+    to its class's radius (:meth:`ClassConstraints.clamp`).
     """
     means = constraints.class_means((M + M.conj().T) / 2)
-    norm = means[0].real
-    values = []
-    for value, length in zip(means, classes.index.lengths[classes.reps].tolist()):
-        v = value / norm
-        bound = R**length
-        if abs(v) > bound:
-            v = v * (bound / abs(v))
-        values.append(v)
-    theta = np.array(values, dtype=complex)[classes.word_labels]
+    # Real and imaginary parts are divided apart, as Python divides a complex
+    # by a float; numpy's complex division multiplies by a reciprocal.
+    values = (means.view(float) / means[0].real).view(complex)
+    theta = constraints.clamp(values)[classes.word_labels]
     return MomentSequence.from_array(classes.index.n, classes.index.D, theta)
 
 
@@ -579,7 +577,9 @@ def falsify(
     traces differ by rounding only, far inside the screen's slack, so the
     returned index, tuple and trace are those of the trial-by-trial search.
 
-    A seed that is not a nonnegative integer is refused before any probe.
+    A seed that is not a nonnegative integer, or a trial count or size N
+    that is not an integer, is refused before any probe; bools are not
+    integers here.
     A size N whose chunk of products would be too large is refused before
     anything is allocated: a chunk holds the products of up to
     ``moment_size(n, ceil(deg p / 2), N)`` entries per trial, and
@@ -592,9 +592,12 @@ def falsify(
     :func:`~nctrace.moments.hermitian_parts`.
     """
     _require_symmetric(p)
+    for name, size in (("trials", trials), ("matrix size N", N)):
+        if isinstance(size, bool) or not isinstance(size, Integral):
+            raise ValueError(f"{name} must be an integer, got {size!r}")
     if not (trials >= 0):
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    if not (isinstance(seed, Integral) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if not (N >= 1):
         raise ValueError(f"matrix size N must be at least 1, got {N}")

@@ -30,6 +30,7 @@ reshapes of it (:meth:`~nctrace.moments.WordIndex.rotation_gaps`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -71,9 +72,9 @@ def gns_build(
 ) -> GnsModel:
     """Quotient model of a moment sequence at truncation half-degree d.
 
-    Needs d >= 1 and moments up to 2d, and refuses sequences too large for
-    the arithmetic (:func:`~nctrace.moments.check_moment_magnitude`), each
-    with a plain ValueError.  Raises :class:`ModelRejected` for sequences
+    Needs an integer d >= 1 and moments up to 2d, and refuses sequences too
+    large for the arithmetic (:func:`~nctrace.moments.check_moment_magnitude`),
+    each with a plain ValueError.  Raises :class:`ModelRejected` for sequences
     that fail the structural membership checks at ``membership_tol``, or
     whose moment matrix is not PSD at ``DEFAULT_RANK_TOL`` relative to its
     largest eigenvalue; positivity is what makes the quotient an
@@ -86,6 +87,8 @@ def gns_build(
     space by the self-adjointness the inner-product geometry dictates, with
     the unreachable corner left at zero.
     """
+    if isinstance(d, bool) or not isinstance(d, Integral):
+        raise ValueError(f"model half-degree d must be an integer, got {d!r}")
     if d < 1:
         raise ValueError(f"model half-degree must be at least 1, got {d}")
     check_moment_magnitude(theta)
@@ -246,27 +249,20 @@ def norm_bound_check(model: GnsModel, theta: MomentSequence, R: float) -> NormBo
             f"norm bound check needs moments of degree at least 2, have "
             f"{theta.max_degree}"
         )
-    worst_excess = -np.inf
-    worst_word = None
-    passed = True
-    for j in range(1, theta.n + 1):
-        for k in range(1, theta.max_degree // 2 + 1):
-            word = (j,) * (2 * k)
-            excess = theta[word].real - R ** (2 * k) * (1 + 1e-9)
-            if excess > worst_excess:
-                worst_excess = excess
-                worst_word = word
-            if excess > 0:
-                passed = False
+    words = [
+        (j,) * (2 * k) for j in range(1, theta.n + 1) for k in range(1, theta.max_degree // 2 + 1)
+    ]
+    excesses = [theta[word].real - R ** len(word) * (1 + 1e-9) for word in words]
+    worst = int(np.argmax(excesses))  # the first maximum
     norms = [float(np.linalg.norm(y, 2)) if y.size else 0.0 for y in model.operators]
     slack = max(
         (max(0.0, norm - R) / max(R, 1e-300) for norm in norms), default=0.0
     )
     return NormBoundReport(
-        passed=passed,
+        passed=bool(excesses[worst] <= 0),
         radius=float(R),
-        worst_moment_excess=float(worst_excess),
-        worst_moment_word=worst_word,
+        worst_moment_excess=float(excesses[worst]),
+        worst_moment_word=words[worst],
         operator_norms=norms,
         operator_slack=float(slack),
     )

@@ -25,6 +25,7 @@ those of length L are those of length L - 1 times each matrix, one 2-D
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -281,8 +282,10 @@ def moment_size(n: int, D: int, N: int = 1) -> int:
 
 
 def check_moment_size(n: int, D: int, N: int = 1) -> None:
-    """Raise ValueError when D is negative or :func:`moment_size` exceeds
-    MAX_MOMENT_SIZE."""
+    """Raise ValueError when D is not an integer, is negative, or
+    :func:`moment_size` exceeds MAX_MOMENT_SIZE."""
+    if isinstance(D, bool) or not isinstance(D, Integral):
+        raise ValueError(f"degree D must be an integer, got {D!r}")
     if D < 0:
         raise ValueError(f"degree must be nonnegative, got {D}")
     if moment_size(n, D, N) > MAX_MOMENT_SIZE:

@@ -120,8 +120,8 @@ class ClassConstraints:
       magnitude of each class value, equal across a partner pair and at
       least 1 on the pinned class.  Projection replaces each entry by its
       class mean, clamps each mean's magnitude to its radius keeping its
-      phase, then pins.  The set is a product of disks over the class
-      values, weighted by the class counts, so this is the exact
+      phase (:meth:`clamp`), then pins.  The set is a product of disks over
+      the class values, weighted by the class counts, so this is the exact
       projection onto class-constant, bounded and pinned matrices.
 
     Classes partition the entries, so each projection is O(m^2) and exact.
@@ -236,16 +236,22 @@ class ClassConstraints:
         """Mean of G's entries over each class, summed in row-major order."""
         return self._class_sums(G) / self.counts
 
+    def clamp(self, values: np.ndarray) -> np.ndarray:
+        """Scale each class value whose magnitude exceeds its radius onto the
+        radius, keeping its phase.  Works in place on ``values`` and returns
+        it; without radii nothing moves."""
+        if self.radii is not None:
+            mags = np.abs(values)
+            values *= np.divide(
+                self.radii, mags, out=np.ones_like(mags), where=mags > self.radii
+            )
+        return values
+
     def project(self, G: np.ndarray) -> np.ndarray:
         """Frobenius-nearest point of the set; Hermitian if G is, to rounding."""
         if self.pinned is None:
             return G - ((self._class_sums(G) - self._rhs) / self.counts)[self.labels]
-        means = self.class_means(G)
-        if self.radii is not None:
-            mags = np.abs(means)
-            means *= np.divide(
-                self.radii, mags, out=np.ones_like(mags), where=mags > self.radii
-            )
+        means = self.clamp(self.class_means(G))
         means[self.pinned] = 1.0
         return means[self.labels]
 

@@ -13,6 +13,7 @@ from nctrace.algebra import (
     words_up_to,
 )
 from nctrace.moments import moment_sequence, as_matrix_tuple
+from nctrace.parsing import MAX_WORD_LENGTH
 
 from helpers import (
     commutator_square_poly,
@@ -71,6 +72,18 @@ def test_cyclic_canonical_matches_brute_force():
     for _ in range(500):
         w = tuple(int(x) for x in rng.integers(1, 5, size=rng.integers(0, 13)))
         assert cyclic_canonical(w) == brute_least_rotation(w)
+
+
+def test_cyclic_canonical_matches_brute_force_up_to_the_word_cap():
+    rng = make_rng(4)
+    for n in range(1, 5):
+        for length in range(MAX_WORD_LENGTH + 1):
+            for _ in range(3):
+                w = tuple(int(x) for x in rng.integers(1, n + 1, size=length))
+                assert cyclic_canonical(w) == brute_least_rotation(w), w
+    for w in [(1,) * 64, (1, 2) * 32, (1, 1, 2) * 21, (2, 1) * 32, (2, 1, 1) * 21]:
+        assert len(w) <= MAX_WORD_LENGTH
+        assert cyclic_canonical(w) == brute_least_rotation(w), w
 
 
 def test_cyclic_canonical_rotation_invariant():

@@ -202,7 +202,7 @@ def test_extracted_moments_match_reference_bit_for_bit(nvars, d, R):
     for M in (0.3 * random_hermitian(rng, m), real):
         # A small empty-word entry makes most class values reach their bound.
         M[0, 0] = 0.5
-        got = certify._extract_moments(M, constraints, classes, R)
+        got = certify._extract_moments(M, constraints, classes)
         expected = reference_extract_moments(M, positions, nvars, 2 * d, R)
         assert got.max_degree == expected.max_degree == 2 * d
         assert list(got.values) == list(expected.values)
@@ -810,6 +810,46 @@ def test_falsify_refuses_a_bad_seed_before_any_probe(seed, monkeypatch):
     for p in (-1 * commutator_square_poly(), NCPoly(1, {(1, 1): 1.0})):
         with pytest.raises(ValueError, match=message):
             falsify(p, trials=5, seed=seed)
+
+
+@pytest.mark.parametrize("d", [2.0, 2.5, True, np.bool_(True)])
+def test_half_degrees_that_are_not_integers_are_refused(d):
+    p = commutator_square_poly()
+    message = re.escape(f"half-degree d must be an integer, got {d!r}")
+    for run in (
+        lambda: build_gram_problem(p, d),
+        lambda: certify_sos(p, d),
+        lambda: witness_search(-1 * p, d),
+        lambda: certify_sos(NCPoly(1, {(1, 1): 1.0}), d),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run()
+    assert isinstance(certify_sos(p, np.int64(2)), Certificate)
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"trials": 1.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"N": 2.5}, "matrix size N"),
+        ({"N": 2.0}, "matrix size N"),
+        ({"N": np.bool_(True)}, "matrix size N"),
+    ],
+)
+def test_falsify_refuses_sizes_that_are_not_integers(kwargs, name):
+    (value,) = kwargs.values()
+    message = re.escape(f"{name} must be an integer, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        falsify(commutator_square_poly(), **kwargs)
+    assert falsify(NCPoly(1, {(1, 1): 1.0}), trials=np.int64(5), N=np.int32(2)) is None
+
+
+@pytest.mark.parametrize("seed", [True, False])
+def test_falsify_refuses_a_bool_seed(seed):
+    message = re.escape(f"seed must be a nonnegative integer, got {seed}")
+    with pytest.raises(ValueError, match=message):
+        falsify(commutator_square_poly(), trials=5, seed=seed)
 
 
 def test_falsify_accepts_numpy_integer_seeds():

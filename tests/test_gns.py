@@ -103,6 +103,14 @@ def test_half_degree_below_one_is_an_input_error(d):
     assert str(error) == f"model half-degree must be at least 1, got {d}"
 
 
+@pytest.mark.parametrize("d", [1.5, 2.0, True, np.bool_(True)])
+def test_half_degree_that_is_not_an_integer_is_an_input_error(d):
+    t = moment_sequence(pauli_pair(), 4)
+    error = _input_error(lambda: gns_build(t, d))
+    assert str(error) == f"model half-degree d must be an integer, got {d!r}"
+    assert gns_build(t, np.int64(2)).rank == gns_build(t, 2).rank
+
+
 def test_values_too_large_for_moment_matrix_arithmetic_are_refused():
     for big in (1e300, 1e154):
         theta = MomentSequence(1, 2, {(): 1.0, (1,): 0.0, (1, 1): big})
@@ -196,6 +204,15 @@ def test_norm_bound_check_scalar():
     assert not report.passed
     assert report.worst_moment_word == (1, 1, 1, 1)
     assert report.worst_moment_excess == pytest.approx(15.0, rel=1e-6)
+
+
+def test_norm_bound_check_tie_keeps_the_first_word():
+    # tr(X^4) = tr(Z^4) = 1 on the Pauli pair, so (1,1,1,1) and (2,2,2,2) tie.
+    t = moment_sequence(pauli_pair(), 4)
+    report = norm_bound_check(gns_build(t, 2), t, 0.5)
+    assert not report.passed
+    assert report.worst_moment_word == (1, 1, 1, 1)
+    assert report.worst_moment_excess == 1.0 - 0.5**4 * (1 + 1e-9)
 
 
 def test_norm_bound_check_identity():

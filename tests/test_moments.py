@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -458,6 +459,19 @@ def test_oversized_sequences_are_refused_before_allocating(build):
 def test_negative_degrees_are_refused(build):
     with pytest.raises(ValueError, match="degree must be nonnegative, got -"):
         build()
+
+
+@pytest.mark.parametrize("D", [2.0, 2.5, True, np.bool_(False)])
+def test_degrees_that_are_not_integers_are_refused(D):
+    message = re.escape(f"degree D must be an integer, got {D!r}")
+    for build in (
+        lambda: moment_sequence(pauli_pair(), D),
+        lambda: MomentSequence(1, D, {(): 1.0, (1,): 0.0, (1, 1): 1.0}),
+        lambda: MomentSequence.from_array(1, D, [1.0, 0.0, 1.0]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert moment_sequence(pauli_pair(), np.int64(2)).max_degree == 2
 
 
 def test_largest_single_variable_sequence_is_allowed():
