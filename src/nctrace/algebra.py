@@ -18,7 +18,9 @@ parsed words have at most 64 letters.
 
 from __future__ import annotations
 
+import cmath
 from itertools import product
+from numbers import Integral
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,6 +29,18 @@ Word = tuple[int, ...]
 
 # Coefficients with magnitude at or below this are dropped on normalization.
 COEFF_PRUNE = 1e-15
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer: an ``Integral`` (NumPy integers too)
+    that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_integer(value, name: str) -> None:
+    """Raise ValueError naming the argument unless :func:`is_integer`."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def involute_word(word: Word) -> Word:
@@ -76,16 +90,20 @@ class NCPoly:
     objects and never mutates operands, so they are safe to share and to use
     concurrently.
 
-    The constructor checks every letter of every word.  Arithmetic whose
-    words come from already-valid words (sums, negation, scaling, adjoint,
-    cyclic reduction, products) builds its result with the internal
-    :meth:`_from_valid` instead, which skips that check but prunes and
-    converts coefficients exactly as the constructor does.
+    The constructor refuses a variable count or letter that is not an
+    integer (:func:`check_integer`), a letter outside 1..nvars and a
+    coefficient that is not finite; :meth:`scale` refuses a factor that is
+    not finite.  Arithmetic whose words come from already-valid words (sums,
+    negation, scaling, adjoint, cyclic reduction, products) builds its
+    result with the internal :meth:`_from_valid` instead, which skips those
+    checks but prunes and converts coefficients exactly as the constructor
+    does.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Word, complex] | None = None):
+        check_integer(nvars, "nvars")
         if nvars < 1:
             raise ValueError(f"nvars must be positive, got {nvars}")
         clean: dict[Word, complex] = {}
@@ -93,11 +111,14 @@ class NCPoly:
             for word, coeff in terms.items():
                 word = tuple(word)
                 for letter in word:
-                    if not 1 <= letter <= nvars:
+                    if not (is_integer(letter) and 1 <= letter <= nvars):
+                        check_integer(letter, f"letter in word {word}")
                         raise ValueError(
                             f"letter {letter} in word {word} outside 1..{nvars}"
                         )
                 c = complex(coeff)
+                if not cmath.isfinite(c):
+                    raise ValueError(f"coefficient {c} of word {word} is not finite")
                 if abs(c) > COEFF_PRUNE:
                     clean[word] = clean.get(word, 0.0) + c
                     if abs(clean[word]) <= COEFF_PRUNE:
@@ -109,11 +130,11 @@ class NCPoly:
     def _from_valid(cls, nvars: int, terms: Mapping[Word, complex]) -> "NCPoly":
         """A polynomial from distinct word tuples whose letters are in 1..nvars.
 
-        For such terms this equals ``NCPoly(nvars, terms)`` without the
-        per-letter check: each coefficient becomes the Python complex
-        ``0.0 + complex(c)``, as the constructor's accumulation makes it
-        (negative zeros cleared), and is dropped at magnitude
-        ``<= COEFF_PRUNE``.
+        For such terms with finite coefficients this equals
+        ``NCPoly(nvars, terms)`` without the constructor's checks: each
+        coefficient becomes the Python complex ``0.0 + complex(c)``, as the
+        constructor's accumulation makes it (negative zeros cleared), and is
+        dropped at magnitude ``<= COEFF_PRUNE``.
         """
         poly = object.__new__(cls)
         poly.nvars = nvars
@@ -180,6 +201,8 @@ class NCPoly:
         return NCPoly._from_valid(self.nvars, {w: -c for w, c in self.terms.items()})
 
     def scale(self, scalar: complex) -> "NCPoly":
+        if not cmath.isfinite(scalar):
+            raise ValueError(f"scale factor {scalar} is not finite")
         return NCPoly._from_valid(
             self.nvars, {w: scalar * c for w, c in self.terms.items()}
         )

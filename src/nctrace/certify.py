@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from numbers import Integral
 
 import numpy as np
 
@@ -43,7 +42,9 @@ from .algebra import (
     COEFF_PRUNE,
     NCPoly,
     Word,
+    check_integer,
     evaluate,
+    is_integer,
     normalized_trace,
     pair,
     words_up_to,
@@ -123,8 +124,7 @@ def check_gram_size(nvars: int, d: int) -> None:
 def _check_degree(p: NCPoly, d: int) -> None:
     """Refuse a half-degree that is not an integer, is below half of p's
     degree or is past the size limit."""
-    if isinstance(d, bool) or not isinstance(d, Integral):
-        raise ValueError(f"half-degree d must be an integer, got {d!r}")
+    check_integer(d, "half-degree d")
     if p.degree() > 2 * d:
         raise ValueError(f"polynomial degree {p.degree()} exceeds 2*d = {2 * d}")
     check_gram_size(p.nvars, d)
@@ -592,12 +592,11 @@ def falsify(
     :func:`~nctrace.moments.hermitian_parts`.
     """
     _require_symmetric(p)
-    for name, size in (("trials", trials), ("matrix size N", N)):
-        if isinstance(size, bool) or not isinstance(size, Integral):
-            raise ValueError(f"{name} must be an integer, got {size!r}")
+    check_integer(trials, "trials")
+    check_integer(N, "matrix size N")
     if not (trials >= 0):
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if not (N >= 1):
         raise ValueError(f"matrix size N must be at least 1, got {N}")

@@ -30,11 +30,10 @@ reshapes of it (:meth:`~nctrace.moments.WordIndex.rotation_gaps`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .algebra import Word
+from .algebra import Word, check_integer
 from .moments import (
     MomentSequence,
     check_moment_magnitude,
@@ -87,8 +86,7 @@ def gns_build(
     space by the self-adjointness the inner-product geometry dictates, with
     the unreachable corner left at zero.
     """
-    if isinstance(d, bool) or not isinstance(d, Integral):
-        raise ValueError(f"model half-degree d must be an integer, got {d!r}")
+    check_integer(d, "model half-degree d")
     if d < 1:
         raise ValueError(f"model half-degree must be at least 1, got {d}")
     check_moment_magnitude(theta)
@@ -204,8 +202,10 @@ def unitary_group(model: GnsModel, j: int, t: float) -> np.ndarray:
 
     The generator must be Hermitian to 1e-8; the exponential is formed
     spectrally, so the result is unitary to machine precision and the group
-    law holds exactly in the exponents.
+    law holds exactly in the exponents.  A t that is not finite is refused.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if not 1 <= j <= len(model.operators):
         raise ValueError(f"variable index {j} out of range 1..{len(model.operators)}")
     y = model.operators[j - 1]

@@ -25,11 +25,10 @@ those of length L are those of length L - 1 times each matrix, one 2-D
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .algebra import Word, cyclic_canonical, words_up_to
+from .algebra import Word, check_integer, cyclic_canonical, words_up_to
 
 HERMITIAN_INPUT_TOL = 1e-12
 # Size limit of a moment sequence, in the units of ``moment_size``: per word,
@@ -282,10 +281,10 @@ def moment_size(n: int, D: int, N: int = 1) -> int:
 
 
 def check_moment_size(n: int, D: int, N: int = 1) -> None:
-    """Raise ValueError when D is not an integer, is negative, or
+    """Raise ValueError when n or D is not an integer, D is negative, or
     :func:`moment_size` exceeds MAX_MOMENT_SIZE."""
-    if isinstance(D, bool) or not isinstance(D, Integral):
-        raise ValueError(f"degree D must be an integer, got {D!r}")
+    check_integer(n, "variable count n")
+    check_integer(D, "degree D")
     if D < 0:
         raise ValueError(f"degree must be nonnegative, got {D}")
     if moment_size(n, D, N) > MAX_MOMENT_SIZE:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 
-from .algebra import NCPoly, Word
+from .algebra import NCPoly, Word, check_integer
 
 MAX_WORD_LENGTH = 64
 MAX_DIGITS = 18  # of an index or a power, so int() of it is cheap and bounded
@@ -90,6 +90,7 @@ def parse_poly(text: str, nvars: int) -> NCPoly:
     a compiled pattern.  Error offsets are those of a left-to-right scan
     that stops at the first character breaking the grammar.
     """
+    check_integer(nvars, "nvars")
     if nvars < 1:
         raise ValueError(f"nvars must be positive, got {nvars}")
     if not text.strip():

@@ -507,21 +507,20 @@ def minimize_linear(
     ``Re<Y, x> < -tol ||Y||``, no PSD G is on the set:
     "infeasible-at-tolerance", with ``separator`` Y.
 
-    From iteration 21 on, each step is recorded and the next state is the
-    type-II Anderson extrapolation (memory ``ANDERSON_MEMORY``) of the
-    recorded steps: the combination of the last steps (z', u') with real
-    weights summing to 1 that minimizes the combined fixed-point residual
-    (z' - z, u' - u), taken over the float64 view of the state.  Its real
-    weights keep z and u exactly Hermitian.  The history is cleared
-    whenever rho changes.  The safeguard evaluates
-    the extrapolated state in the next iteration and keeps it only if its
-    fixed-point residual is below that of the plain step it replaced; if not,
-    the loop returns to that plain step and clears the history.  Every
-    iteration, extrapolated or not, is tested by the stopping rule above
-    and counts toward ``max_iter``; the report counts kept and rejected
-    extrapolations.  A solve decided within 20 iterations takes the plain
-    loop's iterates bit for bit.  A step that meets the residual test while
-    its x fails the recheck is taken plain and restarts the history.
+    An Anderson history records each step from iteration 21 on.  While it
+    holds two steps or more, the next state is the type-II Anderson
+    extrapolation (memory ``ANDERSON_MEMORY``) of the recorded steps: the
+    combination of the last steps (z', u') with real weights summing to 1
+    that minimizes the combined fixed-point residual (z' - z, u' - u), taken
+    over the float64 view of the state; real weights keep z and u exactly
+    Hermitian.  The next iteration accepts or rejects it in one step: if its
+    fixed-point residual is not below that of the plain step it replaced,
+    the loop returns to that plain step and clears the history.  A step
+    whose x meets the residual test but fails the recheck is taken
+    unrecorded and clears the history, as does a change of rho.  Every
+    iteration counts toward ``max_iter`` and is tested by the stopping rule;
+    the report counts kept and rejected extrapolations.  A solve decided
+    within 20 iterations takes the plain loop's iterates bit for bit.
 
     The report's x lies on the constraint set (to rounding) and is PSD to
     within the primal residual; at ``max_iter`` it may be further off.
@@ -543,7 +542,8 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
     ``z - u`` loses z and the rhs, and x and z' can round to the same
     matrix with x off the set.  The recheck of x, which reads x alone,
     refuses that stop.  Extrapolation only chooses which states are stepped
-    from; the separator test reads the plain step's state.
+    from; the separator test reads the plain step's state.  The one Anderson
+    history is made before the first iteration.
     """
     if not (0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -565,7 +565,7 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
     primal = dual = float("inf")
     status = "max-iterations"
     iterations = accepted = rejected = 0
-    history = None
+    history = _Anderson(dim)
     # The plain step (z, u, fixed-point residual) that the extrapolated state
     # being evaluated replaced.
     fallback = None
@@ -582,39 +582,29 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
         if met and (not affine or np.linalg.norm(constraints.residuals(x)) <= tol):
             status = "feasible"
             break
-        extrapolate = False
-        if iterations > ANDERSON_START:
-            residual = math.hypot(primal, moved)
-            if fallback is not None and not residual < fallback[2]:
-                z, u = fallback[:2]
-                rejected += 1
-                history.clear()
-            else:
-                if fallback is not None:
-                    accepted += 1
-                z, u = z_next, u_next
-                if history is None:
-                    history = _Anderson(dim)
-                if met:
-                    # x failed its recheck: the step only rounds, and its
-                    # residual may be 0, which K must not hold.
-                    history.clear()
-                else:
-                    history.push(z, u, step_z, step_u)
-                extrapolate = history.count > 1
-            fallback = None
+        residual = math.hypot(primal, moved)
+        if fallback is not None and not residual < fallback[2]:
+            z, u = fallback[:2]
+            rejected += 1
+            history.clear()
         else:
+            accepted += fallback is not None
             z, u = z_next, u_next
+            if met:
+                # x failed its recheck: the step only rounds, and its
+                # residual may be 0, which K must not hold.
+                history.clear()
+            elif iterations > ANDERSON_START:
+                history.push(z, u, step_z, step_u)
+        fallback = None
         if iterations % 20 == 0:
             scale = 2.0 if primal > 10 * dual else 0.5 if dual > 10 * primal else 1.0
             if scale != 1.0:
                 rho, u = scale * rho, u / scale
                 shift = c / rho
-                if history is not None:
-                    history.clear()
-                extrapolate = False
+                history.clear()
         plain = z
-        if extrapolate:
+        if history.count > 1:
             fallback = z, u, residual
             z, u = history.extrapolate()
         if not affine or iterations % 10:

@@ -237,13 +237,16 @@ def test_is_symmetric_builds_no_polynomial(monkeypatch):
 
 def test_unchecked_constructor_equals_checked_one():
     values = [1, 1.5, -0.0, complex(-0.0, -0.0), complex(2, -0.0), complex(-0.0, 3),
-              1e-15, -1e-15, 1.0000001e-15, 1e-16j, float("nan"), complex(float("nan"), 1),
-              float("inf"), complex(1, -float("inf")), np.float64(2.5), np.complex128(1 - 2j),
+              1e-15, -1e-15, 1.0000001e-15, 1e-16j, np.float64(2.5), np.complex128(1 - 2j),
               np.int64(3), np.conj(np.complex128(-0.0 + 2j))]
     words = words_up_to(2, 4)[: len(values)]
     terms = dict(zip(words, values))
     assert term_bits(NCPoly._from_valid(2, terms)) == term_bits(NCPoly(2, terms))
     assert all(type(c) is complex for c in NCPoly._from_valid(2, terms).terms.values())
+    # The checked constructor refuses what the unchecked one is never given.
+    for value in (float("nan"), complex(float("nan"), 1), float("inf"), complex(1, -float("inf"))):
+        with pytest.raises(ValueError, match="is not finite"):
+            NCPoly(2, {(1,): value})
 
 
 def test_arithmetic_equals_checked_constructor():

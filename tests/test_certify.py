@@ -26,6 +26,7 @@ from nctrace.certify import (
 )
 from nctrace import algebra, certify
 from nctrace.moments import MomentSequence, moment_sequence
+from nctrace.parsing import parse_poly
 from nctrace.sdp import ClassConstraints, NoFeasiblePoint, feasibility_solve, minimize_linear
 
 from helpers import (
@@ -163,7 +164,7 @@ def test_class_coefficients_equal_cyclic_reduce_bit_for_bit(nvars, d, monkeypatc
     word = (1,) * min(2 * d, 3) + (nvars,)
     rotated = word[1:] + word[:1]
     polys.append(NCPoly(nvars, {word: 0.1 + 0.2j, rotated: -(0.1 + 0.2j) + 1e-17, (1,): 1.0}))
-    polys.append(NCPoly(nvars, {word: np.inf, rotated: -np.inf, (): 2.0}))
+    polys.append(NCPoly._from_valid(nvars, {word: np.inf, rotated: -np.inf, (): 2.0}))
     expected = []
     for p in polys:
         values = np.zeros(len(classes.reps), dtype=complex)
@@ -850,6 +851,37 @@ def test_falsify_refuses_a_bool_seed(seed):
     message = re.escape(f"seed must be a nonnegative integer, got {seed}")
     with pytest.raises(ValueError, match=message):
         falsify(commutator_square_poly(), trials=5, seed=seed)
+
+
+@pytest.mark.parametrize("coeff", [np.nan, complex(1, np.nan), np.inf, complex(0, -np.inf)])
+def test_non_finite_coefficients_and_factors_are_refused(coeff):
+    # A NaN term used to vanish, so certify certified NaN*Y1^2 + Y2^2, and
+    # a NaN factor turned every polynomial into the certifiable zero.
+    message = re.escape(f"coefficient {complex(coeff)} of word (1, 1) is not finite")
+    with pytest.raises(ValueError, match=message):
+        certify_sos(NCPoly(2, {(1, 1): coeff, (2, 2): 1.0}), 1)
+    p = parse_poly("Y1^2 - 3*Y2^2", 2)
+    message = re.escape(f"scale factor {coeff} is not finite")
+    for run in (lambda: p.scale(coeff), lambda: coeff * p, lambda: p * coeff):
+        with pytest.raises(ValueError, match=message):
+            run()
+    assert p.scale(np.float64(0.0)).is_zero()
+
+
+@pytest.mark.parametrize("value", [2.0, 1.5, True, np.bool_(True)])
+def test_variable_counts_and_letters_that_are_not_integers_are_refused(value):
+    # Each used to be accepted, to fail later in numpy or range, or, as a
+    # bool, to stand for one variable.
+    for name, build in (
+        ("nvars", lambda: NCPoly(value, {(1, 1): 1.0})),
+        ("nvars", lambda: parse_poly("Y1^2", value)),
+        ("variable count n", lambda: MomentSequence.from_array(value, 2, [1.0, 0.0, 1.0])),
+        (f"letter in word {(1, value)}", lambda: NCPoly(2, {(1, value): 1.0})),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            build()
+    assert NCPoly(np.int64(2), {(np.int32(1), 2): 1.0}) == parse_poly("Y1 Y2", np.int64(2))
+    assert MomentSequence.from_array(np.int64(1), 2, [1.0, 0.0, 1.0]).n == 1
 
 
 def test_falsify_accepts_numpy_integer_seeds():

@@ -170,6 +170,14 @@ def test_unitary_group_scalar():
     assert np.allclose(unitary_group(m, 1, 0.0), np.eye(1))
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_unitary_group_refuses_a_non_finite_t(t):
+    # It used to return an all-NaN matrix as the "unitary".
+    m = gns_build(moment_sequence(pauli_pair(), 4), 2)
+    with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
+        unitary_group(m, 1, t)
+
+
 def test_unitary_group_pauli_isometry_and_group_law():
     t = moment_sequence(pauli_pair(), 4)
     m = gns_build(t, 2)

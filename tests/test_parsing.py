@@ -348,7 +348,7 @@ def test_largest_finite_coefficients_still_parse():
 @pytest.mark.parametrize("coeff", [float("inf"), complex(1.0, float("-inf"))])
 def test_format_refuses_a_non_finite_coefficient_by_word(coeff):
     # The grammar cannot write it; int(inf) used to escape as an OverflowError.
-    p = NCPoly(2, {(1,): 1.0, (1, 2): coeff})
+    p = NCPoly._from_valid(2, {(1,): 1.0, (1, 2): coeff})
     with pytest.raises(ValueError, match=re.escape("of word (1, 2) is not finite")):
         format_poly(p)
 
@@ -390,6 +390,6 @@ def test_format_polys_on_zero_and_unit_coefficients():
 
 
 def test_format_polys_refuses_a_non_finite_coefficient_by_word():
-    polys = [NCPoly(2, {(1, 2): 1.0}), NCPoly(2, {(1,): 1.0, (1, 2): float("inf")})]
+    polys = [NCPoly(2, {(1, 2): 1.0}), NCPoly._from_valid(2, {(1,): 1.0, (1, 2): float("inf")})]
     with pytest.raises(ValueError, match=re.escape("of word (1, 2) is not finite")):
         format_polys(polys)

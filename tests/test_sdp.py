@@ -627,6 +627,52 @@ def test_accelerated_gram_loop_keeps_the_plain_decision_on_empty_sets(
         _assert_decides(report, p, problem)
 
 
+@pytest.mark.parametrize("case", ["witness box", "anchorless Gram set"])
+def test_anderson_history_protocol(case, monkeypatch):
+    # The loop's calls on its history, each with the iteration it is made
+    # in (one PSD projection per iteration).  The witness solve changes rho
+    # at iterations 20-80; the Gram solve rejects hundreds of extrapolations.
+    events, iteration = [], [0]
+    psd = sdp._psd_kernel
+
+    def counted(H):
+        iteration[0] += 1
+        return psd(H)
+
+    def logged(name, method):
+        def call(self, *args):
+            events.append((name, iteration[0]))
+            return method(self, *args)
+        return call
+
+    monkeypatch.setattr(sdp, "_psd_kernel", counted)
+    for name in ("push", "clear", "extrapolate"):
+        monkeypatch.setattr(sdp._Anderson, name, logged(name, getattr(sdp._Anderson, name)))
+    if case == "witness box":
+        reports, solve = [], certify.minimize_linear
+        spy = lambda *args, **kwargs: reports.append(solve(*args, **kwargs)) or reports[-1]
+        monkeypatch.setattr(certify, "minimize_linear", spy)
+        certify.witness_search(-1 * commutator_square_poly(), 2, R=3)
+        (report,) = reports
+    else:
+        cons = build_gram_problem(-2 * commutator_square_poly(), 4).constraints
+        report = feasibility_solve(cons, max_iter=2000)
+    assert [at for name, at in events if name == "push"][0] == sdp.ANDERSON_START + 1
+    pushed, extrapolations = 0, 0
+    for name, at in events:
+        if name == "clear":
+            pushed = 0
+        elif name == "push":
+            pushed += 1
+        else:
+            assert pushed >= 2, f"extrapolated at iteration {at} from {pushed} steps"
+            extrapolations += 1
+    # The last extrapolation may still await its evaluation.
+    decided = report.anderson_accepted + report.anderson_rejected
+    assert extrapolations - 1 <= decided <= extrapolations
+    assert report.anderson_accepted > 0 and report.anderson_rejected > 0
+
+
 def test_separator_test_reads_the_plain_state(monkeypatch):
     # Every 10 iterations the loop projects its state z to test Y = z - P(z);
     # z is then the plain step's, never an extrapolated one.
