@@ -72,8 +72,11 @@ def words_up_to(nvars: int, degree: int) -> list[Word]:
     """All words of length <= degree in degree-then-lexicographic order.
 
     This ordering is shared by every matrix indexed by words (moment
-    matrices, Gram matrices, GNS bases); do not reorder.
+    matrices, Gram matrices, GNS bases); do not reorder.  Both arguments
+    must pass :func:`check_integer`.
     """
+    check_integer(nvars, "nvars")
+    check_integer(degree, "degree")
     if nvars < 1:
         raise ValueError(f"nvars must be positive, got {nvars}")
     out: list[Word] = []

@@ -33,6 +33,7 @@ completeness is made at any finite level.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -93,6 +94,12 @@ class SolverStalled(RuntimeError):
 
 
 def _require_symmetric(p: NCPoly) -> None:
+    """Refuse a coefficient that is not finite, by word, then a polynomial
+    that is not self-adjoint.  Arithmetic on finite coefficients can
+    overflow, and the symmetry test reads a NaN defect as no defect."""
+    for word, coeff in p.terms.items():
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"coefficient {coeff} of word {word} is not finite")
     if not p.is_symmetric(SYMMETRY_TOL):
         raise ValueError("polynomial is not self-adjoint")
 

@@ -24,10 +24,11 @@ and nothing is written to stdout or ``--out``.  Any other exception
 propagates.
 
 The commands, their inputs and their options come from one table
-(:func:`_commands`).  A run that names its command first builds the
-top-level parser and that command's subparser only; the full tree is built
-for ``--help``, for no arguments and for an unknown command.  Help, usage
-errors and their messages read the same either way.
+(:func:`_commands`).  The parser of all six commands is built from it on
+the first :func:`main` call and serves every later call in the process;
+importing the module builds none.  The parser holds no handler: ``main``
+looks the command's handler up in the table when the command runs, so a
+wrapper or patch installed on this module after the first call applies.
 
 The output bytes are exactly those of ``json.dumps(payload, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline.  The stdlib encodes an
@@ -50,6 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -509,9 +511,10 @@ def _commands() -> dict:
     code)``; :func:`main` writes the payload and maps errors to exit 1.
     ``input`` is the positional argument's (name, help).  ``options`` are
     names in ``_OPTIONS``, in order, or (name, overrides) where a command
-    words one differently; every command ends with ``--out``.  The table is
-    built per call, so a handler is read from the module's globals when its
-    command runs, as any wrapper or patch installed there leaves it.
+    words one differently; every command ends with ``--out``.  Each call
+    reads the handlers from the module's globals, so :func:`main`, which
+    calls it as a command runs, gets whatever wrapper or patch is
+    installed there at that moment.
     """
     return {
         "certify": (
@@ -550,37 +553,28 @@ def _commands() -> dict:
     }
 
 
-def _build_parser(commands: dict, only: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every command's subparser, or with ``only``'s.
-
-    With one subparser the usage line still names every command, so its
-    usage errors read as the full parser's do.
-    """
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command in :func:`_commands`, built on first use
+    and kept for the process."""
     parser = _Parser(
         prog="nctrace",
         description="Trace-positivity certificates for noncommutative polynomials.",
     )
-    metavar = None if only is None else "{" + ",".join(commands) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [only] if only else commands:
-        run, help_text, (input_name, input_help), options = commands[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, (input_name, input_help), options) in _commands().items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument(input_name, help=input_help)
         for option in options + ("out",):
             key, overrides = (option, {}) if isinstance(option, str) else option
             sp.add_argument(f"--{key}", **{**_OPTIONS[key], **overrides})
-        sp.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    commands = _commands()
-    # Only --help, no arguments or an unknown command need every subparser.
-    only = argv[0] if argv and argv[0] in commands else None
-    args = _build_parser(commands, only).parse_args(argv)
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        payload, code = args.func(args)
+        payload, code = _commands()[args.command][0](args)
         _emit(payload, args.out)
     except (SolverStalled, NoFeasiblePoint) as exc:
         print(f"nctrace: solver failed: {exc}", file=sys.stderr)

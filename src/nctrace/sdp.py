@@ -53,6 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import check_integer
+
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
 # Anderson acceleration of the ADMM loop: the number of past steps combined
@@ -547,6 +549,9 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
     """
     if not (0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_integer(max_iter, "max_iter")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     c = _check_hermitian(objective)
     dim = constraints.dim
     if c.shape != (dim, dim):

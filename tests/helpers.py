@@ -385,9 +385,9 @@ def _reference_word(sc: _ReferenceScanner, nvars: int) -> Word:
 
 # -- the CLI's reference parser ------------------------------------------------
 #
-# The full argparse tree ``nctrace.cli.main`` built on every call before it
-# built only the invoked command's subparser.  Help, usage errors and the
-# unknown-command message must read the same.
+# The full argparse tree ``nctrace.cli`` built by hand before its command
+# table.  Help, usage errors, the unknown-command message and every parse
+# must read the same.
 
 
 def reference_build_parser() -> argparse.ArgumentParser:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from nctrace.algebra import (
     words_up_to,
 )
 from nctrace.moments import moment_sequence, as_matrix_tuple
-from nctrace.parsing import MAX_WORD_LENGTH
+from nctrace.parsing import MAX_WORD_LENGTH, parse_poly
 
 from helpers import (
     commutator_square_poly,
@@ -98,6 +100,18 @@ def test_cyclic_canonical_rotation_invariant():
 def test_words_up_to_order():
     ws = words_up_to(2, 2)
     assert ws == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("nvars", [0, -1])
+def test_variable_counts_below_one_are_refused(nvars):
+    message = re.escape(f"nvars must be positive, got {nvars}")
+    for build in (
+        lambda: NCPoly(nvars, {}),
+        lambda: parse_poly("Y1", nvars),
+        lambda: words_up_to(nvars, 2),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 # -- polynomial arithmetic ---------------------------------------------------
@@ -358,6 +372,19 @@ def test_evaluate_examples():
     comm = NCPoly(2, {(1, 2): 1j, (2, 1): -1j})
     out = evaluate(comm, pauli_pair())
     assert np.allclose(out, out.conj().T)
+
+
+@pytest.mark.parametrize(
+    "mats,message",
+    [
+        ([np.eye(2)], "polynomial has 2 variables but 1 matrices given"),
+        ([np.eye(2), np.eye(3)], "matrices must share a square shape, got (3, 3)"),
+        ([np.ones((2, 3)), np.ones((2, 3))], "matrices must share a square shape, got (2, 3)"),
+    ],
+)
+def test_evaluate_refuses_a_wrong_count_or_shape(mats, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate(NCPoly(2, {(1, 2): 1.0}), mats)
 
 
 def test_trace_compatibility_with_moments():

@@ -875,6 +875,8 @@ def test_variable_counts_and_letters_that_are_not_integers_are_refused(value):
     for name, build in (
         ("nvars", lambda: NCPoly(value, {(1, 1): 1.0})),
         ("nvars", lambda: parse_poly("Y1^2", value)),
+        ("nvars", lambda: words_up_to(value, 2)),
+        ("degree", lambda: words_up_to(2, value)),
         ("variable count n", lambda: MomentSequence.from_array(value, 2, [1.0, 0.0, 1.0])),
         (f"letter in word {(1, value)}", lambda: NCPoly(2, {(1, value): 1.0})),
     ):
@@ -882,6 +884,7 @@ def test_variable_counts_and_letters_that_are_not_integers_are_refused(value):
             build()
     assert NCPoly(np.int64(2), {(np.int32(1), 2): 1.0}) == parse_poly("Y1 Y2", np.int64(2))
     assert MomentSequence.from_array(np.int64(1), 2, [1.0, 0.0, 1.0]).n == 1
+    assert words_up_to(np.int64(2), np.int32(1)) == [(), (1,), (2,)]
 
 
 def test_falsify_accepts_numpy_integer_seeds():
@@ -1046,3 +1049,73 @@ def test_certificate_soundness_on_random_tuples():
         X = random_hermitian_tuple(rng, 2, int(rng.integers(2, 5)), radius=1.0)
         value = normalized_trace(evaluate(p, X)).real
         assert value >= -eps - 1e-12
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: certify_sos(p, 1),
+        lambda p: witness_search(p, 1),
+        lambda p: falsify(p, trials=5),
+    ],
+    ids=["certify_sos", "witness_search", "falsify"],
+)
+def test_an_overflowed_coefficient_is_refused_by_word(run):
+    # Arithmetic on finite coefficients can overflow.  The symmetry test
+    # dropped the NaN defect, so certify then refused "class sums", witness
+    # warned and failed on a NaN asymmetry, and falsify refused its radius.
+    p = NCPoly(2, {(1, 1): 1e308, (2, 2): 1.0}).scale(10.0)
+    with pytest.raises(ValueError, match=re.escape("coefficient (inf+0j) of word (1, 1) is not finite")):
+        run(p)
+
+
+def _capped_solves(max_iter):
+    p = -1 * commutator_square_poly()
+    constraints = build_gram_problem(p, 2).constraints
+    box = ClassConstraints(np.zeros((2, 2), dtype=int), pinned=0)
+    return [
+        lambda: feasibility_solve(constraints, max_iter=max_iter),
+        lambda: minimize_linear(np.eye(2), box, max_iter=max_iter),
+        lambda: certify_sos(p, 2, max_iter=max_iter),
+        lambda: witness_search(p, 2, max_iter=max_iter),
+        lambda: dual_witness(p, 2, max_iter=max_iter),
+    ]
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 40.0, True, np.bool_(True), 0, -3])
+def test_iteration_caps_follow_the_integer_rule(max_iter):
+    # A fraction died in range, True ran one iteration, and a cap below 1
+    # reported "undecided after 0 iterations" or returned the start point's
+    # pairing as if solved.
+    if isinstance(max_iter, int) and not isinstance(max_iter, bool):
+        message = f"max_iter must be at least 1, got {max_iter}"
+    else:
+        message = f"max_iter must be an integer, got {max_iter!r}"
+    for run in _capped_solves(max_iter):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run()
+
+
+def test_numpy_integer_iteration_caps_are_accepted():
+    reports = [run() for run in _capped_solves(np.int64(40))[:2]]
+    assert [r.status for r in reports] == ["infeasible-at-tolerance", "feasible"]
+    assert all(r.iterations <= 40 for r in reports)
+
+
+def test_witness_search_refuses_a_box_radius_below_one():
+    with pytest.raises(ValueError, match=re.escape("witness box radius must be at least 1, got 0.5")):
+        witness_search(-1 * commutator_square_poly(), 2, R=0.5)
+
+
+def test_mix_anchor_refuses_an_anchor_that_is_not_positive_definite(monkeypatch):
+    # The projected zero anchor is 1 at the empty word and 0 elsewhere:
+    # singular at either scale.
+    classes = certify.cyclic_classes(1, 1)
+    constraints = ClassConstraints(classes.labels, pinned=0)
+    monkeypatch.setattr(certify, "_tracial_anchor", lambda nvars, d: np.zeros((2, 2)))
+    message = (
+        "solver stopped at eigenvalue -1.000e-03 and the anchor is not positive "
+        "definite (eigenvalue 0.000e+00)"
+    )
+    with pytest.raises(NoFeasiblePoint, match=re.escape(message)):
+        certify._mix_anchor(np.eye(2), -1e-3, constraints, classes, 1.0)

@@ -1072,7 +1072,7 @@ def test_help_and_usage_errors_read_as_the_full_parser(argv, monkeypatch):
     assert got[0] in (0, 1)
 
 
-def test_named_command_builds_only_its_subparser(poly_file, capsys, monkeypatch):
+def test_each_subparser_is_built_once_per_process(poly_file, capsys, monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -1081,22 +1081,55 @@ def test_named_command_builds_only_its_subparser(poly_file, capsys, monkeypatch)
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    assert main(["norm", poly_file("Y1")]) == 0
-    assert built == ["norm"]
-    built.clear()
-    _argparse_exit(main, ["--help"])
+    cli._parser.cache_clear()
+    path = poly_file("Y1")
+    for argv in (["norm", path], ["--help"], ["certify", path], ["norm", path], ["-h"]):
+        if argv[0].startswith("-"):
+            _argparse_exit(main, argv)
+        else:
+            main(argv)
     assert built == COMMANDS
     capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "add = argparse._SubParsersAction.add_parser\n"
+        "argparse._SubParsersAction.add_parser = lambda *a, **k: built.append(a) or add(*a, **k)\n"
+        "import nctrace.cli as cli\n"
+        "print(len(built), cli._parser.cache_info().currsize)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env()
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_named_command_parses_as_the_full_parser(command):
     argv = [command, "F", "--out", "o.json"]
     argv += [] if command in ("falsify", "norm") else ["--degree", "2"]
-    full = vars(reference_build_parser().parse_args(argv))
-    table = cli._commands()
-    lean = vars(cli._build_parser(table, command).parse_args(argv))
-    assert lean == full
+    expected = vars(reference_build_parser().parse_args(argv))
+    del expected["func"]
+    assert vars(cli._parser().parse_args(argv)) == expected
+
+
+def test_a_handler_patched_after_the_first_call_runs(poly_file, capsys, monkeypatch):
+    path = poly_file("Y1")
+    assert main(["norm", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"norm": 1.0, "radius": 1.0}
+    seen = []
+
+    def patched(args):
+        seen.append(args.polyfile)
+        return {"patched": True}, 2
+
+    monkeypatch.setattr(cli, "cmd_norm", patched)
+    assert main(["norm", path]) == 2
+    assert seen == [path]
+    assert json.loads(capsys.readouterr().out) == {"patched": True}
 
 
 # -- the exit-code boundary in main ---------------------------------------------
@@ -1227,6 +1260,24 @@ MALFORMED_INPUTS = {
     "matrix-N-zero": (
         "moments", _tuple_bytes(N=0), ["--degree", "2"],
         "{path}: 'n' and 'N' must be at least 1, got 1 and 0",
+    ),
+    "matrix-missing-N": (
+        "moments", b'{"n": 1, "matrices": []}', ["--degree", "2"], "{path}: missing key 'N'",
+    ),
+    "matrix-count": (
+        "moments", _tuple_bytes(n=2), ["--degree", "2"], "{path}: expected 2 matrices, found 1",
+    ),
+    "matrix-shape": (
+        "gns-check", _tuple_bytes(N=2), [],
+        "{path}: matrix 1 has shape (1, 1), expected (2, 2)",
+    ),
+    "theta-not-a-list": (
+        "gns-check", b'{"theta": {"word": [], "re": 1, "im": 0}}', [],
+        "{path}: missing or malformed 'theta' list",
+    ),
+    "gns-neither": (
+        "gns-check", b'{"n": 1, "N": 1}', [],
+        "{path}: expected a matrix tuple ('matrices') or a moment sequence ('theta')",
     ),
     "matrix-entry-three-numbers": (
         "moments", _tuple_bytes(entry=(1, 0, 5)), ["--degree", "2"],

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,13 @@ def test_unitary_group_scalar():
     assert u3[0, 0] == pytest.approx(np.exp(2j * 0.3))
     assert (u3 @ u4)[0, 0] == pytest.approx(u7[0, 0])
     assert np.allclose(unitary_group(m, 1, 0.0), np.eye(1))
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_unitary_group_refuses_a_variable_index_out_of_range(j):
+    m = gns_build(moment_sequence(pauli_pair(), 4), 2)
+    with pytest.raises(ValueError, match=re.escape(f"variable index {j} out of range 1..2")):
+        unitary_group(m, j, 0.1)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

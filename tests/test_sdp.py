@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from functools import partial
 
 import numpy as np
@@ -801,3 +802,29 @@ def test_class_sums_match_two_bincounts_bit_for_bit(nvars, d):
         got = cls._class_sums(case)
         assert got.dtype == complex and got.shape == (len(cls),)
         assert got.tobytes() == _two_bincount_sums(cls, case).tobytes()
+
+
+@pytest.mark.parametrize(
+    "labels,kwargs,message",
+    [
+        (np.zeros((2, 3), dtype=int), {"pinned": 0},
+         "labels must be a nonempty square array, got shape (2, 3)"),
+        (np.zeros((2, 2), dtype=int), {"rhs": np.ones((1, 1))},
+         "rhs must be a vector, got shape (1, 1)"),
+        (np.array([[0, 1], [1, 2]]), {"rhs": np.ones(2)}, "labels must lie in 0..1"),
+        (np.array([[0, 1], [1, 0]]), {"rhs": [1.0, np.nan]}, "class sums must be finite"),
+        (np.array([[0, 1], [1, 0]]), {"pinned": 2}, "pinned class 2 outside 0..1"),
+    ],
+)
+def test_class_constraints_refuse_malformed_input(labels, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ClassConstraints(labels, **kwargs)
+
+
+def test_affine_constraints_refuse_a_bad_dimension_or_matrix_shape():
+    with pytest.raises(ValueError, match=re.escape("dimension must be positive, got 0")):
+        AffineConstraints(0)
+    with pytest.raises(
+        ValueError, match=re.escape("constraint matrix shape (3, 3) does not match dim 2")
+    ):
+        AffineConstraints(2).add(np.eye(3), 1.0)
