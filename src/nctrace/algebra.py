@@ -13,12 +13,14 @@ tracial evaluation such differences vanish.  :meth:`NCPoly.cyclic_reduce`
 projects onto canonical rotation representatives and is the workhorse for
 everything trace-related.  A word's representative is its least rotation
 (:func:`cyclic_canonical`), found in time quadratic in the word's length;
-parsed words have at most 64 letters.
+parsed words have at most 64 letters.  Each process keeps the least
+rotations of the last ``WORD_CACHE_SIZE`` words it reduced.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from itertools import product
 from numbers import Integral
 from typing import Iterable, Mapping
@@ -29,6 +31,9 @@ Word = tuple[int, ...]
 
 # Coefficients with magnitude at or below this are dropped on normalization.
 COEFF_PRUNE = 1e-15
+# Entries of each process-wide cache keyed by one word: least rotations
+# here, and the parser's and formatter's word texts (``parsing``).
+WORD_CACHE_SIZE = 1024
 
 
 def is_integer(value) -> bool:
@@ -53,14 +58,21 @@ def concat(left: Word, right: Word) -> Word:
     return left + right
 
 
-def cyclic_canonical(word: Word) -> Word:
-    """Lexicographically least rotation of a word.
+def cyclic_canonical(word: Iterable[int]) -> Word:
+    """Lexicographically least rotation of a word, as a tuple.
 
-    The least of the word's rotations, read as slices of ``word + word``,
-    so the result is a deterministic key for the cyclic class of the word.
-    The cost is quadratic in the length, which the parser caps at
-    ``parsing.MAX_WORD_LENGTH`` letters.
+    Any sequence of letters is accepted.  The least of the word's
+    rotations, read as slices of ``word + word``, is a deterministic key
+    for the cyclic class of the word.  The cost is quadratic in the length,
+    which the parser caps at ``parsing.MAX_WORD_LENGTH`` letters, and is
+    paid once per word while the word stays among the last
+    ``WORD_CACHE_SIZE`` this process reduced.
     """
+    return _least_rotation(tuple(word))
+
+
+@lru_cache(maxsize=WORD_CACHE_SIZE)
+def _least_rotation(word: Word) -> Word:
     n = len(word)
     if n <= 1:
         return word

@@ -129,25 +129,28 @@ def check_gram_size(nvars: int, d: int) -> None:
 
 
 def _check_degree(p: NCPoly, d: int) -> None:
-    """Refuse a half-degree that is not an integer, is below half of p's
-    degree or is past the size limit."""
+    """Refuse a half-degree that is not an integer, is negative, is below
+    half of p's degree or is past the size limit."""
     check_integer(d, "half-degree d")
+    if d < 0:
+        raise ValueError(f"half-degree d must be nonnegative, got {d}")
     if p.degree() > 2 * d:
         raise ValueError(f"polynomial degree {p.degree()} exceeds 2*d = {2 * d}")
     check_gram_size(p.nvars, d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CyclicClasses:
     """The cyclic classes of the words of length <= 2d, by word-index arithmetic.
 
     ``index`` is ``WordIndex(nvars, 2d)``.  A class is labelled by the rank,
     in ``words_up_to`` order, of its least word; ``word_labels`` holds the
     label of every word up to 2d, ``reps`` the position of each class's
-    least word and ``partners`` the label of its reversal.  ``labels[J, K]``
-    is the label of ``reverse(J) + K`` over the m basis words of length
-    <= d: every word up to 2d is such a pair (split it in the middle), so
-    every class labels some entry.
+    least word, ``words`` that word's tuple and ``partners`` the label of
+    its reversal.  ``labels[J, K]`` is the label of ``reverse(J) + K`` over
+    the m basis words of length <= d, whose tuples ``basis`` holds: every
+    word up to 2d is such a pair (split it in the middle), so every class
+    labels some entry.
     """
 
     index: WordIndex
@@ -155,6 +158,8 @@ class CyclicClasses:
     reps: np.ndarray
     partners: np.ndarray
     labels: np.ndarray
+    words: tuple
+    basis: tuple
 
     def coefficients(self, p: NCPoly) -> np.ndarray:
         """p's total coefficient on each class, by label.
@@ -174,6 +179,7 @@ class CyclicClasses:
         return values
 
 
+@lru_cache(maxsize=8)
 def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     """The classes of the Gram and witness problems at half-degree d.
 
@@ -181,6 +187,12 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     the rotated views of its level of positions; ranking the least
     positions gives the labels.  Classes come out in (length, word) order
     of their least words.
+
+    The classes of the last 8 cells (nvars, d) a process asked for are
+    kept in an ``lru_cache``, so every array of the result, its index's
+    included, is read-only.  At the size limit (:func:`check_gram_size`) an
+    entry holds 2.6 MiB at (2, 7), 4.5 MiB at (3, 5) and 6.1 MiB at
+    (1, 511), where ``words`` is every word up to length 1022.
     """
     index = WordIndex(nvars, 2 * d)
     positions = np.arange(len(index))
@@ -193,7 +205,13 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     basis = positions[: index.offsets[d + 1]]
     labels = word_labels[index.concat(index.reversed(basis)[:, None], basis)]
     partners = index.reversed(word_labels)[reps]
-    return CyclicClasses(index, word_labels, reps, partners, labels)
+    for array in (index.offsets, index.lengths, word_labels, reps, partners, labels):
+        array.flags.writeable = False
+    words = words_up_to(nvars, 2 * d)
+    return CyclicClasses(
+        index, word_labels, reps, partners, labels,
+        words=tuple(words[rep] for rep in reps.tolist()), basis=tuple(words[: len(basis)]),
+    )
 
 
 @dataclass
@@ -221,16 +239,14 @@ def build_gram_problem(p: NCPoly, d: int) -> GramProblem:
     _require_symmetric(p)
     _check_degree(p, d)
     classes = cyclic_classes(p.nvars, d)
-    words = words_up_to(p.nvars, 2 * d)
     values = classes.coefficients(p)
-    rhs = {words[rep]: value for rep, value in zip(classes.reps.tolist(), values.tolist())}
+    rhs = dict(zip(classes.words, values.tolist()))
     # A class and its reversal are transposes of each other and carry
     # conjugate sums; the earlier of the two in the ordering sets both.
     earlier = np.arange(len(values)) <= classes.partners
     values = np.where(earlier, values, np.conj(values[classes.partners]))
     constraints = ClassConstraints(classes.labels, rhs=values)
-    basis = words[: len(classes.labels)]
-    return GramProblem(degree=d, basis=basis, rhs=rhs, constraints=constraints)
+    return GramProblem(degree=d, basis=list(classes.basis), rhs=rhs, constraints=constraints)
 
 
 @dataclass

@@ -25,22 +25,29 @@ per file, with lines starting with '#' treated as comments, read by
 
 :func:`parse_poly` reads each term, with its sign and the whitespace around
 it, as one match of a compiled pattern, and each factor of its word as one
-match of a second pattern.  Within one call, each distinct factor is checked
-once and its letters looked up after that.  A malformed text raises
+match of a second pattern.  Each process keeps the letters of the last
+``WORD_CACHE_SIZE`` well-formed word texts it read, so a word text seen
+before is looked up, not scanned; its letters are still checked against the
+declared number of variables on every parse.  A malformed text raises
 :class:`PolyParseError` at the offset where a left-to-right scan would first
 find the grammar broken; a word longer than ``MAX_WORD_LENGTH`` letters is
-refused before its powers are expanded.
+refused before its powers are expanded, and never cached.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 
-from .algebra import NCPoly, Word, check_integer
+from .algebra import WORD_CACHE_SIZE, NCPoly, Word, check_integer
 
 MAX_WORD_LENGTH = 64
 MAX_DIGITS = 18  # of an index or a power, so int() of it is cheap and bounded
+# The longest word text the parser caches: MAX_WORD_LENGTH factors of
+# MAX_DIGITS-digit indices and powers, one space apart.  A longer text is
+# scanned on every parse, so whitespace cannot make a cache entry large.
+_CACHED_TEXT = MAX_WORD_LENGTH * (2 * MAX_DIGITS + 3)
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # The factors of a word.  An index or a power may be missing here: the
@@ -96,7 +103,6 @@ def parse_poly(text: str, nvars: int) -> NCPoly:
     if not text.strip():
         raise PolyParseError("empty input", 0)
     terms: dict[Word, complex] = {}
-    known: dict[tuple, Word] = {}  # the letters of each factor seen valid
     pos, end = 0, len(text)
     while pos < end:
         m = _TERM.match(text, pos)
@@ -105,7 +111,7 @@ def parse_poly(text: str, nvars: int) -> NCPoly:
         if pos and sign is None:
             raise PolyParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
         if unit is not None:
-            word, coeff = _word(m, "unit", nvars, known), 1.0
+            word, coeff = _word(m, "unit", nvars), 1.0
         else:
             if real is not None:
                 coeff = complex(float(real))
@@ -114,7 +120,7 @@ def parse_poly(text: str, nvars: int) -> NCPoly:
             else:
                 raise _term_error(m)
             # A coefficient with no word, a bare '1' included, is on the empty word.
-            word = _word(m, "word", nvars, known) if star is not None else ()
+            word = _word(m, "word", nvars) if star is not None else ()
         total = terms.get(word, 0.0) + (-1.0 if sign == "-" else 1.0) * coeff
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             at = m.start("real" if real else "paren")
@@ -144,59 +150,70 @@ def _term_error(m: re.Match) -> PolyParseError:
     return PolyParseError(f"expected coefficient or word, found {ch!r}", at)
 
 
-def _word(m: re.Match, group: str, nvars: int, known: dict) -> Word:
+def _word(m: re.Match, group: str, nvars: int) -> Word:
     """The letters of the word a term match holds in ``group``.
 
-    ``known`` maps the ``(index, caret, power)`` groups of each factor this
-    parse has seen valid to its letters.  A word with a factor not in it, or
-    longer than ``MAX_WORD_LENGTH`` letters, is scanned by
-    :func:`_word_error`, which raises at the first error or adds its factors.
+    A well-formed word text of at most ``_CACHED_TEXT`` characters is read
+    by the cached :func:`_letters`, and its letters are returned when no
+    index in it exceeds ``nvars``.  Any other text is read by :func:`_scan`,
+    which raises at the first error a left-to-right reading meets.
     """
     factors = m[group]
     if factors is None:
         raise PolyParseError("expected word", m.end())
     if factors == "1":
         return ()
-    groups = _FACTOR.findall(m.string, m.start(group), m.end(group))
-    try:
-        word = sum([known[factor] for factor in groups], ())
-    except KeyError:  # a factor not seen yet
-        _word_error(m, group, nvars, known)
-        word = sum([known[factor] for factor in groups], ())
-    if len(word) > MAX_WORD_LENGTH:
-        _word_error(m, group, nvars, known)  # raises at the factor past the limit
-    return word
+    if len(factors) <= _CACHED_TEXT:
+        try:
+            word, top = _letters(factors)
+        except PolyParseError:  # malformed whatever nvars is
+            pass
+        else:
+            if top <= nvars:
+                return word
+    return _scan(m.string, m.start(group), m.end(group), nvars)[0]
 
 
-def _word_error(m: re.Match, group: str, nvars: int, known: dict) -> None:
-    """Scan a word factor by factor, as a left-to-right reading would.
+@lru_cache(maxsize=WORD_CACHE_SIZE)
+def _letters(factors: str) -> tuple[Word, int]:
+    """:func:`_scan` of a whole word text, checked for every error but an
+    index above the number of variables (no index of at most
+    ``MAX_DIGITS`` digits reaches ``10**MAX_DIGITS``); a text that raises
+    is not cached."""
+    return _scan(factors, 0, len(factors), 10**MAX_DIGITS)
 
-    Raises :class:`PolyParseError` at the first broken factor or at the
+
+def _scan(text: str, start: int, end: int, nvars: int) -> tuple[Word, int]:
+    """Read the word in ``text[start:end]`` factor by factor, as a
+    left-to-right reading would.
+
+    Raises :class:`PolyParseError` at the first broken factor, or at the
     factor that takes the word past ``MAX_WORD_LENGTH`` letters; otherwise
-    adds the letters of every factor to ``known``.
+    returns the word's letters and the largest index it names (a factor
+    raised to the power 0 names an index but adds no letter).
     """
-    length = 0
-    for factor in _FACTOR.finditer(m.string, m.start(group), m.end(group)):
+    letters: list[int] = []
+    top = 0
+    for factor in _FACTOR.finditer(text, start, end):
         index, caret, power = factor.groups()
-        y_pos = factor.start()
         if not index:
-            raise PolyParseError("expected variable index after 'Y'", y_pos + 1)
-        letter = _integer(index, y_pos + 1, "index")
-        if letter < 1:
-            raise PolyParseError(f"index {letter} outside 1..{nvars}", y_pos)
-        if letter > nvars:
-            raise PolyParseError(f"index {letter} exceeds nvars", y_pos)
+            raise PolyParseError("expected variable index after 'Y'", factor.start() + 1)
+        letter = _integer(index, factor.start() + 1, "index")
+        if not 1 <= letter <= nvars:
+            bound = f"outside 1..{nvars}" if letter < 1 else "exceeds nvars"
+            raise PolyParseError(f"index {letter} {bound}", factor.start())
         count = 1
         if caret:
             if not power:
                 raise PolyParseError("expected power after '^'", factor.end())
             count = _integer(power, factor.start(3), "power")
-        # Checked before expanding, so a huge power costs nothing, and no
-        # factor in ``known`` has more letters than a word may.
-        length += count
-        if length > MAX_WORD_LENGTH:
-            raise PolyParseError(f"word longer than {MAX_WORD_LENGTH} letters", y_pos)
-        known[index, caret, power] = (letter,) * count
+        # Checked before expanding, so a huge power costs nothing.
+        if len(letters) + count > MAX_WORD_LENGTH:
+            raise PolyParseError(f"word longer than {MAX_WORD_LENGTH} letters", factor.start())
+        letters += [letter] * count
+        if letter > top:
+            top = letter
+    return tuple(letters), top
 
 
 def _integer(digits: str, offset: int, what: str) -> int:
@@ -217,13 +234,13 @@ def format_poly(p: NCPoly) -> str:
 
 
 def format_polys(polys) -> list[str]:
-    """:func:`format_poly` of each polynomial, rendering each distinct word
-    once across all of them (a certificate's factors share one basis)."""
-    words: dict[Word, str] = {}
-    return [_format(p, words) for p in polys]
+    """:func:`format_poly` of each polynomial.  Each process keeps the
+    texts of the last ``WORD_CACHE_SIZE`` words it formatted (a
+    certificate's factors share one basis)."""
+    return [_format(p) for p in polys]
 
 
-def _format(p: NCPoly, words: dict) -> str:
+def _format(p: NCPoly) -> str:
     if p.is_zero():
         return "0"
     pieces: list[str] = []
@@ -235,10 +252,7 @@ def _format(p: NCPoly, words: dict) -> str:
         negative = coeff.real < 0 or (coeff.real == 0 and coeff.imag < 0)
         if negative:
             coeff = -coeff
-        text = words.get(word)
-        if text is None:
-            text = words[word] = _format_word(word)
-        body = _format_term(text, coeff)
+        body = _format_term(_format_word(word), coeff)
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:
@@ -267,6 +281,7 @@ def _format_term(word_str: str, coeff: complex) -> str:
     return f"{coeff_str}*{word_str}"
 
 
+@lru_cache(maxsize=WORD_CACHE_SIZE)
 def _format_word(word: Word) -> str:
     factors = []
     i = 0

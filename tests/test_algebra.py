@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from nctrace import algebra
 from nctrace.algebra import (
     NCPoly,
     concat,
@@ -67,6 +68,14 @@ def test_cyclic_canonical_examples():
     assert cyclic_canonical((1,)) == (1,)
     assert cyclic_canonical((2, 1, 1)) == (1, 1, 2)
     assert cyclic_canonical(()) == ()
+
+
+@pytest.mark.parametrize("word", [[2, 1], (2, 1), range(2, 0, -1), np.array([2, 1])])
+def test_cyclic_canonical_takes_any_sequence_and_returns_a_tuple(word):
+    algebra._least_rotation.cache_clear()
+    for _ in range(2):  # computed, then from the cache
+        rep = cyclic_canonical(word)
+        assert rep == (1, 2) and type(rep) is tuple
 
 
 def test_cyclic_canonical_matches_brute_force():

@@ -813,6 +813,31 @@ def test_falsify_refuses_a_bad_seed_before_any_probe(seed, monkeypatch):
             falsify(p, trials=5, seed=seed)
 
 
+def test_a_negative_half_degree_is_refused_by_name_before_any_structure():
+    misses = certify.cyclic_classes.cache_info().misses
+    message = re.escape("half-degree d must be nonnegative, got -1")
+    for p in (commutator_square_poly(), NCPoly(2, {(): 3.0})):
+        for run in (build_gram_problem, certify_sos, witness_search):
+            with pytest.raises(ValueError, match=message):
+                run(p, -1)
+    assert certify.cyclic_classes.cache_info().misses == misses
+
+
+def test_cached_classes_are_read_only_and_each_basis_a_fresh_list():
+    classes = certify.cyclic_classes(2, 2)
+    assert certify.cyclic_classes(2, 2) is classes
+    index = classes.index
+    for array in (classes.word_labels, classes.reps, classes.partners, classes.labels,
+                  index.offsets, index.lengths):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+    p = commutator_square_poly()
+    first = build_gram_problem(p, 2).basis
+    assert type(first) is list and first == list(classes.basis)
+    first.append((9,))
+    assert build_gram_problem(p, 2).basis == list(classes.basis)
+
+
 @pytest.mark.parametrize("d", [2.0, 2.5, True, np.bool_(True)])
 def test_half_degrees_that_are_not_integers_are_refused(d):
     p = commutator_square_poly()

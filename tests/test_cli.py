@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nctrace import certify, cli
+from nctrace import algebra, certify, cli, parsing
 from nctrace.algebra import NCPoly, star_product, words_up_to
 from nctrace.certify import (
     DualWitness,
@@ -581,6 +581,42 @@ def test_certificate_json_round_trips_through_parser(poly_file, tmp_path, capsys
         total = total + star_product(b.adjoint(), b)
     residual = (p - total).cyclic_reduce().r_norm(1.0)
     assert residual == pytest.approx(data["residual_l1"], abs=1e-12)
+
+
+# Every process-wide cache of the library.
+CACHES = (
+    algebra._least_rotation,
+    parsing._letters,
+    parsing._format_word,
+    certify.cyclic_classes,
+    certify._tracial_anchor,
+)
+
+
+def test_certify_writes_the_same_bytes_with_warm_and_cleared_caches(poly_file, capsys):
+    path = poly_file(COMMUTATOR)
+    main(["certify", path])
+    first = capsys.readouterr()
+    for cache in (None, *CACHES):
+        if cache is not None:
+            cache.cache_clear()
+        assert main(["certify", path]) == 0
+        assert capsys.readouterr() == first
+
+
+@pytest.mark.parametrize("cache", CACHES, ids=lambda cache: cache.__name__)
+def test_each_process_cache_is_bounded(cache):
+    assert 1 <= cache.cache_info().maxsize <= 4096
+
+
+@pytest.mark.parametrize("command", ["certify", "witness"])
+@pytest.mark.parametrize("text", [COMMUTATOR, "3"])
+def test_a_negative_degree_exits_one_naming_it(command, text, poly_file, capsys):
+    code = main([command, poly_file(text), "--degree", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "nctrace: half-degree d must be nonnegative, got -1\n"
 
 
 def test_missing_file_is_input_error(capsys):

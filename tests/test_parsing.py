@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from nctrace import parsing
 from nctrace.algebra import NCPoly, star_product, words_up_to
 from nctrace.certify import Certificate, certify_sos
 from nctrace.parsing import (
@@ -316,6 +317,42 @@ def test_errors_after_valid_factors_keep_their_offsets(text, message, offset):
     with pytest.raises(PolyParseError) as err:
         parse_poly(text, 2)
     assert str(err.value) == f"{message} at offset {offset}"
+
+
+def _parse_error(text: str, nvars: int) -> str:
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, nvars)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,offset", [("Y3 Y1", 0), ("Y2 + Y3 Y1", 5), ("Y1 + Y3^0 Y1", 5)]
+)
+def test_a_cached_word_is_checked_against_nvars_on_every_parse(text, offset):
+    # A factor raised to the power 0 adds no letter but still names its index.
+    parsing._letters.cache_clear()
+    cold = _parse_error(text, 2)
+    parse_poly(text, 3)
+    hits = parsing._letters.cache_info().hits
+    assert _parse_error(text, 2) == cold == f"index 3 exceeds nvars at offset {offset}"
+    assert parsing._letters.cache_info().hits == hits + text.count("+") + 1
+    with pytest.raises(PolyParseError, match=re.escape(cold)):
+        reference_parse_poly(text, 2)
+
+
+def test_a_word_past_the_letter_cap_is_refused_alike_and_never_cached():
+    parsing._letters.cache_clear()
+    errors = [_parse_error("Y1 + Y2^60 Y1^5", 2) for _ in range(2)]
+    assert errors == ["word longer than 64 letters at offset 11"] * 2
+    assert parsing._letters.cache_info().currsize == 1  # the word Y1 alone
+
+
+def test_a_word_text_longer_than_the_cached_length_is_scanned_uncached():
+    parsing._letters.cache_clear()
+    text = "Y1" + " " * 3000 + "Y2"
+    assert parse_poly(text, 2) == NCPoly(2, {(1, 2): 1.0})
+    assert _parse_error(text, 1) == "index 2 exceeds nvars at offset 3002"
+    assert parsing._letters.cache_info().currsize == 0
 
 
 def test_longest_digit_runs_still_parse():
