@@ -165,12 +165,12 @@ class CyclicClasses:
         """p's total coefficient on each class, by label.
 
         p's terms are summed onto the labels of their words in the order
-        of p's terms, and totals not above ``COEFF_PRUNE`` in magnitude are
+        of p's terms (their positions from one :meth:`WordIndex.positions`
+        call), and totals not above ``COEFF_PRUNE`` in magnitude are
         dropped, so the totals are those of :meth:`NCPoly.cyclic_reduce`.
         p's words must have length at most 2d.
         """
-        position = self.index.position
-        labels = self.word_labels[[position(word) for word in p.terms]]
+        labels = self.word_labels[self.index.positions(p.terms)]
         coeffs = np.array(list(p.terms.values()), dtype=complex)
         size = len(self.reps)
         values = np.bincount(labels, weights=coeffs.real, minlength=size).astype(complex)

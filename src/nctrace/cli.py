@@ -35,10 +35,14 @@ sort_keys=True, allow_nan=False)`` plus a newline.  The stdlib encodes an
 indented payload in pure Python, node by node, so :func:`_render` writes
 the same layout itself, with ``float.__repr__``, json's own float format.
 A float array (operators, matrix tuples) fills one nested template with
-one text per float.  A moment sequence costs one ``float.__repr__`` per
-distinct magnitude of its real and of its imaginary parts, the sign being
-read from the sign bit, plus one template fill for its whole entry list.
-The tests pin the bytes against the stdlib encoder.
+one text per float.  A moment sequence fills its entry-list template, which
+holds every word's text and a slot for each real and imaginary part; the
+process keeps the templates of its last 8 (variables, degree, depth)
+triples up to 4 MiB each (:func:`_theta_template`), and builds a longer
+one for the call alone.  The fill costs one ``float.__repr__`` per distinct
+magnitude among all the parts, the sign being read from the sign bit.
+The tests pin the bytes against the stdlib encoder, with the templates
+warm and cleared.
 
 Polynomial files are read by :func:`nctrace.parsing.load_poly_file`.
 Matrix tuples are JSON objects ``{"n": ..., "N": ..., "matrices": [...]}``
@@ -51,7 +55,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -116,6 +121,9 @@ def _emit(payload: dict, out_path: str | None) -> None:
 # -- JSON writer ---------------------------------------------------------------
 
 _INDENT = "  "
+# The longest moment-sequence template kept for the process, in characters
+# (1 byte each): n = 3 to D = 8 takes 1.4 MiB, n = 2 to D = 13 3.1 MiB.
+_MAX_CACHED_TEMPLATE = 4 * 2**20
 _INFINITY = float("inf")
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -179,20 +187,21 @@ def _float_texts(a: np.ndarray) -> list:
     return list(map(float.__repr__, a.ravel().tolist()))
 
 
-def _signed_texts(part: np.ndarray) -> list:
-    """json's text of every float of a real vector, with one ``float.__repr__``
-    per distinct magnitude.
+def _signed_texts(part: np.ndarray) -> tuple:
+    """json's text of every float of a real vector of at least two, with one
+    ``float.__repr__`` per distinct magnitude.
 
     ``repr(-x)`` is ``"-" + repr(x)`` for every finite x, so each entry is
-    read from a two-row table, the magnitude's text or its negation by the
-    sign bit, which also tells -0.0 from 0.0.
+    read from one table, the magnitude's text or its negation by the sign
+    bit, which also tells -0.0 from 0.0.  (``itemgetter`` of one index
+    returns the item, not a tuple, hence the two.)
     """
     if not np.isfinite(part).all():
         raise ValueError("non-finite float in an array")
     magnitudes, inverse = np.unique(np.abs(part), return_inverse=True)
     texts = list(map(float.__repr__, magnitudes.tolist()))
-    table = np.array(texts + ["-" + t for t in texts], dtype=object)
-    return table[inverse + len(texts) * np.signbit(part)].tolist()
+    slots = inverse.ravel() + len(texts) * np.signbit(part)
+    return itemgetter(*slots.tolist())(texts + ["-" + t for t in texts])
 
 
 def _render_array(a: np.ndarray, level: int) -> str:
@@ -231,15 +240,51 @@ class _Words:
 
 def _render_theta(theta: MomentSequence, level: int) -> str:
     """The ``{"word", "re", "im"}`` entries of a sequence, in ``words_up_to``
-    order, as one template filled once with the interleaved texts."""
-    words = _word_texts(theta.n, theta.max_degree, level + 2)
-    entry = _wrap(['"im": %s', '"re": %s', '"word": %s'], level + 1, "{}")
-    values = theta.as_array()
-    texts = [None] * (3 * len(words))
-    texts[0::3] = _signed_texts(values.imag)
-    texts[1::3] = _signed_texts(values.real)
-    texts[2::3] = words
-    return _wrap([entry] * len(words), level) % tuple(texts)
+    order: its :func:`_theta_template` filled with the texts of each value's
+    imaginary and real parts.  The template of a sequence longer than
+    ``_MAX_CACHED_TEMPLATE`` characters is built for the call and not kept."""
+    n, D = theta.n, theta.max_degree
+    template = _theta_template
+    if _theta_template_size(n, D, level) > _MAX_CACHED_TEMPLATE:
+        template = _theta_template.__wrapped__
+    # (im, re) of each value, in the order the entries name them.
+    parts = theta.as_array().view(float).reshape(-1, 2)[:, ::-1].ravel()
+    return template(n, D, level) % _signed_texts(parts)
+
+
+@lru_cache(maxsize=8)
+def _theta_template(n: int, D: int, level: int) -> str:
+    """The entry list of a sequence of n letters up to degree D, ``level``
+    containers deep, with each word's text in place and a ``%s`` for each
+    imaginary and real part.  The last 8 (n, D, level) kept are at most
+    ``_MAX_CACHED_TEMPLATE`` characters each."""
+    inner = "\n" + _INDENT * (level + 1)
+    close = inner + "}"
+    head = _wrap(['"im": %s', '"re": %s', '"word": '], level + 1, "{}").removesuffix(close)
+    # The first and last words carry the list's brackets, so one join
+    # builds the only text of the template's size.
+    words = _word_texts(n, D, level + 2)
+    words[0] = "[" + inner + head + words[0]
+    words[-1] += close + "\n" + _INDENT * level + "]"
+    return (close + "," + inner + head).join(words)
+
+
+def _theta_template_size(n: int, D: int, level: int) -> int:
+    """``len(_theta_template(n, D, level))``, from the three integers.
+
+    Each word's entry, with its separator, takes ``10 level + 50``
+    characters besides the word's text; the text of a word of L >= 1
+    letters takes ``L (2 level + 8) + 2 level + 6`` besides its digits.
+    ``test_theta_template_size_is_its_length`` checks it.
+    """
+    # The digits of the letters 1..n: each j >= 10^k has a (k + 1)-th one.
+    digits = sum(n - 10**k + 1 for k in range(len(str(n))))
+    size = 2 * level + 4  # the list's brackets and last newline, the empty word's []
+    for L in range(D + 1):
+        size += n**L * (10 * level + 50)
+        if L:
+            size += n**L * (L * (2 * level + 8) + 2 * level + 6) + L * n ** (L - 1) * digits
+    return size
 
 
 def _load_poly(path: str) -> NCPoly:

@@ -19,7 +19,11 @@ and reversals of the words of one length are reshapes of that length's
 level, so each check compares a level with transposed views of itself.
 :func:`moment_sequence` builds the products one word length at a time:
 those of length L are those of length L - 1 times each matrix, one 2-D
-``matmul`` per letter.
+``matmul`` per letter.  Each trace sums its product's diagonal in the order
+numpy's reduce (and so ``np.trace``) sums it, one array operation per
+diagonal entry over all products of a level: the sequences, and the bytes
+written from them, are those of ``np.trace`` on each word's product, and
+``test_pairwise_sum_equals_numpys_row_sum`` pins that order.
 """
 
 from __future__ import annotations
@@ -121,6 +125,7 @@ class WordIndex:
         self.D = D
         self.offsets = np.cumsum([0] + [n**L for L in range(D + 1)])
         self.lengths = np.repeat(np.arange(D + 1), np.diff(self.offsets))
+        self._starts = tuple(self.offsets.tolist())  # for word-by-word arithmetic
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -131,12 +136,15 @@ class WordIndex:
         k = int(index - self.offsets[L])
         return tuple(k // self.n ** (L - 1 - j) % self.n + 1 for j in range(L))
 
-    def position(self, word) -> int:
-        """The position of a word of length at most D."""
-        k = 0
-        for letter in word:
-            k = k * self.n + letter - 1
-        return int(self.offsets[len(word)]) + k
+    def positions(self, words) -> list:
+        """The positions of words of length at most D, in order."""
+        n, starts, out = self.n, self._starts, []
+        for word in words:
+            k = 0
+            for letter in word:
+                k = k * n + letter - 1
+            out.append(starts[len(word)] + k)
+        return out
 
     def concat(self, left, right) -> np.ndarray:
         """Position of left + right, for position arrays that broadcast.
@@ -253,7 +261,7 @@ class MomentSequence:
         word = tuple(word)
         if len(word) > self.max_degree or not all(1 <= j <= self.n for j in word):
             raise KeyError(word)
-        return self._array[self.index.position(word)].item()
+        return self._array[self.index.positions([word])[0]].item()
 
     def as_array(self) -> np.ndarray:
         """The values in ``words_up_to`` order, as a read-only array."""
@@ -327,9 +335,12 @@ def moment_sequence(X, D: int) -> MomentSequence:
     The products of length L - 1, stacked as rows, times each matrix make
     the next stack, one 2-D ``matmul`` per letter into that letter's slot.
     The slots put the last letter slowest, so the traces are read through
-    :meth:`WordIndex.reversed`.  Sizes past :data:`MAX_MOMENT_SIZE` are
-    refused before anything is allocated, and so are tuples with N R^D not
-    finite, R the largest norm: it bounds every partial sum of a trace.
+    :meth:`WordIndex.reversed`.  The diagonals are summed in numpy's
+    pairwise order (:func:`_row_sums`), so each trace has the bits
+    ``np.trace`` gives its product and the written sequence the same bytes.
+    Sizes past :data:`MAX_MOMENT_SIZE` are refused before anything is
+    allocated, and so are tuples with N R^D not finite, R the largest norm:
+    it bounds every partial sum of a trace.
     """
     X = as_matrix_tuple(X)
     n, N = X.n, X.N
@@ -349,9 +360,46 @@ def moment_sequence(X, D: int) -> MomentSequence:
         for j in range(n):
             np.matmul(rows, mats[j], out=stack[j])
         rows = stack.reshape(-1, N)
-        # The strided diagonals, summed by the reduce np.trace runs.
-        traces.append(rows.reshape(-1, N * N)[:, :: N + 1].sum(axis=1) / N)
+        # The strided diagonals, summed in the order np.trace sums them.
+        traces.append(_row_sums(rows.reshape(-1, N * N)[:, :: N + 1]) / N)
     return MomentSequence.from_array(n, D, index.reversed(np.concatenate(traces)))
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=1)`` of a 2-D complex array, bit for bit, one array
+    operation per column where the reduce makes one inner-loop call per row.
+
+    ``ndarray.sum`` adds each row by numpy's complex ``pairwise_sum``: up to
+    3 entries in turn; up to 64 in four running sums (entries k, k + 4,
+    k + 8, ... up to the last full group of four) combined as
+    ``(r0 + r1) + (r2 + r3)``, then the rest in turn; more split after
+    ``(N - N % 8) // 2`` entries, each half summed so and the halves added.
+    It then adds that to its output's initial 0.  This order is what makes
+    the traces, and so the written sequences, the same bytes as
+    ``np.trace``'s; ``test_pairwise_sum_equals_numpys_row_sum`` pins it on
+    every branch.
+    """
+    return 0.0 + _pairwise_sum(list(rows.T))
+
+
+def _pairwise_sum(columns: list) -> np.ndarray:
+    """The sum of equal-shape arrays in numpy's pairwise order (:func:`_row_sums`)."""
+    count = len(columns)
+    if count > 64:
+        half = (count - count % 8) // 2
+        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
+    if count < 4:
+        total = columns[0]
+        for column in columns[1:]:
+            total = total + column
+        return total
+    sums = list(columns[:4])
+    for k in range(4, count - count % 4):
+        sums[k % 4] = sums[k % 4] + columns[k]
+    total = (sums[0] + sums[1]) + (sums[2] + sums[3])
+    for column in columns[count - count % 4:]:
+        total = total + column
+    return total
 
 
 @dataclass

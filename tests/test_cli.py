@@ -590,6 +590,7 @@ CACHES = (
     parsing._format_word,
     certify.cyclic_classes,
     certify._tracial_anchor,
+    cli._theta_template,
 )
 
 
@@ -867,6 +868,51 @@ def test_emit_matches_stdlib_on_edge_values(name, capsys):
     payload = EDGE_PAYLOADS[name]
     cli._emit(payload, None)
     assert_same_text(capsys.readouterr().out, stdlib_json(_plain(payload)))
+
+
+# Sequences written through the cached entry templates: one word (two
+# slots), signed zeros in both parts, and a full random sequence.
+THETAS = {
+    "degree 0": MomentSequence(2, 0, {(): 1.0}),
+    "signed zeros": MomentSequence.from_array(
+        2, 1, [complex(1.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+    ),
+    "n=3 D=4": moment_sequence(random_hermitian_tuple(make_rng(72), 3, 2), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(THETAS))
+def test_a_theta_is_written_alike_from_warm_and_cleared_templates(name):
+    theta, ref = THETAS[name], reference_theta_json(THETAS[name])
+    # The sequence 0, 1 and 2 containers deep.
+    nest = (lambda x: x, lambda x: {"values": x}, lambda x: {"a": [x]})
+    expected = [json.dumps(wrap(ref), indent=2, sort_keys=True) for wrap in nest]
+    for clear in (True, False):
+        if clear:
+            cli._theta_template.cache_clear()
+        assert [cli._render(wrap(theta), 0) for wrap in nest] == expected
+    assert cli._theta_template.cache_info().currsize == 3
+
+
+def test_a_theta_past_the_template_bound_is_written_alike_and_not_kept(monkeypatch):
+    theta = THETAS["n=3 D=4"]
+    payload, expected = {"values": theta}, stdlib_json({"values": reference_theta_json(theta)})
+    size = cli._theta_template_size(3, 4, 1)
+    cli._theta_template.cache_clear()
+    monkeypatch.setattr(cli, "_MAX_CACHED_TEMPLATE", size - 1)
+    for _ in range(2):
+        assert cli._render(payload, 0) + "\n" == expected
+        assert cli._theta_template.cache_info().currsize == 0
+    monkeypatch.setattr(cli, "_MAX_CACHED_TEMPLATE", size)
+    assert cli._render(payload, 0) + "\n" == expected
+    assert cli._theta_template.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n,D", [(1, 0), (1, 9), (2, 5), (3, 3), (9, 2), (10, 2), (12, 3), (101, 1)])
+def test_theta_template_size_is_its_length(n, D):
+    for level in (0, 1, 2):
+        text = cli._theta_template.__wrapped__(n, D, level)
+        assert cli._theta_template_size(n, D, level) == len(text)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -10,6 +10,7 @@ from nctrace.moments import (
     MAX_MOMENT_SIZE,
     MomentSequence,
     WordIndex,
+    _row_sums,
     as_matrix_tuple,
     check_radius,
     check_w_membership,
@@ -225,6 +226,10 @@ def test_word_index_matches_word_operations():
         positions = np.arange(len(words))
         assert len(index) == len(words)
         assert [index.word(i) for i in range(len(words))] == words
+        assert index.positions(words) == positions.tolist()
+        shuffled = [words[i] for i in make_rng(n).permutation(len(words))]
+        assert index.positions(shuffled) == [position[w] for w in shuffled]
+        assert index.positions([]) == []
         reversals = [position[involute_word(w)] for w in words]
         assert index.reversed(positions).tolist() == reversals
         short = int(index.offsets[3])  # an array that stops after length 2
@@ -248,9 +253,11 @@ def test_word_index_matches_word_operations():
         ]
 
 
+# N = 4, 9 and 65 reach the four running sums, with and without a rest, and
+# the split of numpy's pairwise order (see test_pairwise_sum_equals_numpys_row_sum).
 CASES = [
     (n, N, D) for n in (1, 2, 3) for N in (1, 2, 5) for D in (0, 1, 2, 5)
-] + [(2, 2, 8), (2, 3, 8), (3, 8, 8), (3, 4, 6)]
+] + [(2, 2, 8), (2, 3, 8), (3, 8, 8), (3, 4, 6), (1, 4, 6), (2, 9, 4), (1, 65, 2)]
 
 
 @pytest.mark.parametrize("n,N,D", CASES)
@@ -264,6 +271,26 @@ def test_moment_sequence_and_matrix_equal_word_loop(n, N, D):
     for d in range(D // 2 + 1):
         # The reference is over the words of words_up_to(n, d), in order.
         assert np.array_equal(moment_matrix(t, d), reference_moment_matrix(ref, d))
+
+
+def _complex_rows(real, imag):
+    rows = np.empty(real.shape, dtype=complex)
+    rows.real, rows.imag = real, imag
+    return rows
+
+
+# Every branch of numpy's pairwise order: in turn (N <= 3), four running
+# sums with each rest N % 4 (4 <= N <= 64), and the split in halves (N > 64),
+# once and twice.
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64, 65, 129, 200])
+def test_pairwise_sum_equals_numpys_row_sum(N):
+    rng = make_rng(500 + N)
+    shape = (50, N)
+    scaled = [rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape) for _ in "ri"]
+    signs = [np.where(rng.random(shape) < 0.5, -0.0, 0.0) for _ in "ri"]
+    for rows in (_complex_rows(*scaled), _complex_rows(*signs)):
+        got = _row_sums(rows).view(np.int64)
+        assert np.array_equal(got, rows.sum(axis=1).view(np.int64))
 
 
 def _assert_membership_equals_reference(t, tol=1e-10):
