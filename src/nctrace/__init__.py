@@ -53,7 +53,6 @@ from .moments import (
 )
 from .parsing import PolyParseError, format_poly, format_polys, parse_poly
 from .sdp import (
-    AffineConstraints,
     ClassConstraints,
     SolveReport,
     feasibility_solve,
@@ -65,7 +64,6 @@ from .sdp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineConstraints",
     "Certificate",
     "ClassConstraints",
     "DualWitness",

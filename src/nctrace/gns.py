@@ -206,6 +206,7 @@ def unitary_group(model: GnsModel, j: int, t: float) -> np.ndarray:
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    check_integer(j, "variable index j")
     if not 1 <= j <= len(model.operators):
         raise ValueError(f"variable index {j} out of range 1..{len(model.operators)}")
     y = model.operators[j - 1]

@@ -2,23 +2,32 @@
 
 The sets are the positive semidefinite cone and a constraint set of
 Hermitian matrices (affine, or affine cut by a per-class magnitude box),
-both with cheap exact projections: eigenvalue clamping for the cone, and
-for the constraint set either a closed-form per-class correction or, for
-caller-supplied equations, a cached pseudo-inverse.
+both with cheap exact projections: eigenvalue clamping for the cone, and a
+closed-form per-class correction for the constraint set.
 
-Two constraint types share one interface (``dim``, ``consistent``, ``project``,
-``distance``, ``residuals``, ``rhs``, ``len`` and ``start_scale``):
+The one constraint type, :class:`ClassConstraints`, labels every matrix
+entry with a class.  Its class-sum kind fixes the sum of the entries over
+each class (the Gram side of a square decomposition); its class-constant
+kind makes the entries constant on each class with one class pinned to 1,
+optionally bounding each class value's magnitude (the pseudo-moment side
+with its R^|w| box).  Classes partition the entries, so both projections
+are O(m^2) per-class means with no factorization.
 
-* :class:`ClassConstraints` labels every matrix entry with a class.  Its
-  class-sum kind fixes the sum of the entries over each class (the Gram
-  side of a square decomposition); its class-constant kind makes the
-  entries constant on each class with one class pinned to 1, optionally
-  bounding each class value's magnitude (the pseudo-moment side with its
-  R^|w| box).  Classes partition the entries, so both projections are
-  O(m^2) per-class means with no factorization.
-* :class:`AffineConstraints` holds general real equations
-  ``Re<A_k, G> = b_k`` with Hermitian coefficient matrices, projected
-  through the pseudo-inverse of their dense system.
+The solver reads seven attributes of a constraint set, and any object that
+has them solves the same way:
+
+* ``dim``: the matrix size;
+* ``consistent`` and ``defect``: whether the set is nonempty as equations,
+  and the residual that the refusal of an inconsistent set reports;
+* ``project(G)``: the Frobenius-nearest point of the set;
+* ``residuals(G)``: the violations that the "feasible" recheck measures,
+  read only on an affine set;
+* ``start_scale``: the identity multiple the loop starts from;
+* ``radii``: None on an affine set, else the box that makes the set
+  non-affine.
+
+``len`` of a set is read only by the benchmark's ``sdp.affine_rows``
+counter.
 
 :func:`minimize_linear`, the one solver, minimizes a linear functional over
 the intersection by a two-block ADMM between the two projections.  It stops
@@ -90,17 +99,6 @@ def _check_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if not (defect <= tol):
         raise ValueError(f"matrix is not Hermitian: max asymmetry {defect:.3e}")
     return (M + adjoint) / 2
-
-
-def _embed(M: np.ndarray) -> np.ndarray:
-    """Matrix as a real vector; an exact isometry for the Frobenius norm,
-    and Re<A, M> becomes the plain dot product of the embeddings."""
-    return np.concatenate([M.real.ravel(), M.imag.ravel()])
-
-
-def _unembed(v: np.ndarray, dim: int) -> np.ndarray:
-    k = dim * dim
-    return v[:k].reshape(dim, dim) + 1j * v[k:].reshape(dim, dim)
 
 
 class ClassConstraints:
@@ -187,6 +185,7 @@ class ClassConstraints:
                 float(np.dot(on_diag, self._rhs.real) / denom) if denom > 1e-30 else 0.0
             )
         else:
+            check_integer(pinned, "pinned class")
             if not 0 <= pinned < k:
                 raise ValueError(f"pinned class {pinned} outside 0..{k - 1}")
             if radii is not None:
@@ -268,127 +267,7 @@ class ClassConstraints:
         return (G - self.project(G)).ravel()
 
 
-class AffineConstraints:
-    """Equations ``Re<A_k, G> = b_k`` over Hermitian G, A_k Hermitian.
-
-    Duplicate or linearly dependent rows are allowed; they are detected when
-    the constraint system is first used and surfaced via ``n_redundant``.
-    """
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
-        self.dim = dim
-        self._matrices: list[np.ndarray] = []
-        self._rhs: list[float] = []
-        self._prepared: _Prepared | None = None
-
-    def add(self, A: np.ndarray, b: float) -> None:
-        A = _check_hermitian(A)
-        if A.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"constraint matrix shape {A.shape} does not match dim {self.dim}"
-            )
-        self._matrices.append(A)
-        self._rhs.append(float(b))
-        self._prepared = None
-
-    def __len__(self) -> int:
-        return len(self._matrices)
-
-    @property
-    def matrices(self) -> list[np.ndarray]:
-        return list(self._matrices)
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.array(self._rhs)
-
-    @property
-    def rank(self) -> int:
-        return self._prepare().rank
-
-    @property
-    def n_redundant(self) -> int:
-        """Number of linearly dependent rows among the constraints."""
-        return len(self) - self._prepare().rank
-
-    @property
-    def defect(self) -> float:
-        """Least-squares residual of the equations; zero when solvable."""
-        return self._prepare().lstsq_residual
-
-    @property
-    def consistent(self) -> bool:
-        return self._prepare().consistent
-
-    @property
-    def start_scale(self) -> float:
-        """Identity multiple matching the pure-trace part of the equations."""
-        traces = np.array([float(np.trace(A).real) for A in self._matrices])
-        denom = float(np.sum(traces**2))
-        return float(np.dot(traces, self.rhs) / denom) if denom > 1e-30 else 0.0
-
-    def _prepare(self) -> "_Prepared":
-        if self._prepared is None:
-            self._prepared = _Prepared(self)
-        return self._prepared
-
-    def project(self, G: np.ndarray) -> np.ndarray:
-        return _unembed(self._prepare().project_vec(_embed(G)), self.dim)
-
-    def distance(self, G: np.ndarray) -> float:
-        prep = self._prepare()
-        if prep.C.shape[0] == 0:
-            return 0.0
-        v = _embed(G)
-        return float(np.linalg.norm(prep.project_vec(v) - v))
-
-    def residuals(self, G: np.ndarray) -> np.ndarray:
-        """Signed violation of each equation at G."""
-        if not self._matrices:
-            return np.zeros(0)
-        prep = self._prepare()
-        return prep.C @ _embed(np.asarray(G, dtype=complex)) - prep.b
-
-
-class _Prepared:
-    """Vectorized constraint system with a cached pseudo-inverse."""
-
-    def __init__(self, constraints: AffineConstraints):
-        dim = constraints.dim
-        k = len(constraints)
-        self.dim = dim
-        self.b = constraints.rhs
-        if k == 0:
-            self.C = np.zeros((0, 2 * dim * dim))
-            self.pinv = np.zeros((2 * dim * dim, 0))
-            self.rank = 0
-            self.consistent = True
-            self.lstsq_residual = 0.0
-            return
-        self.C = np.stack([_embed(A) for A in constraints.matrices])
-        u, s, vt = np.linalg.svd(self.C, full_matrices=False)
-        cutoff = max(s[0], 1.0) * 1e-12 if s.size else 0.0
-        keep = s > cutoff
-        self.rank = int(np.count_nonzero(keep))
-        s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-        self.pinv = (vt.T * s_inv) @ u.T
-        # Min-norm solution residual reveals mutually contradictory equations.
-        nearest = self.C @ (self.pinv @ self.b)
-        self.lstsq_residual = float(np.linalg.norm(nearest - self.b))
-        self.consistent = self.lstsq_residual <= CONSISTENCY_TOL
-
-    def project_vec(self, v: np.ndarray) -> np.ndarray:
-        if self.C.shape[0] == 0:
-            return v
-        return v - self.pinv @ (self.C @ v - self.b)
-
-
-Constraints = ClassConstraints | AffineConstraints
-
-
-def _require_consistent(constraints: Constraints) -> None:
+def _require_consistent(constraints: ClassConstraints) -> None:
     if not constraints.consistent:
         raise InconsistentConstraints(
             "constraints are structurally infeasible: residual "
@@ -403,7 +282,7 @@ def _psd_kernel(H: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def _affine_kernel(G: np.ndarray, constraints: Constraints) -> np.ndarray:
+def _affine_kernel(G: np.ndarray, constraints: ClassConstraints) -> np.ndarray:
     """:func:`project_affine` of an exactly Hermitian complex G onto
     consistent constraints, unchecked."""
     out = constraints.project(G)
@@ -415,7 +294,7 @@ def project_psd(H: np.ndarray) -> np.ndarray:
     return _psd_kernel(_check_hermitian(H))
 
 
-def project_affine(G: np.ndarray, constraints: Constraints) -> np.ndarray:
+def project_affine(G: np.ndarray, constraints: ClassConstraints) -> np.ndarray:
     """Frobenius-nearest Hermitian matrix satisfying the equations."""
     G = _check_hermitian(G)
     _require_consistent(constraints)
@@ -445,7 +324,7 @@ class SolveReport:
 
 
 def feasibility_solve(
-    constraints: Constraints,
+    constraints: ClassConstraints,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     anchor=None,
@@ -456,7 +335,7 @@ def feasibility_solve(
     splitting), run by the same loop.  A box (``radii``) is refused: the
     separator test needs an affine set.
     """
-    if getattr(constraints, "radii", None) is not None:
+    if constraints.radii is not None:
         raise ValueError("feasibility_solve needs an affine set; radii make a box")
     dim = constraints.dim
     return _admm(np.zeros((dim, dim)), constraints, tol, max_iter, anchor)
@@ -464,7 +343,7 @@ def feasibility_solve(
 
 def minimize_linear(
     objective: np.ndarray,
-    constraints: Constraints,
+    constraints: ClassConstraints,
     tol: float = DEFAULT_TOL,
     max_iter: int = 10_000,
     anchor=None,
@@ -530,7 +409,7 @@ def minimize_linear(
     return _admm(objective, constraints, tol, max_iter, anchor)
 
 
-def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor):
+def _admm(objective, constraints: ClassConstraints, tol: float, max_iter: int, anchor):
     """The loop of :func:`minimize_linear` and :func:`feasibility_solve`.
 
     Why an empty affine set cannot end "feasible", accelerated or not: its
@@ -557,7 +436,7 @@ def _admm(objective, constraints: Constraints, tol: float, max_iter: int, anchor
     if c.shape != (dim, dim):
         raise ValueError(f"objective shape {c.shape} does not match dim {dim}")
     _require_consistent(constraints)
-    affine = getattr(constraints, "radii", None) is None
+    affine = constraints.radii is None
 
     # rho = ||c|| makes the objective shift c / rho of unit size.  The start
     # is the identity scaled to the equations' pure-trace part, on the set.

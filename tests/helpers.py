@@ -26,7 +26,7 @@ from nctrace.moments import MomentSequence, as_matrix_tuple
 from nctrace.parsing import MAX_DIGITS, MAX_WORD_LENGTH, PolyParseError
 from nctrace.sampling import structured_library
 from nctrace.sdp import (
-    AffineConstraints,
+    CONSISTENCY_TOL,
     SolveReport,
     _check_hermitian,
     _require_consistent,
@@ -460,9 +460,144 @@ def reference_build_parser() -> argparse.ArgumentParser:
 
 # -- dense references for the class-labelled affine sets -----------------------
 #
-# The Gram and witness problems assembled as generic dense equation systems,
-# one Hermitian coefficient matrix per real equation.  The class-labelled
-# projections in ``nctrace.sdp`` must agree with these.
+# ``AffineConstraints`` holds general real equations ``Re<A_k, G> = b_k``
+# with Hermitian coefficient matrices, projected through the pseudo-inverse
+# of their dense system: the reference that the class projections of
+# ``nctrace.sdp.ClassConstraints`` must match.  It has the attributes the
+# solver reads (see the ``nctrace.sdp`` docstring), so it also serves as
+# general input to ``feasibility_solve``.  Below it, the Gram and witness
+# problems assembled as such dense systems, one Hermitian coefficient matrix
+# per real equation.
+
+
+def _embed(M: np.ndarray) -> np.ndarray:
+    """Matrix as a real vector; an exact isometry for the Frobenius norm,
+    and Re<A, M> becomes the plain dot product of the embeddings."""
+    return np.concatenate([M.real.ravel(), M.imag.ravel()])
+
+
+def _unembed(v: np.ndarray, dim: int) -> np.ndarray:
+    k = dim * dim
+    return v[:k].reshape(dim, dim) + 1j * v[k:].reshape(dim, dim)
+
+
+class AffineConstraints:
+    """Equations ``Re<A_k, G> = b_k`` over Hermitian G, A_k Hermitian.
+
+    Duplicate or linearly dependent rows are allowed; they are detected when
+    the constraint system is first used and surfaced via ``n_redundant``.
+    """
+
+    radii = None  # affine: no magnitude box
+
+    def __init__(self, dim: int):
+        if dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
+        self.dim = dim
+        self._matrices: list[np.ndarray] = []
+        self._rhs: list[float] = []
+        self._prepared: _Prepared | None = None
+
+    def add(self, A: np.ndarray, b: float) -> None:
+        A = _check_hermitian(A)
+        if A.shape != (self.dim, self.dim):
+            raise ValueError(
+                f"constraint matrix shape {A.shape} does not match dim {self.dim}"
+            )
+        self._matrices.append(A)
+        self._rhs.append(float(b))
+        self._prepared = None
+
+    def __len__(self) -> int:
+        return len(self._matrices)
+
+    @property
+    def matrices(self) -> list[np.ndarray]:
+        return list(self._matrices)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return np.array(self._rhs)
+
+    @property
+    def rank(self) -> int:
+        return self._prepare().rank
+
+    @property
+    def n_redundant(self) -> int:
+        """Number of linearly dependent rows among the constraints."""
+        return len(self) - self._prepare().rank
+
+    @property
+    def defect(self) -> float:
+        """Least-squares residual of the equations; zero when solvable."""
+        return self._prepare().lstsq_residual
+
+    @property
+    def consistent(self) -> bool:
+        return self._prepare().consistent
+
+    @property
+    def start_scale(self) -> float:
+        """Identity multiple matching the pure-trace part of the equations."""
+        traces = np.array([float(np.trace(A).real) for A in self._matrices])
+        denom = float(np.sum(traces**2))
+        return float(np.dot(traces, self.rhs) / denom) if denom > 1e-30 else 0.0
+
+    def _prepare(self) -> "_Prepared":
+        if self._prepared is None:
+            self._prepared = _Prepared(self)
+        return self._prepared
+
+    def project(self, G: np.ndarray) -> np.ndarray:
+        return _unembed(self._prepare().project_vec(_embed(G)), self.dim)
+
+    def distance(self, G: np.ndarray) -> float:
+        prep = self._prepare()
+        if prep.C.shape[0] == 0:
+            return 0.0
+        v = _embed(G)
+        return float(np.linalg.norm(prep.project_vec(v) - v))
+
+    def residuals(self, G: np.ndarray) -> np.ndarray:
+        """Signed violation of each equation at G."""
+        if not self._matrices:
+            return np.zeros(0)
+        prep = self._prepare()
+        return prep.C @ _embed(np.asarray(G, dtype=complex)) - prep.b
+
+
+class _Prepared:
+    """Vectorized constraint system with a cached pseudo-inverse."""
+
+    def __init__(self, constraints: AffineConstraints):
+        dim = constraints.dim
+        k = len(constraints)
+        self.dim = dim
+        self.b = constraints.rhs
+        if k == 0:
+            self.C = np.zeros((0, 2 * dim * dim))
+            self.pinv = np.zeros((2 * dim * dim, 0))
+            self.rank = 0
+            self.consistent = True
+            self.lstsq_residual = 0.0
+            return
+        self.C = np.stack([_embed(A) for A in constraints.matrices])
+        u, s, vt = np.linalg.svd(self.C, full_matrices=False)
+        cutoff = max(s[0], 1.0) * 1e-12 if s.size else 0.0
+        keep = s > cutoff
+        self.rank = int(np.count_nonzero(keep))
+        s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+        self.pinv = (vt.T * s_inv) @ u.T
+        # Min-norm solution residual reveals mutually contradictory equations.
+        nearest = self.C @ (self.pinv @ self.b)
+        self.lstsq_residual = float(np.linalg.norm(nearest - self.b))
+        self.consistent = self.lstsq_residual <= CONSISTENCY_TOL
+
+    def project_vec(self, v: np.ndarray) -> np.ndarray:
+        if self.C.shape[0] == 0:
+            return v
+        return v - self.pinv @ (self.C @ v - self.b)
 
 
 def dense_gram_constraints(p: NCPoly, d: int) -> AffineConstraints:

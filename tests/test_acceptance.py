@@ -27,10 +27,10 @@ from nctrace.certify import (
 )
 from nctrace.gns import gns_build, norm_bound_check, unitary_group, verify_moments, verify_trace_property
 from nctrace.moments import check_w_membership, moment_matrix, moment_sequence, psd_check
-from nctrace.sdp import AffineConstraints, feasibility_solve
+from nctrace.sdp import feasibility_solve
 from nctrace.sampling import make_rng, random_hermitian, random_tuple
 
-from helpers import commutator_square_poly, random_poly
+from helpers import AffineConstraints, commutator_square_poly, random_poly
 
 
 def report(number: int, title: str, passed: bool, elapsed: float, detail: str = ""):

@@ -178,6 +178,14 @@ def test_unitary_group_refuses_a_variable_index_out_of_range(j):
         unitary_group(m, j, 0.1)
 
 
+@pytest.mark.parametrize("j", [1.5, True])
+def test_unitary_group_refuses_a_non_integer_variable_index(j):
+    m = gns_build(moment_sequence(pauli_pair(), 4), 2)
+    message = f"variable index j must be an integer, got {j!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        unitary_group(m, j, 0.1)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_unitary_group_refuses_a_non_finite_t(t):
     # It used to return an all-NaN matrix as the "unitary".

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from nctrace.certify import (
     verify_certificate,
 )
 from nctrace.sdp import (
-    AffineConstraints,
     ClassConstraints,
     InconsistentConstraints,
     _check_hermitian,
@@ -29,6 +29,7 @@ from nctrace.sdp import (
 )
 
 from helpers import (
+    AffineConstraints,
     commutator_square_poly,
     dense_gram_constraints,
     dense_witness_constraints,
@@ -564,6 +565,27 @@ def test_witness_box_solves_match_the_checked_loop(nvars, d):
     assert abs(report.value - reference.value) <= 1e-7 * max(1.0, abs(reference.value))
 
 
+# The seven attributes the solver reads, as the ``nctrace.sdp`` docstring
+# lists them.
+_SOLVER_INTERFACE = ("dim", "consistent", "defect", "project", "residuals", "start_scale", "radii")
+
+
+@pytest.mark.parametrize("case", ["Gram set", "negated Gram set", "witness box"])
+def test_solves_read_only_the_documented_interface(case):
+    if case == "witness box":
+        objective, cons = _witness_box_problem(2, 2)
+        solve = partial(minimize_linear, objective, max_iter=3000)
+    else:
+        cons = _gram_constraints(2, 2, 1 if case == "Gram set" else -1)
+        anchor = partial(_tracial_anchor, 2, 2) if case == "negated Gram set" else None
+        solve = partial(feasibility_solve, anchor=anchor)
+    bare = SimpleNamespace(**{name: getattr(cons, name) for name in _SOLVER_INTERFACE})
+    direct, through = solve(cons), solve(bare)
+    assert (through.status, through.iterations) == (direct.status, direct.iterations)
+    assert through.value == direct.value
+    assert through.solution.tobytes() == direct.solution.tobytes()
+
+
 def test_accelerated_solves_are_deterministic():
     objective, cons = _witness_box_problem(2, 3)
     first = minimize_linear(objective, cons, max_iter=3000)
@@ -814,6 +836,12 @@ def test_class_sums_match_two_bincounts_bit_for_bit(nvars, d):
         (np.array([[0, 1], [1, 2]]), {"rhs": np.ones(2)}, "labels must lie in 0..1"),
         (np.array([[0, 1], [1, 0]]), {"rhs": [1.0, np.nan]}, "class sums must be finite"),
         (np.array([[0, 1], [1, 0]]), {"pinned": 2}, "pinned class 2 outside 0..1"),
+        (np.array([[0, 1], [1, 0]]), {"pinned": 0.5},
+         "pinned class must be an integer, got 0.5"),
+        (np.array([[0, 1], [1, 0]]), {"pinned": np.float64(1.0)},
+         "pinned class must be an integer, got"),
+        (np.array([[0, 1], [1, 0]]), {"pinned": True},
+         "pinned class must be an integer, got True"),
     ],
 )
 def test_class_constraints_refuse_malformed_input(labels, kwargs, message):
