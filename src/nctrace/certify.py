@@ -64,7 +64,14 @@ from .moments import (
     moment_size,
     psd_check,
 )
-from .sampling import make_rng, random_hermitians, random_tuple, structured_library
+from .sampling import (
+    _draw_hermitians,
+    _scale_to_radius,
+    make_rng,
+    random_hermitians,
+    random_tuple,
+    structured_library,
+)
 from .sdp import (
     ClassConstraints,
     NoFeasiblePoint,
@@ -590,15 +597,18 @@ def falsify(
     first tuple driving the trace below -1e-10 is returned with its trace;
     the outcome is a deterministic function of the seed.
 
-    The random tuples are drawn ``FALSIFY_CHUNK`` trials at a time with
-    :func:`~nctrace.sampling.random_hermitians`, which reproduces the
-    stream of drawing them one by one from ``make_rng(seed)``.  Each chunk
-    is screened by its batched traces, which pair the two halves of each
-    word (:func:`_real_traces`); a trial below
-    ``-FALSIFY_TRACE_TOL + FALSIFY_SCREEN * ||p||_R`` is evaluated again on
-    its own, and returned only if that trace is below -1e-10.  The two
-    traces differ by rounding only, far inside the screen's slack, so the
-    returned index, tuple and trace are those of the trial-by-trial search.
+    The random tuples are drawn ``FALSIFY_CHUNK`` trials at a time, from
+    the stream of :func:`~nctrace.sampling.random_hermitians`, which
+    reproduces drawing them one by one from ``make_rng(seed)``.  Each
+    chunk's raw draws are made once and screened rescaled by their largest
+    absolute eigenvalue (``eigvalsh``), by their batched traces, which pair
+    the two halves of each word (:func:`_real_traces`).  A trial below
+    ``-FALSIFY_TRACE_TOL + FALSIFY_SCREEN * ||p||_R`` is rebuilt from its
+    raw draws as ``random_hermitians`` builds it, rescaled by the SVD norm,
+    evaluated again on its own, and returned only if that trace is below
+    -1e-10.  The two norms agree to about 1e-15 relative and the two traces
+    differ by rounding only, far inside the screen's slack, so the returned
+    index, tuple and trace are those of the trial-by-trial search.
 
     A seed that is not a nonnegative integer, or a trial count or size N
     that is not an integer, is refused before any probe; bools are not
@@ -651,10 +661,12 @@ def falsify(
     screen = -FALSIFY_TRACE_TOL + FALSIFY_SCREEN * norm
     rng = make_rng(seed)
     for start in range(0, trials, FALSIFY_CHUNK):
-        drawn = random_hermitians(rng, (min(FALSIFY_CHUNK, trials - start), p.nvars), N, R)
-        traces = _real_traces(p, hermitian_parts(drawn))
+        drawn = _draw_hermitians(rng, (min(FALSIFY_CHUNK, trials - start), p.nvars), N)
+        norms = np.abs(np.linalg.eigvalsh(drawn)).max(axis=-1)
+        traces = _real_traces(p, hermitian_parts(_scale_to_radius(drawn, norms, R)))
         for k in np.flatnonzero(traces < screen):
-            candidate = as_matrix_tuple(drawn[k])
+            exact = np.linalg.norm(drawn[k], 2, axis=(-2, -1))
+            candidate = as_matrix_tuple(_scale_to_radius(drawn[k], exact, R))
             value = _real_trace(p, candidate)
             if value < -FALSIFY_TRACE_TOL:
                 return Falsification(

@@ -32,17 +32,21 @@ wrapper or patch installed on this module after the first call applies.
 
 The output bytes are exactly those of ``json.dumps(payload, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline.  The stdlib encodes an
-indented payload in pure Python, node by node, so :func:`_render` writes
-the same layout itself, with ``float.__repr__``, json's own float format.
-A float array (operators, matrix tuples) fills one nested template with
-one text per float.  A moment sequence fills its entry-list template, which
-holds every word's text and a slot for each real and imaginary part; the
-process keeps the templates of its last 8 (variables, degree, depth)
-triples up to 4 MiB each (:func:`_theta_template`), and builds a longer
-one for the call alone.  The fill costs one ``float.__repr__`` per distinct
-magnitude among all the parts, the sign being read from the sign bit.
-The tests pin the bytes against the stdlib encoder, with the templates
-warm and cleared.
+indented payload in pure Python, node by node, so :func:`_write` writes the
+same layout itself, with ``float.__repr__``, json's own float format, into
+one list of pieces that :func:`_emit` joins once, after the whole payload
+is written; a non-finite float therefore leaves stdout and ``--out``
+untouched.  A float array (operators, matrix tuples) and a moment sequence
+each fill a cached tuple of literal pieces whose odd places are slots for
+their float texts.  An array's pieces (:func:`_array_pieces`) hold the
+brackets, commas and indents around each float; a sequence's
+(:func:`_theta_pieces`) also hold every word's text.  The process keeps the
+pieces of its last 8 (shape, depth) pairs up to 2^18 floats each, and of
+its last 8 (variables, degree, depth) triples up to 4 MiB of text each,
+and builds longer ones for the call alone.  A sequence
+costs one ``float.__repr__`` per distinct magnitude among all its real and
+imaginary parts, the sign being read from the sign bit.  The tests pin the
+bytes against the stdlib encoder, with the pieces warm and cleared.
 
 Polynomial files are read by :func:`nctrace.parsing.load_poly_file`.
 Matrix tuples are JSON objects ``{"n": ..., "N": ..., "matrices": [...]}``
@@ -81,6 +85,7 @@ from .moments import (
     MatrixTuple,
     MomentSequence,
     as_matrix_tuple,
+    check_membership_tol,
     check_radius,
     check_w_membership,
     moment_sequence,
@@ -104,10 +109,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
+    out = []
     try:
-        text = _render(payload, 0) + "\n"
+        _write(payload, 0, out)
     except ValueError as exc:
         raise InputError(f"result is not finite, not written: {exc}") from exc
+    out.append("\n")
+    text = "".join(out)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -121,63 +129,79 @@ def _emit(payload: dict, out_path: str | None) -> None:
 # -- JSON writer ---------------------------------------------------------------
 
 _INDENT = "  "
-# The longest moment-sequence template kept for the process, in characters
-# (1 byte each): n = 3 to D = 8 takes 1.4 MiB, n = 2 to D = 13 3.1 MiB.
-_MAX_CACHED_TEMPLATE = 4 * 2**20
+# The longest moment-sequence piece list kept for the process, in characters
+# of its literal text (1 byte each): n = 3 to D = 8 takes 1.4 MiB, n = 2 to
+# D = 13 3.1 MiB.
+_MAX_CACHED_TEXT = 4 * 2**20
+# The largest float array whose piece list is kept, at 8 bytes a slot: 4 MiB.
+_MAX_CACHED_FLOATS = 2**18
 _INFINITY = float("inf")
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _render(value, level: int) -> str:
-    """JSON text of value, as ``json.dumps(indent=2, sort_keys=True,
-    allow_nan=False)`` lays it out ``level`` containers deep.
+def _write(value, level: int, out: list) -> None:
+    """Append the JSON text of value to ``out``, in pieces, as
+    ``json.dumps(indent=2, sort_keys=True, allow_nan=False)`` lays it out
+    ``level`` containers deep.
 
-    Beyond the json types it takes float arrays, rendered as the nested
-    lists of ``tolist()``, and moment sequences, rendered as their list of
+    Beyond the json types it takes float arrays, written as the nested
+    lists of ``tolist()``, and moment sequences, written as their list of
     ``{"word", "re", "im"}`` entries.  A NaN or infinity raises ValueError.
     """
     if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
         if not -_INFINITY < value < _INFINITY:
             raise ValueError(f"non-finite float {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, (list, tuple)):
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        return _wrap([_render(v, level + 1) for v in value], level)
-    if isinstance(value, dict):
+            out.append("[]")
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + _INDENT * level + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        items = [
-            _encode_str(k) + ": " + _render(v, level + 1)
-            for k, v in sorted(value.items())
-        ]
-        return _wrap(items, level, "{}")
-    if isinstance(value, np.ndarray):
-        return _render_array(value, level)
-    if isinstance(value, MomentSequence):
-        return _render_theta(value, level)
-    if isinstance(value, _Words):
-        return _wrap(_word_texts(value.n, value.D, level + 1), level)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            out.append("{}")
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _encode_str(key) + ": ")
+            _write(item, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + _INDENT * level + "}")
+    elif isinstance(value, np.ndarray):
+        _write_array(value, level, out)
+    elif isinstance(value, MomentSequence):
+        _write_theta(value, level, out)
+    elif isinstance(value, _Words):
+        inner = "\n" + _INDENT * (level + 1)
+        texts = _word_texts(value.n, value.D, level + 1)
+        out.append("[" + inner + ("," + inner).join(texts) + "\n" + _INDENT * level + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _wrap(items: list, level: int, brackets: str = "[]") -> str:
-    """Non-empty items as one json container ``level`` containers deep."""
-    inner = "\n" + _INDENT * (level + 1)
-    return (
-        brackets[0] + inner + ("," + inner).join(items)
-        + "\n" + _INDENT * level + brackets[1]
-    )
+def _fill(pieces: tuple, texts, out: list) -> None:
+    """Append pieces to ``out`` with their slots, the odd places, holding
+    texts in order."""
+    start = len(out)
+    out += pieces
+    out[start + 1 :: 2] = texts
 
 
 def _float_texts(a: np.ndarray) -> list:
@@ -204,15 +228,43 @@ def _signed_texts(part: np.ndarray) -> tuple:
     return itemgetter(*slots.tolist())(texts + ["-" + t for t in texts])
 
 
-def _render_array(a: np.ndarray, level: int) -> str:
-    """A float array as nested json lists through one template, built
-    innermost axis first and filled once."""
+def _write_array(a: np.ndarray, level: int, out: list) -> None:
+    """A float array as nested json lists: its :func:`_array_pieces` filled
+    with one text per float.  The pieces of an array of more than
+    ``_MAX_CACHED_FLOATS`` floats are built for the call and not kept."""
     if not a.size:
-        return _render(a.tolist(), level)
-    template = "%s"
-    for axis in range(a.ndim - 1, -1, -1):
-        template = _wrap([template] * a.shape[axis], level + axis)
-    return template % tuple(_float_texts(a))
+        _write(a.tolist(), level, out)
+        return
+    pieces = _array_pieces if a.size <= _MAX_CACHED_FLOATS else _array_pieces.__wrapped__
+    texts = _float_texts(a)
+    _fill(pieces(a.shape, level), texts, out)
+
+
+@lru_cache(maxsize=8)
+def _array_pieces(shape: tuple, level: int) -> tuple:
+    """The text of a non-empty float array of this shape as nested json
+    lists ``level`` containers deep, in pieces around one slot (None) per
+    float in C order.  The last 8 (shape, level) kept have at most
+    ``_MAX_CACHED_FLOATS`` floats each.
+
+    Between two floats, the j innermost lists whose index wraps close and
+    open again; ``seps[j]`` is that text, shared by every such place.
+    """
+    k = len(shape)
+    opens = ["[\n" + _INDENT * (level + a + 1) for a in range(k)]
+    closes = ["\n" + _INDENT * (level + a) + "]" for a in range(k)]
+    seps = [
+        "".join(closes[k - j :][::-1]) + ",\n" + _INDENT * (level + k - j) + "".join(opens[k - j :])
+        for j in range(k)
+    ]
+    between = []
+    for j, length in enumerate(reversed(shape)):
+        between = ((between + [seps[j]]) * length)[:-1]
+    pieces = [None] * (2 * len(between) + 3)
+    pieces[0] = "".join(opens)
+    pieces[2:-1:2] = between
+    pieces[-1] = "".join(closes[::-1])
+    return tuple(pieces)
 
 
 def _word_texts(n: int, D: int, level: int) -> list:
@@ -238,41 +290,48 @@ class _Words:
         self.D = D
 
 
-def _render_theta(theta: MomentSequence, level: int) -> str:
+def _write_theta(theta: MomentSequence, level: int, out: list) -> None:
     """The ``{"word", "re", "im"}`` entries of a sequence, in ``words_up_to``
-    order: its :func:`_theta_template` filled with the texts of each value's
-    imaginary and real parts.  The template of a sequence longer than
-    ``_MAX_CACHED_TEMPLATE`` characters is built for the call and not kept."""
+    order: its :func:`_theta_pieces` filled with the texts of each value's
+    imaginary and real parts.  The pieces of a sequence whose text is longer
+    than ``_MAX_CACHED_TEXT`` characters are built for the call and not
+    kept."""
     n, D = theta.n, theta.max_degree
-    template = _theta_template
-    if _theta_template_size(n, D, level) > _MAX_CACHED_TEMPLATE:
-        template = _theta_template.__wrapped__
+    pieces = _theta_pieces
+    if _theta_pieces_size(n, D, level) > _MAX_CACHED_TEXT:
+        pieces = _theta_pieces.__wrapped__
     # (im, re) of each value, in the order the entries name them.
     parts = theta.as_array().view(float).reshape(-1, 2)[:, ::-1].ravel()
-    return template(n, D, level) % _signed_texts(parts)
+    texts = _signed_texts(parts)
+    _fill(pieces(n, D, level), texts, out)
 
 
 @lru_cache(maxsize=8)
-def _theta_template(n: int, D: int, level: int) -> str:
+def _theta_pieces(n: int, D: int, level: int) -> tuple:
     """The entry list of a sequence of n letters up to degree D, ``level``
-    containers deep, with each word's text in place and a ``%s`` for each
-    imaginary and real part.  The last 8 (n, D, level) kept are at most
-    ``_MAX_CACHED_TEMPLATE`` characters each."""
+    containers deep, in pieces around a slot (None) for each imaginary and
+    real part, with each word's text in place.  The last 8 (n, D, level)
+    kept hold at most ``_MAX_CACHED_TEXT`` characters each."""
     inner = "\n" + _INDENT * (level + 1)
-    close = inner + "}"
-    head = _wrap(['"im": %s', '"re": %s', '"word": '], level + 1, "{}").removesuffix(close)
-    # The first and last words carry the list's brackets, so one join
-    # builds the only text of the template's size.
+    field = "," + inner + _INDENT
+    opening = "{" + inner + _INDENT + '"im": '
+    word, close = field + '"word": ', inner + "}"
+    # Each word's piece ends its entry and opens the next one's.
+    ending = close + "," + inner + opening
     words = _word_texts(n, D, level + 2)
-    words[0] = "[" + inner + head + words[0]
-    words[-1] += close + "\n" + _INDENT * level + "]"
-    return (close + "," + inner + head).join(words)
+    pieces = [None] * (4 * len(words) + 1)
+    pieces[0] = "[" + inner + opening
+    pieces[2::4] = [field + '"re": '] * len(words)
+    pieces[4::4] = [f"{word}{w}{ending}" for w in words]
+    pieces[-1] = word + words[-1] + close + "\n" + _INDENT * level + "]"
+    return tuple(pieces)
 
 
-def _theta_template_size(n: int, D: int, level: int) -> int:
-    """``len(_theta_template(n, D, level))``, from the three integers.
+def _theta_pieces_size(n: int, D: int, level: int) -> int:
+    """The characters of ``_theta_pieces(n, D, level)``, from the three
+    integers.
 
-    Each word's entry, with its separator, takes ``10 level + 50``
+    Each word's entry, with its separator, takes ``10 level + 46``
     characters besides the word's text; the text of a word of L >= 1
     letters takes ``L (2 level + 8) + 2 level + 6`` besides its digits.
     ``test_theta_template_size_is_its_length`` checks it.
@@ -281,7 +340,7 @@ def _theta_template_size(n: int, D: int, level: int) -> int:
     digits = sum(n - 10**k + 1 for k in range(len(str(n))))
     size = 2 * level + 4  # the list's brackets and last newline, the empty word's []
     for L in range(D + 1):
-        size += n**L * (10 * level + 50)
+        size += n**L * (10 * level + 46)
         if L:
             size += n**L * (L * (2 * level + 8) + 2 * level + 6) + L * n ** (L - 1) * digits
     return size
@@ -481,6 +540,7 @@ def cmd_falsify(args) -> tuple:
 
 def cmd_moments(args) -> tuple:
     X = _matrix_tuple_from_json(_load_json(args.matrixfile), args.matrixfile)
+    check_membership_tol(args.tol)
     theta = moment_sequence(X, args.degree)
     report = check_w_membership(theta, tol=args.tol)
     return {

@@ -423,6 +423,14 @@ class WMembershipReport:
         return {**asdict(self), "passed": self.passed}
 
 
+def check_membership_tol(tol: float) -> None:
+    """Raise ValueError unless the membership tolerance is nonnegative and
+    finite: an infinite one would pass every check, and its report could
+    not be written as JSON."""
+    if not (0 <= tol < np.inf):
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+
+
 def check_w_membership(t: MomentSequence, tol: float = 1e-10) -> WMembershipReport:
     """Check cyclic invariance and conjugate symmetry, report the growth radius.
 
@@ -433,8 +441,7 @@ def check_w_membership(t: MomentSequence, tol: float = 1e-10) -> WMembershipRepo
     (word, shift) order.  The growth radius is the empirical geometric
     bound read off the diagonal powers (see :func:`growth_radius`).
     """
-    if not (tol >= 0):
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    check_membership_tol(tol)
     index = t.index
     values = t.as_array()
     worst_cyc, worst_cyc_word = 0.0, None

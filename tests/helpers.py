@@ -68,13 +68,17 @@ def random_hermitian(rng, size: int) -> np.ndarray:
 
 
 def random_hermitian_tuple(rng, nvars: int, size: int, radius: float = 1.0):
-    """Hermitian matrices rescaled to spectral norm exactly radius."""
+    """Hermitian matrices rescaled to spectral norm exactly radius; one whose
+    norm is so small that radius / norm overflows is divided by its norm
+    first."""
     mats = []
     for _ in range(nvars):
         h = random_hermitian(rng, size)
         norm = np.linalg.norm(h, 2)
         if norm > 0:
-            h = h * (radius / norm)
+            with np.errstate(over="ignore"):
+                scale = radius / norm
+            h = (h / norm) * radius if np.isinf(scale) else h * scale
         mats.append(h)
     return mats
 

@@ -24,7 +24,7 @@ from nctrace.certify import (
     verify_certificate,
     witness_search,
 )
-from nctrace import algebra, certify
+from nctrace import algebra, certify, sampling
 from nctrace.moments import MomentSequence, moment_sequence
 from nctrace.parsing import parse_poly
 from nctrace.sdp import ClassConstraints, NoFeasiblePoint, feasibility_solve, minimize_linear
@@ -771,6 +771,9 @@ def _assert_falsify_equals_reference(p, trials, N, R, seed):
     assert len(result.tuple.matrices) == len(ref[3])
     for got, want in zip(result.tuple.matrices, ref[3]):
         assert np.array_equal(got, want)
+    if result.source == "random":
+        drawn = certify.random_hermitians(make_rng(seed), (trials, p.nvars), N, R)
+        assert np.array_equal(np.stack(result.tuple.matrices), drawn[result.index])
     return result
 
 
@@ -800,13 +803,38 @@ def test_falsify_equals_trial_by_trial_search_at_the_edges():
     assert library.source == "library"
 
 
+@pytest.mark.parametrize(
+    "text,nvars,trials,N,R,seed,index",
+    [
+        # Negative only where the eigenvalues' magnitudes are near 1/sqrt(2),
+        # so on no library tuple (magnitudes 0 and 1).
+        ("Y1^4 - Y1^2 + 0.2", 1, 200, 1, 0.8, 0, 0),
+        ("Y1^4 - Y1^2 + 0.2", 1, 200, 3, 0.8, 0, 36),
+        ("Y1 Y2^2 Y1 - 0.5*Y1^2 - 0.5*Y2^2 + 0.3", 2, 300, 3, 1.0, 1, 3),
+        # The first hit's draw has norm below R / the largest float, so it is
+        # divided by its norm before it is scaled, at N = 1 and at N = 2.
+        ("Y1", 1, 50, 1, 5e307, 0, 0),
+        ("Y1", 1, 50, 2, 5e307, 916, 0),
+    ],
+)
+def test_falsify_random_hits_equal_the_trial_by_trial_search(
+    text, nvars, trials, N, R, seed, index
+):
+    p = parse_poly(text, nvars)
+    hit = _assert_falsify_equals_reference(p, trials, N, R, seed)
+    assert (hit.source, hit.index) == ("random", index)
+    if R > 1e300:
+        draw = sampling._draw_hermitians(make_rng(seed), (), N)
+        assert np.linalg.norm(draw, 2) < R / np.finfo(float).max
+
+
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "0"])
 def test_falsify_refuses_a_bad_seed_before_any_probe(seed, monkeypatch):
     def no_probe(*args, **kwargs):
         raise AssertionError("probed a tuple before refusing the seed")
 
     monkeypatch.setattr(certify, "structured_library", no_probe)
-    monkeypatch.setattr(certify, "random_hermitians", no_probe)
+    monkeypatch.setattr(certify, "_draw_hermitians", no_probe)
     message = re.escape(f"seed must be a nonnegative integer, got {seed}")
     for p in (-1 * commutator_square_poly(), NCPoly(1, {(1, 1): 1.0})):
         with pytest.raises(ValueError, match=message):
@@ -929,7 +957,7 @@ def test_falsify_refuses_a_radius_whose_traces_overflow(R, reason, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a tuple before refusing the radius")
 
-    monkeypatch.setattr(certify, "random_hermitians", no_draw)
+    monkeypatch.setattr(certify, "_draw_hermitians", no_draw)
     with pytest.raises(ValueError, match=re.escape(f"radius R = {R} is too large")):
         falsify(commutator_square_poly(), R=R)
     with pytest.raises(ValueError, match=re.escape(reason)):
@@ -944,7 +972,7 @@ def test_falsify_refuses_a_radius_above_half_the_largest_float(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a tuple before refusing the radius")
 
-    monkeypatch.setattr(certify, "random_hermitians", no_draw)
+    monkeypatch.setattr(certify, "_draw_hermitians", no_draw)
     half = np.finfo(float).max / 2
     for R in (np.nextafter(half, np.inf), 1e308):
         with pytest.raises(ValueError) as err:

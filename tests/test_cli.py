@@ -429,13 +429,25 @@ def test_gns_check_huge_radius_exits_one_naming_it(pauli_json, tmp_path, capsys)
     assert code == 0 and data["checks"]["norm_bound"]["passed"] is True
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e999"])
 def test_moments_rejects_bad_tol(pauli_json, capsys, tol):
     code = main(["moments", pauli_json, "--degree", "2", "--tol", tol])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert "tol must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_moments_refuses_a_bad_tol_before_any_sequence(pauli_json, monkeypatch, capsys, tol):
+    def no_sequence(*args, **kwargs):
+        raise AssertionError("computed a sequence before refusing the tolerance")
+
+    monkeypatch.setattr(cli, "moment_sequence", no_sequence)
+    code = main(["moments", pauli_json, "--degree", "2", "--tol", tol])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"nctrace: tol must be nonnegative and finite, got {tol}\n"
 
 
 @pytest.mark.parametrize(
@@ -590,7 +602,8 @@ CACHES = (
     parsing._format_word,
     certify.cyclic_classes,
     certify._tracial_anchor,
-    cli._theta_template,
+    cli._theta_pieces,
+    cli._array_pieces,
 )
 
 
@@ -881,6 +894,13 @@ THETAS = {
 }
 
 
+def _text(value) -> str:
+    """The writer's text of value, joined as :func:`cli._emit` joins it."""
+    out = []
+    cli._write(value, 0, out)
+    return "".join(out)
+
+
 @pytest.mark.parametrize("name", list(THETAS))
 def test_a_theta_is_written_alike_from_warm_and_cleared_templates(name):
     theta, ref = THETAS[name], reference_theta_json(THETAS[name])
@@ -889,30 +909,95 @@ def test_a_theta_is_written_alike_from_warm_and_cleared_templates(name):
     expected = [json.dumps(wrap(ref), indent=2, sort_keys=True) for wrap in nest]
     for clear in (True, False):
         if clear:
-            cli._theta_template.cache_clear()
-        assert [cli._render(wrap(theta), 0) for wrap in nest] == expected
-    assert cli._theta_template.cache_info().currsize == 3
+            cli._theta_pieces.cache_clear()
+        assert [_text(wrap(theta)) for wrap in nest] == expected
+    assert cli._theta_pieces.cache_info().currsize == 3
 
 
 def test_a_theta_past_the_template_bound_is_written_alike_and_not_kept(monkeypatch):
     theta = THETAS["n=3 D=4"]
     payload, expected = {"values": theta}, stdlib_json({"values": reference_theta_json(theta)})
-    size = cli._theta_template_size(3, 4, 1)
-    cli._theta_template.cache_clear()
-    monkeypatch.setattr(cli, "_MAX_CACHED_TEMPLATE", size - 1)
+    size = cli._theta_pieces_size(3, 4, 1)
+    cli._theta_pieces.cache_clear()
+    monkeypatch.setattr(cli, "_MAX_CACHED_TEXT", size - 1)
     for _ in range(2):
-        assert cli._render(payload, 0) + "\n" == expected
-        assert cli._theta_template.cache_info().currsize == 0
-    monkeypatch.setattr(cli, "_MAX_CACHED_TEMPLATE", size)
-    assert cli._render(payload, 0) + "\n" == expected
-    assert cli._theta_template.cache_info().currsize == 1
+        assert _text(payload) + "\n" == expected
+        assert cli._theta_pieces.cache_info().currsize == 0
+    monkeypatch.setattr(cli, "_MAX_CACHED_TEXT", size)
+    assert _text(payload) + "\n" == expected
+    assert cli._theta_pieces.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("n,D", [(1, 0), (1, 9), (2, 5), (3, 3), (9, 2), (10, 2), (12, 3), (101, 1)])
 def test_theta_template_size_is_its_length(n, D):
     for level in (0, 1, 2):
-        text = cli._theta_template.__wrapped__(n, D, level)
-        assert cli._theta_template_size(n, D, level) == len(text)
+        pieces = cli._theta_pieces.__wrapped__(n, D, level)
+        assert pieces[1::2] == (None,) * 2 * len(words_up_to(n, D))
+        assert cli._theta_pieces_size(n, D, level) == len("".join(pieces[::2]))
+
+
+# Float arrays written through the cached piece lists, each 0 to 3
+# containers deep, in a list and in a dict.
+ARRAY_SHAPES = [(1,), (3, 2), (2, 3, 2), (3, 5, 5, 2)]
+NESTS = (
+    lambda x: x,
+    lambda x: [x],
+    lambda x: {"a": x},
+    lambda x: {"b": [x, 1]},
+    lambda x: {"c": [1, {"d": x}]},
+    lambda x: [[{"e": x}], 2.5],
+)
+
+
+@pytest.mark.parametrize("shape", ARRAY_SHAPES, ids=str)
+def test_an_array_is_written_alike_from_warm_and_cleared_pieces(shape):
+    a = make_rng(74).normal(size=shape) * 10.0 ** make_rng(75).integers(-30, 30, size=shape)
+    a.flat[0] = -0.0
+    expected = [stdlib_json(wrap(a.tolist())) for wrap in NESTS]
+    for clear in (True, False):
+        if clear:
+            cli._array_pieces.cache_clear()
+        assert [_text(wrap(a)) + "\n" for wrap in NESTS] == expected
+    # One entry per depth: 0, 1, 2 and 3 containers deep.
+    assert cli._array_pieces.cache_info().currsize == 4
+
+
+def test_an_array_past_the_pieces_bound_is_written_alike_and_not_kept(monkeypatch):
+    a = make_rng(76).normal(size=(3, 5, 5, 2))
+    payload, expected = {"operators": a}, stdlib_json({"operators": a.tolist()})
+    cli._array_pieces.cache_clear()
+    monkeypatch.setattr(cli, "_MAX_CACHED_FLOATS", a.size - 1)
+    for _ in range(2):
+        assert _text(payload) + "\n" == expected
+        assert cli._array_pieces.cache_info().currsize == 0
+    monkeypatch.setattr(cli, "_MAX_CACHED_FLOATS", a.size)
+    assert _text(payload) + "\n" == expected
+    assert cli._array_pieces.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("where", ["array", "float", "vector"])
+def test_a_non_finite_float_deep_in_a_payload_exits_one_and_writes_nothing(
+    where, poly_file, tmp_path, monkeypatch, capsys
+):
+    # Written after a whole sequence and an array, several containers deep.
+    leaf = {
+        "array": np.array([[0.5, 1.0], [np.nan, 2.0]]),
+        "float": float("-inf"),
+        "vector": np.array([1.0, np.inf]),
+    }[where]
+    payload = {
+        "a": THETAS["n=3 D=4"],
+        "b": [np.ones((2, 2)), {"c": [1, {"d": [leaf]}]}],
+        "e": "after",
+    }
+    monkeypatch.setattr(cli, "cmd_norm", lambda args: (payload, 0))
+    out = tmp_path / "out.json"
+    for extra in (["--out", str(out)], []):
+        code = main(["norm", poly_file("Y1^2"), *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("nctrace: result is not finite, not written: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -384,7 +384,7 @@ def test_membership_report_as_dict_is_its_fields_and_passed():
     }
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
 def test_check_w_membership_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be nonnegative"):
         check_w_membership(moment_sequence(pauli_pair(), 2), tol=tol)
