@@ -210,7 +210,12 @@ class NCPoly:
         return NCPoly._from_valid(self.nvars, merged)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
+        # a - c is a + (-c) exactly, so this is self + (-other) in one pass.
+        self._check_compatible(other)
+        merged = dict(self.terms)
+        for word, coeff in other.terms.items():
+            merged[word] = merged.get(word, 0.0) - coeff
+        return NCPoly._from_valid(self.nvars, merged)
 
     def __neg__(self) -> "NCPoly":
         return NCPoly._from_valid(self.nvars, {w: -c for w, c in self.terms.items()})

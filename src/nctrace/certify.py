@@ -20,10 +20,12 @@ from :class:`~nctrace.moments.WordIndex` positions (see
 :func:`cyclic_classes`): a word's least rotation is the least position
 among its rotations, and ranking those positions numbers the classes.
 The certificate's residual is recomputed from its factors alone: their
-coefficients are the rows of a matrix B over the words they use, each
-entry (J, K) of ``B^H B`` is added to the word ``reverse(J) + K``, and the
-difference from p is reduced by plain polynomial arithmetic.  It never
-reads the labels or any solver state.  Problems larger
+coefficients are the rows of a matrix B over the words they use, the
+entries (J, K) of ``B^H B`` are summed onto their words ``reverse(J) + K``,
+grouped by concatenating the factors' own words (a grouping kept per
+tuple of words), and the difference from p is reduced by plain polynomial
+arithmetic.  It never reads the labels, the word index or any solver
+state.  Problems larger
 than :data:`MAX_GRAM_SIZE` are refused before anything is allocated.
 
 Failure of the primal search is only ever "infeasible at tolerance at
@@ -58,7 +60,6 @@ from .moments import (
     as_matrix_tuple,
     check_radius,
     check_w_membership,
-    hermitian_parts,
     moment_matrix,
     moment_sequence,
     moment_size,
@@ -68,12 +69,12 @@ from .sampling import (
     _draw_hermitians,
     _scale_to_radius,
     make_rng,
-    random_hermitians,
     random_tuple,
     structured_library,
 )
 from .sdp import (
     ClassConstraints,
+    ClassLabels,
     NoFeasiblePoint,
     SolveReport,
     feasibility_solve,
@@ -157,7 +158,8 @@ class CyclicClasses:
     its reversal.  ``labels[J, K]`` is the label of ``reverse(J) + K`` over
     the m basis words of length <= d, whose tuples ``basis`` holds: every
     word up to 2d is such a pair (split it in the middle), so every class
-    labels some entry.
+    labels some entry.  ``checked`` is ``labels`` checked once for the
+    solver's constraint sets (:class:`~nctrace.sdp.ClassLabels`).
     """
 
     index: WordIndex
@@ -165,6 +167,7 @@ class CyclicClasses:
     reps: np.ndarray
     partners: np.ndarray
     labels: np.ndarray
+    checked: ClassLabels
     words: tuple
     basis: tuple
 
@@ -197,9 +200,10 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
 
     The classes of the last 8 cells (nvars, d) a process asked for are
     kept in an ``lru_cache``, so every array of the result, its index's
-    included, is read-only.  At the size limit (:func:`check_gram_size`) an
-    entry holds 2.6 MiB at (2, 7), 4.5 MiB at (3, 5) and 6.1 MiB at
-    (1, 511), where ``words`` is every word up to length 1022.
+    and its checked labels' included, is read-only.  At the size limit
+    (:func:`check_gram_size`) an entry holds 3.7 MiB at (2, 7), 6.8 MiB at
+    (3, 5) and 10.2 MiB at (1, 511), where ``words`` is every word up to
+    length 1022.
     """
     index = WordIndex(nvars, 2 * d)
     positions = np.arange(len(index))
@@ -216,7 +220,7 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
         array.flags.writeable = False
     words = words_up_to(nvars, 2 * d)
     return CyclicClasses(
-        index, word_labels, reps, partners, labels,
+        index, word_labels, reps, partners, labels, ClassLabels.of(labels, len(reps)),
         words=tuple(words[rep] for rep in reps.tolist()), basis=tuple(words[: len(basis)]),
     )
 
@@ -252,7 +256,7 @@ def build_gram_problem(p: NCPoly, d: int) -> GramProblem:
     # conjugate sums; the earlier of the two in the ordering sets both.
     earlier = np.arange(len(values)) <= classes.partners
     values = np.where(earlier, values, np.conj(values[classes.partners]))
-    constraints = ClassConstraints(classes.labels, rhs=values)
+    constraints = ClassConstraints(classes.checked, rhs=values)
     return GramProblem(degree=d, basis=list(classes.basis), rhs=rhs, constraints=constraints)
 
 
@@ -270,10 +274,10 @@ def _sum_of_squares(factors, nvars: int) -> NCPoly:
 
     The factors' coefficients are the rows of B, over the W distinct words
     they use in first-seen order, so sum_b conj(b_J) b_K is entry (J, K) of
-    ``B^H B``.  Each nonzero entry lands on the word reverse(J) + K: at most
-    W^2 additions, and no more than the sum over the factors of their term
-    counts squared, since an entry is nonzero only where one factor uses
-    both J and K.
+    ``B^H B``.  The nonzero entries are summed onto their words
+    reverse(J) + K (:func:`_word_grouping`) by two ``bincount`` calls, in
+    row-major order, as one addition per entry would sum them; each word
+    takes its place in the sum at its first nonzero entry.
     """
     columns: dict[Word, int] = {}
     for b in factors:
@@ -281,16 +285,42 @@ def _sum_of_squares(factors, nvars: int) -> NCPoly:
             columns.setdefault(word, len(columns))
     B = np.zeros((len(factors), len(columns)), dtype=complex)
     for row, b in zip(B, factors):
-        row[[columns[word] for word in b.terms]] = list(b.terms.values())
-    gram = B.conj().T @ B
-    J, K = np.nonzero(gram)
-    lefts = [word[::-1] for word in columns]
-    words = list(columns)
-    total: dict[Word, complex] = {}
-    for j, k, value in zip(J.tolist(), K.tolist(), gram[J, K].tolist()):
-        word = lefts[j] + words[k]
-        total[word] = total.get(word, 0.0) + value
-    return NCPoly._from_valid(nvars, total)
+        row[list(map(columns.get, b.terms))] = list(b.terms.values())
+    gram = (B.conj().T @ B).ravel()
+    key = tuple(columns)
+    small = 2 * len(key) * sum(map(len, key)) <= GROUPING_LETTERS
+    groups, words = (_word_grouping if small else _word_grouping.__wrapped__)(key)
+    nonzero = np.flatnonzero(gram)
+    labels = groups[nonzero]
+    sums = np.empty(len(words), dtype=complex)
+    sums.real = np.bincount(labels, gram.real[nonzero], len(words))
+    sums.imag = np.bincount(labels, gram.imag[nonzero], len(words))
+    if len(nonzero) < len(gram):
+        # A word whose first entry vanished takes its place at its first
+        # nonzero one, and a word with none is left out.
+        seen, first = np.unique(labels, return_index=True)
+        order = seen[np.argsort(first)]
+        words, sums = [words[k] for k in order.tolist()], sums[order]
+    return NCPoly._from_valid(nvars, dict(zip(words, sums.tolist())))
+
+
+GROUPING_LETTERS = 2**16  # the most letters a kept grouping's words spell
+
+
+@lru_cache(maxsize=8)
+def _word_grouping(columns: tuple) -> tuple:
+    """The words reverse(J) + K of the entries (J, K) of a Gram matrix over
+    ``columns``, numbered in first-seen row-major order: each entry's
+    number, as a read-only array, and the words.  A process keeps the last
+    8 groupings whose words spell at most ``GROUPING_LETTERS`` letters
+    (2 W L over W columns of L letters in all), 2.2 MiB each at most."""
+    number: dict[Word, int] = {}
+    groups = np.array(
+        [number.setdefault(J[::-1] + K, len(number)) for J in columns for K in columns],
+        dtype=np.intp,
+    )
+    groups.flags.writeable = False
+    return groups, tuple(number)
 
 
 @dataclass
@@ -417,7 +447,7 @@ def witness_search(
     labels = classes.labels
     radii = float(R) ** classes.index.lengths[classes.reps].astype(float)
     # The empty word is the least word of its class, and the first of all.
-    constraints = ClassConstraints(labels, pinned=0, radii=radii)
+    constraints = ClassConstraints(classes.checked, pinned=0, radii=radii)
 
     shares = classes.coefficients(p)
     weights = (shares / constraints.counts)[labels]
@@ -602,7 +632,9 @@ def falsify(
     reproduces drawing them one by one from ``make_rng(seed)``.  Each
     chunk's raw draws are made once and screened rescaled by their largest
     absolute eigenvalue (``eigvalsh``), by their batched traces, which pair
-    the two halves of each word (:func:`_real_traces`).  A trial below
+    the two halves of each word (:func:`_real_traces`).  The draws are
+    exactly Hermitian, so they are screened as they are, without taking
+    their Hermitian parts.  A trial below
     ``-FALSIFY_TRACE_TOL + FALSIFY_SCREEN * ||p||_R`` is rebuilt from its
     raw draws as ``random_hermitians`` builds it, rescaled by the SVD norm,
     evaluated again on its own, and returned only if that trace is below
@@ -620,9 +652,9 @@ def falsify(
     radius at which the traces could overflow is refused before any
     draw: R^deg(p) must be finite, and so must N times the larger of it
     and ``||p||_R``, which bound every partial sum of an unnormalized
-    trace on a tuple of norm R.  So is R above ``HALF_MAX``, where a
-    drawn entry could be too large for
-    :func:`~nctrace.moments.hermitian_parts`.
+    trace on a tuple of norm R.  So is R above ``HALF_MAX``, where an
+    entry of a rebuilt trial could be too large for
+    :func:`~nctrace.moments.as_matrix_tuple`.
     """
     _require_symmetric(p)
     check_integer(trials, "trials")
@@ -663,7 +695,7 @@ def falsify(
     for start in range(0, trials, FALSIFY_CHUNK):
         drawn = _draw_hermitians(rng, (min(FALSIFY_CHUNK, trials - start), p.nvars), N)
         norms = np.abs(np.linalg.eigvalsh(drawn)).max(axis=-1)
-        traces = _real_traces(p, hermitian_parts(_scale_to_radius(drawn, norms, R)))
+        traces = _real_traces(p, _scale_to_radius(drawn, norms, R))
         for k in np.flatnonzero(traces < screen):
             exact = np.linalg.norm(drawn[k], 2, axis=(-2, -1))
             candidate = as_matrix_tuple(_scale_to_radius(drawn[k], exact, R))

@@ -32,6 +32,8 @@ declared number of variables on every parse.  A malformed text raises
 :class:`PolyParseError` at the offset where a left-to-right scan would first
 find the grammar broken; a word longer than ``MAX_WORD_LENGTH`` letters is
 refused before its powers are expanded, and never cached.
+:func:`format_polys` writes the terms of all its polynomials in one array
+pass, and each polynomial's text in one join.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
+from itertools import chain
+
+import numpy as np
 
 from .algebra import WORD_CACHE_SIZE, NCPoly, Word, check_integer
 
@@ -234,51 +239,54 @@ def format_poly(p: NCPoly) -> str:
 
 
 def format_polys(polys) -> list[str]:
-    """:func:`format_poly` of each polynomial.  Each process keeps the
-    texts of the last ``WORD_CACHE_SIZE`` words it formatted (a
-    certificate's factors share one basis)."""
-    return [_format(p) for p in polys]
-
-
-def _format(p: NCPoly) -> str:
-    if p.is_zero():
-        return "0"
-    pieces: list[str] = []
-    for word in sorted(p.terms, key=lambda w: (len(w), w)):
-        coeff = p.terms[word]
-        if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
-            # The grammar refuses a non-finite total coefficient on a word.
-            raise ValueError(f"coefficient {coeff} of word {word} is not finite")
-        negative = coeff.real < 0 or (coeff.real == 0 and coeff.imag < 0)
-        if negative:
-            coeff = -coeff
-        body = _format_term(_format_word(word), coeff)
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(pieces)
-
-
-def _fmt_real(x: float) -> str:
+    """:func:`format_poly` of each polynomial.  numpy masks over one array
+    of all their coefficients pick each term's form; each real part and
+    each nonzero imaginary part is written by one ``float.__repr__``, and
+    again as an int if integral below 1e15; each term is eight pieces
+    (sign, "(re,im)", '*', word) and each polynomial one join.  Each
+    process keeps the texts of the last ``WORD_CACHE_SIZE`` words it
+    formatted (a certificate's factors share one basis)."""
+    polys = list(polys)
+    orders = [sorted(p.terms) for p in polys]
+    for words in orders:
+        words.sort(key=len)  # stable: each length stays in word order
+    words = list(chain.from_iterable(orders))
+    values = list(chain.from_iterable(map(p.terms.get, ws) for p, ws in zip(polys, orders)))
+    coeffs = np.array(values, dtype=complex)
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        # The grammar refuses a non-finite total coefficient on a word.
+        k = int(np.argmin(finite))
+        raise ValueError(f"coefficient {values[k]} of word {words[k]} is not finite")
+    negative = (coeffs.real < 0) | ((coeffs.real == 0) & (coeffs.imag < 0))
+    np.negative(coeffs, out=coeffs, where=negative)
+    pair = coeffs.imag != 0
+    parts = np.concatenate([coeffs.real, coeffs.imag[pair]])
+    texts = list(map(float.__repr__, parts.tolist()))
     # Integral values print without a trailing ".0"; both forms re-parse exactly.
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
-def _format_term(word_str: str, coeff: complex) -> str:
-    if coeff.imag == 0:
-        coeff_str = _fmt_real(coeff.real)
-        unit = coeff.real == 1.0
-    else:
-        coeff_str = f"({_fmt_real(coeff.real)},{_fmt_real(coeff.imag)})"
-        unit = False
-    if not word_str:
-        return coeff_str if not unit else "1"
-    if unit:
-        return word_str
-    return f"{coeff_str}*{word_str}"
+    for k in np.flatnonzero((parts == np.trunc(parts)) & (np.abs(parts) < 1e15)).tolist():
+        texts[k] = str(int(parts[k]))
+    lengths = np.array(list(map(len, orders)), dtype=int)
+    stops = np.cumsum(lengths)
+    firsts = (stops - lengths)[lengths > 0]
+    lettered = np.ones(len(words), dtype=bool)
+    lettered[firsts] = [bool(words[k]) for k in firsts.tolist()]  # () sorts first
+    unit = lettered & ~pair & (coeffs.real == 1.0)
+    pieces = np.full((len(words), 8), "", dtype=object)
+    pieces[:, 0] = " + "
+    pieces[negative, 0] = " - "
+    pieces[firsts, 0] = np.where(negative[firsts], "-", "")
+    pieces[pair, 1], pieces[pair, 3], pieces[pair, 5] = "(", ",", ")"
+    pieces[:, 2] = texts[: len(words)]
+    pieces[unit, 2] = ""
+    pieces[pair, 4] = texts[len(words) :]
+    pieces[lettered & ~unit, 6] = "*"
+    pieces[:, 7] = list(map(_format_word, words))
+    flat = pieces.ravel().tolist()
+    return [
+        "".join(flat[8 * (stop - size) : 8 * stop]) if size else "0"
+        for size, stop in zip(lengths.tolist(), stops.tolist())
+    ]
 
 
 @lru_cache(maxsize=WORD_CACHE_SIZE)

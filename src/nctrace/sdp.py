@@ -101,13 +101,57 @@ def _check_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return (M + adjoint) / 2
 
 
+@dataclass(frozen=True)
+class ClassLabels:
+    """The label-only part of a :class:`ClassConstraints` set, checked once
+    by :meth:`of`; each ``cyclic_classes`` cell keeps one.  Read-only."""
+
+    labels: np.ndarray
+    counts: np.ndarray
+    partner: np.ndarray  # the class that transposition maps each class onto
+    parts: np.ndarray
+    on_diag: np.ndarray
+    ties: float
+
+    @classmethod
+    def of(cls, labels, k: int | None = None) -> "ClassLabels":
+        """Check an integer label array over the classes 0..k-1 (without k,
+        0 to its largest label)."""
+        labels = np.asarray(labels)
+        if labels.ndim != 2 or labels.shape[0] != labels.shape[1] or not labels.size:
+            raise ValueError(
+                f"labels must be a nonempty square array, got shape {labels.shape}"
+            )
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got {labels.dtype}")
+        flat = labels.ravel()
+        k = int(flat.max()) + 1 if k is None else k
+        if flat.min() < 0 or flat.max() >= k:
+            raise ValueError(f"labels must lie in 0..{k - 1}")
+        counts = np.bincount(flat, minlength=k)
+        if not counts.all():
+            raise ValueError(f"class {int(np.argmin(counts))} is empty")
+        first = np.unique(flat, return_index=True)[1]
+        partner = labels.T.ravel()[first]
+        if not np.array_equal(partner[labels], labels.T):
+            raise ValueError("labels are not transpose-consistent")
+        eye = np.eye(len(labels)).ravel()
+        parts = np.stack([2 * flat, 2 * flat + 1], axis=1).ravel()
+        on_diag = np.bincount(np.diag(labels), minlength=k).astype(float)
+        for array in (counts, partner, parts, on_diag):
+            array.flags.writeable = False
+        return cls(labels, counts, partner, parts, on_diag,
+                   ties=float(np.sum((eye[first][flat] - eye) ** 2)))
+
+
 class ClassConstraints:
     """Affine set of Hermitian matrices read off one class label per entry.
 
     ``labels[i, j]`` in ``0..k-1`` names the class of entry (i, j); every
     class is nonempty.  Transposition must map each class onto a single
     partner class (possibly itself), which keeps both kinds closed under
-    the adjoint.  Give exactly one of:
+    the adjoint.  ``labels`` is an integer array, checked on every call, or
+    :class:`ClassLabels`, checked once.  Give exactly one of:
 
     * ``rhs`` (length k): the entries over class c sum to ``rhs[c]``.  A
       partner pair is one complex equation, so ``rhs`` must be conjugate
@@ -128,13 +172,6 @@ class ClassConstraints:
     """
 
     def __init__(self, labels, rhs=None, pinned: int | None = None, radii=None):
-        labels = np.asarray(labels)
-        if labels.ndim != 2 or labels.shape[0] != labels.shape[1] or not labels.size:
-            raise ValueError(
-                f"labels must be a nonempty square array, got shape {labels.shape}"
-            )
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got {labels.dtype}")
         if (rhs is None) == (pinned is None):
             raise ValueError(
                 "give exactly one of rhs (class sums) or pinned (class constants)"
@@ -145,24 +182,16 @@ class ClassConstraints:
             rhs = np.asarray(rhs, dtype=complex)
             if rhs.ndim != 1:
                 raise ValueError(f"rhs must be a vector, got shape {rhs.shape}")
-            k = len(rhs)
-        else:
-            k = int(labels.max()) + 1
-        flat = labels.ravel()
-        if flat.min() < 0 or flat.max() >= k:
-            raise ValueError(f"labels must lie in 0..{k - 1}")
-        counts = np.bincount(flat, minlength=k)
-        if not counts.all():
-            raise ValueError(f"class {int(np.argmin(counts))} is empty")
-        first = np.unique(flat, return_index=True)[1]
-        partner = labels.T.ravel()[first]
-        if not np.array_equal(partner[labels], labels.T):
-            raise ValueError("labels are not transpose-consistent")
+        if not isinstance(labels, ClassLabels):
+            labels = ClassLabels.of(labels, None if rhs is None else len(rhs))
+        k, partner = len(labels.counts), labels.partner
+        if rhs is not None and len(rhs) != k:
+            raise ValueError(f"{len(rhs)} class sums for {k} classes")
 
-        self.dim = labels.shape[0]
-        self.labels = labels
-        self._parts = np.stack([2 * flat, 2 * flat + 1], axis=1).ravel()
-        self.counts = counts
+        self.dim = len(labels.labels)
+        self.labels = labels.labels
+        self._parts = labels.parts
+        self.counts = labels.counts
         self.pinned = pinned
         self.radii = None
         if rhs is not None:
@@ -179,7 +208,7 @@ class ClassConstraints:
             self.defect = float(np.abs(self._rhs[partner] - self._rhs.conj()).max())
             # Identity multiple matching the class sums in least squares;
             # only classes of diagonal entries see the identity.
-            on_diag = np.bincount(np.diag(labels), minlength=k).astype(float)
+            on_diag = labels.on_diag
             denom = float(np.dot(on_diag, on_diag))
             self.start_scale = (
                 float(np.dot(on_diag, self._rhs.real) / denom) if denom > 1e-30 else 0.0
@@ -210,9 +239,7 @@ class ClassConstraints:
             # equations ``G_ref = G_pos`` tying each entry of a class to the
             # class's first entry; the identity only sees those that tie a
             # diagonal entry to an off-diagonal one.
-            on_diag = np.eye(self.dim).ravel()
-            ties = float(np.sum((on_diag[first][flat] - on_diag) ** 2))
-            self.start_scale = 1.0 / (1.0 + ties)
+            self.start_scale = 1.0 / (1.0 + labels.ties)
 
     def __len__(self) -> int:
         return len(self.counts)

@@ -4,6 +4,7 @@ import argparse
 import cmath
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import re
@@ -21,9 +22,16 @@ from nctrace.algebra import (
     star_product,
     words_up_to,
 )
-from nctrace.certify import FALSIFY_TRACE_TOL, _real_trace
+from nctrace.certify import FALSIFY_TRACE_TOL, Certificate, _real_trace, certify_sos
 from nctrace.moments import MomentSequence, as_matrix_tuple
-from nctrace.parsing import MAX_DIGITS, MAX_WORD_LENGTH, PolyParseError
+from nctrace.parsing import (
+    MAX_DIGITS,
+    MAX_WORD_LENGTH,
+    PolyParseError,
+    _format_word,
+    parse_poly,
+    strip_comments,
+)
 from nctrace.sampling import structured_library
 from nctrace.sdp import (
     CONSISTENCY_TOL,
@@ -159,6 +167,28 @@ def reference_sum_of_squares(factors, nvars: int) -> NCPoly:
     return total
 
 
+def reference_gram_sum_of_squares(factors, nvars: int) -> NCPoly:
+    """Sum of b* b by one Gram product, as ``nctrace.certify._sum_of_squares``
+    summed it before its word grouping: one addition per nonzero entry of
+    ``B^H B``, in row-major order, onto the word reverse(J) + K."""
+    columns: dict[Word, int] = {}
+    for b in factors:
+        for word in b.terms:
+            columns.setdefault(word, len(columns))
+    B = np.zeros((len(factors), len(columns)), dtype=complex)
+    for row, b in zip(B, factors):
+        row[[columns[word] for word in b.terms]] = list(b.terms.values())
+    gram = B.conj().T @ B
+    J, K = np.nonzero(gram)
+    lefts = [word[::-1] for word in columns]
+    words = list(columns)
+    total: dict[Word, complex] = {}
+    for j, k, value in zip(J.tolist(), K.tolist(), gram[J, K].tolist()):
+        word = lefts[j] + words[k]
+        total[word] = total.get(word, 0.0) + value
+    return NCPoly._from_valid(nvars, total)
+
+
 # -- references for the polynomial arithmetic around the solver ----------------
 #
 # What ``nctrace`` computed before its symmetry check read terms directly,
@@ -200,7 +230,8 @@ def term_bits(p: NCPoly) -> list:
     return [(w, type(c), c.real.hex(), c.imag.hex()) for w, c in p.terms.items()]
 
 
-def _workload(name: str, seed: int):
+def workload(name: str, seed: int):
+    """A benchmark workload: its ops, files, polynomials and tuples."""
     workloads = sys.modules.get("bench_workloads")
     if workloads is None:
         spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
@@ -211,14 +242,30 @@ def _workload(name: str, seed: int):
 
 def workload_polys(name: str, seed: int) -> list:
     """(text, nvars) of every polynomial file of a benchmark workload."""
-    wl = _workload(name, seed)
+    wl = workload(name, seed)
     return [(wl.files[f"{source}.poly"], nvars) for source, (nvars, _) in wl.polys.items()]
 
 
 def workload_poly(name: str, seed: int, source: str) -> NCPoly:
     """One polynomial of a benchmark workload, by its source name."""
-    nvars, terms = _workload(name, seed).polys[source]
+    nvars, terms = workload(name, seed).polys[source]
     return NCPoly(nvars, terms)
+
+
+def workload_certificates(seed: int) -> list:
+    """The certificate that ``nctrace certify`` prints for every op of the
+    certify-grid workload that must certify: its file's polynomial, at the
+    op's degree."""
+    wl = workload("certify-grid", seed)
+    certs = []
+    for op in wl.ops:
+        if op.expect == (0,):
+            nvars = wl.polys[op.source][0]
+            p = parse_poly(strip_comments(wl.files[op.input]), nvars)
+            cert = certify_sos(p, op.cell[1])
+            assert isinstance(cert, Certificate)
+            certs.append(cert)
+    return certs
 
 
 # -- the parser's reference ----------------------------------------------------
@@ -385,6 +432,56 @@ def _reference_word(sc: _ReferenceScanner, nvars: int) -> Word:
             sc.pos = here
             break
     return tuple(letters)
+
+
+# -- the polynomial writer's reference ----------------------------------------
+#
+# The term-by-term writer ``nctrace.parsing.format_polys`` ran before it
+# wrote all of its polynomials' terms in one array pass.  The new writer
+# must return the same text, byte for byte, and refuse a non-finite
+# coefficient with the same message.
+
+
+def reference_format_poly(p: NCPoly) -> str:
+    """One polynomial's text, one term at a time."""
+    if p.is_zero():
+        return "0"
+    pieces: list[str] = []
+    for word in sorted(p.terms, key=lambda w: (len(w), w)):
+        coeff = p.terms[word]
+        if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+            # The grammar refuses a non-finite total coefficient on a word.
+            raise ValueError(f"coefficient {coeff} of word {word} is not finite")
+        negative = coeff.real < 0 or (coeff.real == 0 and coeff.imag < 0)
+        if negative:
+            coeff = -coeff
+        body = _format_term(_format_word(word), coeff)
+        if not pieces:
+            pieces.append(f"-{body}" if negative else body)
+        else:
+            pieces.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(pieces)
+
+
+def _fmt_real(x: float) -> str:
+    # Integral values print without a trailing ".0"; both forms re-parse exactly.
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
+def _format_term(word_str: str, coeff: complex) -> str:
+    if coeff.imag == 0:
+        coeff_str = _fmt_real(coeff.real)
+        unit = coeff.real == 1.0
+    else:
+        coeff_str = f"({_fmt_real(coeff.real)},{_fmt_real(coeff.imag)})"
+        unit = False
+    if not word_str:
+        return coeff_str if not unit else "1"
+    if unit:
+        return word_str
+    return f"{coeff_str}*{word_str}"
 
 
 # -- the CLI's reference parser ------------------------------------------------

@@ -25,7 +25,7 @@ from nctrace.certify import (
     witness_search,
 )
 from nctrace import algebra, certify, sampling
-from nctrace.moments import MomentSequence, moment_sequence
+from nctrace.moments import MomentSequence, hermitian_parts, moment_sequence
 from nctrace.parsing import parse_poly
 from nctrace.sdp import ClassConstraints, NoFeasiblePoint, feasibility_solve, minimize_linear
 
@@ -40,9 +40,12 @@ from helpers import (
     reference_extract_factors,
     reference_extract_moments,
     reference_falsify,
+    reference_gram_sum_of_squares,
     reference_real_traces,
     reference_sum_of_squares,
     term_bits,
+    workload,
+    workload_certificates,
 )
 
 
@@ -474,6 +477,120 @@ def test_square_sum_of_sparse_and_cancelling_factors(case):
         assert not {(1, 2), (2, 1), (1, 1, 2), (2, 1, 1)} & set(got.terms)
 
 
+def _assert_square_sum_equals_gram_loop(factors, nvars):
+    got = certify._sum_of_squares(factors, nvars)
+    assert term_bits(got) == term_bits(reference_gram_sum_of_squares(factors, nvars))
+    return got
+
+
+def test_square_sum_equals_the_gram_loop_bit_for_bit():
+    # The random factors use words in no basis order, many not prefixes of
+    # the basis (Y2 Y1^2 before Y1), and some share none; the cases of
+    # _square_sum_cases have entries that vanish, so words take their place
+    # at their first nonzero entry, not their first entry.
+    rng = make_rng(930)
+    for nvars, count, n_terms in ((1, 4, 3), (2, 1, 9), (2, 6, 4), (3, 5, 7)):
+        words = [w for w in words_up_to(nvars, 4) if rng.random() < 0.3]
+        for _ in range(3):
+            factors = []
+            for _ in range(count):
+                chosen = rng.choice(len(words), size=min(n_terms, len(words)), replace=False)
+                factors.append(NCPoly(nvars, {
+                    words[k]: complex(rng.normal(), rng.normal()) for k in chosen.tolist()}))
+            _assert_square_sum_equals_gram_loop(factors, nvars)
+    for factors in _square_sum_cases().values():
+        _assert_square_sum_equals_gram_loop(factors, 2)
+    # Y1 Y2 is first seen at entry (1, Y1 Y2), before Y1^2 at (Y1, Y1), but
+    # that entry vanishes: Y1 Y2 takes its place at (Y1, Y2), after Y1^2.
+    factors = [NCPoly(2, {(): 1.0, (1,): 2.0}), NCPoly(2, {(1, 2): 1.0, (2,): 3.0}),
+               NCPoly(2, {(1,): 1.0, (2,): 1.0})]
+    got = _assert_square_sum_equals_gram_loop(factors, 2)
+    order = list(got.terms)
+    assert order.index((1, 1)) < order.index((1, 2))
+
+
+def test_square_sum_of_every_certify_grid_certificate_equals_the_gram_loop():
+    for cert in workload_certificates(98):
+        _assert_square_sum_equals_gram_loop(cert.factors, cert.factors[0].nvars)
+
+
+def test_word_grouping_is_kept_only_for_small_column_tuples():
+    certify._word_grouping.cache_clear()
+    small = [NCPoly(1, {(1,) * k: 1.0 for k in range(8)})]
+    # 2 W L = 2 * 181 * 181 letters, past GROUPING_LETTERS.
+    large = [NCPoly(1, {(1,) * k: 1.0 for k in range(1, 182)})]
+    assert 2 * 181 * sum(range(1, 182)) > certify.GROUPING_LETTERS
+    for factors in (small, large, small):
+        _assert_square_sum_equals_gram_loop(factors, 1)
+    info = certify._word_grouping.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    groups, words = certify._word_grouping(tuple(small[0].terms))
+    assert not groups.flags.writeable and len(groups) == 64 and len(words) == 15
+
+
+@pytest.mark.parametrize("nvars,d", [(1, 2), (2, 2), (3, 2), (2, 3)])
+def test_constraints_from_a_cell_equal_constraints_from_its_raw_labels(nvars, d):
+    rng = make_rng(940 + 10 * nvars + d)
+    classes = certify.cyclic_classes(nvars, d)
+    raw = np.array(classes.labels)
+    q = random_poly(rng, nvars, 2 * d, n_terms=10)
+    rhs = build_gram_problem(q + q.adjoint(), d).constraints.rhs
+    radii = 1.5 ** classes.index.lengths[classes.reps].astype(float)
+    m = len(raw)
+    G = random_hermitian(rng, m)
+    # Moving one class of a transposed pair leaves the sums inconsistent.
+    paired = np.flatnonzero(classes.partners != np.arange(len(rhs)))
+    moved = rhs.copy()
+    moved[paired[:1]] += 0.5j
+    for kwargs in ({"rhs": rhs}, {"rhs": moved}, {"pinned": 0}, {"pinned": 0, "radii": radii}):
+        cell = ClassConstraints(classes.checked, **kwargs)
+        plain = ClassConstraints(raw, **kwargs)
+        assert len(cell) == len(plain) == len(classes.reps)
+        assert cell.dim == plain.dim == m
+        for name in ("consistent", "defect", "start_scale", "pinned"):
+            assert getattr(cell, name) == getattr(plain, name), name
+        for name in ("labels", "counts", "_parts", "rhs", "radii"):
+            a, b = getattr(cell, name), getattr(plain, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        assert cell.project(G).tobytes() == plain.project(G).tobytes()
+        assert cell.residuals(G).tobytes() == plain.residuals(G).tobytes()
+    with pytest.raises(ValueError, match=re.escape(f"{len(rhs) - 1} class sums for {len(rhs)} classes")):
+        ClassConstraints(classes.checked, rhs=rhs[:-1])
+    with pytest.raises(ValueError, match="one entry per class"):
+        ClassConstraints(classes.checked, pinned=0, radii=radii[:-1])
+    assert not classes.checked.counts.flags.writeable and not classes.checked.parts.flags.writeable
+
+
+def test_falsify_screens_the_moments_gns_draws_as_drawn(monkeypatch):
+    # The draws are exactly Hermitian, so the screened stack is its own
+    # Hermitian part, and falsify answers as it did when it screened the
+    # Hermitian parts; the trace-positive inputs search every trial.
+    wl = workload("moments-gns", 98)
+    sources = [op.source for op in wl.ops if op.command == "falsify"]
+    assert len(sources) == 9
+    for nvars in sorted({wl.polys[source][0] for source in sources}):
+        rng = make_rng(0)
+        for start in range(0, 1000, certify.FALSIFY_CHUNK):
+            drawn = sampling._draw_hermitians(rng, (min(64, 1000 - start), nvars), 4)
+            norms = np.abs(np.linalg.eigvalsh(drawn)).max(axis=-1)
+            stack = sampling._scale_to_radius(drawn, norms, 1.0)
+            assert hermitian_parts(stack).tobytes() == stack.tobytes()
+    polys = [NCPoly(*wl.polys[source]) for source in sources]
+    answers = [falsify(p) for p in polys]
+    screen = certify._real_traces
+    monkeypatch.setattr(certify, "_real_traces", lambda p, stack: screen(p, hermitian_parts(stack)))
+    for p, answer in zip(polys, answers):
+        assert answer is None and falsify(p) is None
+    # A search that finds a random trial: index, tuple and trace are kept.
+    q = NCPoly(1, {(1, 1, 1, 1): 1.0, (1, 1): -1.0, (): 0.2})
+    found = falsify(q, trials=200, N=3, R=0.8)
+    monkeypatch.setattr(certify, "_real_traces", screen)
+    again = falsify(q, trials=200, N=3, R=0.8)
+    assert found.source == again.source == "random"
+    assert (found.index, found.trace) == (again.index, again.trace)
+    assert all(np.array_equal(a, b) for a, b in zip(found.tuple.matrices, again.tuple.matrices))
+
+
 @pytest.mark.parametrize("nvars,d", [(2, 2), (3, 2), (2, 3)])
 def test_certificate_residual_matches_product_reference(nvars, d):
     # Full-rank random sums, as in the benchmark's certify grid.
@@ -772,7 +889,7 @@ def _assert_falsify_equals_reference(p, trials, N, R, seed):
     for got, want in zip(result.tuple.matrices, ref[3]):
         assert np.array_equal(got, want)
     if result.source == "random":
-        drawn = certify.random_hermitians(make_rng(seed), (trials, p.nvars), N, R)
+        drawn = sampling.random_hermitians(make_rng(seed), (trials, p.nvars), N, R)
         assert np.array_equal(np.stack(result.tuple.matrices), drawn[result.index])
     return result
 
@@ -988,7 +1105,7 @@ def test_random_hermitians_divide_small_draws_by_their_norm_first(size):
     # At R = 5e307, R / norm overflows for draws of norm below about 0.28:
     # those are (h / norm) R, and every other draw keeps the bits of h (R / norm).
     R = 5e307
-    drawn = certify.random_hermitians(make_rng(11), (96, 2), size, R)
+    drawn = sampling.random_hermitians(make_rng(11), (96, 2), size, R)
     rng = make_rng(11)
     small = 0
     for got in drawn.reshape(-1, size, size):
@@ -1043,15 +1160,15 @@ def _screen_polys(n: int, rng) -> list:
 def test_batched_traces_equal_scalar_trace(n, N, R):
     rng = make_rng(70 + 9 * n + 3 * N + int(2 * R))
     for p in _screen_polys(n, rng):
-        drawn = certify.random_hermitians(rng, (11, n), N, R)
-        traces = certify._real_traces(p, certify.hermitian_parts(drawn))
+        drawn = sampling.random_hermitians(rng, (11, n), N, R)
+        traces = certify._real_traces(p, hermitian_parts(drawn))
         for k, X in enumerate(drawn):
             expected = certify._real_trace(p, certify.as_matrix_tuple(X))
             assert abs(traces[k] - expected) <= 1e-12 * p.r_norm(R)
 
 
 def test_batched_traces_of_the_zero_polynomial_and_a_constant():
-    stack = certify.random_hermitians(make_rng(71), (3, 2), 4, 1.0)
+    stack = sampling.random_hermitians(make_rng(71), (3, 2), 4, 1.0)
     assert np.array_equal(certify._real_traces(NCPoly(2, {}), stack), np.zeros(3))
     constant = certify._real_traces(NCPoly(2, {(): 1.5 + 2j}), stack)
     assert np.array_equal(constant, np.full(3, 1.5))
@@ -1061,7 +1178,7 @@ def test_batched_traces_of_one_word_pair_its_halves():
     # tr(X1 X2 X1 X2 X3) = tr((X1 X2) (X1 X2 X3)): a pairing that dropped the
     # transpose of the right half or split the word anywhere else than in
     # its middle would change it.
-    drawn = certify.random_hermitians(make_rng(72), (4, 3), 3, 1.0)
+    drawn = sampling.random_hermitians(make_rng(72), (4, 3), 3, 1.0)
     word = (1, 2, 1, 2, 3)
     for coeff in (1.0, 1j, 0.6 - 0.8j):
         p = NCPoly(3, {word: coeff})
@@ -1077,7 +1194,7 @@ def test_batched_traces_peak_below_prefix_products():
     import tracemalloc
 
     p = NCPoly(3, {(1,) * 10: 1.0, (3,) * 10: 1.0})
-    stack = certify.hermitian_parts(certify.random_hermitians(make_rng(73), (64, 3), 8, 1.0))
+    stack = hermitian_parts(sampling.random_hermitians(make_rng(73), (64, 3), 8, 1.0))
     peaks = []
     for traces in (certify._real_traces, reference_real_traces):
         tracemalloc.start()

@@ -602,6 +602,7 @@ CACHES = (
     parsing._format_word,
     certify.cyclic_classes,
     certify._tracial_anchor,
+    certify._word_grouping,
     cli._theta_pieces,
     cli._array_pieces,
 )

@@ -19,8 +19,10 @@ from nctrace.parsing import (
 from helpers import (
     make_rng,
     random_poly,
+    reference_format_poly,
     reference_parse_poly,
     term_bits,
+    workload_certificates,
     workload_polys,
 )
 
@@ -430,3 +432,72 @@ def test_format_polys_refuses_a_non_finite_coefficient_by_word():
     polys = [NCPoly(2, {(1, 2): 1.0}), NCPoly._from_valid(2, {(1,): 1.0, (1, 2): float("inf")})]
     with pytest.raises(ValueError, match=re.escape("of word (1, 2) is not finite")):
         format_polys(polys)
+
+
+# Coefficients at each branch of the writer: integral parts either side of
+# 1e15, units on the empty word and on longer words, real parts of -0.0,
+# negative imaginary parts, complex coefficients with integral parts, and
+# parts written by float.__repr__.
+WRITER_CASES = {
+    "integral edge": NCPoly._from_valid(2, {
+        (): 1e15 - 1, (1,): 1e15, (2,): -(1e15 - 1), (1, 1): -1e15, (1, 2): 2.0**53,
+        (2, 1): complex(1e15 - 1, -1e15), (2, 2): complex(-1e15, 1e15 - 1)}),
+    "units": NCPoly._from_valid(2, {(): 1.0, (1,): 1.0, (2, 1, 1): -1.0, (1, 2, 2, 1): 1.0}),
+    "negative units": NCPoly._from_valid(2, {(): -1.0, (2,): -1.0}),
+    "complex units": NCPoly._from_valid(2, {(): 1j, (1,): complex(1.0, 1.0), (2,): -1j}),
+    "negative zero real parts": NCPoly._from_valid(2, {
+        (): complex(-0.0, 2.0), (1,): complex(-0.0, -2.0), (2,): complex(-0.0, 0.5),
+        (1, 2): complex(0.0, -0.25)}),
+    "imaginary": NCPoly._from_valid(2, {(1, 2): -3j, (2, 1): 3j, (): -0.5j}),
+    "integral complex": NCPoly._from_valid(2, {
+        (): complex(2.0, -3.0), (1,): complex(-4.0, 5.0), (2, 2): complex(-7.0, -1.0)}),
+    "repr": NCPoly._from_valid(2, {
+        (): 0.1, (1,): -1e-300, (2,): 1e16, (1, 1): complex(1e15 + 0.5, -2.5e-7),
+        (1, 2): complex(-1.7976931348623157e308, 5e-324)}),
+    "zero": NCPoly.zero(2),
+    "one": NCPoly.one(2),
+}
+
+
+def test_format_polys_writes_each_branch_as_the_term_writer():
+    polys = list(WRITER_CASES.values())
+    expected = [reference_format_poly(p) for p in polys]
+    assert format_polys(polys) == expected
+    for p, text in zip(polys, expected):
+        assert format_polys([p]) == [text] and format_poly(p) == text
+    texts = dict(zip(WRITER_CASES, expected))
+    assert texts["integral edge"] == (
+        "999999999999999 + 1000000000000000.0*Y1 - 999999999999999*Y2 "
+        "- 1000000000000000.0*Y1^2 + 9007199254740992.0*Y1 Y2 "
+        "+ (999999999999999,-1000000000000000.0)*Y2 Y1 "
+        "- (1000000000000000.0,-999999999999999)*Y2^2"
+    )
+    assert texts["units"] == "1 + Y1 - Y2 Y1^2 + Y1 Y2^2 Y1"
+    assert texts["negative units"] == "-1 - Y2"
+    assert texts["complex units"] == "(0,1) + (1,1)*Y1 - (0,1)*Y2"
+    assert texts["negative zero real parts"] == "(0,2) - (0,2)*Y1 + (0,0.5)*Y2 - (0,0.25)*Y1 Y2"
+    assert texts["imaginary"] == "-(0,0.5) - (0,3)*Y1 Y2 + (0,3)*Y2 Y1"
+    assert texts["integral complex"] == "(2,-3) - (4,-5)*Y1 - (7,1)*Y2^2"
+    assert texts["zero"] == "0" and texts["one"] == "1"
+    for p in polys:
+        assert parse_poly(format_poly(p), 2) == p
+
+
+def test_format_polys_refuses_a_later_non_finite_coefficient_as_the_term_writer():
+    # The first polynomial is fine; the second's non-finite coefficient is
+    # named with the message the term-by-term writer raised.
+    bad = NCPoly._from_valid(2, {(): 1.0, (2, 1): complex(1.0, float("-inf")), (1,): 2.0})
+    polys = [WRITER_CASES["repr"], bad, NCPoly._from_valid(2, {(1,): float("inf")})]
+    with pytest.raises(ValueError) as expected:
+        [reference_format_poly(p) for p in polys]
+    with pytest.raises(ValueError) as got:
+        format_polys(polys)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == "coefficient (1-infj) of word (2, 1) is not finite"
+
+
+def test_format_polys_writes_every_certify_grid_certificate_as_the_term_writer():
+    certs = workload_certificates(98)
+    assert len(certs) == 103
+    for cert in certs:
+        assert format_polys(cert.factors) == [reference_format_poly(b) for b in cert.factors]
