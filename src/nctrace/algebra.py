@@ -20,8 +20,9 @@ rotations of the last ``WORD_CACHE_SIZE`` words it reduced.
 from __future__ import annotations
 
 import cmath
+import operator
 from functools import lru_cache
-from itertools import product
+from itertools import chain, compress, product, repeat
 from numbers import Integral
 from typing import Iterable, Mapping
 
@@ -151,11 +152,33 @@ class NCPoly:
         constructor's accumulation makes it (negative zeros cleared), and is
         dropped at magnitude ``<= COEFF_PRUNE``.
         """
+        values = terms.values()
+        kept = map(operator.lt, repeat(COEFF_PRUNE), map(abs, values))
+        cleared = map(complex.__radd__, map(complex, values), repeat(0.0))  # 0.0 + c
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly.terms = {
-            w: 0.0 + complex(c) for w, c in terms.items() if abs(c) > COEFF_PRUNE
-        }
+        poly.terms = dict(compress(zip(terms, cleared), kept))
+        return poly
+
+    @classmethod
+    def _from_array(cls, nvars: int, words, values: np.ndarray) -> "NCPoly":
+        """:meth:`_from_valid` of ``dict(zip(words, values))`` for distinct
+        words and a complex array, by array passes: adding 0.0 clears the
+        negative zeros, and ``abs()`` is ``hypot``, as Python takes it."""
+        values = values + 0.0
+        kept = np.hypot(values.real, values.imag) > COEFF_PRUNE
+        terms = dict(zip(compress(words, kept), compress(values.tolist(), kept)))
+        return cls._from_clean(nvars, terms)
+
+    @classmethod
+    def _from_clean(cls, nvars: int, terms: dict) -> "NCPoly":
+        """A polynomial holding ``terms`` itself, as :meth:`_from_valid`
+        would leave them: distinct valid words, each coefficient a Python
+        complex of magnitude above ``COEFF_PRUNE`` with no negative zero
+        part."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
         return poly
 
     # -- constructors ----------------------------------------------------
@@ -183,7 +206,7 @@ class NCPoly:
 
     def degree(self) -> int:
         """Largest stored word length; 0 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -203,18 +226,19 @@ class NCPoly:
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, 0.0) + coeff
-        return NCPoly._from_valid(self.nvars, merged)
+        return self._merge(other, operator.add)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         # a - c is a + (-c) exactly, so this is self + (-other) in one pass.
+        return self._merge(other, operator.sub)
+
+    def _merge(self, other: "NCPoly", op) -> "NCPoly":
+        """``op(self_w, other_w)`` on each word of other (``op(0.0,
+        other_w)`` where self has none), after self's words in order."""
         self._check_compatible(other)
         merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, 0.0) - coeff
+        theirs = other.terms
+        merged.update(zip(theirs, map(op, map(merged.get, theirs, repeat(0.0)), theirs.values())))
         return NCPoly._from_valid(self.nvars, merged)
 
     def __neg__(self) -> "NCPoly":
@@ -252,7 +276,8 @@ class NCPoly:
         if not (0 < radius < np.inf):
             raise ValueError(f"radius must be positive and finite, got {radius}")
         try:
-            return float(sum(abs(c) * radius ** len(w) for w, c in self.terms.items()))
+            weights = map(pow, repeat(radius), map(len, self.terms))
+            return float(sum(map(operator.mul, map(abs, self.terms.values()), weights)))
         except OverflowError:
             return np.inf
 
@@ -289,8 +314,7 @@ class NCPoly:
         Idempotent by construction.
         """
         reduced: dict[Word, complex] = {}
-        for word, coeff in self.terms.items():
-            rep = cyclic_canonical(word)
+        for rep, coeff in zip(map(_least_rotation, self.terms), self.terms.values()):
             reduced[rep] = reduced.get(rep, 0.0) + coeff
         return NCPoly._from_valid(self.nvars, reduced)
 
@@ -304,6 +328,43 @@ class NCPoly:
 def _word_key(item):
     word = item[0]
     return (len(word), word)
+
+
+class Factors(list):
+    """A list of polynomials that also holds their coefficients as one matrix.
+
+    Row r of ``matrix``, read-only, holds the r-th polynomial's coefficient
+    on each of ``words``, and 0 on a word it lacks.
+    ``certify.extract_factors`` returns a certificate's square factors as
+    one, over the Gram basis.  The matrix stands for the list only while the
+    list holds the very polynomials it was made with
+    (:func:`coefficient_matrix`).
+    """
+
+    def __init__(self, polys, words: tuple, matrix: np.ndarray):
+        super().__init__(polys)
+        matrix.flags.writeable = False
+        self.words, self.matrix, self._made_with = words, matrix, tuple(self)
+
+
+def coefficient_matrix(polys) -> tuple:
+    """(words, B): the words the polynomials use and, row by row, their
+    coefficients on those words.
+
+    A :class:`Factors` list that still holds its own polynomials gives its
+    words and matrix.  For any other list the words are numbered as first
+    seen, polynomial by polynomial in term order.
+    """
+    made = getattr(polys, "_made_with", None)
+    if made is not None and len(made) == len(polys) and all(map(operator.is_, polys, made)):
+        return polys.words, polys.matrix
+    polys = list(polys)
+    words = dict.fromkeys(chain.from_iterable(p.terms for p in polys))
+    columns = dict(zip(words, range(len(words))))
+    B = np.zeros((len(polys), len(columns)), dtype=complex)
+    for row, p in zip(B, polys):
+        row[list(map(columns.get, p.terms))] = list(p.terms.values())
+    return tuple(columns), B
 
 
 def star_product(a: NCPoly, b: NCPoly) -> NCPoly:

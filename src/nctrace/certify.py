@@ -19,14 +19,19 @@ length <= d with the cyclic class of ``reverse(J) + K``.  The labels come
 from :class:`~nctrace.moments.WordIndex` positions (see
 :func:`cyclic_classes`): a word's least rotation is the least position
 among its rotations, and ranking those positions numbers the classes.
-The certificate's residual is recomputed from its factors alone: their
-coefficients are the rows of a matrix B over the words they use, the
-entries (J, K) of ``B^H B`` are summed onto their words ``reverse(J) + K``,
-grouped by concatenating the factors' own words (a grouping kept per
-tuple of words), and the difference from p is reduced by plain polynomial
-arithmetic.  It never reads the labels, the word index or any solver
-state.  Problems larger
-than :data:`MAX_GRAM_SIZE` are refused before anything is allocated.
+A certificate is one factor matrix: :func:`extract_factors` writes the
+factors ``sqrt(lambda) conj(v)`` of the Gram matrix's eigenpairs as the
+rows of a matrix B over the Gram basis, and returns them as polynomials
+that carry B (:class:`~nctrace.algebra.Factors`).  The residual re-check
+and the writer (:func:`~nctrace.parsing.format_polys`) read B; a plain
+list of polynomials is turned into its B once
+(:func:`~nctrace.algebra.coefficient_matrix`).  The residual is recomputed
+from the factors alone: the entries (J, K) of ``B^H B`` are summed onto
+their words ``reverse(J) + K``, grouped by concatenating the factors' own
+words (a grouping kept per tuple of words), and the difference from p is
+reduced by plain polynomial arithmetic.  It never reads the labels, the
+word index or any solver state.  Problems larger than
+:data:`MAX_GRAM_SIZE` are refused before anything is allocated.
 
 Failure of the primal search is only ever "infeasible at tolerance at
 level d": raising d enlarges the search space, and no claim of
@@ -38,14 +43,17 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 
 import numpy as np
 
 from .algebra import (
     COEFF_PRUNE,
+    Factors,
     NCPoly,
     Word,
     check_integer,
+    coefficient_matrix,
     evaluate,
     is_integer,
     normalized_trace,
@@ -272,24 +280,25 @@ class Certificate:
 def _sum_of_squares(factors, nvars: int) -> NCPoly:
     """The polynomial sum of b* b over the factors b, by one Gram product.
 
-    The factors' coefficients are the rows of B, over the W distinct words
-    they use in first-seen order, so sum_b conj(b_J) b_K is entry (J, K) of
-    ``B^H B``.  The nonzero entries are summed onto their words
-    reverse(J) + K (:func:`_word_grouping`) by two ``bincount`` calls, in
-    row-major order, as one addition per entry would sum them; each word
-    takes its place in the sum at its first nonzero entry.
+    The factors' coefficients are the rows of B (:func:`coefficient_matrix`),
+    over the words they use in first-seen order: by the first factor with a
+    nonzero coefficient on the word, then by column; words no factor uses
+    are left out.  So sum_b conj(b_J) b_K is entry (J, K) of ``B^H B``.
+    The nonzero entries are summed onto their words reverse(J) + K
+    (:func:`_word_grouping`) by two ``bincount`` calls, in row-major order,
+    as one addition per entry would sum them; each word takes its place in
+    the sum at its first nonzero entry.
     """
-    columns: dict[Word, int] = {}
-    for b in factors:
-        for word in b.terms:
-            columns.setdefault(word, len(columns))
-    B = np.zeros((len(factors), len(columns)), dtype=complex)
-    for row, b in zip(B, factors):
-        row[list(map(columns.get, b.terms))] = list(b.terms.values())
+    columns, B = coefficient_matrix(factors)
+    used = B != 0
+    first = np.argmax(used, axis=0) if len(B) else np.zeros(len(columns), dtype=np.intp)
+    first[~used.any(axis=0)] = len(B)
+    order = np.argsort(first, kind="stable")[: np.count_nonzero(first < len(B))]
+    if len(order) < len(columns) or (order != np.arange(len(order))).any():
+        columns, B = tuple(columns[k] for k in order.tolist()), B[:, order]
     gram = (B.conj().T @ B).ravel()
-    key = tuple(columns)
-    small = 2 * len(key) * sum(map(len, key)) <= GROUPING_LETTERS
-    groups, words = (_word_grouping if small else _word_grouping.__wrapped__)(key)
+    small = 2 * len(columns) * sum(map(len, columns)) <= GROUPING_LETTERS
+    groups, words = (_word_grouping if small else _word_grouping.__wrapped__)(columns)
     nonzero = np.flatnonzero(gram)
     labels = groups[nonzero]
     sums = np.empty(len(words), dtype=complex)
@@ -301,7 +310,7 @@ def _sum_of_squares(factors, nvars: int) -> NCPoly:
         seen, first = np.unique(labels, return_index=True)
         order = seen[np.argsort(first)]
         words, sums = [words[k] for k in order.tolist()], sums[order]
-    return NCPoly._from_valid(nvars, dict(zip(words, sums.tolist())))
+    return NCPoly._from_array(nvars, words, sums)
 
 
 GROUPING_LETTERS = 2**16  # the most letters a kept grouping's words spell
@@ -334,31 +343,39 @@ class InfeasibilityReport:
     separator: np.ndarray | None = field(default=None, repr=False)
 
 
-def extract_factors(G: np.ndarray, basis, nvars: int):
+def extract_factors(G: np.ndarray, basis, nvars: int) -> Factors:
     """Spectral square factors of a Gram matrix over a word basis.
 
     Eigenvalues at or below ``RANK_CUTOFF`` times the largest are numerical
-    dust and are dropped rather than turned into spurious factors.
+    dust and are dropped rather than turned into spurious factors.  Factor
+    s is ``sqrt(lambda_s) conj(v_s)`` over the basis, largest eigenvalue
+    first, without the entries where ``|v_s| <= 1e-14`` or the product is
+    at most ``COEFF_PRUNE`` in magnitude.  The factors come as a
+    :class:`~nctrace.algebra.Factors` list, whose matrix holds them all
+    over the basis: it is what the residual re-check and the writer read.
     """
     G = (G + G.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(G)
     top = float(eigvals[-1]) if len(eigvals) else 0.0
-    factors = []
-    if top <= 0:
-        return factors
-    for s in range(len(eigvals) - 1, -1, -1):
-        lam = float(eigvals[s])
-        if lam <= RANK_CUTOFF * top:
-            break
-        weight = float(np.sqrt(lam))
-        column = eigvecs[:, s].tolist()
-        coeffs = {
-            word: weight * v.conjugate()
-            for word, v in zip(basis, column)
-            if abs(v) > 1e-14
-        }
-        factors.append(NCPoly._from_valid(nvars, coeffs))
-    return factors
+    descending = eigvals[::-1]
+    dust = np.flatnonzero(descending <= RANK_CUTOFF * top)
+    rank = 0 if top <= 0 else int(dust[0]) if len(dust) else len(descending)
+    V = eigvecs[:, ::-1][:, :rank].T
+    # weight * conj(v) part by part, as Python multiplies a float and a
+    # complex but for the sign of a zero part, which adding 0.0 clears.
+    weights = np.sqrt(descending[:rank])[:, None]
+    B = np.empty(V.shape, dtype=complex)
+    B.real, B.imag = weights * V.real, weights * -V.imag
+    # abs() is hypot, as Python takes it.
+    dropped = ~((np.hypot(V.real, V.imag) > 1e-14) & (np.hypot(B.real, B.imag) > COEFF_PRUNE))
+    B[dropped] = 0
+    B += 0.0
+    basis = tuple(basis)
+    rows, columns = np.nonzero(B)
+    terms = zip(map(basis.__getitem__, columns.tolist()), B[rows, columns].tolist())
+    sizes = np.bincount(rows, minlength=rank).tolist()
+    factors = [NCPoly._from_clean(nvars, dict(islice(terms, size))) for size in sizes]
+    return Factors(factors, basis, B)
 
 
 def certify_sos(
@@ -632,7 +649,8 @@ def falsify(
     reproduces drawing them one by one from ``make_rng(seed)``.  Each
     chunk's raw draws are made once and screened rescaled by their largest
     absolute eigenvalue (``eigvalsh``), by their batched traces, which pair
-    the two halves of each word (:func:`_real_traces`).  The draws are
+    the two halves of each word (:func:`_real_traces`), planned once for
+    the call (:func:`_trace_plan`).  The draws are
     exactly Hermitian, so they are screened as they are, without taking
     their Hermitian parts.  A trial below
     ``-FALSIFY_TRACE_TOL + FALSIFY_SCREEN * ||p||_R`` is rebuilt from its
@@ -691,11 +709,12 @@ def falsify(
                 tuple=candidate, trace=value, source="library", index=index
             )
     screen = -FALSIFY_TRACE_TOL + FALSIFY_SCREEN * norm
+    plan = _trace_plan(p)
     rng = make_rng(seed)
     for start in range(0, trials, FALSIFY_CHUNK):
         drawn = _draw_hermitians(rng, (min(FALSIFY_CHUNK, trials - start), p.nvars), N)
         norms = np.abs(np.linalg.eigvalsh(drawn)).max(axis=-1)
-        traces = _real_traces(p, _scale_to_radius(drawn, norms, R))
+        traces = _real_traces(p, _scale_to_radius(drawn, norms, R), plan)
         for k in np.flatnonzero(traces < screen):
             exact = np.linalg.norm(drawn[k], 2, axis=(-2, -1))
             candidate = as_matrix_tuple(_scale_to_radius(drawn[k], exact, R))
@@ -707,40 +726,56 @@ def falsify(
     return None
 
 
-def _real_traces(p: NCPoly, stack: np.ndarray) -> np.ndarray:
-    """Real normalized trace of p on each tuple of a ``(K, n, N, N)`` stack.
+def _trace_plan(p: NCPoly) -> tuple:
+    """What :func:`_real_traces` reads of p, whatever the matrices.
 
-    Each word is split in half, w = J + L with |J| = floor(|w|/2), and
-    ``tr X_w = sum_ab (X_J)_ab (X_L)_ba``.  The products of the halves p
-    uses, and of their prefixes, are formed one length at a time, each
-    from its prefix's.  One batched ``(K, W_J, N^2) @ (K, N^2, W_L)``
-    product of the left halves' rows with the right halves' transposed
-    columns then gives every tr(X_J X_L), and p's coefficients, as a
-    W_J x W_L matrix, sum them.
+    Each word is split in half, w = J + L with |J| = floor(|w|/2).  Every
+    prefix of every half, shortest first, is numbered in that order; each
+    length's prefixes come with their parents' numbers and last letters.
+    The left and right halves are numbered in first-seen order, and p's
+    coefficients form a W_J x W_L matrix over them.  Returns (number of
+    prefixes, levels as (start, stop, parents, letters), the left halves'
+    prefix numbers, the right halves', the raveled coefficient matrix).
     """
-    K, _, size, _ = stack.shape
     splits = [(w[: len(w) // 2], w[len(w) // 2 :]) for w in p.terms]
     halves = {h for split in splits for h in split}
-    # Every prefix of every half, shortest first, numbered in that order.
     prefixes = sorted({()} | {h[:k] for h in halves for k in range(1, len(h) + 1)}, key=len)
     position = {w: i for i, w in enumerate(prefixes)}
-    products = np.empty((K, len(prefixes), size, size), dtype=complex)
-    products[:, 0] = np.eye(size)
-    stops = np.cumsum(np.bincount([len(w) for w in prefixes]))
-    for start, stop in zip(stops[:-1], stops[1:]):
-        level = prefixes[start:stop]
-        parents = [position[w[:-1]] for w in level]
-        letters = [w[-1] - 1 for w in level]
-        np.matmul(products[:, parents], stack[:, letters], out=products[:, start:stop])
+    stops = np.cumsum(np.bincount([len(w) for w in prefixes])).tolist()
+    levels = [
+        (start, stop, [position[w[:-1]] for w in prefixes[start:stop]],
+         [w[-1] - 1 for w in prefixes[start:stop]])
+        for start, stop in zip(stops[:-1], stops[1:])
+    ]
     lefts = {J: a for a, J in enumerate(dict.fromkeys(J for J, _ in splits))}
     rights = {L: b for b, L in enumerate(dict.fromkeys(L for _, L in splits))}
     coeffs = np.zeros((len(lefts), len(rights)), dtype=complex)
     for (J, L), c in zip(splits, p.terms.values()):
         coeffs[lefts[J], rights[L]] = c
-    rows = products[:, [position[J] for J in lefts]].reshape(K, len(lefts), size * size)
-    columns = products[:, [position[L] for L in rights]].swapaxes(2, 3)
-    columns = columns.reshape(K, len(rights), size * size).swapaxes(1, 2)
-    return ((rows @ columns).reshape(K, -1) @ coeffs.ravel()).real / size
+    rows, columns = [position[J] for J in lefts], [position[L] for L in rights]
+    return len(prefixes), levels, rows, columns, coeffs.ravel()
+
+
+def _real_traces(p: NCPoly, stack: np.ndarray, plan: tuple | None = None) -> np.ndarray:
+    """Real normalized trace of p on each tuple of a ``(K, n, N, N)`` stack.
+
+    ``tr X_w = sum_ab (X_J)_ab (X_L)_ba`` for the halves w = J + L of
+    :func:`_trace_plan`, which is made from p unless ``plan`` is given.
+    The products of the halves' prefixes are formed one length at a time,
+    each from its parent's.  One batched ``(K, W_J, N^2) @ (K, N^2, W_L)``
+    product of the left halves' rows with the right halves' transposed
+    columns then gives every tr(X_J X_L), and p's coefficients sum them.
+    """
+    count, levels, rows, columns, coeffs = _trace_plan(p) if plan is None else plan
+    K, _, size, _ = stack.shape
+    products = np.empty((K, count, size, size), dtype=complex)
+    products[:, 0] = np.eye(size)
+    for start, stop, parents, letters in levels:
+        np.matmul(products[:, parents], stack[:, letters], out=products[:, start:stop])
+    lefts = products[:, rows].reshape(K, len(rows), size * size)
+    rights = products[:, columns].swapaxes(2, 3)
+    rights = rights.reshape(K, len(columns), size * size).swapaxes(1, 2)
+    return ((lefts @ rights).reshape(K, -1) @ coeffs).real / size
 
 
 def _real_trace(p: NCPoly, X) -> float:

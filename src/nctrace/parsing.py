@@ -23,9 +23,16 @@ This grammar is also the on-disk polynomial file format: one polynomial
 per file, with lines starting with '#' treated as comments, read by
 :func:`load_poly_file`.
 
-:func:`parse_poly` reads each term, with its sign and the whitespace around
-it, as one match of a compiled pattern, and each factor of its word as one
-match of a second pattern.  Each process keeps the letters of the last
+:func:`parse_poly` has two readers of this one grammar.  Text in the
+spacing :func:`format_poly` writes (one space either side of each sign
+between terms, none inside a term but between factors) is read in bulk:
+split at its signs and stars by string methods, its coefficients by one
+``map(float)`` and its words by one ``map`` over a cache.  Any other text,
+and any text the bulk reader does not accept in full, is read by the
+scan: each term, with its sign and the whitespace around it, as one match
+of a compiled pattern, and each factor of its word as one match of a second
+pattern.  Both read the same terms, summed on each word in text order, to
+the same bits.  Each process keeps the letters of the last
 ``WORD_CACHE_SIZE`` well-formed word texts it read, so a word text seen
 before is looked up, not scanned; its letters are still checked against the
 declared number of variables on every parse.  A malformed text raises
@@ -33,19 +40,27 @@ declared number of variables on every parse.  A malformed text raises
 find the grammar broken; a word longer than ``MAX_WORD_LENGTH`` letters is
 refused before its powers are expanded, and never cached.
 :func:`format_polys` writes the terms of all its polynomials in one array
-pass, and each polynomial's text in one join.
+pass over their coefficient matrix, and each polynomial's text in one join.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import compress, repeat
+from operator import itemgetter, not_
 
 import numpy as np
 
-from .algebra import WORD_CACHE_SIZE, NCPoly, Word, check_integer
+from .algebra import (
+    WORD_CACHE_SIZE,
+    Factors,
+    NCPoly,
+    Word,
+    check_integer,
+    coefficient_matrix,
+)
 
 MAX_WORD_LENGTH = 64
 MAX_DIGITS = 18  # of an index or a power, so int() of it is cheap and bounded
@@ -53,6 +68,9 @@ MAX_DIGITS = 18  # of an index or a power, so int() of it is cheap and bounded
 # MAX_DIGITS-digit indices and powers, one space apart.  A longer text is
 # scanned on every parse, so whitespace cannot make a cache entry large.
 _CACHED_TEXT = MAX_WORD_LENGTH * (2 * MAX_DIGITS + 3)
+# The most entries of the coefficient matrix format_polys makes for a plain
+# list of polynomials (16 MiB of complex entries).
+WRITER_ENTRIES = 2**20
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # The factors of a word.  An index or a power may be missing here: the
@@ -85,6 +103,7 @@ _TERM = re.compile(
     re.VERBOSE,
 )
 _FACTOR = re.compile(r"Y(\d*)(\^?)(\d*)")
+_WORD = re.compile(_FACTORS)
 
 
 class PolyParseError(ValueError):
@@ -95,18 +114,136 @@ class PolyParseError(ValueError):
         self.offset = offset
 
 
-def parse_poly(text: str, nvars: int) -> NCPoly:
+def parse_poly(text: str, nvars: int | None) -> NCPoly:
     """Parse polynomial text; raises :class:`PolyParseError` with an offset.
 
-    Each term, with its sign and the whitespace around it, is one match of
-    a compiled pattern.  Error offsets are those of a left-to-right scan
-    that stops at the first character breaking the grammar.
+    ``nvars`` None declares the largest index the text names, and at least
+    1, as :func:`load_poly_file` does.  Text in the spacing
+    :func:`format_poly` writes is read in bulk (:func:`_read_spaced`); any
+    other text, and any the bulk reader does not accept in full, is read
+    by :func:`_match_terms`, whose error offsets are those of a
+    left-to-right scan that stops at the first character breaking the
+    grammar.
     """
-    check_integer(nvars, "nvars")
-    if nvars < 1:
-        raise ValueError(f"nvars must be positive, got {nvars}")
+    if nvars is not None:
+        check_integer(nvars, "nvars")
+        if nvars < 1:
+            raise ValueError(f"nvars must be positive, got {nvars}")
     if not text.strip():
         raise PolyParseError("empty input", 0)
+    read = _read_spaced(text)
+    if read is not None:
+        words, values, top = read
+        if nvars is None:
+            nvars = max(top, 1)
+        if top <= nvars:
+            return NCPoly._from_array(nvars, words, values)
+    if nvars is None:
+        # An index too long to read is left for the scan to refuse.
+        indices = set(re.findall(r"Y(\d+)", text))
+        nvars = max([1, *(int(i) for i in indices if len(i) <= MAX_DIGITS)])
+    return _match_terms(text, nvars)
+
+
+# Each term of a text in format_poly's spacing is split off at its sign and
+# at its '*', and each part of "(re,im)" at its ','.
+_PARTITION = partial(map, str.partition)
+_UNPAREN = itemgetter(slice(1, -1))
+_FIRST, _LAST = itemgetter(0), itemgetter(-1)
+_NUMBER_CHARS = b"0123456789.eE+-,"
+
+
+def _read_spaced(text: str):
+    """p's words, their coefficients summed in text order as one array, and
+    the largest index named, when the text is in :func:`format_poly`'s
+    spacing; else None.
+
+    That spacing puts one space either side of each sign between terms and
+    none inside a term but between the factors of a word.  The terms are
+    split off at their signs by ``str.replace`` and ``str.split``, and at
+    their '*' by one ``map``; coefficients are read by one ``map(float)``
+    (:func:`_floats`) and words by one ``map`` over the cached
+    :func:`_letters`.  A coefficient must be in ``_NUMBER``'s language
+    (with one sign inside "(re,im)") and in ASCII, a word text at most
+    ``_CACHED_TEXT`` characters long, and every total finite.  Any other
+    text is declined, with no error, for :func:`_match_terms` to read.
+    """
+    body = text.strip()
+    lead = body[:1] if body[:1] in ("+", "-") else ""
+    if lead:
+        body = body[2:] if body[1:2] == " " else body[1:]
+    # A sign may not start a term: after "+ -" the '-' would read as a sign.
+    if body[:1] in ("+", "-") or " + -" in body:
+        return None
+    terms = body.replace(" - ", " + -").split(" + ")
+    if lead == "-":
+        terms[0] = "-" + terms[0]
+    negative = np.array(list(map(str.startswith, terms, repeat("-"))), dtype=bool)
+    terms = list(map(str.removeprefix, terms, repeat("-")))
+    if any(map(str.startswith, terms, repeat(("+", "-")))):
+        return None
+    heads, stars, tails = zip(*_PARTITION(terms, repeat("*")))
+    coeffs, words = list(heads), list(tails)
+    # A term without '*' is a word with coefficient 1 or a number on the
+    # empty word ("1" is both).
+    for k in compress(range(len(stars)), map(not_, stars)):
+        if coeffs[k][:1] == "Y":
+            coeffs[k], words[k] = "1", coeffs[k]
+        else:
+            words[k] = "1"
+    if max(map(len, words)) > _CACHED_TEXT:
+        return None
+    try:
+        words, tops = zip(*map(_letters, words))
+    except PolyParseError:
+        return None
+    paired = np.array(list(map(str.startswith, coeffs, repeat("("))), dtype=bool)
+    pairs = list(compress(coeffs, paired))
+    if not all(map(str.endswith, pairs, repeat(")"))):
+        return None
+    halves = list(_PARTITION(map(_UNPAREN, pairs), repeat(",")))
+    reals = _floats(list(compress(coeffs, ~paired)), signed=False)
+    parts = _floats([*map(_FIRST, halves), *map(_LAST, halves)], signed=True)
+    if reals is None or parts is None:
+        return None
+    values = np.zeros(len(coeffs), dtype=complex)
+    values.real[~paired] = reals
+    values.real[paired], values.imag[paired] = parts[: len(pairs)], parts[len(pairs) :]
+    # A negative sign negates both parts exactly, and adding 0.0 makes a zero
+    # part +0.0, as the scan's 0.0 + sign * coeff does.
+    np.negative(values, out=values, where=negative)
+    values += 0.0
+    unique = dict.fromkeys(words)
+    if len(unique) < len(words):
+        # Each word's coefficients summed in text order, as the scan sums them.
+        labels = list(map(dict(zip(unique, range(len(unique)))).get, words))
+        sums = np.empty(len(unique), dtype=complex)
+        sums.real = np.bincount(labels, values.real, len(unique))
+        sums.imag = np.bincount(labels, values.imag, len(unique))
+        words, values = list(unique), sums
+    return (words, values, max(tops)) if np.isfinite(values).all() else None
+
+
+def _floats(texts, signed: bool):
+    """``float`` of each text as an array, when every text is in
+    ``_NUMBER``'s language in ASCII (after one sign when ``signed``); else
+    None."""
+    joined = ",".join(texts)
+    if not joined.isascii() or joined.encode("ascii").translate(None, _NUMBER_CHARS):
+        return None
+    # Within these characters float() reads _NUMBER's language, and a sign
+    # before it; where no sign may be, none may start a text.
+    if not signed and (joined.startswith(("+", "-")) or ",+" in joined or ",-" in joined):
+        return None
+    try:
+        return np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        return None
+
+
+def _match_terms(text: str, nvars: int) -> NCPoly:
+    """Read text one compiled-pattern match per term, with its sign and the
+    whitespace around it; raise at the first error."""
     terms: dict[Word, complex] = {}
     pos, end = 0, len(text)
     while pos < end:
@@ -184,7 +321,12 @@ def _letters(factors: str) -> tuple[Word, int]:
     """:func:`_scan` of a whole word text, checked for every error but an
     index above the number of variables (no index of at most
     ``MAX_DIGITS`` digits reaches ``10**MAX_DIGITS``); a text that raises
-    is not cached."""
+    is not cached.  "1" is the empty word, and any other text must be one
+    run of factors, as ``_FACTORS`` matches it."""
+    if factors == "1":
+        return (), 0
+    if _WORD.fullmatch(factors) is None:
+        raise PolyParseError("expected word", 0)
     return _scan(factors, 0, len(factors), 10**MAX_DIGITS)
 
 
@@ -239,25 +381,33 @@ def format_poly(p: NCPoly) -> str:
 
 
 def format_polys(polys) -> list[str]:
-    """:func:`format_poly` of each polynomial.  numpy masks over one array
-    of all their coefficients pick each term's form; each real part and
-    each nonzero imaginary part is written by one ``float.__repr__``, and
-    again as an int if integral below 1e15; each term is eight pieces
-    (sign, "(re,im)", '*', word) and each polynomial one join.  Each
-    process keeps the texts of the last ``WORD_CACHE_SIZE`` words it
-    formatted (a certificate's factors share one basis)."""
-    polys = list(polys)
-    orders = [sorted(p.terms) for p in polys]
-    for words in orders:
-        words.sort(key=len)  # stable: each length stays in word order
-    words = list(chain.from_iterable(orders))
-    values = list(chain.from_iterable(map(p.terms.get, ws) for p, ws in zip(polys, orders)))
-    coeffs = np.array(values, dtype=complex)
+    """:func:`format_poly` of each polynomial, from their coefficient matrix
+    (:func:`~nctrace.algebra.coefficient_matrix`): its columns sorted in
+    (length, word) order, its nonzero entries row by row are the terms.
+    numpy masks over them pick each term's form; each real part and each
+    nonzero imaginary part is written by one ``float.__repr__``, and again
+    as an int if integral below 1e15; each term is eight pieces (sign,
+    "(re,im)", '*', word) and each polynomial one join.  A plain list whose
+    matrix could pass ``WRITER_ENTRIES`` entries is written one polynomial
+    at a time.  Each process keeps the texts of the last
+    ``WORD_CACHE_SIZE`` words it formatted (a certificate's factors share
+    one basis)."""
+    if not isinstance(polys, Factors):
+        polys = list(polys)
+        if len(polys) * sum(len(p.terms) for p in polys) > WRITER_ENTRIES:
+            return [format_polys([p])[0] for p in polys]
+    columns, B = coefficient_matrix(polys)
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    order.sort(key=lambda k: len(columns[k]))  # stable: each length stays in word order
+    if order != list(range(len(columns))):
+        columns, B = [columns[k] for k in order], B[:, order]
+    rows, cols = np.nonzero(B)
+    coeffs = B[rows, cols]
     finite = np.isfinite(coeffs)
     if not finite.all():
         # The grammar refuses a non-finite total coefficient on a word.
         k = int(np.argmin(finite))
-        raise ValueError(f"coefficient {values[k]} of word {words[k]} is not finite")
+        raise ValueError(f"coefficient {coeffs[k].item()} of word {columns[cols[k]]} is not finite")
     negative = (coeffs.real < 0) | ((coeffs.real == 0) & (coeffs.imag < 0))
     np.negative(coeffs, out=coeffs, where=negative)
     pair = coeffs.imag != 0
@@ -266,22 +416,21 @@ def format_polys(polys) -> list[str]:
     # Integral values print without a trailing ".0"; both forms re-parse exactly.
     for k in np.flatnonzero((parts == np.trunc(parts)) & (np.abs(parts) < 1e15)).tolist():
         texts[k] = str(int(parts[k]))
-    lengths = np.array(list(map(len, orders)), dtype=int)
+    lengths = np.bincount(rows, minlength=len(B))
     stops = np.cumsum(lengths)
     firsts = (stops - lengths)[lengths > 0]
-    lettered = np.ones(len(words), dtype=bool)
-    lettered[firsts] = [bool(words[k]) for k in firsts.tolist()]  # () sorts first
+    lettered = np.array(list(map(bool, columns)), dtype=bool)[cols]
     unit = lettered & ~pair & (coeffs.real == 1.0)
-    pieces = np.full((len(words), 8), "", dtype=object)
+    pieces = np.full((len(coeffs), 8), "", dtype=object)
     pieces[:, 0] = " + "
     pieces[negative, 0] = " - "
     pieces[firsts, 0] = np.where(negative[firsts], "-", "")
     pieces[pair, 1], pieces[pair, 3], pieces[pair, 5] = "(", ",", ")"
-    pieces[:, 2] = texts[: len(words)]
+    pieces[:, 2] = texts[: len(coeffs)]
     pieces[unit, 2] = ""
-    pieces[pair, 4] = texts[len(words) :]
+    pieces[pair, 4] = texts[len(coeffs) :]
     pieces[lettered & ~unit, 6] = "*"
-    pieces[:, 7] = list(map(_format_word, words))
+    pieces[:, 7] = list(map(list(map(_format_word, columns)).__getitem__, cols.tolist()))
     flat = pieces.ravel().tolist()
     return [
         "".join(flat[8 * (stop - size) : 8 * stop]) if size else "0"
@@ -322,17 +471,15 @@ def load_poly_file(path, nvars: int | None = None) -> NCPoly:
     """Read one polynomial from a UTF-8 file in the grammar above.
 
     Without ``nvars`` the variable count is the largest index in the file,
-    and at least 1, so a lone ``Y0`` is refused at its offset as any index
-    outside 1..nvars is; an index longer than ``MAX_DIGITS`` digits is left
-    for the parser to refuse at its offset.  Comment lines are blanked, not
-    removed, so error offsets index the file's text.  Raises OSError or
-    UnicodeDecodeError when the file cannot be read, and
-    :class:`PolyParseError` when its text does not parse.
+    and at least 1 (:func:`parse_poly` with ``nvars`` None), so a lone
+    ``Y0`` is refused at its offset as any index outside 1..nvars is; an
+    index longer than ``MAX_DIGITS`` digits is left for the parser to
+    refuse at its offset.  Comment lines are blanked, not removed, so error
+    offsets index the file's text.  Raises OSError or UnicodeDecodeError
+    when the file cannot be read, and :class:`PolyParseError` when its text
+    does not parse.
     """
     # newline="" keeps "\r\n" as two characters, as they are in the file.
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = strip_comments(fh.read())
-    if nvars is None:
-        indices = set(re.findall(r"Y(\d+)", text))
-        nvars = max([1, *(int(i) for i in indices if len(i) <= MAX_DIGITS)])
     return parse_poly(text, nvars)

@@ -9,12 +9,14 @@ import os
 import pathlib
 import re
 import sys
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from nctrace import cli
 from nctrace.algebra import (
+    COEFF_PRUNE,
     NCPoly,
     Word,
     cyclic_canonical,
@@ -189,6 +191,26 @@ def reference_gram_sum_of_squares(factors, nvars: int) -> NCPoly:
     return NCPoly._from_valid(nvars, total)
 
 
+def reference_residual(p: NCPoly, factors) -> float:
+    """The certificate residual of a plain list of factors as the
+    polynomial arithmetic computed it term by term: the square sum of
+    :func:`reference_gram_sum_of_squares`, subtracted from p, reduced onto
+    least rotations and measured in l1, each step one dict update per term
+    with the results' coefficients cleared and pruned as ``_from_valid``
+    does."""
+    def cleared(terms: dict) -> dict:
+        return {w: 0.0 + complex(c) for w, c in terms.items() if abs(c) > COEFF_PRUNE}
+
+    difference = dict(p.terms)
+    for word, coeff in reference_gram_sum_of_squares(factors, p.nvars).terms.items():
+        difference[word] = difference.get(word, 0.0) - coeff
+    reduced: dict = {}
+    for word, coeff in cleared(difference).items():
+        rep = cyclic_canonical(word)
+        reduced[rep] = reduced.get(rep, 0.0) + coeff
+    return float(sum(abs(c) * 1.0 ** len(w) for w, c in cleared(reduced).items()))
+
+
 # -- references for the polynomial arithmetic around the solver ----------------
 #
 # What ``nctrace`` computed before its symmetry check read terms directly,
@@ -230,8 +252,13 @@ def term_bits(p: NCPoly) -> list:
     return [(w, type(c), c.real.hex(), c.imag.hex()) for w, c in p.terms.items()]
 
 
+@lru_cache(maxsize=8)
 def workload(name: str, seed: int):
-    """A benchmark workload: its ops, files, polynomials and tuples."""
+    """A benchmark workload: its ops, files, polynomials and tuples.
+
+    Built once per (name, seed) for the session; callers read it and must
+    not change it.
+    """
     workloads = sys.modules.get("bench_workloads")
     if workloads is None:
         spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
@@ -907,6 +934,34 @@ def reference_real_traces(p: NCPoly, stack: np.ndarray) -> np.ndarray:
                 )
         total += coeff * np.trace(products[word], axis1=1, axis2=2)
     return total.real / size
+
+
+def reference_chunk_traces(p: NCPoly, stack: np.ndarray) -> np.ndarray:
+    """The falsify screen's traces as it computed them when it made its
+    word plan (halves, prefixes, numbering, coefficient matrix) from p anew
+    for every chunk."""
+    K, _, size, _ = stack.shape
+    splits = [(w[: len(w) // 2], w[len(w) // 2 :]) for w in p.terms]
+    halves = {h for split in splits for h in split}
+    prefixes = sorted({()} | {h[:k] for h in halves for k in range(1, len(h) + 1)}, key=len)
+    position = {w: i for i, w in enumerate(prefixes)}
+    products = np.empty((K, len(prefixes), size, size), dtype=complex)
+    products[:, 0] = np.eye(size)
+    stops = np.cumsum(np.bincount([len(w) for w in prefixes]))
+    for start, stop in zip(stops[:-1], stops[1:]):
+        level = prefixes[start:stop]
+        parents = [position[w[:-1]] for w in level]
+        letters = [w[-1] - 1 for w in level]
+        np.matmul(products[:, parents], stack[:, letters], out=products[:, start:stop])
+    lefts = {J: a for a, J in enumerate(dict.fromkeys(J for J, _ in splits))}
+    rights = {L: b for b, L in enumerate(dict.fromkeys(L for _, L in splits))}
+    coeffs = np.zeros((len(lefts), len(rights)), dtype=complex)
+    for (J, L), c in zip(splits, p.terms.values()):
+        coeffs[lefts[J], rights[L]] = c
+    rows = products[:, [position[J] for J in lefts]].reshape(K, len(lefts), size * size)
+    columns = products[:, [position[L] for L in rights]].swapaxes(2, 3)
+    columns = columns.reshape(K, len(rights), size * size).swapaxes(1, 2)
+    return ((rows @ columns).reshape(K, -1) @ coeffs.ravel()).real / size
 
 
 def reference_falsify(p: NCPoly, trials: int, N: int, R: float, seed: int):

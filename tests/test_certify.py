@@ -26,7 +26,7 @@ from nctrace.certify import (
 )
 from nctrace import algebra, certify, sampling
 from nctrace.moments import MomentSequence, hermitian_parts, moment_sequence
-from nctrace.parsing import parse_poly
+from nctrace.parsing import format_polys, parse_poly, strip_comments
 from nctrace.sdp import ClassConstraints, NoFeasiblePoint, feasibility_solve, minimize_linear
 
 from helpers import (
@@ -36,12 +36,15 @@ from helpers import (
     random_hermitian_tuple,
     random_poly,
     reference_class_labels,
+    reference_chunk_traces,
     reference_class_positions,
     reference_extract_factors,
     reference_extract_moments,
     reference_falsify,
+    reference_format_poly,
     reference_gram_sum_of_squares,
     reference_real_traces,
+    reference_residual,
     reference_sum_of_squares,
     term_bits,
     workload,
@@ -514,6 +517,119 @@ def test_square_sum_of_every_certify_grid_certificate_equals_the_gram_loop():
         _assert_square_sum_equals_gram_loop(cert.factors, cert.factors[0].nvars)
 
 
+# -- the factor matrix --------------------------------------------------------
+
+
+def _assert_factor_matrix_reads_as_its_polynomials(p, G, basis, nvars):
+    """extract_factors against the term-by-term reference: the same factors
+    bit for bit, and from the factor matrix the same written text and the
+    same residual as from the reference's plain list of polynomials."""
+    factors = certify.extract_factors(G, basis, nvars)
+    expected = reference_extract_factors(G, basis, nvars)
+    assert [term_bits(b) for b in factors] == [term_bits(b) for b in expected]
+    assert np.array_equal(factors.matrix != 0, [[w in b.terms for w in basis] for b in expected])
+    assert format_polys(factors) == [reference_format_poly(b) for b in expected]
+    residual = verify_certificate(p, Certificate(2, factors))
+    assert residual == reference_residual(p, expected)
+    assert verify_certificate(p, Certificate(2, expected)) == residual
+    return factors
+
+
+@pytest.mark.parametrize("seed", [98, 3])
+def test_every_certify_grid_certificate_is_written_and_checked_as_its_polynomials(
+    seed, monkeypatch
+):
+    # The Gram matrix of each certificate nctrace certify prints, recorded as
+    # certify_sos hands it to extract_factors.
+    extract, solutions = certify.extract_factors, []
+
+    def recording(G, basis, nvars):
+        solutions.append((G, basis))
+        return extract(G, basis, nvars)
+
+    monkeypatch.setattr(certify, "extract_factors", recording)
+    wl = workload("certify-grid", seed)
+    certified = 0
+    for op in wl.ops:
+        if op.expect == (0,):
+            nvars = wl.polys[op.source][0]
+            p = parse_poly(strip_comments(wl.files[op.input]), nvars)
+            cert = certify_sos(p, op.cell[1])
+            G, basis = solutions[-1]
+            expected = reference_extract_factors(G, basis, nvars)
+            assert format_polys(cert.factors) == [reference_format_poly(b) for b in expected]
+            assert cert.residual_l1 == reference_residual(p, expected)
+            certified += 1
+    assert certified == 103
+
+
+def _gram(vectors, values) -> np.ndarray:
+    """sum_k values[k] v_k v_k^H over the rows v_k of vectors."""
+    vectors = np.asarray(vectors, dtype=complex)
+    return (vectors.T * np.asarray(values)) @ vectors.conj()
+
+
+def _factor_cases() -> dict:
+    """(nvars, basis, G): Gram matrices whose factors have entries zeroed by
+    the 1e-14 cut, coefficients pruned at COEFF_PRUNE, rank 1, one variable."""
+    rng = make_rng(940)
+    basis = words_up_to(2, 2)
+    # Two blocks: the larger eigenvalues' factors use only Y2 Y1 and Y2^2,
+    # so the later factors' words come first in first-seen order.
+    blocks = np.zeros((7, 7), dtype=complex)
+    A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    C = 10 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    blocks[:5, :5], blocks[5:, 5:] = A @ A.conj().T, C @ C.conj().T
+    # An eigenvector 3e-13 off a basis word, at eigenvalue 1e-6: the entry
+    # passes the 1e-14 cut, and 1e-3 times it is pruned.
+    theta = 3e-13
+    tilted = [[np.cos(theta), np.sin(theta), 0], [-np.sin(theta), np.cos(theta), 0], [0, 0, 1]]
+    b = rng.normal(size=7) + 1j * rng.normal(size=7)
+    one = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    return {
+        "blocks": (2, basis, blocks),
+        "pruned": (1, words_up_to(1, 2), _gram(tilted, [1.0, 1e-6, 0.5])),
+        "rank one": (2, basis, np.outer(b.conj(), b)),
+        "one variable": (1, words_up_to(1, 3), _gram(one, [2.0, 0.7])),
+    }
+
+
+@pytest.mark.parametrize("case", ["blocks", "pruned", "rank one", "one variable"])
+def test_factor_matrix_reads_as_its_polynomials(case):
+    nvars, basis, G = _factor_cases()[case]
+    expected = reference_extract_factors(G, basis, nvars)
+    p = reference_sum_of_squares(expected, nvars) + NCPoly(nvars, {(): 1e-9})
+    factors = _assert_factor_matrix_reads_as_its_polynomials(p, G, basis, nvars)
+    eigvecs = np.linalg.eigh((G + G.conj().T) / 2)[1][:, ::-1][:, : len(factors)].T
+    cut = np.abs(eigvecs) > 1e-14
+    if case == "blocks":
+        assert (~cut).any() and list(factors.words) == basis
+        assert set(factors[0].terms) == {(2, 1), (2, 2)}
+    if case == "pruned":
+        assert np.count_nonzero(factors.matrix) < np.count_nonzero(cut)
+    if case == "rank one":
+        assert len(factors) == 1 and factors.matrix.shape == (1, 7)
+
+
+def test_a_changed_factor_list_is_read_from_its_polynomials():
+    # The matrix stands for the list only while the list holds the very
+    # polynomials extract_factors made.
+    nvars, basis, G = _factor_cases()["blocks"]
+    changes = [
+        lambda f: f.append(NCPoly(2, {(1,): 1.0})),
+        lambda f: f.__setitem__(0, f[1]),
+        lambda f: f.reverse(),
+        lambda f: f.pop(),
+    ]
+    for change in changes:
+        factors = certify.extract_factors(G, basis, nvars)
+        change(factors)
+        plain = list(factors)
+        assert format_polys(factors) == [reference_format_poly(b) for b in plain]
+        got = certify._sum_of_squares(factors, nvars)
+        assert term_bits(got) == term_bits(reference_gram_sum_of_squares(plain, nvars))
+
+
 def test_word_grouping_is_kept_only_for_small_column_tuples():
     certify._word_grouping.cache_clear()
     small = [NCPoly(1, {(1,) * k: 1.0 for k in range(8)})]
@@ -561,6 +677,43 @@ def test_constraints_from_a_cell_equal_constraints_from_its_raw_labels(nvars, d)
     assert not classes.checked.counts.flags.writeable and not classes.checked.parts.flags.writeable
 
 
+def _answer(found):
+    """A falsify answer as bytes-comparable data."""
+    if found is None:
+        return None
+    return found.source, found.index, found.trace, [m.tobytes() for m in found.tuple.matrices]
+
+
+@pytest.mark.parametrize("seed", [98, 3])
+def test_falsify_plans_its_words_once_and_screens_as_a_plan_per_chunk(seed, monkeypatch):
+    # Every chunk of the default search on the moments-gns falsify inputs is
+    # screened bit for bit as when each chunk made its own plan.
+    wl = workload("moments-gns", seed)
+    polys = [NCPoly(*wl.polys[op.source]) for op in wl.ops if op.command == "falsify"]
+    for p in polys:
+        plan = certify._trace_plan(p)
+        rng = make_rng(0)
+        for start in range(0, 1000, certify.FALSIFY_CHUNK):
+            drawn = sampling._draw_hermitians(rng, (min(64, 1000 - start), p.nvars), 4)
+            norms = np.abs(np.linalg.eigvalsh(drawn)).max(axis=-1)
+            stack = sampling._scale_to_radius(drawn, norms, 1.0)
+            got = certify._real_traces(p, stack, plan)
+            assert got.tobytes() == reference_chunk_traces(p, stack).tobytes()
+    # Every answer, index, tuple and trace, is the one of the per-chunk plan:
+    # none on these inputs, the library's on the refute inputs, and a random
+    # trial's on q.
+    refute = workload("refute", seed)
+    polys += [NCPoly(*refute.polys[op.source]) for op in refute.ops if op.command == "falsify"]
+    q = NCPoly(1, {(1, 1, 1, 1): 1.0, (1, 1): -1.0, (): 0.2})
+    runs = [lambda p=p: falsify(p) for p in polys] + [lambda: falsify(q, trials=200, N=3, R=0.8)]
+    answers = [_answer(run()) for run in runs]
+    assert answers[-1][0] == "random" and answers[0] is None
+    monkeypatch.setattr(
+        certify, "_real_traces", lambda p, stack, plan: reference_chunk_traces(p, stack)
+    )
+    assert [_answer(run()) for run in runs] == answers
+
+
 def test_falsify_screens_the_moments_gns_draws_as_drawn(monkeypatch):
     # The draws are exactly Hermitian, so the screened stack is its own
     # Hermitian part, and falsify answers as it did when it screened the
@@ -578,7 +731,9 @@ def test_falsify_screens_the_moments_gns_draws_as_drawn(monkeypatch):
     polys = [NCPoly(*wl.polys[source]) for source in sources]
     answers = [falsify(p) for p in polys]
     screen = certify._real_traces
-    monkeypatch.setattr(certify, "_real_traces", lambda p, stack: screen(p, hermitian_parts(stack)))
+    monkeypatch.setattr(
+        certify, "_real_traces", lambda p, stack, plan: screen(p, hermitian_parts(stack), plan)
+    )
     for p, answer in zip(polys, answers):
         assert answer is None and falsify(p) is None
     # A search that finds a random trial: index, tuple and trace are kept.

@@ -22,7 +22,9 @@ from helpers import (
     reference_format_poly,
     reference_parse_poly,
     term_bits,
+    workload,
     workload_certificates,
+    workload_poly,
     workload_polys,
 )
 
@@ -337,7 +339,9 @@ def test_a_cached_word_is_checked_against_nvars_on_every_parse(text, offset):
     parse_poly(text, 3)
     hits = parsing._letters.cache_info().hits
     assert _parse_error(text, 2) == cold == f"index 3 exceeds nvars at offset {offset}"
-    assert parsing._letters.cache_info().hits == hits + text.count("+") + 1
+    # Every word is a cache hit twice: in the bulk reader, which declines the
+    # text for its index, and in the scan, which then refuses it.
+    assert parsing._letters.cache_info().hits == hits + 2 * (text.count("+") + 1)
     with pytest.raises(PolyParseError, match=re.escape(cold)):
         reference_parse_poly(text, 2)
 
@@ -501,3 +505,141 @@ def test_format_polys_writes_every_certify_grid_certificate_as_the_term_writer()
     assert len(certs) == 103
     for cert in certs:
         assert format_polys(cert.factors) == [reference_format_poly(b) for b in cert.factors]
+
+
+# -- the bulk reader against the scan ------------------------------------------
+
+
+def _scanned(text: str, nvars: int):
+    """The term bits of the pattern scan of text, or its error."""
+    try:
+        return term_bits(parsing._match_terms(text, nvars))
+    except PolyParseError as exc:
+        return str(exc)
+
+
+def _parse_outcome(text: str, nvars):
+    try:
+        p = parse_poly(text, nvars)
+    except PolyParseError as exc:
+        return str(exc)
+    return p.nvars, term_bits(p)
+
+
+def _assert_bulk_reads_as_the_scan(text: str, nvars: int) -> bool:
+    """The bulk reader declines text or returns the scan's terms, in order
+    and bit for bit; parse_poly's outcome is the scan's either way.
+    Returns whether the bulk reader took the text."""
+    read = parsing._read_spaced(text)
+    if read is not None:
+        words, values, top = read
+        bulk = NCPoly._from_array(max(top, 1), words, values)
+        assert _scanned(text, max(top, 1)) == term_bits(bulk)
+    scanned = _scanned(text, nvars)
+    expected = scanned if isinstance(scanned, str) else (nvars, scanned)
+    assert _parse_outcome(text, nvars) == expected, text
+    return read is not None
+
+
+@pytest.mark.parametrize("name", ["certify-grid", "refute", "moments-gns"])
+@pytest.mark.parametrize("seed", [98, 3])
+def test_bulk_reader_takes_every_workload_file_as_the_scan_reads_it(name, seed):
+    for text, nvars in workload_polys(name, seed):
+        text = strip_comments(text)
+        assert _assert_bulk_reads_as_the_scan(text, nvars)
+        # Without a declared count the largest index is the count.
+        assert _parse_outcome(text, None) == (nvars, _scanned(text, nvars))
+
+
+def _written_texts() -> list:
+    """format_poly of random polynomials: real and complex coefficients,
+    integral ones, units, powers and the empty word."""
+    rng = make_rng(24)
+    texts = []
+    for k in range(120):
+        p = random_poly(rng, 3, 5, n_terms=int(rng.integers(1, 9)), complex_coeffs=bool(k % 2))
+        if k % 3 == 0:
+            p = NCPoly(3, {w: complex(round(c.real), round(c.imag)) for w, c in p.terms.items()})
+        texts.append(format_poly(p))
+    return texts
+
+
+def test_bulk_reader_takes_what_format_poly_writes():
+    # With 2 variables declared, a text naming Y3 is refused by the scan.
+    for text in _written_texts():
+        assert _assert_bulk_reads_as_the_scan(text, 3)
+        assert _assert_bulk_reads_as_the_scan(text, 2)
+
+
+def test_bulk_reader_declines_or_agrees_on_one_character_mutations():
+    # Every kind of character the grammar and float() treat specially:
+    # signs, spaces and other whitespace, digits (a non-ASCII one too),
+    # exponents, '_', the letters of inf and nan, separators and brackets.
+    alphabet = list("Y123^*+-(), .eE0\t_٣infa#\n")
+    rng = make_rng(25)
+    texts = _written_texts()[:60] + [
+        strip_comments(text) for text, _ in workload_polys("certify-grid", 98)[::9]]
+    took = 0
+    for text in texts:
+        for at in rng.integers(0, len(text) + 1, size=12).tolist():
+            new = alphabet[int(rng.integers(len(alphabet)))]
+            for mutated in (text[:at] + new + text[at + 1:], text[:at] + new + text[at:],
+                            text[:at] + text[at + 1:]):
+                if mutated.strip():
+                    took += _assert_bulk_reads_as_the_scan(mutated, 3)
+    assert took > 500  # the mutations of digits and of factors keep the spacing
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "inf*Y1", "nan", "Infinity + Y1", "1_0*Y1", "Y1 + +1", "Y1 + -2", "- -2*Y1", "+ -Y1",
+        "1 *Y1", "1* Y1", "Y1  + Y2", "Y1 +\tY2", "Y1\n+ Y2", "(1, 2)*Y1", "(1,2 )*Y1",
+        "٣*Y1", "(١,2)", "(1,2,3)*Y1", "(1)*Y1", "((1,2))*Y1", "2*3*Y1",
+        "1e999*Y1", "Y1 - 1e999", "1e308*Y1 + 1e308*Y1", "(1,-1e999)", "Y1 Y0",
+        "Y1^", "Y", "2*", "Y1 +", "Y1^65", "Y1" + " " * 3000 + "Y2", "-", "+ Y1 -",
+    ],
+)
+def test_bulk_reader_leaves_every_other_text_to_the_scan(text):
+    # float() reads inf, nan, '_' between digits, a leading sign, spaces and
+    # non-ASCII digits; none of these is in _NUMBER's ASCII language here.
+    assert parsing._read_spaced(text) is None
+    _assert_bulk_reads_as_the_scan(text, 2)
+
+
+def test_an_index_above_the_declared_count_is_refused_by_the_scan():
+    # The bulk reader takes the text; parse_poly leaves it to the scan,
+    # which names the index at its offset.
+    assert parsing._read_spaced("Y2 + Y3 Y1") is not None
+    assert _parse_error("Y2 + Y3 Y1", 2) == "index 3 exceeds nvars at offset 5"
+    assert parse_poly("Y2 + Y3 Y1", None).nvars == 3
+
+
+@pytest.mark.parametrize(
+    "text,terms",
+    [
+        ("Y1 + Y1 - 0.5*Y1", {(1,): 1.5}),
+        ("(1,2)*Y1 Y2 - (1,2)*Y1 Y2 + 3", {(): 3.0}),
+        ("1e-16*Y1 + Y2", {(2,): 1.0}),
+        ("(1e308,1)*Y2 - (1e308,0)*Y2 + Y1", {(2,): 1j, (1,): 1.0}),
+        ("(-0,1)*Y1 - (0,-0)*Y2 + (0,-1)", {(1,): 1j, (): -1j}),
+        ("- 0.5*Y1 Y1 + (+1.5e-3,-2)*Y2^2 Y1 - 1",
+         {(1, 1): -0.5, (2, 2, 1): 1.5e-3 - 2j, (): -1.0}),
+    ],
+)
+def test_bulk_reader_sums_repeated_words_and_prunes_as_the_scan(text, terms):
+    assert parsing._read_spaced(text) is not None
+    assert _assert_bulk_reads_as_the_scan(text, 2)
+    assert parse_poly(text, 2).terms == terms
+
+
+@pytest.mark.parametrize("name", ["certify-grid", "refute", "moments-gns"])
+def test_workload_helpers_build_each_workload_once_and_read_it_unchanged(name):
+    built = workload(name, 98)
+    assert workload(name, 98) is built
+    fresh = workload.__wrapped__(name, 98)
+    assert built.files == fresh.files and built.ops == fresh.ops
+    for source, (nvars, terms) in fresh.polys.items():
+        assert workload_poly(name, 98, source) == NCPoly(nvars, terms)
+    assert workload_polys(name, 98) == [
+        (fresh.files[f"{source}.poly"], nvars) for source, (nvars, _) in fresh.polys.items()]
