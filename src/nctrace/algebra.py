@@ -33,8 +33,15 @@ Word = tuple[int, ...]
 # Coefficients with magnitude at or below this are dropped on normalization.
 COEFF_PRUNE = 1e-15
 # Entries of each process-wide cache keyed by one word: least rotations
-# here, and the parser's and formatter's word texts (``parsing``).
+# here, and the parser's word texts (``parsing``).
 WORD_CACHE_SIZE = 1024
+
+
+def unpruned(values: np.ndarray) -> np.ndarray:
+    """Which complex values are above ``COEFF_PRUNE`` in magnitude, the one
+    pruning rule: ``hypot`` of their parts, which is Python's ``abs()`` (NaN
+    is not above it)."""
+    return np.hypot(values.real, values.imag) > COEFF_PRUNE
 
 
 def is_integer(value) -> bool:
@@ -113,7 +120,7 @@ class NCPoly:
     negation, scaling, adjoint, cyclic reduction, products) builds its
     result with the internal :meth:`_from_valid` instead, which skips those
     checks but prunes and converts coefficients exactly as the constructor
-    does.
+    does (:meth:`_from_array`).
     """
 
     __slots__ = ("nvars", "terms")
@@ -144,35 +151,29 @@ class NCPoly:
 
     @classmethod
     def _from_valid(cls, nvars: int, terms: Mapping[Word, complex]) -> "NCPoly":
-        """A polynomial from distinct word tuples whose letters are in 1..nvars.
-
-        For such terms with finite coefficients this equals
-        ``NCPoly(nvars, terms)`` without the constructor's checks: each
-        coefficient becomes the Python complex ``0.0 + complex(c)``, as the
-        constructor's accumulation makes it (negative zeros cleared), and is
-        dropped at magnitude ``<= COEFF_PRUNE``.
-        """
-        values = terms.values()
-        kept = map(operator.lt, repeat(COEFF_PRUNE), map(abs, values))
-        cleared = map(complex.__radd__, map(complex, values), repeat(0.0))  # 0.0 + c
-        poly = object.__new__(cls)
-        poly.nvars = nvars
-        poly.terms = dict(compress(zip(terms, cleared), kept))
-        return poly
+        """:meth:`_from_array` of a dict's words and coefficients."""
+        values = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+        return cls._from_array(nvars, terms, values)
 
     @classmethod
     def _from_array(cls, nvars: int, words, values: np.ndarray) -> "NCPoly":
-        """:meth:`_from_valid` of ``dict(zip(words, values))`` for distinct
-        words and a complex array, by array passes: adding 0.0 clears the
-        negative zeros, and ``abs()`` is ``hypot``, as Python takes it."""
+        """A polynomial from distinct word tuples whose letters are in
+        1..nvars, and their coefficients as a complex array.
+
+        For finite coefficients this equals ``NCPoly(nvars, dict(zip(words,
+        values)))`` without the constructor's checks: each coefficient
+        becomes the Python complex ``0.0 + c``, as the constructor's
+        accumulation makes it (negative zeros cleared), and is dropped
+        unless :func:`unpruned`.
+        """
         values = values + 0.0
-        kept = np.hypot(values.real, values.imag) > COEFF_PRUNE
+        kept = unpruned(values)
         terms = dict(zip(compress(words, kept), compress(values.tolist(), kept)))
         return cls._from_clean(nvars, terms)
 
     @classmethod
     def _from_clean(cls, nvars: int, terms: dict) -> "NCPoly":
-        """A polynomial holding ``terms`` itself, as :meth:`_from_valid`
+        """A polynomial holding ``terms`` itself, as :meth:`_from_array`
         would leave them: distinct valid words, each coefficient a Python
         complex of magnitude above ``COEFF_PRUNE`` with no negative zero
         part."""

@@ -48,7 +48,6 @@ from itertools import islice
 import numpy as np
 
 from .algebra import (
-    COEFF_PRUNE,
     Factors,
     NCPoly,
     Word,
@@ -58,6 +57,7 @@ from .algebra import (
     is_integer,
     normalized_trace,
     pair,
+    unpruned,
     words_up_to,
 )
 from .moments import (
@@ -184,8 +184,9 @@ class CyclicClasses:
 
         p's terms are summed onto the labels of their words in the order
         of p's terms (their positions from one :meth:`WordIndex.positions`
-        call), and totals not above ``COEFF_PRUNE`` in magnitude are
-        dropped, so the totals are those of :meth:`NCPoly.cyclic_reduce`.
+        call), and totals not above ``COEFF_PRUNE`` in magnitude
+        (:func:`~nctrace.algebra.unpruned`) are dropped, so the totals are
+        those of :meth:`NCPoly.cyclic_reduce`, to the bit.
         p's words must have length at most 2d.
         """
         labels = self.word_labels[self.index.positions(p.terms)]
@@ -193,7 +194,7 @@ class CyclicClasses:
         size = len(self.reps)
         values = np.bincount(labels, weights=coeffs.real, minlength=size).astype(complex)
         values.imag = np.bincount(labels, weights=coeffs.imag, minlength=size)
-        values[~(np.abs(values) > COEFF_PRUNE)] = 0  # NaN totals too, as cyclic_reduce
+        values[~unpruned(values)] = 0
         return values
 
 
@@ -366,8 +367,8 @@ def extract_factors(G: np.ndarray, basis, nvars: int) -> Factors:
     weights = np.sqrt(descending[:rank])[:, None]
     B = np.empty(V.shape, dtype=complex)
     B.real, B.imag = weights * V.real, weights * -V.imag
-    # abs() is hypot, as Python takes it.
-    dropped = ~((np.hypot(V.real, V.imag) > 1e-14) & (np.hypot(B.real, B.imag) > COEFF_PRUNE))
+    # |v| is hypot, as Python's abs() takes it; B is pruned by the one rule.
+    dropped = ~((np.hypot(V.real, V.imag) > 1e-14) & unpruned(B))
     B[dropped] = 0
     B += 0.0
     basis = tuple(basis)
@@ -515,7 +516,7 @@ def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.nda
     )
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _tracial_anchor(nvars: int, d: int) -> np.ndarray:
     """Read-only half-degree d moment matrix of a fixed random tuple of norm 1.
 

@@ -32,15 +32,17 @@ and any text the bulk reader does not accept in full, is read by the
 scan: each term, with its sign and the whitespace around it, as one match
 of a compiled pattern, and each factor of its word as one match of a second
 pattern.  Both read the same terms, summed on each word in text order, to
-the same bits.  Each process keeps the letters of the last
-``WORD_CACHE_SIZE`` well-formed word texts it read, so a word text seen
-before is looked up, not scanned; its letters are still checked against the
-declared number of variables on every parse.  A malformed text raises
+the same bits.  For the bulk reader each process keeps the letters of the
+last ``WORD_CACHE_SIZE`` well-formed word texts it read, so a word text
+seen before is looked up, not scanned; its letters are still checked
+against the declared number of variables on every parse.  The scan reads
+every word factor by factor.  A malformed text raises
 :class:`PolyParseError` at the offset where a left-to-right scan would first
 find the grammar broken; a word longer than ``MAX_WORD_LENGTH`` letters is
 refused before its powers are expanded, and never cached.
-:func:`format_polys` writes the terms of all its polynomials in one array
-pass over their coefficient matrix, and each polynomial's text in one join.
+:func:`format_polys` writes the terms of a certificate's factors in one
+array pass over their coefficient matrix, and each polynomial's text in one
+join.
 """
 
 from __future__ import annotations
@@ -64,13 +66,10 @@ from .algebra import (
 
 MAX_WORD_LENGTH = 64
 MAX_DIGITS = 18  # of an index or a power, so int() of it is cheap and bounded
-# The longest word text the parser caches: MAX_WORD_LENGTH factors of
+# The longest word text the bulk reader caches: MAX_WORD_LENGTH factors of
 # MAX_DIGITS-digit indices and powers, one space apart.  A longer text is
-# scanned on every parse, so whitespace cannot make a cache entry large.
+# left to the scan, so whitespace cannot make a cache entry large.
 _CACHED_TEXT = MAX_WORD_LENGTH * (2 * MAX_DIGITS + 3)
-# The most entries of the coefficient matrix format_polys makes for a plain
-# list of polynomials (16 MiB of complex entries).
-WRITER_ENTRIES = 2**20
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # The factors of a word.  An index or a power may be missing here: the
@@ -293,36 +292,24 @@ def _term_error(m: re.Match) -> PolyParseError:
 
 
 def _word(m: re.Match, group: str, nvars: int) -> Word:
-    """The letters of the word a term match holds in ``group``.
-
-    A well-formed word text of at most ``_CACHED_TEXT`` characters is read
-    by the cached :func:`_letters`, and its letters are returned when no
-    index in it exceeds ``nvars``.  Any other text is read by :func:`_scan`,
-    which raises at the first error a left-to-right reading meets.
-    """
+    """The letters of the word a term match holds in ``group``, read by
+    :func:`_scan`, which raises at the first error a left-to-right reading
+    meets."""
     factors = m[group]
     if factors is None:
         raise PolyParseError("expected word", m.end())
     if factors == "1":
         return ()
-    if len(factors) <= _CACHED_TEXT:
-        try:
-            word, top = _letters(factors)
-        except PolyParseError:  # malformed whatever nvars is
-            pass
-        else:
-            if top <= nvars:
-                return word
     return _scan(m.string, m.start(group), m.end(group), nvars)[0]
 
 
 @lru_cache(maxsize=WORD_CACHE_SIZE)
 def _letters(factors: str) -> tuple[Word, int]:
-    """:func:`_scan` of a whole word text, checked for every error but an
-    index above the number of variables (no index of at most
-    ``MAX_DIGITS`` digits reaches ``10**MAX_DIGITS``); a text that raises
-    is not cached.  "1" is the empty word, and any other text must be one
-    run of factors, as ``_FACTORS`` matches it."""
+    """:func:`_scan` of a whole word text for the bulk reader, checked for
+    every error but an index above the number of variables (no index of at
+    most ``MAX_DIGITS`` digits reaches ``10**MAX_DIGITS``); a text that
+    raises is not cached.  "1" is the empty word, and any other text must
+    be one run of factors, as ``_FACTORS`` matches it."""
     if factors == "1":
         return (), 0
     if _WORD.fullmatch(factors) is None:
@@ -387,14 +374,12 @@ def format_polys(polys) -> list[str]:
     numpy masks over them pick each term's form; each real part and each
     nonzero imaginary part is written by one ``float.__repr__``, and again
     as an int if integral below 1e15; each term is eight pieces (sign,
-    "(re,im)", '*', word) and each polynomial one join.  A plain list whose
-    matrix could pass ``WRITER_ENTRIES`` entries is written one polynomial
-    at a time.  Each process keeps the texts of the last
-    ``WORD_CACHE_SIZE`` words it formatted (a certificate's factors share
-    one basis)."""
+    "(re,im)", '*', word) and each polynomial one join.  A
+    :class:`~nctrace.algebra.Factors` list is written in one pass over its
+    matrix, any other list one polynomial at a time."""
     if not isinstance(polys, Factors):
         polys = list(polys)
-        if len(polys) * sum(len(p.terms) for p in polys) > WRITER_ENTRIES:
+        if len(polys) > 1:
             return [format_polys([p])[0] for p in polys]
     columns, B = coefficient_matrix(polys)
     order = sorted(range(len(columns)), key=columns.__getitem__)
@@ -438,7 +423,6 @@ def format_polys(polys) -> list[str]:
     ]
 
 
-@lru_cache(maxsize=WORD_CACHE_SIZE)
 def _format_word(word: Word) -> str:
     factors = []
     i = 0

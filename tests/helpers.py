@@ -2,11 +2,13 @@
 
 import argparse
 import cmath
+import functools
 import importlib.util
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import re
 import sys
 from functools import lru_cache
@@ -14,6 +16,7 @@ from itertools import product
 
 import numpy as np
 
+import nctrace
 from nctrace import cli
 from nctrace.algebra import (
     COEFF_PRUNE,
@@ -53,6 +56,21 @@ def checkout_env() -> dict:
     """Environment for a child interpreter that imports this checkout's package."""
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def package_caches() -> dict:
+    """Every ``functools`` cache wrapper in an nctrace module or in a class
+    of one, by its qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(nctrace.__path__):
+        module = importlib.import_module(f"nctrace.{info.name}")
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else (value,)
+            for member in members:
+                member = getattr(member, "__func__", member)  # static/class methods
+                if isinstance(member, functools._lru_cache_wrapper):
+                    found[f"{member.__module__}.{member.__qualname__}"] = member
+    return found
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -1,0 +1,75 @@
+"""Check that every benchmark op writes the same bytes with cold and warm caches.
+
+    python tests/op_hashes.py --seed 1
+
+Builds the inputs and op lists of the three benchmark workloads
+(``bench/workloads.py``) at one seed, writes the inputs to a temporary
+directory and runs every op through the in-process CLI twice in one
+process: first after clearing every ``functools`` cache of ``nctrace``,
+then again with the caches the first pass left warm.  Exits 1 naming each
+op whose exit code, stdout or stderr differs between the two passes.
+Otherwise it prints one SHA-256 over every op's exit code, stdout and
+stderr, with the temporary directory written as ``WORK``, so two checkouts
+can be compared by their digests.  It reads ``bench/`` and writes nothing
+there.  pytest does not collect it (its name does not start with ``test``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import harness  # first: pins BLAS threads before numpy loads
+
+import workloads
+
+
+def run_ops(nct, wl, work: Path) -> list[tuple]:
+    """(exit code, stdout, stderr, error) of each op, run in order."""
+    results = []
+    for op in wl.ops:
+        call = harness.call_cli(nct.cli, op.argv(work))
+        if op.output:
+            (work / op.output).write_text(call.stdout, encoding="utf-8")
+        texts = (call.stdout, call.stderr, call.error or "")
+        results.append((call.code, *(text.replace(str(work), "WORK") for text in texts)))
+    return results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    nct = harness.import_nctrace()
+    from helpers import package_caches  # after the checkout's nctrace is imported
+
+    digest, count, differ = hashlib.sha256(), 0, []
+    for name in workloads.WORKLOADS:
+        wl = workloads.build(name, args.seed)
+        with tempfile.TemporaryDirectory(prefix=f"{name}-") as tmp:
+            work = Path(tmp)
+            wl.write(work)
+            for cache in package_caches().values():
+                cache.cache_clear()
+            cold = run_ops(nct, wl, work)
+            warm = run_ops(nct, wl, work)
+        for k, (op, first, second) in enumerate(zip(wl.ops, cold, warm)):
+            if first != second:
+                differ.append(f"{name} op {k} ({op.command} {op.input}): cold and warm outputs differ")
+            digest.update(repr((name, k, *first)).encode("utf-8"))
+        count += len(wl.ops)
+    for line in differ:
+        print(line)
+    if differ:
+        return 1
+    print(f"seed {args.seed}: {count} ops, cold and warm alike, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,3 +1,4 @@
+import cmath
 import re
 import time
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from nctrace.algebra import (
+    COEFF_PRUNE,
     NCPoly,
     cyclic_canonical,
     evaluate,
@@ -185,6 +187,30 @@ def test_class_coefficients_equal_cyclic_reduce_bit_for_bit(nvars, d, monkeypatc
     assert not np.isnan(classes.coefficients(polys[-1])).any()
 
 
+def test_class_totals_at_the_pruning_edge_are_kept_as_cyclic_reduce_keeps_them():
+    # a = s + c on Y1 Y2 Y3 and b = -s on its rotation Y2 Y3 Y1, with
+    # |s| = 4 COEFF_PRUNE and |c| = COEFF_PRUNE, and their adjoints on the
+    # reversed class: a self-adjoint p with two terms above the threshold on
+    # each class and a total within a few ulps of it.  The class is not its
+    # own reversal, so the total is complex (on Y1 Y2 and Y2 Y1 it would be
+    # real, where every magnitude rule agrees).  With numpy 2.4 on x86_64,
+    # np.abs and Python's abs() put about one in ten of these totals on
+    # either side of the threshold.
+    classes = certify.cyclic_classes(3, 2)
+    kept = set()
+    for theta, phi in make_rng(31).uniform(0, 2 * np.pi, size=(200, 2)).tolist():
+        s = cmath.rect(4 * COEFF_PRUNE, phi)
+        a, b = s + cmath.rect(COEFF_PRUNE, theta), -s
+        p = NCPoly(3, {(1, 2, 3): a, (2, 3, 1): b, (3, 2, 1): a.conjugate(), (1, 3, 2): b.conjugate()})
+        assert p.is_symmetric(tol=0.0)
+        values = classes.coefficients(p).tolist()
+        got = {w: (v.real.hex(), v.imag.hex()) for w, v in zip(classes.words, values) if v}
+        reduced = p.cyclic_reduce()
+        assert got == {w: (c.real.hex(), c.imag.hex()) for w, c in reduced.terms.items()}, (a, b)
+        kept.add(len(reduced.terms))
+    assert kept == {0, 2}  # totals on both sides of the threshold
+
+
 @pytest.mark.parametrize("m,rank", [(7, 7), (13, 3), (15, 15), (15, 1)])
 def test_extracted_factors_equal_reference_bit_for_bit(m, rank):
     rng = make_rng(760 + m + rank)
@@ -195,6 +221,22 @@ def test_extracted_factors_equal_reference_bit_for_bit(m, rank):
         got = certify.extract_factors(G, basis, 2)
         expected = reference_extract_factors(G, basis, 2)
         assert [term_bits(b) for b in got] == [term_bits(b) for b in expected]
+
+
+def test_factor_entries_at_the_pruning_edge_are_kept_as_the_constructor_keeps_them():
+    # G = x x^H with x = (0.01, c), |c| = COEFF_PRUNE: the one factor's entry
+    # on Y1 lands within a few ulps of the threshold, from |v| = 1e-13, above
+    # the eigenvector cutoff.  The reference prunes it with Python's abs().
+    basis = words_up_to(1, 1)
+    kept = set()
+    for theta in make_rng(32).uniform(0, 2 * np.pi, size=200).tolist():
+        x = np.array([0.01, cmath.rect(COEFF_PRUNE, theta)])
+        G = np.outer(x, x.conj())
+        got = certify.extract_factors(G, basis, 1)
+        expected = reference_extract_factors(G, basis, 1)
+        assert [term_bits(b) for b in got] == [term_bits(b) for b in expected], theta
+        kept.add(len(got[0].terms))
+    assert kept == {1, 2}  # entries on both sides of the threshold
 
 
 @pytest.mark.parametrize("nvars,d,R", [(1, 2, 1.0), (2, 2, 1.5), (3, 2, 1.0), (2, 3, 2.0)])

@@ -39,6 +39,7 @@ from helpers import (
     assert_same_text,
     checkout_env,
     make_rng,
+    package_caches,
     random_hermitian_tuple,
     reference_build_parser,
     reference_matrix_tuple_json,
@@ -595,11 +596,11 @@ def test_certificate_json_round_trips_through_parser(poly_file, tmp_path, capsys
     assert residual == pytest.approx(data["residual_l1"], abs=1e-12)
 
 
-# Every process-wide cache of the library.
+# Every process-wide cache of the library but the parser (cli._parser), which
+# holds one entry.
 CACHES = (
     algebra._least_rotation,
     parsing._letters,
-    parsing._format_word,
     certify.cyclic_classes,
     certify._tracial_anchor,
     certify._word_grouping,
@@ -622,6 +623,26 @@ def test_certify_writes_the_same_bytes_with_warm_and_cleared_caches(poly_file, c
 @pytest.mark.parametrize("cache", CACHES, ids=lambda cache: cache.__name__)
 def test_each_process_cache_is_bounded(cache):
     assert 1 <= cache.cache_info().maxsize <= 4096
+
+
+def test_caches_holds_every_functools_cache_of_the_package():
+    # So the two tests above cover a cache as soon as it is added.
+    found = package_caches()
+    assert found.pop("nctrace.cli._parser") is cli._parser
+    assert found == {f"{cache.__module__}.{cache.__qualname__}": cache for cache in CACHES}
+
+
+def test_importing_the_package_loads_no_scipy():
+    # nctrace depends on numpy alone.  scipy may be installed where the tests
+    # run, so only a fresh interpreter shows a stray import.
+    script = (
+        "import sys, nctrace, nctrace.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=checkout_env()
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("command", ["certify", "witness"])
