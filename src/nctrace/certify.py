@@ -202,8 +202,8 @@ class CyclicClasses:
 def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     """The classes of the Gram and witness problems at half-degree d.
 
-    Each word's least rotation is the least position among its rotations,
-    the rotated views of its level of positions; ranking the least
+    Each word's least rotation is the least position among its rotations
+    (:meth:`~nctrace.moments.WordIndex.least_rotations`); ranking the least
     positions gives the labels.  Classes come out in (length, word) order
     of their least words.
 
@@ -216,9 +216,7 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     """
     index = WordIndex(nvars, 2 * d)
     positions = np.arange(len(index))
-    least = np.concatenate([
-        np.min([index.rotated(level, s) for s in range(max(L, 1))], axis=0)
-        for L, level in index.levels(positions)])
+    least = index.least_rotations()
     is_rep = least == positions
     word_labels = (np.cumsum(is_rep) - 1)[least]
     reps = np.flatnonzero(is_rep)
@@ -496,6 +494,15 @@ def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.nda
     A is then the unscaled anchor, of norm 1, which is feasible for every
     R >= 1.  Raises :class:`NoFeasiblePoint` if its delta is not positive
     either.
+
+    ``low`` is itself only known to ``eigvalsh``'s resolution on x, so
+    where x is large the mix can come out indefinite.  t is then moved
+    halfway to 1 until the mix's least eigenvalue is resolved
+    (:func:`_resolved`); at t = 1 the mix is A.  The mix is tested divided
+    entrywise by the anchor's scaling R^(|J| + |K|).  That is a congruence,
+    which keeps the mix's inertia, and it takes the scaled anchor's mix,
+    whose entries grow as R^(|J| + |K|) within the box, to entries of about
+    1, where its resolution is fine.
     """
     anchor = _tracial_anchor(classes.index.n, classes.index.D // 2)
     anchor = (anchor + anchor.conj().T) / 2
@@ -509,20 +516,33 @@ def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.nda
         delta = float(np.linalg.eigvalsh(A)[0])
         if delta > 0:
             t = -low / (delta - low)
-            return (1 - t) * x + t * A
+            mixed = (1 - t) * x + t * A
+            while t < 1 and not _resolved(np.linalg.eigvalsh(mixed / weight)):
+                t = (1 + t) / 2
+                mixed = (1 - t) * x + t * A
+            return mixed
     raise NoFeasiblePoint(
         f"solver stopped at eigenvalue {low:.3e} and the anchor is not "
         f"positive definite (eigenvalue {delta:.3e})"
     )
 
 
+def _resolved(eigs: np.ndarray) -> bool:
+    """Whether the least of an m x m Hermitian matrix M's eigenvalues, in
+    ``eigvalsh``'s ascending order, is positive beyond their rounding,
+    about m eps ||M||_2."""
+    return bool(eigs[0] > len(eigs) * np.finfo(float).eps * max(-eigs[0], eigs[-1]))
+
+
 @lru_cache(maxsize=8)
 def _tracial_anchor(nvars: int, d: int) -> np.ndarray:
     """Read-only half-degree d moment matrix of a fixed random tuple of norm 1.
 
-    Its entries are normalized traces: constant on cyclic classes, 1 at the
-    empty word, bounded by 1 in magnitude.  N x N matrices with N^2 >= 4m
-    for m basis words make it positive definite for a generic tuple.
+    Its entries are normalized traces, one value per class
+    (:func:`~nctrace.moments.moment_sequence`): exactly constant on cyclic
+    classes, exactly conjugate on reversed ones, 1 at the empty word,
+    bounded by 1 in magnitude.  N x N matrices with N^2 >= 4m for m basis
+    words make it positive definite for a generic tuple.
     """
     m = len(words_up_to(nvars, d))
     size = max(4, int(np.ceil(2 * np.sqrt(m))))

@@ -17,18 +17,25 @@ word by word.  A :class:`MomentSequence` is one read-only array of values
 in ``words_up_to`` order together with its :class:`WordIndex`.  Rotations
 and reversals of the words of one length are reshapes of that length's
 level, so each check compares a level with transposed views of itself.
-:func:`moment_sequence` builds the products one word length at a time:
-those of length L are those of length L - 1 times each matrix, one 2-D
-``matmul`` per letter.  Each trace sums its product's diagonal in the order
-numpy's reduce (and so ``np.trace``) sums it, one array operation per
-diagonal entry over all products of a level: the sequences, and the bytes
-written from them, are those of ``np.trace`` on each word's product, and
-``test_pairwise_sum_equals_numpys_row_sum`` pins that order.
+
+:func:`moment_sequence` computes a sequence as a function on dihedral
+classes: a word, its rotations and the reversals of those, with the value
+conjugated on the reversals.  Each class takes one value, the trace at its
+least word w = J + K with |J| = floor(|w|/2), summed as
+``sum_ab (X_J)_ab (X_K)_ba`` over products of the words up to ceil(D/2)
+only; every word of the class reads that value, conjugated when the word
+is a rotation of the least word's reversal and not of the least word, and
+a class that is its own reversal is real.  So rotations agree exactly,
+reversals are exact conjugates, and a sequence of a tuple passes
+:func:`check_w_membership` with violations of exactly 0.0.  A value is
+not the bits ``np.trace`` gives its own word's product: it differs from
+that by rounding only.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,13 +43,20 @@ from .algebra import Word, check_integer, cyclic_canonical, words_up_to
 
 HERMITIAN_INPUT_TOL = 1e-12
 # Size limit of a moment sequence, in the units of ``moment_size``: per word,
-# the N x N complex product that holds it while its level is built, plus up
-# to D letters in its tuple and its JSON text.  The product stack of the top
-# level then stays below 2**23 complex entries (128 MiB), and a single
-# variable (one word per length, but words of length up to D) is allowed up
-# to D = 2,895.  The largest benchmark shape (n = 3, N = 8, D = 8) needs
-# 708,552.
+# N x N complex entries, plus up to D letters in its tuple and its JSON
+# text.  The products of the words up to ceil(D/2), and the halves of the
+# classes' least words gathered at a time, then each stay below 2**23
+# complex entries (128 MiB), and a single variable (one word per length,
+# but words of length up to D) is allowed up to D = 2,895.  The largest
+# benchmark shape (n = 3, N = 8, D = 8) needs 708,552.
 MAX_MOMENT_SIZE = 2**23
+# Complex entries of the halves gathered at a time, each of left and right
+# (or one class's N^2, if more): at N = 8, 2**14 (256 KiB) took about a fifth
+# less time over the benchmark's shapes than 2**16 or more, on an x86-64
+# Xeon core with 2 MiB of L2 cache.
+TRACE_CHUNK = 2**14
+# Plans of sequences of at most this many words are kept (_class_plan).
+_MAX_CACHED_WORDS = 2**18
 HALF_MAX = np.finfo(float).max / 2  # the sum of two floats up to it is finite
 
 
@@ -179,6 +193,19 @@ class WordIndex:
         level's ``(n^(L-s), n^s)`` reshape."""
         return level.reshape(-1, self.n**shift).T.ravel()
 
+    def least_rotations(self) -> np.ndarray:
+        """The position of each word's least rotation, in ``words_up_to``
+        order: the least of the word's rotated views (:meth:`rotated`) of
+        its level of positions.  With one letter every word is its own
+        rotation, and the positions are returned without the D^2 / 2
+        rotated views."""
+        positions = np.arange(len(self))
+        if self.n == 1:
+            return positions
+        return np.concatenate([
+            np.min([self.rotated(level, s) for s in range(max(L, 1))], axis=0)
+            for L, level in self.levels(positions)])
+
     def rotation_gaps(self, level: np.ndarray, length: int) -> np.ndarray:
         """``|level[w] - level[w[s:] + w[:s]]|`` for each of the n^length
         words w of one length and each shift 1 <= s < length, as an
@@ -277,15 +304,20 @@ class MomentSequence:
         return f"MomentSequence(n={self.n}, max_degree={self.max_degree})"
 
 
-def moment_size(n: int, D: int, N: int = 1) -> int:
-    """The number of words of length <= D in n letters, times N^2 + D.
+def word_count(n: int, D: int) -> int:
+    """The number of words of length <= D in n letters.
 
-    Computed from the three integers alone.  The power n^(D+1) is capped at
-    n^64, which for n >= 2 already exceeds :data:`MAX_MOMENT_SIZE`, so a
-    huge D costs nothing; the result is exact up to D = 63.
+    The power n^(D+1) is capped at n^64, which for n >= 2 already exceeds
+    :data:`MAX_MOMENT_SIZE`, so a huge D costs nothing; the count is exact
+    up to D = 63.
     """
-    words = D + 1 if n == 1 else (n ** min(D + 1, 64) - 1) // (n - 1)
-    return words * (N * N + D)
+    return D + 1 if n == 1 else (n ** min(D + 1, 64) - 1) // (n - 1)
+
+
+def moment_size(n: int, D: int, N: int = 1) -> int:
+    """The number of words of length <= D in n letters (:func:`word_count`),
+    times N^2 + D, computed from the three integers alone."""
+    return word_count(n, D) * (N * N + D)
 
 
 def check_moment_size(n: int, D: int, N: int = 1) -> None:
@@ -330,22 +362,25 @@ def real_pairs(z) -> np.ndarray:
 
 
 def moment_sequence(X, D: int) -> MomentSequence:
-    """Normalized traces of all matrix products of length <= D.
+    """Normalized traces of all matrix products of length <= D, by class.
 
-    The products of length L - 1, stacked as rows, times each matrix make
-    the next stack, one 2-D ``matmul`` per letter into that letter's slot.
-    The slots put the last letter slowest, so the traces are read through
-    :meth:`WordIndex.reversed`.  The diagonals are summed in numpy's
-    pairwise order (:func:`_row_sums`), so each trace has the bits
-    ``np.trace`` gives its product and the written sequence the same bytes.
-    Sizes past :data:`MAX_MOMENT_SIZE` are refused before anything is
-    allocated, and so are tuples with N R^D not finite, R the largest norm:
-    it bounds every partial sum of a trace.
+    The products of the words of each length up to ceil(D/2) are those of
+    the length before, each times every matrix, so the new letter is last
+    and they come in ``words_up_to`` order.  A word of one letter is its
+    own class, and its value is its matrix's trace, a sum of the real
+    diagonal of a Hermitian part.  Every longer class's value is
+    ``sum_ab (X_J)_ab (X_K)_ba / N`` at the halves of its least word
+    (:func:`_class_plan`), real and imaginary parts summed apart, up to
+    ``TRACE_CHUNK`` entries of halves at a time, and its words read it
+    (see the module docstring).  Sizes past :data:`MAX_MOMENT_SIZE` are
+    refused before anything is allocated, and so are tuples with N R^D not
+    finite, R the largest norm: since
+    ``|sum_ab (X_J)_ab (X_K)_ba| <= |X_J|_F |X_K|_F <= N R^|w|``, it bounds
+    every partial sum of a trace.
     """
     X = as_matrix_tuple(X)
     n, N = X.n, X.N
     check_moment_size(n, D, N)
-    index = WordIndex(n, D)
     mats = np.stack(X.matrices)
     R = float(np.abs(np.linalg.eigvalsh(mats)).max())
     if not _finite_power(R, D, N):
@@ -353,53 +388,90 @@ def moment_sequence(X, D: int) -> MomentSequence:
             f"matrices too large for degree {D}: N R^D is not finite for "
             f"N = {N} and the largest norm R = {R:.6e}"
         )
-    rows = np.eye(N, dtype=complex)
-    traces = [np.ones(1, dtype=complex)]
-    for _ in range(D):
-        stack = np.empty((n, len(rows), N), dtype=complex)
-        for j in range(n):
-            np.matmul(rows, mats[j], out=stack[j])
-        rows = stack.reshape(-1, N)
-        # The strided diagonals, summed in the order np.trace sums them.
-        traces.append(_row_sums(rows.reshape(-1, N * N)[:, :: N + 1]) / N)
-    return MomentSequence.from_array(n, D, index.reversed(np.concatenate(traces)))
+    plan = _class_plan if word_count(n, D) <= _MAX_CACHED_WORDS else _class_plan.__wrapped__
+    picks, real, lefts, rights = plan(n, D)
+    values = np.empty(len(real), dtype=complex)
+    values[0] = 1.0
+    if D:
+        diagonals = np.ascontiguousarray(mats.diagonal(axis1=1, axis2=2).real)
+        values[1 : n + 1] = diagonals.sum(axis=1) / N
+        # Row w of stack holds (X_w)_ab in column a N + b, and row w of
+        # flipped holds (X_w)_ba there.
+        stack = _products(mats, (D + 1) // 2)
+        flipped = stack.swapaxes(1, 2).reshape(len(stack), N * N)
+        stack = stack.reshape(len(stack), N * N)
+        chunk = max(1, TRACE_CHUNK // (N * N))
+        for at in range(0, len(lefts), chunk):
+            span = slice(at, at + chunk)
+            out = values[n + 1 + at :][:chunk]
+            _half_traces(stack[lefts[span]], flipped[rights[span]], N, out)
+    values.imag[real] = 0.0
+    return MomentSequence.from_array(n, D, np.concatenate([values, values.conj()])[picks])
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """``rows.sum(axis=1)`` of a 2-D complex array, bit for bit, one array
-    operation per column where the reduce makes one inner-loop call per row.
+def _products(mats: np.ndarray, length: int) -> np.ndarray:
+    """The products of the words of lengths 1 .. length >= 1, in
+    ``words_up_to`` order: each length's are the previous length's, each
+    times every matrix, one batched ``matmul``."""
+    n, N, _ = mats.shape
+    stack = np.empty((word_count(n, length) - 1, N, N), dtype=complex)
+    stack[:n] = mats
+    level, start = stack[:n], n
+    while start < len(stack):
+        stop = start + n * len(level)
+        np.matmul(level[:, None], mats, out=stack[start:stop].reshape(len(level), n, N, N))
+        level, start = stack[start:stop], stop
+    return stack
 
-    ``ndarray.sum`` adds each row by numpy's complex ``pairwise_sum``: up to
-    3 entries in turn; up to 64 in four running sums (entries k, k + 4,
-    k + 8, ... up to the last full group of four) combined as
-    ``(r0 + r1) + (r2 + r3)``, then the rest in turn; more split after
-    ``(N - N % 8) // 2`` entries, each half summed so and the halves added.
-    It then adds that to its output's initial 0.  This order is what makes
-    the traces, and so the written sequences, the same bytes as
-    ``np.trace``'s; ``test_pairwise_sum_equals_numpys_row_sum`` pins it on
-    every branch.
+
+def _half_traces(left: np.ndarray, right: np.ndarray, N: int, out: np.ndarray) -> None:
+    """``out[k] = sum_c left[k, c] right[k, c] / N`` for 2-D complex arrays,
+    the real and imaginary parts apart: each an elementwise expression of
+    real products, summed along its row by numpy's row sum."""
+    terms = np.multiply(left.real, right.real)
+    other = np.multiply(left.imag, right.imag)
+    terms -= other
+    out.real = terms.sum(axis=1) / N
+    np.multiply(left.real, right.imag, out=terms)
+    np.multiply(left.imag, right.real, out=other)
+    terms += other
+    out.imag = terms.sum(axis=1) / N
+
+
+@lru_cache(maxsize=8)
+def _class_plan(n: int, D: int) -> tuple:
+    """The dihedral classes of the words of length <= D in n letters.
+
+    A word's class is its cyclic class together with its reversal's; the
+    class's least word is the lesser of the word's least rotation
+    (:meth:`WordIndex.least_rotations`) and its reversal's.  Classes are
+    numbered in the order of their least words.  Returns ``picks``, for
+    each word its class's number, plus the number of classes when the word
+    is not a rotation of its class's least word (so it reads the
+    conjugate); ``real``, for each class whether it is its own reversal;
+    and, for the classes of words of length >= 2 in order, the positions of
+    their least word's halves J and K, |J| = floor(|w|/2), among the words
+    of lengths 1 .. ceil(D/2).  All arrays are read-only.
+
+    The plans of the last 8 (n, D) of at most ``_MAX_CACHED_WORDS`` words
+    are kept; a larger one is built for its call.
     """
-    return 0.0 + _pairwise_sum(list(rows.T))
-
-
-def _pairwise_sum(columns: list) -> np.ndarray:
-    """The sum of equal-shape arrays in numpy's pairwise order (:func:`_row_sums`)."""
-    count = len(columns)
-    if count > 64:
-        half = (count - count % 8) // 2
-        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
-    if count < 4:
-        total = columns[0]
-        for column in columns[1:]:
-            total = total + column
-        return total
-    sums = list(columns[:4])
-    for k in range(4, count - count % 4):
-        sums[k % 4] = sums[k % 4] + columns[k]
-    total = (sums[0] + sums[1]) + (sums[2] + sums[3])
-    for column in columns[count - count % 4:]:
-        total = total + column
-    return total
+    index = WordIndex(n, D)
+    least = index.least_rotations()
+    mirror = index.reversed(least)  # the least rotation of each word's reversal
+    reps = np.minimum(least, mirror)
+    first = np.flatnonzero(reps == np.arange(len(index)))
+    picks = np.searchsorted(first, reps) + len(first) * (least != reps)
+    real = mirror[first] == first
+    long = first[index.lengths[first] >= 2]
+    L = index.lengths[long]
+    width = n ** (L - L // 2)
+    k = long - index.offsets[L]
+    lefts = index.offsets[L // 2] - 1 + k // width
+    rights = index.offsets[L - L // 2] - 1 + k % width
+    for array in (picks, real, lefts, rights):
+        array.flags.writeable = False
+    return picks, real, lefts, rights
 
 
 @dataclass

@@ -8,9 +8,10 @@ directory and runs every op through the in-process CLI twice in one
 process: first after clearing every ``functools`` cache of ``nctrace``,
 then again with the caches the first pass left warm.  Exits 1 naming each
 op whose exit code, stdout or stderr differs between the two passes.
-Otherwise it prints one SHA-256 over every op's exit code, stdout and
-stderr, with the temporary directory written as ``WORK``, so two checkouts
-can be compared by their digests.  It reads ``bench/`` and writes nothing
+Otherwise it prints a SHA-256 over each workload's ops' exit codes, stdout
+and stderr, with the temporary directory written as ``WORK``, and one over
+all three, so two checkouts can be compared by their digests, workload by
+workload.  It reads ``bench/`` and writes nothing
 there.  pytest does not collect it (its name does not start with ``test``).
 """
 
@@ -48,8 +49,9 @@ def main(argv=None) -> int:
     nct = harness.import_nctrace()
     from helpers import package_caches  # after the checkout's nctrace is imported
 
-    digest, count, differ = hashlib.sha256(), 0, []
+    digest, count, differ, lines = hashlib.sha256(), 0, [], []
     for name in workloads.WORKLOADS:
+        own = hashlib.sha256()
         wl = workloads.build(name, args.seed)
         with tempfile.TemporaryDirectory(prefix=f"{name}-") as tmp:
             work = Path(tmp)
@@ -61,12 +63,16 @@ def main(argv=None) -> int:
         for k, (op, first, second) in enumerate(zip(wl.ops, cold, warm)):
             if first != second:
                 differ.append(f"{name} op {k} ({op.command} {op.input}): cold and warm outputs differ")
-            digest.update(repr((name, k, *first)).encode("utf-8"))
+            entry = repr((name, k, *first)).encode("utf-8")
+            digest.update(entry)
+            own.update(entry)
         count += len(wl.ops)
+        lines.append(f"{name}: {len(wl.ops)} ops, sha256 {own.hexdigest()}")
     for line in differ:
         print(line)
     if differ:
         return 1
+    print("\n".join(lines))
     print(f"seed {args.seed}: {count} ops, cold and warm alike, sha256 {digest.hexdigest()}")
     return 0
 

@@ -7,12 +7,13 @@ import sys
 import time
 import tracemalloc
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nctrace import algebra, certify, cli, parsing
+from nctrace import algebra, certify, cli, moments, parsing
 from nctrace.algebra import NCPoly, star_product, words_up_to
 from nctrace.certify import (
     DualWitness,
@@ -38,10 +39,12 @@ from nctrace.sdp import NoFeasiblePoint
 from helpers import (
     assert_same_text,
     checkout_env,
+    einsum_pair_trace,
     make_rng,
     package_caches,
     random_hermitian_tuple,
     reference_build_parser,
+    reference_class_moment_sequence,
     reference_matrix_tuple_json,
     reference_model_json,
     reference_theta_json,
@@ -366,6 +369,30 @@ def test_witness_radius_past_the_scaled_anchor_mixes_the_unscaled_one(poly_file,
         _assert_validated_witness(data, float(radius))
 
 
+def test_witness_past_the_scaled_anchor_clears_eigvalsh_resolution(
+    poly_file, monkeypatch, capsys
+):
+    # An anchor whose sequence takes one einsum trace per class is as
+    # exactly class-constant as moment_sequence's, with other last bits.
+    # The stalled solution has entries up to 1.9e15, so eigvalsh resolves
+    # the mix's least eigenvalue only to about 0.9: the concavity mix alone
+    # reads -0.0106 at both radii with this anchor, and its witness fails
+    # validation.  t moves towards the anchor until that eigenvalue is
+    # resolved.
+    certify._tracial_anchor.cache_clear()
+    monkeypatch.setattr(
+        certify, "moment_sequence",
+        partial(reference_class_moment_sequence, pair_trace=einsum_pair_trace),
+    )
+    try:
+        for radius in ("1e20", "1e77"):
+            code, data = run_cli(["witness", poly_file(NEGATED), "--radius", radius], capsys)
+            assert code == 2 and data["R"] == float(radius) and data["value"] < 0
+            _assert_validated_witness(data, float(radius))
+    finally:
+        certify._tracial_anchor.cache_clear()
+
+
 def _negated_random_square(seed: int) -> str:
     """The text of -b^* b for b with complex coefficients on every word of
     length <= 2 in two variables."""
@@ -604,6 +631,7 @@ CACHES = (
     certify.cyclic_classes,
     certify._tracial_anchor,
     certify._word_grouping,
+    moments._class_plan,
     cli._theta_pieces,
     cli._array_pieces,
 )

@@ -1,17 +1,20 @@
 import dataclasses
 import json
 import re
+import time
 
 import numpy as np
 import pytest
 
+from nctrace import moments
 from nctrace.algebra import NCPoly, involute_word, pair, star_product, words_up_to
 from nctrace.moments import (
     MAX_MOMENT_SIZE,
     MomentSequence,
     WordIndex,
-    _row_sums,
+    _class_plan,
     as_matrix_tuple,
+    check_moment_size,
     check_radius,
     check_w_membership,
     growth_radius,
@@ -27,6 +30,7 @@ from helpers import (
     pauli_pair,
     random_hermitian_tuple,
     random_poly,
+    reference_class_moment_sequence,
     reference_membership,
     reference_moment_matrix,
     reference_moment_sequence,
@@ -253,11 +257,16 @@ def test_word_index_matches_word_operations():
         ]
 
 
-# N = 4, 9 and 65 reach the four running sums, with and without a rest, and
-# the split of numpy's pairwise order (see test_pairwise_sum_equals_numpys_row_sum).
+# Odd and even D, one letter and N = 1 included; N = 9 and 65 give rows of
+# 81 and 4,225 entries, past numpy's blocks of 8 and its pairwise split.
 CASES = [
     (n, N, D) for n in (1, 2, 3) for N in (1, 2, 5) for D in (0, 1, 2, 5)
-] + [(2, 2, 8), (2, 3, 8), (3, 8, 8), (3, 4, 6), (1, 4, 6), (2, 9, 4), (1, 65, 2)]
+] + [(2, 2, 8), (2, 3, 8), (3, 8, 8), (3, 4, 6), (1, 4, 6), (2, 9, 4), (1, 65, 2), (2, 3, 7)]
+
+
+def _bits(values) -> list:
+    """The bits of complex values, signed zeros told apart."""
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("n,N,D", CASES)
@@ -265,32 +274,154 @@ def test_moment_sequence_and_matrix_equal_word_loop(n, N, D):
     rng = make_rng(40 + 100 * n + 10 * N + D)
     mats = random_hermitian_tuple(rng, n, N, radius=1.3)
     t = moment_sequence(mats, D)
-    ref = reference_moment_sequence(mats, D)
+    ref = reference_class_moment_sequence(mats, D)
     assert list(t.values) == list(ref.values)
-    assert np.array_equal(t.as_array(), ref.as_array())
+    # Bit for bit, signed zeros included, with the class-by-class loop ...
+    assert _bits(t.as_array()) == _bits(ref.as_array())
+    # ... and within rounding of the trace of each word's own product:
+    # |t_w - tr(X_w) / N| <= 8 L eps R^L for a word of length L, R = 1.3.
+    direct = reference_moment_sequence(mats, D)
+    lengths = t.index.lengths
+    bound = 8 * lengths * np.finfo(float).eps * 1.3**lengths
+    assert np.all(np.abs(t.as_array() - direct.as_array()) <= bound)
     for d in range(D // 2 + 1):
         # The reference is over the words of words_up_to(n, d), in order.
-        assert np.array_equal(moment_matrix(t, d), reference_moment_matrix(ref, d))
+        assert np.array_equal(moment_matrix(t, d), reference_moment_matrix(t, d))
 
 
-def _complex_rows(real, imag):
-    rows = np.empty(real.shape, dtype=complex)
-    rows.real, rows.imag = real, imag
-    return rows
+@pytest.mark.parametrize("n,N,D", [(2, 3, 6), (3, 4, 5), (3, 1, 4), (1, 3, 7), (2, 5, 1)])
+def test_a_class_reads_one_value(n, N, D):
+    t = moment_sequence(random_hermitian_tuple(make_rng(70 + n + N + D), n, N), D)
+    for word in t.values:
+        value = t[word]
+        reversed_value = t[involute_word(word)]
+        for s in range(1, len(word)):
+            assert t[word[s:] + word[:s]] == value  # rotations exactly equal
+        rotations = {word[s:] + word[:s] for s in range(len(word))} or {()}
+        if involute_word(word) in rotations:
+            # A class that is its own reversal is real, and reads one value.
+            assert _bits(reversed_value) == _bits(value)
+            assert value.imag == 0.0 and not np.signbit(value.imag)
+        else:
+            # Reversals are exact conjugates, the sign of a zero part included.
+            assert _bits(reversed_value) == _bits(value.conjugate())
+    report = check_w_membership(t, tol=0.0)
+    assert report.passed
+    assert report.max_cyclic_violation == report.max_conjugate_violation == 0.0
+    assert report.worst_cyclic_word is None and report.worst_conjugate_word is None
+    if n > 1 and N > 1 and D >= 4:
+        # Not every class is real: some values need the conjugation.
+        assert any(value.imag != 0 for value in t.values.values())
 
 
-# Every branch of numpy's pairwise order: in turn (N <= 3), four running
-# sums with each rest N % 4 (4 <= N <= 64), and the split in halves (N > 64),
-# once and twice.
+def test_class_plan_numbers_the_dihedral_classes():
+    for n, D in ((1, 6), (2, 6), (3, 4)):
+        picks, real, lefts, rights = _class_plan(n, D)
+        words = words_up_to(n, D)
+        least = {}
+        for w in words:
+            rotations = [w[s:] + w[:s] for s in range(len(w))] or [()]
+            least[w] = min(rotations + [involute_word(r) for r in rotations])
+        reps = sorted(set(least.values()), key=words.index)
+        count = len(reps)
+        assert len(real) == count
+        halves = words_up_to(n, (D + 1) // 2)[1:]
+        for w, pick in zip(words, picks.tolist()):
+            rotations = {w[s:] + w[:s] for s in range(len(w))} or {()}
+            assert pick == reps.index(least[w]) + count * (least[w] not in rotations)
+        for rep, is_real in zip(reps, real.tolist()):
+            rotations = {rep[s:] + rep[:s] for s in range(len(rep))} or {()}
+            assert is_real == (involute_word(rep) in rotations)
+        long = [rep for rep in reps if len(rep) >= 2]
+        assert [halves[k] for k in lefts.tolist()] == [w[: len(w) // 2] for w in long]
+        assert [halves[k] for k in rights.tolist()] == [w[len(w) // 2 :] for w in long]
+        for array in (picks, real, lefts, rights):
+            assert not array.flags.writeable
+
+
+def test_least_rotations_are_those_of_the_words():
+    for n, D in ((1, 7), (2, 6), (3, 4)):
+        words = words_up_to(n, D)
+        position = {w: i for i, w in enumerate(words)}
+        expected = [position[min([w[s:] + w[:s] for s in range(len(w))] or [()])] for w in words]
+        assert WordIndex(n, D).least_rotations().tolist() == expected
+
+
+def test_one_letter_needs_no_rotated_views(monkeypatch):
+    # At n = 1 every word is its own rotation: the D^2 / 2 rotated views of
+    # a sequence at the size limit are not made.
+    def refuse(*args):
+        raise AssertionError("rotated view made for one letter")
+
+    monkeypatch.setattr(WordIndex, "rotated", refuse)
+    assert WordIndex(1, 40).least_rotations().tolist() == list(range(41))
+    _class_plan.cache_clear()
+    try:
+        t = moment_sequence([np.array([[0.5]])], 2895)
+    finally:
+        _class_plan.cache_clear()
+    assert t[(1,) * 2895] == 0.5**2895
+
+
+def test_largest_single_variable_sequence_takes_milliseconds():
+    # A single variable at the size limit, its plan built anew each time:
+    # about 10 ms on a 2-vCPU x86-64 VM, where one rotated view per shift
+    # (4.2 million views) took 0.5 s.
+    X = [np.array([[1.0]])]
+    best = min(_timed_without_plans(lambda: moment_sequence(X, 2895)) for _ in range(3))
+    assert best < 0.25
+
+
+def _timed_without_plans(call) -> float:
+    _class_plan.cache_clear()
+    start = time.perf_counter()
+    call()
+    elapsed = time.perf_counter() - start
+    _class_plan.cache_clear()
+    return elapsed
+
+
+@pytest.mark.parametrize("n,N", [(1, 1), (2, 1), (3, 1), (2, 8), (3, 8), (1, 64)])
+def test_size_refusals_are_those_of_check_moment_size(n, N):
+    # The largest D the limit allows is computed and refused one past it.
+    D = 0
+    while moment_size(n, D + 1, N) <= MAX_MOMENT_SIZE:
+        D += 1
+    check_moment_size(n, D, N)
+    t = moment_sequence(random_hermitian_tuple(make_rng(n + N), n, N, radius=0.9), D)
+    assert t.max_degree == D
+    with pytest.raises(ValueError, match="moment sequence too large"):
+        check_moment_size(n, D + 1, N)
+    with pytest.raises(ValueError, match="moment sequence too large"):
+        moment_sequence(random_hermitian_tuple(make_rng(n + N), n, N), D + 1)
+
+
+# Every branch of numpy's pairwise order: in turn (N < 8), eight running
+# sums with each rest N % 8 (8 <= N <= 128), and the split in halves
+# (N > 128), once and twice.
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64, 65, 129, 200])
 def test_pairwise_sum_equals_numpys_row_sum(N):
+    # A class's value sums one row of real products; the class reference
+    # sums the same products as a 1-D array.  The two agree bit for bit, in
+    # a chunk of any number of rows, because numpy sums each row of a
+    # C-contiguous array in the pairwise order of its own 1-D sum.
     rng = make_rng(500 + N)
     shape = (50, N)
-    scaled = [rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape) for _ in "ri"]
-    signs = [np.where(rng.random(shape) < 0.5, -0.0, 0.0) for _ in "ri"]
-    for rows in (_complex_rows(*scaled), _complex_rows(*signs)):
-        got = _row_sums(rows).view(np.int64)
-        assert np.array_equal(got, rows.sum(axis=1).view(np.int64))
+    scaled = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    signs = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    for rows in (scaled, signs):
+        sums = np.array([row.copy().sum() for row in rows])
+        for chunk in (1, 7, 50):
+            got = np.concatenate([rows[k : k + chunk].sum(axis=1) for k in range(0, 50, chunk)])
+            assert np.array_equal(got.view(np.int64), sums.view(np.int64))
+
+
+def test_classes_are_summed_in_chunks_of_halves(monkeypatch):
+    # A chunk of one class at a time gives the same bits as all at once.
+    mats = random_hermitian_tuple(make_rng(77), 2, 3)
+    whole = moment_sequence(mats, 7)
+    monkeypatch.setattr(moments, "TRACE_CHUNK", 1)
+    assert _bits(moment_sequence(mats, 7).as_array()) == _bits(whole.as_array())
 
 
 def _assert_membership_equals_reference(t, tol=1e-10):
