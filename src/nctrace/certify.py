@@ -28,10 +28,10 @@ list of polynomials is turned into its B once
 (:func:`~nctrace.algebra.coefficient_matrix`).  The residual is recomputed
 from the factors alone: the entries (J, K) of ``B^H B`` are summed onto
 their words ``reverse(J) + K``, grouped by concatenating the factors' own
-words (a grouping kept per tuple of words), and the difference from p is
-reduced by plain polynomial arithmetic.  It never reads the labels, the
-word index or any solver state.  Problems larger than
-:data:`MAX_GRAM_SIZE` are refused before anything is allocated.
+words, and the difference from p is reduced by plain polynomial
+arithmetic.  It never reads the labels, the word index or any solver
+state.  Problems larger than :data:`MAX_GRAM_SIZE` are refused before
+anything is allocated.
 
 Failure of the primal search is only ever "infeasible at tolerance at
 level d": raising d enlarges the search space, and no claim of
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -168,6 +168,8 @@ class CyclicClasses:
     word up to 2d is such a pair (split it in the middle), so every class
     labels some entry.  ``checked`` is ``labels`` checked once for the
     solver's constraint sets (:class:`~nctrace.sdp.ClassLabels`).
+    ``anchor`` is the cell's tracial anchor (:func:`_tracial_anchor`),
+    built on first read and kept with the cell.
     """
 
     index: WordIndex
@@ -197,6 +199,10 @@ class CyclicClasses:
         values[~unpruned(values)] = 0
         return values
 
+    @cached_property
+    def anchor(self) -> np.ndarray:
+        return _tracial_anchor(self.index.n, self.index.D // 2)
+
 
 @lru_cache(maxsize=8)
 def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
@@ -209,10 +215,11 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
 
     The classes of the last 8 cells (nvars, d) a process asked for are
     kept in an ``lru_cache``, so every array of the result, its index's
-    and its checked labels' included, is read-only.  At the size limit
-    (:func:`check_gram_size`) an entry holds 3.7 MiB at (2, 7), 6.8 MiB at
-    (3, 5) and 10.2 MiB at (1, 511), where ``words`` is every word up to
-    length 1022.
+    and its checked labels' included, is read-only, and so is its anchor
+    once read.  At the size limit (:func:`check_gram_size`) an entry holds
+    2.5 MiB at (2, 7), 5.9 MiB at (3, 5) and 10.9 MiB at (1, 511), where
+    ``words`` is every word up to length 1022; an anchor adds at most
+    4 MiB, at (1, 511).
     """
     index = WordIndex(nvars, 2 * d)
     positions = np.arange(len(index))
@@ -284,9 +291,9 @@ def _sum_of_squares(factors, nvars: int) -> NCPoly:
     nonzero coefficient on the word, then by column; words no factor uses
     are left out.  So sum_b conj(b_J) b_K is entry (J, K) of ``B^H B``.
     The nonzero entries are summed onto their words reverse(J) + K
-    (:func:`_word_grouping`) by two ``bincount`` calls, in row-major order,
-    as one addition per entry would sum them; each word takes its place in
-    the sum at its first nonzero entry.
+    (:func:`_word_grouping`, built per call) by two ``bincount`` calls, in
+    row-major order, as one addition per entry would sum them; each word
+    takes its place in the sum at its first nonzero entry.
     """
     columns, B = coefficient_matrix(factors)
     used = B != 0
@@ -296,8 +303,7 @@ def _sum_of_squares(factors, nvars: int) -> NCPoly:
     if len(order) < len(columns) or (order != np.arange(len(order))).any():
         columns, B = tuple(columns[k] for k in order.tolist()), B[:, order]
     gram = (B.conj().T @ B).ravel()
-    small = 2 * len(columns) * sum(map(len, columns)) <= GROUPING_LETTERS
-    groups, words = (_word_grouping if small else _word_grouping.__wrapped__)(columns)
+    groups, words = _word_grouping(columns)
     nonzero = np.flatnonzero(gram)
     labels = groups[nonzero]
     sums = np.empty(len(words), dtype=complex)
@@ -312,22 +318,15 @@ def _sum_of_squares(factors, nvars: int) -> NCPoly:
     return NCPoly._from_array(nvars, words, sums)
 
 
-GROUPING_LETTERS = 2**16  # the most letters a kept grouping's words spell
-
-
-@lru_cache(maxsize=8)
 def _word_grouping(columns: tuple) -> tuple:
     """The words reverse(J) + K of the entries (J, K) of a Gram matrix over
     ``columns``, numbered in first-seen row-major order: each entry's
-    number, as a read-only array, and the words.  A process keeps the last
-    8 groupings whose words spell at most ``GROUPING_LETTERS`` letters
-    (2 W L over W columns of L letters in all), 2.2 MiB each at most."""
+    number, as an array, and the words."""
     number: dict[Word, int] = {}
     groups = np.array(
         [number.setdefault(J[::-1] + K, len(number)) for J in columns for K in columns],
         dtype=np.intp,
     )
-    groups.flags.writeable = False
     return groups, tuple(number)
 
 
@@ -387,7 +386,7 @@ def certify_sos(
 
     Returns a :class:`Certificate` on success and an
     :class:`InfeasibilityReport` with the solver's separating matrix (its
-    anchor is :func:`_tracial_anchor`) when the Gram problem is infeasible
+    anchor is the cell's ``anchor``) when the Gram problem is infeasible
     at tolerance; raises :class:`SolverStalled` when the solve is undecided
     at its iteration cap.  The certificate's residual is recomputed from the
     extracted factors by plain polynomial arithmetic; one above
@@ -396,8 +395,8 @@ def certify_sos(
     if d is None:
         d = (p.degree() + 1) // 2
     problem = build_gram_problem(p, d)
-    anchor = partial(_tracial_anchor, p.nvars, d)
-    report = feasibility_solve(problem.constraints, tol, max_iter, anchor)
+    classes = cyclic_classes(p.nvars, d)
+    report = feasibility_solve(problem.constraints, tol, max_iter, lambda: classes.anchor)
     if report.status == "max-iterations":
         raise SolverStalled(report)
     if report.status != "feasible":
@@ -485,15 +484,15 @@ def witness_search(
 def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.ndarray:
     """Move x, feasible but for eigenvalue ``low < 0``, just onto the PSD cone.
 
-    The anchor A is the class-projected moment matrix of the
-    :func:`_tracial_anchor` tuple scaled to norm R, so it satisfies every
-    constraint.  With delta = lambda_min(A) > 0 the mix (1-t)x + tA,
-    t = -low / (delta - low), stays feasible and has smallest eigenvalue at
-    least zero, by concavity of lambda_min.  At a large R the scaled
-    anchor's delta is below ``eigvalsh``'s resolution, about 1e-16 R^(2d);
-    A is then the unscaled anchor, of norm 1, which is feasible for every
-    R >= 1.  Raises :class:`NoFeasiblePoint` if its delta is not positive
-    either.
+    The anchor A is the class-projected moment matrix of the cell's
+    ``anchor`` tuple (:func:`_tracial_anchor`) scaled to norm R, so it
+    satisfies every constraint.  With delta = lambda_min(A) > 0 the mix
+    (1-t)x + tA, t = -low / (delta - low), stays feasible and has smallest
+    eigenvalue at least zero, by concavity of lambda_min.  At a large R the
+    scaled anchor's delta is below ``eigvalsh``'s resolution, about
+    1e-16 R^(2d); A is then the unscaled anchor, of norm 1, which is
+    feasible for every R >= 1.  Raises :class:`NoFeasiblePoint` if its
+    delta is not positive either.
 
     ``low`` is itself only known to ``eigvalsh``'s resolution on x, so
     where x is large the mix can come out indefinite.  t is then moved
@@ -504,8 +503,7 @@ def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.nda
     whose entries grow as R^(|J| + |K|) within the box, to entries of about
     1, where its resolution is fine.
     """
-    anchor = _tracial_anchor(classes.index.n, classes.index.D // 2)
-    anchor = (anchor + anchor.conj().T) / 2
+    anchor = (classes.anchor + classes.anchor.conj().T) / 2
     # Scaling the tuple by R scales entry (J, K) by R^(|J| + |K|); no trace
     # of a tuple of norm R is taken, so none overflows.  The weight is
     # symmetric in J and K, so the scaled Hermitian part stays exactly
@@ -534,7 +532,6 @@ def _resolved(eigs: np.ndarray) -> bool:
     return bool(eigs[0] > len(eigs) * np.finfo(float).eps * max(-eigs[0], eigs[-1]))
 
 
-@lru_cache(maxsize=8)
 def _tracial_anchor(nvars: int, d: int) -> np.ndarray:
     """Read-only half-degree d moment matrix of a fixed random tuple of norm 1.
 

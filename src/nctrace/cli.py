@@ -37,13 +37,12 @@ same layout itself, with ``float.__repr__``, json's own float format, into
 one list of pieces that :func:`_emit` joins once, after the whole payload
 is written; a non-finite float therefore leaves stdout and ``--out``
 untouched.  A float array (operators, matrix tuples) and a moment sequence
-each fill a cached tuple of literal pieces whose odd places are slots for
-their float texts.  An array's pieces (:func:`_array_pieces`) hold the
-brackets, commas and indents around each float; a sequence's
-(:func:`_theta_pieces`) also hold every word's text.  The process keeps the
-pieces of its last 8 (shape, depth) pairs up to 2^18 floats each, and of
-its last 8 (variables, degree, depth) triples up to 4 MiB of text each,
-and builds longer ones for the call alone.  A sequence
+each fill a tuple of literal pieces whose odd places are slots for their
+float texts.  An array's pieces (:func:`_array_pieces`) hold the brackets,
+commas and indents around each float, and are built per call; a
+sequence's (:func:`_theta_pieces`) also hold every word's text, and the
+process keeps those of its last 8 (variables, degree, depth) triples whose
+(variables, degree) is :func:`~nctrace.moments.cacheable`.  A sequence
 costs one ``float.__repr__`` per distinct magnitude among all its real and
 imaginary parts, the sign being read from the sign bit.  The tests pin the
 bytes against the stdlib encoder, with the pieces warm and cleared.
@@ -85,6 +84,7 @@ from .moments import (
     MatrixTuple,
     MomentSequence,
     as_matrix_tuple,
+    cacheable,
     check_membership_tol,
     check_radius,
     check_w_membership,
@@ -129,12 +129,6 @@ def _emit(payload: dict, out_path: str | None) -> None:
 # -- JSON writer ---------------------------------------------------------------
 
 _INDENT = "  "
-# The longest moment-sequence piece list kept for the process, in characters
-# of its literal text (1 byte each): n = 3 to D = 8 takes 1.4 MiB, n = 2 to
-# D = 13 3.1 MiB.
-_MAX_CACHED_TEXT = 4 * 2**20
-# The largest float array whose piece list is kept, at 8 bytes a slot: 4 MiB.
-_MAX_CACHED_FLOATS = 2**18
 _INFINITY = float("inf")
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -229,23 +223,19 @@ def _signed_texts(part: np.ndarray) -> tuple:
 
 
 def _write_array(a: np.ndarray, level: int, out: list) -> None:
-    """A float array as nested json lists: its :func:`_array_pieces` filled
-    with one text per float.  The pieces of an array of more than
-    ``_MAX_CACHED_FLOATS`` floats are built for the call and not kept."""
+    """A float array as nested json lists: its :func:`_array_pieces`,
+    built for the call, filled with one text per float."""
     if not a.size:
         _write(a.tolist(), level, out)
         return
-    pieces = _array_pieces if a.size <= _MAX_CACHED_FLOATS else _array_pieces.__wrapped__
     texts = _float_texts(a)
-    _fill(pieces(a.shape, level), texts, out)
+    _fill(_array_pieces(a.shape, level), texts, out)
 
 
-@lru_cache(maxsize=8)
 def _array_pieces(shape: tuple, level: int) -> tuple:
     """The text of a non-empty float array of this shape as nested json
     lists ``level`` containers deep, in pieces around one slot (None) per
-    float in C order.  The last 8 (shape, level) kept have at most
-    ``_MAX_CACHED_FLOATS`` floats each.
+    float in C order.
 
     Between two floats, the j innermost lists whose index wraps close and
     open again; ``seps[j]`` is that text, shared by every such place.
@@ -293,13 +283,10 @@ class _Words:
 def _write_theta(theta: MomentSequence, level: int, out: list) -> None:
     """The ``{"word", "re", "im"}`` entries of a sequence, in ``words_up_to``
     order: its :func:`_theta_pieces` filled with the texts of each value's
-    imaginary and real parts.  The pieces of a sequence whose text is longer
-    than ``_MAX_CACHED_TEXT`` characters are built for the call and not
-    kept."""
+    imaginary and real parts.  The pieces are kept only when (n, D) is
+    :func:`~nctrace.moments.cacheable`; others are built for the call."""
     n, D = theta.n, theta.max_degree
-    pieces = _theta_pieces
-    if _theta_pieces_size(n, D, level) > _MAX_CACHED_TEXT:
-        pieces = _theta_pieces.__wrapped__
+    pieces = _theta_pieces if cacheable(n, D) else _theta_pieces.__wrapped__
     # (im, re) of each value, in the order the entries name them.
     parts = theta.as_array().view(float).reshape(-1, 2)[:, ::-1].ravel()
     texts = _signed_texts(parts)
@@ -311,7 +298,8 @@ def _theta_pieces(n: int, D: int, level: int) -> tuple:
     """The entry list of a sequence of n letters up to degree D, ``level``
     containers deep, in pieces around a slot (None) for each imaginary and
     real part, with each word's text in place.  The last 8 (n, D, level)
-    kept hold at most ``_MAX_CACHED_TEXT`` characters each."""
+    kept are those of :func:`~nctrace.moments.cacheable` (n, D), with at
+    most 4.9 MiB of text at depth 1 (n = 65,535 and D = 1)."""
     inner = "\n" + _INDENT * (level + 1)
     field = "," + inner + _INDENT
     opening = "{" + inner + _INDENT + '"im": '
@@ -325,25 +313,6 @@ def _theta_pieces(n: int, D: int, level: int) -> tuple:
     pieces[4::4] = [f"{word}{w}{ending}" for w in words]
     pieces[-1] = word + words[-1] + close + "\n" + _INDENT * level + "]"
     return tuple(pieces)
-
-
-def _theta_pieces_size(n: int, D: int, level: int) -> int:
-    """The characters of ``_theta_pieces(n, D, level)``, from the three
-    integers.
-
-    Each word's entry, with its separator, takes ``10 level + 46``
-    characters besides the word's text; the text of a word of L >= 1
-    letters takes ``L (2 level + 8) + 2 level + 6`` besides its digits.
-    ``test_theta_template_size_is_its_length`` checks it.
-    """
-    # The digits of the letters 1..n: each j >= 10^k has a (k + 1)-th one.
-    digits = sum(n - 10**k + 1 for k in range(len(str(n))))
-    size = 2 * level + 4  # the list's brackets and last newline, the empty word's []
-    for L in range(D + 1):
-        size += n**L * (10 * level + 46)
-        if L:
-            size += n**L * (L * (2 * level + 8) + 2 * level + 6) + L * n ** (L - 1) * digits
-    return size
 
 
 def _load_poly(path: str) -> NCPoly:

@@ -29,7 +29,9 @@ a class that is its own reversal is real.  So rotations agree exactly,
 reversals are exact conjugates, and a sequence of a tuple passes
 :func:`check_w_membership` with violations of exactly 0.0.  A value is
 not the bits ``np.trace`` gives its own word's product: it differs from
-that by rounding only.
+that by rounding only.  The classes of an (n, D) are planned once and
+kept when :func:`cacheable`, the one size rule of every per-(n, D) cache
+of the package.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Word, check_integer, cyclic_canonical, words_up_to
+from .algebra import Word, check_integer, cyclic_canonical, is_integer, words_up_to
 
 HERMITIAN_INPUT_TOL = 1e-12
 # Size limit of a moment sequence, in the units of ``moment_size``: per word,
@@ -55,8 +57,11 @@ MAX_MOMENT_SIZE = 2**23
 # less time over the benchmark's shapes than 2**16 or more, on an x86-64
 # Xeon core with 2 MiB of L2 cache.
 TRACE_CHUNK = 2**14
-# Plans of sequences of at most this many words are kept (_class_plan).
-_MAX_CACHED_WORDS = 2**18
+# The per-(n, D) caches, ``_class_plan`` here and the JSON pieces of a
+# sequence in ``cli``, keep an entry exactly when ``moment_size(n, D)`` is
+# at most this (:func:`cacheable`).  Every benchmark shape is kept: the
+# largest, n = 3 and D = 8, has size 88,569.
+MAX_CACHED_SIZE = 2**17
 HALF_MAX = np.finfo(float).max / 2  # the sum of two floats up to it is finite
 
 
@@ -286,7 +291,9 @@ class MomentSequence:
 
     def __getitem__(self, word) -> complex:
         word = tuple(word)
-        if len(word) > self.max_degree or not all(1 <= j <= self.n for j in word):
+        if len(word) > self.max_degree or not all(
+            is_integer(j) and 1 <= j <= self.n for j in word
+        ):
             raise KeyError(word)
         return self._array[self.index.positions([word])[0]].item()
 
@@ -318,6 +325,12 @@ def moment_size(n: int, D: int, N: int = 1) -> int:
     """The number of words of length <= D in n letters (:func:`word_count`),
     times N^2 + D, computed from the three integers alone."""
     return word_count(n, D) * (N * N + D)
+
+
+def cacheable(n: int, D: int) -> bool:
+    """Whether the per-(n, D) caches keep their entry for n letters up to
+    degree D: exactly when ``moment_size(n, D) <= MAX_CACHED_SIZE``."""
+    return moment_size(n, D) <= MAX_CACHED_SIZE
 
 
 def check_moment_size(n: int, D: int, N: int = 1) -> None:
@@ -388,7 +401,7 @@ def moment_sequence(X, D: int) -> MomentSequence:
             f"matrices too large for degree {D}: N R^D is not finite for "
             f"N = {N} and the largest norm R = {R:.6e}"
         )
-    plan = _class_plan if word_count(n, D) <= _MAX_CACHED_WORDS else _class_plan.__wrapped__
+    plan = _class_plan if cacheable(n, D) else _class_plan.__wrapped__
     picks, real, lefts, rights = plan(n, D)
     values = np.empty(len(real), dtype=complex)
     values[0] = 1.0
@@ -453,8 +466,8 @@ def _class_plan(n: int, D: int) -> tuple:
     their least word's halves J and K, |J| = floor(|w|/2), among the words
     of lengths 1 .. ceil(D/2).  All arrays are read-only.
 
-    The plans of the last 8 (n, D) of at most ``_MAX_CACHED_WORDS`` words
-    are kept; a larger one is built for its call.
+    The plans of the last 8 (n, D) that are :func:`cacheable` are kept; any
+    other is built for its call.
     """
     index = WordIndex(n, D)
     least = index.least_rotations()

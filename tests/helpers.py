@@ -1070,6 +1070,24 @@ def reference_theta_json(theta: MomentSequence) -> list:
     ]
 
 
+def theta_text_size(n: int, D: int, level: int) -> int:
+    """The characters of the literal text of ``cli._theta_pieces(n, D,
+    level)``, from the three integers.
+
+    Each word's entry, with its separator, takes ``10 level + 46``
+    characters besides the word's text; the text of a word of L >= 1
+    letters takes ``L (2 level + 8) + 2 level + 6`` besides its digits.
+    """
+    # The digits of the letters 1..n: each j >= 10^k has a (k + 1)-th one.
+    digits = sum(n - 10**k + 1 for k in range(len(str(n))))
+    size = 2 * level + 4  # the list's brackets and last newline, the empty word's []
+    for L in range(D + 1):
+        size += n**L * (10 * level + 46)
+        if L:
+            size += n**L * (L * (2 * level + 8) + 2 * level + 6) + L * n ** (L - 1) * digits
+    return size
+
+
 def reference_matrix_pairs(M) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in M]
 

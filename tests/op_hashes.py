@@ -1,13 +1,16 @@
-"""Check that every benchmark op writes the same bytes with cold and warm caches.
+"""Check that every benchmark op writes the same bytes with cold, warm and
+no per-(n, D) caches.
 
     python tests/op_hashes.py --seed 1
 
 Builds the inputs and op lists of the three benchmark workloads
 (``bench/workloads.py``) at one seed, writes the inputs to a temporary
-directory and runs every op through the in-process CLI twice in one
+directory and runs every op through the in-process CLI three times in one
 process: first after clearing every ``functools`` cache of ``nctrace``,
-then again with the caches the first pass left warm.  Exits 1 naming each
-op whose exit code, stdout or stderr differs between the two passes.
+then again with the caches the first pass left warm, then cleared again
+with ``moments.MAX_CACHED_SIZE`` set to 0, so that no per-(n, D) entry is
+kept.  Exits 1 naming each op whose exit code, stdout or stderr differs
+between the passes.
 Otherwise it prints a SHA-256 over each workload's ops' exit codes, stdout
 and stderr, with the temporary directory written as ``WORK``, and one over
 all three, so two checkouts can be compared by their digests, workload by
@@ -49,6 +52,10 @@ def main(argv=None) -> int:
     nct = harness.import_nctrace()
     from helpers import package_caches  # after the checkout's nctrace is imported
 
+    def clear_caches():
+        for cache in package_caches().values():
+            cache.cache_clear()
+
     digest, count, differ, lines = hashlib.sha256(), 0, [], []
     for name in workloads.WORKLOADS:
         own = hashlib.sha256()
@@ -56,13 +63,22 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix=f"{name}-") as tmp:
             work = Path(tmp)
             wl.write(work)
-            for cache in package_caches().values():
-                cache.cache_clear()
+            clear_caches()
             cold = run_ops(nct, wl, work)
             warm = run_ops(nct, wl, work)
-        for k, (op, first, second) in enumerate(zip(wl.ops, cold, warm)):
-            if first != second:
-                differ.append(f"{name} op {k} ({op.command} {op.input}): cold and warm outputs differ")
+            clear_caches()
+            limit = nct.moments.MAX_CACHED_SIZE
+            nct.moments.MAX_CACHED_SIZE = 0
+            try:
+                unkept = run_ops(nct, wl, work)
+            finally:
+                nct.moments.MAX_CACHED_SIZE = limit
+        for k, (op, first, *others) in enumerate(zip(wl.ops, cold, warm, unkept)):
+            for other, label in zip(others, ("warm", "limit-0")):
+                if other != first:
+                    differ.append(
+                        f"{name} op {k} ({op.command} {op.input}): cold and {label} outputs differ"
+                    )
             entry = repr((name, k, *first)).encode("utf-8")
             digest.update(entry)
             own.update(entry)
@@ -73,7 +89,8 @@ def main(argv=None) -> int:
     if differ:
         return 1
     print("\n".join(lines))
-    print(f"seed {args.seed}: {count} ops, cold and warm alike, sha256 {digest.hexdigest()}")
+    alike = "cold, warm and limit-0 alike"
+    print(f"seed {args.seed}: {count} ops, {alike}, sha256 {digest.hexdigest()}")
     return 0
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import re
 import time
 
@@ -672,18 +673,14 @@ def test_a_changed_factor_list_is_read_from_its_polynomials():
         assert term_bits(got) == term_bits(reference_gram_sum_of_squares(plain, nvars))
 
 
-def test_word_grouping_is_kept_only_for_small_column_tuples():
-    certify._word_grouping.cache_clear()
+def test_square_sums_over_short_and_long_column_tuples_equal_the_gram_loop():
     small = [NCPoly(1, {(1,) * k: 1.0 for k in range(8)})]
-    # 2 W L = 2 * 181 * 181 letters, past GROUPING_LETTERS.
+    # 181 columns: 32,761 entries over 361 words of 2 to 362 letters.
     large = [NCPoly(1, {(1,) * k: 1.0 for k in range(1, 182)})]
-    assert 2 * 181 * sum(range(1, 182)) > certify.GROUPING_LETTERS
     for factors in (small, large, small):
         _assert_square_sum_equals_gram_loop(factors, 1)
-    info = certify._word_grouping.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     groups, words = certify._word_grouping(tuple(small[0].terms))
-    assert not groups.flags.writeable and len(groups) == 64 and len(words) == 15
+    assert len(groups) == 64 and len(words) == 15
 
 
 @pytest.mark.parametrize("nvars,d", [(1, 2), (2, 2), (3, 2), (2, 3)])
@@ -1474,10 +1471,43 @@ def test_witness_search_refuses_a_box_radius_below_one():
         witness_search(-1 * commutator_square_poly(), 2, R=0.5)
 
 
+def test_a_cell_builds_its_anchor_once_and_keeps_it(monkeypatch):
+    build, calls = certify._tracial_anchor, []
+
+    def counted(nvars, d):
+        calls.append((nvars, d))
+        return build(nvars, d)
+
+    monkeypatch.setattr(certify, "_tracial_anchor", counted)
+    p = -1 * commutator_square_poly()
+    certify.cyclic_classes.cache_clear()
+    try:
+        # The witness at this radius stalls and mixes in the anchor; the
+        # certify of the same cell reads the one it left.
+        theta, value = witness_search(p, 2, R=1e20)
+        assert value < 0 and calls == [(2, 2)]
+        assert isinstance(certify_sos(p, 2), InfeasibilityReport)
+        assert calls == [(2, 2)]
+        certify.cyclic_classes.cache_clear()
+        assert isinstance(certify_sos(p, 2), InfeasibilityReport)
+        assert calls == [(2, 2)] * 2
+        classes = certify.cyclic_classes(2, 2)
+        anchor = classes.anchor
+    finally:
+        certify.cyclic_classes.cache_clear()
+    assert classes.anchor is anchor and calls == [(2, 2)] * 2
+    assert anchor.tobytes() == build(2, 2).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        anchor[0, 0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        classes.anchor = anchor.copy()
+
+
 def test_mix_anchor_refuses_an_anchor_that_is_not_positive_definite(monkeypatch):
     # The projected zero anchor is 1 at the empty word and 0 elsewhere:
     # singular at either scale.
-    classes = certify.cyclic_classes(1, 1)
+    # A cell of its own, whose anchor is built on first read, from the patch.
+    classes = certify.cyclic_classes.__wrapped__(1, 1)
     constraints = ClassConstraints(classes.labels, pinned=0)
     monkeypatch.setattr(certify, "_tracial_anchor", lambda nvars, d: np.zeros((2, 2)))
     message = (

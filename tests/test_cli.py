@@ -49,6 +49,7 @@ from helpers import (
     reference_model_json,
     reference_theta_json,
     stdlib_json,
+    theta_text_size,
 )
 
 COMMUTATOR = (
@@ -378,8 +379,8 @@ def test_witness_past_the_scaled_anchor_clears_eigvalsh_resolution(
     # the mix's least eigenvalue only to about 0.9: the concavity mix alone
     # reads -0.0106 at both radii with this anchor, and its witness fails
     # validation.  t moves towards the anchor until that eigenvalue is
-    # resolved.
-    certify._tracial_anchor.cache_clear()
+    # resolved.  Clearing the cells drops the anchors they hold.
+    certify.cyclic_classes.cache_clear()
     monkeypatch.setattr(
         certify, "moment_sequence",
         partial(reference_class_moment_sequence, pair_trace=einsum_pair_trace),
@@ -390,7 +391,7 @@ def test_witness_past_the_scaled_anchor_clears_eigvalsh_resolution(
             assert code == 2 and data["R"] == float(radius) and data["value"] < 0
             _assert_validated_witness(data, float(radius))
     finally:
-        certify._tracial_anchor.cache_clear()
+        certify.cyclic_classes.cache_clear()
 
 
 def _negated_random_square(seed: int) -> str:
@@ -629,11 +630,8 @@ CACHES = (
     algebra._least_rotation,
     parsing._letters,
     certify.cyclic_classes,
-    certify._tracial_anchor,
-    certify._word_grouping,
     moments._class_plan,
     cli._theta_pieces,
-    cli._array_pieces,
 )
 
 
@@ -964,18 +962,45 @@ def test_a_theta_is_written_alike_from_warm_and_cleared_templates(name):
     assert cli._theta_pieces.cache_info().currsize == 3
 
 
-def test_a_theta_past_the_template_bound_is_written_alike_and_not_kept(monkeypatch):
-    theta = THETAS["n=3 D=4"]
-    payload, expected = {"values": theta}, stdlib_json({"values": reference_theta_json(theta)})
-    size = cli._theta_pieces_size(3, 4, 1)
-    cli._theta_pieces.cache_clear()
-    monkeypatch.setattr(cli, "_MAX_CACHED_TEXT", size - 1)
-    for _ in range(2):
-        assert _text(payload) + "\n" == expected
-        assert cli._theta_pieces.cache_info().currsize == 0
-    monkeypatch.setattr(cli, "_MAX_CACHED_TEXT", size)
-    assert _text(payload) + "\n" == expected
-    assert cli._theta_pieces.cache_info().currsize == 1
+@pytest.mark.parametrize("cache", [moments._class_plan, cli._theta_pieces], ids=lambda c: c.__name__)
+def test_a_cell_is_kept_exactly_when_its_moment_size_is_within_the_limit(cache, monkeypatch):
+    # Degree 1 in 65,535 variables has size MAX_CACHED_SIZE exactly, and one
+    # more variable is past it.  The bytes each cache serves (a sequence's
+    # values, or its JSON text one container deep) are those of a run that
+    # keeps nothing.
+    assert moments.moment_size(65535, 1) == moments.MAX_CACHED_SIZE
+    for n, kept in ((65535, True), (65536, False)):
+        X = np.linspace(-1.0, 1.0, n).reshape(n, 1, 1)
+        theta = moment_sequence(X, 1)
+        if cache is moments._class_plan:
+            serve = lambda: moment_sequence(X, 1).as_array().tobytes()
+        else:
+            serve = lambda: _text({"values": theta})
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, "MAX_CACHED_SIZE", 0)
+            cache.cache_clear()
+            expected = serve()
+            assert cache.cache_info().currsize == 0
+        for _ in range(2):
+            assert serve() == expected
+            assert cache.cache_info().currsize == kept
+    cache.cache_clear()
+
+
+def test_kept_theta_texts_hold_at_most_five_mib():
+    # For each degree, the most variables within the size limit, one
+    # container deep, where the CLI writes sequences.  (At degree 0 any
+    # number is kept, and the text is one word's.)  Past degree 361 not
+    # even one variable is kept.
+    limit, sizes = moments.MAX_CACHED_SIZE, {}
+    for D in range(1, 362):
+        n = 1
+        while moments.moment_size(n + 1, D) <= limit:
+            n += 1
+        sizes[n, D] = theta_text_size(n, D, 1)
+    assert moments.moment_size(1, 362) > limit
+    assert max(sizes, key=sizes.get) == (65535, 1)
+    assert sizes[65535, 1] == 5_166_221 < 5 * 2**20
 
 
 @pytest.mark.parametrize("n,D", [(1, 0), (1, 9), (2, 5), (3, 3), (9, 2), (10, 2), (12, 3), (101, 1)])
@@ -983,11 +1008,11 @@ def test_theta_template_size_is_its_length(n, D):
     for level in (0, 1, 2):
         pieces = cli._theta_pieces.__wrapped__(n, D, level)
         assert pieces[1::2] == (None,) * 2 * len(words_up_to(n, D))
-        assert cli._theta_pieces_size(n, D, level) == len("".join(pieces[::2]))
+        assert theta_text_size(n, D, level) == len("".join(pieces[::2]))
 
 
-# Float arrays written through the cached piece lists, each 0 to 3
-# containers deep, in a list and in a dict.
+# Float arrays written through their piece lists, each 0 to 3 containers
+# deep, in a list and in a dict.
 ARRAY_SHAPES = [(1,), (3, 2), (2, 3, 2), (3, 5, 5, 2)]
 NESTS = (
     lambda x: x,
@@ -1000,29 +1025,11 @@ NESTS = (
 
 
 @pytest.mark.parametrize("shape", ARRAY_SHAPES, ids=str)
-def test_an_array_is_written_alike_from_warm_and_cleared_pieces(shape):
+def test_an_array_is_written_as_the_stdlib_writes_it(shape):
     a = make_rng(74).normal(size=shape) * 10.0 ** make_rng(75).integers(-30, 30, size=shape)
     a.flat[0] = -0.0
     expected = [stdlib_json(wrap(a.tolist())) for wrap in NESTS]
-    for clear in (True, False):
-        if clear:
-            cli._array_pieces.cache_clear()
-        assert [_text(wrap(a)) + "\n" for wrap in NESTS] == expected
-    # One entry per depth: 0, 1, 2 and 3 containers deep.
-    assert cli._array_pieces.cache_info().currsize == 4
-
-
-def test_an_array_past_the_pieces_bound_is_written_alike_and_not_kept(monkeypatch):
-    a = make_rng(76).normal(size=(3, 5, 5, 2))
-    payload, expected = {"operators": a}, stdlib_json({"operators": a.tolist()})
-    cli._array_pieces.cache_clear()
-    monkeypatch.setattr(cli, "_MAX_CACHED_FLOATS", a.size - 1)
-    for _ in range(2):
-        assert _text(payload) + "\n" == expected
-        assert cli._array_pieces.cache_info().currsize == 0
-    monkeypatch.setattr(cli, "_MAX_CACHED_FLOATS", a.size)
-    assert _text(payload) + "\n" == expected
-    assert cli._array_pieces.cache_info().currsize == 1
+    assert [_text(wrap(a)) + "\n" for wrap in NESTS] == expected
 
 
 @pytest.mark.parametrize("where", ["array", "float", "vector"])

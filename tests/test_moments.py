@@ -547,6 +547,19 @@ def test_sequence_is_one_read_only_array_with_a_mapping_built_from_it():
     assert np.array_equal(t.restricted(2).as_array(), values[:7])
 
 
+@pytest.mark.parametrize("letter", [True, 1.5, np.float64(1.0), "1", None], ids=repr)
+def test_a_letter_that_is_not_an_integer_is_refused_as_an_out_of_range_one(letter):
+    # True would read Y1, and 1.5 would escape as numpy's IndexError.
+    t = moment_sequence(random_hermitian_tuple(make_rng(81), 2, 2), 2)
+    with pytest.raises(KeyError) as refused:
+        t[(letter,)]
+    assert refused.value.args == ((letter,),)
+    with pytest.raises(KeyError):
+        t[(1, letter)]
+    assert t[(np.int64(2),)] == t[(2,)]
+    assert t[(np.int32(1), np.uint8(2))] == t[(1, 2)]
+
+
 def test_check_radius_refuses_overflowing_powers_of_any_number_type():
     for R, power in [(1e77, 4), (0.5, 10**6), (10**77, 4), (2, 1023)]:
         check_radius(R, power)

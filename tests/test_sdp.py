@@ -11,8 +11,8 @@ from nctrace.algebra import NCPoly, cyclic_canonical
 from nctrace.certify import (
     RESIDUAL_TOL,
     Certificate,
-    _tracial_anchor,
     build_gram_problem,
+    cyclic_classes,
     dual_witness,
     extract_factors,
     validate_witness,
@@ -530,7 +530,7 @@ def test_gram_solves_match_the_checked_loop(nvars, d, sign, with_anchor):
     # sets, and 40 against 40 on the anchorless negated set at d = 3.
     p, problem = _gram_problem(nvars, d, sign)
     cons = problem.constraints
-    anchor = partial(_tracial_anchor, nvars, d) if with_anchor else None
+    anchor = (lambda: cyclic_classes(nvars, d).anchor) if with_anchor else None
     zero = np.zeros((cons.dim, cons.dim))
     head = feasibility_solve(cons, max_iter=20, anchor=anchor)
     _assert_same_report(head, reference_minimize_linear(zero, cons, max_iter=20, anchor=anchor))
@@ -577,7 +577,7 @@ def test_solves_read_only_the_documented_interface(case):
         solve = partial(minimize_linear, objective, max_iter=3000)
     else:
         cons = _gram_constraints(2, 2, 1 if case == "Gram set" else -1)
-        anchor = partial(_tracial_anchor, 2, 2) if case == "negated Gram set" else None
+        anchor = (lambda: cyclic_classes(2, 2).anchor) if case == "negated Gram set" else None
         solve = partial(feasibility_solve, anchor=anchor)
     bare = SimpleNamespace(**{name: getattr(cons, name) for name in _SOLVER_INTERFACE})
     direct, through = solve(cons), solve(bare)
