@@ -1484,7 +1484,7 @@ def test_a_cell_builds_its_anchor_once_and_keeps_it(monkeypatch):
     try:
         # The witness at this radius stalls and mixes in the anchor; the
         # certify of the same cell reads the one it left.
-        theta, value = witness_search(p, 2, R=1e20)
+        _, value = witness_search(p, 2, R=1e20)
         assert value < 0 and calls == [(2, 2)]
         assert isinstance(certify_sos(p, 2), InfeasibilityReport)
         assert calls == [(2, 2)]
@@ -1505,8 +1505,8 @@ def test_a_cell_builds_its_anchor_once_and_keeps_it(monkeypatch):
 
 def test_mix_anchor_refuses_an_anchor_that_is_not_positive_definite(monkeypatch):
     # The projected zero anchor is 1 at the empty word and 0 elsewhere:
-    # singular at either scale.
-    # A cell of its own, whose anchor is built on first read, from the patch.
+    # singular at either scale.  A cell of its own builds its anchor on
+    # first read, from the patch.
     classes = certify.cyclic_classes.__wrapped__(1, 1)
     constraints = ClassConstraints(classes.labels, pinned=0)
     monkeypatch.setattr(certify, "_tracial_anchor", lambda nvars, d: np.zeros((2, 2)))
