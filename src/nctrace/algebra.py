@@ -412,12 +412,12 @@ def evaluate(a: NCPoly, matrices) -> np.ndarray:
         raise ValueError(
             f"polynomial has {a.nvars} variables but {len(mats)} matrices given"
         )
-    if not mats:
-        raise ValueError("need at least one matrix")
-    size = mats[0].shape[0]
-    for m in mats:
+    size = mats[0].shape[0] if mats[0].ndim else 0
+    for j, m in enumerate(mats):
         if m.shape != (size, size):
-            raise ValueError(f"matrices must share a square shape, got {m.shape}")
+            raise ValueError(
+                f"matrices must share a square shape, got {m.shape} for matrix {j + 1}"
+            )
     acc = np.zeros((size, size), dtype=complex)
     cache: dict[Word, np.ndarray] = {(): np.eye(size, dtype=complex)}
     for word in sorted(a.terms, key=lambda w: (len(w), w)):

@@ -69,9 +69,10 @@ from .moments import (
     check_radius,
     check_w_membership,
     moment_matrix,
-    moment_sequence,
     moment_size,
     psd_check,
+    unchecked_moment_sequence,
+    word_count,
 )
 from .sampling import (
     _draw_hermitians,
@@ -162,11 +163,10 @@ class CyclicClasses:
     ``index`` is ``WordIndex(nvars, 2d)``.  A class is labelled by the rank,
     in ``words_up_to`` order, of its least word; ``word_labels`` holds the
     label of every word up to 2d, ``reps`` the position of each class's
-    least word, ``words`` that word's tuple and ``partners`` the label of
-    its reversal.  ``labels[J, K]`` is the label of ``reverse(J) + K`` over
-    the m basis words of length <= d, whose tuples ``basis`` holds: every
-    word up to 2d is such a pair (split it in the middle), so every class
-    labels some entry.  ``checked`` is ``labels`` checked once for the
+    least word and ``words`` that word's tuple.  ``labels[J, K]`` is the
+    label of ``reverse(J) + K`` over the m basis words of length <= d,
+    whose tuples ``basis`` holds: every word up to 2d is such a pair (split
+    it in the middle), so every class labels some entry.  ``checked`` is ``labels`` checked once for the
     solver's constraint sets (:class:`~nctrace.sdp.ClassLabels`).
     ``anchor`` is the cell's tracial anchor (:func:`_tracial_anchor`),
     built on first read and kept with the cell.
@@ -175,7 +175,6 @@ class CyclicClasses:
     index: WordIndex
     word_labels: np.ndarray
     reps: np.ndarray
-    partners: np.ndarray
     labels: np.ndarray
     checked: ClassLabels
     words: tuple
@@ -229,12 +228,11 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     reps = np.flatnonzero(is_rep)
     basis = positions[: index.offsets[d + 1]]
     labels = word_labels[index.concat(index.reversed(basis)[:, None], basis)]
-    partners = index.reversed(word_labels)[reps]
-    for array in (index.offsets, index.lengths, word_labels, reps, partners, labels):
+    for array in (index.offsets, index.lengths, word_labels, reps, labels):
         array.flags.writeable = False
     words = words_up_to(nvars, 2 * d)
     return CyclicClasses(
-        index, word_labels, reps, partners, labels, ClassLabels.of(labels, len(reps)),
+        index, word_labels, reps, labels, ClassLabels.of(labels, len(reps)),
         words=tuple(words[rep] for rep in reps.tolist()), basis=tuple(words[: len(basis)]),
     )
 
@@ -268,8 +266,9 @@ def build_gram_problem(p: NCPoly, d: int) -> GramProblem:
     rhs = dict(zip(classes.words, values.tolist()))
     # A class and its reversal are transposes of each other and carry
     # conjugate sums; the earlier of the two in the ordering sets both.
-    earlier = np.arange(len(values)) <= classes.partners
-    values = np.where(earlier, values, np.conj(values[classes.partners]))
+    partner = classes.checked.partner
+    earlier = np.arange(len(values)) <= partner
+    values = np.where(earlier, values, np.conj(values[partner]))
     constraints = ClassConstraints(classes.checked, rhs=values)
     return GramProblem(degree=d, basis=list(classes.basis), rhs=rhs, constraints=constraints)
 
@@ -539,12 +538,15 @@ def _tracial_anchor(nvars: int, d: int) -> np.ndarray:
     (:func:`~nctrace.moments.moment_sequence`): exactly constant on cyclic
     classes, exactly conjugate on reversed ones, 1 at the empty word,
     bounded by 1 in magnitude.  N x N matrices with N^2 >= 4m for m basis
-    words make it positive definite for a generic tuple.
+    words make it positive definite for a generic tuple.  The sequence is
+    built unchecked: the moment size limit counts N^2 entries for each
+    word up to 2d, but only the products of the m words up to d are made,
+    m N^2 complex entries, at most about 1.1 million (at (1, 511)).
     """
-    m = len(words_up_to(nvars, d))
+    m = word_count(nvars, d)
     size = max(4, int(np.ceil(2 * np.sqrt(m))))
     X = random_tuple(make_rng(0), nvars, size)
-    moments = moment_matrix(moment_sequence(X, 2 * d), d)
+    moments = moment_matrix(unchecked_moment_sequence(X, 2 * d), d)
     moments.flags.writeable = False
     return moments
 

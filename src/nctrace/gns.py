@@ -22,9 +22,10 @@ The vectors ``Y_K vacuum`` of the n^L words of length L are the columns of
 vectors ``Y_J^* vacuum`` come the same way from the adjoint stack, with the
 new letter last.  Both are built only up to half the degree, and the
 values of each word length are then one matrix product of a left block
-with a right block, which lists them in ``words_up_to`` order.  The cyclic
-check compares each level with its rotations, which are transposed
-reshapes of it (:meth:`~nctrace.moments.WordIndex.rotation_gaps`).
+with a right block (:func:`~nctrace.moments.half_products`), which lists
+them in ``words_up_to`` order.  The cyclic check compares each level with
+its rotations, which are transposed reshapes of it
+(:meth:`~nctrace.moments.WordIndex.rotation_gaps`).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .moments import (
     check_moment_magnitude,
     check_radius,
     check_w_membership,
+    half_products,
     moment_matrix,
 )
 
@@ -152,10 +154,8 @@ def _vacuum_values(model: GnsModel, degree: int) -> np.ndarray:
     ops = np.stack(model.operators)
     left = _word_vectors(ops.conj().swapaxes(1, 2), model.vacuum, degree // 2, (1, 2, 0))
     right = _word_vectors(ops, model.vacuum, degree - degree // 2, (1, 0, 2))
-    values = [
-        (left[L // 2].conj().T @ right[L - L // 2]).ravel() for L in range(degree + 1)
-    ]
-    return np.concatenate(values)
+    lefts = [block.conj().T for block in left]
+    return np.concatenate([block.ravel() for block in half_products(lefts, right, degree)])
 
 
 def _word_vectors(ops: np.ndarray, vector: np.ndarray, length: int, axes) -> list:

@@ -20,18 +20,20 @@ level, so each check compares a level with transposed views of itself.
 
 :func:`moment_sequence` computes a sequence as a function on dihedral
 classes: a word, its rotations and the reversals of those, with the value
-conjugated on the reversals.  Each class takes one value, the trace at its
-least word w = J + K with |J| = floor(|w|/2), summed as
-``sum_ab (X_J)_ab (X_K)_ba`` over products of the words up to ceil(D/2)
-only; every word of the class reads that value, conjugated when the word
-is a rotation of the least word's reversal and not of the least word, and
-a class that is its own reversal is real.  So rotations agree exactly,
-reversals are exact conjugates, and a sequence of a tuple passes
-:func:`check_w_membership` with violations of exactly 0.0.  A value is
-not the bits ``np.trace`` gives its own word's product: it differs from
-that by rounding only.  The classes of an (n, D) are planned once and
-kept when :func:`cacheable`, the one size rule of every per-(n, D) cache
-of the package.
+conjugated on the reversals.  The traces of the words of each length L
+are one matrix product (:func:`half_products`): the rows ``(X_J)_ab`` of
+the words J of length floor(L/2) times the rows ``(X_K)_ba`` of the words
+K of length ceil(L/2), transposed, which lists ``sum_ab (X_J)_ab (X_K)_ba``
+in ``words_up_to`` order.  Each class takes one value, its least word's
+entry of its length's product; every word of the class reads that value,
+conjugated when the word is a rotation of the least word's reversal and
+not of the least word, and a class that is its own reversal is real.  So
+rotations agree exactly, reversals are exact conjugates, and a sequence
+of a tuple passes :func:`check_w_membership` with violations of exactly
+0.0.  A value is not the bits ``np.trace`` gives its own word's product:
+it differs from that by rounding only.  The classes of an (n, D) are
+planned once and kept when :func:`cacheable`, the one size rule of every
+per-(n, D) cache of the package.
 """
 
 from __future__ import annotations
@@ -46,17 +48,12 @@ from .algebra import Word, check_integer, cyclic_canonical, is_integer, words_up
 HERMITIAN_INPUT_TOL = 1e-12
 # Size limit of a moment sequence, in the units of ``moment_size``: per word,
 # N x N complex entries, plus up to D letters in its tuple and its JSON
-# text.  The products of the words up to ceil(D/2), and the halves of the
-# classes' least words gathered at a time, then each stay below 2**23
-# complex entries (128 MiB), and a single variable (one word per length,
-# but words of length up to D) is allowed up to D = 2,895.  The largest
-# benchmark shape (n = 3, N = 8, D = 8) needs 708,552.
+# text.  The products of the words up to ceil(D/2), and the traces of the
+# words of one length, then each stay below 2**23 complex entries (128 MiB),
+# and a single variable (one word per length, but words of length up to D)
+# is allowed up to D = 2,895.  The largest benchmark shape (n = 3, N = 8,
+# D = 8) needs 708,552.
 MAX_MOMENT_SIZE = 2**23
-# Complex entries of the halves gathered at a time, each of left and right
-# (or one class's N^2, if more): at N = 8, 2**14 (256 KiB) took about a fifth
-# less time over the benchmark's shapes than 2**16 or more, on an x86-64
-# Xeon core with 2 MiB of L2 cache.
-TRACE_CHUNK = 2**14
 # The per-(n, D) caches, ``_class_plan`` here and the JSON pieces of a
 # sequence in ``cli``, keep an entry exactly when ``moment_size(n, D)`` is
 # at most this (:func:`cacheable`).  Every benchmark shape is kept: the
@@ -86,9 +83,11 @@ def as_matrix_tuple(matrices) -> MatrixTuple:
     mats = [np.asarray(m, dtype=complex) for m in matrices]
     if not mats:
         raise ValueError("a matrix tuple needs at least one matrix")
-    size = mats[0].shape[0]
+    size = mats[0].shape[0] if mats[0].ndim else 0
     if not size:
-        raise ValueError("matrices must be at least 1 x 1")
+        raise ValueError(
+            f"matrix 1 has shape {mats[0].shape}: matrices must be at least 1 x 1"
+        )
     for j, m in enumerate(mats):
         if m.ndim != 2 or m.shape != (size, size):
             raise ValueError(
@@ -375,80 +374,83 @@ def real_pairs(z) -> np.ndarray:
 
 
 def moment_sequence(X, D: int) -> MomentSequence:
-    """Normalized traces of all matrix products of length <= D, by class.
+    """Normalized traces of all matrix products of length <= D, by class
+    (:func:`unchecked_moment_sequence`).
 
-    The products of the words of each length up to ceil(D/2) are those of
-    the length before, each times every matrix, so the new letter is last
-    and they come in ``words_up_to`` order.  A word of one letter is its
-    own class, and its value is its matrix's trace, a sum of the real
-    diagonal of a Hermitian part.  Every longer class's value is
-    ``sum_ab (X_J)_ab (X_K)_ba / N`` at the halves of its least word
-    (:func:`_class_plan`), real and imaginary parts summed apart, up to
-    ``TRACE_CHUNK`` entries of halves at a time, and its words read it
-    (see the module docstring).  Sizes past :data:`MAX_MOMENT_SIZE` are
-    refused before anything is allocated, and so are tuples with N R^D not
-    finite, R the largest norm: since
-    ``|sum_ab (X_J)_ab (X_K)_ba| <= |X_J|_F |X_K|_F <= N R^|w|``, it bounds
-    every partial sum of a trace.
+    Sizes past :data:`MAX_MOMENT_SIZE` are refused before anything is
+    allocated, and so are tuples with N R^D not finite, R the largest norm:
+    since ``|sum_ab (X_J)_ab (X_K)_ba| <= |X_J|_F |X_K|_F <= N R^|w|``, it
+    bounds every partial sum of a trace.
     """
     X = as_matrix_tuple(X)
-    n, N = X.n, X.N
-    check_moment_size(n, D, N)
-    mats = np.stack(X.matrices)
-    R = float(np.abs(np.linalg.eigvalsh(mats)).max())
-    if not _finite_power(R, D, N):
+    check_moment_size(X.n, D, X.N)
+    R = float(np.abs(np.linalg.eigvalsh(np.stack(X.matrices))).max())
+    if not _finite_power(R, D, X.N):
         raise ValueError(
             f"matrices too large for degree {D}: N R^D is not finite for "
-            f"N = {N} and the largest norm R = {R:.6e}"
+            f"N = {X.N} and the largest norm R = {R:.6e}"
         )
+    return unchecked_moment_sequence(X, D)
+
+
+def unchecked_moment_sequence(X: MatrixTuple, D: int) -> MomentSequence:
+    """:func:`moment_sequence` without its size and overflow checks, for a
+    caller that bounds both itself.
+
+    The products of the words up to ceil(D/2) (:func:`_products`) give the
+    traces of each length's words as one :func:`half_products` block,
+    divided by N.  Each class takes its least word's entry of its length's
+    block (:func:`_class_plan`), and its words read it (see the module
+    docstring).
+    """
+    n, N = X.n, X.N
     plan = _class_plan if cacheable(n, D) else _class_plan.__wrapped__
-    picks, real, lefts, rights = plan(n, D)
-    values = np.empty(len(real), dtype=complex)
-    values[0] = 1.0
-    if D:
-        diagonals = np.ascontiguousarray(mats.diagonal(axis1=1, axis2=2).real)
-        values[1 : n + 1] = diagonals.sum(axis=1) / N
-        # Row w of stack holds (X_w)_ab in column a N + b, and row w of
-        # flipped holds (X_w)_ba there.
-        stack = _products(mats, (D + 1) // 2)
-        flipped = stack.swapaxes(1, 2).reshape(len(stack), N * N)
-        stack = stack.reshape(len(stack), N * N)
-        chunk = max(1, TRACE_CHUNK // (N * N))
-        for at in range(0, len(lefts), chunk):
-            span = slice(at, at + chunk)
-            out = values[n + 1 + at :][:chunk]
-            _half_traces(stack[lefts[span]], flipped[rights[span]], N, out)
+    picks, real, first = plan(n, D)
+    index = WordIndex(n, D)
+    stack = _products(np.stack(X.matrices), (D + 1) // 2)
+    # Row J of lefts[j] holds (X_J)_ab in column a N + b, and column K of
+    # rights[k] holds (X_K)_ba in row a N + b.
+    lefts = [level for _, level in index.levels(stack.reshape(len(stack), N * N))]
+    flipped = stack.swapaxes(1, 2).reshape(len(stack), N * N)
+    rights = [level.T for _, level in index.levels(flipped)]
+    bounds = np.searchsorted(first, index.offsets).tolist()
+    values = np.empty(len(first), dtype=complex)
+    for L, block in enumerate(half_products(lefts, rights, D)):
+        at = slice(bounds[L], bounds[L + 1])
+        values[at] = block.ravel()[first[at] - index.offsets[L]]
+    values /= N
     values.imag[real] = 0.0
     return MomentSequence.from_array(n, D, np.concatenate([values, values.conj()])[picks])
 
 
+def half_products(lefts: list, rights: list, D: int):
+    """``lefts[L // 2] @ rights[L - L // 2]`` for each word length L = 0..D,
+    one at a time.
+
+    When ``lefts[j]`` has a row for each word J of length j and
+    ``rights[k]`` a column for each word K of length k, both in
+    ``words_up_to`` order, entry (J, K) of length L's product is that of
+    the word J + K, |J| = floor(L/2), so the product lists the words of
+    length L in ``words_up_to`` order.
+    """
+    for L in range(D + 1):
+        yield lefts[L // 2] @ rights[L - L // 2]
+
+
 def _products(mats: np.ndarray, length: int) -> np.ndarray:
-    """The products of the words of lengths 1 .. length >= 1, in
-    ``words_up_to`` order: each length's are the previous length's, each
-    times every matrix, one batched ``matmul``."""
+    """The products of the words of lengths 0 .. length, in ``words_up_to``
+    order, so a word's row is its :class:`WordIndex` position: the empty
+    word's is the identity, and each length's are the previous length's,
+    each times every matrix, one batched ``matmul``."""
     n, N, _ = mats.shape
-    stack = np.empty((word_count(n, length) - 1, N, N), dtype=complex)
-    stack[:n] = mats
-    level, start = stack[:n], n
+    stack = np.empty((word_count(n, length), N, N), dtype=complex)
+    stack[0] = np.eye(N)
+    level, start = stack[:1], 1
     while start < len(stack):
         stop = start + n * len(level)
         np.matmul(level[:, None], mats, out=stack[start:stop].reshape(len(level), n, N, N))
         level, start = stack[start:stop], stop
     return stack
-
-
-def _half_traces(left: np.ndarray, right: np.ndarray, N: int, out: np.ndarray) -> None:
-    """``out[k] = sum_c left[k, c] right[k, c] / N`` for 2-D complex arrays,
-    the real and imaginary parts apart: each an elementwise expression of
-    real products, summed along its row by numpy's row sum."""
-    terms = np.multiply(left.real, right.real)
-    other = np.multiply(left.imag, right.imag)
-    terms -= other
-    out.real = terms.sum(axis=1) / N
-    np.multiply(left.real, right.imag, out=terms)
-    np.multiply(left.imag, right.real, out=other)
-    terms += other
-    out.imag = terms.sum(axis=1) / N
 
 
 @lru_cache(maxsize=8)
@@ -462,9 +464,8 @@ def _class_plan(n: int, D: int) -> tuple:
     each word its class's number, plus the number of classes when the word
     is not a rotation of its class's least word (so it reads the
     conjugate); ``real``, for each class whether it is its own reversal;
-    and, for the classes of words of length >= 2 in order, the positions of
-    their least word's halves J and K, |J| = floor(|w|/2), among the words
-    of lengths 1 .. ceil(D/2).  All arrays are read-only.
+    and ``first``, the position of each class's least word, ascending.
+    All arrays are read-only.
 
     The plans of the last 8 (n, D) that are :func:`cacheable` are kept; any
     other is built for its call.
@@ -476,15 +477,9 @@ def _class_plan(n: int, D: int) -> tuple:
     first = np.flatnonzero(reps == np.arange(len(index)))
     picks = np.searchsorted(first, reps) + len(first) * (least != reps)
     real = mirror[first] == first
-    long = first[index.lengths[first] >= 2]
-    L = index.lengths[long]
-    width = n ** (L - L // 2)
-    k = long - index.offsets[L]
-    lefts = index.offsets[L // 2] - 1 + k // width
-    rights = index.offsets[L - L // 2] - 1 + k % width
-    for array in (picks, real, lefts, rights):
+    for array in (picks, real, first):
         array.flags.writeable = False
-    return picks, real, lefts, rights
+    return picks, real, first
 
 
 @dataclass

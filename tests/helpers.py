@@ -878,8 +878,9 @@ def reference_minimize_linear(objective, constraints, tol=1e-9, max_iter=10_000,
 # The loops ``nctrace.moments``, ``nctrace.gns`` and ``certify.falsify`` ran
 # before they were batched by word length.  The batched code must agree with
 # them: bit for bit where the arithmetic is the same (moment matrices,
-# falsify, and moment values by class), to rounding where the summation order
-# changed (moment values against the trace of each word's own product).
+# falsify, and moment values by class and word length), to rounding where
+# the summation order changed (moment values against the trace of each
+# word's own product).
 
 
 def reference_moment_sequence(X, D: int) -> MomentSequence:
@@ -897,57 +898,59 @@ def reference_moment_sequence(X, D: int) -> MomentSequence:
     return MomentSequence(X.n, D, values)
 
 
-def split_pair_trace(left: np.ndarray, right: np.ndarray) -> complex:
-    """``sum_ab left_ab right_ba`` with the real and imaginary parts apart,
-    each an elementwise expression of real products summed in C order: the
-    arithmetic ``moment_sequence`` does on each class."""
-    right = np.ascontiguousarray(right.T)
-    re = (left.real * right.real - left.imag * right.imag).ravel().sum()
-    im = (left.real * right.imag + left.imag * right.real).ravel().sum()
-    return complex(re, im)
+def matmul_block(lefts: list, rights: list) -> np.ndarray:
+    """``sum_ab left_ab right_ba`` for every pair of a list of left and a
+    list of right N x N matrices, as ``moment_sequence`` forms the traces
+    of one word length: one matmul of the C-order rows of the lefts with
+    the transposed C-order rows of the rights' transposes."""
+    N = len(lefts[0])
+    rows = np.stack(lefts).reshape(len(lefts), N * N)
+    columns = np.stack(rights).swapaxes(1, 2).reshape(len(rights), N * N).T
+    return rows @ columns
 
 
-def einsum_pair_trace(left: np.ndarray, right: np.ndarray) -> complex:
-    """``sum_ab left_ab right_ba`` by one ``np.einsum``: the class values
-    this gives are as exactly class-constant as ``moment_sequence``'s, and
-    other in their last bits."""
-    return complex(np.einsum("ab,ba->", left, right))
+def einsum_block(lefts: list, rights: list) -> np.ndarray:
+    """``sum_ab left_ab right_ba`` for every pair, one ``np.einsum`` each:
+    the class values this gives are as exactly class-constant as
+    ``moment_sequence``'s, and other in their last bits."""
+    return np.array([[np.einsum("ab,ba->", J, K) for K in rights] for J in lefts])
 
 
-def reference_class_moment_sequence(X, D: int, pair_trace=split_pair_trace) -> MomentSequence:
+def reference_class_moment_sequence(X, D: int, block=matmul_block) -> MomentSequence:
     """Normalized traces of all products of length <= D, one word at a time
     and one trace per dihedral class.
 
-    A word's class is its rotations and their reversals, as tuples; its
-    least word w = J + K, |J| = floor(|w|/2), carries the value
-    ``pair_trace(X_J, X_K) / N``, real and imaginary parts divided apart,
-    with the imaginary part 0.0 when w is a rotation of its reversal.  A
-    word of one letter takes the sum of its matrix's real diagonal instead.
-    Every word of the class reads the value, conjugated when the least word
-    is not one of its rotations.  Products are formed word by word, the
-    last letter last.
+    Products are formed word by word, the last letter last.  The traces of
+    the words of length L are ``block`` of the products of the words J of
+    length floor(L/2) and those of the words K of length ceil(L/2), in
+    ``words_up_to`` order, read at word J + K and divided by N.  A word's
+    class is its rotations and their reversals, as tuples; its least word
+    carries its trace, with the imaginary part 0.0 when it is a rotation of
+    its reversal.  Every word of the class reads the value, conjugated when
+    the least word is not one of its rotations.
     """
     X = as_matrix_tuple(X)
-    N = X.N
-    products = {(): np.eye(N, dtype=complex)}
+    products = {(): np.eye(X.N, dtype=complex)}
     for word in words_up_to(X.n, (D + 1) // 2)[1:]:
         products[word] = products[word[:-1]] @ X.matrices[word[-1] - 1]
+    traces = {}
+    for L in range(D + 1):
+        lefts = [J for J in products if len(J) == L // 2]
+        rights = [K for K in products if len(K) == L - L // 2]
+        entries = block([products[J] for J in lefts], [products[K] for K in rights]) / X.N
+        for a, J in enumerate(lefts):
+            for b, K in enumerate(rights):
+                traces[J + K] = entries[a, b]
     classes = {}
     values = {}
     for word in words_up_to(X.n, D):
-        L = len(word)
-        rotations = [word[s:] + word[:s] for s in range(L)] or [()]
+        rotations = [word[s:] + word[:s] for s in range(len(word))] or [()]
         reversals = [involute_word(r) for r in rotations]
         least = min(rotations + reversals)
         if least not in classes:
-            if L <= 1:
-                diagonal = np.ascontiguousarray(products[least].diagonal().real)
-                re, im = diagonal.sum(), 0.0
-            else:
-                value = pair_trace(products[least[: L // 2]], products[least[L // 2 :]])
-                re, im = value.real, value.imag
             own_reversal = least in rotations and least in reversals
-            classes[least] = complex(re / N, 0.0 if own_reversal else im / N)
+            value = traces[least]
+            classes[least] = complex(value.real, 0.0 if own_reversal else value.imag)
         value = classes[least]
         values[word] = value if least in rotations else value.conjugate()
     return MomentSequence(X.n, D, values)

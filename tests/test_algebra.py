@@ -396,6 +396,11 @@ def test_evaluate_refuses_a_wrong_count_or_shape(mats, message):
         evaluate(NCPoly(2, {(1, 2): 1.0}), mats)
 
 
+def test_evaluate_refuses_a_zero_dimensional_matrix_by_its_place():
+    with pytest.raises(ValueError, match=re.escape("got () for matrix 1")):
+        evaluate(NCPoly(1, {(1,): 1.0}), [2.0])
+
+
 def test_trace_compatibility_with_moments():
     rng = make_rng(13)
     for _ in range(10):

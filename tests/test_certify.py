@@ -694,7 +694,7 @@ def test_constraints_from_a_cell_equal_constraints_from_its_raw_labels(nvars, d)
     m = len(raw)
     G = random_hermitian(rng, m)
     # Moving one class of a transposed pair leaves the sums inconsistent.
-    paired = np.flatnonzero(classes.partners != np.arange(len(rhs)))
+    paired = np.flatnonzero(classes.checked.partner != np.arange(len(rhs)))
     moved = rhs.copy()
     moved[paired[:1]] += 0.5j
     for kwargs in ({"rhs": rhs}, {"rhs": moved}, {"pinned": 0}, {"pinned": 0, "radii": radii}):
@@ -1166,8 +1166,8 @@ def test_cached_classes_are_read_only_and_each_basis_a_fresh_list():
     classes = certify.cyclic_classes(2, 2)
     assert certify.cyclic_classes(2, 2) is classes
     index = classes.index
-    for array in (classes.word_labels, classes.reps, classes.partners, classes.labels,
-                  index.offsets, index.lengths):
+    for array in (classes.word_labels, classes.reps, classes.checked.partner,
+                  classes.labels, index.offsets, index.lengths):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 7
     p = commutator_square_poly()

@@ -39,7 +39,7 @@ from nctrace.sdp import NoFeasiblePoint
 from helpers import (
     assert_same_text,
     checkout_env,
-    einsum_pair_trace,
+    einsum_block,
     make_rng,
     package_caches,
     random_hermitian_tuple,
@@ -370,6 +370,22 @@ def test_witness_radius_past_the_scaled_anchor_mixes_the_unscaled_one(poly_file,
         _assert_validated_witness(data, float(radius))
 
 
+@pytest.mark.parametrize("nvars,degree,size", [(3, 5, 39), (2, 7, 32)])
+def test_infeasible_inputs_at_the_gram_size_limit_build_their_anchor(
+    nvars, degree, size, poly_file, capsys
+):
+    # The Gram size limit's largest cells in three and two variables.  Their
+    # anchors take N = size up to degree 2d, past the moment size limit,
+    # which counts N^2 entries for every word; the anchor is built unchecked
+    # from the products of the words up to d, and the negated square is
+    # infeasible at tolerance.
+    text = f"-1*Y1^2 + 0*Y{nvars}"
+    with pytest.raises(ValueError, match="moment sequence too large"):
+        moments.check_moment_size(nvars, 2 * degree, size)
+    code, data = run_cli(["certify", poly_file(text + "\n"), "--degree", str(degree)], capsys)
+    assert code == 2 and data["status"] == "infeasible-at-tolerance"
+
+
 def test_witness_past_the_scaled_anchor_clears_eigvalsh_resolution(
     poly_file, monkeypatch, capsys
 ):
@@ -382,8 +398,8 @@ def test_witness_past_the_scaled_anchor_clears_eigvalsh_resolution(
     # resolved.  Clearing the cells drops the anchors they hold.
     certify.cyclic_classes.cache_clear()
     monkeypatch.setattr(
-        certify, "moment_sequence",
-        partial(reference_class_moment_sequence, pair_trace=einsum_pair_trace),
+        certify, "unchecked_moment_sequence",
+        partial(reference_class_moment_sequence, block=einsum_block),
     )
     try:
         for radius in ("1e20", "1e77"):

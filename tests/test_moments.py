@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from nctrace import moments
 from nctrace.algebra import NCPoly, involute_word, pair, star_product, words_up_to
 from nctrace.moments import (
     MAX_MOMENT_SIZE,
@@ -46,6 +45,12 @@ def test_as_matrix_tuple_validates_and_symmetrizes():
         as_matrix_tuple([np.eye(2), np.eye(3)])
     with pytest.raises(ValueError):
         as_matrix_tuple([])
+
+
+def test_a_zero_dimensional_matrix_is_refused_by_its_place():
+    for call in (lambda: as_matrix_tuple([2.0]), lambda: moment_sequence([2.0], 2)):
+        with pytest.raises(ValueError, match=re.escape("matrix 1 has shape ()")):
+            call()
 
 
 def test_moment_sequence_scalar_powers():
@@ -258,7 +263,7 @@ def test_word_index_matches_word_operations():
 
 
 # Odd and even D, one letter and N = 1 included; N = 9 and 65 give rows of
-# 81 and 4,225 entries, past numpy's blocks of 8 and its pairwise split.
+# 81 and 4,225 entries in each length's matmul.
 CASES = [
     (n, N, D) for n in (1, 2, 3) for N in (1, 2, 5) for D in (0, 1, 2, 5)
 ] + [(2, 2, 8), (2, 3, 8), (3, 8, 8), (3, 4, 6), (1, 4, 6), (2, 9, 4), (1, 65, 2), (2, 3, 7)]
@@ -276,7 +281,8 @@ def test_moment_sequence_and_matrix_equal_word_loop(n, N, D):
     t = moment_sequence(mats, D)
     ref = reference_class_moment_sequence(mats, D)
     assert list(t.values) == list(ref.values)
-    # Bit for bit, signed zeros included, with the class-by-class loop ...
+    # Bit for bit, signed zeros included, with the class-by-class loop over
+    # blocks of each length formed from word-by-word products ...
     assert _bits(t.as_array()) == _bits(ref.as_array())
     # ... and within rounding of the trace of each word's own product:
     # |t_w - tr(X_w) / N| <= 8 L eps R^L for a word of length L, R = 1.3.
@@ -316,7 +322,7 @@ def test_a_class_reads_one_value(n, N, D):
 
 def test_class_plan_numbers_the_dihedral_classes():
     for n, D in ((1, 6), (2, 6), (3, 4)):
-        picks, real, lefts, rights = _class_plan(n, D)
+        picks, real, first = _class_plan(n, D)
         words = words_up_to(n, D)
         least = {}
         for w in words:
@@ -325,17 +331,14 @@ def test_class_plan_numbers_the_dihedral_classes():
         reps = sorted(set(least.values()), key=words.index)
         count = len(reps)
         assert len(real) == count
-        halves = words_up_to(n, (D + 1) // 2)[1:]
+        assert [words[k] for k in first.tolist()] == reps
         for w, pick in zip(words, picks.tolist()):
             rotations = {w[s:] + w[:s] for s in range(len(w))} or {()}
             assert pick == reps.index(least[w]) + count * (least[w] not in rotations)
         for rep, is_real in zip(reps, real.tolist()):
             rotations = {rep[s:] + rep[:s] for s in range(len(rep))} or {()}
             assert is_real == (involute_word(rep) in rotations)
-        long = [rep for rep in reps if len(rep) >= 2]
-        assert [halves[k] for k in lefts.tolist()] == [w[: len(w) // 2] for w in long]
-        assert [halves[k] for k in rights.tolist()] == [w[len(w) // 2 :] for w in long]
-        for array in (picks, real, lefts, rights):
+        for array in (picks, real, first):
             assert not array.flags.writeable
 
 
@@ -401,10 +404,10 @@ def test_size_refusals_are_those_of_check_moment_size(n, N):
 # (N > 128), once and twice.
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 8, 9, 16, 33, 64, 65, 129, 200])
 def test_pairwise_sum_equals_numpys_row_sum(N):
-    # A class's value sums one row of real products; the class reference
-    # sums the same products as a 1-D array.  The two agree bit for bit, in
-    # a chunk of any number of rows, because numpy sums each row of a
-    # C-contiguous array in the pairwise order of its own 1-D sum.
+    # Numpy sums each row of a C-contiguous array, in a chunk of any number
+    # of rows, in the pairwise order of its own 1-D sum.  Moment values no
+    # longer rest on this (each word length's traces are one matmul); the
+    # test checks numpy alone.
     rng = make_rng(500 + N)
     shape = (50, N)
     scaled = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
@@ -414,14 +417,6 @@ def test_pairwise_sum_equals_numpys_row_sum(N):
         for chunk in (1, 7, 50):
             got = np.concatenate([rows[k : k + chunk].sum(axis=1) for k in range(0, 50, chunk)])
             assert np.array_equal(got.view(np.int64), sums.view(np.int64))
-
-
-def test_classes_are_summed_in_chunks_of_halves(monkeypatch):
-    # A chunk of one class at a time gives the same bits as all at once.
-    mats = random_hermitian_tuple(make_rng(77), 2, 3)
-    whole = moment_sequence(mats, 7)
-    monkeypatch.setattr(moments, "TRACE_CHUNK", 1)
-    assert _bits(moment_sequence(mats, 7).as_array()) == _bits(whole.as_array())
 
 
 def _assert_membership_equals_reference(t, tol=1e-10):
