@@ -56,6 +56,14 @@ def check_integer(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_nvars(nvars) -> None:
+    """Raise ValueError unless the variable count is an integer
+    (:func:`check_integer`) of at least 1."""
+    check_integer(nvars, "nvars")
+    if nvars < 1:
+        raise ValueError(f"nvars must be positive, got {nvars}")
+
+
 def involute_word(word: Word) -> Word:
     """Reverse a word; the monomial-level adjoint."""
     return word[::-1]
@@ -92,13 +100,11 @@ def words_up_to(nvars: int, degree: int) -> list[Word]:
     """All words of length <= degree in degree-then-lexicographic order.
 
     This ordering is shared by every matrix indexed by words (moment
-    matrices, Gram matrices, GNS bases); do not reorder.  Both arguments
-    must pass :func:`check_integer`.
+    matrices, Gram matrices, GNS bases); do not reorder.  nvars must pass
+    :func:`check_nvars` and degree :func:`check_integer`.
     """
-    check_integer(nvars, "nvars")
+    check_nvars(nvars)
     check_integer(degree, "degree")
-    if nvars < 1:
-        raise ValueError(f"nvars must be positive, got {nvars}")
     out: list[Word] = []
     for length in range(degree + 1):
         out.extend(product(range(1, nvars + 1), repeat=length))
@@ -113,8 +119,9 @@ class NCPoly:
     objects and never mutates operands, so they are safe to share and to use
     concurrently.
 
-    The constructor refuses a variable count or letter that is not an
-    integer (:func:`check_integer`), a letter outside 1..nvars and a
+    The constructor refuses a variable count that fails
+    :func:`check_nvars`, a letter that is not an integer
+    (:func:`check_integer`), a letter outside 1..nvars and a
     coefficient that is not finite; :meth:`scale` refuses a factor that is
     not finite.  Arithmetic whose words come from already-valid words (sums,
     negation, scaling, adjoint, cyclic reduction, products) builds its
@@ -126,9 +133,7 @@ class NCPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Word, complex] | None = None):
-        check_integer(nvars, "nvars")
-        if nvars < 1:
-            raise ValueError(f"nvars must be positive, got {nvars}")
+        check_nvars(nvars)
         clean: dict[Word, complex] = {}
         if terms:
             for word, coeff in terms.items():
@@ -191,10 +196,6 @@ class NCPoly:
     @classmethod
     def one(cls, nvars: int) -> "NCPoly":
         return cls(nvars, {(): 1.0})
-
-    @classmethod
-    def monomial(cls, nvars: int, word: Iterable[int], coeff: complex = 1.0) -> "NCPoly":
-        return cls(nvars, {tuple(word): coeff})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "NCPoly":

@@ -82,6 +82,7 @@ from .sampling import (
     structured_library,
 )
 from .sdp import (
+    DEFAULT_MAX_ITER,
     ClassConstraints,
     ClassLabels,
     NoFeasiblePoint,
@@ -166,8 +167,9 @@ class CyclicClasses:
     least word and ``words`` that word's tuple.  ``labels[J, K]`` is the
     label of ``reverse(J) + K`` over the m basis words of length <= d,
     whose tuples ``basis`` holds: every word up to 2d is such a pair (split
-    it in the middle), so every class labels some entry.  ``checked`` is ``labels`` checked once for the
-    solver's constraint sets (:class:`~nctrace.sdp.ClassLabels`).
+    it in the middle), so every class labels some entry.  ``checked`` is
+    ``labels`` checked once for the solver's constraint sets
+    (:class:`~nctrace.sdp.ClassLabels`).
     ``anchor`` is the cell's tracial anchor (:func:`_tracial_anchor`),
     built on first read and kept with the cell.
     """
@@ -216,9 +218,10 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     kept in an ``lru_cache``, so every array of the result, its index's
     and its checked labels' included, is read-only, and so is its anchor
     once read.  At the size limit (:func:`check_gram_size`) an entry holds
-    2.5 MiB at (2, 7), 5.9 MiB at (3, 5) and 10.9 MiB at (1, 511), where
-    ``words`` is every word up to length 1022; an anchor adds at most
-    4 MiB, at (1, 511).
+    3.7 MiB at (2, 7), 6.7 MiB at (3, 5), 10.1 MiB at (1, 511), where
+    ``words`` is every word up to length 1022, and 29.4 MiB at (590, 1),
+    whose 174,936 classes are the most; an anchor, m^2 complex entries over
+    the m basis words, adds 1.0, 2.0, 4.0 and 5.3 MiB there.
     """
     index = WordIndex(nvars, 2 * d)
     positions = np.arange(len(index))
@@ -264,11 +267,6 @@ def build_gram_problem(p: NCPoly, d: int) -> GramProblem:
     classes = cyclic_classes(p.nvars, d)
     values = classes.coefficients(p)
     rhs = dict(zip(classes.words, values.tolist()))
-    # A class and its reversal are transposes of each other and carry
-    # conjugate sums; the earlier of the two in the ordering sets both.
-    partner = classes.checked.partner
-    earlier = np.arange(len(values)) <= partner
-    values = np.where(earlier, values, np.conj(values[partner]))
     constraints = ClassConstraints(classes.checked, rhs=values)
     return GramProblem(degree=d, basis=list(classes.basis), rhs=rhs, constraints=constraints)
 
@@ -379,7 +377,7 @@ def certify_sos(
     p: NCPoly,
     d: int | None = None,
     tol: float = 1e-9,
-    max_iter: int = 200_000,
+    max_iter: int = DEFAULT_MAX_ITER,
 ):
     """Search for a square decomposition of p up to cyclic equivalence.
 
@@ -502,14 +500,13 @@ def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.nda
     whose entries grow as R^(|J| + |K|) within the box, to entries of about
     1, where its resolution is fine.
     """
-    anchor = (classes.anchor + classes.anchor.conj().T) / 2
     # Scaling the tuple by R scales entry (J, K) by R^(|J| + |K|); no trace
-    # of a tuple of norm R is taken, so none overflows.  The weight is
-    # symmetric in J and K, so the scaled Hermitian part stays exactly
-    # Hermitian, and at R = 1 it is what project_affine makes of the anchor.
+    # of a tuple of norm R is taken, so none overflows.  The anchor is
+    # exactly Hermitian and the weight is symmetric in J and K, so the
+    # scaled anchor stays exactly Hermitian.
     scale = float(R) ** classes.index.lengths[: len(classes.labels)]
     for weight in (np.multiply.outer(scale, scale), 1.0):
-        A = project_affine(anchor * weight, constraints)
+        A = project_affine(classes.anchor * weight, constraints)
         delta = float(np.linalg.eigvalsh(A)[0])
         if delta > 0:
             t = -low / (delta - low)
@@ -589,10 +586,12 @@ def _extract_moments(
     """The sequence of class means of M, normalized at the empty word.
 
     Each word of length <= 2d takes its class's mean over the entries of
-    the Hermitian part of M, divided by the empty word's mean and clamped
-    to its class's radius (:meth:`ClassConstraints.clamp`).
+    M, divided by the empty word's mean and clamped to its class's radius
+    (:meth:`ClassConstraints.clamp`).  M is the solver's solution or its
+    mix with the anchor, both exactly Hermitian, so transposed classes
+    take conjugate means.
     """
-    means = constraints.class_means((M + M.conj().T) / 2)
+    means = constraints.class_means(M)
     # Real and imaginary parts are divided apart, as Python divides a complex
     # by a float; numpy's complex division multiplies by a reciprocal.
     values = (means.view(float) / means[0].real).view(complex)

@@ -546,9 +546,8 @@ def check_w_membership(t: MomentSequence, tol: float = 1e-10) -> WMembershipRepo
 
 
 def _first_max(gaps: np.ndarray) -> tuple[float, int | None]:
-    """The largest gap and its first row-major position; (0.0, None) if all are 0."""
-    if not gaps.size:
-        return 0.0, None
+    """The largest of nonempty gaps and its first row-major position; (0.0,
+    None) if all are 0."""
     at = int(np.argmax(gaps))
     worst = float(gaps.flat[at])
     return (0.0, None) if worst == 0 else (worst, at)

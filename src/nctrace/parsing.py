@@ -60,7 +60,7 @@ from .algebra import (
     Factors,
     NCPoly,
     Word,
-    check_integer,
+    check_nvars,
     coefficient_matrix,
 )
 
@@ -125,9 +125,7 @@ def parse_poly(text: str, nvars: int | None) -> NCPoly:
     grammar.
     """
     if nvars is not None:
-        check_integer(nvars, "nvars")
-        if nvars < 1:
-            raise ValueError(f"nvars must be positive, got {nvars}")
+        check_nvars(nvars)
     if not text.strip():
         raise PolyParseError("empty input", 0)
     read = _read_spaced(text)

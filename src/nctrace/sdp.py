@@ -155,10 +155,12 @@ class ClassConstraints:
 
     * ``rhs`` (length k): the entries over class c sum to ``rhs[c]``.  A
       partner pair is one complex equation, so ``rhs`` must be conjugate
-      across the pair, or the set is empty (``consistent`` is False).  A
-      class that is its own partner has a real sum, and a non-real target
-      there is rejected.  Projection subtracts ``(sum - rhs) / count`` from
-      every entry of the class.
+      across the pair to within ``CONSISTENCY_TOL``, or the set is empty
+      (``consistent`` is False).  A consistent pair is solved with the
+      earlier class's target and its conjugate, which ``rhs`` then holds.
+      A class that is its own partner has a real sum, and a non-real
+      target there is rejected.  Projection subtracts ``(sum - rhs) /
+      count`` from every entry of the class.
     * ``pinned``: the entries are constant on each class and class
       ``pinned`` equals 1.  Optional ``radii`` (length k) bound the
       magnitude of each class value, equal across a partner pair and at
@@ -204,8 +206,11 @@ class ClassConstraints:
                 raise ValueError(
                     f"class {c} is its own transpose but its sum {rhs[c]} is not real"
                 )
-            self._rhs = np.where(closed, rhs.real, rhs)
-            self.defect = float(np.abs(self._rhs[partner] - self._rhs.conj()).max())
+            rhs = np.where(closed, rhs.real, rhs)
+            self.defect = float(np.abs(rhs[partner] - rhs.conj()).max())
+            # A class and its transpose carry one complex equation: the
+            # earlier of the two sets both targets.
+            self._rhs = np.where(np.arange(k) <= partner, rhs, rhs[partner].conj())
             # Identity multiple matching the class sums in least squares;
             # only classes of diagonal entries see the identity.
             on_diag = labels.on_diag

@@ -123,6 +123,53 @@ def test_variable_counts_below_one_are_refused(nvars):
             build()
 
 
+@pytest.mark.parametrize("nvars", [1.5, True, "2"])
+def test_variable_counts_that_are_not_integers_are_refused(nvars):
+    # The three callers share one check, algebra.check_nvars.
+    message = re.escape(f"nvars must be an integer, got {nvars!r}")
+    for build in (
+        lambda: NCPoly(nvars, {}),
+        lambda: parse_poly("Y1", nvars),
+        lambda: words_up_to(nvars, 2),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+@pytest.mark.parametrize("word,letter", [((3,), 3), ((0, 1), 0)])
+def test_letters_outside_the_variables_are_refused_by_letter(word, letter):
+    message = re.escape(f"letter {letter} in word {word} outside 1..2")
+    with pytest.raises(ValueError, match=message):
+        NCPoly(2, {word: 1.0})
+
+
+def test_terms_that_cancel_on_one_word_leave_no_term():
+    # (1,) and range(1, 2) are distinct keys naming the same word.
+    p = NCPoly(1, {(1,): 1.0, range(1, 2): -1.0})
+    assert p.terms == {} and p.is_zero()
+
+
+def test_is_symmetric_refuses_a_negative_tolerance():
+    with pytest.raises(ValueError, match=re.escape("tol must be nonnegative, got -1")):
+        commutator_square_poly().is_symmetric(-1)
+
+
+def test_equality_hash_and_repr():
+    p = NCPoly(2, {(2, 1): 0.5j, (1,): 2.0, (): -1.0})
+    q = NCPoly(2, {(): -1.0, (1,): 2.0, (2, 1): 0.5j})
+    assert p == q and hash(p) == hash(q)
+    assert (p == 1) is False and p != NCPoly(1, {(): -1.0})
+    assert repr(p) == "NCPoly(2, {(): (-1+0j), (1,): (2+0j), (2, 1): 0.5j})"
+    assert repr(NCPoly.zero(3)) == "NCPoly(3, {})"
+
+
+def test_the_product_operator_is_star_product():
+    rng = make_rng(41)
+    p, q = random_poly(rng, 2, 3, n_terms=4), random_poly(rng, 2, 3, n_terms=4)
+    assert term_bits(p * q) == term_bits(star_product(p, q))
+    assert term_bits(p * 2.5) == term_bits(2.5 * p) == term_bits(p.scale(2.5))
+
+
 # -- polynomial arithmetic ---------------------------------------------------
 
 

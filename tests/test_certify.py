@@ -1061,6 +1061,7 @@ def test_falsifier_output_is_a_witness():
     check = validate_witness(w)
     assert check.passed
     assert w.value == pytest.approx(result.trace, abs=1e-12)
+    assert w.degree == 4
 
 
 def _commutator_gap(mu: float) -> NCPoly:

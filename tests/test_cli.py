@@ -965,6 +965,11 @@ def _text(value) -> str:
     return "".join(out)
 
 
+def test_the_writer_refuses_a_type_json_does_not_write():
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        _text({"a": {1, 2}})
+
+
 @pytest.mark.parametrize("name", list(THETAS))
 def test_a_theta_is_written_alike_from_warm_and_cleared_templates(name):
     theta, ref = THETAS[name], reference_theta_json(THETAS[name])

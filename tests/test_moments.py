@@ -222,6 +222,7 @@ def test_restricted():
     assert t2[(1, 2)] == t[(1, 2)]
     with pytest.raises(ValueError):
         t2.restricted(3)
+    assert repr(t2) == "MomentSequence(n=2, max_degree=2)"
 
 
 # -- level-batched code against the word-by-word references ------------------

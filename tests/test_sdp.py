@@ -452,6 +452,22 @@ def test_class_sums_conjugate_mismatch_is_inconsistent():
         feasibility_solve(bad)
 
 
+@pytest.mark.parametrize("delta", [2e-9, 5e-9])
+def test_a_pair_within_the_consistency_tolerance_is_solved_as_one_equation(delta):
+    # The pair's sums differ by delta, inside CONSISTENCY_TOL: the set takes
+    # the earlier class's target and its conjugate, which a Hermitian PSD
+    # matrix meets, instead of two targets no Hermitian matrix meets.
+    labels = np.array([[0, 1], [2, 3]])
+    cons = ClassConstraints(labels, rhs=[1, 0.25 + 0.1j + delta, 0.25 - 0.1j, 1])
+    assert cons.consistent and cons.defect == pytest.approx(delta, rel=1e-6)
+    assert cons.rhs[2] == np.conj(cons.rhs[1]) == 0.25 + delta - 0.1j
+    report = feasibility_solve(cons, max_iter=2000)
+    assert report.status == "feasible"
+    assert np.abs(cons.residuals(report.solution)).max() <= 1e-9
+    with pytest.raises(InconsistentConstraints, match="structurally infeasible"):
+        feasibility_solve(ClassConstraints(labels, rhs=[1, 0.25 + 0.1j + 2e-8, 0.25 - 0.1j, 1]))
+
+
 def _witness_set(nvars, d, R):
     basis, classes = reference_class_positions(nvars, d)
     reps, labels = reference_class_labels(classes, len(basis))
