@@ -163,13 +163,14 @@ class CyclicClasses:
 
     ``index`` is ``WordIndex(nvars, 2d)``.  A class is labelled by the rank,
     in ``words_up_to`` order, of its least word; ``word_labels`` holds the
-    label of every word up to 2d, ``reps`` the position of each class's
-    least word and ``words`` that word's tuple.  ``labels[J, K]`` is the
-    label of ``reverse(J) + K`` over the m basis words of length <= d,
-    whose tuples ``basis`` holds: every word up to 2d is such a pair (split
-    it in the middle), so every class labels some entry.  ``checked`` is
-    ``labels`` checked once for the solver's constraint sets
-    (:class:`~nctrace.sdp.ClassLabels`).
+    label of every word up to 2d and ``reps`` the position of each class's
+    least word, so class c's least word is ``index.word(reps[c])``.
+    ``checked.labels[J, K]`` is the label of ``reverse(J) + K`` over the m
+    basis words of length <= d, whose tuples ``basis`` holds: every word up
+    to 2d is such a pair (split it in the middle), so every class labels
+    some entry.  ``checked`` holds those labels checked once for the
+    solver's constraint sets (:class:`~nctrace.sdp.ClassLabels`).  A cell
+    keeps arrays, its index and ``basis``, and no object per class.
     ``anchor`` is the cell's tracial anchor (:func:`_tracial_anchor`),
     built on first read and kept with the cell.
     """
@@ -177,9 +178,7 @@ class CyclicClasses:
     index: WordIndex
     word_labels: np.ndarray
     reps: np.ndarray
-    labels: np.ndarray
     checked: ClassLabels
-    words: tuple
     basis: tuple
 
     def coefficients(self, p: NCPoly) -> np.ndarray:
@@ -217,11 +216,12 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     The classes of the last 8 cells (nvars, d) a process asked for are
     kept in an ``lru_cache``, so every array of the result, its index's
     and its checked labels' included, is read-only, and so is its anchor
-    once read.  At the size limit (:func:`check_gram_size`) an entry holds
-    3.7 MiB at (2, 7), 6.7 MiB at (3, 5), 10.1 MiB at (1, 511), where
-    ``words`` is every word up to length 1022, and 29.4 MiB at (590, 1),
-    whose 174,936 classes are the most; an anchor, m^2 complex entries over
-    the m basis words, adds 1.0, 2.0, 4.0 and 5.3 MiB there.
+    once read.  At the size limit (:func:`check_gram_size`) the classes of
+    a cell hold 1.1 MiB at (2, 7), 2.5 MiB at (3, 5), 3.1 MiB at (1, 511),
+    5.6 MiB at (21, 2) and 10.7 MiB at (590, 1), whose 174,936 classes are
+    the most; an anchor, m^2 complex entries over the m basis words, adds
+    1.0, 2.0, 4.0, 3.3 and 5.3 MiB there (``tracemalloc``, as
+    ``tests/cache_sizes.py`` measures them).
     """
     index = WordIndex(nvars, 2 * d)
     positions = np.arange(len(index))
@@ -233,11 +233,8 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     labels = word_labels[index.concat(index.reversed(basis)[:, None], basis)]
     for array in (index.offsets, index.lengths, word_labels, reps, labels):
         array.flags.writeable = False
-    words = words_up_to(nvars, 2 * d)
-    return CyclicClasses(
-        index, word_labels, reps, labels, ClassLabels.of(labels, len(reps)),
-        words=tuple(words[rep] for rep in reps.tolist()), basis=tuple(words[: len(basis)]),
-    )
+    checked = ClassLabels.of(labels, len(reps))
+    return CyclicClasses(index, word_labels, reps, checked, tuple(words_up_to(nvars, d)))
 
 
 @dataclass
@@ -248,12 +245,15 @@ class GramProblem:
     matrix lying over that class must sum to the polynomial's total
     coefficient on the class.  Solutions G that are also PSD factor into
     square terms reproducing the polynomial up to cyclic equivalence.
-    ``rhs`` maps each class's least word to that coefficient.
+    ``rhs`` is the array of those totals by class label
+    (:meth:`CyclicClasses.coefficients`), before the constraint set pairs
+    transposed classes; with ``classes = cyclic_classes(nvars, d)``, class
+    c's least word is ``classes.index.word(classes.reps[c])``.
     """
 
     degree: int
     basis: list = field(repr=False)
-    rhs: dict = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
     constraints: ClassConstraints = field(repr=False)
 
     @property
@@ -265,9 +265,8 @@ def build_gram_problem(p: NCPoly, d: int) -> GramProblem:
     _require_symmetric(p)
     _check_degree(p, d)
     classes = cyclic_classes(p.nvars, d)
-    values = classes.coefficients(p)
-    rhs = dict(zip(classes.words, values.tolist()))
-    constraints = ClassConstraints(classes.checked, rhs=values)
+    rhs = classes.coefficients(p)
+    constraints = ClassConstraints(classes.checked, rhs=rhs)
     return GramProblem(degree=d, basis=list(classes.basis), rhs=rhs, constraints=constraints)
 
 
@@ -456,7 +455,7 @@ def witness_search(
     _check_degree(p, d)
     check_radius(R, 2 * d)
     classes = cyclic_classes(p.nvars, d)
-    labels = classes.labels
+    labels = classes.checked.labels
     radii = float(R) ** classes.index.lengths[classes.reps].astype(float)
     # The empty word is the least word of its class, and the first of all.
     constraints = ClassConstraints(classes.checked, pinned=0, radii=radii)
@@ -504,7 +503,7 @@ def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.nda
     # of a tuple of norm R is taken, so none overflows.  The anchor is
     # exactly Hermitian and the weight is symmetric in J and K, so the
     # scaled anchor stays exactly Hermitian.
-    scale = float(R) ** classes.index.lengths[: len(classes.labels)]
+    scale = float(R) ** classes.index.lengths[: len(classes.basis)]
     for weight in (np.multiply.outer(scale, scale), 1.0):
         A = project_affine(classes.anchor * weight, constraints)
         delta = float(np.linalg.eigvalsh(A)[0])

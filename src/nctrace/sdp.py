@@ -103,14 +103,14 @@ def _check_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassLabels:
-    """The label-only part of a :class:`ClassConstraints` set, checked once
-    by :meth:`of`; each ``cyclic_classes`` cell keeps one.  Read-only."""
+    """Labels checked once by :meth:`of`, with what only that check finds:
+    each class's transpose ``partner`` and the ``ties`` of the start scale.
+    Each ``cyclic_classes`` cell keeps one; :class:`ClassConstraints` forms
+    its class counts and entry bins from ``labels`` per set.  ``partner``
+    is read-only."""
 
     labels: np.ndarray
-    counts: np.ndarray
     partner: np.ndarray  # the class that transposition maps each class onto
-    parts: np.ndarray
-    on_diag: np.ndarray
     ties: float
 
     @classmethod
@@ -135,13 +135,9 @@ class ClassLabels:
         partner = labels.T.ravel()[first]
         if not np.array_equal(partner[labels], labels.T):
             raise ValueError("labels are not transpose-consistent")
+        partner.flags.writeable = False
         eye = np.eye(len(labels)).ravel()
-        parts = np.stack([2 * flat, 2 * flat + 1], axis=1).ravel()
-        on_diag = np.bincount(np.diag(labels), minlength=k).astype(float)
-        for array in (counts, partner, parts, on_diag):
-            array.flags.writeable = False
-        return cls(labels, counts, partner, parts, on_diag,
-                   ties=float(np.sum((eye[first][flat] - eye) ** 2)))
+        return cls(labels, partner, ties=float(np.sum((eye[first][flat] - eye) ** 2)))
 
 
 class ClassConstraints:
@@ -151,7 +147,8 @@ class ClassConstraints:
     class is nonempty.  Transposition must map each class onto a single
     partner class (possibly itself), which keeps both kinds closed under
     the adjoint.  ``labels`` is an integer array, checked on every call, or
-    :class:`ClassLabels`, checked once.  Give exactly one of:
+    :class:`ClassLabels`, checked once; either way the set forms its class
+    counts and entry bins from the labels.  Give exactly one of:
 
     * ``rhs`` (length k): the entries over class c sum to ``rhs[c]``.  A
       partner pair is one complex equation, so ``rhs`` must be conjugate
@@ -186,14 +183,15 @@ class ClassConstraints:
                 raise ValueError(f"rhs must be a vector, got shape {rhs.shape}")
         if not isinstance(labels, ClassLabels):
             labels = ClassLabels.of(labels, None if rhs is None else len(rhs))
-        k, partner = len(labels.counts), labels.partner
+        k, partner = len(labels.partner), labels.partner
         if rhs is not None and len(rhs) != k:
             raise ValueError(f"{len(rhs)} class sums for {k} classes")
 
         self.dim = len(labels.labels)
         self.labels = labels.labels
-        self._parts = labels.parts
-        self.counts = labels.counts
+        flat = self.labels.ravel()
+        self._parts = (2 * flat[:, None] + np.arange(2)).ravel()
+        self.counts = np.bincount(flat, minlength=k)
         self.pinned = pinned
         self.radii = None
         if rhs is not None:
@@ -213,7 +211,7 @@ class ClassConstraints:
             self._rhs = np.where(np.arange(k) <= partner, rhs, rhs[partner].conj())
             # Identity multiple matching the class sums in least squares;
             # only classes of diagonal entries see the identity.
-            on_diag = labels.on_diag
+            on_diag = np.bincount(np.diag(self.labels), minlength=k).astype(float)
             denom = float(np.dot(on_diag, on_diag))
             self.start_scale = (
                 float(np.dot(on_diag, self._rhs.real) / denom) if denom > 1e-30 else 0.0

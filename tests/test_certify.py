@@ -28,9 +28,15 @@ from nctrace.certify import (
     witness_search,
 )
 from nctrace import algebra, certify, sampling
-from nctrace.moments import MomentSequence, hermitian_parts, moment_sequence
+from nctrace.moments import MomentSequence, WordIndex, hermitian_parts, moment_sequence
 from nctrace.parsing import format_polys, parse_poly, strip_comments
-from nctrace.sdp import ClassConstraints, NoFeasiblePoint, feasibility_solve, minimize_linear
+from nctrace.sdp import (
+    ClassConstraints,
+    ClassLabels,
+    NoFeasiblePoint,
+    feasibility_solve,
+    minimize_linear,
+)
 
 from helpers import (
     commutator_square_poly,
@@ -64,14 +70,25 @@ def exact_commutator_factor() -> NCPoly:
 # -- Gram problem assembly ----------------------------------------------------
 
 
+def least_words(classes) -> list:
+    """Each class's least word, by label."""
+    return [classes.index.word(rep) for rep in classes.reps.tolist()]
+
+
+def rhs_by_word(gp, nvars: int) -> dict:
+    """A Gram problem's class totals keyed by their classes' least words."""
+    return dict(zip(least_words(certify.cyclic_classes(nvars, gp.degree)), gp.rhs.tolist()))
+
+
 def test_gram_problem_square_of_one_variable():
     p = NCPoly(1, {(1, 1): 1.0})
     gp = build_gram_problem(p, 1)
     assert gp.basis == [(), (1,)]
     assert gp.n_classes == 3
-    assert gp.rhs[()] == 0
-    assert gp.rhs[(1,)] == 0
-    assert gp.rhs[(1, 1)] == 1.0
+    rhs = rhs_by_word(gp, 1)
+    assert rhs[()] == 0
+    assert rhs[(1,)] == 0
+    assert rhs[(1, 1)] == 1.0
     # The unique feasible Gram matrix is E_11; check it against the rows.
     G = np.zeros((2, 2))
     G[1, 1] = 1.0
@@ -80,17 +97,17 @@ def test_gram_problem_square_of_one_variable():
 
 def test_gram_problem_zero_polynomial():
     gp = build_gram_problem(NCPoly.zero(2), 1)
-    assert all(v == 0 for v in gp.rhs.values())
+    assert all(v == 0 for v in gp.rhs.tolist())
     assert np.max(np.abs(gp.constraints.rhs)) == 0
 
 
 def test_gram_problem_commutator_rhs():
-    gp = build_gram_problem(commutator_square_poly(), 2)
-    assert gp.rhs[(1, 1, 2, 2)] == pytest.approx(1.0)
-    assert gp.rhs[(1, 2, 1, 2)] == pytest.approx(-1.0)
+    rhs = rhs_by_word(build_gram_problem(commutator_square_poly(), 2), 2)
+    assert rhs[(1, 1, 2, 2)] == pytest.approx(1.0)
+    assert rhs[(1, 2, 1, 2)] == pytest.approx(-1.0)
     others = {
         rep: value
-        for rep, value in gp.rhs.items()
+        for rep, value in rhs.items()
         if rep not in ((1, 1, 2, 2), (1, 2, 1, 2))
     }
     assert all(v == 0 for v in others.values())
@@ -108,7 +125,7 @@ def test_gram_problem_every_pair_in_exactly_one_class():
     labels = gp.constraints.labels
     m = len(gp.basis)
     assert labels.shape == (m, m)
-    reps = list(gp.rhs)
+    reps = list(rhs_by_word(gp, 2))
     assert reps == sorted(reps, key=lambda w: (len(w), w))
     for row, J in enumerate(gp.basis):
         for col, K in enumerate(gp.basis):
@@ -123,7 +140,7 @@ def test_cyclic_classes_match_pairwise_reference(nvars, d):
     basis, classes = reference_class_positions(nvars, d)
     reps, labels = reference_class_labels(classes, len(basis))
     got = certify.cyclic_classes(nvars, d)
-    assert np.array_equal(got.labels, labels)
+    assert np.array_equal(got.checked.labels, labels)
     words = words_up_to(nvars, 2 * d)
     assert [words[r] for r in got.reps] == reps
     assert [reps[c] for c in got.word_labels] == [cyclic_canonical(w) for w in words]
@@ -139,8 +156,9 @@ def test_gram_problem_matches_pairwise_reference(nvars, d):
     reps, labels = reference_class_labels(classes, len(basis))
     reduced = p.cyclic_reduce()
     assert gp.basis == basis
-    assert list(gp.rhs) == reps
-    assert gp.rhs == {rep: reduced.coeff(rep) for rep in reps}
+    rhs = rhs_by_word(gp, nvars)
+    assert list(rhs) == reps
+    assert rhs == {rep: reduced.coeff(rep) for rep in reps}
     # The Hermitian projection of the reference partner rule.
     values = np.array([reduced.coeff(rep) for rep in reps], dtype=complex)
     partner = np.array([labels[classes[rep][0][::-1]] for rep in reps])
@@ -156,9 +174,9 @@ def test_gram_problem_drops_cancelled_class_totals():
     terms = {(1, 1, 2, 2): 0.1, (2, 2, 1, 1): 0.1, (1, 2, 2, 1): 0.1, (2, 1, 1, 2): -0.3}
     p = NCPoly(2, {**terms, (1, 1): 1.0})
     assert 0 < abs(sum(terms.values())) <= 1e-15
-    gp = build_gram_problem(p, 2)
-    assert gp.rhs == {rep: p.cyclic_reduce().coeff(rep) for rep in gp.rhs}
-    assert gp.rhs[(1, 1, 2, 2)] == 0
+    rhs = rhs_by_word(build_gram_problem(p, 2), 2)
+    assert rhs == {rep: p.cyclic_reduce().coeff(rep) for rep in rhs}
+    assert rhs[(1, 1, 2, 2)] == 0
 
 
 @pytest.mark.parametrize("nvars,d", [(1, 2), (2, 2), (3, 2), (2, 3)])
@@ -205,7 +223,7 @@ def test_class_totals_at_the_pruning_edge_are_kept_as_cyclic_reduce_keeps_them()
         p = NCPoly(3, {(1, 2, 3): a, (2, 3, 1): b, (3, 2, 1): a.conjugate(), (1, 3, 2): b.conjugate()})
         assert p.is_symmetric(tol=0.0)
         values = classes.coefficients(p).tolist()
-        got = {w: (v.real.hex(), v.imag.hex()) for w, v in zip(classes.words, values) if v}
+        got = {w: (v.real.hex(), v.imag.hex()) for w, v in zip(least_words(classes), values) if v}
         reduced = p.cyclic_reduce()
         assert got == {w: (c.real.hex(), c.imag.hex()) for w, c in reduced.terms.items()}, (a, b)
         kept.add(len(reduced.terms))
@@ -245,9 +263,9 @@ def test_extracted_moments_match_reference_bit_for_bit(nvars, d, R):
     rng = make_rng(800 + 10 * nvars + d)
     classes = certify.cyclic_classes(nvars, d)
     radii = R ** classes.index.lengths[classes.reps].astype(float)
-    constraints = ClassConstraints(classes.labels, pinned=0, radii=radii)
+    constraints = ClassConstraints(classes.checked.labels, pinned=0, radii=radii)
     _, positions = reference_class_positions(nvars, d)
-    m = len(classes.labels)
+    m = len(classes.checked.labels)
     real = (3.0 * random_hermitian(rng, m).real).astype(complex)
     for M in (0.3 * random_hermitian(rng, m), real):
         # A small empty-word entry makes most class values reach their bound.
@@ -687,7 +705,7 @@ def test_square_sums_over_short_and_long_column_tuples_equal_the_gram_loop():
 def test_constraints_from_a_cell_equal_constraints_from_its_raw_labels(nvars, d):
     rng = make_rng(940 + 10 * nvars + d)
     classes = certify.cyclic_classes(nvars, d)
-    raw = np.array(classes.labels)
+    raw = np.array(classes.checked.labels)
     q = random_poly(rng, nvars, 2 * d, n_terms=10)
     rhs = build_gram_problem(q + q.adjoint(), d).constraints.rhs
     radii = 1.5 ** classes.index.lengths[classes.reps].astype(float)
@@ -713,7 +731,7 @@ def test_constraints_from_a_cell_equal_constraints_from_its_raw_labels(nvars, d)
         ClassConstraints(classes.checked, rhs=rhs[:-1])
     with pytest.raises(ValueError, match="one entry per class"):
         ClassConstraints(classes.checked, pinned=0, radii=radii[:-1])
-    assert not classes.checked.counts.flags.writeable and not classes.checked.parts.flags.writeable
+    assert not classes.checked.labels.flags.writeable and not classes.checked.partner.flags.writeable
 
 
 def _answer(found):
@@ -841,7 +859,7 @@ def test_gram_problem_without_booth(monkeypatch):
     expected = build_gram_problem(p, 2)
     monkeypatch.setattr(algebra, "cyclic_canonical", None)
     got = build_gram_problem(p, 2)
-    assert got.rhs == expected.rhs
+    assert got.rhs.tobytes() == expected.rhs.tobytes()
     assert np.array_equal(got.constraints.rhs, expected.constraints.rhs)
 
 
@@ -1168,7 +1186,7 @@ def test_cached_classes_are_read_only_and_each_basis_a_fresh_list():
     assert certify.cyclic_classes(2, 2) is classes
     index = classes.index
     for array in (classes.word_labels, classes.reps, classes.checked.partner,
-                  classes.labels, index.offsets, index.lengths):
+                  classes.checked.labels, index.offsets, index.lengths):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 7
     p = commutator_square_poly()
@@ -1176,6 +1194,31 @@ def test_cached_classes_are_read_only_and_each_basis_a_fresh_list():
     assert type(first) is list and first == list(classes.basis)
     first.append((9,))
     assert build_gram_problem(p, 2).basis == list(classes.basis)
+
+
+@pytest.mark.parametrize("nvars,d", [(1, 3), (2, 2), (3, 2)])
+def test_a_cell_keeps_no_python_object_per_class(nvars, d):
+    # A cell and its checked labels keep numpy arrays, the WordIndex, the
+    # m-word basis tuple and the float ties; a class's least word is made
+    # on demand from its position in reps.
+    classes = certify.cyclic_classes(nvars, d)
+    classes.anchor
+    m = len(classes.checked.labels)
+    assert set(vars(classes)) == {"index", "word_labels", "reps", "checked", "basis", "anchor"}
+    for name, value in vars(classes).items():
+        if name == "basis":
+            assert type(value) is tuple and len(value) == m
+        elif name == "checked":
+            assert type(value) is ClassLabels
+        else:
+            assert isinstance(value, (np.ndarray, WordIndex)), name
+    for name, value in vars(classes.checked).items():
+        assert isinstance(value, np.ndarray) or (name == "ties" and type(value) is float), name
+    # The index keeps two integers, two arrays and its offsets once more.
+    for name, value in vars(classes.index).items():
+        assert isinstance(value, (int, np.ndarray)) or (
+            name == "_starts" and value == tuple(classes.index.offsets.tolist())
+        ), name
 
 
 @pytest.mark.parametrize("d", [2.0, 2.5, True, np.bool_(True)])
@@ -1509,7 +1552,7 @@ def test_mix_anchor_refuses_an_anchor_that_is_not_positive_definite(monkeypatch)
     # singular at either scale.  A cell of its own builds its anchor on
     # first read, from the patch.
     classes = certify.cyclic_classes.__wrapped__(1, 1)
-    constraints = ClassConstraints(classes.labels, pinned=0)
+    constraints = ClassConstraints(classes.checked.labels, pinned=0)
     monkeypatch.setattr(certify, "_tracial_anchor", lambda nvars, d: np.zeros((2, 2)))
     message = (
         "solver stopped at eigenvalue -1.000e-03 and the anchor is not positive "
