@@ -3,9 +3,13 @@
 A word is a tuple of integer letters and indexes the monomial
 ``Y_I = Y_{i1} Y_{i2} ... Y_{ip}``; the empty tuple is the unit monomial.
 Polynomials are finite complex linear combinations of monomials, stored as
-a dict from word to coefficient.  The adjoint reverses words and conjugates
-coefficients, so the symmetric (self-adjoint) polynomials are exactly the
-ones fixed by :meth:`NCPoly.adjoint`.
+a dict from word to coefficient.  A word's position in ``words_up_to``
+order is the word read as a numeral (:func:`word_positions`); a polynomial
+also gives its terms as a (position, coefficient) array pair
+(:meth:`NCPoly.term_arrays`), read off the terms on first use and kept.
+The adjoint reverses words and conjugates coefficients, so the symmetric
+(self-adjoint) polynomials are exactly the ones fixed by
+:meth:`NCPoly.adjoint`.
 
 Two polynomials are cyclically equivalent when they differ by a linear
 combination of monomials ``Y_I - Y_J`` with J a rotation of I; under any
@@ -96,6 +100,19 @@ def _least_rotation(word: Word) -> Word:
     return min([doubled[k : k + n] for k in range(n)])
 
 
+def word_positions(words, nvars: int) -> list:
+    """Each word's position in ``words_up_to(nvars, D)`` order, for every D
+    at least its length: the word read as a numeral in bijective base
+    nvars, whose digits are its letters, ``sum_j i_j nvars^(L-1-j)``."""
+    out = []
+    for word in words:
+        k = 0
+        for letter in word:
+            k = k * nvars + letter
+        out.append(k)
+    return out
+
+
 def words_up_to(nvars: int, degree: int) -> list[Word]:
     """All words of length <= degree in degree-then-lexicographic order.
 
@@ -130,7 +147,7 @@ class NCPoly:
     does (:meth:`_from_array`).
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_arrays")
 
     def __init__(self, nvars: int, terms: Mapping[Word, complex] | None = None):
         check_nvars(nvars)
@@ -153,6 +170,7 @@ class NCPoly:
                         del clean[word]
         self.nvars = nvars
         self.terms = clean
+        self._arrays = None
 
     @classmethod
     def _from_valid(cls, nvars: int, terms: Mapping[Word, complex]) -> "NCPoly":
@@ -185,6 +203,7 @@ class NCPoly:
         poly = object.__new__(cls)
         poly.nvars = nvars
         poly.terms = terms
+        poly._arrays = None
         return poly
 
     # -- constructors ----------------------------------------------------
@@ -212,6 +231,19 @@ class NCPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def term_arrays(self) -> tuple:
+        """(positions, coefficients): each term's word position
+        (:func:`word_positions`) as an int64 array and its coefficient as a
+        complex array, in term order, both read-only.  They are read off the
+        terms on the first call and kept.  Raises OverflowError for a
+        position past int64."""
+        if self._arrays is None:
+            positions = np.array(word_positions(self.terms, self.nvars), dtype=np.int64)
+            values = np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms))
+            positions.flags.writeable = values.flags.writeable = False
+            self._arrays = positions, values
+        return self._arrays
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NCPoly):

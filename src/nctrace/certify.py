@@ -25,13 +25,17 @@ rows of a matrix B over the Gram basis, and returns them as polynomials
 that carry B (:class:`~nctrace.algebra.Factors`).  The residual re-check
 and the writer (:func:`~nctrace.parsing.format_polys`) read B; a plain
 list of polynomials is turned into its B once
-(:func:`~nctrace.algebra.coefficient_matrix`).  The residual is recomputed
-from the factors alone: the entries (J, K) of ``B^H B`` are summed onto
-their words ``reverse(J) + K``, grouped by concatenating the factors' own
-words, and the difference from p is reduced by plain polynomial
-arithmetic.  It never reads the labels, the word index or any solver
-state.  Problems larger than :data:`MAX_GRAM_SIZE` are refused before
-anything is allocated.
+(:func:`~nctrace.algebra.coefficient_matrix`).  Both searches and the
+re-check read p as its (word position, coefficient) arrays
+(:meth:`~nctrace.algebra.NCPoly.term_arrays`), which p reads off its
+words once and keeps.  The residual is recomputed from p and the factors
+alone: the entries (J, K) of ``B^H B`` are summed onto the positions of
+their words ``reverse(J) + K``, taken by numeral arithmetic from the
+factors' own words, subtracted from p's, and summed onto least rotations
+from a table of the re-check's own (:func:`_rotation_table`).  It never
+reads the class labels, a :class:`~nctrace.moments.WordIndex` or any
+solver state.  Problems larger than :data:`MAX_GRAM_SIZE` are refused
+before anything is allocated.
 
 Failure of the primal search is only ever "infeasible at tolerance at
 level d": raising d enlarges the search space, and no claim of
@@ -50,7 +54,6 @@ import numpy as np
 from .algebra import (
     Factors,
     NCPoly,
-    Word,
     check_integer,
     coefficient_matrix,
     evaluate,
@@ -58,6 +61,7 @@ from .algebra import (
     normalized_trace,
     pair,
     unpruned,
+    word_positions,
     words_up_to,
 )
 from .moments import (
@@ -66,6 +70,7 @@ from .moments import (
     MomentSequence,
     WordIndex,
     as_matrix_tuple,
+    cacheable,
     check_radius,
     check_w_membership,
     moment_matrix,
@@ -184,20 +189,15 @@ class CyclicClasses:
     def coefficients(self, p: NCPoly) -> np.ndarray:
         """p's total coefficient on each class, by label.
 
-        p's terms are summed onto the labels of their words in the order
-        of p's terms (their positions from one :meth:`WordIndex.positions`
-        call), and totals not above ``COEFF_PRUNE`` in magnitude
-        (:func:`~nctrace.algebra.unpruned`) are dropped, so the totals are
-        those of :meth:`NCPoly.cyclic_reduce`, to the bit.
+        p's coefficients are summed onto the labels of its word positions
+        (:meth:`~nctrace.algebra.NCPoly.term_arrays`) in the order of p's
+        terms, and totals not above ``COEFF_PRUNE`` in magnitude
+        (:func:`~nctrace.algebra.unpruned`) are dropped (:func:`_sums`), so the
+        totals are those of :meth:`NCPoly.cyclic_reduce`, to the bit.
         p's words must have length at most 2d.
         """
-        labels = self.word_labels[self.index.positions(p.terms)]
-        coeffs = np.array(list(p.terms.values()), dtype=complex)
-        size = len(self.reps)
-        values = np.bincount(labels, weights=coeffs.real, minlength=size).astype(complex)
-        values.imag = np.bincount(labels, weights=coeffs.imag, minlength=size)
-        values[~unpruned(values)] = 0
-        return values
+        positions, coeffs = p.term_arrays()
+        return _sums(self.word_labels[positions], coeffs, len(self.reps))
 
     @cached_property
     def anchor(self) -> np.ndarray:
@@ -279,51 +279,66 @@ class Certificate:
     residual_l1: float = 0.0
 
 
-def _sum_of_squares(factors, nvars: int) -> NCPoly:
-    """The polynomial sum of b* b over the factors b, by one Gram product.
+def _square_sum(columns, B: np.ndarray, nvars: int, size: int) -> tuple:
+    """The sum of b* b over the factors b, the rows of B over the words
+    ``columns`` (:func:`coefficient_matrix`): the position of the word of
+    each nonzero entry of ``B^H B`` in row-major order, and the entries
+    summed onto their positions in that order, over the positions below
+    ``size``, with totals not above ``COEFF_PRUNE`` zeroed.
 
-    The factors' coefficients are the rows of B (:func:`coefficient_matrix`),
-    over the words they use in first-seen order: by the first factor with a
-    nonzero coefficient on the word, then by column; words no factor uses
-    are left out.  So sum_b conj(b_J) b_K is entry (J, K) of ``B^H B``.
-    The nonzero entries are summed onto their words reverse(J) + K
-    (:func:`_word_grouping`, built per call) by two ``bincount`` calls, in
-    row-major order, as one addition per entry would sum them; each word
-    takes its place in the sum at its first nonzero entry.
+    The columns are taken in the order of their words' first use: by the
+    first factor with a nonzero coefficient on the word, then by column.
+    sum_b conj(b_J) b_K is entry (J, K), on the word reverse(J) + K, whose
+    position is ``pos(reverse(J)) n^|K| + pos(K)``
+    (:func:`~nctrace.algebra.word_positions`).
     """
-    columns, B = coefficient_matrix(factors)
-    used = B != 0
-    first = np.argmax(used, axis=0) if len(B) else np.zeros(len(columns), dtype=np.intp)
-    first[~used.any(axis=0)] = len(B)
-    order = np.argsort(first, kind="stable")[: np.count_nonzero(first < len(B))]
-    if len(order) < len(columns) or (order != np.arange(len(order))).any():
-        columns, B = tuple(columns[k] for k in order.tolist()), B[:, order]
+    if len(B):  # a word no factor uses has no nonzero entry, wherever it goes
+        order = np.argsort(np.argmax(B != 0, axis=0), kind="stable")
+        columns, B = [columns[k] for k in order.tolist()], B[:, order]
+    lengths = np.fromiter(map(len, columns), dtype=np.int64, count=len(columns))
+    positions = word_positions([*(J[::-1] for J in columns), *columns], nvars)
+    ahead, behind = np.array(positions, dtype=np.int64).reshape(2, -1)
     gram = (B.conj().T @ B).ravel()
-    groups, words = _word_grouping(columns)
     nonzero = np.flatnonzero(gram)
-    labels = groups[nonzero]
-    sums = np.empty(len(words), dtype=complex)
-    sums.real = np.bincount(labels, gram.real[nonzero], len(words))
-    sums.imag = np.bincount(labels, gram.imag[nonzero], len(words))
-    if len(nonzero) < len(gram):
-        # A word whose first entry vanished takes its place at its first
-        # nonzero one, and a word with none is left out.
-        seen, first = np.unique(labels, return_index=True)
-        order = seen[np.argsort(first)]
-        words, sums = [words[k] for k in order.tolist()], sums[order]
-    return NCPoly._from_array(nvars, words, sums)
+    words = (ahead[:, None] * nvars**lengths + behind).ravel()[nonzero]
+    return words, _sums(words, gram[nonzero], size)
 
 
-def _word_grouping(columns: tuple) -> tuple:
-    """The words reverse(J) + K of the entries (J, K) of a Gram matrix over
-    ``columns``, numbered in first-seen row-major order: each entry's
-    number, as an array, and the words."""
-    number: dict[Word, int] = {}
-    groups = np.array(
-        [number.setdefault(J[::-1] + K, len(number)) for J in columns for K in columns],
-        dtype=np.intp,
-    )
-    return groups, tuple(number)
+def _sums(positions: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The complex values summed onto their positions, all below ``size``,
+    in array order from 0, by one ``bincount`` per part; a total not above
+    ``COEFF_PRUNE`` in magnitude (:func:`~nctrace.algebra.unpruned`) is
+    zeroed, as polynomial arithmetic drops it."""
+    sums = np.empty(size, dtype=complex)
+    sums.real = np.bincount(positions, values.real, size)
+    sums.imag = np.bincount(positions, values.imag, size)
+    sums[~unpruned(sums)] = 0
+    return sums
+
+
+@lru_cache(maxsize=8)
+def _rotation_table(nvars: int, D: int) -> np.ndarray:
+    """The position of each word's least rotation, for the words of length
+    <= D in ``words_up_to`` order, by numeral arithmetic alone.
+
+    The word of length L at position ``start + k``, k < n^L, rotated left
+    by s letters is at ``start + (k mod n^(L-s)) n^s + k // n^(L-s)``, and
+    its least rotation is the least of those; with one letter every word
+    is its own rotation.  The tables of the last 8
+    :func:`~nctrace.moments.cacheable` (nvars, D) a process asked for are
+    kept, read-only; any other is built for the call.  A cached table
+    holds ``word_count(nvars, D)`` int64 entries, at most 0.5 MiB by the
+    size rule.
+    """
+    table = np.arange(word_count(nvars, D))
+    for L in range(2, D + 1) if nvars > 1 else ():
+        start, k = (nvars**L - 1) // (nvars - 1), np.arange(nvars**L)
+        level = table[start : start + nvars**L]
+        for s in range(1, L):  # high digits k // n^(L-s) move to the low end
+            high = nvars ** (L - s)
+            np.minimum(level, k % high * nvars**s + k // high + start, out=level)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -409,10 +424,41 @@ def certify_sos(
 def verify_certificate(p: NCPoly, cert: Certificate) -> float:
     """Recompute the certificate residual from scratch.
 
-    Uses only polynomial arithmetic on the stored factors, never any solver
-    state, so it independently audits what :func:`certify_sos` produced.
+    The residual is ``(p - sum_b b* b).cyclic_reduce().r_norm(1.0)``, to
+    the bit, by array passes over word positions in the orders that
+    polynomial arithmetic sums in: the square sum of the factors
+    (:func:`_square_sum`) is subtracted from p's coefficients over p's
+    words in term order, then from 0 over the sum's other words in the
+    order first met; the differences above ``COEFF_PRUNE`` are summed onto
+    their words' least rotations (:func:`_rotation_table`) in that order,
+    and the magnitudes of the totals above ``COEFF_PRUNE`` are summed by
+    Python's ``sum`` in the order the rotations are first met.  It reads
+    p's positions and coefficients and the factors' words and
+    coefficients, never a class label, a
+    :class:`~nctrace.moments.WordIndex` or any solver state, so it
+    independently audits what :func:`certify_sos` produced;
+    ``cert.factors`` may be a plain list of polynomials, in p's variables.
+    Factors in another number of variables, and words that need a
+    half-degree d past the size limit (:func:`check_gram_size`), raise
+    ValueError; the rotation table is that of the words up to 2d.
     """
-    return (p - _sum_of_squares(cert.factors, p.nvars)).cyclic_reduce().r_norm(1.0)
+    n = p.nvars
+    for b in cert.factors:
+        p._check_compatible(b)
+    columns, B = coefficient_matrix(cert.factors)
+    d = max(-(-p.degree() // 2), max(map(len, columns), default=0))
+    check_gram_size(n, d)
+    table = (_rotation_table if cacheable(n, 2 * d) else _rotation_table.__wrapped__)(n, 2 * d)
+    words, square = _square_sum(columns, B, n, len(table))
+    ours, coeffs = p.term_arrays()
+    # p's words in term order, then the sum's other words as first met.
+    merged = np.array([*dict.fromkeys([*ours.tolist(), *words.tolist()])], dtype=np.int64)
+    differences = np.concatenate([coeffs, np.zeros(len(merged) - len(coeffs))]) - square[merged]
+    kept = unpruned(differences)
+    least = table[merged[kept]]
+    totals = _sums(least, differences[kept], len(table))[list(dict.fromkeys(least.tolist()))]
+    # A zeroed total adds 0.0, which leaves Python's running sum as it is.
+    return float(sum(np.hypot(totals.real, totals.imag).tolist()))
 
 
 @dataclass

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Word, check_integer, cyclic_canonical, is_integer, words_up_to
+from .algebra import Word, check_integer, cyclic_canonical, is_integer, word_positions, words_up_to
 
 HERMITIAN_INPUT_TOL = 1e-12
 # Size limit of a moment sequence, in the units of ``moment_size``: per word,
@@ -143,7 +143,6 @@ class WordIndex:
         self.D = D
         self.offsets = np.cumsum([0] + [n**L for L in range(D + 1)])
         self.lengths = np.repeat(np.arange(D + 1), np.diff(self.offsets))
-        self._starts = tuple(self.offsets.tolist())  # for word-by-word arithmetic
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -153,16 +152,6 @@ class WordIndex:
         L = int(self.lengths[index])
         k = int(index - self.offsets[L])
         return tuple(k // self.n ** (L - 1 - j) % self.n + 1 for j in range(L))
-
-    def positions(self, words) -> list:
-        """The positions of words of length at most D, in order."""
-        n, starts, out = self.n, self._starts, []
-        for word in words:
-            k = 0
-            for letter in word:
-                k = k * n + letter - 1
-            out.append(starts[len(word)] + k)
-        return out
 
     def concat(self, left, right) -> np.ndarray:
         """Position of left + right, for position arrays that broadcast.
@@ -294,7 +283,7 @@ class MomentSequence:
             is_integer(j) and 1 <= j <= self.n for j in word
         ):
             raise KeyError(word)
-        return self._array[self.index.positions([word])[0]].item()
+        return self._array[word_positions([word], self.n)[0]].item()
 
     def as_array(self) -> np.ndarray:
         """The values in ``words_up_to`` order, as a read-only array."""

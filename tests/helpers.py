@@ -17,18 +17,20 @@ from itertools import product
 import numpy as np
 
 import nctrace
-from nctrace import cli
+from nctrace import certify, cli
 from nctrace.algebra import (
     COEFF_PRUNE,
     NCPoly,
     Word,
+    coefficient_matrix,
     cyclic_canonical,
     involute_word,
     star_product,
+    unpruned,
     words_up_to,
 )
 from nctrace.certify import FALSIFY_TRACE_TOL, Certificate, _real_trace, certify_sos
-from nctrace.moments import MomentSequence, as_matrix_tuple
+from nctrace.moments import MomentSequence, WordIndex, as_matrix_tuple
 from nctrace.parsing import (
     MAX_DIGITS,
     MAX_WORD_LENGTH,
@@ -188,9 +190,9 @@ def reference_sum_of_squares(factors, nvars: int) -> NCPoly:
 
 
 def reference_gram_sum_of_squares(factors, nvars: int) -> NCPoly:
-    """Sum of b* b by one Gram product, as ``nctrace.certify._sum_of_squares``
-    summed it before its word grouping: one addition per nonzero entry of
-    ``B^H B``, in row-major order, onto the word reverse(J) + K."""
+    """Sum of b* b by one Gram product, term by term: one addition per
+    nonzero entry of ``B^H B``, in row-major order, onto the word
+    reverse(J) + K, the order ``nctrace.certify._square_sum`` sums in."""
     columns: dict[Word, int] = {}
     for b in factors:
         for word in b.terms:
@@ -207,6 +209,18 @@ def reference_gram_sum_of_squares(factors, nvars: int) -> NCPoly:
         word = lefts[j] + words[k]
         total[word] = total.get(word, 0.0) + value
     return NCPoly._from_valid(nvars, total)
+
+
+def square_sum(factors, nvars: int) -> NCPoly:
+    """``nctrace.certify._square_sum`` of a factor list as a polynomial: the
+    words of its entries' positions in the order first met, with their
+    totals, which it has pruned itself (a pruned total is 0)."""
+    columns, B = coefficient_matrix(factors)
+    index = WordIndex(nvars, 2 * max(map(len, columns), default=0))
+    words, sums = certify._square_sum(columns, B, nvars, len(index))
+    assert (unpruned(sums) | (sums == 0)).all()
+    words = [k for k in dict.fromkeys(words.tolist()) if sums[k] != 0]
+    return NCPoly._from_array(nvars, [index.word(k) for k in words], sums[words])
 
 
 def reference_residual(p: NCPoly, factors) -> float:
@@ -298,9 +312,9 @@ def workload_poly(name: str, seed: int, source: str) -> NCPoly:
 
 
 def workload_certificates(seed: int) -> list:
-    """The certificate that ``nctrace certify`` prints for every op of the
-    certify-grid workload that must certify: its file's polynomial, at the
-    op's degree."""
+    """(p, certificate) for every op of the certify-grid workload that must
+    certify: its file's polynomial, as the bulk reader reads it, and the
+    certificate that ``nctrace certify`` prints for it at the op's degree."""
     wl = workload("certify-grid", seed)
     certs = []
     for op in wl.ops:
@@ -309,7 +323,7 @@ def workload_certificates(seed: int) -> list:
             p = parse_poly(strip_comments(wl.files[op.input]), nvars)
             cert = certify_sos(p, op.cell[1])
             assert isinstance(cert, Certificate)
-            certs.append(cert)
+            certs.append((p, cert))
     return certs
 
 

@@ -106,6 +106,21 @@ def test_cyclic_canonical_rotation_invariant():
             assert cyclic_canonical(w[s:] + w[:s]) == rep
 
 
+def test_term_arrays_are_the_terms_read_once():
+    p = NCPoly(2, {(2, 1): 1.5, (): -2.0, (1, 1, 2): 0.5j, (2,): 1e-3})
+    positions, coeffs = p.term_arrays()
+    words = words_up_to(2, 3)
+    assert positions.dtype == np.int64
+    assert positions.tolist() == [words.index(w) for w in p.terms]
+    assert coeffs.tolist() == list(p.terms.values())
+    assert not positions.flags.writeable and not coeffs.flags.writeable
+    assert p.term_arrays() is p.term_arrays()
+    assert [a.tolist() for a in NCPoly.zero(3).term_arrays()] == [[], []]
+    # 64 ones in bijective base 2 is 2**64 - 1, past int64.
+    with pytest.raises(OverflowError):
+        NCPoly(2, {(1,) * 64: 1.0}).term_arrays()
+
+
 def test_words_up_to_order():
     ws = words_up_to(2, 2)
     assert ws == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]

@@ -8,6 +8,7 @@ import pytest
 
 from nctrace.algebra import (
     COEFF_PRUNE,
+    Factors,
     NCPoly,
     cyclic_canonical,
     evaluate,
@@ -17,6 +18,7 @@ from nctrace.algebra import (
     words_up_to,
 )
 from nctrace.certify import (
+    RESIDUAL_TOL,
     Certificate,
     InfeasibilityReport,
     build_gram_problem,
@@ -55,6 +57,7 @@ from helpers import (
     reference_real_traces,
     reference_residual,
     reference_sum_of_squares,
+    square_sum,
     term_bits,
     workload,
     workload_certificates,
@@ -484,12 +487,31 @@ def test_verify_empty_certificate_of_zero():
     assert verify_certificate(NCPoly.zero(2), cert) == 0.0
 
 
+@pytest.mark.parametrize("nvars,D", [(1, 7), (2, 6), (3, 4), (4, 3)])
+def test_rotation_table_is_the_position_of_each_least_rotation(nvars, D):
+    words = words_up_to(nvars, D)
+    position = {w: k for k, w in enumerate(words)}
+    table = certify._rotation_table.__wrapped__(nvars, D)
+    assert table.tolist() == [position[cyclic_canonical(w)] for w in words]
+    assert not table.flags.writeable
+
+
+def test_verify_refuses_other_variables_and_words_past_the_size_limit():
+    # Word positions are numerals in p's variables, and the re-check's
+    # rotation table covers the words up to twice the half-degree they need.
+    square = Certificate(degree=1, factors=[NCPoly(2, {(2,): 1.0})])
+    with pytest.raises(ValueError, match="mismatched variable counts: 1 vs 2"):
+        verify_certificate(NCPoly(1, {(1, 1): 1.0}), square)
+    with pytest.raises(ValueError, match="Gram problem too large: half-degree 15 in 2"):
+        verify_certificate(NCPoly(2, {(1,) * 30: 1.0}), Certificate(degree=15, factors=[]))
+
+
 @pytest.mark.parametrize("nvars,d", [(1, 3), (2, 2), (3, 2), (2, 3)])
 def test_square_sum_matches_product_reference(nvars, d):
     rng = make_rng(900 + 10 * nvars + d)
     for count in (1, 3, 8):
         factors = [random_poly(rng, nvars, d, n_terms=7) for _ in range(count)]
-        got = certify._sum_of_squares(factors, nvars)
+        got = square_sum(factors, nvars)
         expected = reference_sum_of_squares(factors, nvars)
         # Each coefficient's rounding is relative to the magnitudes it sums.
         magnitudes = reference_sum_of_squares(
@@ -526,7 +548,7 @@ def _square_sum_cases():
 @pytest.mark.parametrize("case", ["one-term", "disjoint", "empty", "tiny", "cancelling"])
 def test_square_sum_of_sparse_and_cancelling_factors(case):
     factors = _square_sum_cases()[case]
-    got = certify._sum_of_squares(factors, 2)
+    got = square_sum(factors, 2)
     expected = reference_sum_of_squares(factors, 2)
     assert set(got.terms) == set(expected.terms)
     for word, coeff in expected.terms.items():
@@ -542,7 +564,7 @@ def test_square_sum_of_sparse_and_cancelling_factors(case):
 
 
 def _assert_square_sum_equals_gram_loop(factors, nvars):
-    got = certify._sum_of_squares(factors, nvars)
+    got = square_sum(factors, nvars)
     assert term_bits(got) == term_bits(reference_gram_sum_of_squares(factors, nvars))
     return got
 
@@ -574,8 +596,100 @@ def test_square_sum_equals_the_gram_loop_bit_for_bit():
 
 
 def test_square_sum_of_every_certify_grid_certificate_equals_the_gram_loop():
-    for cert in workload_certificates(98):
-        _assert_square_sum_equals_gram_loop(cert.factors, cert.factors[0].nvars)
+    for p, cert in workload_certificates(98):
+        _assert_square_sum_equals_gram_loop(cert.factors, p.nvars)
+
+
+def _tampered(p, cert) -> dict:
+    """Three wrong copies of a certificate's factors, each a Factors list
+    over the certificate's words (and one more) with its polynomials: the
+    last factor dropped, the largest coefficient of the first factor scaled
+    by 1 + 1e-3, and an extra factor Y1^(2d+1), a word outside p's support."""
+    factors, d = cert.factors, cert.degree
+    words, B = factors.words, factors.matrix
+    dropped = Factors(factors[:-1], words, B[:-1].copy())
+    k = int(np.argmax(np.abs(B[0])))
+    scaled = B.copy()
+    scaled[0, k] *= 1 + 1e-3
+    first = NCPoly(p.nvars, {w: c * (1 + 1e-3) if w == words[k] else c
+                             for w, c in factors[0].terms.items()})
+    outside = (1,) * (2 * d + 1)
+    assert p.degree() <= 2 * d < len(outside)
+    extra = np.zeros((len(B) + 1, len(words) + 1), dtype=complex)
+    extra[:-1, :-1], extra[-1, -1] = B, 1.0
+    return {
+        "dropped": dropped,
+        "scaled": Factors([first, *factors[1:]], words, scaled),
+        "extra": Factors([*factors, NCPoly(p.nvars, {outside: 1.0})], (*words, outside), extra),
+    }
+
+
+def test_the_re_check_refuses_every_tampered_certify_grid_certificate():
+    # The re-check of a wrong certificate is the term-by-term residual to the
+    # bit, from the factor matrix and from the written factors parsed back,
+    # and it is above the acceptance limit.  The one exception is a last
+    # factor whose own reduced square is below the limit (one of the 103, of
+    # weight 2.7e-6): the certificate without it is still a certificate.
+    certs = workload_certificates(98)
+    assert len(certs) == 103
+    kept = 0
+    for p, cert in certs:
+        # p's terms in reverse order sum the residual in another order.
+        backwards = NCPoly(p.nvars, dict(reversed(p.terms.items())))
+        assert verify_certificate(backwards, cert) == reference_residual(backwards, cert.factors)
+        limit = RESIDUAL_TOL * max(1.0, p.r_norm(1.0))
+        last = reference_residual(NCPoly.zero(p.nvars), cert.factors[-1:])
+        for name, factors in _tampered(p, cert).items():
+            plain = [parse_poly(text, p.nvars) for text in format_polys(factors)]
+            expected = reference_residual(p, plain)
+            assert verify_certificate(p, Certificate(cert.degree, factors)) == expected, name
+            assert verify_certificate(p, Certificate(cert.degree, plain)) == expected, name
+            if name == "dropped" and last <= limit:
+                assert expected <= limit
+                kept += 1
+            else:
+                assert expected > limit, (name, expected, limit)
+    assert kept == 1
+
+
+def test_certify_walks_a_bulk_read_polynomial_once(monkeypatch):
+    # p's word positions are read off its words on first use and kept: the
+    # class totals walk p once, the re-check reads what they kept, and no
+    # least rotation is taken per word.  The re-check's own walk is over the
+    # certificate's basis words and their reversals.  A second certify of
+    # the same p walks none of its words.
+    wl = workload("certify-grid", 98)
+    op = next(op for op in wl.ops if op.group == "sos" and op.cell == (2, 3))
+    text = strip_comments(wl.files[op.input])
+    expected = certify_sos(parse_poly(text, 2), 3)
+    p = parse_poly(text, 2)
+    bad = parse_poly("Y2^2 + 1e308*Y1 Y2 + 1e308*Y2 Y1 + 1e308*Y1^2", 2).scale(10.0)
+    asymmetric = parse_poly("Y1 Y2 + Y1^2", 2)
+    walked, walk = [], algebra.word_positions
+
+    def recording(words, nvars):
+        words = list(words)
+        walked.append(len(words))
+        return walk(words, nvars)
+
+    def refused(*args):
+        raise AssertionError("took a least rotation")
+
+    monkeypatch.setattr(algebra, "_least_rotation", refused)
+    monkeypatch.setattr(algebra, "word_positions", recording)
+    monkeypatch.setattr(certify, "word_positions", recording)
+    cert = certify_sos(p, 3)
+    assert format_polys(cert.factors) == format_polys(expected.factors)
+    assert cert.residual_l1.hex() == expected.residual_l1.hex()
+    basis = 2 * len(cert.factors.words)
+    assert walked == [len(p.terms), basis] and len(p.terms) > basis
+    assert certify_sos(p, 3).residual_l1.hex() == expected.residual_l1.hex()
+    assert walked == [len(p.terms), basis, basis]
+    message = re.escape("coefficient (inf+0j) of word (1, 2) is not finite")
+    with pytest.raises(ValueError, match=message):
+        certify_sos(bad, 1)
+    with pytest.raises(ValueError, match="polynomial is not self-adjoint"):
+        certify_sos(asymmetric, 1)
 
 
 # -- the factor matrix --------------------------------------------------------
@@ -687,7 +801,7 @@ def test_a_changed_factor_list_is_read_from_its_polynomials():
         change(factors)
         plain = list(factors)
         assert format_polys(factors) == [reference_format_poly(b) for b in plain]
-        got = certify._sum_of_squares(factors, nvars)
+        got = square_sum(factors, nvars)
         assert term_bits(got) == term_bits(reference_gram_sum_of_squares(plain, nvars))
 
 
@@ -697,8 +811,8 @@ def test_square_sums_over_short_and_long_column_tuples_equal_the_gram_loop():
     large = [NCPoly(1, {(1,) * k: 1.0 for k in range(1, 182)})]
     for factors in (small, large, small):
         _assert_square_sum_equals_gram_loop(factors, 1)
-    groups, words = certify._word_grouping(tuple(small[0].terms))
-    assert len(groups) == 64 and len(words) == 15
+    # 8 columns: 64 entries over 15 words.
+    assert len(square_sum(small, 1).terms) == 15
 
 
 @pytest.mark.parametrize("nvars,d", [(1, 2), (2, 2), (3, 2), (2, 3)])

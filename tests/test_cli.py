@@ -646,6 +646,7 @@ CACHES = (
     algebra._least_rotation,
     parsing._letters,
     certify.cyclic_classes,
+    certify._rotation_table,
     moments._class_plan,
     cli._theta_pieces,
 )

@@ -503,7 +503,7 @@ def test_format_polys_refuses_a_later_non_finite_coefficient_as_the_term_writer(
 def test_format_polys_writes_every_certify_grid_certificate_as_the_term_writer():
     certs = workload_certificates(98)
     assert len(certs) == 103
-    for cert in certs:
+    for _, cert in certs:
         assert format_polys(cert.factors) == [reference_format_poly(b) for b in cert.factors]
 
 
