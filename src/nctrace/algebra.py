@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import operator
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, compress, product, repeat
 from numbers import Integral
@@ -191,18 +192,9 @@ class NCPoly:
         """
         values = values + 0.0
         kept = unpruned(values)
-        terms = dict(zip(compress(words, kept), compress(values.tolist(), kept)))
-        return cls._from_clean(nvars, terms)
-
-    @classmethod
-    def _from_clean(cls, nvars: int, terms: dict) -> "NCPoly":
-        """A polynomial holding ``terms`` itself, as :meth:`_from_array`
-        would leave them: distinct valid words, each coefficient a Python
-        complex of magnitude above ``COEFF_PRUNE`` with no negative zero
-        part."""
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly.terms = terms
+        poly.terms = dict(zip(compress(words, kept), compress(values.tolist(), kept)))
         poly._arrays = None
         return poly
 
@@ -364,33 +356,47 @@ def _word_key(item):
     return (len(word), word)
 
 
-class Factors(list):
-    """A list of polynomials that also holds their coefficients as one matrix.
+class Factors(Sequence):
+    """Polynomials in nvars variables held as one coefficient matrix.
 
     Row r of ``matrix``, read-only, holds the r-th polynomial's coefficient
     on each of ``words``, and 0 on a word it lacks.
     ``certify.extract_factors`` returns a certificate's square factors as
-    one, over the Gram basis.  The matrix stands for the list only while the
-    list holds the very polynomials it was made with
-    (:func:`coefficient_matrix`).
+    one, over the Gram basis.  The sequence is read-only; its polynomials
+    are read off their rows (:meth:`NCPoly._from_array`) when one is first
+    asked for, and kept, so a reader of the matrix alone (the residual
+    re-check, the writer) never builds them.
     """
 
-    def __init__(self, polys, words: tuple, matrix: np.ndarray):
-        super().__init__(polys)
+    def __init__(self, nvars: int, words: tuple, matrix: np.ndarray):
         matrix.flags.writeable = False
-        self.words, self.matrix, self._made_with = words, matrix, tuple(self)
+        self.nvars, self.words, self.matrix = nvars, words, matrix
+        self._polys = None
+
+    def _read(self) -> tuple:
+        if self._polys is None:
+            self._polys = tuple(NCPoly._from_array(self.nvars, self.words, row) for row in self.matrix)
+        return self._polys
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, k):
+        return self._read()[k]
+
+    def __iter__(self):
+        return iter(self._read())
 
 
 def coefficient_matrix(polys) -> tuple:
     """(words, B): the words the polynomials use and, row by row, their
     coefficients on those words.
 
-    A :class:`Factors` list that still holds its own polynomials gives its
-    words and matrix.  For any other list the words are numbered as first
-    seen, polynomial by polynomial in term order.
+    :class:`Factors` give their words and matrix.  For any other list the
+    words are numbered as first seen, polynomial by polynomial in term
+    order.
     """
-    made = getattr(polys, "_made_with", None)
-    if made is not None and len(made) == len(polys) and all(map(operator.is_, polys, made)):
+    if isinstance(polys, Factors):
         return polys.words, polys.matrix
     polys = list(polys)
     words = dict.fromkeys(chain.from_iterable(p.terms for p in polys))

@@ -21,11 +21,14 @@ from :class:`~nctrace.moments.WordIndex` positions (see
 among its rotations, and ranking those positions numbers the classes.
 A certificate is one factor matrix: :func:`extract_factors` writes the
 factors ``sqrt(lambda) conj(v)`` of the Gram matrix's eigenpairs as the
-rows of a matrix B over the Gram basis, and returns them as polynomials
-that carry B (:class:`~nctrace.algebra.Factors`).  The residual re-check
-and the writer (:func:`~nctrace.parsing.format_polys`) read B; a plain
-list of polynomials is turned into its B once
-(:func:`~nctrace.algebra.coefficient_matrix`).  Both searches and the
+rows of a matrix B over the Gram basis, and returns B as
+:class:`~nctrace.algebra.Factors`, whose polynomials are read off its rows
+only when asked for.  The residual re-check and the writer
+(:func:`~nctrace.parsing.format_polys`) read B; a plain list of
+polynomials is turned into its B once
+(:func:`~nctrace.algebra.coefficient_matrix`).  :func:`certify_sos` first
+solves on the words of the basis that the tracial Newton polytope of p
+keeps (:func:`_newton_kept`), unless that keeps them all.  Both searches and the
 re-check read p as its (word position, coefficient) arrays
 (:meth:`~nctrace.algebra.NCPoly.term_arrays`), which p reads off its
 words once and keeps.  The residual is recomputed from p and the factors
@@ -45,9 +48,9 @@ completeness is made at any finite level.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -174,10 +177,13 @@ class CyclicClasses:
     basis words of length <= d, whose tuples ``basis`` holds: every word up
     to 2d is such a pair (split it in the middle), so every class labels
     some entry.  ``checked`` holds those labels checked once for the
-    solver's constraint sets (:class:`~nctrace.sdp.ClassLabels`).  A cell
-    keeps arrays, its index and ``basis``, and no object per class.
-    ``anchor`` is the cell's tracial anchor (:func:`_tracial_anchor`),
-    built on first read and kept with the cell.
+    solver's constraint sets (:class:`~nctrace.sdp.ClassLabels`).
+    ``corners`` holds the labels of the empty word and of each letter's
+    power Y_i^(2d), the classes whose sums decide whether the Newton cut
+    keeps every basis word (:func:`_cut_problem`).  A cell keeps arrays,
+    its index and ``basis``, and no object per class.  ``anchor`` is the
+    cell's tracial anchor (:func:`_tracial_anchor`), built on first read
+    and kept with the cell.
     """
 
     index: WordIndex
@@ -185,6 +191,7 @@ class CyclicClasses:
     reps: np.ndarray
     checked: ClassLabels
     basis: tuple
+    corners: np.ndarray
 
     def coefficients(self, p: NCPoly) -> np.ndarray:
         """p's total coefficient on each class, by label.
@@ -231,10 +238,13 @@ def cyclic_classes(nvars: int, d: int) -> CyclicClasses:
     reps = np.flatnonzero(is_rep)
     basis = positions[: index.offsets[d + 1]]
     labels = word_labels[index.concat(index.reversed(basis)[:, None], basis)]
-    for array in (index.offsets, index.lengths, word_labels, reps, labels):
+    # Y_i^L sits at offset(L) + (i - 1)(1 + n + ... + n^(L-1)) = i offset(L).
+    corners = word_labels[np.arange(nvars + 1) * index.offsets[2 * d]]
+    for array in (index.offsets, index.lengths, word_labels, reps, labels, corners):
         array.flags.writeable = False
     checked = ClassLabels.of(labels, len(reps))
-    return CyclicClasses(index, word_labels, reps, checked, tuple(words_up_to(nvars, d)))
+    words = tuple(words_up_to(nvars, d))
+    return CyclicClasses(index, word_labels, reps, checked, words, corners)
 
 
 @dataclass
@@ -261,13 +271,147 @@ class GramProblem:
         return len(self.rhs)
 
 
-def build_gram_problem(p: NCPoly, d: int) -> GramProblem:
+def build_gram_problem(p: NCPoly, d: int, scale: float = 1.0) -> GramProblem:
+    """The Gram problem of p / scale at half-degree d.
+
+    ``scale`` is a power of 2, so p's class totals divided by it, part by
+    part, are exact; :func:`certify_sos` passes :func:`_scale` of p.
+    """
     _require_symmetric(p)
     _check_degree(p, d)
     classes = cyclic_classes(p.nvars, d)
     rhs = classes.coefficients(p)
+    if scale != 1.0:
+        rhs = (rhs.view(float) / scale).view(complex)
     constraints = ClassConstraints(classes.checked, rhs=rhs)
     return GramProblem(degree=d, basis=list(classes.basis), rhs=rhs, constraints=constraints)
+
+
+def _scale(norm: float) -> float:
+    """2^round(log2 max(1, norm)) for a polynomial's l1 norm, the power of 2
+    nearest to it (at most 2^1023); 1 for a norm that is not finite."""
+    return 2.0 ** round(min(math.log2(norm), 1023)) if 1.0 < norm < math.inf else 1.0
+
+
+def _letters(index: WordIndex, positions: np.ndarray):
+    """(rows, letters, counts): each distinct letter (0-based) of each word
+    at ``positions`` and how often it occurs there, sorted by row then
+    letter.  The letters are the digits of each word's in-level index, the
+    word as a base-n numeral whose digit s is its (s+1)-th letter from the
+    end."""
+    n, lengths = index.n, index.lengths[positions]
+    slots = np.arange(int(lengths.max(initial=0)))
+    digits = (positions - index.offsets[lengths])[:, None] // n**slots % n
+    keys = (np.arange(len(positions))[:, None] * n + digits)[slots < lengths[:, None]]
+    keys, counts = np.unique(keys, return_counts=True)
+    return keys // n, keys % n, counts
+
+
+def _difference_maxima(rows, letters, counts, classes: int, n: int) -> np.ndarray:
+    """H[i, j] = max over the classes c of count_i(c) - count_j(c), for the
+    letters 0..n-1 and a letter n that no class holds, so that H[i, n] and
+    -H[n, i] are the largest and least count of letter i.
+
+    Read off the classes' (row, letter, count) triples (:func:`_letters`),
+    with no classes-by-letters array.  A class that holds both letters
+    gives its difference; one that holds i a times and not j gives a, found
+    by comparing how many classes hold i a times with how many of those
+    also hold j; one that holds j b times and not i gives -b, the same way
+    round; one that holds neither gives 0.  The largest array is that count
+    table, (n + 1)^2 times the largest count, within twice the size limit.
+    """
+    N, top = n + 1, int(counts.max(initial=1))
+    first, second = [np.arange(0)], [np.arange(0)]
+    for o in range(1, int(np.bincount(rows).max(initial=1))):  # triples o apart in one class
+        k = np.flatnonzero(rows[o:] == rows[:-o])
+        first.append(k)
+        second.append(k + o)
+    u, v = np.concatenate(first + second), np.concatenate(second + first)
+    i, j, a = letters[u], letters[v], counts[u]
+    highest = np.full((N, N), -np.inf)
+    np.maximum.at(highest, (i, j), a - counts[v])
+    # single[i, a - 1]: classes holding i a times; joint[i, a - 1, j]: those holding j too.
+    single = np.bincount(letters * top + counts - 1, minlength=N * top).reshape(N, top)
+    joint = np.bincount((i * top + a - 1) * N + j, minlength=N * top * N).reshape(N, top, N)
+    alone = single[:, :, None] > joint
+    values = np.arange(1.0, top + 1)[:, None]
+    np.maximum(highest, np.where(alone, values, -np.inf).max(axis=1), out=highest)
+    np.maximum(highest, -np.where(alone, values, np.inf).min(axis=1).T, out=highest)
+    holding = single.sum(axis=1)
+    neither = classes - holding[:, None] - holding + joint.sum(axis=1) > 0
+    highest[neither] = np.maximum(highest[neither], 0.0)
+    np.fill_diagonal(highest, 0.0)
+    return highest
+
+
+def _newton_kept(classes: CyclicClasses, rhs: np.ndarray) -> np.ndarray:
+    """The basis words (their positions) that a cyclic square decomposition
+    of a polynomial with class sums ``rhs`` can use.
+
+    For each linear functional l on letter counts among +-(length), +-e_i
+    and +-(e_i - e_j), a word w is kept only if 2 l(w) <= max l(c) over the
+    classes c with a nonzero sum: the tracial Newton polytope (Klep and
+    Schweighofer, J. Stat. Phys. 2008; Burgdorf, Cafuta, Klep and Povh,
+    Comput. Optim. Appl. 2013), cut by these functionals alone, with no LP.
+    Every word of every decomposition is kept.  If t is the largest l over
+    the factors' words, the factors' parts h_s of l-value t give sum h_s*
+    h_s cyclically equivalent to p's part of l-value 2t, as l adds up
+    under concatenation and is kept by reversal and rotation.  Were 2t
+    above every such max, that part would be 0, so tr sum h_s* h_s = 0 on
+    matrices of every size and every h_s = 0.
+
+    The e_i are the differences with a letter that no word holds
+    (:func:`_difference_maxima`).  A word meets every difference when
+    2 x_i + max_j (-H[i, j] - 2 x_j) <= 0 for each letter i, x being its
+    letter counts.  It holds at most d letters, so one of the d + 1 columns
+    of least H in row i has x_j = 0, and that column's term is at least
+    that of every column past them: the max runs over those d + 1 alone.
+    """
+    index, m = classes.index, len(classes.basis)
+    reps = classes.reps[np.flatnonzero(rhs)]
+    if not len(reps):
+        return np.arange(0)
+    degrees, lengths = index.lengths[reps], 2 * index.lengths[:m]
+    words = np.flatnonzero((lengths <= degrees.max()) & (lengths >= degrees.min()))
+    highest = _difference_maxima(*_letters(index, reps), len(reps), index.n)
+    rows, letters, counts = _letters(index, words)
+    twice = np.zeros((len(words), index.n + 1))
+    twice[rows, letters] = 2 * counts
+    nearest = np.argsort(highest, axis=1)[:, : int(index.lengths[m - 1]) + 1]
+    reach = (-np.take_along_axis(highest, nearest, axis=1) - twice[:, nearest]).max(axis=2)
+    return words[(twice + reach).max(axis=1) <= 0]
+
+
+def _cut_problem(classes: CyclicClasses, rhs: np.ndarray):
+    """(kept, constraints): the Gram problem with class sums ``rhs`` on the
+    basis words that :func:`_newton_kept` keeps, or None when it keeps
+    every word or its set is visibly empty.
+
+    It keeps every word exactly when the empty word's class and each
+    Y_i^(2d)'s have nonzero sums (``classes.corners``): the polytope then
+    holds 0 and each 2d e_i, and so every word's 2 exp(w).  The kept block's
+    classes are relabelled in label order and checked once.  The set is
+    visibly empty when no word is kept, when a class with a nonzero sum has
+    no entry in the block, or when a class whose entries in the block all
+    lie on its diagonal has a sum with negative real part: the diagonal of
+    a PSD matrix is nonnegative.
+    """
+    if rhs[classes.corners].all():
+        return None
+    kept = _newton_kept(classes, rhs)
+    labels = classes.checked.labels[np.ix_(kept, kept)]
+    present, block = np.unique(labels, return_inverse=True)
+    block = block.reshape(labels.shape)
+    sums = rhs[present]
+    counts = np.bincount(block.ravel(), minlength=len(present))
+    diagonal = np.bincount(np.diagonal(block), minlength=len(present)) == counts
+    if (
+        not len(kept)
+        or np.count_nonzero(sums) < np.count_nonzero(rhs)
+        or (sums.real[diagonal] < 0).any()
+    ):
+        return None
+    return kept, ClassConstraints(ClassLabels.of(block, len(present)), rhs=sums)
 
 
 @dataclass
@@ -359,9 +503,10 @@ def extract_factors(G: np.ndarray, basis, nvars: int) -> Factors:
     dust and are dropped rather than turned into spurious factors.  Factor
     s is ``sqrt(lambda_s) conj(v_s)`` over the basis, largest eigenvalue
     first, without the entries where ``|v_s| <= 1e-14`` or the product is
-    at most ``COEFF_PRUNE`` in magnitude.  The factors come as a
-    :class:`~nctrace.algebra.Factors` list, whose matrix holds them all
-    over the basis: it is what the residual re-check and the writer read.
+    at most ``COEFF_PRUNE`` in magnitude.  The factors come as
+    :class:`~nctrace.algebra.Factors`, whose matrix holds them all over the
+    basis: it is what the residual re-check and the writer read, and no
+    factor's terms are built until a caller asks for that factor.
     """
     G = (G + G.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(G)
@@ -379,12 +524,7 @@ def extract_factors(G: np.ndarray, basis, nvars: int) -> Factors:
     dropped = ~((np.hypot(V.real, V.imag) > 1e-14) & unpruned(B))
     B[dropped] = 0
     B += 0.0
-    basis = tuple(basis)
-    rows, columns = np.nonzero(B)
-    terms = zip(map(basis.__getitem__, columns.tolist()), B[rows, columns].tolist())
-    sizes = np.bincount(rows, minlength=rank).tolist()
-    factors = [NCPoly._from_clean(nvars, dict(islice(terms, size))) for size in sizes]
-    return Factors(factors, basis, B)
+    return Factors(nvars, tuple(basis), B)
 
 
 def certify_sos(
@@ -402,22 +542,60 @@ def certify_sos(
     at its iteration cap.  The certificate's residual is recomputed from the
     extracted factors by plain polynomial arithmetic; one above
     ``RESIDUAL_TOL * max(1, ||p||_1)`` raises :class:`NoFeasiblePoint`.
+
+    The solves are those of p / s, s = 2^round(log2 max(1, ||p||_1))
+    (:func:`_scale`), so ``tol`` bounds residuals relative to s; their
+    Gram matrix, gap and separator are multiplied back by s, which is exact.
+    The problem is built once.  Unless its Newton cut keeps every basis
+    word or is visibly empty (:func:`_cut_problem`), p is first solved on
+    the kept words with the cell's anchor restricted to them; a certificate
+    from that solve that passes the residual gate is returned, over the
+    kept words.  Anything else (infeasible, stalled, or over the gate) is
+    decided by the solve on the whole basis, so a negative answer always
+    carries a separator over the whole basis.  ``max_iter`` caps each of
+    the two solves, so an input that stalls on both costs up to twice it;
+    a stall report and an infeasibility report count the iterations of
+    both.
     """
     if d is None:
         d = (p.degree() + 1) // 2
-    problem = build_gram_problem(p, d)
+    norm = p.r_norm(1.0)
+    scale = _scale(norm)
+    limit = RESIDUAL_TOL * max(1.0, norm)
+    problem = build_gram_problem(p, d, scale)
     classes = cyclic_classes(p.nvars, d)
+    cut, spent = _cut_problem(classes, problem.rhs), 0
+    if cut is not None:
+        kept, constraints = cut
+        restricted = np.ix_(kept, kept)
+        report = feasibility_solve(constraints, tol, max_iter, lambda: classes.anchor[restricted])
+        if report.status == "feasible":
+            words = [problem.basis[k] for k in kept.tolist()]
+            cert = _certificate(p, d, scale * report.solution, words)
+            if cert.residual_l1 <= limit:
+                return cert
+        spent = report.iterations
     report = feasibility_solve(problem.constraints, tol, max_iter, lambda: classes.anchor)
+    iterations = spent + report.iterations
     if report.status == "max-iterations":
-        raise SolverStalled(report)
+        raise SolverStalled(
+            replace(report, iterations=iterations, solution=scale * report.solution,
+                    gap=scale * report.gap, dual=scale * report.dual)
+        )
     if report.status != "feasible":
-        gap, iterations, separator = report.gap, report.iterations, report.separator
+        gap, separator = scale * report.gap, scale * report.separator
         return InfeasibilityReport(d, gap, iterations, separator=separator)
-    cert = Certificate(d, extract_factors(report.solution, problem.basis, p.nvars))
-    cert.residual_l1 = verify_certificate(p, cert)
-    limit = RESIDUAL_TOL * max(1.0, p.r_norm(1.0))
+    cert = _certificate(p, d, scale * report.solution, problem.basis)
     if not (cert.residual_l1 <= limit):
         raise NoFeasiblePoint(f"certificate residual {cert.residual_l1:.3e} exceeds {limit:.3e}")
+    return cert
+
+
+def _certificate(p: NCPoly, d: int, G: np.ndarray, basis) -> Certificate:
+    """The certificate of Gram matrix G over the basis words, with its
+    residual recomputed (:func:`verify_certificate`)."""
+    cert = Certificate(d, extract_factors(G, basis, p.nvars))
+    cert.residual_l1 = verify_certificate(p, cert)
     return cert
 
 
@@ -443,7 +621,8 @@ def verify_certificate(p: NCPoly, cert: Certificate) -> float:
     ValueError; the rotation table is that of the words up to 2d.
     """
     n = p.nvars
-    for b in cert.factors:
+    # Factors carry their polynomials' variable count themselves.
+    for b in [cert.factors] if isinstance(cert.factors, Factors) else cert.factors:
         p._check_compatible(b)
     columns, B = coefficient_matrix(cert.factors)
     d = max(-(-p.degree() // 2), max(map(len, columns), default=0))

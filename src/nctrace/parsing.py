@@ -372,8 +372,8 @@ def format_polys(polys) -> list[str]:
     numpy masks over them pick each term's form; each real part and each
     nonzero imaginary part is written by one ``float.__repr__``, and again
     as an int if integral below 1e15; each term is eight pieces (sign,
-    "(re,im)", '*', word) and each polynomial one join.  A
-    :class:`~nctrace.algebra.Factors` list is written in one pass over its
+    "(re,im)", '*', word) and each polynomial one join.
+    :class:`~nctrace.algebra.Factors` are written in one pass over their
     matrix, any other list one polynomial at a time."""
     if not isinstance(polys, Factors):
         polys = list(polys)

@@ -1,7 +1,9 @@
 import cmath
 import dataclasses
+import itertools
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,13 +350,27 @@ def test_certify_negative_square_infeasible():
     assert report.gap > 0.5
 
 
+def _dense_square_sum(seed: int, rank: int, nvars: int = 2, d: int = 2) -> NCPoly:
+    """sum b* b over ``rank`` random b with a complex coefficient on every
+    word up to d, as certify-grid's reference sums: the Newton cut keeps
+    every word."""
+    rng, words = make_rng(seed), words_up_to(nvars, d)
+    p = NCPoly.zero(nvars)
+    for _ in range(rank):
+        b = NCPoly(nvars, dict(zip(words, rng.normal(size=len(words)) + 1j * rng.normal(size=len(words)))))
+        p = p + star_product(b.adjoint(), b)
+    return p
+
+
 def test_certify_stall_is_distinct_from_infeasible():
     # An iteration cap too small to decide must surface as a solver failure,
-    # never as an infeasibility report.
+    # never as an infeasibility report.  The input must keep its whole
+    # basis: the Newton cut certifies the commutator square in 1 iteration.
+    # This dense rank-2 sum keeps every word and takes 46 iterations.
     from nctrace.certify import SolverStalled
 
     with pytest.raises(SolverStalled):
-        certify_sos(commutator_square_poly(), 2, max_iter=5)
+        certify_sos(_dense_square_sum(3, 2), 2, max_iter=5)
 
 
 def test_certify_gates_certificate_on_residual(monkeypatch):
@@ -407,7 +423,8 @@ def test_rank_one_sums_certify_within_a_few_thousand_iterations(seed):
 
 
 def test_commutator_square_certifies_at_degree_four_within_400_iterations():
-    # 1,298 iterations in the plain loop, 206 with acceleration.
+    # On the whole basis: 1,298 iterations in the plain loop, 206 with
+    # acceleration.  On its Newton cut (Y1 Y2 and Y2 Y1): 1.
     p = commutator_square_poly()
     cert = certify_sos(p, 4, max_iter=400)
     assert isinstance(cert, Certificate)
@@ -455,6 +472,222 @@ def test_certify_random_sos_by_construction():
         cert = certify_sos(q, 2)
         assert isinstance(cert, Certificate), f"trial {trial}"
         assert verify_certificate(q, cert) <= 1e-6
+
+
+# -- the Newton cut -----------------------------------------------------------
+
+
+def _bmv(m: int, k: int) -> NCPoly:
+    """S_{m,k}(Y1^2, Y2^2): every word of m - k letters Y1^2 and k letters
+    Y2^2, each with coefficient 1."""
+    terms = {}
+    for picks in itertools.combinations(range(m), k):
+        terms[sum(((2, 2) if j in picks else (1, 1) for j in range(m)), ())] = 1.0
+    return NCPoly(2, terms)
+
+
+def _rank_two_draw(draw: int) -> NCPoly:
+    """The draw-th sum b1* b1 + b2* b2 of two random_poly(rng, 3, 2, n_terms=5)
+    from make_rng(72)."""
+    rng = make_rng(72)
+    for _ in range(draw):
+        p = NCPoly.zero(3)
+        for _ in range(2):
+            b = random_poly(rng, 3, 2, n_terms=5)
+            p = p + star_product(b.adjoint(), b)
+    return p
+
+
+def _cut_inputs() -> list:
+    """(name, p, d): the families and their negations at every cell,
+    random sums of rank 1, 2 and 8 of sparse squares and of dense ones, and
+    the zero polynomial, whose cut keeps no word."""
+    cases = [("zero", NCPoly.zero(2), 2)]
+    for family, terms in sorted(FAMILIES.items()):
+        for nvars, d in [(2, 2), (3, 2), (2, 3)]:
+            q = NCPoly(nvars, {**terms, **({(3, 3): 1.0} if nvars == 3 else {})})
+            cases += [(f"{family} {nvars} {d}", q, d), (f"-{family} {nvars} {d}", -1 * q, d)]
+    rng = make_rng(38)
+    for rank in (1, 2, 8):
+        q = NCPoly.zero(2)
+        for _ in range(rank):
+            b = random_poly(rng, 2, 2, n_terms=6)
+            q = q + star_product(b.adjoint(), b)
+        cases += [(f"sparse rank {rank}", q, 2), (f"dense rank {rank}", _dense_square_sum(rank, rank), 2)]
+    return cases
+
+
+@pytest.mark.parametrize("nvars,d", [(1, 3), (2, 2), (3, 2), (2, 3), (5, 1)])
+def test_letters_are_those_of_the_words(nvars, d):
+    index = certify.cyclic_classes(nvars, d).index
+    rows, letters, counts = certify._letters(index, np.arange(len(index)))
+    words = words_up_to(nvars, 2 * d)
+    expected = [(r, i - 1, w.count(i)) for r, w in enumerate(words) for i in sorted(set(w))]
+    assert list(zip(rows.tolist(), letters.tolist(), counts.tolist())) == expected
+
+
+def _kept_by_every_functional(classes, rhs) -> list:
+    """The basis positions w with 2 l(w) <= max l(c) over the classes c of
+    nonzero sum, for every l among +-(length), +-e_i and +-(e_i - e_j),
+    each functional evaluated on word tuples."""
+    n = classes.index.n
+    units = [[int(k == i) for k in range(n)] for i in range(n)]
+    functionals = [[1] * n] + units + [[a - b for a, b in zip(u, v)] for u in units for v in units]
+    functionals += [[-a for a in f] for f in functionals]
+    support = [classes.index.word(int(r)) for r in classes.reps[np.flatnonzero(rhs)]]
+
+    def value(f, word):
+        return sum(f[letter - 1] for letter in word)
+
+    highest = [max(value(f, c) for c in support) for f in functionals]
+    return [
+        k for k, w in enumerate(classes.basis)
+        if all(2 * value(f, w) <= top for f, top in zip(functionals, highest))
+    ]
+
+
+@pytest.mark.parametrize("nvars,d", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 1)])
+def test_newton_cut_is_that_of_every_functional(nvars, d):
+    # Random supports, from one class to every class.
+    classes = certify.cyclic_classes(nvars, d)
+    rng = np.random.default_rng(nvars * 10 + d)
+    for size in [1, 2, 3, 5, 8, len(classes.reps) // 2, len(classes.reps)]:
+        for _ in range(10):
+            rhs = np.zeros(len(classes.reps), complex)
+            rhs[rng.choice(len(classes.reps), min(size, len(classes.reps)), replace=False)] = 1.0
+            expected = _kept_by_every_functional(classes, rhs)
+            assert certify._newton_kept(classes, rhs).tolist() == expected
+
+
+def test_newton_cut_at_the_largest_cell_is_sparse():
+    # b* b with b = Y1 + ... + Y590, the largest n the size limit admits:
+    # 174,345 classes of nonzero sum.  A classes-by-letters array of their
+    # letter counts would take 820 MB, and a pass over it per letter minutes.
+    classes = certify.cyclic_classes(590, 1)
+    rhs = (classes.index.lengths[classes.reps] == 2).astype(complex)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        kept, _ = certify._cut_problem(classes, rhs)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept.tolist() == list(range(1, 591))
+    assert peak < 64 * 2**20
+    assert seconds < 10
+
+
+def test_newton_cut_decisions_equal_the_full_solve():
+    # The cut problem is feasible exactly when the full one is, so certify
+    # decides as the full Gram problem, solved directly, does.
+    kinds = {Certificate: "feasible", InfeasibilityReport: "infeasible-at-tolerance"}
+    cut = 0
+    for name, p, d in _cut_inputs():
+        problem = build_gram_problem(p, d)
+        full = feasibility_solve(problem.constraints, max_iter=20_000)
+        assert kinds[type(certify_sos(p, d))] == full.status, name
+        cut += certify._cut_problem(certify.cyclic_classes(p.nvars, d), problem.rhs) is not None
+    assert cut == 8  # the six positive families and the two sparse low-rank sums
+
+
+@pytest.mark.parametrize(
+    "name,p,d,max_iter,words",
+    [
+        ("commutator square", commutator_square_poly(), 2, 5, 2),
+        ("commutator square", commutator_square_poly(), 3, 5, 2),
+        ("commutator square", commutator_square_poly(), 4, 5, 2),
+        ("rank-2 draw 1", _rank_two_draw(1), 2, 1000, 11),
+        ("rank-2 draw 3", _rank_two_draw(3), 2, 1000, 8),
+        ("S_{4,1}", _bmv(4, 1), 4, 1000, 4),
+        ("S_{5,2}", _bmv(5, 2), 5, 1000, 10),
+        ("S_{6,2}", _bmv(6, 2), 6, 1000, 15),
+    ],
+)
+def test_newton_cut_certifies_what_the_full_basis_could_not(name, p, d, max_iter, words):
+    # On the whole basis these took 24, 24 and 206 iterations; the cap of
+    # 200,000 and 123,560 iterations; and 20,000 or more (ROADMAP item 2).
+    cert = certify_sos(p, d, max_iter=max_iter)
+    assert isinstance(cert, Certificate), name
+    assert len(cert.factors.words) == words
+    assert verify_certificate(p, cert) <= RESIDUAL_TOL * max(1.0, p.r_norm(1.0))
+
+
+def test_a_stall_after_the_cut_solve_counts_both_solves():
+    # max_iter caps the cut solve and then the whole-basis solve.
+    from nctrace.certify import SolverStalled
+
+    with pytest.raises(SolverStalled, match="after 10 iterations") as stalled:
+        certify_sos(_rank_two_draw(1), 2, max_iter=5)
+    assert stalled.value.report.iterations == 10
+
+
+def test_negated_bmv_keeps_a_full_basis_separator():
+    # -S_{5,2} has a diagonal-only class of negative sum on its cut, so the
+    # whole basis decides it and carries the separator.
+    p = -1 * _bmv(5, 2)
+    report = certify_sos(p, 5)
+    assert isinstance(report, InfeasibilityReport)
+    assert report.separator.shape == (63, 63)
+    assert_gram_separator(p, 5, report.separator)
+
+
+def test_an_input_the_cut_keeps_whole_takes_the_full_solve_bit_for_bit():
+    # A full-rank sum has the empty word and every Y_i^(2d) in its support.
+    from nctrace.sdp import DEFAULT_MAX_ITER
+
+    for nvars, d in [(2, 2), (3, 2), (2, 3)]:
+        p = _dense_square_sum(5, len(words_up_to(nvars, d)), nvars, d)
+        classes = certify.cyclic_classes(nvars, d)
+        scale = certify._scale(p.r_norm(1.0))
+        problem = build_gram_problem(p, d, scale)
+        assert certify._cut_problem(classes, problem.rhs) is None
+        report = feasibility_solve(problem.constraints, 1e-9, DEFAULT_MAX_ITER, lambda: classes.anchor)
+        expected = certify.extract_factors(scale * report.solution, problem.basis, nvars)
+        factors = certify_sos(p, d).factors
+        assert factors.words == expected.words
+        assert factors.matrix.tobytes() == expected.matrix.tobytes()
+
+
+def test_certify_is_scale_free():
+    # The solves are those of p / 2^round(log2 ||p||_1).  Before, 1e8 times
+    # the commutator square ran to the 200,000-iteration cap on its stopping
+    # test, which was absolute, and so did a dense sum times 1e8.
+    from nctrace.certify import SolverStalled
+
+    p = commutator_square_poly()
+    for factor in (1e6, 1e8, 1e10):
+        q = p.scale(factor)
+        cert = certify_sos(q, 2, max_iter=5)
+        assert verify_certificate(q, cert) <= RESIDUAL_TOL * q.r_norm(1.0)
+    report = certify_sos(p.scale(-1e8), 2)
+    assert isinstance(report, InfeasibilityReport) and report.iterations == 10
+    assert_gram_separator(p.scale(-1e8), 2, report.separator)
+    # A power of 2 (2^26, near 1e8) scales every step of the solve exactly:
+    # the factors by 2^13 and a stall's gap by 2^26, to the bit.
+    q = _dense_square_sum(3, 2)
+    q = (q + q.adjoint()).scale(0.5)  # exactly self-adjoint, at any scale
+    big = q.scale(2.0**26)
+    assert big.r_norm(1.0) == 2.0**26 * q.r_norm(1.0)
+    cert, expected = certify_sos(big, 2, max_iter=1000), certify_sos(q, 2)
+    assert cert.factors.matrix.tobytes() == (2.0**13 * expected.factors.matrix).tobytes()
+    with pytest.raises(SolverStalled) as stalled:
+        certify_sos(big, 2, max_iter=5)
+    with pytest.raises(SolverStalled) as unscaled:
+        certify_sos(q, 2, max_iter=5)
+    assert stalled.value.report.gap == 2.0**26 * unscaled.value.report.gap
+
+
+def test_certify_builds_no_factor_polynomial_it_does_not_hand_out():
+    # The writer and the re-check read the factor matrix; a caller reading
+    # the factors gets the polynomials of its rows.
+    p = _dense_square_sum(5, 7)
+    cert = certify_sos(p, 2)
+    texts = format_polys(cert.factors)
+    assert cert.factors._polys is None
+    expected = [NCPoly(2, dict(zip(cert.factors.words, row))) for row in cert.factors.matrix]
+    assert [term_bits(b) for b in cert.factors] == [term_bits(b) for b in expected]
+    assert texts == [reference_format_poly(b) for b in expected]
 
 
 # -- verify_certificate -------------------------------------------------------
@@ -601,26 +834,23 @@ def test_square_sum_of_every_certify_grid_certificate_equals_the_gram_loop():
 
 
 def _tampered(p, cert) -> dict:
-    """Three wrong copies of a certificate's factors, each a Factors list
-    over the certificate's words (and one more) with its polynomials: the
-    last factor dropped, the largest coefficient of the first factor scaled
-    by 1 + 1e-3, and an extra factor Y1^(2d+1), a word outside p's support."""
+    """Three wrong copies of a certificate's factors, each Factors over the
+    certificate's words (and one more): the last factor dropped, the
+    largest coefficient of the first factor scaled by 1 + 1e-3, and an
+    extra factor Y1^(2d+1), a word outside p's support."""
     factors, d = cert.factors, cert.degree
     words, B = factors.words, factors.matrix
-    dropped = Factors(factors[:-1], words, B[:-1].copy())
     k = int(np.argmax(np.abs(B[0])))
     scaled = B.copy()
     scaled[0, k] *= 1 + 1e-3
-    first = NCPoly(p.nvars, {w: c * (1 + 1e-3) if w == words[k] else c
-                             for w, c in factors[0].terms.items()})
     outside = (1,) * (2 * d + 1)
     assert p.degree() <= 2 * d < len(outside)
     extra = np.zeros((len(B) + 1, len(words) + 1), dtype=complex)
     extra[:-1, :-1], extra[-1, -1] = B, 1.0
     return {
-        "dropped": dropped,
-        "scaled": Factors([first, *factors[1:]], words, scaled),
-        "extra": Factors([*factors, NCPoly(p.nvars, {outside: 1.0})], (*words, outside), extra),
+        "dropped": Factors(p.nvars, words, B[:-1].copy()),
+        "scaled": Factors(p.nvars, words, scaled),
+        "extra": Factors(p.nvars, (*words, outside), extra),
     }
 
 
@@ -787,8 +1017,8 @@ def test_factor_matrix_reads_as_its_polynomials(case):
 
 
 def test_a_changed_factor_list_is_read_from_its_polynomials():
-    # The matrix stands for the list only while the list holds the very
-    # polynomials extract_factors made.
+    # Factors are read-only, and a list made from them and then changed is
+    # read from the polynomials it holds.
     nvars, basis, G = _factor_cases()["blocks"]
     changes = [
         lambda f: f.append(NCPoly(2, {(1,): 1.0})),
@@ -798,8 +1028,11 @@ def test_a_changed_factor_list_is_read_from_its_polynomials():
     ]
     for change in changes:
         factors = certify.extract_factors(G, basis, nvars)
-        change(factors)
+        with pytest.raises((AttributeError, TypeError)):
+            change(factors)
         plain = list(factors)
+        change(plain)
+        factors = plain
         assert format_polys(factors) == [reference_format_poly(b) for b in plain]
         got = square_sum(factors, nvars)
         assert term_bits(got) == term_bits(reference_gram_sum_of_squares(plain, nvars))
@@ -1318,7 +1551,9 @@ def test_a_cell_keeps_no_python_object_per_class(nvars, d):
     classes = certify.cyclic_classes(nvars, d)
     classes.anchor
     m = len(classes.checked.labels)
-    assert set(vars(classes)) == {"index", "word_labels", "reps", "checked", "basis", "anchor"}
+    assert set(vars(classes)) == {
+        "index", "word_labels", "reps", "checked", "basis", "corners", "anchor"
+    }
     for name, value in vars(classes).items():
         if name == "basis":
             assert type(value) is tuple and len(value) == m
