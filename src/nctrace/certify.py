@@ -84,10 +84,10 @@ from .moments import (
 )
 from .sampling import (
     _draw_hermitians,
+    _library,
     _scale_to_radius,
     make_rng,
     random_tuple,
-    structured_library,
 )
 from .sdp import (
     DEFAULT_MAX_ITER,
@@ -121,12 +121,17 @@ class SolverStalled(RuntimeError):
 
 def _require_symmetric(p: NCPoly) -> None:
     """Refuse a coefficient that is not finite, by word, then a polynomial
-    that is not self-adjoint.  Arithmetic on finite coefficients can
-    overflow, and the symmetry test reads a NaN defect as no defect."""
+    that is not self-adjoint: one whose l1 distance from its adjoint is
+    above ``SYMMETRY_TOL * max(1, ||p||_1)``, relative as the residual gate
+    is, so that a multiple of p is refused exactly when p is (an l1 norm
+    past the largest float counts as the largest float).  Arithmetic on
+    finite coefficients can overflow, and the symmetry test reads a NaN
+    defect as no defect."""
     for word, coeff in p.terms.items():
         if not cmath.isfinite(coeff):
             raise ValueError(f"coefficient {coeff} of word {word} is not finite")
-    if not p.is_symmetric(SYMMETRY_TOL):
+    norm = min(p.r_norm(1.0), np.finfo(float).max)
+    if not p.is_symmetric(SYMMETRY_TOL * max(1.0, norm)):
         raise ValueError("polynomial is not self-adjoint")
 
 
@@ -135,9 +140,12 @@ def _require_symmetric(p: NCPoly) -> None:
 # for the degree-2d sequence a witness emits.  The class labels are read off
 # every word of length <= 2d, each compared with its up to 2d rotations, and
 # the m x m solver matrices over the m words of length <= d hold no more
-# entries than that.  2**20 keeps the rotation pass and each solver matrix
-# within a few tens of MiB; it allows n = 2 up to d = 7, n = 3 up to d = 5,
-# and a single variable up to d = 511.
+# entries than that.  2**20 allows n = 2 up to d = 7, n = 3 up to d = 5, and
+# a single variable up to d = 511; m is at most 591, at (590, 1), where a
+# solver matrix takes 2.7 MiB real and 5.3 MiB complex.  A solve holds about
+# 39 of them at its peak, 24 of them the Anderson history: certify_sos of
+# b* b at d = 1, b = Y1 + ... + Y590, whose class sums are real, peaks at
+# 105 MiB traced with its cell built (124 MiB building it).
 MAX_GRAM_SIZE = 2**20
 
 
@@ -665,7 +673,9 @@ def witness_search(
     The free variable is a Hermitian matrix over the half-degree word
     basis, constrained to be PSD, normalized at the empty word, constant on
     each cyclic class, and entrywise bounded by ``R**word_length``;
-    :func:`minimize_linear` solves for it.  A solution the iteration cap
+    :func:`minimize_linear` solves for it, on real symmetric matrices when
+    every objective entry is real, as on every class closed under reversal
+    and every real-coefficient p.  A solution the iteration cap
     left below ``-tol`` in eigenvalue is moved onto the cone (see
     :func:`_mix_anchor`).  Returns the extracted sequence together with the
     achieved pairing value, whatever its sign.
@@ -688,11 +698,13 @@ def witness_search(
     shares = classes.coefficients(p)
     weights = (shares / constraints.counts)[labels]
     objective = (np.conj(weights) + weights.T) / 2
+    if not objective.imag.any():
+        objective = objective.real
 
     solution = minimize_linear(objective, constraints, tol=tol, max_iter=max_iter).solution
     low = float(np.linalg.eigvalsh(solution)[0])
     if low < -tol:
-        solution = _mix_anchor(solution, low, constraints, classes, R)
+        solution = _mix_anchor(solution, low, constraints, classes, R, tol)
     theta = _extract_moments(solution, constraints, classes)
     value = pair(p, theta)
     # The pairing sums terms up to |c_w| R^|w| in size, so its rounding error
@@ -702,7 +714,7 @@ def witness_search(
     return theta, value.real
 
 
-def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.ndarray:
+def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float, tol: float) -> np.ndarray:
     """Move x, feasible but for eigenvalue ``low < 0``, just onto the PSD cone.
 
     The anchor A is the class-projected moment matrix of the cell's
@@ -712,8 +724,12 @@ def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.nda
     eigenvalue at least zero, by concavity of lambda_min.  At a large R the
     scaled anchor's delta is below ``eigvalsh``'s resolution, about
     1e-16 R^(2d); A is then the unscaled anchor, of norm 1, which is
-    feasible for every R >= 1.  Raises :class:`NoFeasiblePoint` if its
-    delta is not positive either.
+    feasible for every R >= 1.  So is it when the scaled anchor's mix has
+    a plain least eigenvalue below ``-10 tol``, the bound that
+    :func:`validate_witness` reads, as a delta that is positive only by
+    rounding can give.  Raises :class:`NoFeasiblePoint` if the unscaled
+    anchor's delta is not positive either.  A real x is mixed with the anchor's real part, which is
+    still PSD, class-constant, pinned and inside the box.
 
     ``low`` is itself only known to ``eigvalsh``'s resolution on x, so
     where x is large the mix can come out indefinite.  t is then moved
@@ -729,8 +745,10 @@ def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.nda
     # exactly Hermitian and the weight is symmetric in J and K, so the
     # scaled anchor stays exactly Hermitian.
     scale = float(R) ** classes.index.lengths[: len(classes.basis)]
-    for weight in (np.multiply.outer(scale, scale), 1.0):
-        A = project_affine(classes.anchor * weight, constraints)
+    anchor = classes.anchor if np.iscomplexobj(x) else classes.anchor.real
+    weights = (np.multiply.outer(scale, scale), 1.0)
+    for weight in weights:
+        A = project_affine(anchor * weight, constraints)
         delta = float(np.linalg.eigvalsh(A)[0])
         if delta > 0:
             t = -low / (delta - low)
@@ -738,7 +756,8 @@ def _mix_anchor(x, low, constraints, classes: CyclicClasses, R: float) -> np.nda
             while t < 1 and not _resolved(np.linalg.eigvalsh(mixed / weight)):
                 t = (1 + t) / 2
                 mixed = (1 - t) * x + t * A
-            return mixed
+            if weight is weights[-1] or np.linalg.eigvalsh(mixed)[0] >= -10 * tol:
+                return mixed
     raise NoFeasiblePoint(
         f"solver stopped at eigenvalue {low:.3e} and the anchor is not "
         f"positive definite (eigenvalue {delta:.3e})"
@@ -753,21 +772,31 @@ def _resolved(eigs: np.ndarray) -> bool:
 
 
 def _tracial_anchor(nvars: int, d: int) -> np.ndarray:
-    """Read-only half-degree d moment matrix of a fixed random tuple of norm 1.
+    """Read-only half-degree d moment matrix of a fixed tuple of norm at most 1.
 
     Its entries are normalized traces, one value per class
     (:func:`~nctrace.moments.moment_sequence`): exactly constant on cyclic
     classes, exactly conjugate on reversed ones, 1 at the empty word,
-    bounded by 1 in magnitude.  N x N matrices with N^2 >= 4m for m basis
-    words make it positive definite for a generic tuple.  The sequence is
-    built unchecked: the moment size limit counts N^2 entries for each
-    word up to 2d, but only the products of the m words up to d are made,
-    m N^2 complex entries, at most about 1.1 million (at (1, 511)).
+    bounded by 1 in magnitude.  For n >= 2 letters the tuple is random:
+    N x N matrices with N^2 >= 4m for m basis words make it positive
+    definite for a generic tuple.  The sequence is built unchecked: the
+    moment size limit counts N^2 entries for each word up to 2d, but only
+    the products of the m words up to d are made, m N^2 complex entries, at
+    most about 1.4 million (at (590, 1)).  One letter's words span at most
+    N dimensions, so for n = 1 the matrix is diagonal with the m Chebyshev
+    nodes cos((2k + 1) pi / 2m), which are distinct: its moment matrix is
+    the Hankel matrix of their power means, positive definite, and takes
+    m (2d + 1) powers.
     """
     m = word_count(nvars, d)
-    size = max(4, int(np.ceil(2 * np.sqrt(m))))
-    X = random_tuple(make_rng(0), nvars, size)
-    moments = moment_matrix(unchecked_moment_sequence(X, 2 * d), d)
+    if nvars == 1:
+        nodes = np.cos((2 * np.arange(m) + 1) * np.pi / (2 * m))
+        means = (nodes[:, None] ** np.arange(2 * d + 1)).mean(axis=0)
+        moments = means[np.add.outer(np.arange(m), np.arange(m))].astype(complex)
+    else:
+        size = max(4, int(np.ceil(2 * np.sqrt(m))))
+        X = random_tuple(make_rng(0), nvars, size)
+        moments = moment_matrix(unchecked_moment_sequence(X, 2 * d), d)
     moments.flags.writeable = False
     return moments
 
@@ -812,13 +841,13 @@ def _extract_moments(
     Each word of length <= 2d takes its class's mean over the entries of
     M, divided by the empty word's mean and clamped to its class's radius
     (:meth:`ClassConstraints.clamp`).  M is the solver's solution or its
-    mix with the anchor, both exactly Hermitian, so transposed classes
-    take conjugate means.
+    mix with the anchor, both exactly Hermitian (real symmetric after a
+    real solve), so transposed classes take conjugate means.
     """
     means = constraints.class_means(M)
     # Real and imaginary parts are divided apart, as Python divides a complex
     # by a float; numpy's complex division multiplies by a reciprocal.
-    values = (means.view(float) / means[0].real).view(complex)
+    values = (means.view(float) / means[0].real).view(means.dtype)
     theta = constraints.clamp(values)[classes.word_labels]
     return MomentSequence.from_array(classes.index.n, classes.index.D, theta)
 
@@ -885,7 +914,10 @@ def falsify(
     the Pauli x/z pair padded with identities) is probed first, then
     ``trials`` seeded Gaussian Hermitian tuples rescaled to norm R.  The
     first tuple driving the trace below -1e-10 is returned with its trace;
-    the outcome is a deterministic function of the seed.
+    the outcome is a deterministic function of the seed.  The library of
+    each (n, N) that ``cacheable(n, 2, N)`` admits is built once per
+    process and kept, read-only (``sampling._library``), so a library hit
+    returns a tuple whose arrays are read-only.
 
     The random tuples are drawn ``FALSIFY_CHUNK`` trials at a time, from
     the stream of :func:`~nctrace.sampling.random_hermitians`, which
@@ -945,7 +977,8 @@ def falsify(
             f"radius R = {R} is too large: the traces of {N} x {N} matrices "
             "of that norm overflow"
         )
-    for index, candidate in enumerate(structured_library(p.nvars, N)):
+    library = _library if cacheable(p.nvars, 2, N) else _library.__wrapped__
+    for index, candidate in enumerate(library(p.nvars, N)):
         value = _real_trace(p, candidate)
         if value < -FALSIFY_TRACE_TOL:
             return Falsification(

@@ -315,10 +315,11 @@ def moment_size(n: int, D: int, N: int = 1) -> int:
     return word_count(n, D) * (N * N + D)
 
 
-def cacheable(n: int, D: int) -> bool:
+def cacheable(n: int, D: int, N: int = 1) -> bool:
     """Whether the per-(n, D) caches keep their entry for n letters up to
-    degree D: exactly when ``moment_size(n, D) <= MAX_CACHED_SIZE``."""
-    return moment_size(n, D) <= MAX_CACHED_SIZE
+    degree D, with N x N matrices: exactly when ``moment_size(n, D, N) <=
+    MAX_CACHED_SIZE``."""
+    return moment_size(n, D, N) <= MAX_CACHED_SIZE
 
 
 def check_moment_size(n: int, D: int, N: int = 1) -> None:
@@ -587,8 +588,11 @@ def check_moment_magnitude(t: MomentSequence) -> None:
 
 def psd_check(M: np.ndarray, tol: float = 1e-9):
     """Least eigenvalue test of a square matrix's Hermitian part:
-    (passes, min eigenvalue)."""
+    (passes, min eigenvalue).  A matrix with no imaginary part is tested
+    as a real one."""
     M = np.asarray(M)
+    if np.iscomplexobj(M) and not M.imag.any():
+        M = M.real
     eigs = np.linalg.eigvalsh((M + M.conj().T) / 2)
     min_eig = float(eigs[0]) if len(eigs) else 0.0
     return bool(min_eig >= -tol), min_eig

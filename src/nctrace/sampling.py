@@ -16,6 +16,8 @@ so its output is unchanged bit for bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .moments import MatrixTuple, as_matrix_tuple
@@ -104,3 +106,18 @@ def structured_library(nvars: int, size: int) -> list[MatrixTuple]:
     pauli_mats = [sx, sz] + [np.eye(2, dtype=complex)] * max(0, nvars - 2)
     out.append(as_matrix_tuple(pauli_mats[:nvars]))
     return out
+
+
+@lru_cache(maxsize=8)
+def _library(nvars: int, size: int) -> tuple:
+    """:func:`structured_library` as a tuple whose arrays are read-only.
+
+    :func:`~nctrace.certify.falsify` keeps the libraries of the last 8
+    (nvars, size) a process asked for that ``moments.cacheable(nvars, 2,
+    size)`` admits, and builds any other for its call.
+    """
+    library = tuple(structured_library(nvars, size))
+    for X in library:
+        for M in X.matrices:
+            M.flags.writeable = False
+    return library

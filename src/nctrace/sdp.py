@@ -13,10 +13,11 @@ optionally bounding each class value's magnitude (the pseudo-moment side
 with its R^|w| box).  Classes partition the entries, so both projections
 are O(m^2) per-class means with no factorization.
 
-The solver reads seven attributes of a constraint set, and any object that
+The solver reads eight attributes of a constraint set, and any object that
 has them solves the same way:
 
 * ``dim``: the matrix size;
+* ``dtype``: float when every target is real, else complex;
 * ``consistent`` and ``defect``: whether the set is nonempty as equations,
   and the residual that the refusal of an inconsistent set reports;
 * ``project(G)``: the Frobenius-nearest point of the set;
@@ -28,6 +29,13 @@ has them solves the same way:
 
 ``len`` of a set is read only by the benchmark's ``sdp.affine_rows``
 counter.
+
+A solve runs in the dtype of its objective and its set: on real symmetric
+matrices when both are real.  Complex conjugation then maps each feasible
+point onto another with the same objective value, so the real part of a
+point is one too, and the real problem has the complex one's optimum and
+feasibility (Gatermann and Parrilo, J. Pure Appl. Algebra 2004).  Any
+complex objective entry or target keeps the whole solve complex.
 
 :func:`minimize_linear`, the one solver, minimizes a linear functional over
 the intersection by a two-block ADMM between the two projections.  It stops
@@ -59,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +100,9 @@ class NoFeasiblePoint(RuntimeError):
 
 
 def _check_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
+    """M's Hermitian part, once M is Hermitian to ``tol``; real if M is."""
+    M = np.asarray(M)
+    M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     adjoint = M.conj().T
@@ -156,7 +167,8 @@ class ClassConstraints:
       (``consistent`` is False).  A consistent pair is solved with the
       earlier class's target and its conjugate, which ``rhs`` then holds.
       A class that is its own partner has a real sum, and a non-real
-      target there is rejected.  Projection subtracts ``(sum - rhs) /
+      target there is rejected.  When every target so paired is real,
+      ``rhs`` and ``dtype`` are real.  Projection subtracts ``(sum - rhs) /
       count`` from every entry of the class.
     * ``pinned``: the entries are constant on each class and class
       ``pinned`` equals 1.  Optional ``radii`` (length k) bound the
@@ -165,9 +177,11 @@ class ClassConstraints:
       class mean, clamps each mean's magnitude to its radius keeping its
       phase (:meth:`clamp`), then pins.  The set is a product of disks over
       the class values, weighted by the class counts, so this is the exact
-      projection onto class-constant, bounded and pinned matrices.
+      projection onto class-constant, bounded and pinned matrices.  Its
+      ``dtype`` is real.
 
-    Classes partition the entries, so each projection is O(m^2) and exact.
+    Classes partition the entries, so each projection is O(m^2) and exact,
+    and keeps a real G real.
     """
 
     def __init__(self, labels, rhs=None, pinned: int | None = None, radii=None):
@@ -189,9 +203,7 @@ class ClassConstraints:
 
         self.dim = len(labels.labels)
         self.labels = labels.labels
-        flat = self.labels.ravel()
-        self._parts = (2 * flat[:, None] + np.arange(2)).ravel()
-        self.counts = np.bincount(flat, minlength=k)
+        self.counts = np.bincount(self.labels.ravel(), minlength=k)
         self.pinned = pinned
         self.radii = None
         if rhs is not None:
@@ -209,6 +221,8 @@ class ClassConstraints:
             # A class and its transpose carry one complex equation: the
             # earlier of the two sets both targets.
             self._rhs = np.where(np.arange(k) <= partner, rhs, rhs[partner].conj())
+            if not self._rhs.imag.any():
+                self._rhs = self._rhs.real.copy()
             # Identity multiple matching the class sums in least squares;
             # only classes of diagonal entries see the identity.
             on_diag = np.bincount(np.diag(self.labels), minlength=k).astype(float)
@@ -253,13 +267,24 @@ class ClassConstraints:
         return self._rhs.copy()
 
     @property
+    def dtype(self) -> type:
+        return self._rhs.dtype.type
+
+    @property
     def consistent(self) -> bool:
         return self.defect <= CONSISTENCY_TOL
 
+    @cached_property
+    def _parts(self) -> np.ndarray:
+        return (2 * self.labels.ravel()[:, None] + np.arange(2)).ravel()
+
     def _class_sums(self, G: np.ndarray) -> np.ndarray:
-        # One pass over G's float64 view, real part of class c into bin 2c
-        # and imaginary part into 2c + 1: each bin adds its entries in
-        # row-major order, as a bincount per part would.
+        # A real G is one bincount.  A complex one is one pass over its
+        # float64 view, real part of class c into bin 2c and imaginary part
+        # into 2c + 1: each bin adds its entries in row-major order, as a
+        # bincount per part would.
+        if not np.iscomplexobj(G):
+            return np.bincount(self.labels.ravel(), G.ravel(), len(self.counts))
         parts = np.ascontiguousarray(G, dtype=complex).view(float).ravel()
         return np.bincount(self._parts, parts, 2 * len(self.counts)).view(complex)
 
@@ -269,9 +294,11 @@ class ClassConstraints:
 
     def clamp(self, values: np.ndarray) -> np.ndarray:
         """Scale each class value whose magnitude exceeds its radius onto the
-        radius, keeping its phase.  Works in place on ``values`` and returns
-        it; without radii nothing moves."""
-        if self.radii is not None:
+        radius, keeping its phase (a real value is clipped).  Works in place
+        on ``values`` and returns it; without radii nothing moves."""
+        if self.radii is not None and not np.iscomplexobj(values):
+            np.clip(values, -self.radii, self.radii, out=values)
+        elif self.radii is not None:
             mags = np.abs(values)
             values *= np.divide(
                 self.radii, mags, out=np.ones_like(mags), where=mags > self.radii
@@ -400,11 +427,12 @@ def minimize_linear(
     The inputs are checked once, before the first iteration: ``tol``, the
     objective (square, of the constraints' size, finite and Hermitian; it
     is used as :func:`_check_hermitian` returns it) and the constraints'
-    consistency.  The iterations then call the projections' unchecked
-    kernels.  Both kernels end by averaging their result with its adjoint,
-    so x and z leave them exactly Hermitian; u is sums and differences of
-    them, halved or doubled, and so are z - u - c / rho and x + u.  On
-    such a matrix the checked projections' :func:`_check_hermitian`
+    consistency.  The loop runs real when the objective and
+    ``constraints.dtype`` are both real, and complex otherwise.  The
+    iterations then call the projections' unchecked kernels.  Both kernels
+    end by averaging their result with its adjoint, so x and z leave them
+    exactly Hermitian; u is sums and differences of them, halved or
+    doubled, and so are z - u - c / rho and x + u.  On such a matrix the checked projections' :func:`_check_hermitian`
     returns its input's values unchanged, so the iterates are those of the
     checked projections.
 
@@ -413,8 +441,9 @@ def minimize_linear(
     set, so Re<Y, G> = Re<Y, x> for every G on it, whatever c is (Banjac et
     al., JOTA 2019).  A Y with least eigenvalue low < 0 gets
     ``-low / delta`` times A added, A being the normal part of ``anchor()``
-    (a zero-argument callable, called once; default the identity) with
-    least eigenvalue delta, if delta > 0.  If Y is then PSD and
+    (a zero-argument callable, called once; default the identity; a real
+    loop takes its real part, PSD when it is) with least eigenvalue delta,
+    if delta > 0.  If Y is then PSD and
     ``Re<Y, x> < -tol ||Y||``, no PSD G is on the set:
     "infeasible-at-tolerance", with ``separator`` Y.
 
@@ -467,19 +496,21 @@ def _admm(objective, constraints: ClassConstraints, tol: float, max_iter: int, a
         raise ValueError(f"objective shape {c.shape} does not match dim {dim}")
     _require_consistent(constraints)
     affine = constraints.radii is None
+    dtype = np.result_type(c, constraints.dtype)
+    c = c.astype(dtype, copy=False)
 
     # rho = ||c|| makes the objective shift c / rho of unit size.  The start
     # is the identity scaled to the equations' pure-trace part, on the set.
     rho = max(float(np.linalg.norm(c)), 1.0)
     shift = c / rho
-    start = constraints.start_scale * np.eye(dim, dtype=complex)
+    start = constraints.start_scale * np.eye(dim, dtype=dtype)
     x = z = _affine_kernel(start, constraints)
     u = np.zeros_like(z)
     normal = separator = None
     primal = dual = float("inf")
     status = "max-iterations"
     iterations = accepted = rejected = 0
-    history = _Anderson(dim)
+    history = _Anderson(dim, dtype)
     # The plain step (z, u, fixed-point residual) that the extrapolated state
     # being evaluated replaced.
     fallback = None
@@ -528,6 +559,7 @@ def _admm(objective, constraints: ClassConstraints, tol: float, max_iter: int, a
         if low < 0:
             if normal is None:
                 A = _check_hermitian(np.eye(dim) if anchor is None else anchor())
+                A = (A if dtype == complex else A.real).astype(dtype)
                 A += project_affine(0 * A, constraints) - project_affine(A, constraints)
                 normal = A, float(np.linalg.eigvalsh(A)[0])
             A, delta = normal
@@ -549,22 +581,22 @@ def _admm(objective, constraints: ClassConstraints, tol: float, max_iter: int, a
 class _Anderson:
     """Type-II Anderson extrapolation of the ADMM map T: (z, u) -> (z', u').
 
-    Ring buffers hold the last ``ANDERSON_MEMORY + 1`` values T(w_i) and
-    residuals g_i = T(w_i) - w_i, and the Gram matrix K of the residuals'
-    float64 views.  The extrapolation is sum_i a_i T(w_i) with the real
-    weights a = K^-1 1 / (1^T K^-1 1): the weights summing to 1 that minimize
-    ||sum_i a_i g_i||.  Each diagonal entry of K is raised by a relative
-    1e-10, a ridge that keeps K positive definite (no residual is zero:
-    only steps that fail the stopping test are recorded), so the solve
-    cannot fail.  The weighted sum may round entries (j, k) and (k, j)
-    differently, so it is averaged with its adjoint, which leaves z and u
-    exactly Hermitian.
+    Ring buffers, in the loop's dtype, hold the last ``ANDERSON_MEMORY + 1``
+    values T(w_i) and residuals g_i = T(w_i) - w_i, and the Gram matrix K of
+    the residuals' float64 views.  The extrapolation is sum_i a_i T(w_i)
+    with the real weights a = K^-1 1 / (1^T K^-1 1): the weights summing to
+    1 that minimize ||sum_i a_i g_i||.  Each diagonal entry of K is raised
+    by a relative 1e-10, a ridge that keeps K positive definite (no
+    residual is zero: only steps that fail the stopping test are recorded),
+    so the solve cannot fail.  The weighted sum may round entries (j, k)
+    and (k, j) differently, so it is averaged with its adjoint, which
+    leaves z and u exactly Hermitian.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, dtype):
         slots = ANDERSON_MEMORY + 1
-        self.steps = np.zeros((slots, 2, dim, dim), dtype=complex)
-        self.residuals = np.zeros((slots, 2, dim, dim), dtype=complex)
+        self.steps = np.zeros((slots, 2, dim, dim), dtype=dtype)
+        self.residuals = np.zeros((slots, 2, dim, dim), dtype=dtype)
         self._steps = self.steps.reshape(slots, -1).view(float)
         self._residuals = self.residuals.reshape(slots, -1).view(float)
         self._gram = np.zeros((slots, slots))
@@ -591,6 +623,6 @@ class _Anderson:
     def extrapolate(self) -> tuple[np.ndarray, np.ndarray]:
         k = min(self.count, len(self.steps))
         weights = np.linalg.solve(self._gram[:k, :k], self._ones[:k])
-        state = (weights @ self._steps[:k]).view(complex).reshape(self.steps.shape[1:])
+        state = (weights @ self._steps[:k]).view(self.steps.dtype).reshape(self.steps.shape[1:])
         state = (state + state.conj().transpose(0, 2, 1)) * (0.5 / weights.sum())
         return state[0], state[1]

@@ -649,6 +649,7 @@ class AffineConstraints:
     """
 
     radii = None  # affine: no magnitude box
+    dtype = complex  # its projection is complex, so every solve on it is
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -827,8 +828,10 @@ def dense_witness_constraints(nvars: int, d: int) -> AffineConstraints:
 # -- the checked ADMM loop -------------------------------------------------------
 #
 # ``sdp.minimize_linear`` as it was when every iteration called the checked
-# public projections.  The loop that checks its inputs once and then calls
-# the unchecked kernels must return the same report, bit for bit.
+# public projections, in the dtype the solver takes: real when the objective
+# and the set's targets are, with the anchor's real part.  The loop that
+# checks its inputs once and then calls the unchecked kernels must return
+# the same report, bit for bit.
 
 
 def reference_minimize_linear(objective, constraints, tol=1e-9, max_iter=10_000, anchor=None):
@@ -840,9 +843,11 @@ def reference_minimize_linear(objective, constraints, tol=1e-9, max_iter=10_000,
         raise ValueError(f"objective shape {c.shape} does not match dim {dim}")
     _require_consistent(constraints)
     affine = getattr(constraints, "radii", None) is None
+    dtype = np.result_type(c, constraints.dtype)
+    c = c.astype(dtype)
 
     rho = max(float(np.linalg.norm(c)), 1.0)
-    start = constraints.start_scale * np.eye(dim, dtype=complex)
+    start = constraints.start_scale * np.eye(dim, dtype=dtype)
     x = z = project_affine(start, constraints)
     u = np.zeros_like(z)
     normal = separator = None
@@ -871,6 +876,7 @@ def reference_minimize_linear(objective, constraints, tol=1e-9, max_iter=10_000,
         if low < 0:
             if normal is None:
                 A = _check_hermitian(np.eye(dim) if anchor is None else anchor())
+                A = np.array(A if dtype == complex else A.real, dtype=dtype)
                 A += project_affine(0 * A, constraints) - project_affine(A, constraints)
                 normal = A, float(np.linalg.eigvalsh(A)[0])
             A, delta = normal

@@ -2,6 +2,7 @@
 no per-(n, D) caches.
 
     python tests/op_hashes.py --seed 1
+    python tests/op_hashes.py --seed 1 --list
 
 Builds the inputs and op lists of the three benchmark workloads
 (``bench/workloads.py``) at one seed, writes the inputs to a temporary
@@ -14,8 +15,11 @@ between the passes.
 Otherwise it prints a SHA-256 over each workload's ops' exit codes, stdout
 and stderr, with the temporary directory written as ``WORK``, and one over
 all three, so two checkouts can be compared by their digests, workload by
-workload.  It reads ``bench/`` and writes nothing
-there.  pytest does not collect it (its name does not start with ``test``).
+workload.  With ``--list`` it also prints, before each workload's digest,
+one line per op: its workload, index, command, source and the SHA-256 of
+its own outputs, so that diffing two checkouts' output names the ops whose
+outputs moved.  It reads ``bench/`` and writes nothing there.  pytest
+does not collect it (its name does not start with ``test``).
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ def run_ops(nct, wl, work: Path) -> list[tuple]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--list", action="store_true", help="print one digest per op")
     args = parser.parse_args(argv)
     nct = harness.import_nctrace()
     from helpers import package_caches  # after the checkout's nctrace is imported
@@ -82,6 +87,9 @@ def main(argv=None) -> int:
             entry = repr((name, k, *first)).encode("utf-8")
             digest.update(entry)
             own.update(entry)
+            if args.list:
+                each = hashlib.sha256(entry).hexdigest()
+                lines.append(f"{name} {k} {op.command} {op.source} {each}")
         count += len(wl.ops)
         lines.append(f"{name}: {len(wl.ops)} ops, sha256 {own.hexdigest()}")
     for line in differ:

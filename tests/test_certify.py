@@ -455,11 +455,47 @@ def test_separator_of_negative_square():
     assert_gram_separator(p, 1, certify_sos(p, 1).separator)
 
 
+@pytest.mark.parametrize("d", [5, 10])
+def test_negative_square_in_one_variable_is_separated_at_high_degree(d):
+    # One letter's words span at most N dimensions, so the anchor of an
+    # N x N tuple with N^2 >= 4m was singular from d = 5 on (least
+    # eigenvalue 7.8e-17 at d = 5), the separator test never fired, and
+    # d = 10 ran to the iteration cap.  The Chebyshev-node anchor is
+    # positive definite.
+    assert np.linalg.eigvalsh(certify.cyclic_classes(1, d).anchor)[0] > 1e-8
+    p = NCPoly(1, {(1, 1): -1.0})
+    report = certify_sos(p, d)
+    assert isinstance(report, InfeasibilityReport) and report.iterations <= 20
+    assert_gram_separator(p, d, report.separator)
+
+
 def test_certify_default_degree_and_symmetry_gate():
     cert = certify_sos(NCPoly(1, {(1, 1): 1.0}))
     assert cert.degree == 1
     with pytest.raises(ValueError, match="self-adjoint"):
         certify_sos(NCPoly(2, {(1, 2): 1.0}))
+
+
+def test_symmetry_gate_is_relative_to_the_l1_norm():
+    # A large multiple of a sum of squares is self-adjoint only to rounding:
+    # its star products differ from their reversals' conjugates by about
+    # 1e-16 relative, past the absolute 1e-10 at 1e8.
+    q = _dense_square_sum(3, 2).scale(1e8)
+    assert not q.is_symmetric(certify.SYMMETRY_TOL)
+    cert = certify_sos(q, 2)
+    assert verify_certificate(q, cert) <= RESIDUAL_TOL * q.r_norm(1.0)
+    # A defect of 2 * 0.05 in l1 is above 1e-10 * ||p||_1 = 0.02, and one of
+    # 2 * 0.005 is below it.
+    p = commutator_square_poly().scale(1e8)
+    assert p.r_norm(1.0) == 2e8
+    with pytest.raises(ValueError, match="polynomial is not self-adjoint"):
+        build_gram_problem(p + NCPoly(2, {(1, 2): 0.05}), 2)
+    build_gram_problem(p + NCPoly(2, {(1, 2): 0.005}), 2)
+    # Up to ||p||_1 = 1 the gate is the absolute one.
+    small = NCPoly(1, {(1, 1): 0.5, (1,): 1e-10})
+    build_gram_problem(small, 1)
+    with pytest.raises(ValueError, match="polynomial is not self-adjoint"):
+        build_gram_problem(small + NCPoly(1, {(1,): 1e-10j}), 1)
 
 
 def test_certify_random_sos_by_construction():
@@ -1060,7 +1096,7 @@ def test_constraints_from_a_cell_equal_constraints_from_its_raw_labels(nvars, d)
     G = random_hermitian(rng, m)
     # Moving one class of a transposed pair leaves the sums inconsistent.
     paired = np.flatnonzero(classes.checked.partner != np.arange(len(rhs)))
-    moved = rhs.copy()
+    moved = rhs.astype(complex)
     moved[paired[:1]] += 0.5j
     for kwargs in ({"rhs": rhs}, {"rhs": moved}, {"pinned": 0}, {"pinned": 0, "radii": radii}):
         cell = ClassConstraints(classes.checked, **kwargs)
@@ -1344,6 +1380,61 @@ def test_witness_value_of_negated_families(family, nvars, d):
     assert w.value == pytest.approx(-2.0 - (nvars == 3), abs=1e-6)
 
 
+def _solver_calls(monkeypatch, name: str) -> list:
+    """The (args, kwargs) of each call certify makes to its solver ``name``."""
+    calls, solve = [], getattr(certify, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(certify, name, spy)
+    return calls
+
+
+def _assert_decided_alike(real, complex_, constraints, tol):
+    """The two solves of one problem end alike: the same status and value
+    to tol; feasible points that meet the set to tol and are PSD to tol, or
+    PSD separators that pair negatively with the set."""
+    assert real.solution.dtype == float and complex_.solution.dtype == complex
+    assert real.status == complex_.status
+    assert abs(real.value - complex_.value) <= tol * max(1.0, abs(real.value))
+    for report in (real, complex_):
+        if report.feasible and constraints.radii is None:
+            assert np.linalg.norm(constraints.residuals(report.solution)) <= tol
+        if report.feasible:
+            assert np.linalg.eigvalsh(report.solution)[0] >= -tol
+        if report.separator is not None:
+            Y = report.separator
+            assert np.linalg.eigvalsh(Y)[0] >= 0
+            on_set = constraints.project(np.zeros((constraints.dim, constraints.dim)))
+            assert np.real(np.vdot(Y, on_set)) < 0
+
+
+@pytest.mark.parametrize("name,p,d", _cut_inputs(), ids=[case[0] for case in _cut_inputs()])
+def test_real_problems_decide_alike_in_complex_arithmetic(name, p, d, monkeypatch):
+    # Every fixture here has real class sums and objective, so certify and
+    # witness hand the solver real data and it runs on real symmetric
+    # matrices.  The same data with the objective passed as complex keeps
+    # the loop complex, as it ran on every problem before: both decide alike.
+    gram = _solver_calls(monkeypatch, "feasibility_solve")
+    box = _solver_calls(monkeypatch, "minimize_linear")
+    certify_sos(p, d)
+    witness_search(p, d)
+    assert gram and len(box) == 1
+    for (constraints, tol, max_iter, anchor), _ in gram:
+        assert constraints.dtype is np.float64
+        zero = np.zeros((constraints.dim, constraints.dim), dtype=complex)
+        real = feasibility_solve(constraints, tol, max_iter, anchor)
+        complex_ = minimize_linear(zero, constraints, tol, max_iter, anchor)
+        _assert_decided_alike(real, complex_, constraints, tol)
+    (objective, constraints), kwargs = box[0]
+    assert objective.dtype == float
+    real = minimize_linear(objective, constraints, **kwargs)
+    complex_ = minimize_linear(objective.astype(complex), constraints, **kwargs)
+    _assert_decided_alike(real, complex_, constraints, kwargs["tol"])
+
+
 def test_unhalved_commutator_square_at_degree_three():
     p = -2 * commutator_square_poly()
     start = time.perf_counter()
@@ -1510,7 +1601,7 @@ def test_falsify_refuses_a_bad_seed_before_any_probe(seed, monkeypatch):
     def no_probe(*args, **kwargs):
         raise AssertionError("probed a tuple before refusing the seed")
 
-    monkeypatch.setattr(certify, "structured_library", no_probe)
+    monkeypatch.setattr(certify, "_library", no_probe)
     monkeypatch.setattr(certify, "_draw_hermitians", no_probe)
     message = re.escape(f"seed must be a nonnegative integer, got {seed}")
     for p in (-1 * commutator_square_poly(), NCPoly(1, {(1, 1): 1.0})):
@@ -1717,7 +1808,7 @@ def test_falsify_size_limit_edges(p, largest, monkeypatch):
     # FALSIFY_CHUNK tuples of the products of every word up to ceil(deg p / 2),
     # word count times N^2 + that degree each, against MAX_MOMENT_SIZE:
     # N <= 136 at (n, deg p) = (2, 4) and N <= 57 at (3, 6).
-    monkeypatch.setattr(certify, "structured_library", lambda nvars, N: [])
+    monkeypatch.setattr(certify, "_library", lambda nvars, N: ())
     assert falsify(p, trials=0, N=largest) is None
     for N in (largest + 1, 10**6, 10**18):
         with pytest.raises(ValueError, match=re.escape(f"matrix size N = {N} too large")):
@@ -1908,4 +1999,4 @@ def test_mix_anchor_refuses_an_anchor_that_is_not_positive_definite(monkeypatch)
         "definite (eigenvalue 0.000e+00)"
     )
     with pytest.raises(NoFeasiblePoint, match=re.escape(message)):
-        certify._mix_anchor(np.eye(2), -1e-3, constraints, classes, 1.0)
+        certify._mix_anchor(np.eye(2), -1e-3, constraints, classes, 1.0, 1e-9)

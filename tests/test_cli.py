@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nctrace import algebra, certify, cli, moments, parsing
+from nctrace import algebra, certify, cli, moments, parsing, sampling
 from nctrace.algebra import NCPoly, star_product, words_up_to
 from nctrace.certify import (
     DualWitness,
@@ -648,6 +648,7 @@ CACHES = (
     certify.cyclic_classes,
     certify._rotation_table,
     moments._class_plan,
+    sampling._library,
     cli._theta_pieces,
 )
 

@@ -581,9 +581,11 @@ def test_witness_box_solves_match_the_checked_loop(nvars, d):
     assert abs(report.value - reference.value) <= 1e-7 * max(1.0, abs(reference.value))
 
 
-# The seven attributes the solver reads, as the ``nctrace.sdp`` docstring
+# The eight attributes the solver reads, as the ``nctrace.sdp`` docstring
 # lists them.
-_SOLVER_INTERFACE = ("dim", "consistent", "defect", "project", "residuals", "start_scale", "radii")
+_SOLVER_INTERFACE = (
+    "dim", "dtype", "consistent", "defect", "project", "residuals", "start_scale", "radii"
+)
 
 
 @pytest.mark.parametrize("case", ["Gram set", "negated Gram set", "witness box"])
@@ -838,8 +840,42 @@ def test_class_sums_match_two_bincounts_bit_for_bit(nvars, d):
     zeros.imag[rng.random((m, m)) < 0.5] = -0.0
     for case in (G, G.real, G.T, G.real.T, zeros, -0.0 * G.real, random_hermitian(rng, m)):
         got = cls._class_sums(case)
-        assert got.dtype == complex and got.shape == (len(cls),)
-        assert got.tobytes() == _two_bincount_sums(cls, case).tobytes()
+        # A real matrix's sums are the real bincount alone, and real.
+        expected = _two_bincount_sums(cls, case)
+        expected = expected if np.iscomplexobj(case) else expected.real
+        assert got.dtype == expected.dtype and got.shape == (len(cls),)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_a_solve_is_real_exactly_when_its_objective_and_targets_are():
+    # Class 0 and 3 are the diagonal, each its own transpose; 1 and 2 are a
+    # transposed pair.  A closed class's imaginary part within RHS_IMAG_TOL
+    # is dropped, so its target is real.
+    labels = np.array([[0, 1], [2, 3]])
+    for rhs, dtype in [
+        ([1.0, 0.5, 0.5, 1.0], float),
+        ([1 + 1e-12j, 0.5 + 0j, 0.5, 1.0], float),
+        ([1.0, 0.5 + 0.25j, 0.5 - 0.25j, 1.0], complex),
+    ]:
+        cons = ClassConstraints(labels, rhs=rhs)
+        assert cons.dtype is np.dtype(dtype).type and cons.rhs.dtype == dtype
+        report = feasibility_solve(cons)
+        assert report.feasible and report.solution.dtype == dtype
+        assert np.linalg.norm(cons.residuals(report.solution)) <= 1e-9
+        zero = np.zeros((2, 2), dtype=complex)
+        assert minimize_linear(zero, cons).solution.dtype == complex
+    box = ClassConstraints(labels, pinned=0, radii=[1.0, 2.0, 2.0, 3.0])
+    assert box.dtype is np.float64
+    objective = np.array([[0.0, 1.0], [1.0, 0.0]])
+    real, complex_ = minimize_linear(objective, box), minimize_linear(objective + 0j, box)
+    assert real.solution.dtype == float and complex_.solution.dtype == complex
+    # The objective is 2b on [[1, b], [b, c]]: PSD needs b^2 <= c <= 3, so
+    # the optimum is b = -sqrt(3), inside b's radius 2, with value -2 sqrt(3).
+    for report in (real, complex_):
+        assert report.feasible and abs(report.value + 2 * np.sqrt(3)) <= 1e-8
+    # Project and clamp keep a real matrix real.
+    assert project_psd(np.eye(2)).dtype == float
+    assert box.clamp(np.array([-5.0, 0.5, 4.0, 1.0])).tolist() == [-1.0, 0.5, 2.0, 1.0]
 
 
 @pytest.mark.parametrize(
