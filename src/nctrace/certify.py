@@ -142,10 +142,12 @@ def _require_symmetric(p: NCPoly) -> None:
 # the m x m solver matrices over the m words of length <= d hold no more
 # entries than that.  2**20 allows n = 2 up to d = 7, n = 3 up to d = 5, and
 # a single variable up to d = 511; m is at most 591, at (590, 1), where a
-# solver matrix takes 2.7 MiB real and 5.3 MiB complex.  A solve holds about
-# 39 of them at its peak, 24 of them the Anderson history: certify_sos of
-# b* b at d = 1, b = Y1 + ... + Y590, whose class sums are real, peaks at
-# 105 MiB traced with its cell built (124 MiB building it).
+# solver matrix takes 2.7 MiB real and 5.3 MiB complex.  A solve that runs
+# past iteration 20 holds about 39 of them at its peak, 24 of them the
+# Anderson history, allocated at its first recorded step.  certify_sos of
+# b* b at d = 1, b = Y1 + ... + Y590, whose class sums are real, is decided
+# before that and peaks at 68 MiB traced with its cell built (87 MiB
+# building it).
 MAX_GRAM_SIZE = 2**20
 
 

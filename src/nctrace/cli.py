@@ -42,10 +42,12 @@ float texts.  An array's pieces (:func:`_array_pieces`) hold the brackets,
 commas and indents around each float, and are built per call; a
 sequence's (:func:`_theta_pieces`) also hold every word's text, and the
 process keeps those of its last 8 (variables, degree, depth) triples whose
-(variables, degree) is :func:`~nctrace.moments.cacheable`.  A sequence
-costs one ``float.__repr__`` per distinct magnitude among all its real and
-imaginary parts, the sign being read from the sign bit.  The tests pin the
-bytes against the stdlib encoder, with the pieces warm and cleared.
+(variables, degree) is :func:`~nctrace.moments.cacheable`.  Both take
+their texts from :func:`_signed_texts`: one ``float.__repr__`` per
+distinct magnitude among the floats, the sign being read from the sign
+bit.  A GNS operator is exactly self-adjoint, so its entries (j, k) and
+(k, j) share their magnitudes.  The tests pin the bytes against the stdlib
+encoder, with the pieces warm and cleared.
 
 Polynomial files are read by :func:`nctrace.parsing.load_poly_file`.
 Matrix tuples are JSON objects ``{"n": ..., "N": ..., "matrices": [...]}``
@@ -198,38 +200,32 @@ def _fill(pieces: tuple, texts, out: list) -> None:
     out[start + 1 :: 2] = texts
 
 
-def _float_texts(a: np.ndarray) -> list:
-    """json's text of every float of an array, in C order."""
-    if not np.isfinite(a).all():
-        raise ValueError("non-finite float in an array")
-    return list(map(float.__repr__, a.ravel().tolist()))
-
-
 def _signed_texts(part: np.ndarray) -> tuple:
-    """json's text of every float of a real vector of at least two, with one
+    """json's text of every float of a non-empty real vector, with one
     ``float.__repr__`` per distinct magnitude.
 
     ``repr(-x)`` is ``"-" + repr(x)`` for every finite x, so each entry is
     read from one table, the magnitude's text or its negation by the sign
     bit, which also tells -0.0 from 0.0.  (``itemgetter`` of one index
-    returns the item, not a tuple, hence the two.)
+    returns the item, not a tuple, so a single text is wrapped in one.)
     """
-    if not np.isfinite(part).all():
+    magnitudes, slots = np.unique(np.abs(part), return_inverse=True)
+    if not magnitudes[-1] < _INFINITY:  # NaN and infinity sort last
         raise ValueError("non-finite float in an array")
-    magnitudes, inverse = np.unique(np.abs(part), return_inverse=True)
     texts = list(map(float.__repr__, magnitudes.tolist()))
-    slots = inverse.ravel() + len(texts) * np.signbit(part)
-    return itemgetter(*slots.tolist())(texts + ["-" + t for t in texts])
+    slots[np.signbit(part)] += len(texts)
+    found = itemgetter(*slots.tolist())(texts + ["-" + t for t in texts])
+    return found if len(slots) > 1 else (found,)
 
 
 def _write_array(a: np.ndarray, level: int, out: list) -> None:
     """A float array as nested json lists: its :func:`_array_pieces`,
-    built for the call, filled with one text per float."""
+    built for the call, filled with the :func:`_signed_texts` of its
+    floats in C order."""
     if not a.size:
         _write(a.tolist(), level, out)
         return
-    texts = _float_texts(a)
-    _fill(_array_pieces(a.shape, level), texts, out)
+    _fill(_array_pieces(a.shape, level), _signed_texts(a.ravel()), out)
 
 
 def _array_pieces(shape: tuple, level: int) -> tuple:

@@ -57,7 +57,12 @@ class ModelRejected(ValueError):
 @dataclass
 class GnsModel:
     """Quotient space and reconstructed operators, one per variable, of the
-    moment matrix over the words of ``words_up_to(n, degree)``."""
+    moment matrix over the words of ``words_up_to(n, degree)``.
+
+    :func:`gns_build` makes each operator equal its conjugate transpose bit
+    for bit; ``hermiticity_defects`` are the data's defects, one per
+    variable, measured before the operator is made self-adjoint.
+    """
 
     degree: int
     rank: int
@@ -86,7 +91,12 @@ def gns_build(
     Each operator is pinned by the shift on words of length < d (whose
     images stay inside the degree-d quotient), extended to the rest of the
     space by the self-adjointness the inner-product geometry dictates, with
-    the unreachable corner left at zero.
+    the unreachable corner left at zero.  With Y0 the shift on the words of
+    length < d and P the projector onto their span, Y - Y^* is the data's
+    defect P Y0 - (P Y0)^* plus rounding, and ``hermiticity_defects`` holds
+    the largest entry of that defect for each variable.  The model holds
+    the exact Hermitian part (Y + Y^*) / 2, which equals its conjugate
+    transpose bit for bit, and ``shift_residual`` is measured on it.
     """
     check_integer(d, "model half-degree d")
     if d < 1:
@@ -132,6 +142,7 @@ def gns_build(
         # Self-adjoint extension off the shift domain; the corner the data
         # does not reach stays zero.
         Y = Y0 + Y0.conj().T @ (np.eye(rank) - projector)
+        Y = (Y + Y.conj().T) / 2  # equal to its adjoint bit for bit
         sym = projector @ Y0
         defects.append(float(np.max(np.abs(sym - sym.conj().T))))
         shift_residual = max(shift_residual, float(np.linalg.norm(Y @ Zsub - W)))
@@ -240,9 +251,13 @@ def norm_bound_check(model: GnsModel, theta: MomentSequence, R: float) -> NormBo
 
     The moment condition is the pass criterion.  Operator norms can exceed
     R slightly because of the truncated extension; the relative excess is
-    reported as slack, not failed.  R must be positive and its even powers
-    up to the sequence's degree finite (:func:`~nctrace.moments.check_radius`),
-    and the sequence needs a diagonal even moment, so degree at least 2.
+    reported as slack, not failed.  When the operator stack equals its
+    adjoint exactly, as every :func:`gns_build` model's does, the norms are
+    the largest eigenvalue magnitudes from one batched ``eigvalsh``;
+    otherwise each is its operator's SVD norm.  R must be positive and its
+    even powers up to the sequence's degree finite
+    (:func:`~nctrace.moments.check_radius`), and the sequence needs a
+    diagonal even moment, so degree at least 2.
     """
     check_radius(R, 2 * (theta.max_degree // 2))
     if theta.max_degree < 2:
@@ -255,7 +270,11 @@ def norm_bound_check(model: GnsModel, theta: MomentSequence, R: float) -> NormBo
     ]
     excesses = [theta[word].real - R ** len(word) * (1 + 1e-9) for word in words]
     worst = int(np.argmax(excesses))  # the first maximum
-    norms = [float(np.linalg.norm(y, 2)) if y.size else 0.0 for y in model.operators]
+    ops = np.stack(model.operators)
+    if np.array_equal(ops, ops.conj().swapaxes(1, 2)):
+        norms = np.abs(np.linalg.eigvalsh(ops)).max(axis=1, initial=0.0).tolist()
+    else:
+        norms = [float(np.linalg.norm(y, 2)) for y in model.operators]
     slack = max(
         (max(0.0, norm - R) / max(R, 1e-300) for norm in norms), default=0.0
     )

@@ -510,7 +510,7 @@ def _admm(objective, constraints: ClassConstraints, tol: float, max_iter: int, a
     primal = dual = float("inf")
     status = "max-iterations"
     iterations = accepted = rejected = 0
-    history = _Anderson(dim, dtype)
+    history = _Anderson()
     # The plain step (z, u, fixed-point residual) that the extrapolated state
     # being evaluated replaced.
     fallback = None
@@ -583,31 +583,33 @@ class _Anderson:
 
     Ring buffers, in the loop's dtype, hold the last ``ANDERSON_MEMORY + 1``
     values T(w_i) and residuals g_i = T(w_i) - w_i, and the Gram matrix K of
-    the residuals' float64 views.  The extrapolation is sum_i a_i T(w_i)
-    with the real weights a = K^-1 1 / (1^T K^-1 1): the weights summing to
-    1 that minimize ||sum_i a_i g_i||.  Each diagonal entry of K is raised
-    by a relative 1e-10, a ridge that keeps K positive definite (no
-    residual is zero: only steps that fail the stopping test are recorded),
-    so the solve cannot fail.  The weighted sum may round entries (j, k)
-    and (k, j) differently, so it is averaged with its adjoint, which
-    leaves z and u exactly Hermitian.
+    the residuals' float64 views; they are allocated at the first push, so
+    a solve that records no step holds none of them.  The extrapolation is
+    sum_i a_i T(w_i) with the real weights a = K^-1 1 / (1^T K^-1 1): the
+    weights summing to 1 that minimize ||sum_i a_i g_i||.  Each diagonal
+    entry of K is raised by a relative 1e-10, a ridge that keeps K positive
+    definite (no residual is zero: only steps that fail the stopping test
+    are recorded), so the solve cannot fail.  The weighted sum may round
+    entries (j, k) and (k, j) differently, so it is averaged with its
+    adjoint, which leaves z and u exactly Hermitian.
     """
 
-    def __init__(self, dim: int, dtype):
-        slots = ANDERSON_MEMORY + 1
-        self.steps = np.zeros((slots, 2, dim, dim), dtype=dtype)
-        self.residuals = np.zeros((slots, 2, dim, dim), dtype=dtype)
-        self._steps = self.steps.reshape(slots, -1).view(float)
-        self._residuals = self.residuals.reshape(slots, -1).view(float)
-        self._gram = np.zeros((slots, slots))
-        self._ones = np.ones(slots)
+    def __init__(self):
+        self.steps = None
         self.count = 0
 
     def clear(self) -> None:
         self.count = 0
 
     def push(self, z, u, step_z, step_u) -> None:
-        slots = len(self.steps)
+        slots = ANDERSON_MEMORY + 1
+        if self.steps is None:
+            self.steps = np.zeros((slots, 2, *z.shape), dtype=z.dtype)
+            self.residuals = np.zeros_like(self.steps)
+            self._steps = self.steps.reshape(slots, -1).view(float)
+            self._residuals = self.residuals.reshape(slots, -1).view(float)
+            self._gram = np.zeros((slots, slots))
+            self._ones = np.ones(slots)
         slot = self.count % slots
         self.steps[slot, 0] = z
         self.steps[slot, 1] = u

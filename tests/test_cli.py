@@ -1055,6 +1055,33 @@ def test_an_array_is_written_as_the_stdlib_writes_it(shape):
     assert [_text(wrap(a)) + "\n" for wrap in NESTS] == expected
 
 
+def _hermitian_pairs(seed: int, size: int) -> np.ndarray:
+    a = make_rng(seed).normal(size=(size, size, 2)) @ [1, 1j]
+    return moments.real_pairs((a + a.conj().T) / 2)
+
+
+# Arrays whose floats share magnitudes, each written with one repr per
+# magnitude: one float, signed zeros, magnitudes repeated with both signs,
+# and the [re, im] pairs of a Hermitian matrix, where entries (j, k) and
+# (k, j) have one real part and negated imaginary parts.
+SHARED_MAGNITUDES = {
+    "one float": np.array([-2.5]),
+    "one float 2-d": np.array([[1e-05]]),
+    "one float 0-d": np.array(-1e16),
+    "one zero": np.array([-0.0]),
+    "signed zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    "repeated": np.array([0.1, -0.1, 0.1, 1e16, -1e16, -0.1, 5e-324, -5e-324]),
+    "hermitian pairs": _hermitian_pairs(76, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(SHARED_MAGNITUDES))
+def test_an_array_with_shared_magnitudes_is_written_as_the_stdlib_writes_it(name):
+    a = SHARED_MAGNITUDES[name]
+    expected = [stdlib_json(wrap(a.tolist())) for wrap in NESTS]
+    assert [_text(wrap(a)) + "\n" for wrap in NESTS] == expected
+
+
 @pytest.mark.parametrize("where", ["array", "float", "vector"])
 def test_a_non_finite_float_deep_in_a_payload_exits_one_and_writes_nothing(
     where, poly_file, tmp_path, monkeypatch, capsys

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nctrace.algebra import words_up_to
+from nctrace.certify import dual_witness
 from nctrace.cli import main
 from nctrace.gns import (
     GnsModel,
@@ -26,6 +27,7 @@ from nctrace.moments import (
 )
 
 from helpers import (
+    commutator_square_poly,
     make_rng,
     pauli_pair,
     random_hermitian_tuple,
@@ -308,11 +310,15 @@ def test_vacuum_checks_equal_word_loop(n, N, d):
         assert abs(verify_trace_property(model, t, deg) - expected) <= 1e-14
 
 
-def test_trace_property_equals_word_loop_on_broken_sequence():
+def _broken_sequence() -> MomentSequence:
     t = moment_sequence(random_hermitian_tuple(make_rng(64), 2, 3), 4)
     vals = dict(t.values)
     vals[(2, 1, 1, 2)] -= 1e-3
-    broken = MomentSequence(2, 4, vals)
+    return MomentSequence(2, 4, vals)
+
+
+def test_trace_property_equals_word_loop_on_broken_sequence():
+    broken = _broken_sequence()
     model = gns_build(broken, 2, membership_tol=1.0)
     ref = reference_vacuum_values(model, 4)
     expected = max(
@@ -368,3 +374,56 @@ def test_norm_bound_check_needs_degree_two():
     t = moment_sequence(pauli_pair(), 1)
     with pytest.raises(ValueError, match="degree at least 2"):
         norm_bound_check(model, t, 1.0)
+
+
+# -- exactly self-adjoint operators and their norms ---------------------------
+
+# A tuple's sequence, the witness the refute commands feed to gns-check (the
+# negated commutator square at radius 3), and a sequence broken off the
+# trace property, whose data is not self-adjoint on the shift domain.
+MODEL_INPUTS = {
+    "tuple": lambda: (moment_sequence(random_hermitian_tuple(make_rng(66), 3, 3), 4), 1e-8),
+    "witness": lambda: (dual_witness(-1 * commutator_square_poly(), 2, R=3.0).theta, 1e-8),
+    "broken": lambda: (_broken_sequence(), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(MODEL_INPUTS))
+def test_every_operator_equals_its_adjoint_exactly(name):
+    theta, membership_tol = MODEL_INPUTS[name]()
+    model = gns_build(theta, theta.max_degree // 2, membership_tol)
+    assert model.rank > 1
+    for y in model.operators:
+        assert np.array_equal(y, y.conj().T)
+    # The defects are the data's, not the emitted operators'.
+    if name == "broken":
+        assert max(model.hermiticity_defects) > 0
+
+
+@pytest.mark.parametrize("name", list(MODEL_INPUTS))
+def test_operator_norms_are_spectral_norms(name):
+    theta, membership_tol = MODEL_INPUTS[name]()
+    model = gns_build(theta, theta.max_degree // 2, membership_tol)
+    norms = norm_bound_check(model, theta, 1.0).operator_norms
+    expected = [np.linalg.norm(y, 2) for y in model.operators]
+    np.testing.assert_allclose(norms, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case", ["random", "one entry off by one ulp"])
+def test_a_model_that_is_not_self_adjoint_gets_its_svd_norms(case):
+    rng = make_rng(67)
+    ops = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    if case != "random":
+        ops = (ops + ops.conj().transpose(0, 2, 1)) / 2
+        ops[1, 0, 2] = np.nextafter(ops[1, 0, 2].real, np.inf) + 1j * ops[1, 0, 2].imag
+    model = GnsModel(
+        degree=2,
+        rank=4,
+        operators=list(ops),
+        vacuum=np.eye(4)[0].astype(complex),
+        reconstruction_error=0.0,
+        shift_residual=0.0,
+    )
+    t = moment_sequence(pauli_pair(), 4)
+    norms = norm_bound_check(model, t, 1.0).operator_norms
+    assert norms == [float(np.linalg.norm(y, 2)) for y in ops]

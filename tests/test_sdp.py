@@ -908,3 +908,29 @@ def test_affine_constraints_refuse_a_bad_dimension_or_matrix_shape():
         ValueError, match=re.escape("constraint matrix shape (3, 3) does not match dim 2")
     ):
         AffineConstraints(2).add(np.eye(3), 1.0)
+
+
+def test_a_solve_decided_within_20_iterations_allocates_no_history(monkeypatch):
+    # The history's 2 (ANDERSON_MEMORY + 1) m x m matrices are allocated at
+    # its first push, at iteration 21, so a solve decided before then holds
+    # none of them.  b* b with b = Y1 + ... + Y5 is feasible at iteration 1,
+    # the negated commutator square at d = 2 infeasible at iteration 10.
+    histories = []
+
+    class Recorded(sdp._Anderson):
+        def __init__(self):
+            super().__init__()
+            histories.append(self)
+
+    monkeypatch.setattr(sdp, "_Anderson", Recorded)
+    b = NCPoly(5, {(j,): 1.0 for j in range(1, 6)})
+    for p, d in ((b.adjoint() * b, 1), (-1 * commutator_square_poly(), 2)):
+        report = feasibility_solve(build_gram_problem(p, d).constraints)
+        assert report.status != "max-iterations"
+        assert report.iterations <= sdp.ANDERSON_START
+        assert histories[-1].steps is None
+    cons = _gram_constraints(2, 2, 1)
+    report = feasibility_solve(cons)
+    assert report.feasible and report.iterations > sdp.ANDERSON_START + 1
+    shape = (sdp.ANDERSON_MEMORY + 1, 2, cons.dim, cons.dim)
+    assert histories[-1].steps.shape == histories[-1].residuals.shape == shape
