@@ -211,9 +211,12 @@ def verify_trace_property(model: GnsModel, theta: MomentSequence, deg_check: int
 def unitary_group(model: GnsModel, j: int, t: float) -> np.ndarray:
     """One-parameter unitary generated by operator j: exp(i t y_j).
 
-    The generator must be Hermitian to 1e-8; the exponential is formed
-    spectrally, so the result is unitary to machine precision and the group
-    law holds exactly in the exponents.  A t that is not finite is refused.
+    The generator must be Hermitian to 1e-8, and so must the data it was
+    built from: a :func:`gns_build` operator equals its adjoint exactly, so
+    its variable's ``hermiticity_defects`` entry is tested as well.  The
+    exponential is formed spectrally, so the result is unitary to machine
+    precision and the group law holds exactly in the exponents.  A t that
+    is not finite is refused.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -222,6 +225,8 @@ def unitary_group(model: GnsModel, j: int, t: float) -> np.ndarray:
         raise ValueError(f"variable index {j} out of range 1..{len(model.operators)}")
     y = model.operators[j - 1]
     defect = float(np.max(np.abs(y - y.conj().T))) if y.size else 0.0
+    # A hand-built model may list no data defects.
+    defect = max([defect, *model.hermiticity_defects[j - 1 : j]])
     if defect > GENERATOR_HERMITIAN_TOL:
         raise ValueError(
             f"generator {j} is not Hermitian: asymmetry {defect:.3e}"
@@ -251,13 +256,9 @@ def norm_bound_check(model: GnsModel, theta: MomentSequence, R: float) -> NormBo
 
     The moment condition is the pass criterion.  Operator norms can exceed
     R slightly because of the truncated extension; the relative excess is
-    reported as slack, not failed.  When the operator stack equals its
-    adjoint exactly, as every :func:`gns_build` model's does, the norms are
-    the largest eigenvalue magnitudes from one batched ``eigvalsh``;
-    otherwise each is its operator's SVD norm.  R must be positive and its
-    even powers up to the sequence's degree finite
-    (:func:`~nctrace.moments.check_radius`), and the sequence needs a
-    diagonal even moment, so degree at least 2.
+    reported as slack, not failed.  R must be positive and its even powers
+    up to the sequence's degree finite (:func:`~nctrace.moments.check_radius`),
+    and the sequence needs a diagonal even moment, so degree at least 2.
     """
     check_radius(R, 2 * (theta.max_degree // 2))
     if theta.max_degree < 2:
@@ -270,11 +271,7 @@ def norm_bound_check(model: GnsModel, theta: MomentSequence, R: float) -> NormBo
     ]
     excesses = [theta[word].real - R ** len(word) * (1 + 1e-9) for word in words]
     worst = int(np.argmax(excesses))  # the first maximum
-    ops = np.stack(model.operators)
-    if np.array_equal(ops, ops.conj().swapaxes(1, 2)):
-        norms = np.abs(np.linalg.eigvalsh(ops)).max(axis=1, initial=0.0).tolist()
-    else:
-        norms = [float(np.linalg.norm(y, 2)) for y in model.operators]
+    norms = [float(np.linalg.norm(y, 2)) if y.size else 0.0 for y in model.operators]
     slack = max(
         (max(0.0, norm - R) / max(R, 1e-300) for norm in norms), default=0.0
     )
